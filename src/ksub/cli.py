@@ -24,7 +24,7 @@ from . import geometry as geo
 from . import hopf
 from . import surface as srf
 from . import verify
-from .errors import AngleSingularError, KsubError, NotCMCError
+from .errors import AngleSingularError, DomainEvalError, KsubError, NotCMCError
 from .expr import parse
 
 SCHEMA_VERSION = 1
@@ -142,6 +142,14 @@ class UsageError(Exception):
     pass
 
 
+def count(text: str) -> int:
+    """argparse type for grid sizes and sample counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # info
 # ---------------------------------------------------------------------------
@@ -156,9 +164,14 @@ def cmd_info(args) -> int:
     records = []
     rows = []
     for (x, y) in points:
-        r, grad = geo.bundle_curvature(data, (x, y))
-        g_val = geo.gauss_curvature(data, (x, y))
-        ric = geo.ricci(data, (x, y))
+        # an overflow surfaces as the non-finite value reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, grad = geo.bundle_curvature(data, (x, y))
+            g_val = geo.gauss_curvature(data, (x, y))
+            ric = geo.ricci(data, (x, y))
+        if not np.all(np.isfinite([r, g_val, *grad, *ric.ravel()])):
+            raise DomainEvalError(
+                f"r, G, grad r or Ricci is not finite at ({x}, {y})")
         records.append({
             "x": x, "y": y, "r": r, "G": g_val,
             "grad_r": [grad[0], grad[1]],
@@ -399,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                             parents=[output])
     _add_metric_flags(p_info)
     p_info.add_argument("--at", nargs=2, type=float, metavar=("X", "Y"))
-    p_info.add_argument("--grid", nargs=2, type=int, metavar=("NX", "NY"))
+    p_info.add_argument("--grid", nargs=2, type=count, metavar=("NX", "NY"))
     p_info.set_defaults(func=cmd_info)
 
     p_surf = sub.add_parser("check-surface", parents=[output],
@@ -411,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="graph height z(x, y)")
     p_surf.add_argument("--patch-domain", nargs=4, type=float,
                         metavar=("UMIN", "UMAX", "VMIN", "VMAX"))
-    p_surf.add_argument("--grid", nargs=2, type=int, metavar=("NU", "NV"))
+    p_surf.add_argument("--grid", nargs=2, type=count, metavar=("NU", "NV"))
     p_surf.add_argument("--tol", type=float, default=1e-4)
     p_surf.set_defaults(func=cmd_check_surface)
 
@@ -428,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--curve", metavar="\"X;Y\"",
                          help="curve expressions in s")
     p_check.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"))
-    p_check.add_argument("--samples", type=int, default=64)
+    p_check.add_argument("--samples", type=count, default=64)
     p_check.add_argument("--tol", type=float, default=1e-5)
     p_check.add_argument("--expect", choices=("pass", "fail"))
     p_check.set_defaults(func=cmd_hopf_check)
@@ -462,6 +475,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, KsubError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except ArithmeticError as err:  # overflow, division by zero, FP traps
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 
 

@@ -28,7 +28,6 @@ quantity from metric evaluations only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,12 +56,25 @@ __all__ = [
     "riemann_direct",
     "ricci",
     "ricci_contraction",
-    "scalar_derivative_along",
 ]
 
 # Oracle step scale: central differences with one Richardson level balance
 # truncation against cancellation at this size for double precision.
 FD_SCALE = 1e-4
+
+# Entries a per-object memo store holds before it is emptied.
+CACHE_LIMIT = 200_000
+
+
+def memo(store: dict, key: tuple, compute):
+    """``store[key]``, filled by ``compute(*key)`` on a miss; a full store is
+    emptied first, so it never holds more than CACHE_LIMIT entries."""
+    hit = store.get(key)
+    if hit is None:
+        if len(store) >= CACHE_LIMIT:
+            store.clear()
+        hit = store[key] = compute(*key)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -131,21 +143,20 @@ class KillingData:
             if self.lam(x, y) <= 0.0:
                 raise ValueError(
                     f"lam must be positive on the domain; lam({x}, {y}) <= 0")
+        self._jets: dict[tuple[float, float], tuple[Jet, Jet, Jet]] = {}
 
     def base_jets(self, x: float, y: float) -> tuple[Jet, Jet, Jet]:
-        return _base_jets(self, float(x), float(y))
+        return memo(self._jets, (float(x), float(y)), self._eval_base_jets)
+
+    def _eval_base_jets(self, x: float, y: float) -> tuple[Jet, Jet, Jet]:
+        point = (x, y)
+        return (eval_jet(self.lam, point), eval_jet(self.a, point),
+                eval_jet(self.b, point))
 
     def require_inside(self, x: float, y: float, margin: float = 0.0):
         if not self.domain.contains(x, y, margin):
             raise OutsideDomainError(
                 f"point ({x}, {y}) outside domain of {self.description or 'metric'}")
-
-
-@lru_cache(maxsize=200_000)
-def _base_jets(data: KillingData, x: float, y: float):
-    point = (x, y)
-    return (eval_jet(data.lam, point), eval_jet(data.a, point),
-            eval_jet(data.b, point))
 
 
 @dataclass(frozen=True)
@@ -338,13 +349,7 @@ def connection_oracle(data: KillingData, p, h: float | None = None) -> np.ndarra
     # dg[c, a, b] = d g_ab / d x_c ; everything is z-independent
     dg = np.zeros((3, 3, 3))
     for c in range(2):
-        def entry(t, c=c):
-            q = [x, y]
-            q[c] = t
-            return g_at(q)
-        coarse = (entry((x, y)[c] + h) - entry((x, y)[c] - h)) / (2 * h)
-        fine = (entry((x, y)[c] + h / 2) - entry((x, y)[c] - h / 2)) / h
-        dg[c] = (4.0 * fine - coarse) / 3.0
+        dg[c] = numdiff.partial1(g_at, (x, y), c, h)
 
     g = g_at((x, y))
     g_inv = np.linalg.inv(g)
@@ -359,13 +364,7 @@ def connection_oracle(data: KillingData, p, h: float | None = None) -> np.ndarra
     # dE[c, j, k] = d E_j^k / d x_c
     dE = np.zeros((3, 3, 3))
     for c in range(2):
-        def entry(t, c=c):
-            q = [x, y]
-            q[c] = t
-            return frame_matrix(q)
-        coarse = (entry((x, y)[c] + h) - entry((x, y)[c] - h)) / (2 * h)
-        fine = (entry((x, y)[c] + h / 2) - entry((x, y)[c] - h / 2)) / h
-        dE[c] = (4.0 * fine - coarse) / 3.0
+        dE[c] = numdiff.partial1(frame_matrix, (x, y), c, h)
 
     # (D_{Ei} Ej)^k = Ei^c dE[c, j, k] + Ei^a Ej^b Gamma^k_{ab}
     cov = (np.einsum("ic,cjk->ijk", eframe, dE)
@@ -409,14 +408,6 @@ def frame_bracket_fd(data: KillingData, p, i: int, j: int,
 # ---------------------------------------------------------------------------
 # Curvature
 # ---------------------------------------------------------------------------
-
-def scalar_derivative_along(data: KillingData, p, v_frame) -> float:
-    """Derivative of the bundle curvature r along a frame vector at p."""
-    r, grad = bundle_curvature(data, (p[0], p[1]))
-    lam = data.lam(float(p[0]), float(p[1]))
-    v = np.asarray(v_frame, dtype=float)
-    return v[0] * grad[0] / lam + v[1] * grad[1] / lam
-
 
 def riemann_closed(data: KillingData, p, X, Y, Z, W) -> float:
     """<R(X,Y)Z, W> from the closed-form curvature of the canonical metric.
@@ -478,9 +469,7 @@ def riemann_direct(data: KillingData, p, X, Y, Z, W,
             q = (x + t * vel[0], y + t * vel[1])
             return cov_const(B, C, q)
 
-        coarse = (field(ht) - field(-ht)) / (2.0 * ht)
-        fine = (field(0.5 * ht) - field(-0.5 * ht)) / ht
-        deriv = (4.0 * fine - coarse) / 3.0
+        deriv = numdiff.d1(field, 0.0, ht)
         inner = cov_const(B, C, (x, y))
         correction = np.einsum("i,m,imk->k", A, inner, gamma_at((x, y)))
         return deriv + correction

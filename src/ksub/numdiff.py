@@ -1,8 +1,8 @@
 """Central finite differences with one level of Richardson extrapolation.
 
-These helpers back every numerical oracle in the package. Closed-form paths
-never use them; the point is an independent derivative whose only input is
-function values.
+Every difference quotient in the package is formed here: the numerical
+oracles, the bundle-curvature gradient and the derivatives of derived surface
+fields. ``f`` may return a float or a numpy array; the result has its shape.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ def _shift(p, i, step):
 
 def partial1(f, p, i: int, h: float, richardson: bool = True) -> float:
     """``df/dp_i`` for a function of a point (sequence of floats)."""
-    return d1(lambda t: f(_shift(p, i, t - p[i])), p[i], h, richardson)
+    return d1(lambda t: f(_shift(p, i, t)), 0.0, h, richardson)
 
 
 def partial2(f, p, i: int, h: float, richardson: bool = True) -> float:
     """``d2f/dp_i^2`` for a function of a point."""
-    return d2(lambda t: f(_shift(p, i, t - p[i])), p[i], h, richardson)
+    return d2(lambda t: f(_shift(p, i, t)), 0.0, h, richardson)
 
 
 def mixed2(f, p, i: int, j: int, h: float, richardson: bool = True) -> float:

@@ -32,6 +32,7 @@ from .errors import (
     FdMarginError,
 )
 from .expr import Expr, eval_jet, parse
+from .numdiff import mixed2, partial1, partial2
 
 __all__ = [
     "SurfacePatch",
@@ -172,15 +173,7 @@ class SurfaceEvaluator:
     # -- core point data -----------------------------------------------------
 
     def data(self, u: float, v: float) -> _PointData:
-        key = (u, v)
-        hit = self._data.get(key)
-        if hit is not None:
-            return hit
-        if len(self._data) > 400_000:
-            self._data.clear()
-        out = self._compute_data(u, v)
-        self._data[key] = out
-        return out
+        return geo.memo(self._data, (u, v), self._compute_data)
 
     def _compute_data(self, u: float, v: float) -> _PointData:
         patch = self.patch
@@ -227,13 +220,7 @@ class SurfaceEvaluator:
     # -- shape operator --------------------------------------------------------
 
     def weingarten(self, u: float, v: float) -> _Weingarten:
-        key = (u, v)
-        hit = self._wein.get(key)
-        if hit is not None:
-            return hit
-        out = self._compute_weingarten(u, v)
-        self._wein[key] = out
-        return out
+        return geo.memo(self._wein, (u, v), self._compute_weingarten)
 
     def _require_margin(self, u, v, need):
         if self.patch.domain.margin_at(u, v) < need:
@@ -245,16 +232,8 @@ class SurfaceEvaluator:
         """d eta / d(u, v) with one Richardson level; shape (2, 3)."""
         h = self.h
         self._require_margin(u, v, 1.5 * h)
-        out = np.empty((2, 3))
-        for i in range(2):
-            def at(t, i=i):
-                q = [u, v]
-                q[i] += t
-                return self.data(q[0], q[1]).normal
-            coarse = (at(h) - at(-h)) / (2.0 * h)
-            fine = (at(0.5 * h) - at(-0.5 * h)) / h
-            out[i] = (4.0 * fine - coarse) / 3.0
-        return out
+        return np.stack([partial1(lambda q: self.data(*q).normal, (u, v), i, h)
+                         for i in range(2)])
 
     def _compute_weingarten(self, u: float, v: float) -> _Weingarten:
         d = self.data(u, v)
@@ -318,17 +297,8 @@ class SurfaceEvaluator:
     def dfield(self, field: Callable[[float, float], float],
                u: float, v: float) -> np.ndarray:
         """(d/du, d/dv) of a scalar field, central + Richardson."""
-        h = self.h
-        out = np.empty(2)
-        for i in range(2):
-            def at(t, i=i):
-                q = [u, v]
-                q[i] += t
-                return field(q[0], q[1])
-            coarse = (at(h) - at(-h)) / (2.0 * h)
-            fine = (at(0.5 * h) - at(-0.5 * h)) / h
-            out[i] = (4.0 * fine - coarse) / 3.0
-        return out
+        return np.array([partial1(lambda q: field(*q), (u, v), i, self.h)
+                         for i in range(2)])
 
     def directional(self, field, coeff, u, v) -> float:
         dd = self.dfield(field, u, v)
@@ -355,16 +325,8 @@ class SurfaceEvaluator:
 
     def induced_christoffels(self, u: float, v: float) -> np.ndarray:
         """Christoffel symbols of the first fundamental form, (k, i, j)."""
-        h = self.h
-        dg = np.empty((2, 2, 2))
-        for c in range(2):
-            def at(t, c=c):
-                q = [u, v]
-                q[c] += t
-                return self.data(q[0], q[1]).first_form
-            coarse = (at(h) - at(-h)) / (2.0 * h)
-            fine = (at(0.5 * h) - at(-0.5 * h)) / h
-            dg[c] = (4.0 * fine - coarse) / 3.0
+        dg = np.stack([partial1(lambda q: self.data(*q).first_form, (u, v),
+                                c, self.h) for c in range(2)])
         g_inv = np.linalg.inv(self.data(u, v).first_form)
         sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
         return 0.5 * np.einsum("cd,abd->cab", g_inv, sym)
@@ -372,42 +334,23 @@ class SurfaceEvaluator:
     def covariant_coeff(self, field_coeff: Callable[[float, float], np.ndarray],
                         direction, u: float, v: float) -> np.ndarray:
         """Surface covariant derivative of a tangent coefficient field."""
-        h = self.h
         chris = self.induced_christoffels(u, v)
         w = field_coeff(u, v)
         direction = np.asarray(direction, dtype=float)
         out = np.zeros(2)
         for i in range(2):
-            def at(t, i=i):
-                q = [u, v]
-                q[i] += t
-                return field_coeff(q[0], q[1])
-            coarse = (at(h) - at(-h)) / (2.0 * h)
-            fine = (at(0.5 * h) - at(-0.5 * h)) / h
-            dw = (4.0 * fine - coarse) / 3.0
+            dw = partial1(lambda q: field_coeff(*q), (u, v), i, self.h)
             out += direction[i] * (dw + chris[:, i, :] @ w)
         return out
 
     def coordinate_bracket(self, a_coeff, b_coeff, u, v) -> np.ndarray:
         """[a, b] of tangent coefficient fields via the coordinate formula."""
-        h = self.h
         a0 = a_coeff(u, v)
         b0 = b_coeff(u, v)
         out = np.zeros(2)
         for i in range(2):
-            def da(t, i=i):
-                q = [u, v]
-                q[i] += t
-                return a_coeff(q[0], q[1])
-
-            def db(t, i=i):
-                q = [u, v]
-                q[i] += t
-                return b_coeff(q[0], q[1])
-            da_i = (4.0 * (da(0.5 * h) - da(-0.5 * h)) / h
-                    - (da(h) - da(-h)) / (2.0 * h)) / 3.0
-            db_i = (4.0 * (db(0.5 * h) - db(-0.5 * h)) / h
-                    - (db(h) - db(-h)) / (2.0 * h)) / 3.0
+            da_i = partial1(lambda q: a_coeff(*q), (u, v), i, self.h)
+            db_i = partial1(lambda q: b_coeff(*q), (u, v), i, self.h)
             out += a0[i] * db_i - b0[i] * da_i
         return out
 
@@ -417,76 +360,36 @@ class SurfaceEvaluator:
         h = self.h
         self._require_margin(u, v, 3.0 * h)
 
-        def flux(uu, vv):
-            g = self.data(uu, vv).first_form
+        def flux(q):
+            g = self.data(*q).first_form
             g_inv = np.linalg.inv(g)
             root = math.sqrt(np.linalg.det(g))
-            grad = np.empty(2)
-            for j in range(2):
-                def at(t, j=j):
-                    q = [uu, vv]
-                    q[j] += t
-                    return field(q[0], q[1])
-                grad[j] = (at(h) - at(-h)) / (2.0 * h)
+            grad = np.array([partial1(lambda s: field(*s), q, j, h,
+                                      richardson=False) for j in range(2)])
             return root * (g_inv @ grad)
 
         div = 0.0
         for i in range(2):
-            def comp(t, i=i):
-                q = [u, v]
-                q[i] += t
-                return flux(q[0], q[1])[i]
-            coarse = (comp(h) - comp(-h)) / (2.0 * h)
-            fine = (comp(0.5 * h) - comp(-0.5 * h)) / h
-            div += (4.0 * fine - coarse) / 3.0
+            div += partial1(lambda q: flux(q)[i], (u, v), i, h)
         g = self.data(u, v).first_form
         return float(div / math.sqrt(np.linalg.det(g)))
 
     def brioschi_curvature(self, u: float, v: float) -> float:
         """Gaussian curvature of the induced metric, Brioschi formula."""
-        h = self.h
+        h, p = self.h, (u, v)
         self._require_margin(u, v, 2.5 * h)
 
-        def entry(uu, vv, i, j):
-            return self.data(uu, vv).first_form[i, j]
-
-        def deriv1(i, j, axis):
-            def at(t):
-                q = [u, v]
-                q[axis] += t
-                return entry(q[0], q[1], i, j)
-            coarse = (at(h) - at(-h)) / (2.0 * h)
-            fine = (at(0.5 * h) - at(-0.5 * h)) / h
-            return (4.0 * fine - coarse) / 3.0
-
-        def deriv2(i, j, axis):
-            center = entry(u, v, i, j)
-
-            def at(t):
-                q = [u, v]
-                q[axis] += t
-                return entry(q[0], q[1], i, j)
-            coarse = (at(h) - 2.0 * center + at(-h)) / (h * h)
-            fine = (at(0.5 * h) - 2.0 * center + at(-0.5 * h)) / (0.25 * h * h)
-            return (4.0 * fine - coarse) / 3.0
-
-        def mixed(i, j):
-            def at(su, sv):
-                return entry(u + su, v + sv, i, j)
-
-            def stencil(step):
-                return (at(step, step) - at(step, -step)
-                        - at(-step, step) + at(-step, -step)) / (4 * step * step)
-            return (4.0 * stencil(0.5 * h) - stencil(h)) / 3.0
+        def entry(i, j):
+            return lambda q: self.data(*q).first_form[i, j]
 
         g = self.data(u, v).first_form
         E, F, G = g[0, 0], g[0, 1], g[1, 1]
-        E_u, E_v = deriv1(0, 0, 0), deriv1(0, 0, 1)
-        G_u, G_v = deriv1(1, 1, 0), deriv1(1, 1, 1)
-        F_u, F_v = deriv1(0, 1, 0), deriv1(0, 1, 1)
-        E_vv = deriv2(0, 0, 1)
-        G_uu = deriv2(1, 1, 0)
-        F_uv = mixed(0, 1)
+        E_u, E_v = partial1(entry(0, 0), p, 0, h), partial1(entry(0, 0), p, 1, h)
+        G_u, G_v = partial1(entry(1, 1), p, 0, h), partial1(entry(1, 1), p, 1, h)
+        F_u, F_v = partial1(entry(0, 1), p, 0, h), partial1(entry(0, 1), p, 1, h)
+        E_vv = partial2(entry(0, 0), p, 1, h)
+        G_uu = partial2(entry(1, 1), p, 0, h)
+        F_uv = mixed2(entry(0, 1), p, 0, 1, h)
 
         m1 = np.array([
             [-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v],

@@ -79,6 +79,30 @@ class TestInfo:
         assert lines[0] == "s_or_u,v,check,residual,tol,status"
         assert len(lines) == 2
 
+    def test_overflow_exits_2_without_traceback(self, capsys):
+        code, out, err = run(capsys, "info", "--lambda", "exp(400*x)",
+                             "--domain", "0", "2", "0", "2",
+                             "--at", "0.5", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_non_finite_result_exits_2(self, capsys):
+        code, out, err = run(capsys, "info", "--lambda", "1",
+                             "--b", "1e200*x^2", "--at", "1.5", "1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: r, G, grad r or Ricci is not finite at (1.5, 1.0)"]
+
+    @pytest.mark.parametrize("grid", [("0", "3"), ("3", "-1")])
+    def test_empty_grid_exits_2(self, capsys, grid):
+        code, out, err = run(capsys, "info", "--bcv", "0", "0.5",
+                             "--grid", *grid)
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--grid" in err
+
 
 class TestCheckSurface:
     def test_heisenberg_graph_identities_pass(self, capsys):
@@ -109,6 +133,13 @@ class TestCheckSurface:
         code, _, err = run(capsys, "check-surface", "--bcv", "0", "0.5",
                            "--surface", "u;v")
         assert code == 2
+
+    def test_empty_grid_exits_2(self, capsys):
+        code, out, err = run(capsys, "check-surface", "--bcv", "0", "0.5",
+                             "--graph", "x*y", "--grid", "2", "0")
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--grid" in err
 
     def test_sweep_through_angle_singular_point(self, capsys):
         # the 3x3 sweep of the xy-graph hits the horizontal tangent plane at
@@ -167,6 +198,14 @@ class TestHopfCommand:
             "--samples", "16")
         assert code == 0
         assert data["verdict"]["kappa_mean"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_zero_samples_exits_2(self, capsys):
+        code, out, err = run(capsys, "hopf", "check", "--bcv", "1", "0",
+                             "--circle-kg", "1", "--samples", "0")
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--samples" in err
+        assert "zero-size" not in err
 
     def test_example_identically_zero_exits_2(self, capsys):
         code, _, err = run(capsys, "hopf", "example", "--f", "1", "--r", "0",

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -358,3 +360,51 @@ class TestSurfaceConnection:
         mu = ev.weingarten(*q).mean_h - e1_phi
         expected = mu * d.cos_phi / d.sin_phi
         assert got == pytest.approx(expected, abs=1e-3)
+
+
+class TestCaches:
+    def test_memo_computes_once_per_key(self):
+        store, calls = {}, []
+
+        def compute(u, v):
+            calls.append((u, v))
+            return u + v
+
+        assert geo.memo(store, (1.0, 2.0), compute) == 3.0
+        assert geo.memo(store, (1.0, 2.0), compute) == 3.0
+        assert calls == [(1.0, 2.0)]
+
+    def test_full_store_is_emptied(self, monkeypatch):
+        monkeypatch.setattr(geo, "CACHE_LIMIT", 3)
+        store = {}
+        for key in range(3):
+            geo.memo(store, (key,), lambda k: k)
+        assert len(store) == 3
+        geo.memo(store, (3,), lambda k: k)
+        assert store == {(3,): 3}
+
+    def test_metric_is_not_pinned(self):
+        data = geo.bcv(1.0, 0.5)
+        data.base_jets(0.1, 0.2)
+        geo.bundle_curvature(data, (0.3, -0.4))
+        ref = weakref.ref(data)
+        del data
+        gc.collect()
+        assert ref() is None
+
+    def test_stores_stay_within_limit(self, monkeypatch):
+        def residuals():
+            data = geo.bcv(0.0, 0.5)
+            patch = srf.SurfacePatch.graph(data, "0.2+0.5*x+0.3*y+0.4*x*y",
+                                           geo.Rect(-0.5, 0.5, -0.5, 0.5))
+            ev = patch.evaluator()
+            out = (srf.gauss_residual(patch, (0.1, -0.1)),
+                   srf.codazzi_residual(patch, (0.1, -0.1)).tolist())
+            return out, (data._jets, ev._data, ev._wein)
+
+        unlimited, _ = residuals()
+        monkeypatch.setattr(geo, "CACHE_LIMIT", 8)
+        limited, stores = residuals()
+        for store in stores:
+            assert 0 < len(store) <= 8
+        assert limited == unlimited
