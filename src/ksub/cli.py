@@ -95,7 +95,23 @@ def dumps_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _floats(obj, path: str = ""):
+    """(path, value) of every float in a payload, in output order."""
+    if isinstance(obj, (float, np.floating)):
+        yield path, obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _floats(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        for i, value in enumerate(obj):
+            yield from _floats(value, f"{path}[{i}]")
+
+
 def _emit(args, payload: dict, rows: list[dict]) -> None:
+    # a non-finite CSV value is also one in the payload: one check serves both
+    for path, value in _floats(payload):
+        if not math.isfinite(value):
+            raise DomainEvalError(f"non-finite result at {path}")
     if args.format == "csv":
         text = dumps_csv(rows)
     else:
@@ -150,6 +166,14 @@ def count(text: str) -> int:
     return value
 
 
+def tolerance(text: str) -> float:
+    """argparse type for --tol: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # info
 # ---------------------------------------------------------------------------
@@ -164,14 +188,9 @@ def cmd_info(args) -> int:
     records = []
     rows = []
     for (x, y) in points:
-        # an overflow surfaces as the non-finite value reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            r, grad = geo.bundle_curvature(data, (x, y))
-            g_val = geo.gauss_curvature(data, (x, y))
-            ric = geo.ricci(data, (x, y))
-        if not np.all(np.isfinite([r, g_val, *grad, *ric.ravel()])):
-            raise DomainEvalError(
-                f"r, G, grad r or Ricci is not finite at ({x}, {y})")
+        r, grad = geo.bundle_curvature(data, (x, y))
+        g_val = geo.gauss_curvature(data, (x, y))
+        ric = geo.ricci(data, (x, y))
         records.append({
             "x": x, "y": y, "r": r, "G": g_val,
             "grad_r": [grad[0], grad[1]],
@@ -230,7 +249,7 @@ def _surface_point_checks(patch, q, tol) -> list[dict]:
     add_guarded("codazzi",
                 lambda: float(np.max(np.abs(srf.codazzi_residual(patch, q)))))
     add_guarded("compatibility",
-                lambda: max(*srf.compatibility_residuals(patch, q)))
+                lambda: float(np.max(srf.compatibility_residuals(patch, q))))
     try:
         bt = bih.bitension_residual(patch, q)
         add("bitension-normal", bt.normal)
@@ -425,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_surf.add_argument("--patch-domain", nargs=4, type=float,
                         metavar=("UMIN", "UMAX", "VMIN", "VMAX"))
     p_surf.add_argument("--grid", nargs=2, type=count, metavar=("NU", "NV"))
-    p_surf.add_argument("--tol", type=float, default=1e-4)
+    p_surf.add_argument("--tol", type=tolerance, default=1e-4)
     p_surf.set_defaults(func=cmd_check_surface)
 
     p_hopf = sub.add_parser("hopf", help="vertical cylinder analysis")
@@ -442,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="curve expressions in s")
     p_check.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"))
     p_check.add_argument("--samples", type=count, default=64)
-    p_check.add_argument("--tol", type=float, default=1e-5)
+    p_check.add_argument("--tol", type=tolerance, default=1e-5)
     p_check.add_argument("--expect", choices=("pass", "fail"))
     p_check.set_defaults(func=cmd_hopf_check)
 
@@ -451,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--f", metavar="EXPR", help="warp profile f(t) > 0")
     p_ex.add_argument("--r", type=float, help="constant bundle curvature")
     p_ex.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"))
-    p_ex.add_argument("--tol", type=float, default=1e-5)
+    p_ex.add_argument("--tol", type=tolerance, default=1e-5)
     p_ex.add_argument("--expect", choices=("pass", "fail"))
     p_ex.set_defaults(func=cmd_hopf_example)
 
@@ -459,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="run the built-in verification suite")
     p_verify.add_argument("--only", metavar="NAME",
                           help="run only checks whose name contains NAME")
-    p_verify.add_argument("--tol", dest="tol_override", type=float,
+    p_verify.add_argument("--tol", dest="tol_override", type=tolerance,
                           help="override every residual tolerance")
     p_verify.set_defaults(func=cmd_verify_paper)
     return parser
@@ -472,7 +491,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # numpy faults surface as non-finite results, which _emit refuses
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (UsageError, KsubError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -18,8 +18,9 @@ class UndeclaredVariableError(ExprSyntaxError):
 
 
 class DomainEvalError(KsubError):
-    """Evaluation hit an analytic domain problem (division by zero, log of
-    a nonpositive number, ...). The message names the offending subexpression."""
+    """Evaluation hit an analytic domain problem (division by zero, log of a
+    nonpositive number, a result that is not finite, ...). The message names
+    the offending subexpression or output field."""
 
 
 class ArityMismatchError(KsubError):

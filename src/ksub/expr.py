@@ -3,7 +3,10 @@
 Expressions are parsed from text over a declared list of variables into an
 immutable AST, then evaluated either as plain floats or as ``Jet`` values
 carrying (value, gradient, Hessian) with respect to the declared variables.
-Exponents of ``^`` must be numeric literals, which keeps the power rule exact.
+One walker serves both, with two separate arithmetics: float operations with
+their own domain checks, and the ``Jet`` methods, which also check that the
+result is twice differentiable. Exponents of ``^`` must be numeric literals,
+which keeps the power rule exact.
 
 Grammar::
 
@@ -20,6 +23,7 @@ numbers are decimal literals with optional scientific notation.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -434,55 +438,73 @@ def variable_jet(value: float, index: int, nvars: int) -> Jet:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-_CALL_JET = {
-    "sin": Jet.sin,
-    "cos": Jet.cos,
-    "tan": Jet.tan,
-    "exp": Jet.exp,
-    "log": Jet.log,
-    "sqrt": Jet.sqrt,
-    "abs": abs,
-}
-
-_CALL_VALUE = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
+def _value_div(left: float, right: float) -> float:
+    if right == 0.0:
+        raise DomainEvalError("division by zero")
+    return left / right
 
 
-def eval_jet(expr: Expr, point) -> Jet:
-    """Evaluate ``expr`` at ``point``, returning exact second-order data.
+def _value_pow(base: float, p: float) -> float:
+    if base < 0.0 and p != int(p):
+        raise DomainEvalError(f"negative base for non-integer power {p}")
+    if base == 0.0 and p < 0.0:
+        raise DomainEvalError("zero base for negative power")
+    return base ** p
 
-    ``point`` must have one entry per declared variable. Domain problems
-    (division by zero, log/sqrt of a nonpositive argument, the abs kink)
-    raise :class:`DomainEvalError` naming the offending subexpression.
+
+def _value_log(arg: float) -> float:
+    if arg <= 0.0:
+        raise DomainEvalError(f"log of nonpositive value {arg!r}")
+    return math.log(arg)
+
+
+def _value_sqrt(arg: float) -> float:
+    if arg < 0.0:
+        raise DomainEvalError(f"sqrt of negative value {arg!r}")
+    return math.sqrt(arg)
+
+
+def _value_leaf(value: float, *_) -> float:
+    return value
+
+
+# "/", "^" and the functions differ between the two arithmetics; "+", "-",
+# "*" and negation are the operators of both floats and jets
+_JET_OPS = {"/": operator.truediv, "^": operator.pow, "sin": Jet.sin,
+            "cos": Jet.cos, "tan": Jet.tan, "exp": Jet.exp, "log": Jet.log,
+            "sqrt": Jet.sqrt, "abs": abs}
+_VALUE_OPS = {"/": _value_div, "^": _value_pow, "sin": math.sin,
+              "cos": math.cos, "tan": math.tan, "exp": math.exp,
+              "log": _value_log, "sqrt": _value_sqrt, "abs": abs}
+
+
+def _evaluate(expr: Expr, point, constant, variable, ops):
+    """The one traversal behind :func:`eval_jet` and :func:`eval_value`.
+
+    Leaves are ``constant(value, n)`` and ``variable(value, index, n)`` over
+    ``n`` variables; ``ops`` holds the arithmetic of that leaf type.
     """
-    point = np.asarray(point, dtype=float)
+    point = tuple(map(float, point))
     n = len(expr.variables)
-    if point.shape != (n,):
+    if len(point) != n:
         raise ArityMismatchError(
             f"expected {n} coordinates for variables {expr.variables}, "
-            f"got shape {point.shape}")
+            f"got {len(point)}")
     index = {name: i for i, name in enumerate(expr.variables)}
 
-    def walk(node: Node) -> Jet:
+    def walk(node: Node):
         try:
             if isinstance(node, Const):
-                return constant_jet(node.value, n)
+                return constant(node.value, n)
             if isinstance(node, Var):
                 i = index[node.name]
-                return variable_jet(point[i], i, n)
+                return variable(point[i], i, n)
             if isinstance(node, Neg):
                 return -walk(node.arg)
             if isinstance(node, Call):
-                return _CALL_JET[node.func](walk(node.arg))
+                return ops[node.func](walk(node.arg))
             if isinstance(node, Power):
-                return walk(node.base) ** node.exponent
+                return ops["^"](walk(node.base), node.exponent)
             if isinstance(node, Binary):
                 left, right = walk(node.left), walk(node.right)
                 if node.op == "+":
@@ -491,7 +513,7 @@ def eval_jet(expr: Expr, point) -> Jet:
                     return left - right
                 if node.op == "*":
                     return left * right
-                return left / right
+                return ops["/"](left, right)
         except DomainEvalError as err:
             if " in '" in str(err):
                 raise  # already annotated with the offending subexpression
@@ -501,56 +523,21 @@ def eval_jet(expr: Expr, point) -> Jet:
     return walk(expr.root)
 
 
+def eval_jet(expr: Expr, point) -> Jet:
+    """Evaluate ``expr`` at ``point``, returning exact second-order data.
+
+    ``point`` must have one entry per declared variable. Domain problems
+    (division by zero, log/sqrt of a nonpositive argument, the abs kink)
+    raise :class:`DomainEvalError` naming the offending subexpression.
+    """
+    return _evaluate(expr, point, constant_jet, variable_jet, _JET_OPS)
+
+
 def eval_value(expr: Expr, point) -> float:
-    """Value-only evaluation (cheaper than :func:`eval_jet`)."""
-    point = tuple(float(v) for v in point)
-    if len(point) != len(expr.variables):
-        raise ArityMismatchError(
-            f"expected {len(expr.variables)} coordinates, got {len(point)}")
-    index = {name: i for i, name in enumerate(expr.variables)}
-
-    def walk(node: Node) -> float:
-        try:
-            if isinstance(node, Const):
-                return node.value
-            if isinstance(node, Var):
-                return point[index[node.name]]
-            if isinstance(node, Neg):
-                return -walk(node.arg)
-            if isinstance(node, Call):
-                arg = walk(node.arg)
-                if node.func == "log" and arg <= 0.0:
-                    raise DomainEvalError(f"log of nonpositive value {arg!r}")
-                if node.func == "sqrt" and arg < 0.0:
-                    raise DomainEvalError(f"sqrt of negative value {arg!r}")
-                return _CALL_VALUE[node.func](arg)
-            if isinstance(node, Power):
-                base = walk(node.base)
-                p = node.exponent
-                if base < 0.0 and p != int(p):
-                    raise DomainEvalError(
-                        f"negative base for non-integer power {p}")
-                if base == 0.0 and p < 0.0:
-                    raise DomainEvalError("zero base for negative power")
-                return base ** p
-            if isinstance(node, Binary):
-                left, right = walk(node.left), walk(node.right)
-                if node.op == "+":
-                    return left + right
-                if node.op == "-":
-                    return left - right
-                if node.op == "*":
-                    return left * right
-                if right == 0.0:
-                    raise DomainEvalError("division by zero")
-                return left / right
-        except DomainEvalError as err:
-            if " in '" in str(err):
-                raise
-            raise DomainEvalError(f"{err} in '{_to_text(node, 0)}'") from None
-        raise TypeError(f"unknown node {node!r}")
-
-    return walk(expr.root)
+    """Value-only evaluation in float arithmetic, cheaper than
+    :func:`eval_jet` and independent of it; ``sqrt`` and ``abs`` have a
+    value at 0 where they have no jet."""
+    return _evaluate(expr, point, _value_leaf, _value_leaf, _VALUE_OPS)
 
 
 def compose_jet(outer: Jet, inners) -> Jet:

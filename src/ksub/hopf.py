@@ -402,26 +402,21 @@ def _verdict_from_samples(kappa, r, gauss, const_tol, crit_tol) -> HopfVerdict:
     constant = k_std <= const_tol and r_std <= const_tol and g_std <= const_tol
     proper = abs(k_mean) > KAPPA_MIN
 
+    passed, certified = False, None
     if not constant:
-        return HopfVerdict(False, admissible, defect, k_mean, k_std, r_mean,
-                           r_std, g_mean, g_std,
-                           "kappa_g, r or G varies along the curve")
-    if not proper:
-        return HopfVerdict(False, admissible, defect, k_mean, k_std, r_mean,
-                           r_std, g_mean, g_std,
-                           "kappa_g = 0: the cylinder is minimal, not proper")
-    if not admissible:
+        reason = "kappa_g, r or G varies along the curve"
+    elif not proper:
+        reason = "kappa_g = 0: the cylinder is minimal, not proper"
+    elif not admissible:
         reason = (f"G - 4 r^2 = {target:.6g} <= 0: no real mean curvature "
                   "satisfies H^2 = G - 4 r^2")
-        return HopfVerdict(False, False, defect, k_mean, k_std, r_mean, r_std,
-                           g_mean, g_std, reason)
-    if defect > crit_tol:
-        return HopfVerdict(False, True, defect, k_mean, k_std, r_mean, r_std,
-                           g_mean, g_std,
-                           f"kappa_g^2 - (G - 4 r^2) = {defect:.6g}")
-    certified = {"H": k_mean, "G": g_mean, "r": r_mean}
-    return HopfVerdict(True, True, defect, k_mean, k_std, r_mean, r_std,
-                       g_mean, g_std, "proper biharmonic", certified)
+    elif defect > crit_tol:
+        reason = f"kappa_g^2 - (G - 4 r^2) = {defect:.6g}"
+    else:
+        passed, reason = True, "proper biharmonic"
+        certified = {"H": k_mean, "G": g_mean, "r": r_mean}
+    return HopfVerdict(passed, admissible, defect, k_mean, k_std, r_mean,
+                       r_std, g_mean, g_std, reason, certified)
 
 
 def hopf_residuals(curve, base, n_samples: int = 64,
@@ -448,7 +443,6 @@ def hopf_residuals(curve, base, n_samples: int = 64,
     rdot = np.empty(n)
     res = np.empty((n, 3))
     gres = np.empty((n, 3))
-    cross = 0.0
 
     for i, s in enumerate(samples):
         jx, jy = curve.point_jets(float(s))
@@ -474,11 +468,11 @@ def hopf_residuals(curve, base, n_samples: int = 64,
         gres[i] = (k2 - k * (k * k + 2.0 * t * t) + k * ric_nn,
                    3.0 * k1 * k - k * ric_n1,
                    k1 * t + k * ric_n2)
-        cross = max(cross,
-                    abs(gres[i, 0] - res[i, 0]),
-                    abs(gres[i, 1] - 3.0 * res[i, 1]),
-                    abs(gres[i, 2] + res[i, 2]))
 
+    # np.max, unlike max, propagates a nan, so a nan crosscheck fails
+    cross = float(np.max(np.abs([gres[:, 0] - res[:, 0],
+                                 gres[:, 1] - 3.0 * res[:, 1],
+                                 gres[:, 2] + res[:, 2]]), initial=0.0))
     verdict = _verdict_from_samples(kap, rr, gg, const_tol, crit_tol)
     return HopfReport(samples, kap, kd1, kd2, tau, rr, gg, rdot,
                       res, gres, cross, verdict)

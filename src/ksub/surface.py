@@ -304,12 +304,6 @@ class SurfaceEvaluator:
         dd = self.dfield(field, u, v)
         return float(np.asarray(coeff) @ dd)
 
-    def frame_directional(self, field, vec_frame, u, v) -> float:
-        """Derivative of a field along a tangent vector in frame components."""
-        d = self.data(u, v)
-        return self.directional(field, self.tangent_coefficients(d, vec_frame),
-                                u, v)
-
     def base_directional_r(self, d: _PointData, vec_frame) -> float:
         """Derivative of the bundle curvature along a tangent frame vector."""
         v = np.asarray(vec_frame, dtype=float)
@@ -552,19 +546,19 @@ def compatibility_residuals(patch: SurfacePatch, q) -> tuple[float, float]:
     def cos_field(uu, vv):
         return ev.data(uu, vv).cos_phi
 
-    res1 = 0.0
-    res2 = 0.0
+    res1 = []
+    res2 = []
     for vec in (e1, e2):
         coeff = ev.tangent_coefficients(d, vec)
         nabla_t = ev.covariant_coeff(t_coeff, coeff, u, v) @ d.tangents
         a_vec = ev.shape_apply_coeff(u, v, coeff)
         eta_wedge = geo.wedge(d.normal, vec)
         first = nabla_t - d.cos_phi * (a_vec - d.r * eta_wedge)
-        res1 = max(res1, float(np.linalg.norm(first)))
-        second = (float((a_vec - d.r * eta_wedge) @ d.vertical_tangent)
-                  + ev.directional(cos_field, coeff, u, v))
-        res2 = max(res2, abs(second))
-    return res1, res2
+        res1.append(np.linalg.norm(first))
+        res2.append((a_vec - d.r * eta_wedge) @ d.vertical_tangent
+                    + ev.directional(cos_field, coeff, u, v))
+    # np.max, unlike max, propagates a nan, so a nan residual fails
+    return float(np.max(res1)), float(np.max(np.abs(res2)))
 
 
 def surface_laplacian(patch: SurfacePatch, field, q) -> float:

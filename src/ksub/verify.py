@@ -52,7 +52,8 @@ class _Worst:
         self.location = ""
 
     def update(self, value, location):
-        if abs(value) > self.value:
+        # a nan is the worst value: it wins and then stays, so it fails
+        if not (abs(value) <= self.value or math.isnan(self.value)):
             self.value = abs(value)
             self.location = location
 

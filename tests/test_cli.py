@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from ksub.cli import dumps_json, main
+from ksub import geometry as geo
+from ksub import surface as srf
+from ksub.cli import _surface_point_checks, dumps_json, main
 
 
 def run(capsys, *argv):
@@ -93,7 +95,7 @@ class TestInfo:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [
-            "error: r, G, grad r or Ricci is not finite at (1.5, 1.0)"]
+            "error: non-finite result at points[0].ricci[0][0]"]
 
     @pytest.mark.parametrize("grid", [("0", "3"), ("3", "-1")])
     def test_empty_grid_exits_2(self, capsys, grid):
@@ -102,6 +104,49 @@ class TestInfo:
         assert code == 2
         assert out == ""
         assert "usage:" in err and "--grid" in err
+
+
+class TestNumericFaults:
+    # b = 1e200 x^2 overflows r, the Ricci tensor and the hopf residuals;
+    # a numpy warning would be a further stderr line, so warnings fail here
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ("check-surface", "--lambda", "1", "--b", "1e200*x^2",
+         "--graph", "x*y", "--grid", "1", "1"),
+        ("hopf", "check", "--lambda", "1", "--b", "1e200*x^2",
+         "--curve", "cos(s);sin(s)", "--interval", "0", "6.28",
+         "--samples", "4"),
+    ])
+    def test_overflowing_metric_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [
+        ("check-surface", "--bcv", "0", "0.5", "--graph", "x*y"),
+        ("hopf", "check", "--bcv", "1", "0", "--circle-kg", "1"),
+        ("hopf", "example", "--f", "cos(t)", "--r", "0",
+         "--interval", "0", "1.5"),
+        ("verify-paper", "--only", "bcv"),
+    ])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, command,
+                                                    tol):
+        code, out, err = run(capsys, *command, "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--tol" in err
+
+    def test_nan_compatibility_component_fails(self, monkeypatch):
+        patch = srf.SurfacePatch.graph(geo.bcv(0.0, 0.5), "x*y",
+                                       geo.Rect(-0.45, 0.45, -0.45, 0.45))
+        monkeypatch.setattr(srf, "compatibility_residuals",
+                            lambda patch, q: (1e-9, math.nan))
+        checks = _surface_point_checks(patch, (0.2, 0.1), 1e-4)
+        by_name = {c["check"]: c for c in checks}
+        assert math.isnan(by_name["compatibility"]["residual"])
+        assert by_name["compatibility"]["status"] == "fail"
 
 
 class TestCheckSurface:

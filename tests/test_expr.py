@@ -244,8 +244,37 @@ class TestJets:
         assert jet.hess[0, 0] == 0.0
 
     def test_point_arity_checked(self):
-        with pytest.raises(ArityMismatchError):
-            eval_jet(parse("x", ("x", "y")), (1.0,))
+        for evaluate in (eval_jet, eval_value):
+            with pytest.raises(ArityMismatchError):
+                evaluate(parse("x", ("x", "y")), (1.0,))
+
+    @pytest.mark.parametrize("text, x, message", [
+        ("1/x", 0.0, "division by zero in '1.0/x'"),
+        ("log(x)", -1.0, "log of nonpositive value -1.0 in 'log(x)'"),
+        ("sqrt(x)", -4.0, "sqrt of negative value -4.0 in 'sqrt(x)'"),
+        ("x^0.5", -1.0,
+         "negative base for non-integer power 0.5 in 'x^0.5'"),
+        ("x^-1", 0.0, "zero base for negative power in 'x^-1.0'"),
+    ])
+    def test_value_domain_errors_name_subexpression(self, text, x, message):
+        with pytest.raises(DomainEvalError) as err:
+            eval_value(parse(text, ("x",)), (x,))
+        assert str(err.value) == message
+
+    def test_annotation_names_innermost_subexpression(self):
+        e = parse("2+3*log(x)", ("x",))
+        for evaluate in (eval_jet, eval_value):
+            with pytest.raises(DomainEvalError) as err:
+                evaluate(e, (0.0,))
+            assert str(err.value) == "log of nonpositive value 0.0 in 'log(x)'"
+
+    @pytest.mark.parametrize("text", ["sqrt(x)", "abs(x)"])
+    def test_value_exists_where_jet_does_not(self, text):
+        # the float path has a value at 0; the jet path needs derivatives
+        e = parse(text, ("x",))
+        assert eval_value(e, (0.0,)) == 0.0
+        with pytest.raises(DomainEvalError):
+            eval_jet(e, (0.0,))
 
 
 class TestCompose:

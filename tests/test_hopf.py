@@ -160,6 +160,14 @@ class TestHopfResiduals:
         with pytest.raises(NotArcLengthError):
             hopf.hopf_residuals(fast, FLAT_BASE)
 
+    def test_nan_in_second_system_reaches_crosscheck(self, monkeypatch):
+        base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
+        monkeypatch.setattr(base, "ricci_values",
+                            lambda p, xp, yp: (math.nan, 0.0, 0.0))
+        report = hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), base,
+                                     n_samples=8)
+        assert math.isnan(report.crosscheck)
+
     def test_crosscheck_on_generic_curve(self):
         # variable r and G, non-constant kappa: the two systems still agree
         data = make_data("exp(-(x^2+y^2)/4)", "0", "x",

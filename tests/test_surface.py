@@ -262,6 +262,17 @@ class TestCompatibility:
         assert r1 <= 1e-4 and r2 <= 1e-4
 
 
+    def test_overflowing_metric_gives_nan_not_zero(self):
+        # b = 1e200 x^2 overflows the ambient data; the residuals must say
+        # so instead of reading as an exact identity
+        data = make_data("1", "0", "1e200*x^2")
+        with np.errstate(all="ignore"):
+            patch = srf.SurfacePatch.graph(data, "x*y",
+                                           geo.Rect(-0.45, 0.45, -0.45, 0.45))
+            r1, r2 = srf.compatibility_residuals(patch, (-0.225, -0.225))
+        assert math.isnan(r1) and math.isnan(r2)
+
+
 class TestSurfaceLaplacian:
     def test_constant_field(self):
         assert srf.surface_laplacian(vertical_plane(), lambda u, v: 3.5,
