@@ -142,7 +142,7 @@ def bitension_residual(patch: SurfacePatch, q,
     grad_h = grad_coeff @ d.tangents
     a_grad_h = ev.shape_apply_coeff(u, v, grad_coeff)
 
-    ric = geo.ricci(patch.ambient, d.point[:2])
+    ric = geo.ricci_from_scalars(d.r, d.grad_r, d.gauss_base, d.lam)
     ric_nn = float(d.normal @ ric @ d.normal)
     ric_tangent = sum(float(d.normal @ ric @ f) * f for f in w.ortho_basis)
 

@@ -338,7 +338,8 @@ def cmd_hopf_check(args) -> int:
     else:
         raise UsageError("a curve is required: --circle R, --circle-kg K or "
                          "--curve \"x;y\" --interval A B")
-    report = hopf.hopf_residuals(curve, base, n_samples=int(args.samples))
+    report = hopf.hopf_residuals(curve, base, n_samples=int(args.samples),
+                                 const_tol=args.tol, crit_tol=args.tol)
     worst = float(np.max(np.abs(report.residuals)))
     payload = {
         "schema_version": SCHEMA_VERSION, "command": "hopf-check",
@@ -359,7 +360,8 @@ def cmd_hopf_check(args) -> int:
 def cmd_hopf_example(args) -> int:
     if args.f is None or args.r is None or not args.interval:
         raise UsageError("example mode needs --f EXPR --r R --interval A B")
-    cases = hopf.rotational_case_search(args.f, args.r, tuple(args.interval))
+    cases = hopf.rotational_case_search(args.f, args.r, tuple(args.interval),
+                                        const_tol=args.tol, crit_tol=args.tol)
     records = []
     all_pass = True
     rows = []

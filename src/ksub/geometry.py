@@ -55,6 +55,7 @@ __all__ = [
     "riemann_closed",
     "riemann_direct",
     "ricci",
+    "ricci_from_scalars",
     "ricci_contraction",
 ]
 
@@ -291,8 +292,14 @@ def coord_components(data: KillingData, p, v_frame) -> np.ndarray:
 
 
 def wedge(u, v) -> np.ndarray:
-    """Cross product of frame-component vectors (right-hand rule)."""
-    return np.cross(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    """Cross product of frame-component vectors (right-hand rule).
+
+    Spelled out on floats: the same products and differences as ``np.cross``,
+    bit for bit, without its per-call axis handling.
+    """
+    u0, u1, u2 = np.asarray(u, dtype=float).tolist()
+    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
 
 
 def rotate_j(v) -> np.ndarray:
@@ -484,8 +491,13 @@ def ricci(data: KillingData, p) -> np.ndarray:
     """Ricci tensor in the frame, from the closed-form component formulas."""
     x, y = float(p[0]), float(p[1])
     r, grad = bundle_curvature(data, (x, y))
-    g_curv = gauss_curvature(data, (x, y))
-    lam = data.lam(x, y)
+    return ricci_from_scalars(r, grad, gauss_curvature(data, (x, y)),
+                              data.lam(x, y))
+
+
+def ricci_from_scalars(r: float, grad, g_curv: float, lam: float) -> np.ndarray:
+    """The closed-form Ricci tensor from r, its coordinate gradient, G and
+    lam at one base point."""
     m = np.diag([g_curv - 2.0 * r * r, g_curv - 2.0 * r * r, 2.0 * r * r])
     m[0, 2] = m[2, 0] = -grad[1] / lam
     m[1, 2] = m[2, 1] = grad[0] / lam

@@ -553,7 +553,10 @@ class RotationalCase:
 
 
 def rotational_case_search(f, r: float, interval: tuple[float, float],
-                           n_scan: int = 1024) -> list[RotationalCase]:
+                           n_scan: int = 1024,
+                           const_tol: float = CONST_TOL,
+                           crit_tol: float = CRITERION_TOL
+                           ) -> list[RotationalCase]:
     """Find coordinate circles t = t0 whose vertical cylinder is proper
     biharmonic in the warped chart dt^2 + f(t)^2 dtheta^2 with bundle
     curvature r.
@@ -561,8 +564,9 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
     The defining condition is f (f'' + 4 r^2 f) + f'^2 = 0 at t0; every root
     in the interval is located by scanning and bracketed root refinement.
     For each root the circle s -> (t0, s / f(t0)) is returned together with
-    its full residual report; the geodesic curvature is f'(t0)/f(t0) and the
-    chart curvature is G = -f''(t0)/f(t0).
+    its full residual report, classified with ``const_tol`` and ``crit_tol``
+    as in :func:`hopf_residuals`; the geodesic curvature is f'(t0)/f(t0) and
+    the chart curvature is G = -f''(t0)/f(t0).
     """
     if isinstance(f, str):
         f = parse(f, ("t",))
@@ -619,7 +623,8 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
             parse(f"{root!r}+0*s", ("s",)),
             parse(f"s/{j.value!r}", ("s",)),
             (0.0, circumference), arc_length=True)
-        report = hopf_residuals(curve, base)
+        report = hopf_residuals(curve, base, const_tol=const_tol,
+                                crit_tol=crit_tol)
         cases.append(RotationalCase(root, float(kappa), float(gauss),
                                     curve, base, report))
     return cases

@@ -12,6 +12,14 @@ tangent frame e1 = T/sin(phi), e2 = eta x T / sin(phi), where T is the
 tangential part of the vertical field; the frame degenerates as phi -> 0 and
 operations that need it raise :class:`AngleSingularError`.
 
+The point record of :class:`SurfaceEvaluator` splits in two halves. The
+immersion half (jets of x, y, z, tangents, first form, normal, the angle and
+the vertical tangent) is computed at every point, the stencil points of the
+parameter derivatives included. The ambient half (lam, r, its gradient, G and
+the connection table at the image point) is computed on its first read: the
+connection where a Weingarten map is built, r and G where a check reads them,
+and the finite-difference gradient of r only at the points a check is made.
+
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step ``1e-3 * patch
 diameter``; none of them raise the order of the exact jet core.
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -105,6 +114,10 @@ class SurfacePatch:
 
 @dataclass
 class _PointData:
+    """Immersion data, computed at every point, and ambient data at the
+    image point, each computed on its first read."""
+
+    ambient: geo.KillingData
     params: tuple[float, float]
     point: tuple[float, float, float]
     coord_tangents: np.ndarray      # (2, 3) rows d/du, d/dv in coordinates
@@ -115,11 +128,28 @@ class _PointData:
     sin_phi: float
     phi: float
     vertical_tangent: np.ndarray    # T = xi - cos(phi) eta, frame components
-    lam: float
-    r: float
-    grad_r: np.ndarray              # coordinate gradient (r_x, r_y)
-    gauss_base: float
-    gamma: np.ndarray               # ambient connection table at the point
+
+    @cached_property
+    def lam(self) -> float:
+        return self.ambient.lam(*self.point[:2])
+
+    @cached_property
+    def r(self) -> float:
+        return geo._bundle_value(self.ambient, *self.point[:2])
+
+    @cached_property
+    def grad_r(self) -> np.ndarray:
+        """Coordinate gradient (r_x, r_y)."""
+        return geo.bundle_curvature(self.ambient, self.point[:2])[1]
+
+    @cached_property
+    def gauss_base(self) -> float:
+        return geo.gauss_curvature(self.ambient, self.point[:2])
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Ambient connection table at the point."""
+        return geo.connection(self.ambient, self.point)
 
 
 @dataclass
@@ -208,14 +238,9 @@ class SurfaceEvaluator:
         phi = math.acos(cos_phi)
         sin_phi = math.sqrt(max(0.0, 1.0 - cos_phi * cos_phi))
         vertical_tangent = np.array([0.0, 0.0, 1.0]) - cos_phi * normal
-
-        lam = K.lam(x, y)
-        r, grad_r = geo.bundle_curvature(K, (x, y))
-        gauss_base = geo.gauss_curvature(K, (x, y))
-        gamma = geo.connection(K, (x, y, z))
-        return _PointData((u, v), (x, y, z), coord_tangents, tangents,
+        return _PointData(K, (u, v), (x, y, z), coord_tangents, tangents,
                           first_form, normal, cos_phi, sin_phi, phi,
-                          vertical_tangent, lam, r, grad_r, gauss_base, gamma)
+                          vertical_tangent)
 
     # -- shape operator --------------------------------------------------------
 

@@ -123,6 +123,19 @@ class TestNumericFaults:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_in_lazy_ambient_data_names_the_residual(self, capsys):
+        # on a vertical cylinder only r and G, read on demand, overflow
+        code, out, err = run(capsys, "check-surface", "--lambda", "1",
+                             "--b", "1e200*x^2",
+                             "--surface=0.8*cos(u);0.8*sin(u);v",
+                             "--patch-domain", "0.5", "2.0", "0", "1",
+                             "--grid", "1", "1")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: non-finite result at "
+                       "points[0].checks[0].residual\n")
+
     @pytest.mark.parametrize("command", [
         ("check-surface", "--bcv", "0", "0.5", "--graph", "x*y"),
         ("hopf", "check", "--bcv", "1", "0", "--circle-kg", "1"),
@@ -243,6 +256,21 @@ class TestHopfCommand:
             "--samples", "16")
         assert code == 0
         assert data["verdict"]["kappa_mean"] == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--bcv", "1", "0", "--circle-kg", "1"),
+        ("example", "--f", "cos(t)", "--r", "0", "--interval", "0", "1.5"),
+    ])
+    def test_tol_sets_the_verdict_tolerance(self, capsys, argv):
+        code, data, _ = run_json(capsys, "hopf", *argv, "--tol", "1e-30")
+        assert code == 0  # no --expect given
+        verdict = (data["verdict"] if argv[0] == "check"
+                   else data["roots"][0]["verdict"])
+        assert verdict["passed"] is False
+        assert verdict["reason"] == "kappa_g, r or G varies along the curve"
+        code, out, _ = run(capsys, "hopf", *argv, "--tol", "1e-30",
+                           "--format", "csv")
+        assert all(row.endswith(",fail") for row in out.splitlines()[1:])
 
     def test_zero_samples_exits_2(self, capsys):
         code, out, err = run(capsys, "hopf", "check", "--bcv", "1", "0",

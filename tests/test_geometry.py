@@ -224,6 +224,26 @@ class TestRotation:
                                                         abs=1e-12)
 
 
+class TestWedge:
+    def test_bit_identical_to_numpy_cross(self):
+        rng = np.random.default_rng(11)
+        vectors = list(rng.standard_normal((300, 3)) * 10.0 ** rng.integers(
+            -3, 4, size=(300, 1)))
+        for k in range(3):  # one zero component, of either sign
+            for zero in (0.0, -0.0):
+                for v in rng.standard_normal((20, 3)):
+                    v[k] = zero
+                    vectors.append(v)
+        vectors += [np.array([0.0, -0.0, 0.0]), np.array([-0.0, -0.0, -0.0]),
+                    np.array([1.0, 0.0, -0.0]), np.array([-0.0, 2.0, 0.0])]
+        for i, u in enumerate(vectors):
+            v = vectors[(7 * i + 3) % len(vectors)]
+            got, want = geo.wedge(u, v), np.cross(u, v)
+            assert np.all(got == want)
+            # == does not tell -0.0 from 0.0; the bytes do
+            assert got.tobytes() == want.tobytes()
+
+
 class TestRiemann:
     def test_component_identities_heisenberg(self):
         p = (0.2, -0.3, 0.0)

@@ -7,6 +7,7 @@ import pytest
 
 from ksub import geometry as geo
 from ksub import surface as srf
+from ksub.cli import main
 from ksub.errors import (
     AngleSingularError,
     DegenerateImmersionError,
@@ -419,3 +420,45 @@ class TestCaches:
         for store in stores:
             assert 0 < len(store) <= 8
         assert limited == unlimited
+
+
+class TestLazyAmbientData:
+    AMBIENT = ("lam", "r", "grad_r", "gauss_base", "gamma")
+
+    def test_check_surface_reads_grad_r_once_per_point(self, monkeypatch,
+                                                       capsys):
+        calls = []
+        original = geo.bundle_curvature
+
+        def counted(data, p):
+            calls.append(p)
+            return original(data, p)
+
+        monkeypatch.setattr(geo, "bundle_curvature", counted)
+        code = main(["check-surface", "--bcv", "1", "1",
+                     "--graph", "0.1*x+0.2*y+0.3*x^2-0.2*y^2",
+                     "--patch-domain", "-0.45", "0.45", "-0.45", "0.45",
+                     "--grid", "2", "2"])
+        capsys.readouterr()
+        assert code == 0
+        assert 0 < len(calls) <= 4
+
+    def test_values_equal_direct_geometry_calls(self):
+        patch = heis_graph()
+        K, ev = patch.ambient, patch.evaluator()
+        u, v = 0.1, -0.1
+        ev.weingarten(u, v)
+        stencil = (u + ev.h, v)
+        assert stencil in ev._data
+        # the Weingarten map reads the connection at its centre only
+        for q, read in (((u, v), {"gamma"}), (stencil, set())):
+            d = ev.data(*q)
+            assert set(self.AMBIENT) & set(vars(d)) == read
+            x, y, z = d.point
+            r, grad_r = geo.bundle_curvature(K, (x, y))
+            gamma = geo.connection(K, (x, y, z))
+            assert d.lam == K.lam(x, y)
+            assert d.r == r
+            assert d.grad_r.tobytes() == grad_r.tobytes()
+            assert d.gauss_base == geo.gauss_curvature(K, (x, y))
+            assert d.gamma.tobytes() == gamma.tobytes()
