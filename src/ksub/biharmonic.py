@@ -133,8 +133,7 @@ def bitension_residual(patch: SurfacePatch, q,
     u, v = float(q[0]), float(q[1])
     mean, dev = _require_cmc(patch, q, cmc_tol)
     ev = patch.evaluator()
-    d = ev.data(u, v)
-    w = ev.weingarten(u, v)
+    d = ev.weingarten(u, v)
 
     lap_h = ev.laplacian(ev.mean_h_field, u, v)
     dh = ev.dfield(ev.mean_h_field, u, v)
@@ -144,12 +143,12 @@ def bitension_residual(patch: SurfacePatch, q,
 
     ric = geo.ricci_from_scalars(d.r, d.grad_r, d.gauss_base, d.lam)
     ric_nn = float(d.normal @ ric @ d.normal)
-    ric_tangent = sum(float(d.normal @ ric @ f) * f for f in w.ortho_basis)
+    ric_tangent = sum(float(d.normal @ ric @ f) * f for f in d.ortho_basis)
 
-    h_val = w.mean_h
-    normal = lap_h + h_val * w.norm_sq - h_val * ric_nn
+    h_val = d.mean_h
+    normal = lap_h + h_val * d.norm_sq - h_val * ric_nn
     tangential_vec = 2.0 * a_grad_h + h_val * grad_h - 2.0 * h_val * ric_tangent
-    tangential = np.array([float(tangential_vec @ f) for f in w.ortho_basis])
+    tangential = np.array([float(tangential_vec @ f) for f in d.ortho_basis])
     return BitensionResidual(float(normal), tangential, dev, mean)
 
 
@@ -184,10 +183,9 @@ def frame_system_residuals(patch: SurfacePatch, q, basis: str = "ortho",
     u, v = float(q[0]), float(q[1])
     _require_cmc(patch, q, cmc_tol)
     ev = patch.evaluator()
-    d = ev.data(u, v)
-    w = ev.weingarten(u, v)
+    d = ev.weingarten(u, v)
     if basis == "ortho":
-        e1, e2 = w.ortho_basis
+        e1, e2 = d.ortho_basis
     elif basis == "adapted":
         e1, e2 = ev.adapted(u, v)
     else:
@@ -196,7 +194,7 @@ def frame_system_residuals(patch: SurfacePatch, q, basis: str = "ortho",
         ca, sa = math.cos(rotation), math.sin(rotation)
         e1, e2 = ca * e1 + sa * e2, -sa * e1 + ca * e2
     return _system_lines(d.gauss_base, d.r, d.grad_r[0], d.grad_r[1],
-                         d.lam, e1, e2, d.normal, w.norm_sq)
+                         d.lam, e1, e2, d.normal, d.norm_sq)
 
 
 def normality_identity(patch: SurfacePatch, q) -> float:
@@ -212,16 +210,15 @@ def normality_assemblies(patch: SurfacePatch, q) -> tuple[float, float]:
     tangential system lines); they agree up to the frame handedness sign."""
     u, v = float(q[0]), float(q[1])
     ev = patch.evaluator()
-    d = ev.data(u, v)
-    w = ev.weingarten(u, v)
+    d = ev.weingarten(u, v)
     direct = normality_identity(patch, q)
     lines = _system_lines(d.gauss_base, d.r, d.grad_r[0], d.grad_r[1],
-                          d.lam, w.ortho_basis[0], w.ortho_basis[1],
-                          d.normal, w.norm_sq)
-    a3 = w.ortho_basis[0][2]
-    b3 = w.ortho_basis[1][2]
+                          d.lam, d.ortho_basis[0], d.ortho_basis[1],
+                          d.normal, d.norm_sq)
+    a3 = d.ortho_basis[0][2]
+    b3 = d.ortho_basis[1][2]
     handed = float(np.linalg.det(np.stack(
-        [w.ortho_basis[0], w.ortho_basis[1], d.normal])))
+        [d.ortho_basis[0], d.ortho_basis[1], d.normal])))
     assembled = (lines[1] * b3 - lines[2] * a3) * math.copysign(1.0, handed)
     return direct, float(assembled)
 
@@ -271,8 +268,7 @@ def reduced_angle_system(patch: SurfacePatch, q,
     """
     u, v = float(q[0]), float(q[1])
     ev = patch.evaluator()
-    d = ev.data(u, v)
-    w = ev.weingarten(u, v)
+    d = ev.weingarten(u, v)
     if d.sin_phi < ANGLE_EPS or abs(d.cos_phi) < ANGLE_EPS:
         raise AngleSingularError(
             f"angle phi = {d.phi:.6f} is not interior at parameters {q}")
@@ -286,15 +282,14 @@ def reduced_angle_system(patch: SurfacePatch, q,
         raise GaussBundleDegenerateError(
             f"4 r^2 - G = {diff:.2e} with |grad r| = {grad_norm:.2e}: "
             "no proper biharmonic CMC surface exists here")
-    return angle_system_scalars(d.gauss_base, d.r, grad_norm, d.phi, w.norm_sq)
+    return angle_system_scalars(d.gauss_base, d.r, grad_norm, d.phi, d.norm_sq)
 
 
 def angle_shape_residual(patch: SurfacePatch, q) -> float:
     """Defect of 2 |A|^2 = tan(phi) Delta(phi) + |grad phi|^2."""
     u, v = float(q[0]), float(q[1])
     ev = patch.evaluator()
-    d = ev.data(u, v)
-    w = ev.weingarten(u, v)
+    d = ev.weingarten(u, v)
     if d.sin_phi < ANGLE_EPS:
         raise AngleSingularError(f"phi ~ 0 at parameters {q}")
     if abs(d.cos_phi) < COS_EPS:
@@ -303,7 +298,7 @@ def angle_shape_residual(patch: SurfacePatch, q) -> float:
     lap_phi = ev.laplacian(ev.phi_field, u, v)
     dphi = ev.dfield(ev.phi_field, u, v)
     grad_sq = float(dphi @ np.linalg.solve(d.first_form, dphi))
-    return 2.0 * w.norm_sq - math.tan(d.phi) * lap_phi - grad_sq
+    return 2.0 * d.norm_sq - math.tan(d.phi) * lap_phi - grad_sq
 
 
 def angle_shape_alt_assembly(patch: SurfacePatch, q) -> float:
@@ -313,8 +308,7 @@ def angle_shape_alt_assembly(patch: SurfacePatch, q) -> float:
     """
     u, v = float(q[0]), float(q[1])
     ev = patch.evaluator()
-    d = ev.data(u, v)
-    w = ev.weingarten(u, v)
+    d = ev.weingarten(u, v)
     if d.sin_phi < ANGLE_EPS or abs(d.cos_phi) < COS_EPS:
         raise AngleSingularError(f"angle not interior at parameters {q}")
 
@@ -327,8 +321,8 @@ def angle_shape_alt_assembly(patch: SurfacePatch, q) -> float:
     e1e1 = ev.adapted_directional(e1_phi, 0, u, v)
     e2e2 = ev.adapted_directional(e2_phi, 1, u, v)
     rhs = (math.tan(d.phi) * (e1e1 + e2e2)
-           + 2.0 * d.r * e2_phi(u, v) + w.mean_h * e1_phi(u, v))
-    return 2.0 * w.norm_sq - rhs
+           + 2.0 * d.r * e2_phi(u, v) + d.mean_h * e1_phi(u, v))
+    return 2.0 * d.norm_sq - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +400,9 @@ def classify_point(patch: SurfacePatch, q, cmc_tol: float = CMC_TOL,
     u, v = float(q[0]), float(q[1])
     _require_cmc(patch, q, cmc_tol)
     ev = patch.evaluator()
-    d = ev.data(u, v)
-    w = ev.weingarten(u, v)
+    d = ev.weingarten(u, v)
     report = classify_scalars(d.cos_phi, _grad_r_norm(d), d.gauss_base, d.r,
-                              w.norm_sq, w.mean_h, residual_tol=residual_tol)
+                              d.norm_sq, d.mean_h, residual_tol=residual_tol)
 
     if report.branch == "a":
         # constancy of r and G along the surface, probed on a stencil

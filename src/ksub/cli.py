@@ -190,7 +190,7 @@ def cmd_info(args) -> int:
     for (x, y) in points:
         r, grad = geo.bundle_curvature(data, (x, y))
         g_val = geo.gauss_curvature(data, (x, y))
-        ric = geo.ricci(data, (x, y))
+        ric = geo.ricci_from_scalars(r, grad, g_val, data.lam(x, y))
         records.append({
             "x": x, "y": y, "r": r, "G": g_val,
             "grad_r": [grad[0], grad[1]],

@@ -26,7 +26,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -491,36 +491,49 @@ def _evaluate(expr: Expr, point, constant, variable, ops):
             f"expected {n} coordinates for variables {expr.variables}, "
             f"got {len(point)}")
     index = {name: i for i, name in enumerate(expr.variables)}
+    return _walk(expr.root, _Walk(point, index, n, constant, variable, ops))
 
-    def walk(node: Node):
-        try:
-            if isinstance(node, Const):
-                return constant(node.value, n)
-            if isinstance(node, Var):
-                i = index[node.name]
-                return variable(point[i], i, n)
-            if isinstance(node, Neg):
-                return -walk(node.arg)
-            if isinstance(node, Call):
-                return ops[node.func](walk(node.arg))
-            if isinstance(node, Power):
-                return ops["^"](walk(node.base), node.exponent)
-            if isinstance(node, Binary):
-                left, right = walk(node.left), walk(node.right)
-                if node.op == "+":
-                    return left + right
-                if node.op == "-":
-                    return left - right
-                if node.op == "*":
-                    return left * right
-                return ops["/"](left, right)
-        except DomainEvalError as err:
-            if " in '" in str(err):
-                raise  # already annotated with the offending subexpression
-            raise DomainEvalError(f"{err} in '{_to_text(node, 0)}'") from None
-        raise TypeError(f"unknown node {node!r}")
 
-    return walk(expr.root)
+class _Walk(NamedTuple):
+    """What one evaluation's traversal reads at every node."""
+
+    point: tuple
+    index: dict
+    n: int
+    constant: Callable
+    variable: Callable
+    ops: dict
+
+
+def _walk(node: Node, ctx: _Walk):
+    # module level, taking its context as an argument: a nested function
+    # that calls itself would leave a reference cycle behind per evaluation
+    try:
+        if isinstance(node, Const):
+            return ctx.constant(node.value, ctx.n)
+        if isinstance(node, Var):
+            i = ctx.index[node.name]
+            return ctx.variable(ctx.point[i], i, ctx.n)
+        if isinstance(node, Neg):
+            return -_walk(node.arg, ctx)
+        if isinstance(node, Call):
+            return ctx.ops[node.func](_walk(node.arg, ctx))
+        if isinstance(node, Power):
+            return ctx.ops["^"](_walk(node.base, ctx), node.exponent)
+        if isinstance(node, Binary):
+            left, right = _walk(node.left, ctx), _walk(node.right, ctx)
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            return ctx.ops["/"](left, right)
+    except DomainEvalError as err:
+        if " in '" in str(err):
+            raise  # already annotated with the offending subexpression
+        raise DomainEvalError(f"{err} in '{_to_text(node, 0)}'") from None
+    raise TypeError(f"unknown node {node!r}")
 
 
 def eval_jet(expr: Expr, point) -> Jet:

@@ -160,13 +160,15 @@ class ConformalBase:
     def bundle(self, p) -> tuple[float, np.ndarray]:
         return geo.bundle_curvature(self.data, p)
 
-    def ricci_values(self, p, xp: float, yp: float):
-        """(Ricc(eta,eta), Ricc(eta,e1), Ricc(eta,e2)) for the lifted frame."""
+    def ricci_values(self, p, xp: float, yp: float, r: float, grad_r,
+                     gauss: float):
+        """(Ricc(eta,eta), Ricc(eta,e1), Ricc(eta,e2)) for the lifted frame,
+        from r, its gradient and G at ``p``."""
         lam = self.data.lam(p[0], p[1])
         eta = np.array([lam * yp, -lam * xp, 0.0])
         e1 = np.array([lam * xp, lam * yp, 0.0])
         e2 = np.array([0.0, 0.0, 1.0])
-        ric = geo.ricci(self.data, p)
+        ric = geo.ricci_from_scalars(r, grad_r, gauss, lam)
         return (float(eta @ ric @ eta), float(eta @ ric @ e1),
                 float(eta @ ric @ e2))
 
@@ -227,9 +229,9 @@ class WarpedBase:
     def bundle(self, p) -> tuple[float, np.ndarray]:
         return self.r, np.zeros(2)
 
-    def ricci_values(self, p, xp: float, yp: float):
-        g = self.gauss(p)
-        return (g - 2.0 * self.r ** 2, 0.0, 0.0)
+    def ricci_values(self, p, xp: float, yp: float, r: float, grad_r,
+                     gauss: float):
+        return (gauss - 2.0 * r ** 2, 0.0, 0.0)
 
     def speed_jet(self, curve: BaseCurve, t: float) -> tuple[float, float]:
         jx, jy = curve.point_jets(t)
@@ -458,7 +460,7 @@ def hopf_residuals(curve, base, n_samples: int = 64,
         g = base.gauss(p)
         rd = xp * grad_r[0] + yp * grad_r[1]
         t = -r
-        ric_nn, ric_n1, ric_n2 = base.ricci_values(p, xp, yp)
+        ric_nn, ric_n1, ric_n2 = base.ricci_values(p, xp, yp, r, grad_r, g)
 
         kap[i], kd1[i], kd2[i] = k, k1, k2
         tau[i], rr[i], gg[i], rdot[i] = t, r, g, rd
@@ -515,7 +517,7 @@ def cylinder_surface_check(data: geo.KillingData, curve: BaseCurve,
     """
     patch = cylinder_patch(data, curve)
     ev = patch.evaluator()
-    d = ev.data(float(s), float(v))
+    d = ev.weingarten(float(s), float(v))
     jx, jy = curve.point_jets(float(s))
     lam = data.lam(jx.value, jy.value)
     eta_lift = np.array([lam * jy.grad[0], -lam * jx.grad[0], 0.0])
@@ -526,13 +528,12 @@ def cylinder_surface_check(data: geo.KillingData, curve: BaseCurve,
     beta = beta / np.linalg.norm(beta)
     coeff = ev.tangent_coefficients(d, beta)
     a_beta = ev.shape_apply_coeff(float(s), float(v), coeff)
-    w = ev.weingarten(float(s), float(v))
     return {
         "tau_g": -sign * float(a_beta @ xi),
-        "mean_h": sign * w.mean_h,
+        "mean_h": sign * d.mean_h,
         "phi": d.phi,
         "induced_curvature": ev.brioschi_curvature(float(s), float(v)),
-        "norm_sq_shape": w.norm_sq,
+        "norm_sq_shape": d.norm_sq,
     }
 
 

@@ -12,13 +12,16 @@ tangent frame e1 = T/sin(phi), e2 = eta x T / sin(phi), where T is the
 tangential part of the vertical field; the frame degenerates as phi -> 0 and
 operations that need it raise :class:`AngleSingularError`.
 
-The point record of :class:`SurfaceEvaluator` splits in two halves. The
-immersion half (jets of x, y, z, tangents, first form, normal, the angle and
-the vertical tangent) is computed at every point, the stencil points of the
-parameter derivatives included. The ambient half (lam, r, its gradient, G and
-the connection table at the image point) is computed on its first read: the
-connection where a Weingarten map is built, r and G where a check reads them,
-and the finite-difference gradient of r only at the points a check is made.
+Each parameter point has one record, kept in its patch's store and read
+through the patch's :class:`SurfaceEvaluator` view. The immersion half (jets
+of x, y, z, tangents, first form, normal, the angle and the vertical tangent)
+is computed at every point, the stencil points of the parameter derivatives
+included. The ambient half (lam, r, its gradient, G and the connection table
+at the image point) and the adapted frame are computed on their first read:
+the connection where a Weingarten map is built, r and G where a check reads
+them, and the finite-difference gradient of r only at the points a check is
+made. The Weingarten half (shape operator, mean curvature, |A|^2) is filled
+in place where the shape operator is asked for.
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step ``1e-3 * patch
@@ -45,7 +48,6 @@ from .numdiff import mixed2, partial1, partial2
 
 __all__ = [
     "SurfacePatch",
-    "SurfacePointData",
     "analyze_point",
     "adapted_frame",
     "shape_matrix_adapted",
@@ -80,7 +82,9 @@ class SurfacePatch:
             raise ValueError("immersion expressions need exactly 2 parameters")
         if self.y.variables != params or self.z.variables != params:
             raise ValueError("immersion components disagree on parameters")
-        self._evaluator = None
+        # the patch owns its point records; evaluators are views over them,
+        # so a dropped patch frees its records by reference count
+        self._points: dict[tuple[float, float], _PointData] = {}
         ev = self.evaluator()
         for (u, v) in self.domain.grid(5, 5, inset=0.02):
             d = ev.data(u, v)
@@ -93,9 +97,7 @@ class SurfacePatch:
         return self.x.variables  # type: ignore[return-value]
 
     def evaluator(self) -> "SurfaceEvaluator":
-        if self._evaluator is None:
-            self._evaluator = SurfaceEvaluator(self)
-        return self._evaluator
+        return SurfaceEvaluator(self)
 
     def flipped(self) -> "SurfacePatch":
         return replace(self, flip_normal=not self.flip_normal)
@@ -114,8 +116,15 @@ class SurfacePatch:
 
 @dataclass
 class _PointData:
-    """Immersion data, computed at every point, and ambient data at the
-    image point, each computed on its first read."""
+    """Everything first- and second-order at one parameter point.
+
+    Immersion data is computed at every point; ambient data at the image
+    point and the adapted frame ``e1, e2`` (None within ANGLE_EPS of a
+    vertical normal) on their first read. The Weingarten half is None until
+    :meth:`SurfaceEvaluator.weingarten` fills it: the shape operator
+    ``shape_ortho`` lives in the orthonormalized (d/du, d/dv) basis
+    ``ortho_basis``, ``mean_h`` is its trace and ``norm_sq`` is |A|^2.
+    """
 
     ambient: geo.KillingData
     params: tuple[float, float]
@@ -128,6 +137,11 @@ class _PointData:
     sin_phi: float
     phi: float
     vertical_tangent: np.ndarray    # T = xi - cos(phi) eta, frame components
+    shape_frame: np.ndarray | None = None  # (2, 3): rows A(d/du), A(d/dv)
+    ortho_basis: np.ndarray | None = None  # (2, 3): rows f1, f2 (orthonormal)
+    shape_ortho: np.ndarray | None = None  # (2, 2): <A(f_a), f_b>
+    mean_h: float | None = None
+    norm_sq: float | None = None
 
     @cached_property
     def lam(self) -> float:
@@ -151,54 +165,26 @@ class _PointData:
         """Ambient connection table at the point."""
         return geo.connection(self.ambient, self.point)
 
+    @cached_property
+    def e1(self) -> np.ndarray | None:
+        if self.sin_phi < ANGLE_EPS:
+            return None
+        return self.vertical_tangent / self.sin_phi
 
-@dataclass
-class _Weingarten:
-    shape_frame: np.ndarray   # (2, 3): rows A(d/du), A(d/dv) in frame comps
-    ortho_basis: np.ndarray   # (2, 3): rows f1, f2 (orthonormal tangents)
-    ortho_coeffs: np.ndarray  # (2, 2): rows = (du, dv) coefficients of f1, f2
-    shape_ortho: np.ndarray   # (2, 2): <A(f_a), f_b>
-    mean_h: float
-    norm_sq: float
-
-
-@dataclass
-class SurfacePointData:
-    """Everything first- and second-order at one parameter point.
-
-    The shape operator ``shape_ortho`` lives in the orthonormalized
-    (d/du, d/dv) basis ``ortho_basis``; ``mean_h`` is its trace. ``e1, e2``
-    form the adapted frame (None within ANGLE_EPS of a vertical normal).
-    """
-
-    params: tuple[float, float]
-    point: tuple[float, float, float]
-    tangents: np.ndarray
-    first_form: np.ndarray
-    normal: np.ndarray
-    cos_phi: float
-    phi: float
-    vertical_tangent: np.ndarray
-    ortho_basis: np.ndarray
-    shape_ortho: np.ndarray
-    mean_h: float
-    norm_sq_shape: float
-    e1: np.ndarray | None
-    e2: np.ndarray | None
-    r: float
-    grad_r: np.ndarray
-    gauss_base: float
-    lam: float
+    @cached_property
+    def e2(self) -> np.ndarray | None:
+        if self.sin_phi < ANGLE_EPS:
+            return None
+        return geo.wedge(self.normal, self.vertical_tangent) / self.sin_phi
 
 
 class SurfaceEvaluator:
-    """Memoized per-point computations over one patch."""
+    """Per-point computations over one patch, memoized in the patch's store."""
 
     def __init__(self, patch: SurfacePatch):
         self.patch = patch
         self.h = PARAM_STEP_FRAC * patch.domain.diameter
-        self._data: dict[tuple[float, float], _PointData] = {}
-        self._wein: dict[tuple[float, float], _Weingarten] = {}
+        self._data = patch._points
 
     # -- core point data -----------------------------------------------------
 
@@ -244,8 +230,12 @@ class SurfaceEvaluator:
 
     # -- shape operator --------------------------------------------------------
 
-    def weingarten(self, u: float, v: float) -> _Weingarten:
-        return geo.memo(self._wein, (u, v), self._compute_weingarten)
+    def weingarten(self, u: float, v: float) -> _PointData:
+        """The point's record with its Weingarten half filled in."""
+        d = self.data(u, v)
+        if d.shape_frame is None:
+            self._fill_weingarten(d)
+        return d
 
     def _require_margin(self, u, v, need):
         if self.patch.domain.margin_at(u, v) < need:
@@ -260,9 +250,8 @@ class SurfaceEvaluator:
         return np.stack([partial1(lambda q: self.data(*q).normal, (u, v), i, h)
                          for i in range(2)])
 
-    def _compute_weingarten(self, u: float, v: float) -> _Weingarten:
-        d = self.data(u, v)
-        dn = self._normal_derivatives(u, v)
+    def _fill_weingarten(self, d: _PointData) -> None:
+        dn = self._normal_derivatives(*d.params)
         shape_frame = np.empty((2, 3))
         for i in range(2):
             correction = np.einsum("i,m,imk->k", d.tangents[i], d.normal,
@@ -284,10 +273,10 @@ class SurfaceEvaluator:
             av = ortho_coeffs[a] @ shape_frame
             for b in range(2):
                 shape_ortho[a, b] = float(av @ ortho_basis[b])
-        mean_h = float(np.trace(shape_ortho))
-        norm_sq = float(np.sum(shape_ortho * shape_ortho))
-        return _Weingarten(shape_frame, ortho_basis, ortho_coeffs,
-                           shape_ortho, mean_h, norm_sq)
+        d.ortho_basis, d.shape_ortho = ortho_basis, shape_ortho
+        d.mean_h = float(np.trace(shape_ortho))
+        d.norm_sq = float(np.sum(shape_ortho * shape_ortho))
+        d.shape_frame = shape_frame  # last: weingarten() reads it as "filled"
 
     def shape_apply_coeff(self, u: float, v: float, coeff) -> np.ndarray:
         """A applied to a tangent vector given by (du, dv) coefficients."""
@@ -295,22 +284,19 @@ class SurfaceEvaluator:
 
     def shape_operator_coeff(self, u: float, v: float) -> np.ndarray:
         """Matrix M with A(d_j) = sum_i M[i, j] d_i in the coordinate basis."""
-        d = self.data(u, v)
-        w = self.weingarten(u, v)
-        cols = [self.tangent_coefficients(d, w.shape_frame[j]) for j in range(2)]
+        d = self.weingarten(u, v)
+        cols = [self.tangent_coefficients(d, d.shape_frame[j]) for j in range(2)]
         return np.stack(cols, axis=1)
 
     # -- adapted frame ---------------------------------------------------------
 
     def adapted(self, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
         d = self.data(u, v)
-        if d.sin_phi < ANGLE_EPS:
+        if d.e1 is None:
             raise AngleSingularError(
                 f"sin(phi) = {d.sin_phi:.2e} at parameters ({u}, {v}); "
                 "the vertical field is normal and no adapted frame exists")
-        e1 = d.vertical_tangent / d.sin_phi
-        e2 = geo.wedge(d.normal, d.vertical_tangent) / d.sin_phi
-        return e1, e2
+        return d.e1, d.e2
 
     def tangent_coefficients(self, d: _PointData, vec_frame) -> np.ndarray:
         """(du, dv) coefficients of a tangent vector in frame components."""
@@ -441,26 +427,12 @@ class SurfaceEvaluator:
 # Module-level operations
 # ---------------------------------------------------------------------------
 
-def analyze_point(patch: SurfacePatch, q) -> SurfacePointData:
+def analyze_point(patch: SurfacePatch, q) -> _PointData:
     """Full first/second-order package at a parameter point."""
-    u, v = float(q[0]), float(q[1])
-    ev = patch.evaluator()
-    d = ev.data(u, v)
-    w = ev.weingarten(u, v)
-    if d.sin_phi >= ANGLE_EPS:
-        e1, e2 = ev.adapted(u, v)
-    else:
-        e1 = e2 = None
-    return SurfacePointData(
-        params=(u, v), point=d.point, tangents=d.tangents,
-        first_form=d.first_form, normal=d.normal, cos_phi=d.cos_phi,
-        phi=d.phi, vertical_tangent=d.vertical_tangent,
-        ortho_basis=w.ortho_basis, shape_ortho=w.shape_ortho,
-        mean_h=w.mean_h, norm_sq_shape=w.norm_sq, e1=e1, e2=e2,
-        r=d.r, grad_r=d.grad_r, gauss_base=d.gauss_base, lam=d.lam)
+    return patch.evaluator().weingarten(float(q[0]), float(q[1]))
 
 
-def adapted_frame(data: SurfacePointData) -> tuple[np.ndarray, np.ndarray]:
+def adapted_frame(data: _PointData) -> tuple[np.ndarray, np.ndarray]:
     """The adapted tangent pair of an analyzed point (raises if undefined)."""
     if data.e1 is None or data.e2 is None:
         raise AngleSingularError(
@@ -498,12 +470,11 @@ def gauss_residual(patch: SurfacePatch, q) -> float:
     """
     u, v = float(q[0]), float(q[1])
     ev = patch.evaluator()
-    d = ev.data(u, v)
     _, e2 = ev.adapted(u, v)
-    w = ev.weingarten(u, v)
+    d = ev.weingarten(u, v)
     k_ind = ev.brioschi_curvature(u, v)
     e2_r = ev.base_directional_r(d, e2)
-    rhs = (np.linalg.det(w.shape_ortho) + d.r ** 2
+    rhs = (np.linalg.det(d.shape_ortho) + d.r ** 2
            + (d.gauss_base - 4.0 * d.r ** 2) * d.cos_phi ** 2
            - math.sin(2.0 * d.phi) * e2_r)
     return float(k_ind - rhs)

@@ -290,7 +290,7 @@ def check_surface_identities(tol=1e-4) -> CheckReport:
             d = srf.analyze_point(patch, q)
             if math.sin(d.phi) >= 0.1:
                 alt = srf.shape_norm_from_angle(patch, q)
-                worst.update(d.norm_sq_shape - alt, "shape-norm: " + where)
+                worst.update(d.norm_sq - alt, "shape-norm: " + where)
     return CheckReport.from_residual("surface-identities", worst.value, tol,
                                      worst.location, {"graphs": 10})
 
@@ -423,18 +423,24 @@ def report_to_dict(report: CheckReport) -> dict:
     }
 
 
-CHECK_NAMES = [
-    "connection-oracle",
-    "curvature-formula",
-    "ricci",
-    "bcv-constants",
-    "hopf-tube",
-    "rotational-example",
-    "surface-identities",
-    "harmonic-sanity",
-    "branch-logic",
-    "cli-determinism",
-]
+# The checks in run order, each with the tolerance keywords that ``tol``
+# overrides; each default is written once, in the check's signature. A check
+# runs the module's ``check_<name>`` function, looked up when it runs, so a
+# function replaced on the module (a wrapper, a test fake) is the one called.
+# cli-determinism comes last: it serializes the reports before it.
+_TOL_KEYWORDS = {
+    "connection-oracle": ("tol",),
+    "curvature-formula": ("tol",),
+    "ricci": ("tol", "heis_tol"),
+    "bcv-constants": ("r_tol", "g_tol"),
+    "hopf-tube": ("residual_tol",),
+    "rotational-example": ("root_tol", "residual_tol"),
+    "surface-identities": ("tol",),
+    "harmonic-sanity": ("tol",),
+    "branch-logic": ("tan2_tol",),
+}
+
+CHECK_NAMES = [*_TOL_KEYWORDS, "cli-determinism"]
 
 
 def run_checks(only: str | None = None, tol: float | None = None) -> list[CheckReport]:
@@ -444,23 +450,13 @@ def run_checks(only: str | None = None, tol: float | None = None) -> list[CheckR
     tightening it below the finite-difference floor makes the FD-limited
     checks fail with their honest residuals.
     """
-    runners = {
-        "connection-oracle": lambda: check_connection_oracle(tol or 1e-6),
-        "curvature-formula": lambda: check_curvature_formula(tol or 1e-5),
-        "ricci": lambda: check_ricci(tol or 1e-5, tol or 1e-8),
-        "bcv-constants": lambda: check_bcv_constants(tol or 1e-10, tol or 1e-8),
-        "hopf-tube": lambda: check_hopf_tube(tol or 1e-5),
-        "rotational-example": lambda: check_rotational_example(tol or 1e-8,
-                                                               tol or 1e-5),
-        "surface-identities": lambda: check_surface_identities(tol or 1e-4),
-        "harmonic-sanity": lambda: check_harmonic_sanity(tol or 1e-6),
-        "branch-logic": lambda: check_branch_logic(tol or 1e-12),
-    }
     reports = []
-    for name in CHECK_NAMES[:-1]:
+    for name, keywords in _TOL_KEYWORDS.items():
         if only and only not in name:
             continue
-        reports.append(runners[name]())
+        check = globals()["check_" + name.replace("-", "_")]
+        overrides = dict.fromkeys(keywords, tol) if tol else {}
+        reports.append(check(**overrides))
     if not only or only in "cli-determinism":
         reports.append(check_serialization_determinism(reports))
     return reports

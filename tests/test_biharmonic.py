@@ -236,7 +236,7 @@ class TestAngleShapeIdentity:
         q = (0.1, 0.1)
         d = srf.analyze_point(patch, q)
         res = bih.angle_shape_residual(patch, q)
-        assert res == pytest.approx(2.0 * d.norm_sq_shape, abs=1e-9)
+        assert res == pytest.approx(2.0 * d.norm_sq, abs=1e-9)
 
     def test_two_assemblies_agree(self):
         patch = srf.SurfacePatch.graph(VARIABLE_R, "0.1+0.3*x+0.5*y+0.2*x*y",

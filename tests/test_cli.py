@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -310,3 +311,44 @@ class TestVerifyPaper:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["all_pass"] is True
+
+
+OPS = {
+    "info": ["info", "--bcv", "1", "1", "--grid", "12", "12"],
+    "check-surface": ["check-surface", "--bcv", "1", "1",
+                      "--surface", "0.8*cos(u);0.8*sin(u);v",
+                      "--patch-domain", "0", "3", "0", "1", "--grid", "2", "2"],
+    "hopf": ["hopf", "check", "--bcv", "1", "0", "--circle-kg", "1"],
+}
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_op_leaves_no_cycles_behind(self, op, capsys):
+        # an op's working set is freed by reference count: evaluation,
+        # point records and patches form no cycles for the collector
+        assert main(OPS[op]) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(OPS[op]) == 0
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert unreachable < 1000
+
+    @pytest.mark.parametrize("op, calls", [("info", 144), ("hopf", 64)])
+    def test_bundle_curvature_once_per_point(self, op, calls, monkeypatch,
+                                             capsys):
+        seen = []
+        original = geo.bundle_curvature
+
+        def counted(data, p):
+            seen.append(p)
+            return original(data, p)
+
+        monkeypatch.setattr(geo, "bundle_curvature", counted)
+        assert main(OPS[op]) == 0
+        capsys.readouterr()
+        assert len(seen) == calls

@@ -163,7 +163,7 @@ class TestHopfResiduals:
     def test_nan_in_second_system_reaches_crosscheck(self, monkeypatch):
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
         monkeypatch.setattr(base, "ricci_values",
-                            lambda p, xp, yp: (math.nan, 0.0, 0.0))
+                            lambda *args: (math.nan, 0.0, 0.0))
         report = hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), base,
                                      n_samples=8)
         assert math.isnan(report.crosscheck)

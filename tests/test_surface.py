@@ -349,7 +349,7 @@ class TestShapeNormIdentity:
             if math.sin(d.phi) < 0.1:
                 continue
             alt = srf.shape_norm_from_angle(patch, q)
-            assert d.norm_sq_shape == pytest.approx(alt, abs=1e-4)
+            assert d.norm_sq == pytest.approx(alt, abs=1e-4)
 
 
 class TestSurfaceConnection:
@@ -404,6 +404,23 @@ class TestCaches:
         gc.collect()
         assert ref() is None
 
+    def test_dropped_patch_is_freed_without_the_collector(self):
+        patch = heis_graph()
+        srf.gauss_residual(patch, (0.1, -0.1))
+        ref = weakref.ref(patch)
+        gc.disable()
+        try:
+            del patch
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_weingarten_fills_the_point_record(self):
+        ev = heis_graph().evaluator()
+        d = ev.weingarten(0.1, -0.1)
+        assert d is ev.data(0.1, -0.1)
+        assert d is srf.analyze_point(ev.patch, (0.1, -0.1))
+
     def test_stores_stay_within_limit(self, monkeypatch):
         def residuals():
             data = geo.bcv(0.0, 0.5)
@@ -412,7 +429,7 @@ class TestCaches:
             ev = patch.evaluator()
             out = (srf.gauss_residual(patch, (0.1, -0.1)),
                    srf.codazzi_residual(patch, (0.1, -0.1)).tolist())
-            return out, (data._jets, ev._data, ev._wein)
+            return out, (data._jets, ev._data)
 
         unlimited, _ = residuals()
         monkeypatch.setattr(geo, "CACHE_LIMIT", 8)

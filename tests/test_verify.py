@@ -1,6 +1,23 @@
+import inspect
 import math
 
+import pytest
+
+from ksub import verify
 from ksub.verify import CheckReport, _Worst
+
+# every residual tolerance of the suite at its default
+DEFAULT_TOLS = {
+    "connection-oracle": {"tol": 1e-6},
+    "curvature-formula": {"tol": 1e-5},
+    "ricci": {"tol": 1e-5, "heis_tol": 1e-8},
+    "bcv-constants": {"r_tol": 1e-10, "g_tol": 1e-8},
+    "hopf-tube": {"residual_tol": 1e-5},
+    "rotational-example": {"root_tol": 1e-8, "residual_tol": 1e-5},
+    "surface-identities": {"tol": 1e-4},
+    "harmonic-sanity": {"tol": 1e-6},
+    "branch-logic": {"tan2_tol": 1e-12},
+}
 
 
 class TestWorst:
@@ -20,3 +37,45 @@ class TestWorst:
         assert math.isnan(worst.value) and worst.location == "b"
         report = CheckReport.from_residual("x", worst.value, 1e-6)
         assert report.status == "fail"
+
+
+class TestRunChecksTolerances:
+    def bound_arguments(self, monkeypatch, **kwargs):
+        """The arguments each check is called with by run_checks(**kwargs),
+        defaults applied; the check bodies do not run."""
+        seen = {}
+        for name in DEFAULT_TOLS:
+            func = "check_" + name.replace("-", "_")
+            signature = inspect.signature(getattr(verify, func))
+
+            def fake(*args, _name=name, _sig=signature, **kw):
+                bound = _sig.bind(*args, **kw)
+                bound.apply_defaults()
+                seen[_name] = dict(bound.arguments)
+                return CheckReport(_name, "pass", 0.0, 0.0)
+
+            monkeypatch.setattr(verify, func, fake)
+        reports = verify.run_checks(**kwargs)
+        assert [r.name for r in reports] == verify.CHECK_NAMES
+        return seen
+
+    def test_default_run_uses_the_default_tolerances(self, monkeypatch):
+        seen = self.bound_arguments(monkeypatch)
+        assert seen == {**DEFAULT_TOLS,
+                        "hopf-tube": {"residual_tol": 1e-5, "defect_min": 0.1}}
+
+    def test_tol_overrides_every_residual_tolerance(self, monkeypatch):
+        seen = self.bound_arguments(monkeypatch, tol=3e-3)
+        expected = {name: dict.fromkeys(tols, 3e-3)
+                    for name, tols in DEFAULT_TOLS.items()}
+        expected["hopf-tube"]["defect_min"] = 0.1
+        assert seen == expected
+
+    def test_check_names_keep_their_order(self):
+        assert verify.CHECK_NAMES == [*DEFAULT_TOLS, "cli-determinism"]
+
+    @pytest.mark.parametrize("only, default", [("connection-oracle", 1e-6),
+                                               ("branch-logic", 1e-12)])
+    def test_reports_carry_the_tolerance(self, only, default):
+        assert [r.tol for r in verify.run_checks(only=only)] == [default]
+        assert [r.tol for r in verify.run_checks(only=only, tol=2e-3)] == [2e-3]
