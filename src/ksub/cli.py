@@ -14,6 +14,7 @@ checks pass, 1 a check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -128,13 +129,13 @@ def _emit(args, payload: dict, rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 def _add_metric_flags(parser):
-    parser.add_argument("--bcv", nargs=2, type=float, metavar=("C", "MU"),
+    parser.add_argument("--bcv", nargs=2, type=finite, metavar=("C", "MU"),
                         help="Bianchi-Cartan-Vranceanu space E(c, mu)")
     parser.add_argument("--lambda", dest="lam", metavar="EXPR",
                         help="conformal factor lambda(x, y) > 0")
     parser.add_argument("--a", metavar="EXPR", help="metric field a(x, y)")
     parser.add_argument("--b", metavar="EXPR", help="metric field b(x, y)")
-    parser.add_argument("--domain", nargs=4, type=float,
+    parser.add_argument("--domain", nargs=4, type=finite,
                         metavar=("XMIN", "XMAX", "YMIN", "YMAX"),
                         help="base rectangle (default (-2,2)x(-2,2))")
 
@@ -163,6 +164,15 @@ def count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def finite(text: str) -> float:
+    """argparse type for coordinates, intervals, radii and constants: a
+    finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 
@@ -432,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_info = sub.add_parser("info", help="metric scalars at points",
                             parents=[output])
     _add_metric_flags(p_info)
-    p_info.add_argument("--at", nargs=2, type=float, metavar=("X", "Y"))
+    p_info.add_argument("--at", nargs=2, type=finite, metavar=("X", "Y"))
     p_info.add_argument("--grid", nargs=2, type=count, metavar=("NX", "NY"))
     p_info.set_defaults(func=cmd_info)
 
@@ -443,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="immersion expressions in (u, v)")
     p_surf.add_argument("--graph", metavar="EXPR",
                         help="graph height z(x, y)")
-    p_surf.add_argument("--patch-domain", nargs=4, type=float,
+    p_surf.add_argument("--patch-domain", nargs=4, type=finite,
                         metavar=("UMIN", "UMAX", "VMIN", "VMAX"))
     p_surf.add_argument("--grid", nargs=2, type=count, metavar=("NU", "NV"))
     p_surf.add_argument("--tol", type=tolerance, default=1e-4)
@@ -455,13 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = hopf_sub.add_parser("check", parents=[output],
                                   help="cylinder criterion for a curve")
     _add_metric_flags(p_check)
-    p_check.add_argument("--circle", type=float, metavar="R",
+    p_check.add_argument("--circle", type=finite, metavar="R",
                          help="origin-centered circle of Euclidean radius R")
-    p_check.add_argument("--circle-kg", type=float, metavar="KAPPA",
+    p_check.add_argument("--circle-kg", type=finite, metavar="KAPPA",
                          help="origin-centered circle with geodesic curvature")
     p_check.add_argument("--curve", metavar="\"X;Y\"",
                          help="curve expressions in s")
-    p_check.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"))
+    p_check.add_argument("--interval", nargs=2, type=finite, metavar=("A", "B"))
     p_check.add_argument("--samples", type=count, default=64)
     p_check.add_argument("--tol", type=tolerance, default=1e-5)
     p_check.add_argument("--expect", choices=("pass", "fail"))
@@ -470,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = hopf_sub.add_parser("example", parents=[output],
                                help="rotationally symmetric construction")
     p_ex.add_argument("--f", metavar="EXPR", help="warp profile f(t) > 0")
-    p_ex.add_argument("--r", type=float, help="constant bundle curvature")
-    p_ex.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"))
+    p_ex.add_argument("--r", type=finite, help="constant bundle curvature")
+    p_ex.add_argument("--interval", nargs=2, type=finite, metavar=("A", "B"))
     p_ex.add_argument("--tol", type=tolerance, default=1e-5)
     p_ex.add_argument("--expect", choices=("pass", "fail"))
     p_ex.set_defaults(func=cmd_hopf_example)
@@ -486,10 +496,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

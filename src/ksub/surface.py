@@ -4,9 +4,11 @@ A patch is three expressions (u, v) -> (x, y, z) into ``domain x R`` of a
 :class:`~ksub.geometry.KillingData`. All tangent data is carried in frame
 components, where the ambient inner product is the Euclidean dot.
 
-The shape operator is computed as A(X) = -D_X eta: the unit normal field is
-differentiated across the parameter grid (central differences, one
-Richardson level) and corrected by the ambient connection. The tilt angle
+The shape operator is exact: the second fundamental form
+h_ij = <D_i t_j, eta> comes from the order-2 jets of the immersion and of
+(lam, a, b) and the ambient connection, and A = I^-1 h. The finite-difference
+route A(X) = -D_X eta (the unit normal differentiated across the parameter
+grid) is kept as its oracle, :func:`shape_frame_fd`. The tilt angle
 phi between eta and the vertical Killing direction drives the adapted
 tangent frame e1 = T/sin(phi), e2 = eta x T / sin(phi), where T is the
 tangential part of the vertical field; the frame degenerates as phi -> 0 and
@@ -21,7 +23,7 @@ at the image point) and the adapted frame are computed on their first read:
 the connection where a Weingarten map is built, r and G where a check reads
 them, and the finite-difference gradient of r only at the points a check is
 made. The Weingarten half (shape operator, mean curvature, |A|^2) is filled
-in place where the shape operator is asked for.
+in place, from the point's own record, where the shape operator is asked for.
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step ``1e-3 * patch
@@ -118,10 +120,11 @@ class SurfacePatch:
 class _PointData:
     """Everything first- and second-order at one parameter point.
 
-    Immersion data is computed at every point; ambient data at the image
-    point and the adapted frame ``e1, e2`` (None within ANGLE_EPS of a
-    vertical normal) on their first read. The Weingarten half is None until
-    :meth:`SurfaceEvaluator.weingarten` fills it: the shape operator
+    Immersion data (the jets of x, y, z up to their Hessians) is computed at
+    every point; ambient data at the image point and the adapted frame
+    ``e1, e2`` (None within ANGLE_EPS of a vertical normal) on their first
+    read. The Weingarten half is None until
+    :meth:`SurfaceEvaluator.weingarten` fills it exactly: the shape operator
     ``shape_ortho`` lives in the orthonormalized (d/du, d/dv) basis
     ``ortho_basis``, ``mean_h`` is its trace and ``norm_sq`` is |A|^2.
     """
@@ -130,6 +133,7 @@ class _PointData:
     params: tuple[float, float]
     point: tuple[float, float, float]
     coord_tangents: np.ndarray      # (2, 3) rows d/du, d/dv in coordinates
+    coord_hessians: np.ndarray      # (2, 2, 3) d^2/du_i du_j in coordinates
     tangents: np.ndarray            # (2, 3) same rows in frame components
     first_form: np.ndarray          # (2, 2)
     normal: np.ndarray              # unit, frame components, oriented
@@ -205,6 +209,7 @@ class SurfaceEvaluator:
             [jx.grad[0], jy.grad[0], jz.grad[0]],
             [jx.grad[1], jy.grad[1], jz.grad[1]],
         ])
+        coord_hessians = np.stack([jx.hess, jy.hess, jz.hess], axis=-1)
         tangents = np.stack([
             geo.frame_components(K, (x, y), coord_tangents[0]),
             geo.frame_components(K, (x, y), coord_tangents[1]),
@@ -224,9 +229,9 @@ class SurfaceEvaluator:
         phi = math.acos(cos_phi)
         sin_phi = math.sqrt(max(0.0, 1.0 - cos_phi * cos_phi))
         vertical_tangent = np.array([0.0, 0.0, 1.0]) - cos_phi * normal
-        return _PointData(K, (u, v), (x, y, z), coord_tangents, tangents,
-                          first_form, normal, cos_phi, sin_phi, phi,
-                          vertical_tangent)
+        return _PointData(K, (u, v), (x, y, z), coord_tangents,
+                          coord_hessians, tangents, first_form, normal,
+                          cos_phi, sin_phi, phi, vertical_tangent)
 
     # -- shape operator --------------------------------------------------------
 
@@ -243,20 +248,21 @@ class SurfaceEvaluator:
                 f"parameter point ({u}, {v}) too close to the patch edge "
                 f"for a stencil of width {need}")
 
-    def _normal_derivatives(self, u: float, v: float) -> np.ndarray:
-        """d eta / d(u, v) with one Richardson level; shape (2, 3)."""
-        h = self.h
-        self._require_margin(u, v, 1.5 * h)
-        return np.stack([partial1(lambda q: self.data(*q).normal, (u, v), i, h)
-                         for i in range(2)])
-
     def _fill_weingarten(self, d: _PointData) -> None:
-        dn = self._normal_derivatives(*d.params)
-        shape_frame = np.empty((2, 3))
-        for i in range(2):
-            correction = np.einsum("i,m,imk->k", d.tangents[i], d.normal,
-                                   d.gamma)
-            shape_frame[i] = -(dn[i] + correction)
+        # h_ij = <d_i t_j + gamma(t_i, t_j), eta> with frame tangents
+        # t_j = M dF/du_j, M = [[lam, 0, 0], [0, lam, 0], [-lam a, -lam b, 1]]
+        lam, ja, jb = d.ambient.base_jets(*d.point[:2])
+        la = lam.value * ja.grad + ja.value * lam.grad   # grad of lam a
+        lb = lam.value * jb.grad + jb.value * lam.grad
+        m = np.array([[lam.value, 0.0, 0.0], [0.0, lam.value, 0.0],
+                      [-lam.value * ja.value, -lam.value * jb.value, 1.0]])
+        dm = np.array([[[lam.grad[c], 0.0, 0.0], [0.0, lam.grad[c], 0.0],
+                        [-la[c], -lb[c], 0.0]] for c in range(2)])
+        dm_du = np.einsum("ic,cab->iab", d.coord_tangents[:, :2], dm)
+        dt = (np.einsum("iab,jb->ija", dm_du, d.coord_tangents)
+              + d.coord_hessians @ m.T)
+        cov = dt + np.einsum("il,jm,lmk->ijk", d.tangents, d.tangents, d.gamma)
+        shape_frame = np.linalg.solve(d.first_form, cov @ d.normal).T @ d.tangents
 
         g = d.first_form
         f1 = d.tangents[0] / math.sqrt(g[0, 0])
@@ -430,6 +436,20 @@ class SurfaceEvaluator:
 def analyze_point(patch: SurfacePatch, q) -> _PointData:
     """Full first/second-order package at a parameter point."""
     return patch.evaluator().weingarten(float(q[0]), float(q[1]))
+
+
+def shape_frame_fd(patch: SurfacePatch, q) -> np.ndarray:
+    """Oracle for the exact Weingarten map: rows A(d/du), A(d/dv) from
+    A(X) = -D_X eta, the unit normal differentiated across the parameter
+    grid (central differences, one Richardson level) plus the connection."""
+    u, v = float(q[0]), float(q[1])
+    ev = patch.evaluator()
+    ev._require_margin(u, v, 1.5 * ev.h)
+    d = ev.data(u, v)
+    return np.stack([
+        -(partial1(lambda p: ev.data(*p).normal, (u, v), i, ev.h)
+          + np.einsum("i,m,imk->k", d.tangents[i], d.normal, d.gamma))
+        for i in range(2)])
 
 
 def adapted_frame(data: _PointData) -> tuple[np.ndarray, np.ndarray]:

@@ -288,6 +288,9 @@ def check_surface_identities(tol=1e-4) -> CheckReport:
             c1, c2 = srf.compatibility_residuals(patch, q)
             worst.update(max(c1, c2), "compatibility: " + where)
             d = srf.analyze_point(patch, q)
+            oracle = srf.shape_frame_fd(patch, q)
+            worst.update(np.max(np.abs(d.shape_frame - oracle)),
+                         "weingarten-oracle: " + where)
             if math.sin(d.phi) >= 0.1:
                 alt = srf.shape_norm_from_angle(patch, q)
                 worst.update(d.norm_sq - alt, "shape-norm: " + where)

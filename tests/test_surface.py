@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from ksub import geometry as geo
+from ksub import hopf
 from ksub import surface as srf
 from ksub.cli import main
 from ksub.errors import (
     AngleSingularError,
     DegenerateImmersionError,
+    FdMarginError,
 )
 from ksub.expr import parse
 
@@ -284,7 +286,6 @@ class TestSurfaceLaplacian:
                                      (0.1, 0.2)) == pytest.approx(2.0, abs=1e-9)
 
     def test_margin_guard(self):
-        from ksub.errors import FdMarginError
         with pytest.raises(FdMarginError):
             srf.surface_laplacian(vertical_plane(), lambda u, v: u,
                                   (0.9999, 0.0))
@@ -466,7 +467,7 @@ class TestLazyAmbientData:
         u, v = 0.1, -0.1
         ev.weingarten(u, v)
         stencil = (u + ev.h, v)
-        assert stencil in ev._data
+        ev.data(*stencil)
         # the Weingarten map reads the connection at its centre only
         for q, read in (((u, v), {"gamma"}), (stencil, set())):
             d = ev.data(*q)
@@ -479,3 +480,66 @@ class TestLazyAmbientData:
             assert d.grad_r.tobytes() == grad_r.tobytes()
             assert d.gauss_base == geo.gauss_curvature(K, (x, y))
             assert d.gamma.tobytes() == gamma.tobytes()
+
+
+# lam, a and b all vary, so every term of the closed form is exercised
+VARIABLE_ALL = make_data("1+0.2*x^2+0.1*y", "0.3*sin(y)+0.2*x", "x^2-0.4*x*y",
+                         rect=(-1, 1, -1, 1), desc="variable-lam-a-b")
+
+
+class TestExactWeingarten:
+    @pytest.mark.parametrize("data", [HEIS, geo.bcv(1.0, 1.0), VARIABLE_ALL],
+                             ids=lambda data: data.description)
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_finite_difference_oracle(self, data, flip):
+        patch = srf.SurfacePatch.graph(
+            data, "0.2+0.5*x+0.3*y+0.4*x*y-0.3*x^2",
+            geo.Rect(-0.5, 0.5, -0.5, 0.5), flip_normal=flip)
+        for q in ((0.1, -0.2), (0.3, 0.25), (-0.35, 0.05)):
+            d = srf.analyze_point(patch, q)
+            assert d.sin_phi >= 0.25  # tilted: every frame term contributes
+            np.testing.assert_allclose(d.shape_frame,
+                                       srf.shape_frame_fd(patch, q),
+                                       rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("c, mu, kappa", [(1.0, 1.0, 1.0),
+                                              (0.0, 0.5, 2.0),
+                                              (-1.0, 0.3, 1.2)])
+    def test_cylinder_mean_curvature_is_minus_kappa(self, c, mu, kappa):
+        circle = hopf.bcv_circle(c, kappa=kappa)
+        patch = hopf.cylinder_patch(geo.bcv(c, mu), circle)
+        for s in (0.3, 0.7):
+            d = srf.analyze_point(patch, (s * circle.interval[1], 0.5))
+            assert d.mean_h == pytest.approx(-kappa, abs=1e-12)
+
+    def test_needs_no_stencil_margin(self):
+        # the exact map reads one record; only the oracle needs a stencil
+        patch = heis_graph()
+        q = (0.5 - 0.5 * patch.evaluator().h, 0.0)
+        assert srf.analyze_point(patch, q).mean_h is not None
+        with pytest.raises(FdMarginError):
+            srf.shape_frame_fd(patch, q)
+
+
+class TestPointRecords:
+    @pytest.mark.parametrize("argv, limit", [
+        # 2,137 records while the normal was differentiated numerically
+        (["--bcv", "0", "0.5", "--graph", "x*y", "--grid", "3", "3"], 450),
+        # 1,173 records while the normal was differentiated numerically
+        (["--bcv", "1", "1", "--surface", "0.8*cos(u);0.8*sin(u);v",
+          "--patch-domain", "0", "3", "0", "1", "--grid", "2", "2"], 300),
+    ])
+    def test_check_surface_record_count(self, argv, limit, monkeypatch,
+                                        capsys):
+        calls = []
+        original = srf.SurfaceEvaluator._compute_data
+
+        def counted(self, u, v):
+            calls.append((u, v))
+            return original(self, u, v)
+
+        monkeypatch.setattr(srf.SurfaceEvaluator, "_compute_data", counted)
+        code = main(["check-surface", *argv])
+        capsys.readouterr()
+        assert code == 0
+        assert 0 < len(calls) <= limit
