@@ -25,7 +25,8 @@ from . import geometry as geo
 from . import hopf
 from . import surface as srf
 from . import verify
-from .errors import AngleSingularError, DomainEvalError, KsubError, NotCMCError
+from .errors import (AngleSingularError, DomainEvalError, FdMarginError,
+                     KsubError, NotCMCError)
 from .expr import parse
 
 SCHEMA_VERSION = 1
@@ -246,14 +247,17 @@ def _surface_point_checks(patch, q, tol) -> list[dict]:
         checks.append({"check": name, "residual": float(residual),
                        "tol": tol, "status": state})
 
+    def skip(name):
+        add(name, 0.0, "skipped")
+
     def add_guarded(name, compute):
         # adapted-frame checks are undefined where the vertical field is
-        # normal to the surface; report them as skipped there
+        # normal to the surface, and stencil-bound ones where the point
+        # sits too close to the patch edge; report them as skipped there
         try:
             add(name, compute())
-        except AngleSingularError:
-            checks.append({"check": name, "residual": 0.0, "tol": tol,
-                           "status": "skipped"})
+        except (AngleSingularError, FdMarginError):
+            skip(name)
 
     add_guarded("gauss", lambda: srf.gauss_residual(patch, q))
     add_guarded("codazzi",
@@ -262,24 +266,21 @@ def _surface_point_checks(patch, q, tol) -> list[dict]:
                 lambda: float(np.max(srf.compatibility_residuals(patch, q))))
     try:
         bt = bih.bitension_residual(patch, q)
-        add("bitension-normal", bt.normal)
-        add("bitension-tangential", bt.tangential_norm)
         lines = bih.frame_system_residuals(patch, q)
-        add("frame-system", float(np.max(np.abs(lines))))
         branch = bih.classify_point(patch, q)
-        verdict = "yes" if (branch.satisfied and abs(bt.mean_h) > 1e-8
-                            and bt.is_biharmonic(tol)) else "no"
-        checks.append({"check": "branch", "residual": 0.0, "tol": tol,
-                       "status": branch.branch})
-        checks.append({"check": "proper-biharmonic", "residual": 0.0,
-                       "tol": tol, "status": verdict})
-    except NotCMCError:
+    except (NotCMCError, FdMarginError):
         for name in ("bitension-normal", "bitension-tangential",
                      "frame-system", "branch"):
-            checks.append({"check": name, "residual": 0.0, "tol": tol,
-                           "status": "skipped"})
-        checks.append({"check": "proper-biharmonic", "residual": 0.0,
-                       "tol": tol, "status": "no"})
+            skip(name)
+        add("proper-biharmonic", 0.0, "no")
+        return checks
+    add("bitension-normal", bt.normal)
+    add("bitension-tangential", bt.tangential_norm)
+    add("frame-system", float(np.max(np.abs(lines))))
+    verdict = "yes" if (branch.satisfied and abs(bt.mean_h) > 1e-8
+                        and bt.is_biharmonic(tol)) else "no"
+    add("branch", 0.0, branch.branch)
+    add("proper-biharmonic", 0.0, verdict)
     return checks
 
 

@@ -203,27 +203,18 @@ def _bundle_value(data: KillingData, x: float, y: float) -> float:
 def bundle_curvature(data: KillingData, p) -> tuple[float, np.ndarray]:
     """Bundle curvature r at a base point, and its coordinate gradient.
 
-    r comes from exact second-order jets of (lam, a, b). The gradient is a
-    Richardson-extrapolated central difference of that closed form, which
-    keeps the jet core at order two.
+    Both come from the point's exact second-order jets of (lam, a, b):
+    differentiating ``2 r lam^2 = (lam b)_x - (lam a)_y`` needs only second
+    derivatives, so grad r is exact without raising the jet order.
     """
     x, y = float(p[0]), float(p[1])
     data.require_inside(x, y)
     r = _bundle_value(data, x, y)
-    grad = np.empty(2)
-    for i, coord in enumerate((x, y)):
-        h = _fd_step(data, x, y, coord)
-        grad[i] = numdiff.partial1(
-            lambda q: _bundle_value(data, q[0], q[1]), (x, y), i, h)
+    lam, a, b = data.base_jets(x, y)
+    lb, la = lam * b, lam * a
+    grad = (0.5 * (lb.hess[0] - la.hess[1]) / lam.value
+            - 2.0 * r * lam.grad) / lam.value
     return r, grad
-
-
-def _fd_step(data: KillingData, x: float, y: float, coord: float) -> float:
-    h = FD_SCALE * max(1.0, abs(coord))
-    margin = data.domain.margin_at(x, y)
-    if margin <= 0:
-        raise OutsideDomainError(f"point ({x}, {y}) outside domain")
-    return min(h, 0.25 * margin)
 
 
 def gauss_curvature(data: KillingData, p) -> float:

@@ -44,6 +44,7 @@ from . import numdiff
 from . import surface as srf
 from .errors import (
     DegenerateCurveError,
+    FdMarginError,
     NoIsolatedRootError,
     NotArcLengthError,
     OutsideDomainError,
@@ -430,6 +431,11 @@ def hopf_residuals(curve, base, n_samples: int = 64,
     s0, s1 = curve.interval
     span = s1 - s0
     h = max(1e-3 * span, 1e-6)
+    # each sample's kappa'' stencil reaches h either side; keep 3 h clear
+    if not span >= 6.0 * h:
+        raise FdMarginError(
+            f"arc-length interval of length {span:.3e} is shorter than the "
+            f"{6.0 * h:.3e} the geodesic-curvature stencil needs")
     samples = np.linspace(s0 + 3.0 * h, s1 - 3.0 * h, n_samples)
 
     def kappa_fn(s):

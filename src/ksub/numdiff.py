@@ -1,8 +1,8 @@
 """Central finite differences with one level of Richardson extrapolation.
 
 Every difference quotient in the package is formed here: the numerical
-oracles, the bundle-curvature gradient and the derivatives of derived surface
-fields. ``f`` may return a float or a numpy array; the result has its shape.
+oracles and the derivatives of derived surface fields. ``f`` may return a
+float or a numpy array; the result has its shape.
 """
 
 from __future__ import annotations

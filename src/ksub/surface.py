@@ -20,10 +20,11 @@ of x, y, z, tangents, first form, normal, the angle and the vertical tangent)
 is computed at every point, the stencil points of the parameter derivatives
 included. The ambient half (lam, r, its gradient, G and the connection table
 at the image point) and the adapted frame are computed on their first read:
-the connection where a Weingarten map is built, r and G where a check reads
-them, and the finite-difference gradient of r only at the points a check is
-made. The Weingarten half (shape operator, mean curvature, |A|^2) is filled
-in place, from the point's own record, where the shape operator is asked for.
+the connection where a Weingarten map is built, r, its gradient and G where a
+check reads them. All of it comes from the metric's order-2 jets at the image
+point, the gradient of r included. The Weingarten half (shape operator, mean
+curvature, |A|^2) is filled in place, from the point's own record, where the
+shape operator is asked for.
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step ``1e-3 * patch

@@ -6,6 +6,7 @@ import pytest
 
 from ksub import geometry as geo
 from ksub import surface as srf
+from ksub import verify
 from ksub.cli import _surface_point_checks, dumps_json, main
 
 
@@ -241,6 +242,26 @@ class TestCheckSurface:
         assert by_name["codazzi"]["status"] == "skipped"
         assert by_name["proper-biharmonic"]["status"] == "no"
 
+    def test_thin_patch_skips_stencil_bound_rows(self, capsys):
+        # every check point lies closer to the v-edges than the Brioschi and
+        # Laplacian stencils reach: their rows skip, the rest still run
+        code, data, err = run_json(
+            capsys, "check-surface", "--lambda", "1",
+            "--surface", "u;0.5*v^2;v", "--patch-domain", "0", "1", "0",
+            "0.01", "--grid", "2", "2")
+        assert code == 0, err
+        assert len(data["points"]) == 4
+        for point in data["points"]:
+            by_name = {c["check"]: c for c in point["checks"]}
+            for name in ("gauss", "bitension-normal", "bitension-tangential",
+                         "frame-system", "branch"):
+                assert by_name[name]["status"] == "skipped"
+            assert by_name["proper-biharmonic"]["status"] == "no"
+            # measured 0 and 1.6e-13
+            assert by_name["codazzi"]["status"] == "pass"
+            assert by_name["compatibility"]["status"] == "pass"
+            assert by_name["compatibility"]["residual"] < 1e-10
+
 
 class TestHopfCommand:
     def test_example_cosine(self, capsys):
@@ -308,6 +329,19 @@ class TestHopfCommand:
         assert "usage:" in err and "--samples" in err
         assert "zero-size" not in err
 
+    def test_interval_shorter_than_the_stencil_exits_2(self, capsys):
+        # the kappa'' stencil needs 6e-6 of arc length; the samples would
+        # otherwise fall outside the curve
+        code, out, err = run(capsys, "hopf", "check", "--lambda", "1",
+                             "--curve", "cos(s);sin(s)",
+                             "--interval", "0", "1e-9", "--samples", "3",
+                             "--format", "csv")
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "1.000e-09" in err and "6.000e-06" in err
+
     def test_example_identically_zero_exits_2(self, capsys):
         code, _, err = run(capsys, "hopf", "example", "--f", "1", "--r", "0",
                            "--interval", "0", "1")
@@ -323,6 +357,15 @@ class TestVerifyPaper:
         assert data["checks"][0]["check"] == "bcv-constants"
         assert data["checks"][0]["status"] == "pass"
         assert "PASS" in err
+
+    def test_unmatched_subset_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify-paper", "--only", "nonexistent")
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "'nonexistent'" in err
+        assert all(name in err for name in verify.CHECK_NAMES)
 
     def test_tightened_tolerance_fails_fd_limited_checks(self, capsys):
         code, data, _ = run_json(capsys, "verify-paper", "--only", "surface",
@@ -377,6 +420,24 @@ class TestWorkingSet:
             return original(data, p)
 
         monkeypatch.setattr(geo, "bundle_curvature", counted)
+        assert main(OPS[op]) == 0
+        capsys.readouterr()
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("op, calls", [("info", 144), ("hopf", 320),
+                                           ("check-surface", 30)])
+    def test_base_jets_evaluated_once_per_point(self, op, calls, monkeypatch,
+                                                capsys):
+        # grad r is read from the point's own jets, so no base point is
+        # evaluated only to feed a difference stencil
+        seen = []
+        original = geo.KillingData._eval_base_jets
+
+        def counted(data, x, y):
+            seen.append((x, y))
+            return original(data, x, y)
+
+        monkeypatch.setattr(geo.KillingData, "_eval_base_jets", counted)
         assert main(OPS[op]) == 0
         capsys.readouterr()
         assert len(seen) == calls

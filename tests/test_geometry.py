@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ksub import geometry as geo
+from ksub import numdiff
 from ksub.errors import FdMarginError, OutsideDomainError
 from ksub.expr import parse
 
@@ -18,6 +19,15 @@ HEIS = geo.bcv(0.0, 0.5)
 GAUSSIAN = make_data("exp(-(x^2+y^2)/4)", "0", "x", rect=(-1.5, 1.5, -1.5, 1.5),
                      desc="gaussian")
 FAMILIES = [FLAT, HEIS, geo.bcv(1.0, 1.0), geo.bcv(-1.0, 0.3), GAUSSIAN]
+
+# the five families of verify.metric_families plus a trig and a gaussian
+# metric shaped like the custom metrics of the metric-grid benchmark
+GRADIENT_METRICS = FAMILIES + [
+    make_data("1+0.3*sin(x)*cos(y)", "0.4*sin(1.2*y)", "-0.5*cos(0.7*x)",
+              rect=(-1.5, 1.5, -1.5, 1.5), desc="trig"),
+    make_data("exp(-(x^2+y^2)/4.5)", "0.3*y-0.2*x*y", "-0.4*x+0.3*x^2",
+              rect=(-1.5, 1.5, -1.5, 1.5), desc="gaussian-poly"),
+]
 
 BASIS = np.eye(3)
 
@@ -53,6 +63,32 @@ class TestBundleCurvature:
     def test_outside_domain(self):
         with pytest.raises(OutsideDomainError):
             geo.bundle_curvature(FLAT, (5.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "data", GRADIENT_METRICS, ids=lambda d: d.description)
+    def test_exact_gradient_matches_fd_of_r(self, data):
+        # reference: Richardson difference of the closed-form r, step 1e-4
+        # capped at a quarter of the distance to the edge (measured 9.3e-12)
+        def r_at(q):
+            return geo._bundle_value(data, q[0], q[1])
+
+        worst = 0.0
+        for x, y in data.domain.grid(12, 12, inset=1e-3):
+            _, grad = geo.bundle_curvature(data, (x, y))
+            margin = data.domain.margin_at(x, y)
+            for i, coord in enumerate((x, y)):
+                h = min(1e-4 * max(1.0, abs(coord)), 0.25 * margin)
+                ref = numdiff.partial1(r_at, (x, y), i, h)
+                worst = max(worst, abs(grad[i] - ref))
+        assert worst < 1e-9
+
+    def test_exact_gradient_at_the_domain_edge(self):
+        # b = x^2: r = x, so grad r = (1, 0) exactly, however close the
+        # point is to the edge
+        data = make_data("1", "0", "x^2")
+        r, grad = geo.bundle_curvature(data, (1.9999999, 0.3))
+        assert r == pytest.approx(1.9999999, abs=1e-12)
+        np.testing.assert_allclose(grad, [1.0, 0.0], rtol=0, atol=1e-12)
 
 
 class TestGaussCurvature:
