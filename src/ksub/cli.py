@@ -27,7 +27,7 @@ from . import surface as srf
 from . import verify
 from .errors import (AngleSingularError, DomainEvalError, FdMarginError,
                      KsubError, NotCMCError)
-from .expr import parse
+from .expr import batched, parse
 
 SCHEMA_VERSION = 1
 
@@ -110,19 +110,24 @@ def _floats(obj, path: str = ""):
 
 
 def _emit(args, payload: dict, rows: list[dict]) -> None:
-    # a non-finite CSV value is also one in the payload: one check serves both
-    for path, value in _floats(payload):
-        if not math.isfinite(value):
-            raise DomainEvalError(f"non-finite result at {path}")
-    if args.format == "csv":
-        text = dumps_csv(rows)
-    else:
-        text = dumps_json(payload) + "\n"
-    if args.out:
+    # a non-finite CSV value is also one in the payload: one check serves
+    # both. The writer quotes every non-finite float, so only text with such
+    # a token needs the walk that finds the first one's path.
+    text = dumps_json(payload)
+    if '"nan"' in text or 'inf"' in text:
+        for path, value in _floats(payload):
+            if not math.isfinite(value):
+                raise DomainEvalError(f"non-finite result at {path}")
+    text = dumps_csv(rows) if args.format == "csv" else text + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise UsageError(
+            f"cannot write {args.out}: {err.strerror or err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +194,14 @@ def tolerance(text: str) -> float:
 # info
 # ---------------------------------------------------------------------------
 
+def _info_fields(data: geo.KillingData, x, y):
+    """r, grad r, G and lam at a point or over a batch. lam is the value
+    path's, not the jet's: a jet divides through the reciprocal and can
+    differ in the last bit."""
+    r, grad = geo.bundle_curvature(data, (x, y))
+    return r, grad, geo.gauss_curvature(data, (x, y)), data.lam(x, y)
+
+
 def cmd_info(args) -> int:
     data = _metric_from_args(args)
     if args.at is not None:
@@ -196,12 +209,14 @@ def cmd_info(args) -> int:
     else:
         nx, ny = args.grid if args.grid else (5, 5)
         points = data.domain.grid(int(nx), int(ny))
+    xs, ys = map(np.array, zip(*points))
+    r_all, grad_all, g_all, lam_all = batched(
+        functools.partial(_info_fields, data), xs, ys)
     records = []
     rows = []
-    for (x, y) in points:
-        r, grad = geo.bundle_curvature(data, (x, y))
-        g_val = geo.gauss_curvature(data, (x, y))
-        ric = geo.ricci_from_scalars(r, grad, g_val, data.lam(x, y))
+    for i, (x, y) in enumerate(points):
+        r, grad, g_val = r_all[i], grad_all[:, i], g_all[i]
+        ric = geo.ricci_from_scalars(r, grad, g_val, lam_all[i])
         records.append({
             "x": x, "y": y, "r": r, "G": g_val,
             "grad_r": [grad[0], grad[1]],

@@ -8,6 +8,16 @@ their own domain checks, and the ``Jet`` methods, which also check that the
 result is twice differentiable. Exponents of ``^`` must be numeric literals,
 which keeps the power rule exact.
 
+Both evaluate a batch of N points in one pass when the coordinates are
+one-dimensional arrays. The batch sits on a trailing axis: value (N,),
+gradient (n, N), Hessian (n, n, N). Every ``**`` and function of a batch is
+the libm call of one point, applied element by element (:func:`power`;
+numpy's own array power, exp, log and tan differ in the last bit), and
+``+ - * /`` are IEEE operations either way, so a batch equals its points bit
+for bit. :func:`batched` reruns a batch that raises or yields a non-finite
+number point by point, so a failing batch raises its first failing point's
+own error.
+
 Grammar::
 
     expr   := term (("+"|"-") term)*
@@ -22,6 +32,7 @@ numbers are decimal literals with optional scientific notation.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -34,6 +45,7 @@ from .errors import (
     ArityMismatchError,
     DomainEvalError,
     ExprSyntaxError,
+    KsubError,
     UndeclaredVariableError,
 )
 
@@ -44,6 +56,8 @@ __all__ = [
     "eval_jet",
     "eval_value",
     "compose_jet",
+    "batched",
+    "power",
     "constant_jet",
     "variable_jet",
     "FUNCTIONS",
@@ -291,20 +305,98 @@ def parse(text: str, variables) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Elementwise libm calls and batches of points
+# ---------------------------------------------------------------------------
+
+def power(value, p):
+    """``value ** p``; on an array, one libm ``pow`` per element.
+
+    numpy's own array power (``x * x`` for a square) and its ``exp``,
+    ``log`` and ``tan`` differ from libm in the last bit on 0.1-5 % of
+    arguments, so every power and function of a batch is taken element by
+    element, to equal its one-point value bit for bit.
+    """
+    if type(value) is not np.ndarray:
+        return value ** p
+    return _each(functools.partial(pow, exp=p), value)
+
+
+def _each(func, value):
+    """``func(value)``, one element at a time on an array (see :func:`power`)."""
+    if type(value) is not np.ndarray:
+        return func(value)
+    return np.array([func(v) for v in value.ravel().tolist()]
+                    ).reshape(value.shape)
+
+
+def _bad(flags) -> bool:
+    """Whether a domain check fails: at the point, or anywhere in a batch (a
+    batch reruns point by point to name the point)."""
+    return flags if type(flags) is bool else bool(flags.any())
+
+
+def batched(fn, *coords):
+    """``fn(*coords)`` over equal-length coordinate arrays in one pass, with
+    exactly the results of the one-point path.
+
+    ``fn`` takes one value per coordinate, floats or arrays, and returns a
+    Jet, a float, an array or a tuple of them, with the batch on the
+    trailing axis. If the batch raises an input or arithmetic error or
+    yields a non-finite number, ``fn`` runs again at each point in turn and
+    the results are stacked: the first point that fails then raises its own
+    error, and warnings and non-finite values are those of the one-point
+    path.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*coords)
+        if _finite(out):
+            return out
+    except (ArithmeticError, ValueError, KsubError):
+        pass
+    return _stack([fn(*point) for point in zip(*(c.tolist() for c in coords))])
+
+
+def _finite(out) -> bool:
+    if isinstance(out, Jet):
+        return _finite(out.value) and _finite(out.grad) and _finite(out.hess)
+    if isinstance(out, tuple):
+        return all(_finite(part) for part in out)
+    return bool(np.isfinite(out).all())
+
+
+def _stack(results):
+    first = results[0]
+    if isinstance(first, Jet):
+        return Jet(_stack([jet.value for jet in results]),
+                   _stack([jet.grad for jet in results]),
+                   _stack([jet.hess for jet in results]))
+    if isinstance(first, tuple):
+        return tuple(_stack(list(parts)) for parts in zip(*results))
+    return np.stack(results, axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # Jets: truncated second-order Taylor data
 # ---------------------------------------------------------------------------
 
 class Jet:
     """Value, gradient and symmetric Hessian of a scalar in ``n`` variables.
 
-    Arithmetic implements the exact second-order chain/product rules, so jets
-    of polynomials of degree <= 2 are exact to machine precision.
+    At one point the value is a float, the gradient has shape (n,) and the
+    Hessian (n, n). A batch of N points adds a trailing axis: (N,), (n, N)
+    and (n, n, N); inside a batch, constant parts carry a singleton axis
+    that broadcasting widens. Arithmetic implements the exact second-order
+    chain/product rules, so jets of polynomials of degree <= 2 are exact to
+    machine precision, and a batch equals its points' jets bit for bit.
     """
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value: float, grad, hess):
-        self.value = float(value)
+    def __init__(self, value, grad, hess):
+        if type(value) is not float and type(value) is not np.ndarray:
+            value = float(value)
+        self.value = value
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
 
@@ -339,23 +431,22 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            cross = np.outer(self.grad, other.grad)
+            cross = self.grad[:, None] * other.grad[None, :]
             return Jet(
                 self.value * other.value,
                 self.value * other.grad + other.value * self.grad,
                 self.value * other.hess + other.value * self.hess
-                + cross + cross.T,
+                + cross + _transpose(cross),
             )
         return Jet(self.value * other, self.grad * other, self.hess * other)
 
     __rmul__ = __mul__
 
     def _reciprocal(self):
-        if self.value == 0.0:
+        v = self.value
+        if _bad(v == 0.0):
             raise DomainEvalError("division by zero")
-        return self._lift(1.0 / self.value,
-                          -1.0 / self.value ** 2,
-                          2.0 / self.value ** 3)
+        return self._lift(1.0 / v, -1.0 / power(v, 2), 2.0 / power(v, 3))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -369,59 +460,70 @@ class Jet:
         p = float(p)
         u = self.value
         if p == 0.0:
-            return Jet(1.0, np.zeros_like(self.grad), np.zeros_like(self.hess))
+            one = np.ones_like(u) if type(u) is np.ndarray else 1.0
+            return Jet(one, np.zeros_like(self.grad), np.zeros_like(self.hess))
         if p == 1.0:
-            return Jet(self.value, self.grad.copy(), self.hess.copy())
+            return Jet(u, self.grad.copy(), self.hess.copy())
         integral = p == int(p)
-        if u < 0.0 and not integral:
+        if not integral and _bad(u < 0.0):
             raise DomainEvalError(f"negative base for non-integer power {p}")
-        if u == 0.0 and (p < 2.0 or not integral):
+        if (p < 2.0 or not integral) and _bad(u == 0.0):
             raise DomainEvalError(f"power {p} not twice differentiable at 0")
-        f0 = u ** p
-        f1 = p * u ** (p - 1.0)
-        f2 = p * (p - 1.0) * u ** (p - 2.0) if p != 2.0 else 2.0
+        f0 = power(u, p)
+        f1 = p * power(u, p - 1.0)
+        f2 = p * (p - 1.0) * power(u, p - 2.0) if p != 2.0 else 2.0
         return self._lift(f0, f1, f2)
 
     # -- analytic functions via the scalar chain rule -----------------------
 
-    def _lift(self, f0: float, f1: float, f2: float) -> "Jet":
-        cross = np.outer(self.grad, self.grad)
+    def _lift(self, f0, f1, f2) -> "Jet":
+        cross = self.grad[:, None] * self.grad[None, :]
         return Jet(f0, f1 * self.grad, f1 * self.hess + f2 * cross)
 
     def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
+        s, c = _each(math.sin, self.value), _each(math.cos, self.value)
         return self._lift(s, c, -s)
 
     def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
+        s, c = _each(math.sin, self.value), _each(math.cos, self.value)
         return self._lift(c, -s, -c)
 
     def tan(self):
-        t = math.tan(self.value)
+        t = _each(math.tan, self.value)
         d = 1.0 + t * t
         return self._lift(t, d, 2.0 * t * d)
 
     def exp(self):
-        e = math.exp(self.value)
+        e = _each(math.exp, self.value)
         return self._lift(e, e, e)
 
     def log(self):
-        if self.value <= 0.0:
-            raise DomainEvalError(f"log of nonpositive value {self.value!r}")
-        return self._lift(math.log(self.value), 1.0 / self.value,
-                          -1.0 / self.value ** 2)
+        v = self.value
+        if _bad(v <= 0.0):
+            raise DomainEvalError(f"log of nonpositive value {v!r}")
+        return self._lift(_each(math.log, v), 1.0 / v, -1.0 / power(v, 2))
 
     def sqrt(self):
-        if self.value <= 0.0:
-            raise DomainEvalError(f"sqrt of nonpositive value {self.value!r}")
-        s = math.sqrt(self.value)
-        return self._lift(s, 0.5 / s, -0.25 / (self.value * s))
+        v = self.value
+        if _bad(v <= 0.0):
+            raise DomainEvalError(f"sqrt of nonpositive value {v!r}")
+        s = _each(math.sqrt, v)
+        return self._lift(s, 0.5 / s, -0.25 / (v * s))
 
     def __abs__(self):
-        if abs(self.value) < _ABS_KINK_TOL:
+        v = self.value
+        if _bad(abs(v) < _ABS_KINK_TOL):
             raise DomainEvalError("abs is not differentiable at 0")
-        sign = 1.0 if self.value > 0 else -1.0
-        return self._lift(abs(self.value), sign, 0.0)
+        if type(v) is np.ndarray:
+            sign = np.where(v > 0, 1.0, -1.0)
+        else:
+            sign = 1.0 if v > 0 else -1.0
+        return self._lift(abs(v), sign, 0.0)
+
+
+def _transpose(cross):
+    """Swap the two variable axes of an (n, n) or batched (n, n, N) array."""
+    return cross.T if cross.ndim == 2 else cross.swapaxes(0, 1)
 
 
 def constant_jet(value: float, nvars: int) -> Jet:
@@ -432,6 +534,14 @@ def variable_jet(value: float, index: int, nvars: int) -> Jet:
     grad = np.zeros(nvars)
     grad[index] = 1.0
     return Jet(value, grad, np.zeros((nvars, nvars)))
+
+
+def _batch_leaf(leaf):
+    """A leaf constructor whose jets carry a singleton batch axis."""
+    def batch_leaf(*args):
+        jet = leaf(*args)
+        return Jet(jet.value, jet.grad[:, None], jet.hess[..., None])
+    return batch_leaf
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +578,16 @@ def _value_leaf(value: float, *_) -> float:
     return value
 
 
+def _batch_div(left, right):
+    if np.any(right == 0.0):
+        raise DomainEvalError("division by zero")
+    return left / right
+
+
+def _batch_value_pow(base, p: float):
+    return _each(functools.partial(_value_pow, p=p), base)
+
+
 # "/", "^" and the functions differ between the two arithmetics; "+", "-",
 # "*" and negation are the operators of both floats and jets
 _JET_OPS = {"/": operator.truediv, "^": operator.pow, "sin": Jet.sin,
@@ -476,22 +596,65 @@ _JET_OPS = {"/": operator.truediv, "^": operator.pow, "sin": Jet.sin,
 _VALUE_OPS = {"/": _value_div, "^": _value_pow, "sin": math.sin,
               "cos": math.cos, "tan": math.tan, "exp": math.exp,
               "log": _value_log, "sqrt": _value_sqrt, "abs": abs}
+# a batch of values applies the one-point functions element by element
+_VALUE_BATCH_OPS = {
+    **{name: functools.partial(_each, _VALUE_OPS[name])
+       for name in ("sin", "cos", "tan", "exp", "log", "sqrt")},
+    "/": _batch_div, "^": _batch_value_pow, "abs": abs}
 
 
-def _evaluate(expr: Expr, point, constant, variable, ops):
-    """The one traversal behind :func:`eval_jet` and :func:`eval_value`.
+class _Arithmetic(NamedTuple):
+    """Leaves ``constant(value, n)`` and ``variable(value, index, n)`` over
+    ``n`` variables, and the operations of that leaf type."""
 
-    Leaves are ``constant(value, n)`` and ``variable(value, index, n)`` over
-    ``n`` variables; ``ops`` holds the arithmetic of that leaf type.
-    """
-    point = tuple(map(float, point))
+    constant: Callable
+    variable: Callable
+    ops: dict
+
+
+_JETS = (_Arithmetic(constant_jet, variable_jet, _JET_OPS),
+         _Arithmetic(_batch_leaf(constant_jet), _batch_leaf(variable_jet),
+                     _JET_OPS))
+_VALUES = (_Arithmetic(_value_leaf, _value_leaf, _VALUE_OPS),
+           _Arithmetic(_value_leaf, _value_leaf, _VALUE_BATCH_OPS))
+
+
+def _evaluate(expr: Expr, point, arithmetics):
+    """The one traversal behind :func:`eval_jet` and :func:`eval_value`, in
+    the arithmetic of one point or, when the first coordinate is an array,
+    of a batch (the other coordinates broadcast against it)."""
+    point = tuple(point)
     n = len(expr.variables)
     if len(point) != n:
         raise ArityMismatchError(
             f"expected {n} coordinates for variables {expr.variables}, "
             f"got {len(point)}")
     index = {name: i for i, name in enumerate(expr.variables)}
-    return _walk(expr.root, _Walk(point, index, n, constant, variable, ops))
+    if point and type(point[0]) is np.ndarray:
+        coords = np.broadcast_arrays(*(np.asarray(c, dtype=float)
+                                       for c in point))
+        if coords[0].ndim != 1:
+            raise ValueError("a batch needs one-dimensional coordinate arrays")
+        return batched(functools.partial(_run, expr.root, index, arithmetics),
+                       *coords)
+    constant, variable, ops = arithmetics[0]
+    return _walk(expr.root, _Walk(tuple(map(float, point)), index, n,
+                                  constant, variable, ops))
+
+
+def _run(root: Node, index: dict, arithmetics, *coords):
+    """One traversal over a batch (arrays), widened to the batch's full
+    shape, or at one of its points (floats) when the batch reruns."""
+    n = len(coords)
+    if type(coords[0]) is not np.ndarray:
+        return _walk(root, _Walk(coords, index, n, *arithmetics[0]))
+    out = _walk(root, _Walk(coords, index, n, *arithmetics[1]))
+    size = len(coords[0])
+    if isinstance(out, Jet):
+        return Jet(np.broadcast_to(out.value, (size,)).copy(),
+                   np.broadcast_to(out.grad, (n, size)).copy(),
+                   np.broadcast_to(out.hess, (n, n, size)).copy())
+    return np.broadcast_to(out, (size,)).copy()
 
 
 class _Walk(NamedTuple):
@@ -542,19 +705,25 @@ def eval_jet(expr: Expr, point) -> Jet:
     ``point`` must have one entry per declared variable. Domain problems
     (division by zero, log/sqrt of a nonpositive argument, the abs kink)
     raise :class:`DomainEvalError` naming the offending subexpression.
+    With one-dimensional coordinate arrays it evaluates that batch of N
+    points in one pass (see :func:`batched`): the jet's shapes are (N,),
+    (n, N) and (n, n, N), and a failing batch raises the error of its first
+    failing point.
     """
-    return _evaluate(expr, point, constant_jet, variable_jet, _JET_OPS)
+    return _evaluate(expr, point, _JETS)
 
 
 def eval_value(expr: Expr, point) -> float:
     """Value-only evaluation in float arithmetic, cheaper than
     :func:`eval_jet` and independent of it; ``sqrt`` and ``abs`` have a
-    value at 0 where they have no jet."""
-    return _evaluate(expr, point, _value_leaf, _value_leaf, _VALUE_OPS)
+    value at 0 where they have no jet. Coordinate arrays give a batch of
+    values, shape (N,), as :func:`eval_jet` does."""
+    return _evaluate(expr, point, _VALUES)
 
 
 def compose_jet(outer: Jet, inners) -> Jet:
-    """Second-order chain rule: jet of ``f(g_1(t), ..., g_m(t))``.
+    """Second-order chain rule: jet of ``f(g_1(t), ..., g_m(t))`` at one
+    point.
 
     ``outer`` is the jet of ``f`` in ``m`` variables at the inner values;
     ``inners`` are the ``m`` jets of the ``g_i``, all in the same parameter

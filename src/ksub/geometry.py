@@ -33,7 +33,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import FdMarginError, OutsideDomainError
-from .expr import Expr, Jet, eval_jet, parse
+from .expr import Expr, Jet, batched, eval_jet, parse, power
 
 __all__ = [
     "Rect",
@@ -91,9 +91,11 @@ class Rect:
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("rectangle must have positive area")
 
-    def contains(self, x: float, y: float, margin: float = 0.0) -> bool:
-        return (self.xmin + margin < x < self.xmax - margin
-                and self.ymin + margin < y < self.ymax - margin)
+    def contains(self, x, y, margin: float = 0.0):
+        """Whether (x, y) lies inside, by more than ``margin``; elementwise
+        on coordinate arrays."""
+        return ((self.xmin + margin < x) & (x < self.xmax - margin)
+                & (self.ymin + margin < y) & (y < self.ymax - margin))
 
     def margin_at(self, x: float, y: float) -> float:
         """Distance from (x, y) to the boundary (negative outside)."""
@@ -128,6 +130,8 @@ class KillingData:
 
     Positivity of lam is checked on a validation grid at construction.
     Instances are immutable by convention and safe to share across workers.
+    Base points are floats, or equal-length coordinate arrays for a batch
+    (see :func:`ksub.expr.batched`).
     """
 
     lam: Expr
@@ -140,13 +144,24 @@ class KillingData:
         for name, e in (("lam", self.lam), ("a", self.a), ("b", self.b)):
             if tuple(e.variables) != ("x", "y"):
                 raise ValueError(f"{name} must be an expression in (x, y)")
-        for (x, y) in self.domain.grid(8, 8, inset=0.02):
-            if self.lam(x, y) <= 0.0:
-                raise ValueError(
-                    f"lam must be positive on the domain; lam({x}, {y}) <= 0")
-        self._jets: dict[tuple[float, float], tuple[Jet, Jet, Jet]] = {}
+        xs, ys = map(np.array, zip(*self.domain.grid(8, 8, inset=0.02)))
+        batched(self._require_positive, xs, ys)
+        self._jets: dict[tuple, tuple[Jet, Jet, Jet]] = {}
 
-    def base_jets(self, x: float, y: float) -> tuple[Jet, Jet, Jet]:
+    def _require_positive(self, x, y):
+        # a failing batch reruns point by point, so the error names a point
+        lam = self.lam(x, y)
+        if np.any(lam <= 0.0):
+            raise ValueError(
+                f"lam must be positive on the domain; lam({x}, {y}) <= 0")
+        return lam
+
+    def base_jets(self, x, y) -> tuple[Jet, Jet, Jet]:
+        """Jets of (lam, a, b) at a base point, memoised per point; a batch
+        is one memo entry, keyed by its coordinates' bytes."""
+        if type(x) is np.ndarray:
+            return memo(self._jets, (x.tobytes(), y.tobytes()),
+                        lambda *_: self._eval_base_jets(x, y))
         return memo(self._jets, (float(x), float(y)), self._eval_base_jets)
 
     def _eval_base_jets(self, x: float, y: float) -> tuple[Jet, Jet, Jet]:
@@ -154,10 +169,17 @@ class KillingData:
         return (eval_jet(self.lam, point), eval_jet(self.a, point),
                 eval_jet(self.b, point))
 
-    def require_inside(self, x: float, y: float, margin: float = 0.0):
-        if not self.domain.contains(x, y, margin):
-            raise OutsideDomainError(
-                f"point ({x}, {y}) outside domain of {self.description or 'metric'}")
+    def require_inside(self, x, y, margin: float = 0.0):
+        inside = self.domain.contains(x, y, margin)
+        if type(x) is np.ndarray:
+            if inside.all():
+                return
+            first = inside.argmin()
+            x, y = float(x[first]), float(y[first])
+        elif inside:
+            return
+        raise OutsideDomainError(
+            f"point ({x}, {y}) outside domain of {self.description or 'metric'}")
 
 
 @dataclass(frozen=True)
@@ -193,11 +215,18 @@ def bcv(c: float, mu: float, half_width: float = 3.0) -> KillingData:
 # Scalars of the submersion
 # ---------------------------------------------------------------------------
 
-def _bundle_value(data: KillingData, x: float, y: float) -> float:
+def _base_point(p):
+    """(x, y) of a base point: floats, or coordinate arrays for a batch."""
+    if type(p[0]) is np.ndarray:
+        return p[0], p[1]
+    return float(p[0]), float(p[1])
+
+
+def _bundle_value(data: KillingData, x, y):
     lam, a, b = data.base_jets(x, y)
     num = (lam.grad[0] * b.value + lam.value * b.grad[0]
            - lam.grad[1] * a.value - lam.value * a.grad[1])
-    return 0.5 * num / lam.value ** 2
+    return 0.5 * num / power(lam.value, 2)
 
 
 def bundle_curvature(data: KillingData, p) -> tuple[float, np.ndarray]:
@@ -205,9 +234,10 @@ def bundle_curvature(data: KillingData, p) -> tuple[float, np.ndarray]:
 
     Both come from the point's exact second-order jets of (lam, a, b):
     differentiating ``2 r lam^2 = (lam b)_x - (lam a)_y`` needs only second
-    derivatives, so grad r is exact without raising the jet order.
+    derivatives, so grad r is exact without raising the jet order. On a
+    batch of N points, r has shape (N,) and the gradient (2, N).
     """
-    x, y = float(p[0]), float(p[1])
+    x, y = _base_point(p)
     data.require_inside(x, y)
     r = _bundle_value(data, x, y)
     lam, a, b = data.base_jets(x, y)
@@ -218,14 +248,16 @@ def bundle_curvature(data: KillingData, p) -> tuple[float, np.ndarray]:
 
 
 def gauss_curvature(data: KillingData, p) -> float:
-    """Gaussian curvature of the base metric, from exact jets of lam."""
-    x, y = float(p[0]), float(p[1])
+    """Gaussian curvature of the base metric, from exact jets of lam (shape
+    (N,) on a batch)."""
+    x, y = _base_point(p)
     data.require_inside(x, y)
     lam, _, _ = data.base_jets(x, y)
+    lam_sq = power(lam.value, 2)
     # Laplacian of log(lam) in the flat background metric
     lap_log = ((lam.hess[0, 0] + lam.hess[1, 1]) / lam.value
-               - (lam.grad[0] ** 2 + lam.grad[1] ** 2) / lam.value ** 2)
-    return -lap_log / lam.value ** 2
+               - (power(lam.grad[0], 2) + power(lam.grad[1], 2)) / lam_sq)
+    return -lap_log / lam_sq
 
 
 # ---------------------------------------------------------------------------

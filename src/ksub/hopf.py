@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from . import geometry as geo
 from . import numdiff
@@ -49,7 +47,7 @@ from .errors import (
     NotArcLengthError,
     OutsideDomainError,
 )
-from .expr import Expr, Jet, compose_jet, eval_jet, parse
+from .expr import Expr, Jet, batched, compose_jet, eval_jet, parse, power
 
 __all__ = [
     "BaseCurve",
@@ -299,6 +297,8 @@ def bcv_circle(c: float, radius: float | None = None,
 
 def curve_length(curve: BaseCurve, base) -> float:
     """Metric length of the curve over its parameter interval."""
+    from scipy.integrate import quad  # scipy costs most of an import of ksub
+
     t0, t1 = curve.interval
     value, _ = quad(lambda t: base.speed_jet(curve, t)[0], t0, t1,
                     epsabs=1e-13, epsrel=1e-13, limit=200)
@@ -320,6 +320,8 @@ def arclength_reparam(curve: BaseCurve, base, samples: int = 257):
         raise DegenerateCurveError("curve speed vanishes on the interval")
     if np.max(np.abs(speeds - 1.0)) <= 1e-10:
         return replace(curve, arc_length=True) if not curve.arc_length else curve
+
+    from scipy.integrate import solve_ivp
 
     length = curve_length(curve, base)
     sol = solve_ivp(
@@ -575,25 +577,24 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
     as in :func:`hopf_residuals`; the geodesic curvature is f'(t0)/f(t0) and
     the chart curvature is G = -f''(t0)/f(t0).
     """
+    from scipy.optimize import brentq
+
     if isinstance(f, str):
         f = parse(f, ("t",))
     t0, t1 = float(interval[0]), float(interval[1])
     if not t1 > t0:
         raise ValueError("interval must have positive length")
 
-    def fjet(t):
-        return eval_jet(f, (t,))
-
-    def condition(t):
-        j = fjet(t)
-        return (j.value * (j.hess[0, 0] + 4.0 * r * r * j.value)
-                + j.grad[0] ** 2)
+    def circle_condition(t):
+        # (f, f (f'' + 4 r^2 f) + f'^2) at t, or over an array of t
+        j = eval_jet(f, (t,))
+        return j.value, (j.value * (j.hess[0, 0] + 4.0 * r * r * j.value)
+                         + power(j.grad[0], 2))
 
     ts = np.linspace(t0, t1, n_scan)
-    fv = np.array([fjet(float(t)).value for t in ts])
+    fv, gv = batched(circle_condition, ts)
     if np.min(fv) <= 0.0:
         raise ValueError("warp profile f must be positive on the interval")
-    gv = np.array([condition(float(t)) for t in ts])
     scale = max(1.0, float(np.max(np.abs(fv))) ** 2)
     if np.max(np.abs(gv)) < 1e-13 * scale:
         raise NoIsolatedRootError(
@@ -607,7 +608,8 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
         if ga == 0.0:
             roots.append(a)
         elif ga * gb < 0.0:
-            roots.append(float(brentq(condition, a, b, xtol=1e-14, rtol=1e-15)))
+            roots.append(float(brentq(lambda t: circle_condition(t)[1], a, b,
+                                      xtol=1e-14, rtol=1e-15)))
     if gv[-1] == 0.0:
         roots.append(float(ts[-1]))
     if not roots:
@@ -622,7 +624,7 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
     base = WarpedBase(f, r, (t0, t1))
     cases = []
     for root in deduped:
-        j = fjet(root)
+        j = eval_jet(f, (root,))
         kappa = j.grad[0] / j.value
         gauss = -j.hess[0, 0] / j.value
         circumference = 2.0 * math.pi * j.value

@@ -11,6 +11,7 @@ which checks are finite-difference-limited; runtime limits are fixed.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from . import biharmonic as bih
 from . import geometry as geo
 from . import hopf
 from . import surface as srf
-from .expr import parse
+from .expr import batched, parse
 
 __all__ = ["CheckReport", "CHECK_NAMES", "run_checks", "metric_families"]
 
@@ -170,14 +171,20 @@ def check_ricci(tol=1e-5, heis_tol=1e-8) -> CheckReport:
 # Criterion 4: BCV spaces have r = mu and G = c
 # ---------------------------------------------------------------------------
 
+def _bcv_scalars(data: geo.KillingData, x, y):
+    return (geo.bundle_curvature(data, (x, y))[0],
+            geo.gauss_curvature(data, (x, y)))
+
+
 def check_bcv_constants(r_tol=1e-10, g_tol=1e-8) -> CheckReport:
     worst = _Worst()
     status = "pass"
     for c, mu in ((1.0, 1.0), (-1.0, 0.3), (0.0, 0.5), (4.0, 1.0)):
         data = geo.bcv(c, mu)
-        for (x, y) in data.domain.grid(20, 20):
-            r, _ = geo.bundle_curvature(data, (x, y))
-            g_val = geo.gauss_curvature(data, (x, y))
+        points = data.domain.grid(20, 20)
+        rs, gs = batched(functools.partial(_bcv_scalars, data),
+                         *map(np.array, zip(*points)))
+        for (x, y), r, g_val in zip(points, rs, gs):
             if abs(r - mu) > r_tol or abs(g_val - c) > g_tol:
                 status = "fail"
             worst.update(max(abs(r - mu), abs(g_val - c)),

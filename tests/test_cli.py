@@ -1,13 +1,21 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ksub
 from ksub import geometry as geo
 from ksub import surface as srf
 from ksub import verify
 from ksub.cli import _surface_point_checks, dumps_json, main
+from ksub.errors import DomainEvalError
+from ksub.expr import parse
 
 
 def run(capsys, *argv):
@@ -162,6 +170,73 @@ class TestNumericFaults:
         by_name = {c["check"]: c for c in checks}
         assert math.isnan(by_name["compatibility"]["residual"])
         assert by_name["compatibility"]["status"] == "fail"
+
+
+class TestBatchedGrid:
+    # info evaluates its grid as one batch; a batch that fails reruns point
+    # by point, so the error is the one the first failing point raises
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam, b", [
+        ("1", "log(1.5-x)"),            # the 7th of 9 points fails
+        ("1+abs(x-1.9)", "log(x-0.5)"),  # lam fails at the 7th, b at the 1st
+    ])
+    def test_error_is_the_first_failing_points(self, capsys, lam, b):
+        data = geo.KillingData(parse(lam, ("x", "y")), parse("0", ("x", "y")),
+                               parse(b, ("x", "y")), geo.Rect(0, 2, 0, 2))
+        for k, point in enumerate(data.domain.grid(3, 3)):
+            try:
+                geo.bundle_curvature(data, point)
+            except DomainEvalError as exc:
+                expected = f"error: {exc}\n"
+                break
+        code, out, err = run(capsys, "info", "--lambda", lam, "--b", b,
+                             "--domain", "0", "2", "0", "2", "--grid", "3", "3")
+        assert (code, out, err) == (2, "", expected)
+        assert k in (0, 6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_value_names_its_point(self, capsys):
+        # r = 1e154 x overflows r^2 in the Ricci tensor from x = 1.9 on
+        code, out, err = run(capsys, "info", "--lambda", "1",
+                             "--b", "1e154*x^2", "--domain", "0", "2", "0", "2",
+                             "--grid", "2", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: non-finite result at points[2].ricci[0][0]\n"
+
+    def test_info_leaves_scipy_unimported(self):
+        code = ("import sys\n"
+                "from ksub.cli import main\n"
+                "main(['info', '--bcv', '1', '1', '--grid', '2', '2'])\n"
+                "print('scipy' in sys.modules)\n")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(ksub.__file__).resolve().parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("argv", [
+        ("info", "--bcv", "1", "1", "--at", "0", "0"),
+        ("check-surface", "--bcv", "0", "0.5", "--graph", "x*y",
+         "--grid", "1", "1"),
+        ("hopf", "check", "--bcv", "1", "0", "--circle-kg", "1",
+         "--samples", "4"),
+        ("hopf", "example", "--f", "cos(t)", "--r", "0",
+         "--interval", "0", "1.5"),
+        ("verify-paper", "--only", "bcv"),
+    ], ids=lambda argv: "-".join(argv[:2]))
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2_naming_the_path(self, capsys, tmp_path,
+                                                    argv, target):
+        path = (tmp_path / "missing" / "out.json"
+                if target == "missing-directory" else tmp_path)
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write {path}: ")
 
 
 class TestFiniteFlags:
@@ -409,35 +484,44 @@ class TestWorkingSet:
         # 0 measured (374 argparse objects while main built a parser per call)
         assert unreachable <= 10
 
-    @pytest.mark.parametrize("op, calls", [("info", 144), ("hopf", 64)])
-    def test_bundle_curvature_once_per_point(self, op, calls, monkeypatch,
+    @staticmethod
+    def _points(p):
+        # base points in one call: one, or a batch of coordinate arrays;
+        # info evaluates its grid as one batch, the other ops point by point
+        return len(p[0]) if isinstance(p[0], np.ndarray) else 1
+
+    @pytest.mark.parametrize("op, points", [("info", 144), ("hopf", 64)])
+    def test_bundle_curvature_once_per_point(self, op, points, monkeypatch,
                                              capsys):
         seen = []
         original = geo.bundle_curvature
 
         def counted(data, p):
-            seen.append(p)
+            seen.append(self._points(p))
             return original(data, p)
 
         monkeypatch.setattr(geo, "bundle_curvature", counted)
         assert main(OPS[op]) == 0
         capsys.readouterr()
-        assert len(seen) == calls
+        assert sum(seen) == points
+        assert len(seen) == (1 if op == "info" else points)
 
-    @pytest.mark.parametrize("op, calls", [("info", 144), ("hopf", 320),
-                                           ("check-surface", 30)])
-    def test_base_jets_evaluated_once_per_point(self, op, calls, monkeypatch,
+    @pytest.mark.parametrize("op, points", [("info", 144), ("hopf", 320),
+                                            ("check-surface", 30)])
+    def test_base_jets_evaluated_once_per_point(self, op, points, monkeypatch,
                                                 capsys):
         # grad r is read from the point's own jets, so no base point is
-        # evaluated only to feed a difference stencil
+        # evaluated only to feed a difference stencil; r and G share the
+        # batch of info
         seen = []
         original = geo.KillingData._eval_base_jets
 
         def counted(data, x, y):
-            seen.append((x, y))
+            seen.append(self._points((x, y)))
             return original(data, x, y)
 
         monkeypatch.setattr(geo.KillingData, "_eval_base_jets", counted)
         assert main(OPS[op]) == 0
         capsys.readouterr()
-        assert len(seen) == calls
+        assert sum(seen) == points
+        assert len(seen) == (1 if op == "info" else points)

@@ -91,6 +91,33 @@ class TestBundleCurvature:
         np.testing.assert_allclose(grad, [1.0, 0.0], rtol=0, atol=1e-12)
 
 
+class TestBatchedScalars:
+    @pytest.mark.parametrize("data", GRADIENT_METRICS,
+                             ids=lambda d: d.description)
+    def test_batch_equals_its_points_bit_for_bit(self, data):
+        points = data.domain.grid(12, 12, inset=1e-3)
+        xs, ys = map(np.array, zip(*points))
+        r, grad = geo.bundle_curvature(data, (xs, ys))
+        g = geo.gauss_curvature(data, (xs, ys))
+        assert r.shape == g.shape == (144,) and grad.shape == (2, 144)
+        for i, p in enumerate(points):
+            r1, grad1 = geo.bundle_curvature(data, p)
+            assert r[i] == r1
+            assert (grad[:, i] == grad1).all()
+            assert g[i] == geo.gauss_curvature(data, p)
+
+    def test_batch_outside_the_domain_names_its_first_such_point(self):
+        xs, ys = np.array([0.0, 2.5, 3.5]), np.array([0.0, 0.0, 0.0])
+        with pytest.raises(OutsideDomainError, match=r"point \(2\.5, 0\.0\)"):
+            geo.bundle_curvature(FLAT, (xs, ys))
+
+    def test_positivity_is_checked_in_grid_order(self):
+        # lam <= 0 at the first grid point, a log domain error only later:
+        # the positivity error of the first point is the one raised
+        with pytest.raises(ValueError, match=r"lam\(-1\.92, -1\.92\) <= 0"):
+            make_data("-1+0*log(1.9-x)", "0", "0")
+
+
 class TestGaussCurvature:
     @pytest.mark.parametrize("c", [1.0, 0.0, -1.0, 4.0])
     def test_bcv_constant(self, c):
