@@ -14,8 +14,10 @@ checks pass, 1 a check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -128,6 +130,22 @@ def _emit(args, payload: dict, rows: list[dict]) -> None:
     except OSError as err:
         raise UsageError(
             f"cannot write {args.out}: {err.strerror or err}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an ``--out`` PATH that cannot be written before any work is
+    done, without creating it; the write in :func:`_emit` stays the
+    authoritative one."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +542,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.out:
+            _check_writable(args.out)
         # numpy faults surface as non-finite results, which _emit refuses
         with np.errstate(all="ignore"):
             return args.func(args)

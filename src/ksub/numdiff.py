@@ -1,8 +1,10 @@
 """Central finite differences with one level of Richardson extrapolation.
 
 Every difference quotient in the package is formed here: the numerical
-oracles and the derivatives of derived surface fields. ``f`` may return a
-float or a numpy array; the result has its shape.
+oracles and the derivatives of derived surface fields. Each is a single
+stencil level over its field; no consumer nests one stencil inside another,
+since the first form's derivatives come exactly from the point's jets.
+``f`` may return a float or a numpy array; the result has its shape.
 """
 
 from __future__ import annotations
@@ -10,30 +12,27 @@ from __future__ import annotations
 __all__ = ["d1", "d2", "partial1", "partial2", "mixed2"]
 
 
-def d1(f, x: float, h: float, richardson: bool = True) -> float:
+def _extrapolate(stencil, h):
+    coarse = stencil(h)
+    return (4.0 * stencil(0.5 * h) - coarse) / 3.0
+
+
+def d1(f, x: float, h: float) -> float:
     """First derivative of a scalar function of one variable at ``x``."""
     def stencil(step):
         return (f(x + step) - f(x - step)) / (2.0 * step)
 
-    coarse = stencil(h)
-    if not richardson:
-        return coarse
-    fine = stencil(0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    return _extrapolate(stencil, h)
 
 
-def d2(f, x: float, h: float, richardson: bool = True) -> float:
+def d2(f, x: float, h: float) -> float:
     """Second derivative of a scalar function of one variable at ``x``."""
     center = f(x)
 
     def stencil(step):
         return (f(x + step) - 2.0 * center + f(x - step)) / (step * step)
 
-    coarse = stencil(h)
-    if not richardson:
-        return coarse
-    fine = stencil(0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    return _extrapolate(stencil, h)
 
 
 def _shift(p, i, step):
@@ -42,17 +41,17 @@ def _shift(p, i, step):
     return q
 
 
-def partial1(f, p, i: int, h: float, richardson: bool = True) -> float:
+def partial1(f, p, i: int, h: float) -> float:
     """``df/dp_i`` for a function of a point (sequence of floats)."""
-    return d1(lambda t: f(_shift(p, i, t)), 0.0, h, richardson)
+    return d1(lambda t: f(_shift(p, i, t)), 0.0, h)
 
 
-def partial2(f, p, i: int, h: float, richardson: bool = True) -> float:
+def partial2(f, p, i: int, h: float) -> float:
     """``d2f/dp_i^2`` for a function of a point."""
-    return d2(lambda t: f(_shift(p, i, t)), 0.0, h, richardson)
+    return d2(lambda t: f(_shift(p, i, t)), 0.0, h)
 
 
-def mixed2(f, p, i: int, j: int, h: float, richardson: bool = True) -> float:
+def mixed2(f, p, i: int, j: int, h: float) -> float:
     """``d2f/dp_i dp_j`` (i != j) by the 4-point cross stencil."""
     def stencil(step):
         pp = f(_shift(_shift(p, i, step), j, step))
@@ -61,8 +60,4 @@ def mixed2(f, p, i: int, j: int, h: float, richardson: bool = True) -> float:
         mm = f(_shift(_shift(p, i, -step), j, -step))
         return (pp - pm - mp + mm) / (4.0 * step * step)
 
-    coarse = stencil(h)
-    if not richardson:
-        return coarse
-    fine = stencil(0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    return _extrapolate(stencil, h)

@@ -6,29 +6,29 @@ components, where the ambient inner product is the Euclidean dot.
 
 The shape operator is exact: the second fundamental form
 h_ij = <D_i t_j, eta> comes from the order-2 jets of the immersion and of
-(lam, a, b) and the ambient connection, and A = I^-1 h. The finite-difference
-route A(X) = -D_X eta (the unit normal differentiated across the parameter
-grid) is kept as its oracle, :func:`shape_frame_fd`. The tilt angle
-phi between eta and the vertical Killing direction drives the adapted
-tangent frame e1 = T/sin(phi), e2 = eta x T / sin(phi), where T is the
-tangential part of the vertical field; the frame degenerates as phi -> 0 and
-operations that need it raise :class:`AngleSingularError`.
+(lam, a, b) and the ambient connection, and A = I^-1 h; the same derivatives
+d_i t_j of the frame tangents give the first form's Christoffels exactly.
+The finite-difference route A(X) = -D_X eta (the unit normal differentiated
+across the parameter grid) is kept as its oracle, :func:`shape_frame_fd`.
+The tilt angle phi between eta and the vertical Killing direction drives the
+adapted tangent frame e1 = T/sin(phi), e2 = eta x T / sin(phi), where T is
+the tangential part of the vertical field; the frame degenerates as
+phi -> 0 and operations that need it raise :class:`AngleSingularError`.
 
 Each parameter point has one record, kept in its patch's store and read
 through the patch's :class:`SurfaceEvaluator` view. The immersion half (jets
 of x, y, z, tangents, first form, normal, the angle and the vertical tangent)
 is computed at every point, the stencil points of the parameter derivatives
 included. The ambient half (lam, r, its gradient, G and the connection table
-at the image point) and the adapted frame are computed on their first read:
-the connection where a Weingarten map is built, r, its gradient and G where a
-check reads them. All of it comes from the metric's order-2 jets at the image
-point, the gradient of r included. The Weingarten half (shape operator, mean
-curvature, |A|^2) is filled in place, from the point's own record, where the
-shape operator is asked for.
+at the image point), the Christoffels and the adapted frame are computed on
+their first read, all from the order-2 jets at the point. The Weingarten
+half (shape operator, mean curvature, |A|^2) is filled in place, from the
+point's own record, where the shape operator is asked for.
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step ``1e-3 * patch
-diameter``; none of them raise the order of the exact jet core.
+diameter``, one stencil level each; only the Brioschi curvature, the Gauss
+check's intrinsic oracle, differentiates the first form numerically.
 """
 
 from __future__ import annotations
@@ -122,11 +122,11 @@ class _PointData:
     """Everything first- and second-order at one parameter point.
 
     Immersion data (the jets of x, y, z up to their Hessians) is computed at
-    every point; ambient data at the image point and the adapted frame
-    ``e1, e2`` (None within ANGLE_EPS of a vertical normal) on their first
-    read. The Weingarten half is None until
-    :meth:`SurfaceEvaluator.weingarten` fills it exactly: the shape operator
-    ``shape_ortho`` lives in the orthonormalized (d/du, d/dv) basis
+    every point; ambient data at the image point, ``tangent_derivs``,
+    ``christoffels`` and the adapted frame ``e1, e2`` (None within ANGLE_EPS
+    of a vertical normal) on their first read. The Weingarten half is None
+    until :meth:`SurfaceEvaluator.weingarten` fills it exactly: the shape
+    operator ``shape_ortho`` lives in the orthonormalized (d/du, d/dv) basis
     ``ortho_basis``, ``mean_h`` is its trace and ``norm_sq`` is |A|^2.
     """
 
@@ -169,6 +169,31 @@ class _PointData:
     def gamma(self) -> np.ndarray:
         """Ambient connection table at the point."""
         return geo.connection(self.ambient, self.point)
+
+    @cached_property
+    def tangent_derivs(self) -> np.ndarray:
+        """(2, 2, 3): d_i t_j, parameter derivatives of the frame tangents."""
+        # t_j = M dF/du_j, M = [[lam, 0, 0], [0, lam, 0], [-lam a, -lam b, 1]]
+        lam, ja, jb = self.ambient.base_jets(*self.point[:2])
+        la = lam.value * ja.grad + ja.value * lam.grad   # grad of lam a
+        lb = lam.value * jb.grad + jb.value * lam.grad
+        m = np.array([[lam.value, 0.0, 0.0], [0.0, lam.value, 0.0],
+                      [-lam.value * ja.value, -lam.value * jb.value, 1.0]])
+        dm = np.array([[[lam.grad[c], 0.0, 0.0], [0.0, lam.grad[c], 0.0],
+                        [-la[c], -lb[c], 0.0]] for c in range(2)])
+        dm_du = np.einsum("ic,cab->iab", self.coord_tangents[:, :2], dm)
+        return (np.einsum("iab,jb->ija", dm_du, self.coord_tangents)
+                + self.coord_hessians @ m.T)
+
+    @cached_property
+    def christoffels(self) -> np.ndarray:
+        """Christoffel symbols of the first fundamental form, (k, i, j)."""
+        # d_i g_jk = <d_i t_j, t_k> + <t_j, d_i t_k>
+        p = self.tangent_derivs @ self.tangents.T
+        dg = p + p.transpose(0, 2, 1)
+        sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+        return 0.5 * np.einsum("cd,abd->cab", np.linalg.inv(self.first_form),
+                               sym)
 
     @cached_property
     def e1(self) -> np.ndarray | None:
@@ -250,19 +275,9 @@ class SurfaceEvaluator:
                 f"for a stencil of width {need}")
 
     def _fill_weingarten(self, d: _PointData) -> None:
-        # h_ij = <d_i t_j + gamma(t_i, t_j), eta> with frame tangents
-        # t_j = M dF/du_j, M = [[lam, 0, 0], [0, lam, 0], [-lam a, -lam b, 1]]
-        lam, ja, jb = d.ambient.base_jets(*d.point[:2])
-        la = lam.value * ja.grad + ja.value * lam.grad   # grad of lam a
-        lb = lam.value * jb.grad + jb.value * lam.grad
-        m = np.array([[lam.value, 0.0, 0.0], [0.0, lam.value, 0.0],
-                      [-lam.value * ja.value, -lam.value * jb.value, 1.0]])
-        dm = np.array([[[lam.grad[c], 0.0, 0.0], [0.0, lam.grad[c], 0.0],
-                        [-la[c], -lb[c], 0.0]] for c in range(2)])
-        dm_du = np.einsum("ic,cab->iab", d.coord_tangents[:, :2], dm)
-        dt = (np.einsum("iab,jb->ija", dm_du, d.coord_tangents)
-              + d.coord_hessians @ m.T)
-        cov = dt + np.einsum("il,jm,lmk->ijk", d.tangents, d.tangents, d.gamma)
+        # h_ij = <d_i t_j + gamma(t_i, t_j), eta>
+        cov = d.tangent_derivs + np.einsum("il,jm,lmk->ijk", d.tangents,
+                                           d.tangents, d.gamma)
         shape_frame = np.linalg.solve(d.first_form, cov @ d.normal).T @ d.tangents
 
         g = d.first_form
@@ -335,18 +350,10 @@ class SurfaceEvaluator:
 
     # -- induced metric machinery ----------------------------------------------
 
-    def induced_christoffels(self, u: float, v: float) -> np.ndarray:
-        """Christoffel symbols of the first fundamental form, (k, i, j)."""
-        dg = np.stack([partial1(lambda q: self.data(*q).first_form, (u, v),
-                                c, self.h) for c in range(2)])
-        g_inv = np.linalg.inv(self.data(u, v).first_form)
-        sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-        return 0.5 * np.einsum("cd,abd->cab", g_inv, sym)
-
     def covariant_coeff(self, field_coeff: Callable[[float, float], np.ndarray],
                         direction, u: float, v: float) -> np.ndarray:
         """Surface covariant derivative of a tangent coefficient field."""
-        chris = self.induced_christoffels(u, v)
+        chris = self.data(u, v).christoffels
         w = field_coeff(u, v)
         direction = np.asarray(direction, dtype=float)
         out = np.zeros(2)
@@ -355,36 +362,23 @@ class SurfaceEvaluator:
             out += direction[i] * (dw + chris[:, i, :] @ w)
         return out
 
-    def coordinate_bracket(self, a_coeff, b_coeff, u, v) -> np.ndarray:
-        """[a, b] of tangent coefficient fields via the coordinate formula."""
-        a0 = a_coeff(u, v)
-        b0 = b_coeff(u, v)
-        out = np.zeros(2)
-        for i in range(2):
-            da_i = partial1(lambda q: a_coeff(*q), (u, v), i, self.h)
-            db_i = partial1(lambda q: b_coeff(*q), (u, v), i, self.h)
-            out += a0[i] * db_i - b0[i] * da_i
-        return out
-
     def laplacian(self, field: Callable[[float, float], float],
                   u: float, v: float) -> float:
-        """Laplace-Beltrami (div grad convention) of a parameter field."""
-        h = self.h
+        """Laplace-Beltrami (div grad convention) of a parameter field:
+        g^ij (f_ij - Gamma^k_ij f_k), one stencil level over the field and
+        the exact Christoffels of the point's record."""
+        h, p = self.h, (u, v)
         self._require_margin(u, v, 3.0 * h)
+        d = self.data(u, v)
 
-        def flux(q):
-            g = self.data(*q).first_form
-            g_inv = np.linalg.inv(g)
-            root = math.sqrt(np.linalg.det(g))
-            grad = np.array([partial1(lambda s: field(*s), q, j, h,
-                                      richardson=False) for j in range(2)])
-            return root * (g_inv @ grad)
+        def f(q):
+            return field(*q)
 
-        div = 0.0
-        for i in range(2):
-            div += partial1(lambda q: flux(q)[i], (u, v), i, h)
-        g = self.data(u, v).first_form
-        return float(div / math.sqrt(np.linalg.det(g)))
+        f_uv = mixed2(f, p, 0, 1, h)
+        hess = np.array([[partial2(f, p, 0, h), f_uv],
+                         [f_uv, partial2(f, p, 1, h)]])
+        hess -= np.einsum("kij,k->ij", d.christoffels, self.dfield(field, u, v))
+        return float(np.sum(np.linalg.inv(d.first_form) * hess))
 
     def brioschi_curvature(self, u: float, v: float) -> float:
         """Gaussian curvature of the induced metric, Brioschi formula."""
@@ -462,19 +456,24 @@ def adapted_frame(data: _PointData) -> tuple[np.ndarray, np.ndarray]:
     return data.e1, data.e2
 
 
-def shape_matrix_adapted(patch: SurfacePatch, q) -> np.ndarray:
-    """Shape operator in the adapted frame from angle derivatives.
-
-    The matrix is [[e1(phi), e2(phi) - r], [e2(phi) - r, H - e1(phi)]];
-    it must agree with the Weingarten computation expressed in (e1, e2).
-    """
+def _angle_derivatives(patch: SurfacePatch, q):
+    """(record, e1(phi), e2(phi), H) at q; raises where no adapted frame."""
     u, v = float(q[0]), float(q[1])
     ev = patch.evaluator()
     d = ev.data(u, v)
     ev.adapted(u, v)  # raises when singular
     e1_phi = ev.adapted_directional(ev.phi_field, 0, u, v)
     e2_phi = ev.adapted_directional(ev.phi_field, 1, u, v)
-    mean_h = ev.weingarten(u, v).mean_h
+    return d, e1_phi, e2_phi, ev.weingarten(u, v).mean_h
+
+
+def shape_matrix_adapted(patch: SurfacePatch, q) -> np.ndarray:
+    """Shape operator in the adapted frame from angle derivatives.
+
+    The matrix is [[e1(phi), e2(phi) - r], [e2(phi) - r, H - e1(phi)]];
+    it must agree with the Weingarten computation expressed in (e1, e2).
+    """
+    d, e1_phi, e2_phi, mean_h = _angle_derivatives(patch, q)
     off = e2_phi - d.r
     return np.array([[e1_phi, off], [off, mean_h - e1_phi]])
 
@@ -504,35 +503,25 @@ def gauss_residual(patch: SurfacePatch, q) -> float:
 def codazzi_residual(patch: SurfacePatch, q) -> np.ndarray:
     """Codazzi equation defect in adapted-frame components.
 
-    Left side: D_{e1} A(e2) - D_{e2} A(e1) - A([e1, e2]) with surface
-    covariant derivatives from the induced-metric Christoffels. Right side:
+    Left side: (nabla_{e1} A)(e2) - (nabla_{e2} A)(e1), tensorial and
+    antisymmetric, so det(c1, c2) [d_u S_v - d_v S_u + Gamma_u S_v -
+    Gamma_v S_u] with c1, c2 the coefficients of e1, e2, S_j the columns of
+    :meth:`~SurfaceEvaluator.shape_operator_coeff` (one stencil level) and
+    Gamma the exact Christoffels of the record. Right side:
     [(4 r^2 - G) cos(phi) sin(phi) - cos(2 phi) e2(r)] e2 - e1(r) e1.
     """
     u, v = float(q[0]), float(q[1])
     ev = patch.evaluator()
     d = ev.data(u, v)
     e1, e2 = ev.adapted(u, v)
-
-    def e1_coeff(uu, vv):
-        return ev.adapted_coeffs(uu, vv)[0]
-
-    def e2_coeff(uu, vv):
-        return ev.adapted_coeffs(uu, vv)[1]
-
-    def a_of_e2(uu, vv):
-        return ev.shape_operator_coeff(uu, vv) @ e2_coeff(uu, vv)
-
-    def a_of_e1(uu, vv):
-        return ev.shape_operator_coeff(uu, vv) @ e1_coeff(uu, vv)
-
-    c1 = e1_coeff(u, v)
-    c2 = e2_coeff(u, v)
-    term1 = ev.covariant_coeff(a_of_e2, c1, u, v)
-    term2 = ev.covariant_coeff(a_of_e1, c2, u, v)
-    bracket = ev.coordinate_bracket(e1_coeff, e2_coeff, u, v)
-    a_bracket = ev.shape_operator_coeff(u, v) @ bracket
-    lhs_coeff = term1 - term2 - a_bracket
-    lhs = lhs_coeff @ d.tangents  # frame components
+    c1, c2 = ev.adapted_coeffs(u, v)
+    s = ev.shape_operator_coeff(u, v)
+    s_u, s_v = (partial1(lambda p: ev.shape_operator_coeff(*p), (u, v), i,
+                         ev.h) for i in range(2))
+    chris = d.christoffels
+    curl = (s_u[:, 1] - s_v[:, 0]
+            + chris[:, 0, :] @ s[:, 1] - chris[:, 1, :] @ s[:, 0])
+    lhs = (c1[0] * c2[1] - c1[1] * c2[0]) * curl @ d.tangents  # frame comps
 
     e1_r = ev.base_directional_r(d, e1)
     e2_r = ev.base_directional_r(d, e2)
@@ -588,12 +577,6 @@ def shape_norm_from_angle(patch: SurfacePatch, q) -> float:
 
         2 (e1(phi)^2 + e2(phi)^2) + H^2 + 2 r^2 - 4 r e2(phi) - 2 H e1(phi)
     """
-    u, v = float(q[0]), float(q[1])
-    ev = patch.evaluator()
-    d = ev.data(u, v)
-    ev.adapted(u, v)  # raises when singular
-    e1_phi = ev.adapted_directional(ev.phi_field, 0, u, v)
-    e2_phi = ev.adapted_directional(ev.phi_field, 1, u, v)
-    mean_h = ev.weingarten(u, v).mean_h
+    d, e1_phi, e2_phi, mean_h = _angle_derivatives(patch, q)
     return (2.0 * (e1_phi ** 2 + e2_phi ** 2) + mean_h ** 2 + 2.0 * d.r ** 2
             - 4.0 * d.r * e2_phi - 2.0 * mean_h * e1_phi)

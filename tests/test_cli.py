@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import ksub
+from ksub import cli
 from ksub import geometry as geo
+from ksub import hopf
 from ksub import surface as srf
 from ksub import verify
 from ksub.cli import _surface_point_checks, dumps_json, main
@@ -216,17 +218,24 @@ class TestBatchedGrid:
         assert result.stdout.splitlines()[-1] == "False"
 
 
+OUT_ARGVS = [
+    ("info", "--bcv", "1", "1", "--at", "0", "0"),
+    ("check-surface", "--bcv", "0", "0.5", "--graph", "x*y",
+     "--grid", "1", "1"),
+    ("hopf", "check", "--bcv", "1", "0", "--circle-kg", "1",
+     "--samples", "4"),
+    ("hopf", "example", "--f", "cos(t)", "--r", "0",
+     "--interval", "0", "1.5"),
+    ("verify-paper", "--only", "bcv"),
+]
+
+
+def _argv_id(argv):
+    return "-".join(argv[:2])
+
+
 class TestOutputPath:
-    @pytest.mark.parametrize("argv", [
-        ("info", "--bcv", "1", "1", "--at", "0", "0"),
-        ("check-surface", "--bcv", "0", "0.5", "--graph", "x*y",
-         "--grid", "1", "1"),
-        ("hopf", "check", "--bcv", "1", "0", "--circle-kg", "1",
-         "--samples", "4"),
-        ("hopf", "example", "--f", "cos(t)", "--r", "0",
-         "--interval", "0", "1.5"),
-        ("verify-paper", "--only", "bcv"),
-    ], ids=lambda argv: "-".join(argv[:2]))
+    @pytest.mark.parametrize("argv", OUT_ARGVS, ids=_argv_id)
     @pytest.mark.parametrize("target", ["missing-directory", "directory"])
     def test_unwritable_out_exits_2_naming_the_path(self, capsys, tmp_path,
                                                     argv, target):
@@ -237,6 +246,45 @@ class TestOutputPath:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: cannot write {path}: ")
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        # the grid, sweep and check functions of every subcommand
+        def work(*args, **kwargs):
+            raise AssertionError("work done for an --out that cannot be "
+                                 "written")
+
+        for owner, name in ((cli, "batched"), (cli, "_surface_point_checks"),
+                            (hopf, "hopf_residuals"),
+                            (hopf, "rotational_case_search"),
+                            (verify, "run_checks")):
+            monkeypatch.setattr(owner, name, work)
+
+    @pytest.mark.parametrize("argv", OUT_ARGVS, ids=_argv_id)
+    def test_unwritable_out_is_refused_before_any_work(self, capsys, tmp_path,
+                                                        no_work, argv):
+        path = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_read_only_directory_is_refused_before_any_work(
+            self, capsys, tmp_path, monkeypatch, no_work):
+        # os.access stands in for a directory without write permission,
+        # which a superuser could still write
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        path = tmp_path / "out.json"
+        code, out, err = run(capsys, "verify-paper", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: Permission denied\n"
+        assert not path.exists()
+
+    def test_check_creates_no_file(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        code, _, _ = run(capsys, "check-surface", "--bcv", "0", "0.5",
+                         "--surface", "u;v", "--out", str(path))
+        assert code == 2
+        assert not path.exists()
 
 
 class TestFiniteFlags:
@@ -507,7 +555,7 @@ class TestWorkingSet:
         assert len(seen) == (1 if op == "info" else points)
 
     @pytest.mark.parametrize("op, points", [("info", 144), ("hopf", 320),
-                                            ("check-surface", 30)])
+                                            ("check-surface", 23)])
     def test_base_jets_evaluated_once_per_point(self, op, points, monkeypatch,
                                                 capsys):
         # grad r is read from the point's own jets, so no base point is

@@ -7,6 +7,7 @@ import pytest
 
 from ksub import geometry as geo
 from ksub import hopf
+from ksub import numdiff as nd
 from ksub import surface as srf
 from ksub.cli import main
 from ksub.errors import (
@@ -15,6 +16,7 @@ from ksub.errors import (
     FdMarginError,
 )
 from ksub.expr import parse
+from ksub.verify import metric_families
 
 PV = ("u", "v")
 
@@ -316,6 +318,25 @@ class TestSurfaceLaplacian:
         assert lap == pytest.approx(assembled, abs=1e-3)
 
 
+    def test_coordinate_functions_give_mean_curvature_vector(self):
+        # in flat R^3 the Laplacian of the immersion is H eta. Worst 2.2e-10
+        # (rounding of the second differences); 8.5e-8 on the sine graph
+        # with the nested flux stencil, whose inner level was not
+        # extrapolated
+        for height in ("0.2+0.5*x+0.3*y+0.4*x*y-0.3*x^2",
+                       "0.3*x^2-0.2*y^2+0.1*x*y", "0.5*sin(x)*cos(y)"):
+            ev = srf.SurfacePatch.graph(FLAT, height,
+                                        geo.Rect(-0.5, 0.5, -0.5, 0.5)
+                                        ).evaluator()
+            for q in ((0.1, -0.2), (0.3, 0.25), (-0.35, 0.05)):
+                d = ev.weingarten(*q)
+                for i in range(3):
+                    lap = ev.laplacian(lambda u, v: ev.data(u, v).point[i],
+                                       *q)
+                    assert lap == pytest.approx(d.mean_h * d.normal[i],
+                                                abs=1e-9)
+
+
 class TestNormalFlip:
     def test_pointwise_quantities_flip(self):
         patch = heis_graph()
@@ -373,6 +394,41 @@ class TestSurfaceConnection:
         mu = ev.weingarten(*q).mean_h - e1_phi
         expected = mu * d.cos_phi / d.sin_phi
         assert got == pytest.approx(expected, abs=1e-3)
+
+
+class TestExactChristoffels:
+    @staticmethod
+    def reference(ev, u, v):
+        # Christoffels from the first form differentiated across the grid
+        dg = np.stack([nd.partial1(lambda q: ev.data(*q).first_form, (u, v),
+                                   c, ev.h) for c in range(2)])
+        g_inv = np.linalg.inv(ev.data(u, v).first_form)
+        sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+        return 0.5 * np.einsum("cd,abd->cab", g_inv, sym)
+
+    @pytest.mark.parametrize("data", metric_families(),
+                             ids=lambda data: data.description)
+    def test_graphs_match_finite_difference_reference(self, data):
+        patch = srf.SurfacePatch.graph(data, "0.2+0.5*x+0.3*y+0.4*x*y-0.3*x^2",
+                                       geo.Rect(-0.5, 0.5, -0.5, 0.5))
+        ev = patch.evaluator()
+        for q in ((0.1, -0.2), (0.3, 0.25), (-0.35, 0.05)):
+            # worst 2.5e-13 measured, with entries up to 1.5
+            np.testing.assert_allclose(ev.data(*q).christoffels,
+                                       self.reference(ev, *q),
+                                       rtol=0, atol=1e-12)
+
+    def test_bcv_cylinder_matches_finite_difference_reference(self):
+        # a cylinder over a BCV circle, parametrized so that the first form
+        # varies (an arclength one has Gamma = 0)
+        ev = srf.SurfacePatch(parse("0.8*cos(u^2)", PV),
+                              parse("0.8*sin(u^2)", PV),
+                              parse("v+0.2*u*v", PV), geo.Rect(0.5, 1.5, 0, 1),
+                              geo.bcv(1.0, 1.0)).evaluator()
+        for q in ((0.8, 0.3), (1.2, 0.6)):
+            np.testing.assert_allclose(ev.data(*q).christoffels,
+                                       self.reference(ev, *q),
+                                       rtol=0, atol=1e-12)
 
 
 class TestCaches:
@@ -523,11 +579,12 @@ class TestExactWeingarten:
 
 class TestPointRecords:
     @pytest.mark.parametrize("argv, limit", [
-        # 2,137 records while the normal was differentiated numerically
-        (["--bcv", "0", "0.5", "--graph", "x*y", "--grid", "3", "3"], 450),
-        # 1,173 records while the normal was differentiated numerically
+        # 2,137 records while the normal was differentiated numerically,
+        # 401 while the first form was
+        (["--bcv", "0", "0.5", "--graph", "x*y", "--grid", "3", "3"], 393),
+        # 1,173 and 257 records in the same two stages
         (["--bcv", "1", "1", "--surface", "0.8*cos(u);0.8*sin(u);v",
-          "--patch-domain", "0", "3", "0", "1", "--grid", "2", "2"], 300),
+          "--patch-domain", "0", "3", "0", "1", "--grid", "2", "2"], 189),
     ])
     def test_check_surface_record_count(self, argv, limit, monkeypatch,
                                         capsys):
