@@ -98,18 +98,24 @@ class BranchReport:
 # CMC gate
 # ---------------------------------------------------------------------------
 
-def cmc_probe(patch: SurfacePatch, q, half_points: int = 2):
-    """Mean curvature spread over a (2k+1)^2 parameter stencil around q.
+def _probe_lattice(ev, q) -> list[tuple[float, float]]:
+    """The 5x5 parameter lattice at 2 h spacing around q that the CMC and
+    constancy probes read; it reaches 4 h, so q needs that margin."""
+    u, v = float(q[0]), float(q[1])
+    ev.require_margin(u, v, 4.0 * ev.h)
+    step = 2.0 * ev.h
+    return [(u + i * step, v + j * step)
+            for i in range(-2, 3) for j in range(-2, 3)]
+
+
+def cmc_probe(patch: SurfacePatch, q):
+    """Mean curvature spread over the probe lattice around q.
 
     Returns (mean value, max deviation from the mean).
     """
-    u, v = float(q[0]), float(q[1])
     ev = patch.evaluator()
-    step = 2.0 * ev.h
-    offsets = range(-half_points, half_points + 1)
-    values = [ev.weingarten(u + i * step, v + j * step).mean_h
-              for i in offsets for j in offsets]
-    values = np.asarray(values)
+    values = np.asarray([ev.weingarten(*p).mean_h
+                         for p in _probe_lattice(ev, q)])
     mean = float(values.mean())
     return mean, float(np.max(np.abs(values - mean)))
 
@@ -405,10 +411,8 @@ def classify_point(patch: SurfacePatch, q, cmc_tol: float = CMC_TOL,
                               d.norm_sq, d.mean_h, residual_tol=residual_tol)
 
     if report.branch == "a":
-        # constancy of r and G along the surface, probed on a stencil
-        step = 2.0 * ev.h
-        pts = [ev.data(u + i * step, v + j * step)
-               for i in range(-2, 3) for j in range(-2, 3)]
+        # constancy of r and G along the surface, probed on the lattice
+        pts = [ev.data(*p) for p in _probe_lattice(ev, q)]
         r_vals = np.array([p.r for p in pts])
         g_vals = np.array([p.gauss_base for p in pts])
         report.diagnostics["r_spread"] = float(np.ptp(r_vals))

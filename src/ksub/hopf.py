@@ -440,9 +440,6 @@ def hopf_residuals(curve, base, n_samples: int = 64,
             f"{6.0 * h:.3e} the geodesic-curvature stencil needs")
     samples = np.linspace(s0 + 3.0 * h, s1 - 3.0 * h, n_samples)
 
-    def kappa_fn(s):
-        return geodesic_curvature(curve, base, s)
-
     n = len(samples)
     kap = np.empty(n)
     kd1 = np.empty(n)
@@ -461,9 +458,9 @@ def hopf_residuals(curve, base, n_samples: int = 64,
             raise OutsideDomainError(
                 f"curve leaves the base domain at s = {s}: point {p}")
         xp, yp = jx.grad[0], jy.grad[0]
-        k = kappa_fn(float(s))
-        k1 = numdiff.d1(kappa_fn, float(s), h)
-        k2 = numdiff.d2(kappa_fn, float(s), h)
+        k, grad, hess = numdiff.derivatives(
+            lambda q: geodesic_curvature(curve, base, q[0]), (float(s),), h)
+        k1, k2 = grad[0], hess[0, 0]
         r, grad_r = base.bundle(p)
         g = base.gauss(p)
         rd = xp * grad_r[0] + yp * grad_r[1]

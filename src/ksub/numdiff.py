@@ -1,15 +1,22 @@
 """Central finite differences with one level of Richardson extrapolation.
 
 Every difference quotient in the package is formed here: the numerical
-oracles and the derivatives of derived surface fields. Each is a single
-stencil level over its field; no consumer nests one stencil inside another,
-since the first form's derivatives come exactly from the point's jets.
+oracles and the derivatives of derived surface fields. A consumer that needs
+second derivatives calls :func:`derivatives`, which samples the field once at
+each stencil point and returns its value, gradient and Hessian; one that
+needs only a gradient calls :func:`partial1` or :func:`d1`, whose 4-point
+stencils skip the centre and the corners. Both form the same quotients, so a
+derivative is the same number on either path. Each consumer is one stencil
+level over its field, except ``biharmonic.angle_shape_alt_assembly``, which
+differentiates e1(phi) along e1: a stencil over stencils.
 ``f`` may return a float or a numpy array; the result has its shape.
 """
 
 from __future__ import annotations
 
-__all__ = ["d1", "d2", "partial1", "partial2", "mixed2"]
+import numpy as np
+
+__all__ = ["d1", "d2", "partial1", "derivatives"]
 
 
 def _extrapolate(stencil, h):
@@ -19,20 +26,12 @@ def _extrapolate(stencil, h):
 
 def d1(f, x: float, h: float) -> float:
     """First derivative of a scalar function of one variable at ``x``."""
-    def stencil(step):
-        return (f(x + step) - f(x - step)) / (2.0 * step)
-
-    return _extrapolate(stencil, h)
+    return _extrapolate(lambda s: (f(x + s) - f(x - s)) / (2.0 * s), h)
 
 
 def d2(f, x: float, h: float) -> float:
     """Second derivative of a scalar function of one variable at ``x``."""
-    center = f(x)
-
-    def stencil(step):
-        return (f(x + step) - 2.0 * center + f(x - step)) / (step * step)
-
-    return _extrapolate(stencil, h)
+    return derivatives(lambda q: f(q[0]), (x,), h)[2][0, 0]
 
 
 def _shift(p, i, step):
@@ -46,18 +45,30 @@ def partial1(f, p, i: int, h: float) -> float:
     return d1(lambda t: f(_shift(p, i, t)), 0.0, h)
 
 
-def partial2(f, p, i: int, h: float) -> float:
-    """``d2f/dp_i^2`` for a function of a point."""
-    return d2(lambda t: f(_shift(p, i, t)), 0.0, h)
+def derivatives(f, p, h: float):
+    """(value, gradient, Hessian) of a function of a point of one or two
+    coordinates, sampled once at each of its 5 or 17 stencil points: p,
+    p +- s along each coordinate and, for two, the corners (+-s, +-s), for
+    s in {h, h/2}. The gradient is :func:`partial1`'s; the mixed entry is
+    the cross quotient with the lower coordinate first."""
+    samples = {}
 
+    def at(q):
+        key = tuple(q)
+        if key not in samples:
+            samples[key] = f(q)
+        return samples[key]
 
-def mixed2(f, p, i: int, j: int, h: float) -> float:
-    """``d2f/dp_i dp_j`` (i != j) by the 4-point cross stencil."""
-    def stencil(step):
-        pp = f(_shift(_shift(p, i, step), j, step))
-        pm = f(_shift(_shift(p, i, step), j, -step))
-        mp = f(_shift(_shift(p, i, -step), j, step))
-        mm = f(_shift(_shift(p, i, -step), j, -step))
-        return (pp - pm - mp + mm) / (4.0 * step * step)
+    def second(i, j, s):
+        if i == j:
+            return (at(_shift(p, i, s)) - 2.0 * at(list(p))
+                    + at(_shift(p, i, -s))) / (s * s)
+        pp, pm, mp, mm = (at(_shift(_shift(p, i, a), j, b))
+                          for a, b in ((s, s), (s, -s), (-s, s), (-s, -s)))
+        return (pp - pm - mp + mm) / (4.0 * s * s)
 
-    return _extrapolate(stencil, h)
+    n = range(len(p))
+    hess = [[_extrapolate(lambda s: second(min(i, j), max(i, j), s), h)
+             for j in n] for i in n]
+    return (at(list(p)), np.array([partial1(at, p, i, h) for i in n]),
+            np.array(hess))

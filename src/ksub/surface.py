@@ -26,9 +26,10 @@ half (shape operator, mean curvature, |A|^2) is filled in place, from the
 point's own record, where the shape operator is asked for.
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
-are finite differences in parameter space with step ``1e-3 * patch
-diameter``, one stencil level each; only the Brioschi curvature, the Gauss
-check's intrinsic oracle, differentiates the first form numerically.
+are finite differences in parameter space with step h = ``1e-3 * patch
+diameter``, one stencil level each, and need a margin of h from the patch
+edge; only the Brioschi curvature, the Gauss check's intrinsic oracle,
+differentiates the first form numerically.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
     FdMarginError,
 )
 from .expr import Expr, eval_jet, parse
-from .numdiff import mixed2, partial1, partial2
+from .numdiff import derivatives, partial1
 
 __all__ = [
     "SurfacePatch",
@@ -268,7 +269,7 @@ class SurfaceEvaluator:
             self._fill_weingarten(d)
         return d
 
-    def _require_margin(self, u, v, need):
+    def require_margin(self, u, v, need):
         if self.patch.domain.margin_at(u, v) < need:
             raise FdMarginError(
                 f"parameter point ({u}, {v}) too close to the patch edge "
@@ -327,9 +328,10 @@ class SurfaceEvaluator:
 
     # -- derivatives of scalar fields over parameters ---------------------------
 
-    def dfield(self, field: Callable[[float, float], float],
-               u: float, v: float) -> np.ndarray:
-        """(d/du, d/dv) of a scalar field, central + Richardson."""
+    def dfield(self, field: Callable, u: float, v: float) -> np.ndarray:
+        """(d/du, d/dv) of a scalar or array field, central + Richardson;
+        the stencil reaches h, so the point needs that margin."""
+        self.require_margin(u, v, self.h)
         return np.array([partial1(lambda q: field(*q), (u, v), i, self.h)
                          for i in range(2)])
 
@@ -355,47 +357,34 @@ class SurfaceEvaluator:
         """Surface covariant derivative of a tangent coefficient field."""
         chris = self.data(u, v).christoffels
         w = field_coeff(u, v)
+        dw = self.dfield(field_coeff, u, v)
         direction = np.asarray(direction, dtype=float)
         out = np.zeros(2)
         for i in range(2):
-            dw = partial1(lambda q: field_coeff(*q), (u, v), i, self.h)
-            out += direction[i] * (dw + chris[:, i, :] @ w)
+            out += direction[i] * (dw[i] + chris[:, i, :] @ w)
         return out
 
     def laplacian(self, field: Callable[[float, float], float],
                   u: float, v: float) -> float:
         """Laplace-Beltrami (div grad convention) of a parameter field:
-        g^ij (f_ij - Gamma^k_ij f_k), one stencil level over the field and
+        g^ij (f_ij - Gamma^k_ij f_k), one sampling pass over the field and
         the exact Christoffels of the point's record."""
-        h, p = self.h, (u, v)
-        self._require_margin(u, v, 3.0 * h)
+        self.require_margin(u, v, self.h)
         d = self.data(u, v)
-
-        def f(q):
-            return field(*q)
-
-        f_uv = mixed2(f, p, 0, 1, h)
-        hess = np.array([[partial2(f, p, 0, h), f_uv],
-                         [f_uv, partial2(f, p, 1, h)]])
-        hess -= np.einsum("kij,k->ij", d.christoffels, self.dfield(field, u, v))
+        _, grad, hess = derivatives(lambda q: field(*q), (u, v), self.h)
+        hess -= np.einsum("kij,k->ij", d.christoffels, grad)
         return float(np.sum(np.linalg.inv(d.first_form) * hess))
 
     def brioschi_curvature(self, u: float, v: float) -> float:
-        """Gaussian curvature of the induced metric, Brioschi formula."""
-        h, p = self.h, (u, v)
-        self._require_margin(u, v, 2.5 * h)
-
-        def entry(i, j):
-            return lambda q: self.data(*q).first_form[i, j]
-
-        g = self.data(u, v).first_form
+        """Gaussian curvature of the induced metric, Brioschi formula, from
+        one sampling pass over the first form."""
+        self.require_margin(u, v, self.h)
+        g, dg, ddg = derivatives(lambda q: self.data(*q).first_form, (u, v),
+                                 self.h)
         E, F, G = g[0, 0], g[0, 1], g[1, 1]
-        E_u, E_v = partial1(entry(0, 0), p, 0, h), partial1(entry(0, 0), p, 1, h)
-        G_u, G_v = partial1(entry(1, 1), p, 0, h), partial1(entry(1, 1), p, 1, h)
-        F_u, F_v = partial1(entry(0, 1), p, 0, h), partial1(entry(0, 1), p, 1, h)
-        E_vv = partial2(entry(0, 0), p, 1, h)
-        G_uu = partial2(entry(1, 1), p, 0, h)
-        F_uv = mixed2(entry(0, 1), p, 0, 1, h)
+        E_u, F_u, G_u = dg[0, 0, 0], dg[0, 0, 1], dg[0, 1, 1]
+        E_v, F_v, G_v = dg[1, 0, 0], dg[1, 0, 1], dg[1, 1, 1]
+        E_vv, F_uv, G_uu = ddg[1, 1, 0, 0], ddg[0, 1, 0, 1], ddg[0, 0, 1, 1]
 
         m1 = np.array([
             [-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v],
@@ -439,10 +428,10 @@ def shape_frame_fd(patch: SurfacePatch, q) -> np.ndarray:
     grid (central differences, one Richardson level) plus the connection."""
     u, v = float(q[0]), float(q[1])
     ev = patch.evaluator()
-    ev._require_margin(u, v, 1.5 * ev.h)
     d = ev.data(u, v)
+    d_normal = ev.dfield(lambda uu, vv: ev.data(uu, vv).normal, u, v)
     return np.stack([
-        -(partial1(lambda p: ev.data(*p).normal, (u, v), i, ev.h)
+        -(d_normal[i]
           + np.einsum("i,m,imk->k", d.tangents[i], d.normal, d.gamma))
         for i in range(2)])
 
@@ -516,8 +505,7 @@ def codazzi_residual(patch: SurfacePatch, q) -> np.ndarray:
     e1, e2 = ev.adapted(u, v)
     c1, c2 = ev.adapted_coeffs(u, v)
     s = ev.shape_operator_coeff(u, v)
-    s_u, s_v = (partial1(lambda p: ev.shape_operator_coeff(*p), (u, v), i,
-                         ev.h) for i in range(2))
+    s_u, s_v = ev.dfield(ev.shape_operator_coeff, u, v)
     chris = d.christoffels
     curl = (s_u[:, 1] - s_v[:, 0]
             + chris[:, 0, :] @ s[:, 1] - chris[:, 1, :] @ s[:, 0])

@@ -9,6 +9,7 @@ from ksub import hopf
 from ksub import surface as srf
 from ksub.errors import (
     AngleSingularError,
+    FdMarginError,
     GaussBundleDegenerateError,
     NotCMCError,
     ZeroGradRError,
@@ -245,6 +246,19 @@ class TestAngleShapeIdentity:
         a = bih.angle_shape_residual(patch, q)
         b = bih.angle_shape_alt_assembly(patch, q)
         assert a == pytest.approx(b, abs=1e-3)
+
+
+class TestProbeLattice:
+    def test_probes_need_a_4h_margin(self):
+        # the 5x5 lattice at 2 h spacing reaches 4 h from the point
+        patch = vertical_plane()
+        h = patch.evaluator().h
+        mean, dev = bih.cmc_probe(patch, (1.0 - 4.5 * h, 0.0))
+        assert abs(mean) <= 1e-12 and dev <= 1e-12
+        for probe in (bih.cmc_probe, bih.classify_point,
+                      bih.bitension_residual):
+            with pytest.raises(FdMarginError):
+                probe(patch, (1.0 - 3.5 * h, 0.0))
 
 
 class TestClassify:

@@ -365,25 +365,36 @@ class TestCheckSurface:
         assert by_name["codazzi"]["status"] == "skipped"
         assert by_name["proper-biharmonic"]["status"] == "no"
 
-    def test_thin_patch_skips_stencil_bound_rows(self, capsys):
-        # every check point lies closer to the v-edges than the Brioschi and
-        # Laplacian stencils reach: their rows skip, the rest still run
+    @staticmethod
+    def check_thin_patch(capsys, surface):
+        # every check point lies 2.5 h from a v-edge: the 4 h CMC probe of
+        # the bitension rows would leave the patch, so those rows skip; the
+        # Brioschi stencil reaches h and still runs
         code, data, err = run_json(
             capsys, "check-surface", "--lambda", "1",
-            "--surface", "u;0.5*v^2;v", "--patch-domain", "0", "1", "0",
+            "--surface", surface, "--patch-domain", "0", "1", "0",
             "0.01", "--grid", "2", "2")
         assert code == 0, err
         assert len(data["points"]) == 4
         for point in data["points"]:
             by_name = {c["check"]: c for c in point["checks"]}
-            for name in ("gauss", "bitension-normal", "bitension-tangential",
+            for name in ("bitension-normal", "bitension-tangential",
                          "frame-system", "branch"):
                 assert by_name[name]["status"] == "skipped"
             assert by_name["proper-biharmonic"]["status"] == "no"
-            # measured 0 and 1.6e-13
+            # measured 0, 0 and 2.3e-13 to 2.5e-13
+            assert by_name["gauss"]["status"] == "pass"
             assert by_name["codazzi"]["status"] == "pass"
             assert by_name["compatibility"]["status"] == "pass"
             assert by_name["compatibility"]["residual"] < 1e-10
+
+    def test_thin_patch_skips_stencil_bound_rows(self, capsys):
+        self.check_thin_patch(capsys, "u;0.5*v^2;v")
+
+    def test_thin_patch_probe_stays_inside(self, capsys):
+        # the probe lattice around these points reaches v < 0, where log(v)
+        # is undefined
+        self.check_thin_patch(capsys, "u;v;log(v)")
 
 
 class TestHopfCommand:

@@ -168,6 +168,24 @@ class TestHopfResiduals:
                                      n_samples=8)
         assert math.isnan(report.crosscheck)
 
+    def test_five_geodesic_curvatures_per_sample(self, monkeypatch):
+        # kappa, kappa' and kappa'' come from one pass over the 5-point
+        # stencil of each sample (10 evaluations per sample before)
+        calls = []
+        original = hopf.geodesic_curvature
+
+        def counted(curve, base, s):
+            calls.append(s)
+            return original(curve, base, s)
+
+        monkeypatch.setattr(hopf, "geodesic_curvature", counted)
+        base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
+        report = hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), base,
+                                     n_samples=64)
+        assert len(report.kappa) == 64
+        assert len(calls) == 5 * 64
+        assert len(set(calls)) == len(calls)
+
     def test_crosscheck_on_generic_curve(self):
         # variable r and G, non-constant kappa: the two systems still agree
         data = make_data("exp(-(x^2+y^2)/4)", "0", "x",

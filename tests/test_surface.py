@@ -292,6 +292,22 @@ class TestSurfaceLaplacian:
             srf.surface_laplacian(vertical_plane(), lambda u, v: u,
                                   (0.9999, 0.0))
 
+    def test_margin_is_the_stencil_reach(self):
+        # every numdiff stencil reaches h: a point 1.5 h from the edge
+        # computes, one 0.5 h from it is refused before a sample leaves
+        # the patch
+        patch = heis_graph()
+        ev = patch.evaluator()
+        near, too_near = (0.5 - 1.5 * ev.h, 0.0), (0.5 - 0.5 * ev.h, 0.0)
+        for op in (lambda q: ev.laplacian(ev.mean_h_field, *q),
+                   lambda q: ev.brioschi_curvature(*q),
+                   lambda q: ev.dfield(ev.phi_field, *q),
+                   lambda q: srf.codazzi_residual(patch, q),
+                   lambda q: srf.shape_frame_fd(patch, q)):
+            assert np.all(np.isfinite(op(near)))
+            with pytest.raises(FdMarginError):
+                op(too_near)
+
     def test_angle_laplacian_two_assemblies(self):
         # divergence-form Laplacian vs second frame derivatives with the
         # closed-form surface connection terms
