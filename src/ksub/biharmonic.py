@@ -61,6 +61,7 @@ RESIDUAL_TOL = 1e-4    # default "residual vanishes" threshold (FD-limited)
 GRAD_ZERO_TOL = 1e-6   # |grad r| below this counts as constant r
 DEGENERATE_TOL = 1e-8  # |4 r^2 - G| below this with grad r != 0: contradiction
 COS_EPS = 1e-8         # |cos phi| below this: tan(phi) checks are degenerate
+PROPER_H_TOL = 1e-8    # |H| above this counts as H != 0 (proper)
 
 
 @dataclass
@@ -79,9 +80,8 @@ class BitensionResidual:
     def is_biharmonic(self, tol: float = RESIDUAL_TOL) -> bool:
         return max(abs(self.normal), self.tangential_norm) <= tol
 
-    def is_proper(self, tol: float = RESIDUAL_TOL,
-                  h_tol: float = 1e-8) -> bool:
-        return self.is_biharmonic(tol) and abs(self.mean_h) > h_tol
+    def is_proper(self, tol: float = RESIDUAL_TOL) -> bool:
+        return self.is_biharmonic(tol) and abs(self.mean_h) > PROPER_H_TOL
 
 
 @dataclass
@@ -141,8 +141,7 @@ def bitension_residual(patch: SurfacePatch, q,
     ev = patch.evaluator()
     d = ev.weingarten(u, v)
 
-    lap_h = ev.laplacian(ev.mean_h_field, u, v)
-    dh = ev.dfield(ev.mean_h_field, u, v)
+    lap_h, dh = ev.laplacian(ev.mean_h_field, u, v)
     grad_coeff = np.linalg.solve(d.first_form, dh)
     grad_h = grad_coeff @ d.tangents
     a_grad_h = ev.shape_apply_coeff(u, v, grad_coeff)
@@ -301,8 +300,7 @@ def angle_shape_residual(patch: SurfacePatch, q) -> float:
     if abs(d.cos_phi) < COS_EPS:
         raise AngleSingularError(
             f"phi ~ pi/2 at parameters {q}: tan(phi) check is degenerate")
-    lap_phi = ev.laplacian(ev.phi_field, u, v)
-    dphi = ev.dfield(ev.phi_field, u, v)
+    lap_phi, dphi = ev.laplacian(ev.phi_field, u, v)
     grad_sq = float(dphi @ np.linalg.solve(d.first_form, dphi))
     return 2.0 * d.norm_sq - math.tan(d.phi) * lap_phi - grad_sq
 
@@ -311,6 +309,10 @@ def angle_shape_alt_assembly(patch: SurfacePatch, q) -> float:
     """Defect of the same identity assembled from second frame derivatives:
 
         2 |A|^2 = tan(phi)(e1 e1(phi) + e2 e2(phi)) + 2 r e2(phi) + H e1(phi)
+
+    with e_a(e_a phi) = c_a^i c_a^j phi_ij + c_a^j (d_j c_a^i) phi_i, where
+    c_a are the (du, dv) coefficients of e_a: phi's Hessian and the
+    coefficients' derivatives each come from one stencil level.
     """
     u, v = float(q[0]), float(q[1])
     ev = patch.evaluator()
@@ -318,16 +320,15 @@ def angle_shape_alt_assembly(patch: SurfacePatch, q) -> float:
     if d.sin_phi < ANGLE_EPS or abs(d.cos_phi) < COS_EPS:
         raise AngleSingularError(f"angle not interior at parameters {q}")
 
-    def e1_phi(uu, vv):
-        return ev.adapted_directional(ev.phi_field, 0, uu, vv)
-
-    def e2_phi(uu, vv):
-        return ev.adapted_directional(ev.phi_field, 1, uu, vv)
-
-    e1e1 = ev.adapted_directional(e1_phi, 0, u, v)
-    e2e2 = ev.adapted_directional(e2_phi, 1, u, v)
-    rhs = (math.tan(d.phi) * (e1e1 + e2e2)
-           + 2.0 * d.r * e2_phi(u, v) + d.mean_h * e1_phi(u, v))
+    _, dphi, hess = ev.field_derivatives(ev.phi_field, u, v)
+    c = np.stack(ev.adapted_coeffs(u, v))
+    # dc[j, a, i] = d_j c_a^i
+    dc = ev.dfield(lambda uu, vv: np.stack(ev.adapted_coeffs(uu, vv)), u, v)
+    e_phi = c @ dphi
+    e_e_phi = (np.einsum("ai,aj,ij->a", c, c, hess)
+               + np.einsum("aj,jai,i->a", c, dc, dphi))
+    rhs = (math.tan(d.phi) * (e_e_phi[0] + e_e_phi[1])
+           + 2.0 * d.r * e_phi[1] + d.mean_h * e_phi[0])
     return 2.0 * d.norm_sq - rhs
 
 

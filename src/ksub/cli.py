@@ -310,8 +310,7 @@ def _surface_point_checks(patch, q, tol) -> list[dict]:
     add("bitension-normal", bt.normal)
     add("bitension-tangential", bt.tangential_norm)
     add("frame-system", float(np.max(np.abs(lines))))
-    verdict = "yes" if (branch.satisfied and abs(bt.mean_h) > 1e-8
-                        and bt.is_biharmonic(tol)) else "no"
+    verdict = "yes" if branch.satisfied and bt.is_proper(tol) else "no"
     add("branch", 0.0, branch.branch)
     add("proper-biharmonic", 0.0, verdict)
     return checks

@@ -187,9 +187,6 @@ class FramePoint:
     """Orthonormal frame at a point, rows = coordinate components of E1..E3."""
 
     point: tuple[float, float, float]
-    lam_jet: Jet
-    a_jet: Jet
-    b_jet: Jet
     vectors: np.ndarray  # shape (3, 3)
 
 
@@ -274,7 +271,7 @@ def frame(data: KillingData, p) -> FramePoint:
         [0.0, 1.0 / lam.value, b.value],
         [0.0, 0.0, 1.0],
     ])
-    return FramePoint((x, y, z), lam, a, b, vectors)
+    return FramePoint((x, y, z), vectors)
 
 
 def metric_matrix(data: KillingData, p) -> np.ndarray:
@@ -378,8 +375,7 @@ def connection_oracle(data: KillingData, p, h: float | None = None) -> np.ndarra
 
     # dg[c, a, b] = d g_ab / d x_c ; everything is z-independent
     dg = np.zeros((3, 3, 3))
-    for c in range(2):
-        dg[c] = numdiff.partial1(g_at, (x, y), c, h)
+    dg[:2] = [numdiff.partial1(g_at, (x, y), c, h) for c in range(2)]
 
     g = g_at((x, y))
     g_inv = np.linalg.inv(g)
@@ -393,8 +389,7 @@ def connection_oracle(data: KillingData, p, h: float | None = None) -> np.ndarra
     eframe = frame_matrix((x, y))
     # dE[c, j, k] = d E_j^k / d x_c
     dE = np.zeros((3, 3, 3))
-    for c in range(2):
-        dE[c] = numdiff.partial1(frame_matrix, (x, y), c, h)
+    dE[:2] = [numdiff.partial1(frame_matrix, (x, y), c, h) for c in range(2)]
 
     # (D_{Ei} Ej)^k = Ei^c dE[c, j, k] + Ei^a Ej^b Gamma^k_{ab}
     cov = (np.einsum("ic,cjk->ijk", eframe, dE)
@@ -420,18 +415,14 @@ def frame_bracket_fd(data: KillingData, p, i: int, j: int,
     if h is None:
         h = FD_SCALE * max(1.0, abs(x), abs(y))
 
-    def coord_field(k):
-        def field(q):
-            return frame(data, (q[0], q[1], z)).vectors[k]
-        return field
+    def vectors(q):
+        return frame(data, (q[0], q[1], z)).vectors
 
-    ei = coord_field(i)((x, y))
-    ej = coord_field(j)((x, y))
+    e = vectors((x, y))
     bracket = np.zeros(3)
     for c in range(2):  # z-derivatives vanish
-        di_ej = numdiff.partial1(lambda q, c=c: coord_field(j)(q), (x, y), c, h)
-        di_ei = numdiff.partial1(lambda q, c=c: coord_field(i)(q), (x, y), c, h)
-        bracket = bracket + ei[c] * di_ej - ej[c] * di_ei
+        de = numdiff.partial1(vectors, (x, y), c, h)
+        bracket = bracket + e[i][c] * de[j] - e[j][c] * de[i]
     return frame_components(data, (x, y), bracket)
 
 
@@ -482,30 +473,24 @@ def riemann_direct(data: KillingData, p, X, Y, Z, W,
     if data.domain.margin_at(x, y) < 2.0 * h:
         raise FdMarginError(f"need margin >= {2 * h} around ({x}, {y})")
 
-    def gamma_at(q):
-        return connection(data, q)
-
-    def cov_const(A, B, q):
-        # components of D_A B for constant-component A, B
-        return np.einsum("i,j,ijk->k", A, B, gamma_at(q))
+    gamma = connection(data, (x, y))
 
     def second_cov(A, B, C):
-        # D_A (D_B C) at p, where D_B C is a varying field
+        # D_A (D_B C) at p, where D_B C = B^i C^j gamma_ij^k varies
         vel = coord_components(data, (x, y), A)
         # keep the spatial displacement of the stencil at ~h
         ht = h / max(1.0, float(np.max(np.abs(vel[:2]))))
 
         def field(t):
             q = (x + t * vel[0], y + t * vel[1])
-            return cov_const(B, C, q)
+            return np.einsum("i,j,ijk->k", B, C, connection(data, q))
 
         deriv = numdiff.d1(field, 0.0, ht)
-        inner = cov_const(B, C, (x, y))
-        correction = np.einsum("i,m,imk->k", A, inner, gamma_at((x, y)))
-        return deriv + correction
+        inner = np.einsum("i,j,ijk->k", B, C, gamma)
+        return deriv + np.einsum("i,m,imk->k", A, inner, gamma)
 
     bracket = (X[0] * Y[1] - X[1] * Y[0]) * frame_bracket_12(data, (x, y))
-    cov_bracket = np.einsum("i,j,ijk->k", bracket, Z, gamma_at((x, y)))
+    cov_bracket = np.einsum("i,j,ijk->k", bracket, Z, gamma)
     curl = second_cov(X, Y, Z) - second_cov(Y, X, Z) - cov_bracket
     return float(curl @ W)
 

@@ -1,14 +1,11 @@
 """Central finite differences with one level of Richardson extrapolation.
 
-Every difference quotient in the package is formed here: the numerical
-oracles and the derivatives of derived surface fields. A consumer that needs
-second derivatives calls :func:`derivatives`, which samples the field once at
-each stencil point and returns its value, gradient and Hessian; one that
-needs only a gradient calls :func:`partial1` or :func:`d1`, whose 4-point
-stencils skip the centre and the corners. Both form the same quotients, so a
-derivative is the same number on either path. Each consumer is one stencil
-level over its field, except ``biharmonic.angle_shape_alt_assembly``, which
-differentiates e1(phi) along e1: a stencil over stencils.
+Every difference quotient in the package is formed here from one stencil
+table: :func:`_abscissae` lists the points around p in a fixed order, and
+:func:`_quotients` forms the value, gradient and Hessian from a field's
+samples there. :func:`derivatives` samples the whole table once;
+:func:`partial1`, :func:`d1` and :func:`d2` sample the part they read, so a
+derivative is the same number on every path. No stencil nests in another.
 ``f`` may return a float or a numpy array; the result has its shape.
 """
 
@@ -19,56 +16,76 @@ import numpy as np
 __all__ = ["d1", "d2", "partial1", "derivatives"]
 
 
-def _extrapolate(stencil, h):
-    coarse = stencil(h)
-    return (4.0 * stencil(0.5 * h) - coarse) / 3.0
+def _axis(p, i: int, h: float) -> list[list[float]]:
+    """The points of the table along coordinate i: p + h e_i, p - h e_i,
+    p + h/2 e_i, p - h/2 e_i."""
+    points = [list(p) for _ in range(4)]
+    for q, t in zip(points, (h, -h, 0.5 * h, -0.5 * h)):
+        q[i] += t
+    return points
+
+
+def _abscissae(p, h: float) -> list[list[float]]:
+    """The 5 or 17 stencil points around p, in table order: p, the
+    :func:`_axis` points of each coordinate and, in two coordinates, the
+    corners p + (s, s), (s, -s), (-s, s), (-s, -s) for s = h, then h/2."""
+    table = [list(p)]
+    for i in range(len(p)):
+        table += _axis(p, i, h)
+    if len(p) == 2:
+        table += [[p[0] + a, p[1] + b] for s in (h, 0.5 * h)
+                  for a, b in ((s, s), (s, -s), (-s, s), (-s, -s))]
+    return table
+
+
+def _richardson(coarse, fine):
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _first(plus, minus, half_plus, half_minus, h: float):
+    """df/dp_i from the samples at p +- h e_i and p +- h/2 e_i."""
+    return _richardson((plus - minus) / (2.0 * h),
+                       (half_plus - half_minus) / (2.0 * (0.5 * h)))
+
+
+def _quotients(samples, h: float):
+    """(value, gradient, Hessian) from the samples at :func:`_abscissae`;
+    the mixed entry is the cross quotient with the lower coordinate first."""
+    centre, n = samples[0], 1 if len(samples) == 5 else 2
+    axes = [samples[1 + 4 * i:5 + 4 * i] for i in range(n)]
+
+    def second(plus, minus, s):
+        return (plus - 2.0 * centre + minus) / (s * s)
+
+    def cross(pp, pm, mp, mm, s):
+        return (pp - pm - mp + mm) / (4.0 * s * s)
+
+    hess = [[_richardson(second(*a[:2], h), second(*a[2:], 0.5 * h))
+             for a in axes]]
+    if n == 2:
+        mixed = _richardson(cross(*samples[9:13], h),
+                            cross(*samples[13:], 0.5 * h))
+        hess = [[hess[0][0], mixed], [mixed, hess[0][1]]]
+    return centre, np.array([_first(*a, h) for a in axes]), np.array(hess)
+
+
+def derivatives(f, p, h: float):
+    """(value, gradient, Hessian) of a function of a point of one or two
+    coordinates, sampled once at each of its 5 or 17 stencil points."""
+    return _quotients([f(q) for q in _abscissae(p, h)], h)
+
+
+def partial1(f, p, i: int, h: float) -> float:
+    """``df/dp_i`` for a function of a point (sequence of floats), from the
+    four points of the table along coordinate i."""
+    return _first(*[f(q) for q in _axis(p, i, h)], h)
 
 
 def d1(f, x: float, h: float) -> float:
     """First derivative of a scalar function of one variable at ``x``."""
-    return _extrapolate(lambda s: (f(x + s) - f(x - s)) / (2.0 * s), h)
+    return _first(*[f(q[0]) for q in _axis((x,), 0, h)], h)
 
 
 def d2(f, x: float, h: float) -> float:
     """Second derivative of a scalar function of one variable at ``x``."""
     return derivatives(lambda q: f(q[0]), (x,), h)[2][0, 0]
-
-
-def _shift(p, i, step):
-    q = list(p)
-    q[i] += step
-    return q
-
-
-def partial1(f, p, i: int, h: float) -> float:
-    """``df/dp_i`` for a function of a point (sequence of floats)."""
-    return d1(lambda t: f(_shift(p, i, t)), 0.0, h)
-
-
-def derivatives(f, p, h: float):
-    """(value, gradient, Hessian) of a function of a point of one or two
-    coordinates, sampled once at each of its 5 or 17 stencil points: p,
-    p +- s along each coordinate and, for two, the corners (+-s, +-s), for
-    s in {h, h/2}. The gradient is :func:`partial1`'s; the mixed entry is
-    the cross quotient with the lower coordinate first."""
-    samples = {}
-
-    def at(q):
-        key = tuple(q)
-        if key not in samples:
-            samples[key] = f(q)
-        return samples[key]
-
-    def second(i, j, s):
-        if i == j:
-            return (at(_shift(p, i, s)) - 2.0 * at(list(p))
-                    + at(_shift(p, i, -s))) / (s * s)
-        pp, pm, mp, mm = (at(_shift(_shift(p, i, a), j, b))
-                          for a, b in ((s, s), (s, -s), (-s, s), (-s, -s)))
-        return (pp - pm - mp + mm) / (4.0 * s * s)
-
-    n = range(len(p))
-    hess = [[_extrapolate(lambda s: second(min(i, j), max(i, j), s), h)
-             for j in n] for i in n]
-    return (at(list(p)), np.array([partial1(at, p, i, h) for i in n]),
-            np.array(hess))

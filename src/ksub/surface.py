@@ -335,10 +335,6 @@ class SurfaceEvaluator:
         return np.array([partial1(lambda q: field(*q), (u, v), i, self.h)
                          for i in range(2)])
 
-    def directional(self, field, coeff, u, v) -> float:
-        dd = self.dfield(field, u, v)
-        return float(np.asarray(coeff) @ dd)
-
     def base_directional_r(self, d: _PointData, vec_frame) -> float:
         """Derivative of the bundle curvature along a tangent frame vector."""
         v = np.asarray(vec_frame, dtype=float)
@@ -353,27 +349,33 @@ class SurfaceEvaluator:
     # -- induced metric machinery ----------------------------------------------
 
     def covariant_coeff(self, field_coeff: Callable[[float, float], np.ndarray],
-                        direction, u: float, v: float) -> np.ndarray:
-        """Surface covariant derivative of a tangent coefficient field."""
+                        directions, u: float, v: float) -> np.ndarray:
+        """Surface covariant derivatives of a tangent coefficient field, one
+        row per (du, dv) direction given, from one stencil over the field."""
         chris = self.data(u, v).christoffels
         w = field_coeff(u, v)
         dw = self.dfield(field_coeff, u, v)
-        direction = np.asarray(direction, dtype=float)
-        out = np.zeros(2)
-        for i in range(2):
-            out += direction[i] * (dw[i] + chris[:, i, :] @ w)
-        return out
+        du, dv = (dw[i] + chris[:, i, :] @ w for i in range(2))
+        # summed from zero in coordinate order, so the output keeps its digits
+        return np.array([np.zeros(2) + c[0] * du + c[1] * dv
+                         for c in np.asarray(directions, dtype=float)])
+
+    def field_derivatives(self, field: Callable, u: float, v: float):
+        """(value, gradient, Hessian) of a parameter field, one sampling
+        pass; like :meth:`dfield`, it needs a margin of h."""
+        self.require_margin(u, v, self.h)
+        return derivatives(lambda q: field(*q), (u, v), self.h)
 
     def laplacian(self, field: Callable[[float, float], float],
-                  u: float, v: float) -> float:
-        """Laplace-Beltrami (div grad convention) of a parameter field:
-        g^ij (f_ij - Gamma^k_ij f_k), one sampling pass over the field and
-        the exact Christoffels of the point's record."""
-        self.require_margin(u, v, self.h)
+                  u: float, v: float) -> tuple[float, np.ndarray]:
+        """Laplace-Beltrami (div grad convention) of a parameter field,
+        g^ij (f_ij - Gamma^k_ij f_k), and its (d/du, d/dv) gradient, from
+        one sampling pass over the field and the exact Christoffels of the
+        point's record."""
+        _, grad, hess = self.field_derivatives(field, u, v)
         d = self.data(u, v)
-        _, grad, hess = derivatives(lambda q: field(*q), (u, v), self.h)
         hess -= np.einsum("kij,k->ij", d.christoffels, grad)
-        return float(np.sum(np.linalg.inv(d.first_form) * hess))
+        return float(np.sum(np.linalg.inv(d.first_form) * hess)), grad
 
     def brioschi_curvature(self, u: float, v: float) -> float:
         """Gaussian curvature of the induced metric, Brioschi formula, from
@@ -406,11 +408,6 @@ class SurfaceEvaluator:
         e1, e2 = self.adapted(u, v)
         return (self.tangent_coefficients(d, e1),
                 self.tangent_coefficients(d, e2))
-
-    def adapted_directional(self, field, which: int, u: float, v: float) -> float:
-        """e_i(field) for the adapted frame, i in {0, 1}."""
-        coeffs = self.adapted_coeffs(u, v)[which]
-        return self.directional(field, coeffs, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +447,9 @@ def _angle_derivatives(patch: SurfacePatch, q):
     u, v = float(q[0]), float(q[1])
     ev = patch.evaluator()
     d = ev.data(u, v)
-    ev.adapted(u, v)  # raises when singular
-    e1_phi = ev.adapted_directional(ev.phi_field, 0, u, v)
-    e2_phi = ev.adapted_directional(ev.phi_field, 1, u, v)
-    return d, e1_phi, e2_phi, ev.weingarten(u, v).mean_h
+    c1, c2 = ev.adapted_coeffs(u, v)  # raises when singular
+    dphi = ev.dfield(ev.phi_field, u, v)
+    return d, float(c1 @ dphi), float(c2 @ dphi), ev.weingarten(u, v).mean_h
 
 
 def shape_matrix_adapted(patch: SurfacePatch, q) -> np.ndarray:
@@ -468,7 +464,8 @@ def shape_matrix_adapted(patch: SurfacePatch, q) -> np.ndarray:
 
 
 def induced_gauss_curvature(patch: SurfacePatch, q) -> float:
-    """Intrinsic curvature of the induced metric (Brioschi, nested FD)."""
+    """Intrinsic curvature of the induced metric: the Brioschi formula over
+    one sampling pass of the first form."""
     return patch.evaluator().brioschi_curvature(float(q[0]), float(q[1]))
 
 
@@ -537,27 +534,27 @@ def compatibility_residuals(patch: SurfacePatch, q) -> tuple[float, float]:
         dd = ev.data(uu, vv)
         return ev.tangent_coefficients(dd, dd.vertical_tangent)
 
-    def cos_field(uu, vv):
-        return ev.data(uu, vv).cos_phi
-
+    # one gradient of T and one of cos(phi), read along both frame vectors
+    coeffs = [ev.tangent_coefficients(d, vec) for vec in (e1, e2)]
+    nablas = ev.covariant_coeff(t_coeff, coeffs, u, v)
+    dcos = ev.dfield(lambda uu, vv: ev.data(uu, vv).cos_phi, u, v)
     res1 = []
     res2 = []
-    for vec in (e1, e2):
-        coeff = ev.tangent_coefficients(d, vec)
-        nabla_t = ev.covariant_coeff(t_coeff, coeff, u, v) @ d.tangents
+    for vec, coeff, nabla in zip((e1, e2), coeffs, nablas):
+        nabla_t = nabla @ d.tangents
         a_vec = ev.shape_apply_coeff(u, v, coeff)
         eta_wedge = geo.wedge(d.normal, vec)
         first = nabla_t - d.cos_phi * (a_vec - d.r * eta_wedge)
         res1.append(np.linalg.norm(first))
         res2.append((a_vec - d.r * eta_wedge) @ d.vertical_tangent
-                    + ev.directional(cos_field, coeff, u, v))
+                    + float(coeff @ dcos))
     # np.max, unlike max, propagates a nan, so a nan residual fails
     return float(np.max(res1)), float(np.max(np.abs(res2)))
 
 
 def surface_laplacian(patch: SurfacePatch, field, q) -> float:
     """Laplace-Beltrami operator (div grad) applied to a parameter field."""
-    return patch.evaluator().laplacian(field, float(q[0]), float(q[1]))
+    return patch.evaluator().laplacian(field, float(q[0]), float(q[1]))[0]
 
 
 def shape_norm_from_angle(patch: SurfacePatch, q) -> float:

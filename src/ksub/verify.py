@@ -328,7 +328,7 @@ def check_harmonic_sanity(tol=1e-6) -> CheckReport:
         for flipped in (False, True):
             p = patch.flipped() if flipped else patch
             bt = bih.bitension_residual(p, (0.1, 0.2))
-            if abs(bt.mean_h) > 1e-8:
+            if abs(bt.mean_h) > bih.PROPER_H_TOL:
                 ok = False
             worst.update(max(abs(bt.normal), bt.tangential_norm),
                          f"{patch.name} (flip={flipped})")

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from ksub import biharmonic as bih
 from ksub import geometry as geo
 from ksub import hopf
 from ksub import numdiff as nd
@@ -299,11 +300,12 @@ class TestSurfaceLaplacian:
         patch = heis_graph()
         ev = patch.evaluator()
         near, too_near = (0.5 - 1.5 * ev.h, 0.0), (0.5 - 0.5 * ev.h, 0.0)
-        for op in (lambda q: ev.laplacian(ev.mean_h_field, *q),
+        for op in (lambda q: ev.laplacian(ev.mean_h_field, *q)[0],
                    lambda q: ev.brioschi_curvature(*q),
                    lambda q: ev.dfield(ev.phi_field, *q),
                    lambda q: srf.codazzi_residual(patch, q),
-                   lambda q: srf.shape_frame_fd(patch, q)):
+                   lambda q: srf.shape_frame_fd(patch, q),
+                   lambda q: bih.angle_shape_alt_assembly(patch, q)):
             assert np.all(np.isfinite(op(near)))
             with pytest.raises(FdMarginError):
                 op(too_near)
@@ -315,16 +317,19 @@ class TestSurfaceLaplacian:
         q = (0.1, -0.05)
         ev = patch.evaluator()
         d = ev.data(*q)
-        lap = ev.laplacian(ev.phi_field, *q)
+        lap = ev.laplacian(ev.phi_field, *q)[0]
 
-        def e1_phi(u, v):
-            return ev.adapted_directional(ev.phi_field, 0, u, v)
+        def along(field, which):
+            # e_which(field), the frame coefficients against its gradient
+            def derivative(u, v):
+                return float(ev.adapted_coeffs(u, v)[which]
+                             @ ev.dfield(field, u, v))
+            return derivative
 
-        def e2_phi(u, v):
-            return ev.adapted_directional(ev.phi_field, 1, u, v)
-
-        e1e1 = ev.adapted_directional(e1_phi, 0, *q)
-        e2e2 = ev.adapted_directional(e2_phi, 1, *q)
+        e1_phi, e2_phi = along(ev.phi_field, 0), along(ev.phi_field, 1)
+        # a stencil over stencils: the independent assembly of the test
+        e1e1 = along(e1_phi, 0)(*q)
+        e2e2 = along(e2_phi, 1)(*q)
         w = ev.weingarten(*q)
         cot = d.cos_phi / d.sin_phi
         grad_sq = e1_phi(*q) ** 2 + e2_phi(*q) ** 2
@@ -348,7 +353,7 @@ class TestSurfaceLaplacian:
                 d = ev.weingarten(*q)
                 for i in range(3):
                     lap = ev.laplacian(lambda u, v: ev.data(u, v).point[i],
-                                       *q)
+                                       *q)[0]
                     assert lap == pytest.approx(d.mean_h * d.normal[i],
                                                 abs=1e-9)
 
@@ -403,10 +408,10 @@ class TestSurfaceConnection:
             return ev.adapted_coeffs(u, v)[0]
 
         c2 = ev.adapted_coeffs(*q)[1]
-        nabla = ev.covariant_coeff(e1_coeff, c2, *q) @ d.tangents
+        nabla = ev.covariant_coeff(e1_coeff, [c2], *q)[0] @ d.tangents
         e2_vec = ev.adapted(*q)[1]
         got = float(nabla @ e2_vec)
-        e1_phi = ev.adapted_directional(ev.phi_field, 0, *q)
+        e1_phi = float(ev.adapted_coeffs(*q)[0] @ ev.dfield(ev.phi_field, *q))
         mu = ev.weingarten(*q).mean_h - e1_phi
         expected = mu * d.cos_phi / d.sin_phi
         assert got == pytest.approx(expected, abs=1e-3)
@@ -616,3 +621,29 @@ class TestPointRecords:
         capsys.readouterr()
         assert code == 0
         assert 0 < len(calls) <= limit
+
+    @pytest.mark.parametrize("argv", [
+        # 20 while the bitension and angle-shape residuals took a second
+        # gradient and the compatibility check one per frame vector
+        ["--bcv", "0", "0.5", "--graph", "x*y+0.9*x", "--grid", "2", "2"],
+        # 24 in the same stage
+        ["--bcv", "1", "1", "--surface", "0.8*cos(u);0.8*sin(u);v",
+         "--patch-domain", "0.5", "2", "0", "1", "--grid", "2", "2"],
+    ])
+    def test_each_field_differentiated_once_per_point(self, argv,
+                                                      monkeypatch, capsys):
+        # per point: the shape operator (Codazzi), the vertical tangent and
+        # cos(phi) (compatibility); H and phi take their gradients from the
+        # Laplacian's own pass
+        calls = []
+        original = srf.SurfaceEvaluator.dfield
+
+        def counted(self, field, u, v):
+            calls.append((u, v))
+            return original(self, field, u, v)
+
+        monkeypatch.setattr(srf.SurfaceEvaluator, "dfield", counted)
+        code = main(["check-surface", *argv])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 12
