@@ -56,8 +56,8 @@ __all__ = [
     "classify_point",
 ]
 
-CMC_TOL = 1e-4         # default allowed mean-curvature spread over the probe
-RESIDUAL_TOL = 1e-4    # default "residual vanishes" threshold (FD-limited)
+CMC_TOL = 1e-4         # allowed mean-curvature spread over the probe
+RESIDUAL_TOL = 1e-4    # "residual vanishes" threshold (FD-limited)
 GRAD_ZERO_TOL = 1e-6   # |grad r| below this counts as constant r
 DEGENERATE_TOL = 1e-8  # |4 r^2 - G| below this with grad r != 0: contradiction
 COS_EPS = 1e-8         # |cos phi| below this: tan(phi) checks are degenerate
@@ -120,11 +120,11 @@ def cmc_probe(patch: SurfacePatch, q):
     return mean, float(np.max(np.abs(values - mean)))
 
 
-def _require_cmc(patch, q, cmc_tol):
+def _require_cmc(patch, q):
     mean, dev = cmc_probe(patch, q)
-    if dev > cmc_tol:
+    if dev > CMC_TOL:
         raise NotCMCError(
-            f"mean curvature varies by {dev:.3e} (> {cmc_tol:.1e}) around "
+            f"mean curvature varies by {dev:.3e} (> {CMC_TOL:.1e}) around "
             f"parameters {tuple(q)}; the CMC residual systems do not apply")
     return mean, dev
 
@@ -133,11 +133,10 @@ def _require_cmc(patch, q, cmc_tol):
 # Bitension decomposition
 # ---------------------------------------------------------------------------
 
-def bitension_residual(patch: SurfacePatch, q,
-                       cmc_tol: float = CMC_TOL) -> BitensionResidual:
+def bitension_residual(patch: SurfacePatch, q) -> BitensionResidual:
     """Normal and tangential residuals of the biharmonicity system."""
     u, v = float(q[0]), float(q[1])
-    mean, dev = _require_cmc(patch, q, cmc_tol)
+    mean, dev = _require_cmc(patch, q)
     ev = patch.evaluator()
     d = ev.weingarten(u, v)
 
@@ -175,29 +174,17 @@ def _system_lines(gauss, r, rx, ry, lam, e1, e2, normal, norm_sq):
     return np.array([line1, line2, line3])
 
 
-def frame_system_residuals(patch: SurfacePatch, q, basis: str = "ortho",
-                           cmc_tol: float = CMC_TOL,
-                           rotation: float = 0.0) -> np.ndarray:
-    """The three biharmonicity residuals in an adapted frame's components.
+def frame_system_residuals(patch: SurfacePatch, q) -> np.ndarray:
+    """The three biharmonicity residuals in the components of the
+    orthonormalized coordinate tangents (no angle restriction).
 
-    ``basis`` picks the tangent pair: "ortho" (orthonormalized coordinate
-    tangents, no angle restriction) or "adapted" (the angle frame).
-    ``rotation`` turns the pair by a fixed angle, which must leave line 1 and
-    the norm of (line 2, line 3) unchanged.
+    Line 1 and the norm of (line 2, line 3) do not depend on the tangent
+    pair: any rotated or reflected orthonormal pair gives them too.
     """
     u, v = float(q[0]), float(q[1])
-    _require_cmc(patch, q, cmc_tol)
-    ev = patch.evaluator()
-    d = ev.weingarten(u, v)
-    if basis == "ortho":
-        e1, e2 = d.ortho_basis
-    elif basis == "adapted":
-        e1, e2 = ev.adapted(u, v)
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    if rotation:
-        ca, sa = math.cos(rotation), math.sin(rotation)
-        e1, e2 = ca * e1 + sa * e2, -sa * e1 + ca * e2
+    _require_cmc(patch, q)
+    d = patch.evaluator().weingarten(u, v)
+    e1, e2 = d.ortho_basis
     return _system_lines(d.gauss_base, d.r, d.grad_r[0], d.grad_r[1],
                          d.lam, e1, e2, d.normal, d.norm_sq)
 
@@ -261,9 +248,7 @@ def _grad_r_norm(d) -> float:
     return float(math.hypot(d.grad_r[0], d.grad_r[1]) / d.lam)
 
 
-def reduced_angle_system(patch: SurfacePatch, q,
-                         grad_zero_tol: float = GRAD_ZERO_TOL,
-                         degenerate_tol: float = DEGENERATE_TOL) -> dict:
+def reduced_angle_system(patch: SurfacePatch, q) -> dict:
     """Evaluate the reduced angle system at a surface point.
 
     Requires an interior angle (sin phi and |cos phi| both bounded away from
@@ -278,12 +263,12 @@ def reduced_angle_system(patch: SurfacePatch, q,
         raise AngleSingularError(
             f"angle phi = {d.phi:.6f} is not interior at parameters {q}")
     grad_norm = _grad_r_norm(d)
-    if grad_norm <= grad_zero_tol:
+    if grad_norm <= GRAD_ZERO_TOL:
         raise ZeroGradRError(
             f"|grad r| = {grad_norm:.2e} at parameters {q}; "
             "use the frame-component system instead")
     diff = 4.0 * d.r ** 2 - d.gauss_base
-    if abs(diff) < degenerate_tol:
+    if abs(diff) < DEGENERATE_TOL:
         raise GaussBundleDegenerateError(
             f"4 r^2 - G = {diff:.2e} with |grad r| = {grad_norm:.2e}: "
             "no proper biharmonic CMC surface exists here")
@@ -337,11 +322,7 @@ def angle_shape_alt_assembly(patch: SurfacePatch, q) -> float:
 # ---------------------------------------------------------------------------
 
 def classify_scalars(cos_phi: float, grad_norm: float, gauss: float,
-                     r: float, norm_sq: float, mean_h: float,
-                     angle_eps: float = ANGLE_EPS,
-                     grad_zero_tol: float = GRAD_ZERO_TOL,
-                     degenerate_tol: float = DEGENERATE_TOL,
-                     residual_tol: float = RESIDUAL_TOL) -> BranchReport:
+                     r: float, norm_sq: float, mean_h: float) -> BranchReport:
     """Branch decision from pointwise scalars (no surface machinery).
 
     This is the core behind :func:`classify_point`; it also serves synthetic
@@ -351,31 +332,31 @@ def classify_scalars(cos_phi: float, grad_norm: float, gauss: float,
     phi = math.acos(max(-1.0, min(1.0, cos_phi)))
     diff = 4.0 * r * r - gauss
 
-    if sin_phi < angle_eps:
+    if sin_phi < ANGLE_EPS:
         return BranchReport(
             "none", False,
             {"sin_phi": sin_phi},
             "vertical field normal to the surface: rejected (a proper "
             "biharmonic CMC surface cannot have phi = 0)")
 
-    if abs(cos_phi) < angle_eps:
+    if abs(cos_phi) < ANGLE_EPS:
         hopf_residual = abs(mean_h * mean_h - (gauss - 4.0 * r * r))
         return BranchReport(
-            "a", hopf_residual <= residual_tol,
+            "a", hopf_residual <= RESIDUAL_TOL,
             {"hopf_criterion_residual": hopf_residual,
              "admissible_h_sq": gauss - 4.0 * r * r},
             "Hopf-cylinder regime: needs r, G constant along the surface "
             "and H^2 = G - 4 r^2")
 
-    if abs(diff) <= degenerate_tol and grad_norm > grad_zero_tol:
+    if abs(diff) <= DEGENERATE_TOL and grad_norm > GRAD_ZERO_TOL:
         return BranchReport(
             "contradiction-propRconst", False,
             {"gauss_bundle_diff": diff, "grad_r_norm": grad_norm},
             "4 r^2 = G with grad r != 0: no proper biharmonic CMC surface")
 
-    if grad_norm <= grad_zero_tol:
+    if grad_norm <= GRAD_ZERO_TOL:
         sphere_residual = abs(norm_sq - 2.0 * r * r)
-        if abs(diff) > residual_tol:
+        if abs(diff) > RESIDUAL_TOL:
             return BranchReport(
                 "b1", False,
                 {"sphere_condition_residual": sphere_residual,
@@ -383,15 +364,15 @@ def classify_scalars(cos_phi: float, grad_norm: float, gauss: float,
                 "constant r with G != 4 r^2 forces a vertical normal and a "
                 "minimal surface: not proper")
         return BranchReport(
-            "b1", sphere_residual <= residual_tol,
+            "b1", sphere_residual <= RESIDUAL_TOL,
             {"sphere_condition_residual": sphere_residual,
              "gauss_bundle_diff": diff},
             "constant-r branch: algebraic signature |A|^2 = 2 r^2")
 
     scal = angle_system_scalars(gauss, r, grad_norm, phi, norm_sq)
     tan2 = scal["tan2phi_residual"]
-    satisfied = (abs(tan2) <= residual_tol
-                 and abs(scal["norm_residual"]) <= residual_tol)
+    satisfied = (abs(tan2) <= RESIDUAL_TOL
+                 and abs(scal["norm_residual"]) <= RESIDUAL_TOL)
     return BranchReport(
         "b2", satisfied,
         {"tan2phi_residual": tan2,
@@ -400,16 +381,15 @@ def classify_scalars(cos_phi: float, grad_norm: float, gauss: float,
         "variable-r branch: angle pinned by tan(2 phi)")
 
 
-def classify_point(patch: SurfacePatch, q, cmc_tol: float = CMC_TOL,
-                   residual_tol: float = RESIDUAL_TOL) -> BranchReport:
+def classify_point(patch: SurfacePatch, q) -> BranchReport:
     """Classify a CMC surface point against the branches of the
     classification (see :func:`classify_scalars`)."""
     u, v = float(q[0]), float(q[1])
-    _require_cmc(patch, q, cmc_tol)
+    _require_cmc(patch, q)
     ev = patch.evaluator()
     d = ev.weingarten(u, v)
     report = classify_scalars(d.cos_phi, _grad_r_norm(d), d.gauss_base, d.r,
-                              d.norm_sq, d.mean_h, residual_tol=residual_tol)
+                              d.norm_sq, d.mean_h)
 
     if report.branch == "a":
         # constancy of r and G along the surface, probed on the lattice
@@ -418,8 +398,8 @@ def classify_point(patch: SurfacePatch, q, cmc_tol: float = CMC_TOL,
         g_vals = np.array([p.gauss_base for p in pts])
         report.diagnostics["r_spread"] = float(np.ptp(r_vals))
         report.diagnostics["gauss_spread"] = float(np.ptp(g_vals))
-        constant = (report.diagnostics["r_spread"] <= residual_tol
-                    and report.diagnostics["gauss_spread"] <= residual_tol)
+        constant = (report.diagnostics["r_spread"] <= RESIDUAL_TOL
+                    and report.diagnostics["gauss_spread"] <= RESIDUAL_TOL)
         report.satisfied = bool(report.satisfied and constant)
     elif report.branch == "b2":
         try:

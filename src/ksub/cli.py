@@ -552,6 +552,9 @@ def main(argv=None) -> int:
     except ArithmeticError as err:  # overflow, division by zero, FP traps
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
+    except RecursionError as err:  # parsing and jets recurse on the tree
+        print(f"error: expression nested too deeply: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

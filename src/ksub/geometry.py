@@ -27,7 +27,7 @@ quantity from metric evaluations only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .expr import Expr, Jet, batched, eval_jet, parse, power
 __all__ = [
     "Rect",
     "KillingData",
-    "FramePoint",
     "bcv",
     "bundle_curvature",
     "gauss_curvature",
@@ -91,11 +90,10 @@ class Rect:
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("rectangle must have positive area")
 
-    def contains(self, x, y, margin: float = 0.0):
-        """Whether (x, y) lies inside, by more than ``margin``; elementwise
-        on coordinate arrays."""
-        return ((self.xmin + margin < x) & (x < self.xmax - margin)
-                & (self.ymin + margin < y) & (y < self.ymax - margin))
+    def contains(self, x, y):
+        """Whether (x, y) lies inside; elementwise on coordinate arrays."""
+        return ((self.xmin < x) & (x < self.xmax)
+                & (self.ymin < y) & (y < self.ymax))
 
     def margin_at(self, x: float, y: float) -> float:
         """Distance from (x, y) to the boundary (negative outside)."""
@@ -117,9 +115,10 @@ class Rect:
         ys = np.linspace(self.ymin + dy, self.ymax - dy, ny)
         return [(float(x), float(y)) for x in xs for y in ys]
 
-    def random_point(self, rng, margin_frac: float = 0.15):
-        dx = (self.xmax - self.xmin) * margin_frac
-        dy = (self.ymax - self.ymin) * margin_frac
+    def random_point(self, rng):
+        """A uniform point, kept 15 % of each side from the boundary."""
+        dx = (self.xmax - self.xmin) * 0.15
+        dy = (self.ymax - self.ymin) * 0.15
         return (float(rng.uniform(self.xmin + dx, self.xmax - dx)),
                 float(rng.uniform(self.ymin + dy, self.ymax - dy)))
 
@@ -169,8 +168,8 @@ class KillingData:
         return (eval_jet(self.lam, point), eval_jet(self.a, point),
                 eval_jet(self.b, point))
 
-    def require_inside(self, x, y, margin: float = 0.0):
-        inside = self.domain.contains(x, y, margin)
+    def require_inside(self, x, y):
+        inside = self.domain.contains(x, y)
         if type(x) is np.ndarray:
             if inside.all():
                 return
@@ -182,19 +181,12 @@ class KillingData:
             f"point ({x}, {y}) outside domain of {self.description or 'metric'}")
 
 
-@dataclass(frozen=True)
-class FramePoint:
-    """Orthonormal frame at a point, rows = coordinate components of E1..E3."""
-
-    point: tuple[float, float, float]
-    vectors: np.ndarray  # shape (3, 3)
-
-
-def bcv(c: float, mu: float, half_width: float = 3.0) -> KillingData:
+def bcv(c: float, mu: float) -> KillingData:
     """Bianchi-Cartan-Vranceanu space E(c, mu): constant G = c and r = mu.
 
-    For c < 0 the conformal factor lives on a disk; the domain is the
-    inscribed axis-aligned square (slightly shrunk for a safety margin).
+    The domain is the square [-3, 3]^2. For c < 0 the conformal factor
+    lives on a disk; the domain is then the inscribed axis-aligned square
+    (slightly shrunk for a safety margin).
     """
     c, mu = float(c), float(mu)
     lam = parse(f"1/(1+({c!r}/4)*(x^2+y^2))", ("x", "y"))
@@ -203,7 +195,7 @@ def bcv(c: float, mu: float, half_width: float = 3.0) -> KillingData:
     if c < 0:
         half = 0.95 * (2.0 / np.sqrt(-c)) / np.sqrt(2.0)
     else:
-        half = half_width
+        half = 3.0
     domain = Rect(-half, half, -half, half)
     return KillingData(lam, a, b, domain, description=f"BCV(c={c}, mu={mu})")
 
@@ -261,17 +253,17 @@ def gauss_curvature(data: KillingData, p) -> float:
 # Frame, metric and component conversions
 # ---------------------------------------------------------------------------
 
-def frame(data: KillingData, p) -> FramePoint:
-    """Orthonormal frame (E1, E2, E3) at a point of the total space."""
-    x, y, z = (float(v) for v in p)
+def frame(data: KillingData, p) -> np.ndarray:
+    """Orthonormal frame (E1, E2, E3) at a point of the total space: a
+    (3, 3) matrix whose rows are the coordinate components of E1..E3."""
+    x, y = float(p[0]), float(p[1])
     data.require_inside(x, y)
     lam, a, b = data.base_jets(x, y)
-    vectors = np.array([
+    return np.array([
         [1.0 / lam.value, 0.0, a.value],
         [0.0, 1.0 / lam.value, b.value],
         [0.0, 0.0, 1.0],
     ])
-    return FramePoint((x, y, z), vectors)
 
 
 def metric_matrix(data: KillingData, p) -> np.ndarray:
@@ -355,7 +347,12 @@ def connection(data: KillingData, p) -> np.ndarray:
     return gamma
 
 
-def connection_oracle(data: KillingData, p, h: float | None = None) -> np.ndarray:
+def _oracle_step(x: float, y: float) -> float:
+    """FD step of the oracles at base point (x, y)."""
+    return FD_SCALE * max(1.0, abs(x), abs(y))
+
+
+def connection_oracle(data: KillingData, p) -> np.ndarray:
     """Connection table from metric evaluations only (no closed form).
 
     Coordinate Christoffel symbols come from central differences of the
@@ -364,8 +361,7 @@ def connection_oracle(data: KillingData, p, h: float | None = None) -> np.ndarra
     margin >= 2h.
     """
     x, y, _ = (float(v) for v in p)
-    if h is None:
-        h = FD_SCALE * max(1.0, abs(x), abs(y))
+    h = _oracle_step(x, y)
     if data.domain.margin_at(x, y) < 2.0 * h:
         raise FdMarginError(
             f"need margin >= {2 * h} inside the domain around ({x}, {y})")
@@ -384,7 +380,7 @@ def connection_oracle(data: KillingData, p, h: float | None = None) -> np.ndarra
     christoffel = 0.5 * np.einsum("cd,abd->cab", g_inv, sym)
 
     def frame_matrix(q):
-        return frame(data, (q[0], q[1], 0.0)).vectors
+        return frame(data, q)
 
     eframe = frame_matrix((x, y))
     # dE[c, j, k] = d E_j^k / d x_c
@@ -408,15 +404,13 @@ def frame_bracket_12(data: KillingData, p) -> np.ndarray:
                      2.0 * r])
 
 
-def frame_bracket_fd(data: KillingData, p, i: int, j: int,
-                     h: float | None = None) -> np.ndarray:
+def frame_bracket_fd(data: KillingData, p, i: int, j: int) -> np.ndarray:
     """[E_i, E_j] in frame components from differentiated frame flows."""
-    x, y, z = (float(v) for v in p)
-    if h is None:
-        h = FD_SCALE * max(1.0, abs(x), abs(y))
+    x, y = float(p[0]), float(p[1])
+    h = _oracle_step(x, y)
 
     def vectors(q):
-        return frame(data, (q[0], q[1], z)).vectors
+        return frame(data, q)
 
     e = vectors((x, y))
     bracket = np.zeros(3)
@@ -457,8 +451,7 @@ def riemann_closed(data: KillingData, p, X, Y, Z, W) -> float:
     return term1 + term2 + term3
 
 
-def riemann_direct(data: KillingData, p, X, Y, Z, W,
-                   h: float | None = None) -> float:
+def riemann_direct(data: KillingData, p, X, Y, Z, W) -> float:
     """<R(X,Y)Z, W> from the definition D_X D_Y Z - D_Y D_X Z - D_[X,Y] Z.
 
     X, Y, Z, W are taken as constant-frame-component fields. Connection
@@ -468,8 +461,7 @@ def riemann_direct(data: KillingData, p, X, Y, Z, W,
     """
     x, y, z = (float(v) for v in p)
     X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
-    if h is None:
-        h = FD_SCALE * max(1.0, abs(x), abs(y))
+    h = _oracle_step(x, y)
     if data.domain.margin_at(x, y) < 2.0 * h:
         raise FdMarginError(f"need margin >= {2 * h} around ({x}, {y})")
 
@@ -512,7 +504,7 @@ def ricci_from_scalars(r: float, grad, g_curv: float, lam: float) -> np.ndarray:
     return m
 
 
-def ricci_contraction(data: KillingData, p, h: float | None = None) -> np.ndarray:
+def ricci_contraction(data: KillingData, p) -> np.ndarray:
     """Ricci by contracting the finite-difference curvature (oracle)."""
     basis = np.eye(3)
     out = np.zeros((3, 3))
@@ -521,6 +513,6 @@ def ricci_contraction(data: KillingData, p, h: float | None = None) -> np.ndarra
             total = 0.0
             for i in range(3):
                 total += riemann_direct(data, p, basis[i], basis[a],
-                                        basis[b], basis[i], h)
+                                        basis[b], basis[i])
             out[a, b] = out[b, a] = total
     return out

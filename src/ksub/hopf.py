@@ -58,13 +58,11 @@ __all__ = [
     "HopfVerdict",
     "RotationalCase",
     "bcv_circle",
-    "circle_kappa",
     "circle_radius_for_kappa",
     "arclength_reparam",
     "curve_length",
     "geodesic_curvature",
     "hopf_residuals",
-    "classify_hopf",
     "rotational_case_search",
     "cylinder_patch",
     "cylinder_surface_check",
@@ -137,8 +135,8 @@ class ConformalBase:
     def __init__(self, data: geo.KillingData):
         self.data = data
 
-    def contains(self, p, margin: float = 0.0) -> bool:
-        return self.data.domain.contains(p[0], p[1], margin)
+    def contains(self, p) -> bool:
+        return self.data.domain.contains(p[0], p[1])
 
     def metric(self, p) -> np.ndarray:
         lam = self.data.lam(p[0], p[1])
@@ -200,9 +198,8 @@ class WarpedBase:
         self.r = float(r)
         self.t_interval = (float(t_interval[0]), float(t_interval[1]))
 
-    def contains(self, p, margin: float = 0.0) -> bool:
-        return (self.t_interval[0] + margin < p[0]
-                < self.t_interval[1] - margin)
+    def contains(self, p) -> bool:
+        return self.t_interval[0] < p[0] < self.t_interval[1]
 
     def _fjet(self, t: float) -> Jet:
         jet = eval_jet(self.f, (t,))
@@ -249,12 +246,6 @@ class WarpedBase:
 # ---------------------------------------------------------------------------
 # Circles in a BCV chart (arc length in closed form)
 # ---------------------------------------------------------------------------
-
-def circle_kappa(c: float, radius: float) -> float:
-    """Geodesic curvature of the origin-centered circle of Euclidean radius R
-    in the rotationally symmetric chart with curvature c (anticlockwise)."""
-    return 1.0 / radius - 0.25 * c * radius
-
 
 def circle_radius_for_kappa(c: float, kappa: float) -> float:
     """Euclidean radius of the origin-centered circle with geodesic curvature
@@ -305,16 +296,17 @@ def curve_length(curve: BaseCurve, base) -> float:
     return float(value)
 
 
-def arclength_reparam(curve: BaseCurve, base, samples: int = 257):
+def arclength_reparam(curve: BaseCurve, base):
     """Reparametrize a regular curve by arc length.
 
-    If the curve is already unit speed (within 1e-10 on a sample grid) it is
-    returned unchanged with the flag set. Otherwise the parameter change
-    solves dt/ds = 1/speed with a dense high-order integrator, so evaluation
-    keeps exact jets of the original components chained through t(s).
+    If the curve is already unit speed (within 1e-10 on a grid of 257
+    samples) it is returned unchanged with the flag set. Otherwise the
+    parameter change solves dt/ds = 1/speed with a dense high-order
+    integrator, so evaluation keeps exact jets of the original components
+    chained through t(s).
     """
     t0, t1 = curve.interval
-    ts = np.linspace(t0, t1, samples)
+    ts = np.linspace(t0, t1, 257)
     speeds = np.array([base.speed_jet(curve, float(t))[0] for t in ts])
     if np.min(speeds) ** 2 <= 1e-12:
         raise DegenerateCurveError("curve speed vanishes on the interval")
@@ -485,30 +477,23 @@ def hopf_residuals(curve, base, n_samples: int = 64,
                       res, gres, cross, verdict)
 
 
-def classify_hopf(curve, base, n_samples: int = 64,
-                  const_tol: float = CONST_TOL,
-                  crit_tol: float = CRITERION_TOL) -> HopfVerdict:
-    """PASS iff kappa_g, r, G are constant along the curve, kappa_g != 0 and
-    kappa_g^2 = G - 4 r^2 (all within tolerance)."""
-    return hopf_residuals(curve, base, n_samples, const_tol, crit_tol).verdict
-
-
 # ---------------------------------------------------------------------------
 # Cylinders as surface patches (cross-checks against the surface module)
 # ---------------------------------------------------------------------------
 
-def cylinder_patch(data: geo.KillingData, curve: BaseCurve,
-                   v_span: tuple[float, float] = (0.0, 1.0),
-                   **kwargs) -> srf.SurfacePatch:
-    """Vertical cylinder (x(s), y(s), v) over an expression-backed curve."""
+def cylinder_patch(data: geo.KillingData, curve: BaseCurve) -> srf.SurfacePatch:
+    """Vertical cylinder (x(s), y(s), v), 0 < v < 1, over an
+    expression-backed curve."""
     if not isinstance(curve, BaseCurve):
         raise TypeError("cylinder_patch needs an expression-backed BaseCurve")
+    if curve.x.variables != ("s",):
+        raise ValueError("cylinder_patch needs a curve in the parameter s")
     pvars = ("s", "v")
-    x = parse(str(curve.x), pvars)
-    y = parse(str(curve.y), pvars)
+    x = Expr(curve.x.root, pvars)
+    y = Expr(curve.y.root, pvars)
     z = parse("v", pvars)
-    domain = geo.Rect(curve.interval[0], curve.interval[1], *v_span)
-    return srf.SurfacePatch(x, y, z, domain, data, **kwargs)
+    domain = geo.Rect(curve.interval[0], curve.interval[1], 0.0, 1.0)
+    return srf.SurfacePatch(x, y, z, domain, data)
 
 
 def cylinder_surface_check(data: geo.KillingData, curve: BaseCurve,
@@ -559,7 +544,6 @@ class RotationalCase:
 
 
 def rotational_case_search(f, r: float, interval: tuple[float, float],
-                           n_scan: int = 1024,
                            const_tol: float = CONST_TOL,
                            crit_tol: float = CRITERION_TOL
                            ) -> list[RotationalCase]:
@@ -568,7 +552,8 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
     curvature r.
 
     The defining condition is f (f'' + 4 r^2 f) + f'^2 = 0 at t0; every root
-    in the interval is located by scanning and bracketed root refinement.
+    in the interval is located by a scan of 1024 points and bracketed root
+    refinement.
     For each root the circle s -> (t0, s / f(t0)) is returned together with
     its full residual report, classified with ``const_tol`` and ``crit_tol``
     as in :func:`hopf_residuals`; the geodesic curvature is f'(t0)/f(t0) and
@@ -588,7 +573,7 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
         return j.value, (j.value * (j.hess[0, 0] + 4.0 * r * r * j.value)
                          + power(j.grad[0], 2))
 
-    ts = np.linspace(t0, t1, n_scan)
+    ts = np.linspace(t0, t1, 1024)
     fv, gv = batched(circle_condition, ts)
     if np.min(fv) <= 0.0:
         raise ValueError("warp profile f must be positive on the interval")

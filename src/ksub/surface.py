@@ -19,11 +19,10 @@ Each parameter point has one record, kept in its patch's store and read
 through the patch's :class:`SurfaceEvaluator` view. The immersion half (jets
 of x, y, z, tangents, first form, normal, the angle and the vertical tangent)
 is computed at every point, the stencil points of the parameter derivatives
-included. The ambient half (lam, r, its gradient, G and the connection table
-at the image point), the Christoffels and the adapted frame are computed on
-their first read, all from the order-2 jets at the point. The Weingarten
-half (shape operator, mean curvature, |A|^2) is filled in place, from the
-point's own record, where the shape operator is asked for.
+included. Everything else is computed on its first read, from the order-2
+jets at the point: the ambient half (lam, r, its gradient, G and the
+connection table at the image point), the Christoffels, the adapted frame
+and the Weingarten half (shape operator, mean curvature, |A|^2).
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step h = ``1e-3 * patch
@@ -53,13 +52,10 @@ from .numdiff import derivatives, partial1
 __all__ = [
     "SurfacePatch",
     "analyze_point",
-    "adapted_frame",
     "shape_matrix_adapted",
     "gauss_residual",
     "codazzi_residual",
     "compatibility_residuals",
-    "surface_laplacian",
-    "induced_gauss_curvature",
     "shape_norm_from_angle",
 ]
 
@@ -89,12 +85,11 @@ class SurfacePatch:
         # the patch owns its point records; evaluators are views over them,
         # so a dropped patch frees its records by reference count
         self._points: dict[tuple[float, float], _PointData] = {}
+        # a record refuses a degenerate first form, so building the 5x5
+        # grid's records checks the immersion's regularity
         ev = self.evaluator()
         for (u, v) in self.domain.grid(5, 5, inset=0.02):
-            d = ev.data(u, v)
-            if np.linalg.det(d.first_form) <= REGULARITY_TOL:
-                raise DegenerateImmersionError(
-                    f"immersion degenerate near parameters ({u}, {v})")
+            ev.data(u, v)
 
     @property
     def params(self) -> tuple[str, str]:
@@ -107,15 +102,13 @@ class SurfacePatch:
         return replace(self, flip_normal=not self.flip_normal)
 
     @classmethod
-    def graph(cls, ambient: geo.KillingData, height, domain: geo.Rect | None = None,
-              **kwargs) -> "SurfacePatch":
+    def graph(cls, ambient: geo.KillingData, height,
+              domain: geo.Rect) -> "SurfacePatch":
         """Vertical graph z = height(x, y) parametrized by the base coords."""
         if isinstance(height, str):
             height = parse(height, ("x", "y"))
-        if domain is None:
-            domain = ambient.domain
         return cls(parse("x", ("x", "y")), parse("y", ("x", "y")), height,
-                   domain, ambient, **kwargs)
+                   domain, ambient)
 
 
 @dataclass
@@ -124,11 +117,11 @@ class _PointData:
 
     Immersion data (the jets of x, y, z up to their Hessians) is computed at
     every point; ambient data at the image point, ``tangent_derivs``,
-    ``christoffels`` and the adapted frame ``e1, e2`` (None within ANGLE_EPS
-    of a vertical normal) on their first read. The Weingarten half is None
-    until :meth:`SurfaceEvaluator.weingarten` fills it exactly: the shape
-    operator ``shape_ortho`` lives in the orthonormalized (d/du, d/dv) basis
-    ``ortho_basis``, ``mean_h`` is its trace and ``norm_sq`` is |A|^2.
+    ``christoffels``, the adapted frame ``e1, e2`` (None within ANGLE_EPS
+    of a vertical normal) and the exact Weingarten half on their first read.
+    In that half the shape operator ``shape_ortho`` lives in the
+    orthonormalized (d/du, d/dv) basis ``ortho_basis``, ``mean_h`` is its
+    trace and ``norm_sq`` is |A|^2.
     """
 
     ambient: geo.KillingData
@@ -143,11 +136,6 @@ class _PointData:
     sin_phi: float
     phi: float
     vertical_tangent: np.ndarray    # T = xi - cos(phi) eta, frame components
-    shape_frame: np.ndarray | None = None  # (2, 3): rows A(d/du), A(d/dv)
-    ortho_basis: np.ndarray | None = None  # (2, 3): rows f1, f2 (orthonormal)
-    shape_ortho: np.ndarray | None = None  # (2, 2): <A(f_a), f_b>
-    mean_h: float | None = None
-    norm_sq: float | None = None
 
     @cached_property
     def lam(self) -> float:
@@ -195,6 +183,53 @@ class _PointData:
         sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
         return 0.5 * np.einsum("cd,abd->cab", np.linalg.inv(self.first_form),
                                sym)
+
+    @cached_property
+    def shape_frame(self) -> np.ndarray:
+        """(2, 3): rows A(d/du), A(d/dv), in frame components."""
+        # h_ij = <d_i t_j + gamma(t_i, t_j), eta>
+        cov = self.tangent_derivs + np.einsum("il,jm,lmk->ijk", self.tangents,
+                                              self.tangents, self.gamma)
+        return (np.linalg.solve(self.first_form, cov @ self.normal).T
+                @ self.tangents)
+
+    @cached_property
+    def _gram_schmidt(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows f1, f2 of the orthonormalized tangents, and their (du, dv)
+        coefficient rows."""
+        g = self.first_form
+        f1 = self.tangents[0] / math.sqrt(g[0, 0])
+        c1 = np.array([1.0 / math.sqrt(g[0, 0]), 0.0])
+        w = self.tangents[1] - (g[0, 1] / g[0, 0]) * self.tangents[0]
+        wn = np.linalg.norm(w)
+        f2 = w / wn
+        c2 = np.array([-g[0, 1] / g[0, 0], 1.0]) / wn
+        return np.stack([f1, f2]), np.stack([c1, c2])
+
+    @cached_property
+    def ortho_basis(self) -> np.ndarray:
+        """(2, 3): rows f1, f2 (orthonormal)."""
+        return self._gram_schmidt[0]
+
+    @cached_property
+    def shape_ortho(self) -> np.ndarray:
+        """(2, 2): <A(f_a), f_b>."""
+        shape_frame = self.shape_frame
+        ortho_basis, ortho_coeffs = self._gram_schmidt
+        shape_ortho = np.empty((2, 2))
+        for a in range(2):
+            av = ortho_coeffs[a] @ shape_frame
+            for b in range(2):
+                shape_ortho[a, b] = float(av @ ortho_basis[b])
+        return shape_ortho
+
+    @cached_property
+    def mean_h(self) -> float:
+        return float(np.trace(self.shape_ortho))
+
+    @cached_property
+    def norm_sq(self) -> float:
+        return float(np.sum(self.shape_ortho * self.shape_ortho))
 
     @cached_property
     def e1(self) -> np.ndarray | None:
@@ -263,10 +298,11 @@ class SurfaceEvaluator:
     # -- shape operator --------------------------------------------------------
 
     def weingarten(self, u: float, v: float) -> _PointData:
-        """The point's record with its Weingarten half filled in."""
+        """The point's record with its Weingarten half computed, so that an
+        error in the half surfaces here."""
         d = self.data(u, v)
-        if d.shape_frame is None:
-            self._fill_weingarten(d)
+        # reading these computes the whole half, the shape operator first
+        d.mean_h, d.norm_sq, d.ortho_basis
         return d
 
     def require_margin(self, u, v, need):
@@ -274,32 +310,6 @@ class SurfaceEvaluator:
             raise FdMarginError(
                 f"parameter point ({u}, {v}) too close to the patch edge "
                 f"for a stencil of width {need}")
-
-    def _fill_weingarten(self, d: _PointData) -> None:
-        # h_ij = <d_i t_j + gamma(t_i, t_j), eta>
-        cov = d.tangent_derivs + np.einsum("il,jm,lmk->ijk", d.tangents,
-                                           d.tangents, d.gamma)
-        shape_frame = np.linalg.solve(d.first_form, cov @ d.normal).T @ d.tangents
-
-        g = d.first_form
-        f1 = d.tangents[0] / math.sqrt(g[0, 0])
-        c1 = np.array([1.0 / math.sqrt(g[0, 0]), 0.0])
-        w = d.tangents[1] - (g[0, 1] / g[0, 0]) * d.tangents[0]
-        wn = np.linalg.norm(w)
-        f2 = w / wn
-        c2 = np.array([-g[0, 1] / g[0, 0], 1.0]) / wn
-        ortho_basis = np.stack([f1, f2])
-        ortho_coeffs = np.stack([c1, c2])
-
-        shape_ortho = np.empty((2, 2))
-        for a in range(2):
-            av = ortho_coeffs[a] @ shape_frame
-            for b in range(2):
-                shape_ortho[a, b] = float(av @ ortho_basis[b])
-        d.ortho_basis, d.shape_ortho = ortho_basis, shape_ortho
-        d.mean_h = float(np.trace(shape_ortho))
-        d.norm_sq = float(np.sum(shape_ortho * shape_ortho))
-        d.shape_frame = shape_frame  # last: weingarten() reads it as "filled"
 
     def shape_apply_coeff(self, u: float, v: float, coeff) -> np.ndarray:
         """A applied to a tangent vector given by (du, dv) coefficients."""
@@ -433,15 +443,6 @@ def shape_frame_fd(patch: SurfacePatch, q) -> np.ndarray:
         for i in range(2)])
 
 
-def adapted_frame(data: _PointData) -> tuple[np.ndarray, np.ndarray]:
-    """The adapted tangent pair of an analyzed point (raises if undefined)."""
-    if data.e1 is None or data.e2 is None:
-        raise AngleSingularError(
-            f"adapted frame undefined at parameters {data.params}: "
-            "the vertical field is normal to the surface")
-    return data.e1, data.e2
-
-
 def _angle_derivatives(patch: SurfacePatch, q):
     """(record, e1(phi), e2(phi), H) at q; raises where no adapted frame."""
     u, v = float(q[0]), float(q[1])
@@ -461,12 +462,6 @@ def shape_matrix_adapted(patch: SurfacePatch, q) -> np.ndarray:
     d, e1_phi, e2_phi, mean_h = _angle_derivatives(patch, q)
     off = e2_phi - d.r
     return np.array([[e1_phi, off], [off, mean_h - e1_phi]])
-
-
-def induced_gauss_curvature(patch: SurfacePatch, q) -> float:
-    """Intrinsic curvature of the induced metric: the Brioschi formula over
-    one sampling pass of the first form."""
-    return patch.evaluator().brioschi_curvature(float(q[0]), float(q[1]))
 
 
 def gauss_residual(patch: SurfacePatch, q) -> float:
@@ -550,11 +545,6 @@ def compatibility_residuals(patch: SurfacePatch, q) -> tuple[float, float]:
                     + float(coeff @ dcos))
     # np.max, unlike max, propagates a nan, so a nan residual fails
     return float(np.max(res1)), float(np.max(np.abs(res2)))
-
-
-def surface_laplacian(patch: SurfacePatch, field, q) -> float:
-    """Laplace-Beltrami operator (div grad) applied to a parameter field."""
-    return patch.evaluator().laplacian(field, float(q[0]), float(q[1]))[0]
 
 
 def shape_norm_from_angle(patch: SurfacePatch, q) -> float:

@@ -210,13 +210,14 @@ def check_hopf_tube(residual_tol=1e-5, defect_min=0.1) -> CheckReport:
 
     details = {"kappa1_defect": good.verdict.defect}
     for kappa in (0.5, 2.0):
-        v = hopf.classify_hopf(hopf.bcv_circle(1.0, kappa=kappa), sphere)
+        v = hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=kappa),
+                                sphere).verdict
         details[f"kappa{kappa}_defect"] = v.defect
         if v.passed or v.defect < defect_min:
             ok = False
 
     heis = hopf.ConformalBase(geo.bcv(0.0, 0.5))
-    v = hopf.classify_hopf(hopf.bcv_circle(0.0, kappa=1.0), heis)
+    v = hopf.hopf_residuals(hopf.bcv_circle(0.0, kappa=1.0), heis).verdict
     details["heisenberg_admissible"] = v.admissible
     if v.admissible or v.passed:
         ok = False

@@ -40,6 +40,12 @@ def biharmonic_cylinder():
     return patch, (0.5 * circ.interval[1], 0.5)
 
 
+def system_lines(d, e1, e2):
+    """The frame system's lines at an analyzed point, in the pair (e1, e2)."""
+    return bih._system_lines(d.gauss_base, d.r, d.grad_r[0], d.grad_r[1],
+                             d.lam, e1, e2, d.normal, d.norm_sq)
+
+
 def non_biharmonic_cylinder(kappa=0.5):
     circ = hopf.bcv_circle(1.0, kappa=kappa)
     patch = hopf.cylinder_patch(SPHERE, circ)
@@ -92,15 +98,19 @@ class TestFrameSystem:
     def test_rotation_invariance(self):
         patch, q = biharmonic_cylinder()
         base = bih.frame_system_residuals(patch, q)
-        rotated = bih.frame_system_residuals(patch, q, rotation=0.7)
+        d = patch.evaluator().weingarten(*q)
+        ca, sa = math.cos(0.7), math.sin(0.7)
+        f1, f2 = d.ortho_basis
+        rotated = system_lines(d, ca * f1 + sa * f2, -sa * f1 + ca * f2)
         assert base[0] == pytest.approx(rotated[0], abs=1e-12)
         assert np.hypot(base[1], base[2]) == pytest.approx(
             np.hypot(rotated[1], rotated[2]), abs=1e-12)
 
     def test_adapted_basis_agrees_on_invariants(self):
         patch, q = biharmonic_cylinder()
-        ortho = bih.frame_system_residuals(patch, q, basis="ortho")
-        adapted = bih.frame_system_residuals(patch, q, basis="adapted")
+        ortho = bih.frame_system_residuals(patch, q)
+        ev = patch.evaluator()
+        adapted = system_lines(ev.weingarten(*q), *ev.adapted(*q))
         assert ortho[0] == pytest.approx(adapted[0], abs=1e-12)
         assert np.hypot(ortho[1], ortho[2]) == pytest.approx(
             np.hypot(adapted[1], adapted[2]), abs=1e-12)
@@ -138,9 +148,7 @@ class TestRicciAssemblies:
         ev = patch.evaluator()
         d = ev.data(*q)
         w = ev.weingarten(*q)
-        lines = bih._system_lines(d.gauss_base, d.r, d.grad_r[0], d.grad_r[1],
-                                  d.lam, w.ortho_basis[0], w.ortho_basis[1],
-                                  d.normal, w.norm_sq)
+        lines = system_lines(w, *w.ortho_basis)
         ric = geo.ricci(data, d.point[:2])
         assert lines[0] == pytest.approx(
             float(d.normal @ ric @ d.normal) - w.norm_sq, abs=1e-12)
@@ -317,13 +325,14 @@ class TestClassify:
         assert report.satisfied
         assert abs(report.diagnostics["tan2phi_residual"]) <= 1e-12
 
-    def test_generic_graph_lands_in_b2_with_residuals(self):
+    def test_generic_graph_lands_in_b2_with_residuals(self, monkeypatch):
         # tilted plane containing the r-gradient direction; CMC gate relaxed
         # to probe the branch logic on a non-CMC surface
         patch = srf.SurfacePatch(parse("u", PV), parse("0.6*v", PV),
                                  parse("0.8*v", PV),
                                  geo.Rect(-0.8, 0.8, -0.8, 0.8), VARIABLE_R)
-        report = bih.classify_point(patch, (0.3, 0.1), cmc_tol=10.0)
+        monkeypatch.setattr(bih, "CMC_TOL", 10.0)
+        report = bih.classify_point(patch, (0.3, 0.1))
         assert report.branch == "b2"
         assert not report.satisfied
         assert report.diagnostics["aphi_residual"] is not None

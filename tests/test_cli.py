@@ -101,6 +101,19 @@ class TestInfo:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("a", ["(" * 300 + "x" + ")" * 300,
+                                   "+".join(["x"] * 3000),
+                                   "-" * 1500 + "x"],
+                             ids=["parentheses", "sum", "negations"])
+    def test_deep_expression_exits_2(self, capsys, a):
+        code, out, err = run(capsys, "info", "--lambda=1", f"--a={a}",
+                             "--at", "0", "0")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: expression nested too deeply: "
+            "maximum recursion depth exceeded"]
+
     def test_non_finite_result_exits_2(self, capsys):
         code, out, err = run(capsys, "info", "--lambda", "1",
                              "--b", "1e200*x^2", "--at", "1.5", "1")

@@ -152,26 +152,26 @@ class TestGaussCurvature:
 
 class TestFrame:
     def test_flat_frame_is_coordinate_basis(self):
-        fp = geo.frame(FLAT, (0.3, 0.4, 1.0))
-        np.testing.assert_allclose(fp.vectors, np.eye(3), atol=1e-15)
+        vectors = geo.frame(FLAT, (0.3, 0.4, 1.0))
+        np.testing.assert_allclose(vectors, np.eye(3), atol=1e-15)
 
     def test_heisenberg_origin(self):
-        fp = geo.frame(HEIS, (0.0, 0.0, 0.0))
-        np.testing.assert_allclose(fp.vectors, np.eye(3), atol=1e-15)
+        vectors = geo.frame(HEIS, (0.0, 0.0, 0.0))
+        np.testing.assert_allclose(vectors, np.eye(3), atol=1e-15)
 
     def test_shifted_first_leg(self):
         data = make_data("2", "1", "0")
-        fp = geo.frame(data, (0.0, 0.0, 0.0))
-        np.testing.assert_allclose(fp.vectors[0], [0.5, 0.0, 1.0], atol=1e-15)
+        vectors = geo.frame(data, (0.0, 0.0, 0.0))
+        np.testing.assert_allclose(vectors[0], [0.5, 0.0, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("data", FAMILIES)
     def test_gram_matrix_identity(self, data):
         rng = np.random.default_rng(3)
         for _ in range(5):
             x, y = data.domain.random_point(rng)
-            fp = geo.frame(data, (x, y, float(rng.uniform(-1, 1))))
+            vectors = geo.frame(data, (x, y, float(rng.uniform(-1, 1))))
             g = geo.metric_matrix(data, (x, y))
-            gram = fp.vectors @ g @ fp.vectors.T
+            gram = vectors @ g @ vectors.T
             np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
 
     def test_component_conversions_roundtrip(self):

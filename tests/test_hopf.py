@@ -128,7 +128,8 @@ class TestHopfResiduals:
 
     def test_heisenberg_inadmissible(self):
         base = hopf.ConformalBase(geo.bcv(0.0, 0.5))
-        verdict = hopf.classify_hopf(hopf.bcv_circle(0.0, kappa=1.0), base)
+        verdict = hopf.hopf_residuals(hopf.bcv_circle(0.0, kappa=1.0),
+                                      base).verdict
         assert not verdict.admissible
         assert not verdict.passed
         assert "G - 4 r^2" in verdict.reason
@@ -143,7 +144,8 @@ class TestHopfResiduals:
 
     def test_wrong_curvature_defect(self):
         base = hopf.ConformalBase(geo.bcv(2.0, 0.0))
-        verdict = hopf.classify_hopf(hopf.bcv_circle(2.0, kappa=1.0), base)
+        verdict = hopf.hopf_residuals(hopf.bcv_circle(2.0, kappa=1.0),
+                                      base).verdict
         assert not verdict.passed
         assert verdict.defect == pytest.approx(1.0, abs=1e-9)
 
@@ -212,7 +214,7 @@ class TestHopfResiduals:
             data = geo.bcv(c, mu)
             # keep the circle inside the domain
             radius = hopf.circle_radius_for_kappa(c, kappa)
-            if not data.domain.contains(radius, 0.0, margin=0.05):
+            if not data.domain.margin_at(radius, 0.0) > 0.05:
                 continue
             base = hopf.ConformalBase(data)
             report = hopf.hopf_residuals(hopf.bcv_circle(c, kappa=kappa), base)
@@ -235,6 +237,20 @@ class TestCylinderSurfaceCheck:
         assert abs(chk["induced_curvature"]) <= 1e-4
         assert chk["norm_sq_shape"] == pytest.approx(
             kappa ** 2 + 2 * 0.09, abs=1e-6)
+
+    @pytest.mark.parametrize("c, kappa", [(1.0, 1.0), (1.0, 0.5), (0.0, 1.0),
+                                          (4.0, 1.2), (-1.0, 1.2)])
+    def test_patch_reuses_the_curve_tree(self, c, kappa):
+        circ = hopf.bcv_circle(c, kappa=kappa)
+        patch = hopf.cylinder_patch(geo.bcv(c, 0.3), circ)
+        assert patch.x.root is circ.x.root and patch.y.root is circ.y.root
+        assert patch.x.root == parse(str(circ.x), ("s", "v")).root
+
+    def test_patch_needs_the_parameter_s(self):
+        circle = hopf.BaseCurve(parse("cos(t)", ("t",)),
+                                parse("sin(t)", ("t",)), (0.0, 6.0))
+        with pytest.raises(ValueError, match="parameter s"):
+            hopf.cylinder_patch(FLAT, circle)
 
 
 class TestRotationalSearch:

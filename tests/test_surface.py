@@ -72,12 +72,13 @@ class TestAnalyzePoint:
         assert abs(eigs[1]) == pytest.approx(1.0, abs=1e-9)
 
     def test_horizontal_slice(self):
-        d = srf.analyze_point(horizontal_slice(), (0.0, 0.0))
+        patch = horizontal_slice()
+        d = srf.analyze_point(patch, (0.0, 0.0))
         assert d.phi == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(d.shape_ortho, np.zeros((2, 2)), atol=1e-12)
         assert d.e1 is None
         with pytest.raises(AngleSingularError):
-            srf.adapted_frame(d)
+            patch.evaluator().adapted(0.0, 0.0)
 
     def test_normal_unit_and_orthogonal(self):
         d = srf.analyze_point(heis_graph(), (0.1, -0.2))
@@ -123,7 +124,7 @@ class TestAdaptedFrame:
             d = srf.analyze_point(patch, q)
             if d.e1 is None:
                 continue
-            e1, e2 = srf.adapted_frame(d)
+            e1, e2 = patch.evaluator().adapted(*q)
             assert e1 @ e1 == pytest.approx(1.0, abs=1e-10)
             assert e2 @ e2 == pytest.approx(1.0, abs=1e-10)
             assert e1 @ e2 == pytest.approx(0.0, abs=1e-10)
@@ -198,7 +199,7 @@ class TestGaussResidual:
         # det A = -r^2 and K_induced = 0 on any vertical cylinder
         d = srf.analyze_point(patch, q)
         assert np.linalg.det(d.shape_ortho) == pytest.approx(-0.49, abs=1e-7)
-        assert srf.induced_gauss_curvature(patch, q) == pytest.approx(
+        assert patch.evaluator().brioschi_curvature(*q) == pytest.approx(
             0.0, abs=1e-8)
 
     def test_vertical_plane_zero(self):
@@ -216,7 +217,7 @@ class TestGaussResidual:
             parse(f"{rho!r}*cos(u)", PV),
             geo.Rect(0.4, 1.2, 0.1, 1.2),
             make_data("1", "0", "0", rect=(-3, 3, -3, 3)))
-        assert srf.induced_gauss_curvature(patch, (0.8, 0.6)) == pytest.approx(
+        assert patch.evaluator().brioschi_curvature(0.8, 0.6) == pytest.approx(
             1.0 / rho**2, abs=1e-7)
 
 
@@ -281,17 +282,19 @@ class TestCompatibility:
 
 class TestSurfaceLaplacian:
     def test_constant_field(self):
-        assert srf.surface_laplacian(vertical_plane(), lambda u, v: 3.5,
-                                     (0.1, 0.2)) == pytest.approx(0.0, abs=1e-10)
+        ev = vertical_plane().evaluator()
+        assert ev.laplacian(lambda u, v: 3.5, 0.1, 0.2)[0] == pytest.approx(
+            0.0, abs=1e-10)
 
     def test_euclidean_quadratic(self):
-        assert srf.surface_laplacian(vertical_plane(), lambda u, v: u * u,
-                                     (0.1, 0.2)) == pytest.approx(2.0, abs=1e-9)
+        ev = vertical_plane().evaluator()
+        assert ev.laplacian(lambda u, v: u * u, 0.1, 0.2)[0] == pytest.approx(
+            2.0, abs=1e-9)
 
     def test_margin_guard(self):
+        ev = vertical_plane().evaluator()
         with pytest.raises(FdMarginError):
-            srf.surface_laplacian(vertical_plane(), lambda u, v: u,
-                                  (0.9999, 0.0))
+            ev.laplacian(lambda u, v: u, 0.9999, 0.0)
 
     def test_margin_is_the_stencil_reach(self):
         # every numdiff stencil reaches h: a point 1.5 h from the edge
@@ -571,7 +574,9 @@ class TestExactWeingarten:
     def test_matches_finite_difference_oracle(self, data, flip):
         patch = srf.SurfacePatch.graph(
             data, "0.2+0.5*x+0.3*y+0.4*x*y-0.3*x^2",
-            geo.Rect(-0.5, 0.5, -0.5, 0.5), flip_normal=flip)
+            geo.Rect(-0.5, 0.5, -0.5, 0.5))
+        if flip:
+            patch = patch.flipped()
         for q in ((0.1, -0.2), (0.3, 0.25), (-0.35, 0.05)):
             d = srf.analyze_point(patch, q)
             assert d.sin_phi >= 0.25  # tilted: every frame term contributes
