@@ -77,10 +77,13 @@ class BitensionResidual:
     def tangential_norm(self) -> float:
         return float(np.linalg.norm(self.tangential))
 
-    def is_biharmonic(self, tol: float = RESIDUAL_TOL) -> bool:
+    def is_biharmonic(self, tol: float | None = None) -> bool:
+        """Whether both defects are within ``tol`` (RESIDUAL_TOL as it is
+        when called, by default)."""
+        tol = RESIDUAL_TOL if tol is None else tol
         return max(abs(self.normal), self.tangential_norm) <= tol
 
-    def is_proper(self, tol: float = RESIDUAL_TOL) -> bool:
+    def is_proper(self, tol: float | None = None) -> bool:
         return self.is_biharmonic(tol) and abs(self.mean_h) > PROPER_H_TOL
 
 

@@ -497,8 +497,11 @@ def ricci(data: KillingData, p) -> np.ndarray:
 
 def ricci_from_scalars(r: float, grad, g_curv: float, lam: float) -> np.ndarray:
     """The closed-form Ricci tensor from r, its coordinate gradient, G and
-    lam at one base point."""
-    m = np.diag([g_curv - 2.0 * r * r, g_curv - 2.0 * r * r, 2.0 * r * r])
+    lam at one base point, or (3, 3, N) at a batch of N."""
+    horizontal = g_curv - 2.0 * r * r
+    m = np.zeros((3, 3) + np.shape(horizontal))
+    m[0, 0] = m[1, 1] = horizontal
+    m[2, 2] = 2.0 * r * r
     m[0, 2] = m[2, 0] = -grad[1] / lam
     m[1, 2] = m[2, 1] = grad[0] / lam
     return m

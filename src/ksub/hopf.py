@@ -23,6 +23,14 @@ constant bundle curvature, which is how the constant-curvature circle
 construction below works without ever building an isothermal conformal
 factor.
 
+The sweep along the curve is one batch. :func:`hopf_residuals` evaluates
+the geodesic curvature once per stencil column over all samples, and r, G
+and the Ricci values once each; a chart method or :func:`geodesic_curvature`
+given arrays of points (the batch on a trailing axis) equals its one-point
+results bit for bit, and a float is a batch of one. A failing sweep reruns
+sample by sample (:func:`ksub.expr.batched`), so its first failing sample
+raises its own error.
+
 Sign convention: kappa_g uses the normal n = J(alpha') with (alpha', n)
 positively oriented, so an anticlockwise Euclidean circle of radius R in the
 flat chart has kappa_g = +1/R. The lifted frame on the cylinder uses the
@@ -32,6 +40,7 @@ that frame equals -kappa_g; only kappa_g^2 enters the criterion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -47,7 +56,7 @@ from .errors import (
     NotArcLengthError,
     OutsideDomainError,
 )
-from .expr import Expr, Jet, batched, compose_jet, eval_jet, parse, power
+from .expr import Expr, Jet, batched, eval_jet, parse, power
 
 __all__ = [
     "BaseCurve",
@@ -93,12 +102,24 @@ class BaseCurve:
         if not self.interval[1] > self.interval[0]:
             raise ValueError("curve interval must have positive length")
 
-    def point_jets(self, s: float) -> tuple[Jet, Jet]:
+    def point_jets(self, s) -> tuple[Jet, Jet]:
+        """Jets of x and y at s, a float or an array of parameters."""
         return eval_jet(self.x, (s,)), eval_jet(self.y, (s,))
 
-    def point(self, s: float) -> tuple[float, float]:
+    def point(self, s) -> tuple[float, float]:
         jx, jy = self.point_jets(s)
         return jx.value, jy.value
+
+
+def _chain(jet: Jet, tp, tpp) -> Jet:
+    """The jet in s of f(t(s)) from f's jet at t(s), t' and t'': the one-
+    variable case of :func:`~ksub.expr.compose_jet`, whose matmul and
+    einsum add each one-term product to +0.0 (so -0.0 comes out as 0.0).
+    Elementwise, so t may be a float or an array."""
+    fp, fpp = jet.grad[0], jet.hess[0, 0]
+    grad = 0.0 + fp * tp
+    hess = (0.0 + fp * tpp) + (0.0 + (0.0 + tp * fpp) * tp)
+    return Jet(jet.value, np.array([grad]), np.array([[hess]]))
 
 
 class ReparamCurve:
@@ -111,14 +132,17 @@ class ReparamCurve:
         self.interval = (0.0, float(length))
         self.arc_length = True
 
-    def point_jets(self, s: float) -> tuple[Jet, Jet]:
-        t = float(self._solution(s)[0])
+    def point_jets(self, s) -> tuple[Jet, Jet]:
+        """Jets in s at a float s, or at an array of s from one call of the
+        dense solution."""
+        t = self._solution(s)[0]
+        if type(s) is not np.ndarray:
+            t = float(t)
         sigma, dsigma = self.base.speed_jet(self.curve, t)
         tp = 1.0 / sigma
-        tpp = -dsigma / sigma ** 3
-        inner = Jet(t, [tp], [[tpp]])
+        tpp = -dsigma / power(sigma, 3)
         jx, jy = self.curve.point_jets(t)
-        return compose_jet(jx, [inner]), compose_jet(jy, [inner])
+        return _chain(jx, tp, tpp), _chain(jy, tp, tpp)
 
     def point(self, s: float) -> tuple[float, float]:
         t = float(self._solution(s)[0])
@@ -126,8 +150,52 @@ class ReparamCurve:
 
 
 # ---------------------------------------------------------------------------
+# Batches
+# ---------------------------------------------------------------------------
+
+def _rows(a) -> np.ndarray:
+    """A batch (on the trailing axis) as C-contiguous per-point rows."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def _product(*factors):
+    """``u @ m @ ... @ w`` for vectors u, w and the matrices between them,
+    at one point or at each point of a batch on the trailing axis.
+
+    A batch goes through numpy's stacked matmul on C-contiguous per-point
+    rows, which rounds as the one-point product does; on a strided view,
+    or as a sum written out by hand, the last bit differs at some points.
+    """
+    if np.ndim(factors[0]) == 1:
+        return float(functools.reduce(np.matmul, factors))
+    u, *mats, w = map(_rows, factors)
+    return (functools.reduce(np.matmul, mats, u[:, None, :])
+            @ w[:, :, None])[:, 0, 0]
+
+
+def _hypot(x, y):
+    """``math.hypot``, one element at a time on arrays (numpy's hypot,
+    libm's, differs from Python's in the last bit at about 0.6 % of
+    arguments)."""
+    if type(x) is not np.ndarray:
+        return math.hypot(x, y)
+    return np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
+
+
+def _first_bad(flags, *values):
+    """The values as floats at the first point whose flag is set (at one
+    point, the values themselves), or None if no flag is set."""
+    if not np.any(flags):
+        return None
+    i = int(np.argmax(flags))
+    return tuple(float(np.ravel(v)[i]) for v in values)
+
+
+# ---------------------------------------------------------------------------
 # Base charts
 # ---------------------------------------------------------------------------
+# Every chart method takes a point of floats or of coordinate arrays (a batch
+# on the trailing axis) and equals, point by point, its one-point result.
 
 class ConformalBase:
     """The base surface of a canonical metric: lam^2 (dx^2 + dy^2)."""
@@ -135,21 +203,20 @@ class ConformalBase:
     def __init__(self, data: geo.KillingData):
         self.data = data
 
-    def contains(self, p) -> bool:
+    def contains(self, p):
         return self.data.domain.contains(p[0], p[1])
 
     def metric(self, p) -> np.ndarray:
         lam = self.data.lam(p[0], p[1])
-        return np.diag([lam * lam, lam * lam])
+        lam_sq = lam * lam
+        zero = np.zeros_like(lam_sq)
+        return np.array([[lam_sq, zero], [zero, lam_sq]])
 
     def christoffels(self, p) -> np.ndarray:
         lam, _, _ = self.data.base_jets(p[0], p[1])
         ux = lam.grad[0] / lam.value
         uy = lam.grad[1] / lam.value
-        gamma = np.empty((2, 2, 2))
-        gamma[0] = [[ux, uy], [uy, -ux]]
-        gamma[1] = [[-uy, ux], [ux, uy]]
-        return gamma
+        return np.array([[[ux, uy], [uy, -ux]], [[-uy, ux], [ux, uy]]])
 
     def gauss(self, p) -> float:
         return geo.gauss_curvature(self.data, p)
@@ -162,25 +229,27 @@ class ConformalBase:
         """(Ricc(eta,eta), Ricc(eta,e1), Ricc(eta,e2)) for the lifted frame,
         from r, its gradient and G at ``p``."""
         lam = self.data.lam(p[0], p[1])
-        eta = np.array([lam * yp, -lam * xp, 0.0])
-        e1 = np.array([lam * xp, lam * yp, 0.0])
-        e2 = np.array([0.0, 0.0, 1.0])
+        zero = np.zeros_like(lam)
+        eta = np.array([lam * yp, -lam * xp, zero])
+        e1 = np.array([lam * xp, lam * yp, zero])
+        e2 = np.array([zero, zero, zero + 1.0])
         ric = geo.ricci_from_scalars(r, grad_r, gauss, lam)
-        return (float(eta @ ric @ eta), float(eta @ ric @ e1),
-                float(eta @ ric @ e2))
+        return (_product(eta, ric, eta), _product(eta, ric, e1),
+                _product(eta, ric, e2))
 
-    def speed_jet(self, curve: BaseCurve, t: float) -> tuple[float, float]:
+    def speed_jet(self, curve: BaseCurve, t) -> tuple[float, float]:
         """(speed, d speed / dt) of a curve in this chart."""
         jx, jy = curve.point_jets(t)
-        lam2 = eval_jet(self.data.lam, (jx.value, jy.value))
-        lam = compose_jet(lam2, [jx, jy])
+        lam = eval_jet(self.data.lam, (jx.value, jy.value))
         xp, yp = jx.grad[0], jy.grad[0]
         xpp, ypp = jx.hess[0, 0], jy.hess[0, 0]
-        qn = math.hypot(xp, yp)
-        if qn == 0.0:
-            raise DegenerateCurveError(f"curve has zero velocity at t = {t}")
+        dlam = _product(lam.grad, np.array([xp, yp]))  # as compose_jet forms it
+        qn = _hypot(xp, yp)
+        bad = _first_bad(qn == 0.0, t)
+        if bad:
+            raise DegenerateCurveError(f"curve has zero velocity at t = {bad[0]}")
         sigma = lam.value * qn
-        dsigma = lam.grad[0] * qn + lam.value * (xp * xpp + yp * ypp) / qn
+        dsigma = dlam * qn + lam.value * (xp * xpp + yp * ypp) / qn
         return sigma, dsigma
 
 
@@ -198,22 +267,24 @@ class WarpedBase:
         self.r = float(r)
         self.t_interval = (float(t_interval[0]), float(t_interval[1]))
 
-    def contains(self, p) -> bool:
-        return self.t_interval[0] < p[0] < self.t_interval[1]
+    def contains(self, p):
+        return (self.t_interval[0] < p[0]) & (p[0] < self.t_interval[1])
 
-    def _fjet(self, t: float) -> Jet:
+    def _fjet(self, t) -> Jet:
         jet = eval_jet(self.f, (t,))
-        if jet.value <= 0.0:
-            raise OutsideDomainError(f"warp profile nonpositive at t = {t}")
+        bad = _first_bad(jet.value <= 0.0, t)
+        if bad:
+            raise OutsideDomainError(f"warp profile nonpositive at t = {bad[0]}")
         return jet
 
     def metric(self, p) -> np.ndarray:
-        f = self._fjet(p[0])
-        return np.diag([1.0, f.value ** 2])
+        f_sq = power(self._fjet(p[0]).value, 2)
+        zero = np.zeros_like(f_sq)
+        return np.array([[zero + 1.0, zero], [zero, f_sq]])
 
     def christoffels(self, p) -> np.ndarray:
         f = self._fjet(p[0])
-        gamma = np.zeros((2, 2, 2))
+        gamma = np.zeros((2, 2, 2) + np.shape(f.value))
         gamma[0, 1, 1] = -f.value * f.grad[0]
         gamma[1, 0, 1] = gamma[1, 1, 0] = f.grad[0] / f.value
         return gamma
@@ -223,23 +294,26 @@ class WarpedBase:
         return -f.hess[0, 0] / f.value
 
     def bundle(self, p) -> tuple[float, np.ndarray]:
-        return self.r, np.zeros(2)
+        shape = np.shape(p[0])  # () at one point, where [()] gives a scalar
+        return np.full(shape, self.r)[()], np.zeros((2,) + shape)
 
     def ricci_values(self, p, xp: float, yp: float, r: float, grad_r,
                      gauss: float):
-        return (gauss - 2.0 * r ** 2, 0.0, 0.0)
+        return (gauss - 2.0 * power(r, 2), 0.0, 0.0)
 
-    def speed_jet(self, curve: BaseCurve, t: float) -> tuple[float, float]:
+    def speed_jet(self, curve: BaseCurve, t) -> tuple[float, float]:
         jx, jy = curve.point_jets(t)
         f = self._fjet(jx.value)
+        f_sq = power(f.value, 2)
         tp, thp = jx.grad[0], jy.grad[0]
         tpp, thpp = jx.hess[0, 0], jy.hess[0, 0]
-        sq = tp * tp + f.value ** 2 * thp * thp
-        if sq <= 0.0:
-            raise DegenerateCurveError(f"curve has zero velocity at t = {t}")
-        sigma = math.sqrt(sq)
+        sq = tp * tp + f_sq * thp * thp
+        bad = _first_bad(sq <= 0.0, t)
+        if bad:
+            raise DegenerateCurveError(f"curve has zero velocity at t = {bad[0]}")
+        sigma = np.sqrt(sq)
         dsq = (2.0 * tp * tpp + 2.0 * f.value * f.grad[0] * tp * thp * thp
-               + 2.0 * f.value ** 2 * thp * thpp)
+               + 2.0 * f_sq * thp * thpp)
         return sigma, 0.5 * dsq / sigma
 
 
@@ -307,7 +381,7 @@ def arclength_reparam(curve: BaseCurve, base):
     """
     t0, t1 = curve.interval
     ts = np.linspace(t0, t1, 257)
-    speeds = np.array([base.speed_jet(curve, float(t))[0] for t in ts])
+    speeds = batched(lambda t: base.speed_jet(curve, t)[0], ts)
     if np.min(speeds) ** 2 <= 1e-12:
         raise DegenerateCurveError("curve speed vanishes on the interval")
     if np.max(np.abs(speeds - 1.0)) <= 1e-10:
@@ -329,27 +403,40 @@ def arclength_reparam(curve: BaseCurve, base):
 # Geodesic curvature
 # ---------------------------------------------------------------------------
 
-def geodesic_curvature(curve, base, s: float) -> float:
+def geodesic_curvature(curve, base, s):
     """Signed geodesic curvature of a unit-speed curve at parameter s.
 
     The normal is the quarter-turn J(alpha') that makes (alpha', n)
-    positively oriented.
+    positively oriented. ``s`` may be a float or an array of parameters:
+    an array is one pass, equal point by point to the float results, and a
+    failing array raises the error of its first failing point (see
+    :func:`ksub.expr.batched`); a float is a batch of one.
     """
+    if type(s) is np.ndarray:
+        return batched(functools.partial(_geodesic_curvature, curve, base), s)
+    return _geodesic_curvature(curve, base, s)
+
+
+def _geodesic_curvature(curve, base, s):
+    if type(s) is not np.ndarray:  # one point is a batch of one
+        return float(_geodesic_curvature(curve, base, np.array([float(s)]))[0])
     jx, jy = curve.point_jets(s)
     p = (jx.value, jy.value)
     vel = np.array([jx.grad[0], jy.grad[0]])
     acc2 = np.array([jx.hess[0, 0], jy.hess[0, 0]])
     g = base.metric(p)
-    speed = math.sqrt(float(vel @ g @ vel))
-    if abs(speed - 1.0) > ARC_TOL:
-        raise NotArcLengthError(
-            f"curve speed {speed!r} at s = {s}; reparametrize by arc length first")
+    speed = np.sqrt(_product(vel, g, vel))
+    bad = _first_bad(np.abs(speed - 1.0) > ARC_TOL, speed, s)
+    if bad:
+        raise NotArcLengthError(f"curve speed {bad[0]!r} at s = {bad[1]}; "
+                                "reparametrize by arc length first")
     gamma = base.christoffels(p)
-    acc = acc2 + np.einsum("kij,i,j->k", gamma, vel, vel)
-    root = math.sqrt(np.linalg.det(g))
+    acc = acc2 + np.einsum("nkij,ni,nj->nk", _rows(gamma), _rows(vel),
+                           _rows(vel)).T
+    root = np.sqrt(np.linalg.det(_rows(g)))
     n = np.array([-(g[0, 1] * vel[0] + g[1, 1] * vel[1]) / root,
                   (g[0, 0] * vel[0] + g[0, 1] * vel[1]) / root])
-    return float(acc @ g @ n)
+    return _product(acc, g, n)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +503,50 @@ def _verdict_from_samples(kappa, r, gauss, const_tol, crit_tol) -> HopfVerdict:
                        r_std, g_mean, g_std, reason, certified)
 
 
+def _sweep(curve, base, h: float, s):
+    """kappa, kappa', kappa'', tau, r, G, r' and the residuals of both
+    systems at an array of samples s (a float is a batch of one), in the
+    order of one sample's steps."""
+    if type(s) is not np.ndarray:
+        return tuple(float(v[0])
+                     for v in _sweep(curve, base, h, np.array([float(s)])))
+    jx, jy = curve.point_jets(s)
+    p = (jx.value, jy.value)
+    bad = _first_bad(np.logical_not(base.contains(p)), s, *p)
+    if bad:
+        raise OutsideDomainError(f"curve leaves the base domain at s = "
+                                 f"{bad[0]}: point {bad[1:]}")
+    xp, yp = jx.grad[0], jy.grad[0]
+    k, grad, hess = numdiff.derivatives(
+        lambda q: geodesic_curvature(curve, base, q[0]), (s,), h)
+    k1, k2 = grad[0], hess[0, 0]
+    r, grad_r = base.bundle(p)
+    g = base.gauss(p)
+    rd = xp * grad_r[0] + yp * grad_r[1]
+    t = -r
+    ric_nn, ric_n1, ric_n2 = base.ricci_values(p, xp, yp, r, grad_r, g)
+    return (k, k1, k2, t, r, g, rd,
+            k2 - power(k, 3) + (g - 4.0 * r * r) * k,
+            k * k1,
+            r * k1 + rd * k,
+            k2 - k * (k * k + 2.0 * t * t) + k * ric_nn,
+            3.0 * k1 * k - k * ric_n1,
+            k1 * t + k * ric_n2)
+
+
 def hopf_residuals(curve, base, n_samples: int = 64,
-                   const_tol: float = CONST_TOL,
-                   crit_tol: float = CRITERION_TOL) -> HopfReport:
-    """Evaluate both cylinder systems along the curve and classify it."""
+                   const_tol: float | None = None,
+                   crit_tol: float | None = None) -> HopfReport:
+    """Evaluate both cylinder systems along the curve and classify it.
+
+    All samples are one batch: each quantity is one pass over the sample
+    array, the geodesic curvature one pass per stencil column. If the batch
+    fails it reruns sample by sample, so the first failing sample raises
+    its own error. The tolerances default to CONST_TOL and CRITERION_TOL
+    as they are when called.
+    """
+    const_tol = CONST_TOL if const_tol is None else const_tol
+    crit_tol = CRITERION_TOL if crit_tol is None else crit_tol
     if not getattr(curve, "arc_length", False):
         raise NotArcLengthError("hopf residuals need an arc-length curve")
     s0, s1 = curve.interval
@@ -431,42 +558,10 @@ def hopf_residuals(curve, base, n_samples: int = 64,
             f"arc-length interval of length {span:.3e} is shorter than the "
             f"{6.0 * h:.3e} the geodesic-curvature stencil needs")
     samples = np.linspace(s0 + 3.0 * h, s1 - 3.0 * h, n_samples)
-
-    n = len(samples)
-    kap = np.empty(n)
-    kd1 = np.empty(n)
-    kd2 = np.empty(n)
-    tau = np.empty(n)
-    rr = np.empty(n)
-    gg = np.empty(n)
-    rdot = np.empty(n)
-    res = np.empty((n, 3))
-    gres = np.empty((n, 3))
-
-    for i, s in enumerate(samples):
-        jx, jy = curve.point_jets(float(s))
-        p = (jx.value, jy.value)
-        if not base.contains(p):
-            raise OutsideDomainError(
-                f"curve leaves the base domain at s = {s}: point {p}")
-        xp, yp = jx.grad[0], jy.grad[0]
-        k, grad, hess = numdiff.derivatives(
-            lambda q: geodesic_curvature(curve, base, q[0]), (float(s),), h)
-        k1, k2 = grad[0], hess[0, 0]
-        r, grad_r = base.bundle(p)
-        g = base.gauss(p)
-        rd = xp * grad_r[0] + yp * grad_r[1]
-        t = -r
-        ric_nn, ric_n1, ric_n2 = base.ricci_values(p, xp, yp, r, grad_r, g)
-
-        kap[i], kd1[i], kd2[i] = k, k1, k2
-        tau[i], rr[i], gg[i], rdot[i] = t, r, g, rd
-        res[i] = (k2 - k ** 3 + (g - 4.0 * r * r) * k,
-                  k * k1,
-                  r * k1 + rd * k)
-        gres[i] = (k2 - k * (k * k + 2.0 * t * t) + k * ric_nn,
-                   3.0 * k1 * k - k * ric_n1,
-                   k1 * t + k * ric_n2)
+    kap, kd1, kd2, tau, rr, gg, rdot, *systems = batched(
+        functools.partial(_sweep, curve, base, h), samples)
+    res = np.stack(systems[:3], axis=-1)
+    gres = np.stack(systems[3:], axis=-1)
 
     # np.max, unlike max, propagates a nan, so a nan crosscheck fails
     cross = float(np.max(np.abs([gres[:, 0] - res[:, 0],
@@ -544,8 +639,8 @@ class RotationalCase:
 
 
 def rotational_case_search(f, r: float, interval: tuple[float, float],
-                           const_tol: float = CONST_TOL,
-                           crit_tol: float = CRITERION_TOL
+                           const_tol: float | None = None,
+                           crit_tol: float | None = None
                            ) -> list[RotationalCase]:
     """Find coordinate circles t = t0 whose vertical cylinder is proper
     biharmonic in the warped chart dt^2 + f(t)^2 dtheta^2 with bundle
@@ -556,7 +651,7 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
     refinement.
     For each root the circle s -> (t0, s / f(t0)) is returned together with
     its full residual report, classified with ``const_tol`` and ``crit_tol``
-    as in :func:`hopf_residuals`; the geodesic curvature is f'(t0)/f(t0) and
+    as in :func:`hopf_residuals` (which reads the module defaults); the geodesic curvature is f'(t0)/f(t0) and
     the chart curvature is G = -f''(t0)/f(t0).
     """
     from scipy.optimize import brentq

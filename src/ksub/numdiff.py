@@ -6,7 +6,9 @@ table: :func:`_abscissae` lists the points around p in a fixed order, and
 samples there. :func:`derivatives` samples the whole table once;
 :func:`partial1`, :func:`d1` and :func:`d2` sample the part they read, so a
 derivative is the same number on every path. No stencil nests in another.
-``f`` may return a float or a numpy array; the result has its shape.
+``f`` may return a float or a numpy array; the result has its shape. A
+coordinate may be an array of points: ``f`` then sees arrays, and each
+entry of the result is that point's own.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ def _axis(p, i: int, h: float) -> list[list[float]]:
     p + h/2 e_i, p - h/2 e_i."""
     points = [list(p) for _ in range(4)]
     for q, t in zip(points, (h, -h, 0.5 * h, -0.5 * h)):
-        q[i] += t
+        q[i] = q[i] + t  # not +=: the 4 points share an array coordinate
     return points
 
 

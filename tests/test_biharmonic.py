@@ -61,6 +61,14 @@ class TestBitension:
         assert bt.is_biharmonic(1e-6)
         assert not bt.is_proper()
 
+    def test_default_tolerance_read_when_called(self, monkeypatch):
+        bt = bih.BitensionResidual(5e-5, np.zeros(2), 0.0, 1.0)
+        assert bt.is_biharmonic() and bt.is_proper()
+        monkeypatch.setattr(bih, "RESIDUAL_TOL", 1e-5)
+        assert not bt.is_biharmonic()
+        assert not bt.is_proper()
+        assert bt.is_proper(1e-4)
+
     def test_proper_biharmonic_cylinder(self):
         patch, q = biharmonic_cylinder()
         bt = bih.bitension_residual(patch, q)

@@ -230,6 +230,20 @@ class TestBatchedGrid:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
 
+    def test_hopf_circle_check_leaves_scipy_unimported(self):
+        # the batched sweep of a BCV circle needs no arc-length integration
+        code = ("import sys\n"
+                "from ksub.cli import main\n"
+                "code = main(['hopf', 'check', '--bcv', '4', '0.3',\n"
+                "             '--circle-kg', '1.2'])\n"
+                "print(code, 'scipy' in sys.modules)\n")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(ksub.__file__).resolve().parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
+
 
 OUT_ARGVS = [
     ("info", "--bcv", "1", "1", "--at", "0", "0"),
@@ -556,10 +570,15 @@ class TestWorkingSet:
         # 0 measured (374 argparse objects while main built a parser per call)
         assert unreachable <= 10
 
+    # calls per (op, points): info evaluates its grid as one batch, hopf
+    # its 64 samples (r) and its 5 stencil columns of 64 (base jets) as
+    # batches, check-surface point by point
+    CALLS = {("info", 144): 1, ("hopf", 64): 1, ("hopf", 320): 5,
+             ("check-surface", 23): 23}
+
     @staticmethod
     def _points(p):
-        # base points in one call: one, or a batch of coordinate arrays;
-        # info evaluates its grid as one batch, the other ops point by point
+        # base points in one call: one, or a batch of coordinate arrays
         return len(p[0]) if isinstance(p[0], np.ndarray) else 1
 
     @pytest.mark.parametrize("op, points", [("info", 144), ("hopf", 64)])
@@ -576,7 +595,7 @@ class TestWorkingSet:
         assert main(OPS[op]) == 0
         capsys.readouterr()
         assert sum(seen) == points
-        assert len(seen) == (1 if op == "info" else points)
+        assert len(seen) == self.CALLS[op, points]
 
     @pytest.mark.parametrize("op, points", [("info", 144), ("hopf", 320),
                                             ("check-surface", 23)])
@@ -596,4 +615,4 @@ class TestWorkingSet:
         assert main(OPS[op]) == 0
         capsys.readouterr()
         assert sum(seen) == points
-        assert len(seen) == (1 if op == "info" else points)
+        assert len(seen) == self.CALLS[op, points]

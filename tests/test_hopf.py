@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ksub import geometry as geo
-from ksub import hopf
+from ksub import hopf, numdiff
 from ksub.errors import (
     NoIsolatedRootError,
     NotArcLengthError,
@@ -171,13 +171,13 @@ class TestHopfResiduals:
         assert math.isnan(report.crosscheck)
 
     def test_five_geodesic_curvatures_per_sample(self, monkeypatch):
-        # kappa, kappa' and kappa'' come from one pass over the 5-point
-        # stencil of each sample (10 evaluations per sample before)
+        # kappa, kappa' and kappa'' come from the 5-point stencil of each
+        # sample, evaluated as batches: one call per stencil column
         calls = []
         original = hopf.geodesic_curvature
 
         def counted(curve, base, s):
-            calls.append(s)
+            calls.append(np.array(s, ndmin=1))
             return original(curve, base, s)
 
         monkeypatch.setattr(hopf, "geodesic_curvature", counted)
@@ -185,8 +185,21 @@ class TestHopfResiduals:
         report = hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), base,
                                      n_samples=64)
         assert len(report.kappa) == 64
-        assert len(calls) == 5 * 64
-        assert len(set(calls)) == len(calls)
+        abscissae = np.concatenate(calls)
+        assert len(calls) <= 5
+        assert len(abscissae) == 5 * 64
+        assert len(set(abscissae.tolist())) == len(abscissae)
+
+    def test_tolerances_read_when_called(self, monkeypatch):
+        base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
+        circle = hopf.bcv_circle(1.0, kappa=1.0)
+        assert hopf.hopf_residuals(circle, base, n_samples=8).verdict.passed
+        monkeypatch.setattr(hopf, "CRITERION_TOL", -1.0)
+        verdict = hopf.hopf_residuals(circle, base, n_samples=8).verdict
+        assert not verdict.passed and "kappa_g^2" in verdict.reason
+        monkeypatch.setattr(hopf, "CONST_TOL", -1.0)
+        verdict = hopf.hopf_residuals(circle, base, n_samples=8).verdict
+        assert not verdict.passed and "varies" in verdict.reason
 
     def test_crosscheck_on_generic_curve(self):
         # variable r and G, non-constant kappa: the two systems still agree
@@ -220,6 +233,146 @@ class TestHopfResiduals:
             report = hopf.hopf_residuals(hopf.bcv_circle(c, kappa=kappa), base)
             residual_pass = float(np.max(np.abs(report.residuals))) <= tol
             assert report.verdict.passed == residual_pass
+
+
+def loop_report(curve, base, n_samples=64):
+    """The per-sample sweep as it was written before the batched one: each
+    sample in turn, its 5 stencil points through the scalar geodesic
+    curvature."""
+    s0, s1 = curve.interval
+    h = max(1e-3 * (s1 - s0), 1e-6)
+    samples = np.linspace(s0 + 3.0 * h, s1 - 3.0 * h, n_samples)
+    n = len(samples)
+    kap, kd1, kd2, tau, rr, gg, rdot = (np.empty(n) for _ in range(7))
+    res, gres = np.empty((n, 3)), np.empty((n, 3))
+    for i, s in enumerate(samples):
+        jx, jy = curve.point_jets(float(s))
+        p = (jx.value, jy.value)
+        if not base.contains(p):
+            raise OutsideDomainError(
+                f"curve leaves the base domain at s = {s}: point {p}")
+        xp, yp = jx.grad[0], jy.grad[0]
+        k, grad, hess = numdiff.derivatives(
+            lambda q: hopf.geodesic_curvature(curve, base, q[0]),
+            (float(s),), h)
+        k1, k2 = grad[0], hess[0, 0]
+        r, grad_r = base.bundle(p)
+        g = base.gauss(p)
+        rd = xp * grad_r[0] + yp * grad_r[1]
+        t = -r
+        ric_nn, ric_n1, ric_n2 = base.ricci_values(p, xp, yp, r, grad_r, g)
+        kap[i], kd1[i], kd2[i] = k, k1, k2
+        tau[i], rr[i], gg[i], rdot[i] = t, r, g, rd
+        res[i] = (k2 - k ** 3 + (g - 4.0 * r * r) * k, k * k1,
+                  r * k1 + rd * k)
+        gres[i] = (k2 - k * (k * k + 2.0 * t * t) + k * ric_nn,
+                   3.0 * k1 * k - k * ric_n1, k1 * t + k * ric_n2)
+    cross = float(np.max(np.abs([gres[:, 0] - res[:, 0],
+                                 gres[:, 1] - 3.0 * res[:, 1],
+                                 gres[:, 2] + res[:, 2]]), initial=0.0))
+    verdict = hopf._verdict_from_samples(kap, rr, gg, hopf.CONST_TOL,
+                                         hopf.CRITERION_TOL)
+    return hopf.HopfReport(samples, kap, kd1, kd2, tau, rr, gg, rdot, res,
+                           gres, cross, verdict)
+
+
+def assert_same_report(got, want):
+    # bit for bit: arrays by their bytes, so 0.0 and -0.0 differ too
+    for name in hopf.HopfReport.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
+
+
+def generic_ellipse():
+    data = make_data("exp(-(x^2+y^2)/4)", "0", "x",
+                     rect=(-1.5, 1.5, -1.5, 1.5))
+    base = hopf.ConformalBase(data)
+    ellipse = hopf.BaseCurve(parse("0.7*cos(t)", ("t",)),
+                             parse("0.4*sin(t)", ("t",)), (0.0, 2 * math.pi))
+    return hopf.arclength_reparam(ellipse, base), base
+
+
+class TestBatchedSweep:
+    """The batched sweep equals the per-sample loop bit for bit, and fails
+    where and as the loop fails."""
+
+    @pytest.mark.parametrize("n_samples", [1, 8, 64])
+    @pytest.mark.parametrize("c, kappa", [(4.0, 1.2), (1.0, 1.0), (0.0, 1.0)])
+    def test_bcv_circle(self, c, kappa, n_samples):
+        base = hopf.ConformalBase(geo.bcv(c, 0.5))
+        curve = hopf.bcv_circle(c, kappa=kappa)
+        assert_same_report(hopf.hopf_residuals(curve, base, n_samples),
+                           loop_report(curve, base, n_samples))
+
+    @pytest.mark.parametrize("n_samples", [1, 8, 64])
+    def test_warped_root(self, n_samples):
+        case = hopf.rotational_case_search("cos(t)", 0.25, (0.0, 1.5))[0]
+        assert_same_report(
+            hopf.hopf_residuals(case.curve, case.base, n_samples),
+            loop_report(case.curve, case.base, n_samples))
+
+    @pytest.mark.parametrize("n_samples", [1, 8, 64])
+    def test_reparametrized_ellipse(self, n_samples):
+        curve, base = generic_ellipse()
+        assert_same_report(hopf.hopf_residuals(curve, base, n_samples),
+                           loop_report(curve, base, n_samples))
+
+    def test_reparametrized_jets_equal_their_points(self):
+        curve, _ = generic_ellipse()
+        s = np.linspace(0.0, curve.interval[1], 33)
+        batch = curve.point_jets(s)
+        for i, si in enumerate(s.tolist()):
+            for jet, one in zip(batch, curve.point_jets(si)):
+                assert jet.value[i] == one.value
+                assert jet.grad[:, i].tobytes() == one.grad.tobytes()
+                assert jet.hess[:, :, i].tobytes() == one.hess.tobytes()
+
+    def test_first_sample_leaving_the_domain(self):
+        small = hopf.ConformalBase(make_data("1", "0", "0",
+                                             rect=(-0.5, 0.5, -0.5, 0.5)))
+        line = hopf.BaseCurve(parse("s", ("s",)), parse("0", ("s",)),
+                              (-0.3, 1.0), arc_length=True)
+        message = ("curve leaves the base domain at s = 0.5038333333333334: "
+                   "point (0.5038333333333334, 0.0)")
+        with pytest.raises(OutsideDomainError) as err:
+            hopf.hopf_residuals(line, small)
+        assert str(err.value) == message
+        with pytest.raises(OutsideDomainError) as err:
+            loop_report(line, small)
+        assert str(err.value) == message
+
+    def test_reparametrized_curve_leaving_the_domain(self):
+        small = hopf.ConformalBase(make_data("1", "0", "0",
+                                             rect=(-0.5, 0.5, -0.5, 0.5)))
+        arc = hopf.BaseCurve(parse("s", ("s",)), parse("0.1*s^2", ("s",)),
+                             (-0.3, 1.0))
+        curve = hopf.arclength_reparam(arc, small)
+        with pytest.raises(OutsideDomainError) as err:
+            hopf.hopf_residuals(curve, small)
+        assert str(err.value) == (
+            "curve leaves the base domain at s = 0.8080424088138286: "
+            "point (0.5069950407869946, 0.02570439713826064)")
+
+    def test_first_stencil_point_off_unit_speed(self):
+        # unit speed up to s = a, which lies between the s + h/2 and s + h
+        # stencil points of sample 20: the error names that s + h
+        h = 1e-3
+        a = float(np.linspace(3 * h, 1 - 3 * h, 64)[20] + 0.0007)
+        curve = hopf.BaseCurve(
+            parse(f"s+(s-{a!r}+abs(s-{a!r}))^2", ("s",)), parse("0", ("s",)),
+            (0.0, 1.0), arc_length=True)
+        message = ("curve speed 1.0024000000000002 at s = 0.31955555555555554"
+                   "; reparametrize by arc length first")
+        with pytest.raises(NotArcLengthError) as err:
+            hopf.hopf_residuals(curve, FLAT_BASE)
+        assert str(err.value) == message
+        with pytest.raises(NotArcLengthError) as err:
+            loop_report(curve, FLAT_BASE)
+        assert str(err.value) == message
 
 
 class TestCylinderSurfaceCheck:
@@ -288,6 +441,11 @@ class TestRotationalSearch:
     def test_no_root_in_window(self):
         with pytest.raises(NoIsolatedRootError):
             hopf.rotational_case_search("cos(t)", 0.0, (0.0, 0.5))
+
+    def test_tolerances_read_when_called(self, monkeypatch):
+        monkeypatch.setattr(hopf, "CONST_TOL", -1.0)
+        case = hopf.rotational_case_search("cos(t)", 0.0, (0.0, 1.5))[0]
+        assert not case.report.verdict.passed
 
 
 class TestConformalWarpedAgreement:

@@ -213,3 +213,26 @@ class TestOnePassEqualsSeparateStencils:
 
         assert second == _extrapolated(stencil, h)
         assert nd.d2(cubic, x, h) == second
+
+
+class TestArrayCoordinates:
+    """A coordinate may be an array of points: each entry of the result is
+    that point's own result, and the input array is left as it was."""
+
+    @pytest.mark.parametrize("field, xs", [
+        (lambda q: np.sin(q[0]), (np.array([0.1, 0.2, 0.3]),)),
+        (lambda q: np.sin(3.0 * q[0]) * np.exp(q[1]),
+         (np.array([0.1, 0.2, 0.3]), np.array([-0.4, 0.5, 0.9]))),
+    ])
+    def test_entries_equal_their_points(self, field, xs):
+        h = 1e-3
+        before = [x.copy() for x in xs]
+        value, grad, hess = nd.derivatives(field, xs, h)
+        for k in range(len(xs[0])):
+            point = tuple(float(x[k]) for x in xs)
+            v, g, hs = nd.derivatives(field, point, h)
+            assert value[k] == v
+            assert np.array_equal(grad[..., k], g)
+            assert np.array_equal(hess[..., k], hs)
+        for x, x0 in zip(xs, before):
+            assert np.array_equal(x, x0)
