@@ -39,7 +39,7 @@ from .errors import (
     NotCMCError,
     ZeroGradRError,
 )
-from .surface import ANGLE_EPS, SurfacePatch
+from .surface import ANGLE_EPS, SurfacePatch, point_evaluator
 
 __all__ = [
     "BitensionResidual",
@@ -101,24 +101,14 @@ class BranchReport:
 # CMC gate
 # ---------------------------------------------------------------------------
 
-def _probe_lattice(ev, q) -> list[tuple[float, float]]:
-    """The 5x5 parameter lattice at 2 h spacing around q that the CMC and
-    constancy probes read; it reaches 4 h, so q needs that margin."""
-    u, v = float(q[0]), float(q[1])
-    ev.require_margin(u, v, 4.0 * ev.h)
-    step = 2.0 * ev.h
-    return [(u + i * step, v + j * step)
-            for i in range(-2, 3) for j in range(-2, 3)]
-
-
 def cmc_probe(patch: SurfacePatch, q):
     """Mean curvature spread over the probe lattice around q.
 
     Returns (mean value, max deviation from the mean).
     """
-    ev = patch.evaluator()
+    ev, u, v = point_evaluator(patch, q)
     values = np.asarray([ev.weingarten(*p).mean_h
-                         for p in _probe_lattice(ev, q)])
+                         for p in ev.probe_lattice(u, v)])
     mean = float(values.mean())
     return mean, float(np.max(np.abs(values - mean)))
 
@@ -138,9 +128,8 @@ def _require_cmc(patch, q):
 
 def bitension_residual(patch: SurfacePatch, q) -> BitensionResidual:
     """Normal and tangential residuals of the biharmonicity system."""
-    u, v = float(q[0]), float(q[1])
+    ev, u, v = point_evaluator(patch, q)
     mean, dev = _require_cmc(patch, q)
-    ev = patch.evaluator()
     d = ev.weingarten(u, v)
 
     lap_h, dh = ev.laplacian(ev.mean_h_field, u, v)
@@ -184,9 +173,9 @@ def frame_system_residuals(patch: SurfacePatch, q) -> np.ndarray:
     Line 1 and the norm of (line 2, line 3) do not depend on the tangent
     pair: any rotated or reflected orthonormal pair gives them too.
     """
-    u, v = float(q[0]), float(q[1])
+    ev, u, v = point_evaluator(patch, q)
     _require_cmc(patch, q)
-    d = patch.evaluator().weingarten(u, v)
+    d = ev.weingarten(u, v)
     e1, e2 = d.ortho_basis
     return _system_lines(d.gauss_base, d.r, d.grad_r[0], d.grad_r[1],
                          d.lam, e1, e2, d.normal, d.norm_sq)
@@ -194,8 +183,8 @@ def frame_system_residuals(patch: SurfacePatch, q) -> np.ndarray:
 
 def normality_identity(patch: SurfacePatch, q) -> float:
     """cos(phi) <grad r, eta>: must vanish on proper biharmonic surfaces."""
-    u, v = float(q[0]), float(q[1])
-    d = patch.evaluator().data(u, v)
+    ev, u, v = point_evaluator(patch, q)
+    d = ev.data(u, v)
     c1, c2, c3 = d.normal
     return float(c3 * (c1 * d.grad_r[0] + c2 * d.grad_r[1]) / d.lam)
 
@@ -203,8 +192,7 @@ def normality_identity(patch: SurfacePatch, q) -> float:
 def normality_assemblies(patch: SurfacePatch, q) -> tuple[float, float]:
     """The normality value assembled two ways (directly, and from the
     tangential system lines); they agree up to the frame handedness sign."""
-    u, v = float(q[0]), float(q[1])
-    ev = patch.evaluator()
+    ev, u, v = point_evaluator(patch, q)
     d = ev.weingarten(u, v)
     direct = normality_identity(patch, q)
     lines = _system_lines(d.gauss_base, d.r, d.grad_r[0], d.grad_r[1],
@@ -259,8 +247,7 @@ def reduced_angle_system(patch: SurfacePatch, q) -> dict:
     4 r^2 = G with grad r != 0 raises
     :class:`GaussBundleDegenerateError`.
     """
-    u, v = float(q[0]), float(q[1])
-    ev = patch.evaluator()
+    ev, u, v = point_evaluator(patch, q)
     d = ev.weingarten(u, v)
     if d.sin_phi < ANGLE_EPS or abs(d.cos_phi) < ANGLE_EPS:
         raise AngleSingularError(
@@ -280,8 +267,7 @@ def reduced_angle_system(patch: SurfacePatch, q) -> dict:
 
 def angle_shape_residual(patch: SurfacePatch, q) -> float:
     """Defect of 2 |A|^2 = tan(phi) Delta(phi) + |grad phi|^2."""
-    u, v = float(q[0]), float(q[1])
-    ev = patch.evaluator()
+    ev, u, v = point_evaluator(patch, q)
     d = ev.weingarten(u, v)
     if d.sin_phi < ANGLE_EPS:
         raise AngleSingularError(f"phi ~ 0 at parameters {q}")
@@ -302,8 +288,7 @@ def angle_shape_alt_assembly(patch: SurfacePatch, q) -> float:
     c_a are the (du, dv) coefficients of e_a: phi's Hessian and the
     coefficients' derivatives each come from one stencil level.
     """
-    u, v = float(q[0]), float(q[1])
-    ev = patch.evaluator()
+    ev, u, v = point_evaluator(patch, q)
     d = ev.weingarten(u, v)
     if d.sin_phi < ANGLE_EPS or abs(d.cos_phi) < COS_EPS:
         raise AngleSingularError(f"angle not interior at parameters {q}")
@@ -387,16 +372,15 @@ def classify_scalars(cos_phi: float, grad_norm: float, gauss: float,
 def classify_point(patch: SurfacePatch, q) -> BranchReport:
     """Classify a CMC surface point against the branches of the
     classification (see :func:`classify_scalars`)."""
-    u, v = float(q[0]), float(q[1])
+    ev, u, v = point_evaluator(patch, q)
     _require_cmc(patch, q)
-    ev = patch.evaluator()
     d = ev.weingarten(u, v)
     report = classify_scalars(d.cos_phi, _grad_r_norm(d), d.gauss_base, d.r,
                               d.norm_sq, d.mean_h)
 
     if report.branch == "a":
         # constancy of r and G along the surface, probed on the lattice
-        pts = [ev.data(*p) for p in _probe_lattice(ev, q)]
+        pts = [ev.data(*p) for p in ev.probe_lattice(u, v)]
         r_vals = np.array([p.r for p in pts])
         g_vals = np.array([p.gauss_base for p in pts])
         report.diagnostics["r_spread"] = float(np.ptp(r_vals))

@@ -321,6 +321,8 @@ def cmd_check_surface(args) -> int:
     patch = _patch_from_args(args, data)
     nx, ny = args.grid if args.grid else (3, 3)
     points = patch.domain.grid(int(nx), int(ny), inset=0.25)
+    # the records every point reads, in one batch
+    patch.evaluator().lattice(*points)
     tol = args.tol
     records = []
     rows = []

@@ -27,13 +27,14 @@ quantity from metric evaluations only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numdiff
 from .errors import FdMarginError, OutsideDomainError
-from .expr import Expr, Jet, batched, eval_jet, parse, power
+from .expr import Expr, Jet, _stack, batched, eval_jet, parse, power
 
 __all__ = [
     "Rect",
@@ -64,6 +65,28 @@ FD_SCALE = 1e-4
 
 # Entries a per-object memo store holds before it is emptied.
 CACHE_LIMIT = 200_000
+
+
+def rows(a) -> np.ndarray:
+    """A batch (on the trailing axis) as C-contiguous per-point rows."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def product(*factors):
+    """``u @ m @ ... @ w`` for vectors u, w and the matrices between them,
+    at one point or at each point of a batch on the trailing axis.
+
+    A batch goes through numpy's stacked matmul on C-contiguous per-point
+    :func:`rows`, which rounds as the one-point product does; on a strided
+    view, or as a sum written out by hand, the last bit differs at some
+    points. The same holds for stacked ``einsum``, ``solve``, ``inv`` and
+    ``det``, so batch code applies them to rows.
+    """
+    if np.ndim(factors[0]) == 1:
+        return float(functools.reduce(np.matmul, factors))
+    u, *mats, w = map(rows, factors)
+    return (functools.reduce(np.matmul, mats, u[:, None, :])
+            @ w[:, :, None])[:, 0, 0]
 
 
 def memo(store: dict, key: tuple, compute):
@@ -162,6 +185,17 @@ class KillingData:
             return memo(self._jets, (x.tobytes(), y.tobytes()),
                         lambda *_: self._eval_base_jets(x, y))
         return memo(self._jets, (float(x), float(y)), self._eval_base_jets)
+
+    def pointwise_jets(self, x: np.ndarray, y: np.ndarray
+                       ) -> tuple[Jet, Jet, Jet]:
+        """The batch entry of :meth:`base_jets` at coordinate arrays, stacked
+        from each point's own memo entry instead of evaluated as a batch:
+        the records of a surface share base points (a vertical cylinder's
+        whole ruling sits over one), and each is evaluated once, by itself,
+        in batch order."""
+        return memo(self._jets, (x.tobytes(), y.tobytes()),
+                    lambda *_: _stack([self.base_jets(a, b) for a, b
+                                       in zip(x.tolist(), y.tolist())]))
 
     def _eval_base_jets(self, x: float, y: float) -> tuple[Jet, Jet, Jet]:
         point = (x, y)
@@ -280,10 +314,14 @@ def metric_matrix(data: KillingData, p) -> np.ndarray:
 
 
 def frame_components(data: KillingData, p, v_coord) -> np.ndarray:
-    """Convert a coordinate tangent vector at p to frame components."""
-    x, y = float(p[0]), float(p[1])
+    """Convert a coordinate tangent vector at p to frame components; on a
+    batch, v_coord is (3, N) and so is the result."""
+    x, y = _base_point(p)
     lam, a, b = data.base_jets(x, y)
-    vx, vy, vz = (float(c) for c in v_coord)
+    if type(x) is np.ndarray:
+        vx, vy, vz = v_coord
+    else:
+        vx, vy, vz = (float(c) for c in v_coord)
     return np.array([
         lam.value * vx,
         lam.value * vy,
@@ -307,10 +345,11 @@ def wedge(u, v) -> np.ndarray:
     """Cross product of frame-component vectors (right-hand rule).
 
     Spelled out on floats: the same products and differences as ``np.cross``,
-    bit for bit, without its per-call axis handling.
+    bit for bit, without its per-call axis handling. Vectors of shape (3, N)
+    are a batch, crossed point by point.
     """
-    u0, u1, u2 = np.asarray(u, dtype=float).tolist()
-    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
+    u0, u1, u2 = np.asarray(u, dtype=float).tolist() if np.ndim(u) == 1 else u
+    v0, v1, v2 = np.asarray(v, dtype=float).tolist() if np.ndim(v) == 1 else v
     return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
 
 
@@ -325,15 +364,17 @@ def rotate_j(v) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def connection(data: KillingData, p) -> np.ndarray:
-    """Closed-form connection coefficients gamma[i, j, k] = <D_{Ei} Ej, Ek>."""
-    x, y = float(p[0]), float(p[1])
+    """Closed-form connection coefficients gamma[i, j, k] = <D_{Ei} Ej, Ek>;
+    (3, 3, 3, N) on a batch of N points, each equal to its one-point table
+    (a point outside the domain names the first such point)."""
+    x, y = _base_point(p)
     data.require_inside(x, y)
     lam, _, _ = data.base_jets(x, y)
     r = _bundle_value(data, x, y)
-    lx = lam.grad[0] / lam.value ** 2
-    ly = lam.grad[1] / lam.value ** 2
+    lx = lam.grad[0] / power(lam.value, 2)
+    ly = lam.grad[1] / power(lam.value, 2)
 
-    gamma = np.zeros((3, 3, 3))
+    gamma = np.zeros((3, 3, 3) + np.shape(r))
     gamma[0, 0, 1] = -ly
     gamma[0, 1, 0] = ly
     gamma[0, 1, 2] = r
@@ -455,9 +496,11 @@ def riemann_direct(data: KillingData, p, X, Y, Z, W) -> float:
     """<R(X,Y)Z, W> from the definition D_X D_Y Z - D_Y D_X Z - D_[X,Y] Z.
 
     X, Y, Z, W are taken as constant-frame-component fields. Connection
-    tables are differentiated numerically along the flows of X and Y; the
-    frame bracket enters through its closed-form components. This is the
-    oracle for :func:`riemann_closed`.
+    tables are differentiated numerically along the flows of X and Y (the
+    eight off-centre stencil points are one batched :func:`connection`
+    call, their quotients formed by ``numdiff``); the frame bracket enters
+    through its closed-form components. This is the oracle for
+    :func:`riemann_closed`.
     """
     x, y, z = (float(v) for v in p)
     X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
@@ -467,23 +510,29 @@ def riemann_direct(data: KillingData, p, X, Y, Z, W) -> float:
 
     gamma = connection(data, (x, y))
 
-    def second_cov(A, B, C):
-        # D_A (D_B C) at p, where D_B C = B^i C^j gamma_ij^k varies
+    # the four d1 abscissae along the flow of X, then of Y: one batch
+    steps, xs, ys = [], [], []
+    for A in (X, Y):
         vel = coord_components(data, (x, y), A)
         # keep the spatial displacement of the stencil at ~h
         ht = h / max(1.0, float(np.max(np.abs(vel[:2]))))
+        steps.append(ht)
+        for (t,) in numdiff._axis((0.0,), 0, ht):
+            xs.append(x + t * vel[0])
+            ys.append(y + t * vel[1])
+    tables = rows(connection(data, (np.array(xs), np.array(ys))))
 
-        def field(t):
-            q = (x + t * vel[0], y + t * vel[1])
-            return np.einsum("i,j,ijk->k", B, C, connection(data, q))
-
-        deriv = numdiff.d1(field, 0.0, ht)
+    def second_cov(k, A, B, C):
+        # D_A (D_B C) at p, where D_B C = B^i C^j gamma_ij^k varies
+        samples = [np.einsum("i,j,ijk->k", B, C, table)
+                   for table in tables[4 * k:4 * k + 4]]
+        deriv = numdiff._first(*samples, steps[k])
         inner = np.einsum("i,j,ijk->k", B, C, gamma)
         return deriv + np.einsum("i,m,imk->k", A, inner, gamma)
 
     bracket = (X[0] * Y[1] - X[1] * Y[0]) * frame_bracket_12(data, (x, y))
     cov_bracket = np.einsum("i,j,ijk->k", bracket, Z, gamma)
-    curl = second_cov(X, Y, Z) - second_cov(Y, X, Z) - cov_bracket
+    curl = second_cov(0, X, Y, Z) - second_cov(1, Y, X, Z) - cov_bracket
     return float(curl @ W)
 
 

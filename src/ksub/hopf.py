@@ -153,26 +153,6 @@ class ReparamCurve:
 # Batches
 # ---------------------------------------------------------------------------
 
-def _rows(a) -> np.ndarray:
-    """A batch (on the trailing axis) as C-contiguous per-point rows."""
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
-
-
-def _product(*factors):
-    """``u @ m @ ... @ w`` for vectors u, w and the matrices between them,
-    at one point or at each point of a batch on the trailing axis.
-
-    A batch goes through numpy's stacked matmul on C-contiguous per-point
-    rows, which rounds as the one-point product does; on a strided view,
-    or as a sum written out by hand, the last bit differs at some points.
-    """
-    if np.ndim(factors[0]) == 1:
-        return float(functools.reduce(np.matmul, factors))
-    u, *mats, w = map(_rows, factors)
-    return (functools.reduce(np.matmul, mats, u[:, None, :])
-            @ w[:, :, None])[:, 0, 0]
-
-
 def _hypot(x, y):
     """``math.hypot``, one element at a time on arrays (numpy's hypot,
     libm's, differs from Python's in the last bit at about 0.6 % of
@@ -234,8 +214,8 @@ class ConformalBase:
         e1 = np.array([lam * xp, lam * yp, zero])
         e2 = np.array([zero, zero, zero + 1.0])
         ric = geo.ricci_from_scalars(r, grad_r, gauss, lam)
-        return (_product(eta, ric, eta), _product(eta, ric, e1),
-                _product(eta, ric, e2))
+        return (geo.product(eta, ric, eta), geo.product(eta, ric, e1),
+                geo.product(eta, ric, e2))
 
     def speed_jet(self, curve: BaseCurve, t) -> tuple[float, float]:
         """(speed, d speed / dt) of a curve in this chart."""
@@ -243,7 +223,8 @@ class ConformalBase:
         lam = eval_jet(self.data.lam, (jx.value, jy.value))
         xp, yp = jx.grad[0], jy.grad[0]
         xpp, ypp = jx.hess[0, 0], jy.hess[0, 0]
-        dlam = _product(lam.grad, np.array([xp, yp]))  # as compose_jet forms it
+        # as compose_jet forms it
+        dlam = geo.product(lam.grad, np.array([xp, yp]))
         qn = _hypot(xp, yp)
         bad = _first_bad(qn == 0.0, t)
         if bad:
@@ -425,18 +406,18 @@ def _geodesic_curvature(curve, base, s):
     vel = np.array([jx.grad[0], jy.grad[0]])
     acc2 = np.array([jx.hess[0, 0], jy.hess[0, 0]])
     g = base.metric(p)
-    speed = np.sqrt(_product(vel, g, vel))
+    speed = np.sqrt(geo.product(vel, g, vel))
     bad = _first_bad(np.abs(speed - 1.0) > ARC_TOL, speed, s)
     if bad:
         raise NotArcLengthError(f"curve speed {bad[0]!r} at s = {bad[1]}; "
                                 "reparametrize by arc length first")
     gamma = base.christoffels(p)
-    acc = acc2 + np.einsum("nkij,ni,nj->nk", _rows(gamma), _rows(vel),
-                           _rows(vel)).T
-    root = np.sqrt(np.linalg.det(_rows(g)))
+    acc = acc2 + np.einsum("nkij,ni,nj->nk", geo.rows(gamma), geo.rows(vel),
+                           geo.rows(vel)).T
+    root = np.sqrt(np.linalg.det(geo.rows(g)))
     n = np.array([-(g[0, 1] * vel[0] + g[1, 1] * vel[1]) / root,
                   (g[0, 0] * vel[0] + g[0, 1] * vel[1]) / root])
-    return _product(acc, g, n)
+    return geo.product(acc, g, n)
 
 
 # ---------------------------------------------------------------------------

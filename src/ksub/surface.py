@@ -16,13 +16,17 @@ the tangential part of the vertical field; the frame degenerates as
 phi -> 0 and operations that need it raise :class:`AngleSingularError`.
 
 Each parameter point has one record, kept in its patch's store and read
-through the patch's :class:`SurfaceEvaluator` view. The immersion half (jets
-of x, y, z, tangents, first form, normal, the angle and the vertical tangent)
-is computed at every point, the stencil points of the parameter derivatives
-included. Everything else is computed on its first read, from the order-2
-jets at the point: the ambient half (lam, r, its gradient, G and the
-connection table at the image point), the Christoffels, the adapted frame
-and the Weingarten half (shape operator, mean curvature, |A|^2).
+through the patch's :class:`SurfaceEvaluator` view. Records are built in
+batches by one builder, :func:`_build`, which runs every formula on a
+trailing batch axis: the immersion half (jets of x, y, z, tangents, first
+form, normal, the angle and the vertical tangent), the ambient half at the
+image point (lam, r, its gradient, G and the connection table), the
+Christoffels, the adapted frame and the Weingarten half (shape operator,
+mean curvature, |A|^2). Nothing is computed on read. Every point
+operation first builds its point's lattice in one batch
+(:meth:`SurfaceEvaluator.lattice`: the point, its derivative stencil and
+its probe lattice); a record read outside a built lattice is built as a
+batch of one, and a batch agrees with its points bit for bit.
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step h = ``1e-3 * patch
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -45,9 +48,10 @@ from .errors import (
     AngleSingularError,
     DegenerateImmersionError,
     FdMarginError,
+    KsubError,
 )
-from .expr import Expr, eval_jet, parse
-from .numdiff import derivatives, partial1
+from .expr import Expr, _each, _finite, eval_jet, parse
+from .numdiff import _abscissae, derivatives, partial1
 
 __all__ = [
     "SurfacePatch",
@@ -86,9 +90,12 @@ class SurfacePatch:
         # so a dropped patch frees its records by reference count
         self._points: dict[tuple[float, float], _PointData] = {}
         # a record refuses a degenerate first form, so building the 5x5
-        # grid's records checks the immersion's regularity
+        # grid's records (one batch; point by point where it fails) checks
+        # the immersion's regularity
         ev = self.evaluator()
-        for (u, v) in self.domain.grid(5, 5, inset=0.02):
+        grid = self.domain.grid(5, 5, inset=0.02)
+        ev._prefetch(grid)
+        for (u, v) in grid:
             ev.data(u, v)
 
     @property
@@ -111,141 +118,184 @@ class SurfacePatch:
                    domain, ambient)
 
 
-@dataclass
 class _PointData:
-    """Everything first- and second-order at one parameter point.
+    """Everything first- and second-order at one parameter point, as plain
+    attributes filled by :func:`_build` when the point's batch is built.
 
-    Immersion data (the jets of x, y, z up to their Hessians) is computed at
-    every point; ambient data at the image point, ``tangent_derivs``,
-    ``christoffels``, the adapted frame ``e1, e2`` (None within ANGLE_EPS
-    of a vertical normal) and the exact Weingarten half on their first read.
-    In that half the shape operator ``shape_ortho`` lives in the
-    orthonormalized (d/du, d/dv) basis ``ortho_basis``, ``mean_h`` is its
-    trace and ``norm_sq`` is |A|^2.
+    Immersion data: the jets of x, y, z up to their Hessians, the frame
+    tangents, the first form, the unit normal, the angle and the vertical
+    tangent. Ambient data at the image point: lam, r, grad r, G and the
+    connection table. From the order-2 jets: ``tangent_derivs``, the
+    first form's ``christoffels`` and the exact Weingarten half, in which
+    the shape operator ``shape_ortho`` lives in the orthonormalized
+    (d/du, d/dv) basis ``ortho_basis``, ``mean_h`` is its trace and
+    ``norm_sq`` is |A|^2. The adapted frame ``e1, e2`` is None within
+    ANGLE_EPS of a vertical normal. Nothing is computed on read.
     """
 
-    ambient: geo.KillingData
-    params: tuple[float, float]
-    point: tuple[float, float, float]
-    coord_tangents: np.ndarray      # (2, 3) rows d/du, d/dv in coordinates
-    coord_hessians: np.ndarray      # (2, 2, 3) d^2/du_i du_j in coordinates
-    tangents: np.ndarray            # (2, 3) same rows in frame components
-    first_form: np.ndarray          # (2, 2)
-    normal: np.ndarray              # unit, frame components, oriented
-    cos_phi: float
-    sin_phi: float
-    phi: float
-    vertical_tangent: np.ndarray    # T = xi - cos(phi) eta, frame components
+    __slots__ = ("params", "point", "coord_tangents", "coord_hessians",
+                 "tangents", "first_form", "normal", "cos_phi", "sin_phi",
+                 "phi", "vertical_tangent", "lam", "r", "grad_r",
+                 "gauss_base", "gamma", "tangent_derivs", "christoffels",
+                 "shape_frame", "ortho_basis", "shape_ortho", "mean_h",
+                 "norm_sq", "e1", "e2")
 
-    @cached_property
-    def lam(self) -> float:
-        return self.ambient.lam(*self.point[:2])
 
-    @cached_property
-    def r(self) -> float:
-        return geo._bundle_value(self.ambient, *self.point[:2])
+# Fields of a batch kept as per-point rows (the rest are per-point scalars
+# or, for the point and the frame, assembled in _records).
+_ROWS = ("coord_tangents", "coord_hessians", "tangents", "first_form",
+         "normal", "vertical_tangent", "grad_r", "gamma", "tangent_derivs",
+         "christoffels", "shape_frame", "ortho_basis", "shape_ortho")
 
-    @cached_property
-    def grad_r(self) -> np.ndarray:
-        """Coordinate gradient (r_x, r_y)."""
-        return geo.bundle_curvature(self.ambient, self.point[:2])[1]
 
-    @cached_property
-    def gauss_base(self) -> float:
-        return geo.gauss_curvature(self.ambient, self.point[:2])
+def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
+    """Every field of the records at the parameter points (us[n], vs[n]),
+    one pass over the batch.
 
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        """Ambient connection table at the point."""
-        return geo.connection(self.ambient, self.point)
+    Vectors and matrices are C-contiguous per-point rows, (N, ...), and
+    the linear algebra is stacked ``matmul``, ``einsum``, ``solve``, ``inv``
+    and ``det`` over them (see :func:`ksub.geometry.product`); scalars are
+    (N,). Each point's values equal those of a batch of one at it, bit for
+    bit. Raises the error of the batch's first failing point.
+    """
+    K = patch.ambient
+    jx, jy, jz = (eval_jet(e, (us, vs)) for e in (patch.x, patch.y, patch.z))
+    x, y = jx.value, jy.value
+    K.require_inside(x, y)
+    lam, ja, jb = K.pointwise_jets(x, y)
 
-    @cached_property
-    def tangent_derivs(self) -> np.ndarray:
-        """(2, 2, 3): d_i t_j, parameter derivatives of the frame tangents."""
-        # t_j = M dF/du_j, M = [[lam, 0, 0], [0, lam, 0], [-lam a, -lam b, 1]]
-        lam, ja, jb = self.ambient.base_jets(*self.point[:2])
-        la = lam.value * ja.grad + ja.value * lam.grad   # grad of lam a
-        lb = lam.value * jb.grad + jb.value * lam.grad
-        m = np.array([[lam.value, 0.0, 0.0], [0.0, lam.value, 0.0],
-                      [-lam.value * ja.value, -lam.value * jb.value, 1.0]])
-        dm = np.array([[[lam.grad[c], 0.0, 0.0], [0.0, lam.grad[c], 0.0],
-                        [-la[c], -lb[c], 0.0]] for c in range(2)])
-        dm_du = np.einsum("ic,cab->iab", self.coord_tangents[:, :2], dm)
-        return (np.einsum("iab,jb->ija", dm_du, self.coord_tangents)
-                + self.coord_hessians @ m.T)
+    coord_tangents = np.stack([jx.grad, jy.grad, jz.grad], axis=1)
+    tangents = geo.rows(np.stack([geo.frame_components(K, (x, y), c)
+                                  for c in coord_tangents]))
+    first_form = tangents @ tangents.transpose(0, 2, 1)
+    degenerate = np.linalg.det(first_form) <= REGULARITY_TOL
+    if degenerate.any():
+        n = int(np.argmax(degenerate))
+        raise DegenerateImmersionError(
+            f"immersion degenerate at parameters ({float(us[n])}, "
+            f"{float(vs[n])})")
 
-    @cached_property
-    def christoffels(self) -> np.ndarray:
-        """Christoffel symbols of the first fundamental form, (k, i, j)."""
-        # d_i g_jk = <d_i t_j, t_k> + <t_j, d_i t_k>
-        p = self.tangent_derivs @ self.tangents.T
-        dg = p + p.transpose(0, 2, 1)
-        sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-        return 0.5 * np.einsum("cd,abd->cab", np.linalg.inv(self.first_form),
-                               sym)
+    t0, t1 = tangents[:, 0].T, tangents[:, 1].T
+    raw = geo.wedge(t0, t1)
+    normal = raw / np.sqrt(geo.product(raw, raw))
+    if patch.flip_normal:
+        normal = -normal
+    # max(-1, min(1, c)) as on floats, a nan going to 1
+    cos_phi = np.where(normal[2] < 1.0, normal[2], 1.0)
+    cos_phi = np.where(cos_phi > -1.0, cos_phi, -1.0)
+    phi = _each(math.acos, cos_phi)
+    sin_sq = 1.0 - cos_phi * cos_phi
+    sin_phi = _each(math.sqrt, np.where(sin_sq > 0.0, sin_sq, 0.0))
+    vertical = np.array([[0.0], [0.0], [1.0]]) - cos_phi * normal
 
-    @cached_property
-    def shape_frame(self) -> np.ndarray:
-        """(2, 3): rows A(d/du), A(d/dv), in frame components."""
-        # h_ij = <d_i t_j + gamma(t_i, t_j), eta>
-        cov = self.tangent_derivs + np.einsum("il,jm,lmk->ijk", self.tangents,
-                                              self.tangents, self.gamma)
-        return (np.linalg.solve(self.first_form, cov @ self.normal).T
-                @ self.tangents)
+    r, grad_r = geo.bundle_curvature(K, (x, y))
 
-    @cached_property
-    def _gram_schmidt(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows f1, f2 of the orthonormalized tangents, and their (du, dv)
-        coefficient rows."""
-        g = self.first_form
-        f1 = self.tangents[0] / math.sqrt(g[0, 0])
-        c1 = np.array([1.0 / math.sqrt(g[0, 0]), 0.0])
-        w = self.tangents[1] - (g[0, 1] / g[0, 0]) * self.tangents[0]
-        wn = np.linalg.norm(w)
-        f2 = w / wn
-        c2 = np.array([-g[0, 1] / g[0, 0], 1.0]) / wn
-        return np.stack([f1, f2]), np.stack([c1, c2])
+    # t_j = M dF/du_j, M = [[lam, 0, 0], [0, lam, 0], [-lam a, -lam b, 1]]
+    la = lam.value * ja.grad + ja.value * lam.grad   # grad of lam a
+    lb = lam.value * jb.grad + jb.value * lam.grad
+    zero = np.zeros_like(lam.value)
+    m = geo.rows(np.array([
+        [lam.value, zero, zero], [zero, lam.value, zero],
+        [-lam.value * ja.value, -lam.value * jb.value, zero + 1.0]]))
+    dm = geo.rows(np.array([[[lam.grad[c], zero, zero],
+                             [zero, lam.grad[c], zero],
+                             [-la[c], -lb[c], zero]] for c in range(2)]))
+    ct = geo.rows(coord_tangents)
+    dm_du = np.einsum("nic,ncab->niab", ct[:, :, :2], dm)
+    coord_hessians = geo.rows(np.stack([jx.hess, jy.hess, jz.hess], axis=2))
+    tangent_derivs = (np.einsum("niab,njb->nija", dm_du, ct)
+                      + coord_hessians @ m.transpose(0, 2, 1)[:, None])
 
-    @cached_property
-    def ortho_basis(self) -> np.ndarray:
-        """(2, 3): rows f1, f2 (orthonormal)."""
-        return self._gram_schmidt[0]
+    # d_i g_jk = <d_i t_j, t_k> + <t_j, d_i t_k>
+    p = tangent_derivs @ tangents.transpose(0, 2, 1)[:, None]
+    dg = p + p.transpose(0, 1, 3, 2)
+    sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    christoffels = 0.5 * np.einsum("ncd,nabd->ncab",
+                                   np.linalg.inv(first_form), sym)
 
-    @cached_property
-    def shape_ortho(self) -> np.ndarray:
-        """(2, 2): <A(f_a), f_b>."""
-        shape_frame = self.shape_frame
-        ortho_basis, ortho_coeffs = self._gram_schmidt
-        shape_ortho = np.empty((2, 2))
-        for a in range(2):
-            av = ortho_coeffs[a] @ shape_frame
-            for b in range(2):
-                shape_ortho[a, b] = float(av @ ortho_basis[b])
-        return shape_ortho
+    # h_ij = <d_i t_j + gamma(t_i, t_j), eta>; rows A(d/du), A(d/dv)
+    gamma = geo.rows(geo.connection(K, (x, y)))
+    cov = tangent_derivs + np.einsum("nil,njm,nlmk->nijk", tangents,
+                                     tangents, gamma)
+    normal_rows = geo.rows(normal)
+    h = (cov @ normal_rows[:, None, :, None])[..., 0]
+    shape_frame = (np.linalg.solve(first_form, h).transpose(0, 2, 1)
+                   @ tangents)
 
-    @cached_property
-    def mean_h(self) -> float:
-        return float(np.trace(self.shape_ortho))
+    # Gram-Schmidt on the tangents: rows f1, f2 and their (du, dv)
+    # coefficient rows
+    g00, g01 = first_form[:, 0, 0], first_form[:, 0, 1]
+    root = _each(math.sqrt, g00)
+    w = t1 - (g01 / g00) * t0
+    wn = np.sqrt(geo.product(w, w))
+    ortho_basis = geo.rows(np.stack([t0 / root, w / wn]))
+    coeffs = geo.rows(np.array([[1.0 / root, zero],
+                                np.array([-g01 / g00, zero + 1.0]) / wn]))
+    shape_ortho = ((coeffs @ shape_frame)
+                   @ ortho_basis.transpose(0, 2, 1))
+    diagonal = np.ascontiguousarray(np.diagonal(shape_ortho, 0, 1, 2))
 
-    @cached_property
-    def norm_sq(self) -> float:
-        return float(np.sum(self.shape_ortho * self.shape_ortho))
+    # the adapted frame only where sin(phi) is clear of 0
+    framed = sin_phi >= ANGLE_EPS
+    divisor = np.where(framed, sin_phi, 1.0)
+    return {
+        "point": (jx.value, jy.value, jz.value),
+        "coord_tangents": ct,
+        "coord_hessians": coord_hessians,
+        "tangents": tangents,
+        "first_form": first_form,
+        "normal": normal_rows,
+        "cos_phi": cos_phi,
+        "sin_phi": sin_phi,
+        "phi": phi,
+        "vertical_tangent": geo.rows(vertical),
+        "lam": K.lam(x, y),
+        "r": r,
+        "grad_r": geo.rows(grad_r),
+        "gauss_base": geo.gauss_curvature(K, (x, y)),
+        "gamma": gamma,
+        "tangent_derivs": tangent_derivs,
+        "christoffels": christoffels,
+        "shape_frame": shape_frame,
+        "ortho_basis": ortho_basis,
+        "shape_ortho": shape_ortho,
+        "mean_h": diagonal.sum(axis=1),
+        "norm_sq": (shape_ortho * shape_ortho).reshape(-1, 4).sum(axis=1),
+        "framed": framed,
+        "e1": geo.rows(vertical / divisor),
+        "e2": geo.rows(geo.wedge(normal, vertical) / divisor),
+    }
 
-    @cached_property
-    def e1(self) -> np.ndarray | None:
-        if self.sin_phi < ANGLE_EPS:
-            return None
-        return self.vertical_tangent / self.sin_phi
 
-    @cached_property
-    def e2(self) -> np.ndarray | None:
-        if self.sin_phi < ANGLE_EPS:
-            return None
-        return geo.wedge(self.normal, self.vertical_tangent) / self.sin_phi
+def _records(keys, fields: dict) -> list[_PointData]:
+    """The records of a built batch, one per parameter key: floats, numpy
+    scalars for r and G (as ``geometry`` returns them at a point), and
+    views of the batch's rows for vectors and matrices."""
+    floats = {key: fields[key].tolist()
+              for key in ("cos_phi", "sin_phi", "phi", "lam", "mean_h",
+                          "norm_sq")}
+    points = list(zip(*(c.tolist() for c in fields["point"])))
+    out = []
+    for n, key in enumerate(keys):
+        d = _PointData()
+        d.params = key
+        d.point = points[n]
+        for name in _ROWS:
+            setattr(d, name, fields[name][n])
+        for name, values in floats.items():
+            setattr(d, name, values[n])
+        d.r = fields["r"][n]
+        d.gauss_base = fields["gauss_base"][n]
+        framed = fields["framed"][n]
+        d.e1 = fields["e1"][n] if framed else None
+        d.e2 = fields["e2"][n] if framed else None
+        out.append(d)
+    return out
 
 
 class SurfaceEvaluator:
-    """Per-point computations over one patch, memoized in the patch's store."""
+    """Per-point computations over one patch, reading the records in the
+    patch's store."""
 
     def __init__(self, patch: SurfacePatch):
         self.patch = patch
@@ -255,55 +305,64 @@ class SurfaceEvaluator:
     # -- core point data -----------------------------------------------------
 
     def data(self, u: float, v: float) -> _PointData:
-        return geo.memo(self._data, (u, v), self._compute_data)
+        """The record at (u, v); a miss builds it as a batch of one."""
+        return geo.memo(self._data, (u, v), self._build_one)
 
-    def _compute_data(self, u: float, v: float) -> _PointData:
-        patch = self.patch
-        K = patch.ambient
-        point = (u, v)
-        jx = eval_jet(patch.x, point)
-        jy = eval_jet(patch.y, point)
-        jz = eval_jet(patch.z, point)
-        x, y, z = jx.value, jy.value, jz.value
-        K.require_inside(x, y)
+    def _build_one(self, u: float, v: float) -> _PointData:
+        key = (u, v)
+        return _records([key], _build(self.patch, np.array([u]),
+                                      np.array([v])))[0]
 
-        coord_tangents = np.array([
-            [jx.grad[0], jy.grad[0], jz.grad[0]],
-            [jx.grad[1], jy.grad[1], jz.grad[1]],
-        ])
-        coord_hessians = np.stack([jx.hess, jy.hess, jz.hess], axis=-1)
-        tangents = np.stack([
-            geo.frame_components(K, (x, y), coord_tangents[0]),
-            geo.frame_components(K, (x, y), coord_tangents[1]),
-        ])
-        first_form = tangents @ tangents.T
-        if np.linalg.det(first_form) <= REGULARITY_TOL:
-            raise DegenerateImmersionError(
-                f"immersion degenerate at parameters ({u}, {v})")
+    def _prefetch(self, keys) -> None:
+        """Build the missing records among the parameter points ``keys`` in
+        one batch. A batch that raises or yields a non-finite value stores
+        nothing, so those records are built where they are read, one at a
+        time, and every error and warning arises there."""
+        keys = [k for k in dict.fromkeys(keys) if k not in self._data]
+        if not keys:
+            return
+        us, vs = (np.array(c) for c in zip(*keys))
+        try:
+            with np.errstate(all="ignore"):
+                fields = _build(self.patch, us, vs)
+        except (ArithmeticError, ValueError, KsubError, RecursionError):
+            return
+        if not _finite(tuple(fields.values())):
+            return
+        for key, record in zip(keys, _records(keys, fields)):
+            geo.memo(self._data, key, lambda *_: record)
 
-        raw = geo.wedge(tangents[0], tangents[1])
-        normal = raw / np.linalg.norm(raw)
-        if patch.flip_normal:
-            normal = -normal
+    def lattice(self, *qs) -> None:
+        """Build, in one batch, the records every point operation at the
+        parameter points ``qs`` reads: each q, its 17 derivative stencil
+        points when its margin is at least h, and its 5x5 probe lattice
+        when the margin is at least 4 h (see :meth:`_prefetch`)."""
+        keys = []
+        for q in qs:
+            u, v = float(q[0]), float(q[1])
+            keys.append((u, v))
+            margin = self.patch.domain.margin_at(u, v)
+            if margin >= self.h:
+                keys += [tuple(p) for p in _abscissae((u, v), self.h)]
+            if margin >= 4.0 * self.h:
+                keys += self.probe_lattice(u, v)
+        self._prefetch(keys)
 
-        cos_phi = float(normal[2])
-        cos_phi = max(-1.0, min(1.0, cos_phi))
-        phi = math.acos(cos_phi)
-        sin_phi = math.sqrt(max(0.0, 1.0 - cos_phi * cos_phi))
-        vertical_tangent = np.array([0.0, 0.0, 1.0]) - cos_phi * normal
-        return _PointData(K, (u, v), (x, y, z), coord_tangents,
-                          coord_hessians, tangents, first_form, normal,
-                          cos_phi, sin_phi, phi, vertical_tangent)
+    def probe_lattice(self, u: float, v: float) -> list[tuple[float, float]]:
+        """The 5x5 parameter lattice at 2 h spacing around (u, v) that the
+        CMC and constancy probes read; it reaches 4 h, so the point needs
+        that margin."""
+        self.require_margin(u, v, 4.0 * self.h)
+        step = 2.0 * self.h
+        return [(u + i * step, v + j * step)
+                for i in range(-2, 3) for j in range(-2, 3)]
 
     # -- shape operator --------------------------------------------------------
 
     def weingarten(self, u: float, v: float) -> _PointData:
-        """The point's record with its Weingarten half computed, so that an
-        error in the half surfaces here."""
-        d = self.data(u, v)
-        # reading these computes the whole half, the shape operator first
-        d.mean_h, d.norm_sq, d.ortho_basis
-        return d
+        """The point's record, read for its Weingarten half (shape operator,
+        mean curvature, |A|^2), which every record carries."""
+        return self.data(u, v)
 
     def require_margin(self, u, v, need):
         if self.patch.domain.margin_at(u, v) < need:
@@ -424,17 +483,26 @@ class SurfaceEvaluator:
 # Module-level operations
 # ---------------------------------------------------------------------------
 
+def point_evaluator(patch: SurfacePatch, q):
+    """(evaluator, u, v) for an operation at parameter point q, with the
+    records of q's lattice built (:meth:`SurfaceEvaluator.lattice`)."""
+    u, v = float(q[0]), float(q[1])
+    ev = patch.evaluator()
+    ev.lattice((u, v))
+    return ev, u, v
+
+
 def analyze_point(patch: SurfacePatch, q) -> _PointData:
     """Full first/second-order package at a parameter point."""
-    return patch.evaluator().weingarten(float(q[0]), float(q[1]))
+    ev, u, v = point_evaluator(patch, q)
+    return ev.weingarten(u, v)
 
 
 def shape_frame_fd(patch: SurfacePatch, q) -> np.ndarray:
     """Oracle for the exact Weingarten map: rows A(d/du), A(d/dv) from
     A(X) = -D_X eta, the unit normal differentiated across the parameter
     grid (central differences, one Richardson level) plus the connection."""
-    u, v = float(q[0]), float(q[1])
-    ev = patch.evaluator()
+    ev, u, v = point_evaluator(patch, q)
     d = ev.data(u, v)
     d_normal = ev.dfield(lambda uu, vv: ev.data(uu, vv).normal, u, v)
     return np.stack([
@@ -445,8 +513,7 @@ def shape_frame_fd(patch: SurfacePatch, q) -> np.ndarray:
 
 def _angle_derivatives(patch: SurfacePatch, q):
     """(record, e1(phi), e2(phi), H) at q; raises where no adapted frame."""
-    u, v = float(q[0]), float(q[1])
-    ev = patch.evaluator()
+    ev, u, v = point_evaluator(patch, q)
     d = ev.data(u, v)
     c1, c2 = ev.adapted_coeffs(u, v)  # raises when singular
     dphi = ev.dfield(ev.phi_field, u, v)
@@ -469,8 +536,7 @@ def gauss_residual(patch: SurfacePatch, q) -> float:
 
         det A + r^2 + (G - 4 r^2) cos^2(phi) - sin(2 phi) e2(r).
     """
-    u, v = float(q[0]), float(q[1])
-    ev = patch.evaluator()
+    ev, u, v = point_evaluator(patch, q)
     _, e2 = ev.adapted(u, v)
     d = ev.weingarten(u, v)
     k_ind = ev.brioschi_curvature(u, v)
@@ -491,8 +557,7 @@ def codazzi_residual(patch: SurfacePatch, q) -> np.ndarray:
     Gamma the exact Christoffels of the record. Right side:
     [(4 r^2 - G) cos(phi) sin(phi) - cos(2 phi) e2(r)] e2 - e1(r) e1.
     """
-    u, v = float(q[0]), float(q[1])
-    ev = patch.evaluator()
+    ev, u, v = point_evaluator(patch, q)
     d = ev.data(u, v)
     e1, e2 = ev.adapted(u, v)
     c1, c2 = ev.adapted_coeffs(u, v)
@@ -520,8 +585,7 @@ def compatibility_residuals(patch: SurfacePatch, q) -> tuple[float, float]:
     (worst frame-component norm). Second: <A(X) - r eta x X, T> + X(cos phi)
     (worst absolute value).
     """
-    u, v = float(q[0]), float(q[1])
-    ev = patch.evaluator()
+    ev, u, v = point_evaluator(patch, q)
     d = ev.data(u, v)
     e1, e2 = ev.adapted(u, v)
 

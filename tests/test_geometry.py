@@ -118,6 +118,62 @@ class TestBatchedScalars:
             make_data("-1+0*log(1.9-x)", "0", "0")
 
 
+class TestBatchedConnection:
+    @pytest.mark.parametrize("data", FAMILIES, ids=lambda d: d.description)
+    def test_batch_equals_its_points_bit_for_bit(self, data):
+        points = data.domain.grid(9, 9, inset=1e-3)
+        xs, ys = map(np.array, zip(*points))
+        tables = geo.connection(data, (xs, ys, np.zeros_like(xs)))
+        assert tables.shape == (3, 3, 3, 81)
+        rows = geo.rows(tables)
+        for i, (x, y) in enumerate(points):
+            one = geo.connection(data, (x, y, 0.7))
+            assert rows[i].tobytes() == one.tobytes()
+
+    def test_batch_outside_the_domain_names_its_first_such_point(self):
+        xs, ys = np.array([0.0, 1.0, 2.5]), np.array([0.0, -2.5, 0.0])
+        with pytest.raises(OutsideDomainError,
+                           match=r"point \(1\.0, -2\.5\)"):
+            geo.connection(FLAT, (xs, ys))
+
+    @pytest.mark.parametrize("data", FAMILIES, ids=lambda d: d.description)
+    def test_riemann_direct_equals_its_stencil_one_point_at_a_time(self,
+                                                                   data):
+        # the definition with the d1 stencil of each flow sampled by
+        # one-point connection calls, as before the batch
+        def reference(p, X, Y, Z, W):
+            x, y = p[0], p[1]
+            h = geo._oracle_step(x, y)
+            gamma = geo.connection(data, (x, y))
+
+            def second_cov(A, B, C):
+                vel = geo.coord_components(data, (x, y), A)
+                ht = h / max(1.0, float(np.max(np.abs(vel[:2]))))
+
+                def field(t):
+                    q = (x + t * vel[0], y + t * vel[1])
+                    return np.einsum("i,j,ijk->k", B, C,
+                                     geo.connection(data, q))
+
+                inner = np.einsum("i,j,ijk->k", B, C, gamma)
+                return (numdiff.d1(field, 0.0, ht)
+                        + np.einsum("i,m,imk->k", A, inner, gamma))
+
+            bracket = ((X[0] * Y[1] - X[1] * Y[0])
+                       * geo.frame_bracket_12(data, (x, y)))
+            curl = (second_cov(X, Y, Z) - second_cov(Y, X, Z)
+                    - np.einsum("i,j,ijk->k", bracket, Z, gamma))
+            return float(curl @ W)
+
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            p = (*data.domain.random_point(rng), 0.2)
+            vecs = [rng.normal(size=3) for _ in range(4)]
+            got = geo.riemann_direct(data, p, *vecs)
+            assert np.float64(got).tobytes() == np.float64(
+                reference(p, *vecs)).tobytes()
+
+
 class TestGaussCurvature:
     @pytest.mark.parametrize("c", [1.0, 0.0, -1.0, 4.0])
     def test_bcv_constant(self, c):

@@ -15,6 +15,7 @@ from ksub.errors import (
     AngleSingularError,
     DegenerateImmersionError,
     FdMarginError,
+    OutsideDomainError,
 )
 from ksub.expr import parse
 from ksub.verify import metric_families
@@ -521,8 +522,6 @@ class TestCaches:
 
 
 class TestLazyAmbientData:
-    AMBIENT = ("lam", "r", "grad_r", "gauss_base", "gamma")
-
     def test_check_surface_reads_grad_r_once_per_point(self, monkeypatch,
                                                        capsys):
         calls = []
@@ -545,13 +544,14 @@ class TestLazyAmbientData:
         patch = heis_graph()
         K, ev = patch.ambient, patch.evaluator()
         u, v = 0.1, -0.1
-        ev.weingarten(u, v)
+        srf.analyze_point(patch, (u, v))
         stencil = (u + ev.h, v)
-        ev.data(*stencil)
-        # the Weingarten map reads the connection at its centre only
-        for q, read in (((u, v), {"gamma"}), (stencil, set())):
+        # nothing is computed on read: the records built with q's lattice
+        # carry every field, at a stencil point not read yet as well
+        assert stencil in ev._data
+        for q in ((u, v), stencil):
             d = ev.data(*q)
-            assert set(self.AMBIENT) & set(vars(d)) == read
+            assert all(hasattr(d, name) for name in d.__slots__)
             x, y, z = d.point
             r, grad_r = geo.bundle_curvature(K, (x, y))
             gamma = geo.connection(K, (x, y, z))
@@ -614,18 +614,19 @@ class TestPointRecords:
     ])
     def test_check_surface_record_count(self, argv, limit, monkeypatch,
                                         capsys):
-        calls = []
-        original = srf.SurfaceEvaluator._compute_data
+        # records the builder creates, in batches or one at a time
+        built = []
+        original = srf._records
 
-        def counted(self, u, v):
-            calls.append((u, v))
-            return original(self, u, v)
+        def counted(keys, fields):
+            built.extend(keys)
+            return original(keys, fields)
 
-        monkeypatch.setattr(srf.SurfaceEvaluator, "_compute_data", counted)
+        monkeypatch.setattr(srf, "_records", counted)
         code = main(["check-surface", *argv])
         capsys.readouterr()
         assert code == 0
-        assert 0 < len(calls) <= limit
+        assert 0 < len(built) <= limit
 
     @pytest.mark.parametrize("argv", [
         # 20 while the bitension and angle-shape residuals took a second
@@ -652,3 +653,74 @@ class TestPointRecords:
         capsys.readouterr()
         assert code == 0
         assert len(calls) == 12
+
+
+class TestBatchedLattice:
+    # a tilted graph and a vertical cylinder, each in three ambients
+    @staticmethod
+    def patches(data):
+        yield srf.SurfacePatch.graph(
+            data, "0.1+1.1*x+0.2*y+0.1*x*y-0.2*x^2+0.1*y^2",
+            geo.Rect(-0.45, 0.45, -0.45, 0.45))
+        yield srf.SurfacePatch(parse("0.8*cos(u)", PV),
+                               parse("0.8*sin(u)", PV), parse("v", PV),
+                               geo.Rect(0.3, 1.8, 0.0, 1.0), data)
+
+    @pytest.mark.parametrize("data", [FLAT, HEIS, geo.bcv(1.0, 1.0)],
+                             ids=lambda data: data.description)
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_lattice_records_equal_batches_of_one(self, data, flip):
+        for patch in self.patches(data):
+            if flip:
+                patch = patch.flipped()
+            ev = patch.evaluator()
+            qs = patch.domain.grid(2, 2, inset=0.25)
+            before = set(ev._data)
+            ev.lattice(*qs)
+            built = [key for key in ev._data if key not in before]
+            # 4 points x (the point, 16 stencil points, 24 probe points)
+            assert len(built) == 4 * 41
+            for key in built:
+                batched, single = ev.data(*key), ev._build_one(*key)
+                for name in srf._PointData.__slots__:
+                    got, want = getattr(batched, name), getattr(single, name)
+                    assert type(got) is type(want), name
+                    if want is not None:
+                        got, want = (np.asarray(value, dtype=float).tobytes()
+                                     for value in (got, want))
+                        assert got == want, name
+
+    # a cylinder of radius 0.8 whose ruling at u = pi/2 lies just beyond the
+    # domain's top edge: the probe column 4 h from the checked point leaves
+    # the domain, the point, its stencil and the regularity grid do not
+    ARGV = ["check-surface", "--lambda", "1", "--a=-0.5*y", "--b=0.5*x",
+            "--domain", "-2", "2", "-2", "0.7999984",
+            "--surface=0.8*cos(u);0.8*sin(u);v",
+            "--patch-domain", "1.315139", "2.315139", "0", "1",
+            "--grid", "1", "1"]
+    ERROR = ("point (3.780363233608751e-07, 0.7999999999999107) outside "
+             "domain of custom")
+
+    def test_failing_lattice_keeps_the_one_point_rows_and_error(self, capsys):
+        data = make_data("1", "-0.5*y", "0.5*x", rect=(-2, 2, -2, 0.7999984),
+                         desc="custom")
+        patch = srf.SurfacePatch(parse("0.8*cos(u)", PV),
+                                 parse("0.8*sin(u)", PV), parse("v", PV),
+                                 geo.Rect(1.315139, 2.315139, 0.0, 1.0), data)
+        ev = patch.evaluator()
+        q = patch.domain.grid(1, 1, inset=0.25)[0]
+        ev.lattice(q)
+        assert len(ev._data) == 25  # the regularity grid only
+        # the rows before the probe, as computed one record at a time
+        assert srf.gauss_residual(patch, q).hex() == "0x1.0000000000000p-54"
+        assert ([c.hex() for c in srf.codazzi_residual(patch, q).tolist()]
+                == ["0x1.792014d2fd57ep-48", "0x1.d7681a07bcaddp-47"])
+        assert ([c.hex() for c in srf.compatibility_residuals(patch, q)]
+                == ["0x1.118e18f76919bp-42", "0x1.308d3dcb08d3ep-54"])
+        with pytest.raises(OutsideDomainError) as err:
+            bih.bitension_residual(patch, q)
+        assert str(err.value) == self.ERROR
+        assert main(self.ARGV) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {self.ERROR}\n"
