@@ -34,7 +34,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import FdMarginError, OutsideDomainError
-from .expr import Expr, Jet, _stack, batched, eval_jet, parse, power
+from .expr import Expr, Jet, batched, eval_jet, parse, power
 
 __all__ = [
     "Rect",
@@ -179,23 +179,35 @@ class KillingData:
         return lam
 
     def base_jets(self, x, y) -> tuple[Jet, Jet, Jet]:
-        """Jets of (lam, a, b) at a base point, memoised per point; a batch
-        is one memo entry, keyed by its coordinates' bytes."""
+        """Jets of (lam, a, b) at a base point, or at each point of a batch
+        of coordinate arrays: value (N,), gradient (2, N), Hessian (2, 2, N).
+
+        A point is memoised by its coordinates, a batch by their bytes. A
+        batch that repeats points (the records of a surface share base
+        points, and a vertical cylinder's whole ruling sits over one)
+        evaluates its distinct points as one batch, itself memoised, and
+        gathers them by index.
+        """
         if type(x) is np.ndarray:
             return memo(self._jets, (x.tobytes(), y.tobytes()),
-                        lambda *_: self._eval_base_jets(x, y))
+                        lambda *_: self._distinct_jets(x, y))
         return memo(self._jets, (float(x), float(y)), self._eval_base_jets)
 
-    def pointwise_jets(self, x: np.ndarray, y: np.ndarray
+    def _distinct_jets(self, x: np.ndarray, y: np.ndarray
                        ) -> tuple[Jet, Jet, Jet]:
-        """The batch entry of :meth:`base_jets` at coordinate arrays, stacked
-        from each point's own memo entry instead of evaluated as a batch:
-        the records of a surface share base points (a vertical cylinder's
-        whole ruling sits over one), and each is evaluated once, by itself,
-        in batch order."""
-        return memo(self._jets, (x.tobytes(), y.tobytes()),
-                    lambda *_: _stack([self.base_jets(a, b) for a, b
-                                       in zip(x.tolist(), y.tolist())]))
+        # points are told apart by their bits, so -0.0 is not 0.0
+        x, y = (np.asarray(c, dtype=float) for c in (x, y))
+        bits = list(zip(x.view(np.int64).tolist(), y.view(np.int64).tolist()))
+        slot = dict.fromkeys(bits)
+        if len(slot) == len(bits):
+            return self._eval_base_jets(x, y)
+        for n, key in enumerate(slot):  # in order of first appearance
+            slot[key] = n
+        inverse = [slot[key] for key in bits]
+        distinct = np.array(list(slot)).view(float).T.copy()
+        return tuple(Jet(*(np.take(part, inverse, axis=-1)
+                           for part in (jet.value, jet.grad, jet.hess)))
+                     for jet in self.base_jets(*distinct))
 
     def _eval_base_jets(self, x: float, y: float) -> tuple[Jet, Jet, Jet]:
         point = (x, y)
@@ -289,28 +301,36 @@ def gauss_curvature(data: KillingData, p) -> float:
 
 def frame(data: KillingData, p) -> np.ndarray:
     """Orthonormal frame (E1, E2, E3) at a point of the total space: a
-    (3, 3) matrix whose rows are the coordinate components of E1..E3."""
-    x, y = float(p[0]), float(p[1])
+    (3, 3) matrix whose rows are the coordinate components of E1..E3;
+    (3, 3, N) on a batch of N points, each equal to its one-point frame (a
+    point outside the domain names the first such point)."""
+    x, y = _base_point(p)
     data.require_inside(x, y)
     lam, a, b = data.base_jets(x, y)
-    return np.array([
-        [1.0 / lam.value, 0.0, a.value],
-        [0.0, 1.0 / lam.value, b.value],
-        [0.0, 0.0, 1.0],
-    ])
+    e = np.zeros((3, 3) + np.shape(lam.value))
+    e[0, 0] = e[1, 1] = 1.0 / lam.value
+    e[0, 2] = a.value
+    e[1, 2] = b.value
+    e[2, 2] = 1.0
+    return e
 
 
 def metric_matrix(data: KillingData, p) -> np.ndarray:
-    """Coordinate metric tensor at a base point (independent of z)."""
-    x, y = float(p[0]), float(p[1])
+    """Coordinate metric tensor at a base point (independent of z), from
+    value-only evaluations; (3, 3, N) on a batch of N points, each equal to
+    its one-point matrix."""
+    x, y = _base_point(p)
     lam = data.lam(x, y)
     ax = lam * data.a(x, y)
     ay = lam * data.b(x, y)
-    return np.array([
-        [lam * lam + ax * ax, ax * ay, -ax],
-        [ax * ay, lam * lam + ay * ay, -ay],
-        [-ax, -ay, 1.0],
-    ])
+    g = np.empty((3, 3) + np.shape(lam))
+    g[0, 0] = lam * lam + ax * ax
+    g[0, 1] = g[1, 0] = ax * ay
+    g[0, 2] = g[2, 0] = -ax
+    g[1, 1] = lam * lam + ay * ay
+    g[1, 2] = g[2, 1] = -ay
+    g[2, 2] = 1.0
+    return g
 
 
 def frame_components(data: KillingData, p, v_coord) -> np.ndarray:
@@ -330,10 +350,11 @@ def frame_components(data: KillingData, p, v_coord) -> np.ndarray:
 
 
 def coord_components(data: KillingData, p, v_frame) -> np.ndarray:
-    """Convert frame components at p back to coordinate components."""
-    x, y = float(p[0]), float(p[1])
+    """Convert frame components at p back to coordinate components; on a
+    batch, v_frame is (3, N) and so is the result."""
+    x, y = _base_point(p)
     lam, a, b = data.base_jets(x, y)
-    f1, f2, f3 = (float(c) for c in v_frame)
+    f1, f2, f3 = v_frame
     return np.array([
         f1 / lam.value,
         f2 / lam.value,
@@ -354,9 +375,10 @@ def wedge(u, v) -> np.ndarray:
 
 
 def rotate_j(v) -> np.ndarray:
-    """Quarter-turn of the horizontal part: (v1, v2, *) -> (-v2, v1, 0)."""
+    """Quarter-turn of the horizontal part: (v1, v2, *) -> (-v2, v1, 0);
+    a (3, N) batch turns each vector."""
     v = np.asarray(v, dtype=float)
-    return np.array([-v[1], v[0], 0.0])
+    return np.array([-v[1], v[0], np.zeros_like(v[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -393,56 +415,80 @@ def _oracle_step(x: float, y: float) -> float:
     return FD_SCALE * max(1.0, abs(x), abs(y))
 
 
+def _oracle_steps(data: KillingData, x: np.ndarray, y: np.ndarray,
+                  where: str) -> np.ndarray:
+    """The oracles' FD step at each point of a batch; the first point
+    closer than two steps to the domain's edge raises FdMarginError."""
+    steps = []
+    for a, b in zip(x.tolist(), y.tolist()):
+        h = _oracle_step(a, b)
+        if data.domain.margin_at(a, b) < 2.0 * h:
+            raise FdMarginError(f"need margin >= {2 * h} {where} ({a}, {b})")
+        steps.append(h)
+    return np.array(steps)
+
+
+def _as_batch(p):
+    """(x, y) of a point or a batch as coordinate arrays, a point being a
+    batch of one, and whether p was one point."""
+    x, y = _base_point(p)
+    if type(x) is np.ndarray:
+        return x, y, False
+    return np.array([x]), np.array([y]), True
+
+
+def _unbatch(out: np.ndarray, one: bool) -> np.ndarray:
+    """Per-point rows (N, ...) as the batch convention's trailing axis, or
+    the one point's own array."""
+    return out[0] if one else np.moveaxis(out, 0, -1)
+
+
 def connection_oracle(data: KillingData, p) -> np.ndarray:
     """Connection table from metric evaluations only (no closed form).
 
     Coordinate Christoffel symbols come from central differences of the
     coordinate metric, the frame fields are differentiated the same way, and
     the result is projected back onto the frame. Needs an interior point with
-    margin >= 2h.
+    margin >= 2h. On a batch of N points the result is (3, 3, 3, N): the
+    centre and eight d1 abscissae of every point are one :func:`metric_matrix`
+    and one :func:`frame` batch of 9 N points, and each point's table equals
+    its one-point table (a point too close to the edge names the first such
+    point).
     """
-    x, y, _ = (float(v) for v in p)
-    h = _oracle_step(x, y)
-    if data.domain.margin_at(x, y) < 2.0 * h:
-        raise FdMarginError(
-            f"need margin >= {2 * h} inside the domain around ({x}, {y})")
+    x, y, one = _as_batch(p)
+    h = _oracle_steps(data, x, y, "inside the domain around")
+    # per point: the centre, the d1 abscissae along x, then along y
+    table = [[x, y]] + numdiff._axis((x, y), 0, h) + numdiff._axis((x, y), 1, h)
+    q = tuple(np.concatenate(c) for c in zip(*table))
+    samples = (metric_matrix(data, q).reshape(3, 3, 9, -1),
+               frame(data, q).reshape(3, 3, 9, -1))
 
-    def g_at(q):
-        return metric_matrix(data, q)
+    def slopes(s):
+        # d[c, a, b] = d s_ab / d x_c as (N, 3, 3, 3) rows; z-independent
+        d = np.zeros((3, 3, 3, len(x)))
+        d[:2] = [numdiff._first(*np.moveaxis(s[:, :, 1 + 4 * c:5 + 4 * c], 2, 0),
+                                h) for c in range(2)]
+        return rows(d)
 
-    # dg[c, a, b] = d g_ab / d x_c ; everything is z-independent
-    dg = np.zeros((3, 3, 3))
-    dg[:2] = [numdiff.partial1(g_at, (x, y), c, h) for c in range(2)]
-
-    g = g_at((x, y))
-    g_inv = np.linalg.inv(g)
+    (g, dg), (eframe, dE) = ((rows(s[:, :, 0]), slopes(s)) for s in samples)
     # Gamma^c_{ab} = 1/2 g^{cd} (dg[a,b,d] + dg[b,a,d] - dg[d,a,b])
-    sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    christoffel = 0.5 * np.einsum("cd,abd->cab", g_inv, sym)
-
-    def frame_matrix(q):
-        return frame(data, q)
-
-    eframe = frame_matrix((x, y))
-    # dE[c, j, k] = d E_j^k / d x_c
-    dE = np.zeros((3, 3, 3))
-    dE[:2] = [numdiff.partial1(frame_matrix, (x, y), c, h) for c in range(2)]
-
+    sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    christoffel = 0.5 * np.einsum("ncd,nabd->ncab", np.linalg.inv(g), sym)
     # (D_{Ei} Ej)^k = Ei^c dE[c, j, k] + Ei^a Ej^b Gamma^k_{ab}
-    cov = (np.einsum("ic,cjk->ijk", eframe, dE)
-           + np.einsum("ia,jb,kab->ijk", eframe, eframe, christoffel))
+    cov = (np.einsum("nic,ncjk->nijk", eframe, dE)
+           + np.einsum("nia,njb,nkab->nijk", eframe, eframe, christoffel))
     # project with the metric: gamma[i, j, k] = g(cov_ij, E_k)
-    return np.einsum("ijc,cd,kd->ijk", cov, g, eframe)
+    return _unbatch(np.einsum("nijc,ncd,nkd->nijk", cov, g, eframe), one)
 
 
 def frame_bracket_12(data: KillingData, p) -> np.ndarray:
-    """Frame components of [E1, E2] (the only nonzero frame bracket)."""
-    x, y = float(p[0]), float(p[1])
+    """Frame components of [E1, E2] (the only nonzero frame bracket); (3, N)
+    on a batch."""
+    x, y = _base_point(p)
     lam, _, _ = data.base_jets(x, y)
     r = _bundle_value(data, x, y)
-    return np.array([lam.grad[1] / lam.value ** 2,
-                     -lam.grad[0] / lam.value ** 2,
-                     2.0 * r])
+    lam_sq = power(lam.value, 2)
+    return np.array([lam.grad[1] / lam_sq, -lam.grad[0] / lam_sq, 2.0 * r])
 
 
 def frame_bracket_fd(data: KillingData, p, i: int, j: int) -> np.ndarray:
@@ -465,12 +511,14 @@ def frame_bracket_fd(data: KillingData, p, i: int, j: int) -> np.ndarray:
 # Curvature
 # ---------------------------------------------------------------------------
 
-def riemann_closed(data: KillingData, p, X, Y, Z, W) -> float:
+def riemann_closed(data: KillingData, p, X, Y, Z, W):
     """<R(X,Y)Z, W> from the closed-form curvature of the canonical metric.
 
-    Arguments are frame-component vectors at the common point p.
+    Arguments are frame-component vectors at the common point p: (3,) at
+    one point, (3, N) on a batch of N points, where the result is (N,) and
+    each entry equals its one-point value.
     """
-    x, y = float(p[0]), float(p[1])
+    x, y = _base_point(p)
     X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
     r, grad = bundle_curvature(data, (x, y))
     g_curv = gauss_curvature(data, (x, y))
@@ -479,9 +527,7 @@ def riemann_closed(data: KillingData, p, X, Y, Z, W) -> float:
     def dr(v):
         return v[0] * grad[0] / lam + v[1] * grad[1] / lam
 
-    def dot(u, v):
-        return float(u @ v)
-
+    dot = product
     term1 = (g_curv - 3.0 * r * r) * (dot(Y, Z) * dot(X, W)
                                       - dot(X, Z) * dot(Y, W))
     term2 = -(g_curv - 4.0 * r * r) * (
@@ -492,48 +538,55 @@ def riemann_closed(data: KillingData, p, X, Y, Z, W) -> float:
     return term1 + term2 + term3
 
 
-def riemann_direct(data: KillingData, p, X, Y, Z, W) -> float:
+def riemann_direct(data: KillingData, p, X, Y, Z, W):
     """<R(X,Y)Z, W> from the definition D_X D_Y Z - D_Y D_X Z - D_[X,Y] Z.
 
     X, Y, Z, W are taken as constant-frame-component fields. Connection
     tables are differentiated numerically along the flows of X and Y (the
-    eight off-centre stencil points are one batched :func:`connection`
-    call, their quotients formed by ``numdiff``); the frame bracket enters
-    through its closed-form components. This is the oracle for
-    :func:`riemann_closed`.
+    eight off-centre stencil points of every point are one batched
+    :func:`connection` call, their quotients formed by ``numdiff``); the
+    frame bracket enters through its closed-form components. This is the
+    oracle for :func:`riemann_closed`. On a batch of N points the vectors
+    are (3, N) and the result is (N,), each entry equal to its one-point
+    value (a point too close to the edge names the first such point).
     """
-    x, y, z = (float(v) for v in p)
-    X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
-    h = _oracle_step(x, y)
-    if data.domain.margin_at(x, y) < 2.0 * h:
-        raise FdMarginError(f"need margin >= {2 * h} around ({x}, {y})")
-
-    gamma = connection(data, (x, y))
+    x, y, one = _as_batch(p)
+    X, Y, Z, W = (np.asarray(v, dtype=float).reshape(3, -1)
+                  for v in (X, Y, Z, W))
+    h = _oracle_steps(data, x, y, "around")
+    gamma = rows(connection(data, (x, y)))
 
     # the four d1 abscissae along the flow of X, then of Y: one batch
     steps, xs, ys = [], [], []
     for A in (X, Y):
         vel = coord_components(data, (x, y), A)
-        # keep the spatial displacement of the stencil at ~h
-        ht = h / max(1.0, float(np.max(np.abs(vel[:2]))))
-        steps.append(ht)
-        for (t,) in numdiff._axis((0.0,), 0, ht):
+        # keep the spatial displacement of the stencil at ~h (fmax: a nan
+        # speed leaves h, as max(1.0, nan) does)
+        steps.append(h / np.fmax(1.0, np.maximum(np.abs(vel[0]),
+                                                  np.abs(vel[1]))))
+        for (t,) in numdiff._axis((0.0,), 0, steps[-1]):
             xs.append(x + t * vel[0])
             ys.append(y + t * vel[1])
-    tables = rows(connection(data, (np.array(xs), np.array(ys))))
+    tables = rows(connection(data, (np.concatenate(xs), np.concatenate(ys)))
+                  ).reshape(8, len(x), 3, 3, 3)
+    bracket = rows((X[0] * Y[1] - X[1] * Y[0]) * frame_bracket_12(data, (x, y)))
+    X, Y, Z = map(rows, (X, Y, Z))
+
+    def along(B, C, table):
+        # B^i C^j table_ij^k at each point
+        return np.einsum("ni,nj,nijk->nk", B, C, table)
 
     def second_cov(k, A, B, C):
         # D_A (D_B C) at p, where D_B C = B^i C^j gamma_ij^k varies
-        samples = [np.einsum("i,j,ijk->k", B, C, table)
-                   for table in tables[4 * k:4 * k + 4]]
-        deriv = numdiff._first(*samples, steps[k])
-        inner = np.einsum("i,j,ijk->k", B, C, gamma)
-        return deriv + np.einsum("i,m,imk->k", A, inner, gamma)
+        samples = [along(B, C, table) for table in tables[4 * k:4 * k + 4]]
+        deriv = numdiff._first(*samples, steps[k][:, None])
+        return deriv + np.einsum("ni,nm,nimk->nk", A, along(B, C, gamma),
+                                 gamma)
 
-    bracket = (X[0] * Y[1] - X[1] * Y[0]) * frame_bracket_12(data, (x, y))
-    cov_bracket = np.einsum("i,j,ijk->k", bracket, Z, gamma)
-    curl = second_cov(0, X, Y, Z) - second_cov(1, Y, X, Z) - cov_bracket
-    return float(curl @ W)
+    curl = (second_cov(0, X, Y, Z) - second_cov(1, Y, X, Z)
+            - along(bracket, Z, gamma))
+    out = product(curl.T, W)
+    return float(out[0]) if one else out
 
 
 def ricci(data: KillingData, p) -> np.ndarray:
@@ -557,14 +610,21 @@ def ricci_from_scalars(r: float, grad, g_curv: float, lam: float) -> np.ndarray:
 
 
 def ricci_contraction(data: KillingData, p) -> np.ndarray:
-    """Ricci by contracting the finite-difference curvature (oracle)."""
-    basis = np.eye(3)
-    out = np.zeros((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            total = 0.0
-            for i in range(3):
-                total += riemann_direct(data, p, basis[i], basis[a],
-                                        basis[b], basis[i])
-            out[a, b] = out[b, a] = total
-    return out
+    """Ricci by contracting the finite-difference curvature (oracle),
+    Ric(E_a, E_b) = sum_i <R(E_i, E_a) E_b, E_i>: the 18 tuples (a <= b, i)
+    of every point are one :func:`riemann_direct` batch. (3, 3, N) on a
+    batch of N points, each equal to its one-point tensor."""
+    x, y, one = _as_batch(p)
+    n = len(x)
+    pairs = [(a, b) for a in range(3) for b in range(a, 3)]
+    # the basis indices of (X, Y, Z, W) per tuple, each tuple at every point
+    index = np.array([(i, a, b, i) for a, b in pairs for i in range(3)])
+    values = riemann_direct(
+        data, (np.tile(x, 18), np.tile(y, 18)),
+        *(np.repeat(np.eye(3)[:, k], n, axis=1) for k in index.T)
+    ).reshape(6, 3, n)
+    out = np.zeros((n, 3, 3))
+    for (a, b), (t0, t1, t2) in zip(pairs, values):
+        # summed from 0.0 in order of i, as one point's sum is
+        out[:, a, b] = out[:, b, a] = 0.0 + t0 + t1 + t2
+    return _unbatch(out, one)

@@ -22,11 +22,15 @@ trailing batch axis: the immersion half (jets of x, y, z, tangents, first
 form, normal, the angle and the vertical tangent), the ambient half at the
 image point (lam, r, its gradient, G and the connection table), the
 Christoffels, the adapted frame and the Weingarten half (shape operator,
-mean curvature, |A|^2). Nothing is computed on read. Every point
-operation first builds its point's lattice in one batch
-(:meth:`SurfaceEvaluator.lattice`: the point, its derivative stencil and
-its probe lattice); a record read outside a built lattice is built as a
-batch of one, and a batch agrees with its points bit for bit.
+mean curvature, |A|^2). The ambient half reads the jets of (lam, a, b) at
+the batch's distinct image points, evaluated as one batch and gathered by
+index (:meth:`~ksub.geometry.KillingData.base_jets`); no jet is evaluated
+point by point. Nothing is computed on read. Every point operation first
+builds its point's lattice in one batch (:meth:`SurfaceEvaluator.lattice`:
+the point, its derivative stencil and its probe lattice); a record read
+outside a built lattice is built as a batch of one, and a batch agrees with
+its points bit for bit. A batch that fails is tried once: its records are
+built one at a time where they are read.
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step h = ``1e-3 * patch
@@ -86,9 +90,11 @@ class SurfacePatch:
             raise ValueError("immersion expressions need exactly 2 parameters")
         if self.y.variables != params or self.z.variables != params:
             raise ValueError("immersion components disagree on parameters")
-        # the patch owns its point records; evaluators are views over them,
-        # so a dropped patch frees its records by reference count
+        # the patch owns its point records, and the parameter points whose
+        # batch failed; evaluators are views over them, so a dropped patch
+        # frees its records by reference count
         self._points: dict[tuple[float, float], _PointData] = {}
+        self._failed: set[tuple[float, float]] = set()
         # a record refuses a degenerate first form, so building the 5x5
         # grid's records (one batch; point by point where it fails) checks
         # the immersion's regularity
@@ -162,7 +168,7 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
     jx, jy, jz = (eval_jet(e, (us, vs)) for e in (patch.x, patch.y, patch.z))
     x, y = jx.value, jy.value
     K.require_inside(x, y)
-    lam, ja, jb = K.pointwise_jets(x, y)
+    lam, ja, jb = K.base_jets(x, y)
 
     coord_tangents = np.stack([jx.grad, jy.grad, jz.grad], axis=1)
     tangents = geo.rows(np.stack([geo.frame_components(K, (x, y), c)
@@ -301,6 +307,7 @@ class SurfaceEvaluator:
         self.patch = patch
         self.h = PARAM_STEP_FRAC * patch.domain.diameter
         self._data = patch._points
+        self._failed = patch._failed
 
     # -- core point data -----------------------------------------------------
 
@@ -316,9 +323,11 @@ class SurfaceEvaluator:
     def _prefetch(self, keys) -> None:
         """Build the missing records among the parameter points ``keys`` in
         one batch. A batch that raises or yields a non-finite value stores
-        nothing, so those records are built where they are read, one at a
+        nothing, and its points are remembered and left out of later
+        batches: their records are built where they are read, one at a
         time, and every error and warning arises there."""
-        keys = [k for k in dict.fromkeys(keys) if k not in self._data]
+        keys = [k for k in dict.fromkeys(keys)
+                if k not in self._data and k not in self._failed]
         if not keys:
             return
         us, vs = (np.array(c) for c in zip(*keys))
@@ -326,8 +335,11 @@ class SurfaceEvaluator:
             with np.errstate(all="ignore"):
                 fields = _build(self.patch, us, vs)
         except (ArithmeticError, ValueError, KsubError, RecursionError):
-            return
-        if not _finite(tuple(fields.values())):
+            fields = None
+        if fields is None or not _finite(tuple(fields.values())):
+            if len(self._failed) >= geo.CACHE_LIMIT:
+                self._failed.clear()
+            self._failed.update(keys)
             return
         for key, record in zip(keys, _records(keys, fields)):
             geo.memo(self._data, key, lambda *_: record)

@@ -82,11 +82,15 @@ def check_connection_oracle(tol=1e-6) -> CheckReport:
     worst = _Worst()
     start = time.monotonic()
     for data in families:
+        points = []
         for _ in range(20):
             x, y = data.domain.random_point(rng)
-            p = (x, y, float(rng.uniform(-1, 1)))
-            diff = np.max(np.abs(geo.connection(data, p)
-                                 - geo.connection_oracle(data, p)))
+            points.append((x, y, float(rng.uniform(-1, 1))))
+        # the 20 points as one batch: (3, 3, 3, 20) tables
+        batch = tuple(map(np.array, zip(*points)))
+        diffs = np.abs(geo.connection(data, batch)
+                       - geo.connection_oracle(data, batch))
+        for p, diff in zip(points, diffs.max(axis=(0, 1, 2))):
             worst.update(diff, f"{data.description} at {p}")
     elapsed = time.monotonic() - start
     report = CheckReport.from_residual(
@@ -105,38 +109,50 @@ def check_connection_oracle(tol=1e-6) -> CheckReport:
 def check_curvature_formula(tol=1e-5) -> CheckReport:
     rng = np.random.default_rng(SEED + 1)
     families = metric_families()
-    worst = _Worst()
-    for data in families:
-        for _ in range(40):
-            x, y = data.domain.random_point(rng)
-            p = (x, y, float(rng.uniform(-1, 1)))
-            vecs = rng.standard_normal((4, 3))
-            closed = geo.riemann_closed(data, p, *vecs)
-            direct = geo.riemann_direct(data, p, *vecs)
-            rel = abs(direct - closed) / max(1.0, abs(closed))
-            worst.update(rel, f"{data.description} at {p}")
+    # every sample drawn first, in the order the updates below read them
+    samples = [[((*data.domain.random_point(rng), float(rng.uniform(-1, 1))),
+                 rng.standard_normal((4, 3))) for _ in range(40)]
+               for data in families]
+    identity_points = [[data.domain.random_point(rng) for _ in range(3)]
+                       for data in families]
+    e = np.eye(3)
+    # <R(Ej,E3)Ej,E3> = -r^2 and <R(E1,E2)Ej,E3> = -Ej(r) for j = 1, 2,
+    # then <R(E1,E2)E1,E2> = 3 r^2 - G
+    identities = [(e[0], e[2], e[0], e[2]), (e[0], e[1], e[0], e[2]),
+                  (e[1], e[2], e[1], e[2]), (e[0], e[1], e[1], e[2]),
+                  (e[0], e[1], e[0], e[1])]
 
-    basis = np.eye(3)
-    for data in families:
-        for _ in range(3):
-            x, y = data.domain.random_point(rng)
-            p = (x, y, 0.0)
-            r, grad = geo.bundle_curvature(data, (x, y))
-            g_curv = geo.gauss_curvature(data, (x, y))
-            lam = data.lam(x, y)
+    worst = _Worst()
+    identity_values = []
+    for data, drawn, ident in zip(families, samples, identity_points):
+        # one closed-form batch of the 40 samples, one direct batch of
+        # them and the 5 identity tuples at each of the 3 identity points
+        points = [p[:2] for p, _ in drawn] + [q for q in ident
+                                               for _ in identities]
+        xs, ys = map(np.array, zip(*points))
+        vecs = np.array([v for _, v in drawn]
+                        + identities * len(ident)).transpose(1, 2, 0)
+        closed = geo.riemann_closed(data, (xs[:40], ys[:40]),
+                                    *vecs[..., :40])
+        direct = geo.riemann_direct(data, (xs, ys), *vecs)
+        for (p, _), c, d in zip(drawn, closed.tolist(), direct.tolist()):
+            worst.update(abs(d - c) / max(1.0, abs(c)),
+                         f"{data.description} at {p}")
+        identity_values.append(direct[40:].reshape(len(ident), -1))
+
+    for data, ident, values in zip(families, identity_points, identity_values):
+        xs, ys = map(np.array, zip(*ident))
+        r, grad = geo.bundle_curvature(data, (xs, ys))
+        g_curv = geo.gauss_curvature(data, (xs, ys))
+        lam = data.lam(xs, ys)
+        for n, got in enumerate(values):
             for j in range(2):
-                got = geo.riemann_direct(data, p, basis[j], basis[2],
-                                         basis[j], basis[2])
-                worst.update(abs(got + r * r),
+                worst.update(abs(got[2 * j] + r[n] * r[n]),
                              f"vertical-plane identity, {data.description}")
-                got = geo.riemann_direct(data, p, basis[0], basis[1],
-                                         basis[j], basis[2])
-                expected = -grad[j] / lam
-                worst.update(abs(got - expected),
+                expected = -grad[j, n] / lam[n]
+                worst.update(abs(got[2 * j + 1] - expected),
                              f"mixed identity j={j}, {data.description}")
-            got = geo.riemann_direct(data, p, basis[0], basis[1],
-                                     basis[0], basis[1])
-            worst.update(abs(got - (3.0 * r * r - g_curv)),
+            worst.update(abs(got[4] - (3.0 * r[n] * r[n] - g_curv[n])),
                          f"horizontal identity, {data.description}")
     return CheckReport.from_residual("curvature-formula", worst.value, tol,
                                      worst.location, {"tuples": 200})

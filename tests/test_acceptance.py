@@ -5,10 +5,13 @@ tolerance (run pytest with -s to see them). The heavy numerical work lives
 in ksub.verify, which the CLI `verify-paper` subcommand shares.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import ksub
 from ksub import verify
 
 
@@ -94,11 +97,14 @@ def test_criterion_09_branch_logic():
 def test_criterion_10_cli_determinism(tmp_path):
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
+    # the child imports the package this run tests, installed or not
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ksub.__file__).resolve().parents[1])}
     for path in (first, second):
         proc = subprocess.run(
             [sys.executable, "-m", "ksub.cli", "verify-paper",
              "--out", str(path)],
-            capture_output=True, text=True, timeout=600)
+            capture_output=True, text=True, timeout=600, env=env)
         assert proc.returncode == 0, proc.stderr
     same = first.read_bytes() == second.read_bytes()
     print(f"{'PASS' if same else 'FAIL'} cli-determinism: "

@@ -11,6 +11,7 @@ import pytest
 
 import ksub
 from ksub import cli
+from ksub import expr
 from ksub import geometry as geo
 from ksub import hopf
 from ksub import surface as srf
@@ -553,6 +554,36 @@ OPS = {
 }
 
 
+class TestOnePointEvaluations:
+    """Every consumer on the verify and check-surface paths evaluates its
+    expressions as batches; one-point evaluations are the few left over
+    (the counts are the same on a first and on a later run)."""
+
+    @pytest.fixture
+    def one_point(self, monkeypatch):
+        seen = []
+        evaluate = expr._evaluate
+
+        def counted(e, point, arithmetics):
+            point = tuple(point)
+            if not (point and isinstance(point[0], np.ndarray)):
+                seen.append(e)
+            return evaluate(e, point, arithmetics)
+
+        monkeypatch.setattr(expr, "_evaluate", counted)
+        return seen
+
+    def test_verify_suite(self, one_point):
+        assert all(r.status == "pass" for r in verify.run_checks())
+        assert len(one_point) < 1000
+
+    def test_check_surface(self, one_point, capsys):
+        assert main(["check-surface", "--bcv", "0", "0.5", "--graph", "x*y",
+                     "--grid", "3", "3"]) == 0
+        capsys.readouterr()
+        assert len(one_point) < 20
+
+
 class TestWorkingSet:
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_op_leaves_no_cycles_behind(self, op, capsys):
@@ -572,9 +603,10 @@ class TestWorkingSet:
 
     # calls per (op, points): info evaluates its grid as one batch, hopf
     # its 64 samples (r) and its 5 stencil columns of 64 (base jets) as
-    # batches, check-surface point by point
+    # batches, check-surface the distinct base points of its regularity
+    # grid and of its lattice as one batch each
     CALLS = {("info", 144): 1, ("hopf", 64): 1, ("hopf", 320): 5,
-             ("check-surface", 23): 23}
+             ("check-surface", 23): 2}
 
     @staticmethod
     def _points(p):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ksub import geometry as geo
-from ksub import numdiff
+from ksub import numdiff, verify
 from ksub.errors import FdMarginError, OutsideDomainError
-from ksub.expr import parse
+from ksub.expr import eval_jet, parse
 
 
 def make_data(lam, a, b, rect=(-2, 2, -2, 2), desc="test"):
@@ -111,6 +111,30 @@ class TestBatchedScalars:
         with pytest.raises(OutsideDomainError, match=r"point \(2\.5, 0\.0\)"):
             geo.bundle_curvature(FLAT, (xs, ys))
 
+    def test_repeated_points_are_evaluated_once_and_gathered(self,
+                                                             monkeypatch):
+        data = make_data("1+x^2", "x", "-y")
+        seen = []
+        original = geo.KillingData._eval_base_jets
+
+        def counted(self, x, y):
+            seen.append(len(x))
+            return original(self, x, y)
+
+        monkeypatch.setattr(geo.KillingData, "_eval_base_jets", counted)
+        xs = np.array([0.5, -0.0, 0.5, 0.0, -0.0])
+        ys = np.array([0.25, 0.0, 0.25, -0.0, 0.0])
+        jets = data.base_jets(xs, ys)
+        # 0.5, -0.0 and 0.0 (told apart by their bits) in one batch
+        assert seen == [3]
+        for n, point in enumerate(zip(xs.tolist(), ys.tolist())):
+            for jet, e in zip(jets, (data.lam, data.a, data.b)):
+                one = eval_jet(e, point)
+                for got, want in ((jet.value[n], one.value),
+                                  (jet.grad[:, n], one.grad),
+                                  (jet.hess[..., n], one.hess)):
+                    assert same_bytes(got, want)
+
     def test_positivity_is_checked_in_grid_order(self):
         # lam <= 0 at the first grid point, a log domain error only later:
         # the positivity error of the first point is the one raised
@@ -139,39 +163,225 @@ class TestBatchedConnection:
     @pytest.mark.parametrize("data", FAMILIES, ids=lambda d: d.description)
     def test_riemann_direct_equals_its_stencil_one_point_at_a_time(self,
                                                                    data):
-        # the definition with the d1 stencil of each flow sampled by
-        # one-point connection calls, as before the batch
-        def reference(p, X, Y, Z, W):
-            x, y = p[0], p[1]
-            h = geo._oracle_step(x, y)
-            gamma = geo.connection(data, (x, y))
-
-            def second_cov(A, B, C):
-                vel = geo.coord_components(data, (x, y), A)
-                ht = h / max(1.0, float(np.max(np.abs(vel[:2]))))
-
-                def field(t):
-                    q = (x + t * vel[0], y + t * vel[1])
-                    return np.einsum("i,j,ijk->k", B, C,
-                                     geo.connection(data, q))
-
-                inner = np.einsum("i,j,ijk->k", B, C, gamma)
-                return (numdiff.d1(field, 0.0, ht)
-                        + np.einsum("i,m,imk->k", A, inner, gamma))
-
-            bracket = ((X[0] * Y[1] - X[1] * Y[0])
-                       * geo.frame_bracket_12(data, (x, y)))
-            curl = (second_cov(X, Y, Z) - second_cov(Y, X, Z)
-                    - np.einsum("i,j,ijk->k", bracket, Z, gamma))
-            return float(curl @ W)
-
         rng = np.random.default_rng(3)
         for _ in range(4):
             p = (*data.domain.random_point(rng), 0.2)
             vecs = [rng.normal(size=3) for _ in range(4)]
             got = geo.riemann_direct(data, p, *vecs)
             assert np.float64(got).tobytes() == np.float64(
-                reference(p, *vecs)).tobytes()
+                one_point_riemann_direct(data, p[0], p[1], *vecs)).tobytes()
+
+
+# The oracles as they were written for one point at a time, before they
+# took batches: references that a batch must equal to the byte.
+
+def one_point_metric_matrix(data, x, y):
+    lam = data.lam(x, y)
+    ax = lam * data.a(x, y)
+    ay = lam * data.b(x, y)
+    return np.array([
+        [lam * lam + ax * ax, ax * ay, -ax],
+        [ax * ay, lam * lam + ay * ay, -ay],
+        [-ax, -ay, 1.0],
+    ])
+
+
+def one_point_frame(data, x, y):
+    data.require_inside(x, y)
+    lam, a, b = data.base_jets(x, y)
+    return np.array([
+        [1.0 / lam.value, 0.0, a.value],
+        [0.0, 1.0 / lam.value, b.value],
+        [0.0, 0.0, 1.0],
+    ])
+
+
+def one_point_connection_oracle(data, x, y):
+    h = geo._oracle_step(x, y)
+    if data.domain.margin_at(x, y) < 2.0 * h:
+        raise FdMarginError(
+            f"need margin >= {2 * h} inside the domain around ({x}, {y})")
+    dg = np.zeros((3, 3, 3))
+    dg[:2] = [numdiff.partial1(lambda q: one_point_metric_matrix(data, *q),
+                               (x, y), c, h) for c in range(2)]
+    g = one_point_metric_matrix(data, x, y)
+    sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    christoffel = 0.5 * np.einsum("cd,abd->cab", np.linalg.inv(g), sym)
+    eframe = one_point_frame(data, x, y)
+    dE = np.zeros((3, 3, 3))
+    dE[:2] = [numdiff.partial1(lambda q: one_point_frame(data, *q), (x, y),
+                               c, h) for c in range(2)]
+    cov = (np.einsum("ic,cjk->ijk", eframe, dE)
+           + np.einsum("ia,jb,kab->ijk", eframe, eframe, christoffel))
+    return np.einsum("ijc,cd,kd->ijk", cov, g, eframe)
+
+
+def one_point_riemann_closed(data, x, y, X, Y, Z, W):
+    r, grad = geo.bundle_curvature(data, (x, y))
+    g_curv = geo.gauss_curvature(data, (x, y))
+    lam = data.lam(x, y)
+
+    def dr(v):
+        return v[0] * grad[0] / lam + v[1] * grad[1] / lam
+
+    def dot(u, v):
+        return float(u @ v)
+
+    def turn(v):
+        return np.array([-v[1], v[0], 0.0])
+
+    term1 = (g_curv - 3.0 * r * r) * (dot(Y, Z) * dot(X, W)
+                                      - dot(X, Z) * dot(Y, W))
+    term2 = -(g_curv - 4.0 * r * r) * (
+        Y[2] * Z[2] * dot(X, W) - X[2] * Z[2] * dot(Y, W)
+        + X[2] * dot(Y, Z) * W[2] - Y[2] * dot(X, Z) * W[2])
+    term3 = (dot(Z, turn(W)) * dr(turn(np.cross(X, Y)))
+             + dot(X, turn(Y)) * dr(turn(np.cross(Z, W))))
+    return term1 + term2 + term3
+
+
+def one_point_riemann_direct(data, x, y, X, Y, Z, W):
+    # the definition with the d1 stencil of each flow sampled by one-point
+    # connection calls
+    h = geo._oracle_step(x, y)
+    if data.domain.margin_at(x, y) < 2.0 * h:
+        raise FdMarginError(f"need margin >= {2 * h} around ({x}, {y})")
+    gamma = geo.connection(data, (x, y))
+
+    def second_cov(A, B, C):
+        vel = geo.coord_components(data, (x, y), A)
+        ht = h / max(1.0, float(np.max(np.abs(vel[:2]))))
+
+        def field(t):
+            q = (x + t * vel[0], y + t * vel[1])
+            return np.einsum("i,j,ijk->k", B, C, geo.connection(data, q))
+
+        inner = np.einsum("i,j,ijk->k", B, C, gamma)
+        return (numdiff.d1(field, 0.0, ht)
+                + np.einsum("i,m,imk->k", A, inner, gamma))
+
+    bracket = ((X[0] * Y[1] - X[1] * Y[0])
+               * geo.frame_bracket_12(data, (x, y)))
+    curl = (second_cov(X, Y, Z) - second_cov(Y, X, Z)
+            - np.einsum("i,j,ijk->k", bracket, Z, gamma))
+    return float(curl @ W)
+
+
+def one_point_ricci_contraction(data, x, y):
+    basis = np.eye(3)
+    out = np.zeros((3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            total = 0.0
+            for i in range(3):
+                total += one_point_riemann_direct(data, x, y, basis[i],
+                                                  basis[a], basis[b], basis[i])
+            out[a, b] = out[b, a] = total
+    return out
+
+
+def same_bytes(got, want) -> bool:
+    return (np.asarray(got, dtype=float).tobytes()
+            == np.asarray(want, dtype=float).tobytes())
+
+
+def e1e2e1e2(p):
+    """(E1, E2, E1, E2) at the one point or each point of a batch p."""
+    return [np.repeat(BASIS[k][:, None], np.size(p[0]), axis=1)
+            for k in (0, 1, 0, 1)]
+
+
+class TestBatchedOracles:
+    """Each oracle on a batch of points equals, point by point and to the
+    byte, its one-point formulation; so does a one-point call."""
+
+    @pytest.fixture(params=verify.metric_families(),
+                    ids=lambda d: d.description)
+    def sample(self, request):
+        data = request.param
+        rng = np.random.default_rng(21)
+        points = [(*data.domain.random_point(rng),
+                   float(rng.uniform(-1, 1))) for _ in range(6)]
+        vecs = rng.standard_normal((6, 4, 3))
+        return data, points, tuple(map(np.array, zip(*points))), vecs
+
+    def test_metric_and_frame(self, sample):
+        data, points, batch, _ = sample
+        metric, frame = geo.metric_matrix(data, batch), geo.frame(data, batch)
+        assert metric.shape == frame.shape == (3, 3, 6)
+        for n, (x, y, z) in enumerate(points):
+            for got, want in (
+                    (metric[..., n], one_point_metric_matrix(data, x, y)),
+                    (geo.metric_matrix(data, (x, y)),
+                     one_point_metric_matrix(data, x, y)),
+                    (frame[..., n], one_point_frame(data, x, y)),
+                    (geo.frame(data, (x, y, z)), one_point_frame(data, x, y))):
+                assert same_bytes(got, want)
+
+    def test_connection_oracle(self, sample):
+        data, points, batch, _ = sample
+        tables = geo.connection_oracle(data, batch)
+        assert tables.shape == (3, 3, 3, 6)
+        for n, (x, y, z) in enumerate(points):
+            want = one_point_connection_oracle(data, x, y)
+            assert same_bytes(tables[..., n], want)
+            assert same_bytes(geo.connection_oracle(data, (x, y, z)), want)
+
+    def test_riemann(self, sample):
+        data, points, batch, vecs = sample
+        columns = vecs.transpose(1, 2, 0)  # four (3, N) vector batches
+        closed = geo.riemann_closed(data, batch, *columns)
+        direct = geo.riemann_direct(data, batch, *columns)
+        assert closed.shape == direct.shape == (6,)
+        for n, (x, y, z) in enumerate(points):
+            want = one_point_riemann_closed(data, x, y, *vecs[n])
+            assert same_bytes(closed[n], want)
+            assert same_bytes(geo.riemann_closed(data, (x, y, z), *vecs[n]),
+                              want)
+            want = one_point_riemann_direct(data, x, y, *vecs[n])
+            assert same_bytes(direct[n], want)
+            assert same_bytes(geo.riemann_direct(data, (x, y, z), *vecs[n]),
+                              want)
+
+    def test_ricci_contraction(self, sample):
+        data, points, batch, _ = sample
+        tensors = geo.ricci_contraction(data, tuple(c[:2] for c in batch))
+        assert tensors.shape == (3, 3, 2)
+        for n, (x, y, z) in enumerate(points[:2]):
+            want = one_point_ricci_contraction(data, x, y)
+            assert same_bytes(tensors[..., n], want)
+            assert same_bytes(geo.ricci_contraction(data, (x, y, z)), want)
+
+    # FLAT's domain is [-2, 2]^2 and its oracle step 2e-4 near the edge:
+    # (1.9999, 0) is inside but within the 2 h margin
+    INSIDE_MARGIN, OUTSIDE = (1.9999, 0.0), (0.5, 2.5)
+    CALLS = {
+        "connection_oracle": lambda p: geo.connection_oracle(FLAT, p),
+        "riemann_direct": lambda p: geo.riemann_direct(FLAT, p,
+                                                       *e1e2e1e2(p)),
+        "ricci_contraction": lambda p: geo.ricci_contraction(FLAT, p),
+        "frame": lambda p: geo.frame(FLAT, p),
+        "riemann_closed": lambda p: geo.riemann_closed(FLAT, p,
+                                                       *e1e2e1e2(p)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("bad", [(INSIDE_MARGIN, OUTSIDE),
+                                     (OUTSIDE, INSIDE_MARGIN)],
+                             ids=["margin-first", "outside-first"])
+    def test_batch_raises_the_error_of_its_first_bad_point(self, name, bad):
+        call = self.CALLS[name]
+        points = [(0.1, 0.2), *bad, (-0.3, 0.4)]
+        errors = []
+        for p in points:
+            try:
+                call(p)
+            except (FdMarginError, OutsideDomainError) as err:
+                errors.append(err)
+        first = errors[0]
+        with pytest.raises(type(first)) as err:
+            call(tuple(map(np.array, zip(*points))))
+        assert str(err.value) == str(first)
 
 
 class TestGaussCurvature:

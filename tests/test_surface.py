@@ -724,3 +724,20 @@ class TestBatchedLattice:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {self.ERROR}\n"
+
+    def test_failed_lattice_is_not_rebuilt(self, monkeypatch, capsys):
+        # the failing lattice is tried once as a batch; later point
+        # operations leave its points out, so only the records they read
+        # are built, one at a time
+        sizes = []
+        build = srf._build
+
+        def counted(patch, us, vs):
+            sizes.append(len(us))
+            return build(patch, us, vs)
+
+        monkeypatch.setattr(srf, "_build", counted)
+        assert main(self.ARGV) == 2
+        capsys.readouterr()
+        # the regularity grid, then the checked point's lattice
+        assert [n for n in sizes if n > 1] == [25, 41]
