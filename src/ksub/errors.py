@@ -69,5 +69,5 @@ class NotArcLengthError(KsubError):
 
 
 class NoIsolatedRootError(KsubError):
-    """Root bracketing failed: the scanned function has no sign change (or is
-    identically zero)."""
+    """Root bracketing or refinement failed: the scanned function has no sign
+    change (or is identically zero), or the refinement did not converge."""

@@ -31,6 +31,12 @@ results bit for bit, and a float is a batch of one. A failing sweep reruns
 sample by sample (:func:`ksub.expr.batched`), so its first failing sample
 raises its own error.
 
+Everything here is numpy or plain-float code. Arc length is a composite
+Gauss-Legendre rule whose panel table also inverts it: t(s) is a batched
+Newton solve of S(t) = s (:func:`arclength_reparam`). Roots of the
+warped-chart circle condition are refined by :func:`_brentq`, a float port
+of the C routine ``brentq.c`` that returns its root to the bit.
+
 Sign convention: kappa_g uses the normal n = J(alpha') with (alpha', n)
 positively oriented, so an anticlockwise Euclidean circle of radius R in the
 flat chart has kappa_g = +1/R. The lifted frame on the cylinder uses the
@@ -51,6 +57,7 @@ from . import numdiff
 from . import surface as srf
 from .errors import (
     DegenerateCurveError,
+    DomainEvalError,
     FdMarginError,
     NoIsolatedRootError,
     NotArcLengthError,
@@ -81,6 +88,8 @@ ARC_TOL = 1e-6         # allowed |speed - 1| for operations that assume arc leng
 CONST_TOL = 1e-5       # allowed spread for "constant along the curve"
 CRITERION_TOL = 1e-5   # allowed defect in kappa^2 = G - 4 r^2
 KAPPA_MIN = 1e-6       # |kappa| below this counts as minimal (not proper)
+NEWTON_MAXITER = 50    # Newton steps of one t(s) before the inversion fails
+ROOT_MAXITER = 100     # root refinement iterations before it fails
 
 
 # ---------------------------------------------------------------------------
@@ -123,21 +132,61 @@ def _chain(jet: Jet, tp, tpp) -> Jet:
 
 
 class ReparamCurve:
-    """Arc-length view of a curve, backed by a dense ODE solution t(s)."""
+    """Arc-length view of a curve, backed by its table of panel lengths.
 
-    def __init__(self, curve: BaseCurve, base, solution, length: float):
+    ``edges`` are the parameter edges of the Gauss-Legendre panels of
+    :func:`arclength_reparam` and ``cum`` the cumulative lengths at them.
+    t(s) solves S(t) = s by Newton inside the panel holding s, with S(t)
+    the table length up to the panel plus the same rule over [edge, t].
+    """
+
+    def __init__(self, curve: BaseCurve, base, edges: np.ndarray,
+                 cum: np.ndarray):
         self.curve = curve
         self.base = base
-        self._solution = solution
-        self.interval = (0.0, float(length))
+        self._edges = edges
+        self._cum = cum
+        self.interval = (0.0, float(cum[-1]))
         self.arc_length = True
 
+    def _times(self, s: np.ndarray) -> np.ndarray:
+        """t(s) for an array of arc lengths, all at once. An element stops
+        when |S(t) - s| <= 1e-14 max(1, length) and is not touched again,
+        so each equals its batch of one bit for bit."""
+        edges, cum = self._edges, self._cum
+        length = self.interval[1]
+        bad = _first_bad(np.logical_not((s >= 0.0) & (s <= length)), s)
+        if bad:
+            raise OutsideDomainError(
+                f"arc length {bad[0]} outside the curve's [0, {length}]")
+        # the panel holding s (the last one for s = length)
+        k = np.minimum(np.searchsorted(cum, s, side="right"), len(cum) - 1) - 1
+        lo, hi = edges[k], edges[k + 1]
+        t = lo + (s - cum[k]) / (cum[k + 1] - cum[k]) * (hi - lo)
+        tol = 1e-14 * max(1.0, length)
+        todo = np.arange(len(s))
+        for _ in range(NEWTON_MAXITER):
+            # one speed batch: the rule's nodes in [edge, t], then t itself
+            ta = t[todo]
+            nodes = _gauss_nodes(lo[todo], ta)
+            speeds = _speeds(self.curve, self.base, np.vstack([nodes, ta]))
+            err = (cum[k[todo]] + _gauss_sums(lo[todo], ta, speeds[:-1])
+                   - s[todo])
+            open_ = np.abs(err) > tol
+            todo = todo[open_]
+            if not len(todo):
+                return t
+            t[todo] = np.clip(ta[open_] - err[open_] / speeds[-1][open_],
+                              lo[todo], hi[todo])
+        raise DegenerateCurveError("arc-length inversion did not converge "
+                                   f"at s = {float(s[todo[0]])}")
+
     def point_jets(self, s) -> tuple[Jet, Jet]:
-        """Jets in s at a float s, or at an array of s from one call of the
-        dense solution."""
-        t = self._solution(s)[0]
-        if type(s) is not np.ndarray:
-            t = float(t)
+        """Jets in s at a float s, or at an array of s in one solve."""
+        if type(s) is np.ndarray:
+            t = self._times(s)
+        else:
+            t = float(self._times(np.array([float(s)]))[0])
         sigma, dsigma = self.base.speed_jet(self.curve, t)
         tp = 1.0 / sigma
         tpp = -dsigma / power(sigma, 3)
@@ -145,7 +194,7 @@ class ReparamCurve:
         return _chain(jx, tp, tpp), _chain(jy, tp, tpp)
 
     def point(self, s: float) -> tuple[float, float]:
-        t = float(self._solution(s)[0])
+        t = float(self._times(np.array([float(s)]))[0])
         return self.curve.point(t)
 
 
@@ -341,24 +390,77 @@ def bcv_circle(c: float, radius: float | None = None,
 # Arc length
 # ---------------------------------------------------------------------------
 
-def curve_length(curve: BaseCurve, base) -> float:
-    """Metric length of the curve over its parameter interval."""
-    from scipy.integrate import quad  # scipy costs most of an import of ksub
+@functools.cache
+def _gauss() -> tuple[list[float], list[float]]:
+    """Nodes and weights of the 10-point Gauss-Legendre rule on [0, 1], as
+    floats (numpy.polynomial is imported once a curve needs arc length)."""
+    from numpy.polynomial.legendre import leggauss
 
+    x, w = leggauss(10)
+    return ([0.5 * (xi + 1.0) for xi in x.tolist()],
+            [0.5 * wi for wi in w.tolist()])
+
+
+def _gauss_nodes(a, b) -> np.ndarray:
+    """The rule's nodes in each [a_i, b_i], shape (10, n)."""
+    return np.array([a + (b - a) * u for u in _gauss()[0]])
+
+
+def _gauss_sums(a, b, speeds) -> np.ndarray:
+    """The rule over each [a_i, b_i] from the speeds at its nodes, summed
+    node by node, so each element is its own batch of one."""
+    weights = _gauss()[1]
+    total = weights[0] * speeds[0]
+    for w, sp in zip(weights[1:], speeds[1:]):
+        total = total + w * sp
+    return (b - a) * total
+
+
+def _speeds(curve, base, t: np.ndarray) -> np.ndarray:
+    """Metric speed at a 2-d array of parameters, as one batch."""
+    return base.speed_jet(curve, t.ravel())[0].reshape(t.shape)
+
+
+def _length_table(curve, base) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, cumulative lengths) of composite Gauss-Legendre panels: the
+    panel count doubles from 4 until two totals agree within 1e-13,
+    absolute and relative (the tolerances the length had with adaptive
+    quadrature), or reaches 4096, whose table is kept."""
     t0, t1 = curve.interval
-    value, _ = quad(lambda t: base.speed_jet(curve, t)[0], t0, t1,
-                    epsabs=1e-13, epsrel=1e-13, limit=200)
-    return float(value)
+    n, previous = 4, None
+    while True:
+        edges = np.linspace(t0, t1, n + 1)
+        a, b = edges[:-1], edges[1:]
+        lengths = _gauss_sums(a, b, _speeds(curve, base, _gauss_nodes(a, b)))
+        cum = np.concatenate(([0.0], np.cumsum(lengths)))
+        total = float(cum[-1])
+        if not math.isfinite(total):
+            raise DomainEvalError(f"curve length is not finite: {total}")
+        if previous is not None and (abs(total - previous)
+                                     <= 1e-13 * max(1.0, abs(total))):
+            return edges, cum
+        if n >= 4096:
+            return edges, cum
+        n, previous = 2 * n, total
+
+
+def curve_length(curve: BaseCurve, base) -> float:
+    """Metric length of the curve over its parameter interval: composite
+    Gauss-Legendre panels (10 nodes each, the speeds of all panels one
+    ``speed_jet`` batch), doubled until two estimates agree within 1e-13
+    absolute and relative."""
+    return float(_length_table(curve, base)[1][-1])
 
 
 def arclength_reparam(curve: BaseCurve, base):
     """Reparametrize a regular curve by arc length.
 
     If the curve is already unit speed (within 1e-10 on a grid of 257
-    samples) it is returned unchanged with the flag set. Otherwise the
-    parameter change solves dt/ds = 1/speed with a dense high-order
-    integrator, so evaluation keeps exact jets of the original components
-    chained through t(s).
+    samples) it is returned unchanged with the flag set. Otherwise it
+    returns a :class:`ReparamCurve` over the panel table of
+    :func:`curve_length`: t(s) is a Newton solve of S(t) = s for all
+    abscissae at once, and evaluation keeps exact jets of the original
+    components chained through t(s).
     """
     t0, t1 = curve.interval
     ts = np.linspace(t0, t1, 257)
@@ -367,17 +469,7 @@ def arclength_reparam(curve: BaseCurve, base):
         raise DegenerateCurveError("curve speed vanishes on the interval")
     if np.max(np.abs(speeds - 1.0)) <= 1e-10:
         return replace(curve, arc_length=True) if not curve.arc_length else curve
-
-    from scipy.integrate import solve_ivp
-
-    length = curve_length(curve, base)
-    sol = solve_ivp(
-        lambda s, t: [1.0 / base.speed_jet(curve, float(t[0]))[0]],
-        (0.0, length), [t0], dense_output=True,
-        rtol=1e-12, atol=1e-13, method="DOP853")
-    if not sol.success:
-        raise DegenerateCurveError(f"arc-length integration failed: {sol.message}")
-    return ReparamCurve(curve, base, sol.sol, length)
+    return ReparamCurve(curve, base, *_length_table(curve, base))
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +576,17 @@ def _verdict_from_samples(kappa, r, gauss, const_tol, crit_tol) -> HopfVerdict:
                        r_std, g_mean, g_std, reason, certified)
 
 
+class _Sampled:
+    """A curve whose jets at the sample array s are already read: the
+    centre column of the stencil is s itself and reuses them."""
+
+    def __init__(self, curve, s: np.ndarray, jets: tuple[Jet, Jet]):
+        self.curve, self.s, self.jets = curve, s, jets
+
+    def point_jets(self, t) -> tuple[Jet, Jet]:
+        return self.jets if t is self.s else self.curve.point_jets(t)
+
+
 def _sweep(curve, base, h: float, s):
     """kappa, kappa', kappa'', tau, r, G, r' and the residuals of both
     systems at an array of samples s (a float is a batch of one), in the
@@ -491,15 +594,16 @@ def _sweep(curve, base, h: float, s):
     if type(s) is not np.ndarray:
         return tuple(float(v[0])
                      for v in _sweep(curve, base, h, np.array([float(s)])))
-    jx, jy = curve.point_jets(s)
+    jx, jy = jets = curve.point_jets(s)
     p = (jx.value, jy.value)
     bad = _first_bad(np.logical_not(base.contains(p)), s, *p)
     if bad:
         raise OutsideDomainError(f"curve leaves the base domain at s = "
                                  f"{bad[0]}: point {bad[1:]}")
     xp, yp = jx.grad[0], jy.grad[0]
+    sampled = _Sampled(curve, s, jets)
     k, grad, hess = numdiff.derivatives(
-        lambda q: geodesic_curvature(curve, base, q[0]), (s,), h)
+        lambda q: geodesic_curvature(sampled, base, q[0]), (s,), h)
     k1, k2 = grad[0], hess[0, 0]
     r, grad_r = base.bundle(p)
     g = base.gauss(p)
@@ -607,6 +711,79 @@ def cylinder_surface_check(data: geo.KillingData, curve: BaseCurve,
 # Rotationally symmetric construction
 # ---------------------------------------------------------------------------
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """A root of f in [xa, xb], where f changes sign, by Brent's method.
+
+    A line-by-line port to Python floats of the C routine ``brentq.c``
+    behind the usual Python ``brentq`` (Brent 1973, ch. 4), with xtol
+    1e-14, rtol 1e-15, at most ROOT_MAXITER iterations and the same early
+    returns on a zero at an end, so it returns that routine's root to the
+    bit. A bracket without a sign change or no
+    convergence raises :class:`NoIsolatedRootError`, a nan value
+    :class:`DomainEvalError`.
+    """
+    xtol, rtol = 1e-14, 1e-15
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise DomainEvalError(f"function value at {x!r} is nan; root "
+                                  "refinement cannot continue")
+        return fx
+
+    def negative(x):
+        return math.copysign(1.0, x) < 0.0
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise NoIsolatedRootError(
+            f"no sign change to refine: f({xa!r}) = {fpre!r}, "
+            f"f({xb!r}) = {fcur!r}")
+    for _ in range(ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NoIsolatedRootError(
+        f"root refinement in [{xa!r}, {xb!r}] did not converge after "
+        f"{ROOT_MAXITER} iterations")
+
+
 @dataclass
 class RotationalCase:
     """One root of the circle condition in a warped chart."""
@@ -619,6 +796,13 @@ class RotationalCase:
     report: HopfReport
 
 
+def _circle_condition(f: Expr, r: float, t):
+    """(f, f (f'' + 4 r^2 f) + f'^2) at t, or over an array of t."""
+    j = eval_jet(f, (t,))
+    return j.value, (j.value * (j.hess[0, 0] + 4.0 * r * r * j.value)
+                     + power(j.grad[0], 2))
+
+
 def rotational_case_search(f, r: float, interval: tuple[float, float],
                            const_tol: float | None = None,
                            crit_tol: float | None = None
@@ -628,29 +812,23 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
     curvature r.
 
     The defining condition is f (f'' + 4 r^2 f) + f'^2 = 0 at t0; every root
-    in the interval is located by a scan of 1024 points and bracketed root
-    refinement.
+    in the interval is located by a scan of 1024 points (one batch) and
+    refined in its bracket by Brent's method (:func:`_brentq`, about 6
+    evaluations of the condition per root).
     For each root the circle s -> (t0, s / f(t0)) is returned together with
     its full residual report, classified with ``const_tol`` and ``crit_tol``
-    as in :func:`hopf_residuals` (which reads the module defaults); the geodesic curvature is f'(t0)/f(t0) and
-    the chart curvature is G = -f''(t0)/f(t0).
+    as in :func:`hopf_residuals` (which reads the module defaults); the
+    geodesic curvature is f'(t0)/f(t0) and the chart curvature is
+    G = -f''(t0)/f(t0).
     """
-    from scipy.optimize import brentq
-
     if isinstance(f, str):
         f = parse(f, ("t",))
     t0, t1 = float(interval[0]), float(interval[1])
     if not t1 > t0:
         raise ValueError("interval must have positive length")
 
-    def circle_condition(t):
-        # (f, f (f'' + 4 r^2 f) + f'^2) at t, or over an array of t
-        j = eval_jet(f, (t,))
-        return j.value, (j.value * (j.hess[0, 0] + 4.0 * r * r * j.value)
-                         + power(j.grad[0], 2))
-
     ts = np.linspace(t0, t1, 1024)
-    fv, gv = batched(circle_condition, ts)
+    fv, gv = batched(functools.partial(_circle_condition, f, r), ts)
     if np.min(fv) <= 0.0:
         raise ValueError("warp profile f must be positive on the interval")
     scale = max(1.0, float(np.max(np.abs(fv))) ** 2)
@@ -666,8 +844,8 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
         if ga == 0.0:
             roots.append(a)
         elif ga * gb < 0.0:
-            roots.append(float(brentq(lambda t: circle_condition(t)[1], a, b,
-                                      xtol=1e-14, rtol=1e-15)))
+            roots.append(_brentq(
+                lambda t: _circle_condition(f, r, t)[1], a, b))
     if gv[-1] == 0.0:
         roots.append(float(ts[-1]))
     if not roots:

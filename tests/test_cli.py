@@ -232,18 +232,62 @@ class TestBatchedGrid:
         assert result.stdout.splitlines()[-1] == "False"
 
     def test_hopf_circle_check_leaves_scipy_unimported(self):
-        # the batched sweep of a BCV circle needs no arc-length integration
+        # a BCV circle, a curve reparametrized by arc length and the warped
+        # root search: no Hopf path imports scipy
         code = ("import sys\n"
                 "from ksub.cli import main\n"
-                "code = main(['hopf', 'check', '--bcv', '4', '0.3',\n"
-                "             '--circle-kg', '1.2'])\n"
-                "print(code, 'scipy' in sys.modules)\n")
+                "codes = [main(['hopf', 'check', '--bcv', '4', '0.3',\n"
+                "               '--circle-kg', '1.2']),\n"
+                "         main(['hopf', 'check', '--lambda', '1',\n"
+                "               '--curve', '2*cos(s);2*sin(s)',\n"
+                "               '--interval', '0', '6.283185307']),\n"
+                "         main(['hopf', 'example', '--f', 'cos(t)',\n"
+                "               '--r', '0.25', '--interval', '0', '1.5'])]\n"
+                "print(*codes, 'scipy' in sys.modules)\n")
         env = {**os.environ,
                "PYTHONPATH": str(Path(ksub.__file__).resolve().parents[1])}
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "0 False"
+        assert result.stdout.splitlines()[-1] == "0 0 0 False"
+
+
+# each command with the exit code it documents for this input
+SCIPY_FREE_ARGVS = [
+    (["info", "--bcv", "1", "1", "--grid", "2", "2"], 0),
+    (["check-surface", "--bcv", "0", "0.5", "--graph", "x*y",
+      "--grid", "1", "1"], 0),
+    (["hopf", "check", "--bcv", "1", "0", "--circle-kg", "1"], 0),
+    (["hopf", "check", "--bcv", "1", "0", "--circle-kg", "0.6",
+      "--expect", "pass"], 1),
+    (["hopf", "check", "--lambda", "exp(-(x^2+y^2)/4)", "--b", "x",
+      "--domain", "-1.5", "1.5", "-1.5", "1.5",
+      "--curve", "0.7*cos(s);0.4*sin(s)", "--interval", "0", "6.283185307",
+      "--samples", "16", "--expect", "pass"], 1),
+    (["hopf", "check", "--lambda", "1", "--curve", "2*cos(s);2*sin(s)",
+      "--interval", "0", "6.283185307", "--samples", "16"], 0),
+    (["hopf", "example", "--f", "cos(t)", "--r", "0.25",
+      "--interval", "0", "1.5"], 0),
+    (["hopf", "example", "--f", "cos(t)", "--r", "0",
+      "--interval", "0", "0.5"], 2),
+    (["verify-paper"], 0),
+]
+
+
+def test_runs_without_scipy():
+    # scipy blocked from import: every command still ends in its exit code
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from ksub.cli import main\n"
+            f"print([main(argv) for argv, _ in {SCIPY_FREE_ARGVS!r}])\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ksub.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout.splitlines()[-1] == str(
+        [want for _, want in SCIPY_FREE_ARGVS])
 
 
 OUT_ARGVS = [

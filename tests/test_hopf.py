@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ksub import expr
 from ksub import geometry as geo
 from ksub import hopf, numdiff
 from ksub.errors import (
+    DegenerateCurveError,
+    DomainEvalError,
     NoIsolatedRootError,
     NotArcLengthError,
     OutsideDomainError,
@@ -65,6 +69,174 @@ class TestArclength:
                                  (-1.0, 1.0))
         with pytest.raises(Exception):
             hopf.arclength_reparam(stopped, FLAT_BASE)
+
+
+def gaussian_ellipse(a=0.8, b=0.5):
+    data = make_data("exp(-(x^2+y^2)/4)", "0", "x",
+                     rect=(-1.5, 1.5, -1.5, 1.5))
+    ellipse = hopf.BaseCurve(parse(f"{a}*cos(t)", ("t",)),
+                             parse(f"{b}*sin(t)", ("t",)), (0.0, 2 * math.pi))
+    return ellipse, hopf.ConformalBase(data)
+
+
+class TestArcLengthOracle:
+    """Arc length and its inverse against mpmath quadrature at 30 digits."""
+
+    @pytest.fixture
+    def mpmath(self):
+        return pytest.importorskip("mpmath")
+
+    @staticmethod
+    def gaussian_speed(mpmath, a, b, c=0.0):
+        """Speed of (a cos t, b sin t + c sin 12t) in exp(-(x^2+y^2)/4)."""
+        a, b, c = (mpmath.mpf(v) for v in (a, b, c))
+
+        def speed(t):
+            x = a * mpmath.cos(t)
+            y = b * mpmath.sin(t) + c * mpmath.sin(12 * t)
+            return (mpmath.exp(-(x * x + y * y) / 4)
+                    * mpmath.sqrt((a * mpmath.sin(t)) ** 2
+                                  + (b * mpmath.cos(t)
+                                     + 12 * c * mpmath.cos(12 * t)) ** 2))
+        return speed
+
+    @pytest.mark.parametrize("a, b, c, pieces", [(0.8, 0.5, 0.0, 9),
+                                                 (0.7, 0.4, 0.0, 9),
+                                                 (0.8, 0.5, 0.1, 49)])
+    def test_gaussian_metric_length(self, mpmath, a, b, c, pieces):
+        # with the wiggle c = 0.1 the speed dips to 0.065 near t = 3.05 and
+        # 3.24, and the panel count doubles to 1024 before two totals agree
+        curve, base = gaussian_ellipse(a, b)
+        if c:
+            curve = replace(curve, y=parse(f"{b}*sin(t)+{c}*sin(12*t)",
+                                           ("t",)))
+        with mpmath.workdps(30):
+            t1 = mpmath.mpf(curve.interval[1])
+            want = mpmath.quad(self.gaussian_speed(mpmath, a, b, c),
+                               mpmath.linspace(0, t1, pieces))
+            got = hopf.curve_length(curve, base)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_scaled_circle_length(self, mpmath):
+        base = hopf.ConformalBase(make_data("2", "0", "0", desc="lam2"))
+        circle = hopf.BaseCurve(parse("cos(t)", ("t",)),
+                                parse("sin(t)", ("t",)), (0.0, 2 * math.pi))
+        with mpmath.workdps(30):
+            t1 = mpmath.mpf(circle.interval[1])
+            want = mpmath.quad(
+                lambda t: 2 * mpmath.sqrt(mpmath.sin(t) ** 2
+                                          + mpmath.cos(t) ** 2), [0, t1])
+            got = hopf.curve_length(circle, base)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_inverse_recovers_arc_length(self, mpmath):
+        ellipse, base = gaussian_ellipse()
+        curve = hopf.arclength_reparam(ellipse, base)
+        s = np.linspace(0.0, curve.interval[1], 50)
+        t = curve._times(s)
+        with mpmath.workdps(30):
+            speed = self.gaussian_speed(mpmath, 0.8, 0.5)
+            arc, previous = mpmath.mpf(0), mpmath.mpf(0)
+            for si, ti in zip(s.tolist(), t.tolist()):
+                # S(t) piece by piece along the increasing t(s)
+                arc += mpmath.quad(speed, [previous, mpmath.mpf(ti)])
+                previous = mpmath.mpf(ti)
+                assert abs(arc - si) <= 1e-12
+
+
+class TestArcLengthErrors:
+    def test_outside_the_interval(self):
+        ellipse, base = gaussian_ellipse()
+        curve = hopf.arclength_reparam(ellipse, base)
+        length = curve.interval[1]
+        with pytest.raises(OutsideDomainError) as err:
+            curve.point_jets(np.array([0.5, length + 0.25]))
+        assert str(err.value) == (f"arc length {length + 0.25} outside the "
+                                  f"curve's [0, {length}]")
+
+    def test_inversion_stops(self, monkeypatch):
+        ellipse, base = gaussian_ellipse()
+        curve = hopf.arclength_reparam(ellipse, base)
+        monkeypatch.setattr(hopf, "NEWTON_MAXITER", 1)
+        with pytest.raises(DegenerateCurveError,
+                           match="did not converge at s = 0.3"):
+            curve.point(0.3)
+
+    def test_batches_equal_their_points(self):
+        ellipse, base = gaussian_ellipse()
+        curve = hopf.arclength_reparam(ellipse, base)
+        s = np.linspace(0.0, curve.interval[1], 97)
+        whole = curve._times(s)
+        assert whole[10:40].tobytes() == curve._times(s[10:40]).tobytes()
+        for x, t in zip(s.tolist(), whole.tolist()):
+            assert curve._times(np.array([x]))[0].hex() == t.hex()
+
+
+class TestRootRefinement:
+    """``hopf._brentq`` returns the root of the C routine it ports, bit
+    for bit (compared when scipy is installed)."""
+
+    @pytest.fixture
+    def reference(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        return lambda f, a, b: optimize.brentq(f, a, b, xtol=1e-14,
+                                               rtol=1e-15, maxiter=100)
+
+    def test_circle_condition_brackets(self, reference):
+        f = parse("cos(t)", ("t",))
+        ts = np.linspace(-1.5, 1.5, 1024)
+        count = 0
+        for r in np.linspace(0.0, 0.45, 201).tolist():
+            _, gv = hopf._circle_condition(f, r, ts)
+            for i in np.flatnonzero(gv[:-1] * gv[1:] < 0.0).tolist():
+                a, b = float(ts[i]), float(ts[i + 1])
+
+                def g(t):
+                    return hopf._circle_condition(f, r, t)[1]
+
+                assert hopf._brentq(g, a, b).hex() == reference(g, a, b).hex()
+                count += 1
+        assert count >= 400
+
+    def test_random_smooth_brackets(self, reference):
+        rng = np.random.default_rng(2024)
+        count = 0
+        while count < 1000:
+            c0, c1, c2, c3 = rng.normal(size=4).tolist()
+            a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
+
+            def g(x):
+                return (math.exp(c0 * x) - 1.5 + c1 * math.sin(3 * c2 * x)
+                        + c3 * x)
+
+            if not g(a) * g(b) < 0.0:
+                continue
+            assert hopf._brentq(g, a, b).hex() == reference(g, a, b).hex()
+            count += 1
+
+    def test_zero_at_an_end(self, reference):
+        def g(x):
+            return x - 1.0
+
+        for a, b in ((1.0, 2.0), (0.0, 1.0)):
+            assert hopf._brentq(g, a, b) == 1.0 == reference(g, a, b)
+
+    def test_same_sign_bracket(self):
+        with pytest.raises(NoIsolatedRootError) as err:
+            hopf._brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+        assert str(err.value) == ("no sign change to refine: f(-1.0) = 2.0, "
+                                  "f(2.0) = 5.0")
+
+    def test_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(hopf, "ROOT_MAXITER", 2)
+        with pytest.raises(NoIsolatedRootError) as err:
+            hopf._brentq(math.atan, -1.0, 3.0)
+        assert str(err.value) == ("root refinement in [-1.0, 3.0] did not "
+                                  "converge after 2 iterations")
+
+    def test_nan_value(self):
+        with pytest.raises(DomainEvalError, match="is nan"):
+            hopf._brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
 
 
 class TestGeodesicCurvature:
@@ -189,6 +361,22 @@ class TestHopfResiduals:
         assert len(calls) <= 5
         assert len(abscissae) == 5 * 64
         assert len(set(abscissae.tolist())) == len(abscissae)
+
+    def test_sample_jets_read_once(self, monkeypatch):
+        # the centre column of the kappa stencil is the samples themselves
+        # and reuses their jets: 25 jet evaluations, not 27
+        calls = []
+        evaluate = expr._evaluate
+
+        def counted(e, point, arithmetics):
+            calls.append(arithmetics is expr._JETS)
+            return evaluate(e, point, arithmetics)
+
+        monkeypatch.setattr(expr, "_evaluate", counted)
+        base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
+        hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), base,
+                            n_samples=64)
+        assert sum(calls) == 25
 
     def test_tolerances_read_when_called(self, monkeypatch):
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
@@ -351,11 +539,18 @@ class TestBatchedSweep:
         arc = hopf.BaseCurve(parse("s", ("s",)), parse("0.1*s^2", ("s",)),
                              (-0.3, 1.0))
         curve = hopf.arclength_reparam(arc, small)
+        # the first of the 64 samples of the arc-length interval whose point
+        # is outside, as the sweep places them
+        s0, s1 = curve.interval
+        h = max(1e-3 * (s1 - s0), 1e-6)
+        samples = np.linspace(s0 + 3.0 * h, s1 - 3.0 * h, 64).tolist()
+        s, point = next((s, curve.point(s)) for s in samples
+                        if not small.contains(curve.point(s)))
+        assert s == 0.8080424088138286
         with pytest.raises(OutsideDomainError) as err:
             hopf.hopf_residuals(curve, small)
         assert str(err.value) == (
-            "curve leaves the base domain at s = 0.8080424088138286: "
-            "point (0.5069950407869946, 0.02570439713826064)")
+            f"curve leaves the base domain at s = {s}: point {point}")
 
     def test_first_stencil_point_off_unit_speed(self):
         # unit speed up to s = a, which lies between the s + h/2 and s + h
