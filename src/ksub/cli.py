@@ -168,6 +168,9 @@ def _metric_from_args(args) -> geo.KillingData:
     if args.bcv is not None:
         if args.lam or args.a or args.b:
             raise UsageError("give either --bcv or --lambda/--a/--b, not both")
+        if args.domain:
+            raise UsageError("--domain applies to --lambda metrics; --bcv "
+                             "has its own domain")
         return geo.bcv(args.bcv[0], args.bcv[1])
     if not args.lam:
         raise UsageError("a metric is required: --bcv C MU or --lambda EXPR "

@@ -1,22 +1,25 @@
 """Scalar expression parsing and second-order forward-mode differentiation.
 
 Expressions are parsed from text over a declared list of variables into an
-immutable AST, then evaluated either as plain floats or as ``Jet`` values
-carrying (value, gradient, Hessian) with respect to the declared variables.
-One walker serves both, with two separate arithmetics: float operations with
-their own domain checks, and the ``Jet`` methods, which also check that the
-result is twice differentiable. Exponents of ``^`` must be numeric literals,
-which keeps the power rule exact.
+immutable AST, then evaluated either as values or as ``Jet`` values carrying
+(value, gradient, Hessian) with respect to the declared variables. One walker
+serves both, with one arithmetic per kind: the value operations with their
+own domain checks, and the ``Jet`` methods, which also check that the result
+is twice differentiable. Exponents of ``^`` must be numeric literals, which
+keeps the power rule exact.
 
-Both evaluate a batch of N points in one pass when the coordinates are
-one-dimensional arrays. The batch sits on a trailing axis: value (N,),
-gradient (n, N), Hessian (n, n, N). Every ``**`` and function of a batch is
-the libm call of one point, applied element by element (:func:`power`;
-numpy's own array power, exp, log and tan differ in the last bit), and
-``+ - * /`` are IEEE operations either way, so a batch equals its points bit
-for bit. :func:`batched` reruns a batch that raises or yields a non-finite
-number point by point, so a failing batch raises its first failing point's
-own error.
+Both arithmetics run over a batch of N points, given as one-dimensional
+coordinate arrays, on a trailing axis: value (N,), gradient (n, N), Hessian
+(n, n, N). A point of floats is a batch of one, which :func:`eval_jet` and
+:func:`eval_value` hand back as a float value and (n,) and (n, n) arrays.
+Every ``**`` and function is the libm call of one point, applied element by
+element (:func:`power`; numpy's own array power, exp, log and tan differ in
+the last bit), and ``+ - * /`` are the same IEEE operations on a batch as on
+a point, so a batch equals its points bit for bit. :func:`batched` reruns a
+batch that raises point by point, each a batch of one, until its first
+failing point raises its own error; a batch that only goes non-finite keeps
+its values and reruns its first non-finite point alone, for that point's
+warnings.
 
 Grammar::
 
@@ -309,52 +312,57 @@ def parse(text: str, variables) -> Expr:
 # ---------------------------------------------------------------------------
 
 def power(value, p):
-    """``value ** p``; on an array, one libm ``pow`` per element.
+    """``value ** p``, one libm ``pow`` per element.
 
     numpy's own array power (``x * x`` for a square) and its ``exp``,
     ``log`` and ``tan`` differ from libm in the last bit on 0.1-5 % of
     arguments, so every power and function of a batch is taken element by
     element, to equal its one-point value bit for bit.
     """
-    if type(value) is not np.ndarray:
-        return value ** p
     return _each(functools.partial(pow, exp=p), value)
 
 
 def _each(func, value):
-    """``func(value)``, one element at a time on an array (see :func:`power`)."""
-    if type(value) is not np.ndarray:
-        return func(value)
+    """``func`` of each element of ``value`` (see :func:`power`); a float
+    gives a numpy float."""
+    value = np.asarray(value)
     return np.array([func(v) for v in value.ravel().tolist()]
-                    ).reshape(value.shape)
+                    ).reshape(value.shape)[()]
 
 
-def _bad(flags) -> bool:
-    """Whether a domain check fails: at the point, or anywhere in a batch (a
-    batch reruns point by point to name the point)."""
-    return flags if type(flags) is bool else bool(flags.any())
+def _first_bad(flags, *values):
+    """The values as floats at the first point whose flag is set, or None
+    if no flag is set; a float value is its own first point."""
+    if not np.any(flags):
+        return None
+    i = int(np.argmax(flags))
+    return tuple(float(np.ravel(v)[i]) for v in values)
 
 
 def batched(fn, *coords):
     """``fn(*coords)`` over equal-length coordinate arrays in one pass, with
-    exactly the results of the one-point path.
+    exactly the results of its points one at a time.
 
-    ``fn`` takes one value per coordinate, floats or arrays, and returns a
-    Jet, a float, an array or a tuple of them, with the batch on the
-    trailing axis. If the batch raises an input or arithmetic error or
-    yields a non-finite number, ``fn`` runs again at each point in turn and
-    the results are stacked: the first point that fails then raises its own
-    error, and warnings and non-finite values are those of the one-point
-    path.
+    ``fn`` takes one array per coordinate and returns a Jet, an array or a
+    tuple of them, with the batch on the trailing axis; it runs under
+    ``np.errstate(all="ignore")``. If it raises an input or arithmetic
+    error, it runs again at each point in turn, each a batch of one, and the
+    first point that raises raises its own error. If it only yields a
+    non-finite number, its values stand (they equal its points' bit for
+    bit), and its first non-finite point runs again for that point's
+    warnings.
     """
     try:
         with np.errstate(all="ignore"):
             out = fn(*coords)
-        if _finite(out):
-            return out
     except (ArithmeticError, ValueError, KsubError):
-        pass
-    return _stack([fn(*point) for point in zip(*(c.tolist() for c in coords))])
+        for i in range(len(coords[0]) if coords else 1):
+            fn(*(c[i:i + 1] for c in coords))
+        raise
+    if not _finite(out):
+        i = int(np.argmax(_nonfinite(out)))
+        fn(*(c[i:i + 1] for c in coords))
+    return out
 
 
 def _finite(out) -> bool:
@@ -365,15 +373,14 @@ def _finite(out) -> bool:
     return bool(np.isfinite(out).all())
 
 
-def _stack(results):
-    first = results[0]
-    if isinstance(first, Jet):
-        return Jet(_stack([jet.value for jet in results]),
-                   _stack([jet.grad for jet in results]),
-                   _stack([jet.hess for jet in results]))
-    if isinstance(first, tuple):
-        return tuple(_stack(list(parts)) for parts in zip(*results))
-    return np.stack(results, axis=-1)
+def _nonfinite(out) -> np.ndarray:
+    """Per point of a batch, whether any number of ``out`` is not finite."""
+    if isinstance(out, Jet):
+        out = (out.value, out.grad, out.hess)
+    if isinstance(out, tuple):
+        return functools.reduce(np.logical_or, map(_nonfinite, out))
+    bad = np.atleast_1d(np.logical_not(np.isfinite(out)))
+    return bad.reshape(-1, bad.shape[-1]).any(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +390,18 @@ def _stack(results):
 class Jet:
     """Value, gradient and symmetric Hessian of a scalar in ``n`` variables.
 
-    At one point the value is a float, the gradient has shape (n,) and the
-    Hessian (n, n). A batch of N points adds a trailing axis: (N,), (n, N)
-    and (n, n, N); inside a batch, constant parts carry a singleton axis
-    that broadcasting widens. Arithmetic implements the exact second-order
-    chain/product rules, so jets of polynomials of degree <= 2 are exact to
-    machine precision, and a batch equals its points' jets bit for bit.
+    A batch of N points has value (N,), gradient (n, N) and Hessian
+    (n, n, N); constant parts carry a singleton axis that broadcasting
+    widens. At one point (what :func:`eval_jet` returns for a point of
+    floats) the value is a float, the gradient (n,) and the Hessian
+    (n, n). Arithmetic implements the exact second-order chain/product
+    rules, so jets of polynomials of degree <= 2 are exact to machine
+    precision, and a batch equals its points' jets bit for bit.
     """
 
     __slots__ = ("value", "grad", "hess")
 
     def __init__(self, value, grad, hess):
-        if type(value) is not float and type(value) is not np.ndarray:
-            value = float(value)
         self.value = value
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
@@ -436,7 +442,7 @@ class Jet:
                 self.value * other.value,
                 self.value * other.grad + other.value * self.grad,
                 self.value * other.hess + other.value * self.hess
-                + cross + _transpose(cross),
+                + cross + cross.swapaxes(0, 1),
             )
         return Jet(self.value * other, self.grad * other, self.hess * other)
 
@@ -444,7 +450,7 @@ class Jet:
 
     def _reciprocal(self):
         v = self.value
-        if _bad(v == 0.0):
+        if np.any(v == 0.0):
             raise DomainEvalError("division by zero")
         return self._lift(1.0 / v, -1.0 / power(v, 2), 2.0 / power(v, 3))
 
@@ -460,14 +466,14 @@ class Jet:
         p = float(p)
         u = self.value
         if p == 0.0:
-            one = np.ones_like(u) if type(u) is np.ndarray else 1.0
-            return Jet(one, np.zeros_like(self.grad), np.zeros_like(self.hess))
+            return Jet(np.ones_like(u), np.zeros_like(self.grad),
+                       np.zeros_like(self.hess))
         if p == 1.0:
             return Jet(u, self.grad.copy(), self.hess.copy())
         integral = p == int(p)
-        if not integral and _bad(u < 0.0):
+        if not integral and np.any(u < 0.0):
             raise DomainEvalError(f"negative base for non-integer power {p}")
-        if (p < 2.0 or not integral) and _bad(u == 0.0):
+        if (p < 2.0 or not integral) and np.any(u == 0.0):
             raise DomainEvalError(f"power {p} not twice differentiable at 0")
         f0 = power(u, p)
         f1 = p * power(u, p - 1.0)
@@ -499,57 +505,51 @@ class Jet:
 
     def log(self):
         v = self.value
-        if _bad(v <= 0.0):
-            raise DomainEvalError(f"log of nonpositive value {v!r}")
+        bad = _first_bad(v <= 0.0, v)
+        if bad:
+            raise DomainEvalError(f"log of nonpositive value {bad[0]!r}")
         return self._lift(_each(math.log, v), 1.0 / v, -1.0 / power(v, 2))
 
     def sqrt(self):
         v = self.value
-        if _bad(v <= 0.0):
-            raise DomainEvalError(f"sqrt of nonpositive value {v!r}")
+        bad = _first_bad(v <= 0.0, v)
+        if bad:
+            raise DomainEvalError(f"sqrt of nonpositive value {bad[0]!r}")
         s = _each(math.sqrt, v)
         return self._lift(s, 0.5 / s, -0.25 / (v * s))
 
     def __abs__(self):
         v = self.value
-        if _bad(abs(v) < _ABS_KINK_TOL):
+        if np.any(abs(v) < _ABS_KINK_TOL):
             raise DomainEvalError("abs is not differentiable at 0")
-        if type(v) is np.ndarray:
-            sign = np.where(v > 0, 1.0, -1.0)
-        else:
-            sign = 1.0 if v > 0 else -1.0
-        return self._lift(abs(v), sign, 0.0)
-
-
-def _transpose(cross):
-    """Swap the two variable axes of an (n, n) or batched (n, n, N) array."""
-    return cross.T if cross.ndim == 2 else cross.swapaxes(0, 1)
+        return self._lift(abs(v), np.where(v > 0, 1.0, -1.0), 0.0)
 
 
 def constant_jet(value: float, nvars: int) -> Jet:
-    return Jet(value, np.zeros(nvars), np.zeros((nvars, nvars)))
+    """The jet of a constant over any batch: its parts carry a singleton
+    batch axis."""
+    return Jet(value, np.zeros((nvars, 1)), np.zeros((nvars, nvars, 1)))
 
 
-def variable_jet(value: float, index: int, nvars: int) -> Jet:
-    grad = np.zeros(nvars)
+def variable_jet(value, index: int, nvars: int) -> Jet:
+    """The jet of variable ``index`` at coordinates ``value`` (N,)."""
+    grad = np.zeros((nvars, 1))
     grad[index] = 1.0
-    return Jet(value, grad, np.zeros((nvars, nvars)))
+    return Jet(value, grad, np.zeros((nvars, nvars, 1)))
 
 
-def _batch_leaf(leaf):
-    """A leaf constructor whose jets carry a singleton batch axis."""
-    def batch_leaf(*args):
-        jet = leaf(*args)
-        return Jet(jet.value, jet.grad[:, None], jet.hess[..., None])
-    return batch_leaf
+def _unbatch(jet: Jet) -> Jet:
+    """The one point of a batch of one: a float value, (n,) gradient and
+    (n, n) Hessian."""
+    return Jet(float(jet.value[0]), jet.grad[:, 0], jet.hess[:, :, 0])
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _value_div(left: float, right: float) -> float:
-    if right == 0.0:
+def _divide(left, right):
+    if np.any(right == 0.0):
         raise DomainEvalError("division by zero")
     return left / right
 
@@ -574,33 +574,22 @@ def _value_sqrt(arg: float) -> float:
     return math.sqrt(arg)
 
 
-def _value_leaf(value: float, *_) -> float:
+def _value_leaf(value, *_):
     return value
 
 
-def _batch_div(left, right):
-    if np.any(right == 0.0):
-        raise DomainEvalError("division by zero")
-    return left / right
-
-
-def _batch_value_pow(base, p: float):
-    return _each(functools.partial(_value_pow, p=p), base)
-
-
 # "/", "^" and the functions differ between the two arithmetics; "+", "-",
-# "*" and negation are the operators of both floats and jets
+# "*" and negation are the operators of both arrays and jets. Values apply
+# the functions element by element, each with its own domain check.
 _JET_OPS = {"/": operator.truediv, "^": operator.pow, "sin": Jet.sin,
             "cos": Jet.cos, "tan": Jet.tan, "exp": Jet.exp, "log": Jet.log,
             "sqrt": Jet.sqrt, "abs": abs}
-_VALUE_OPS = {"/": _value_div, "^": _value_pow, "sin": math.sin,
-              "cos": math.cos, "tan": math.tan, "exp": math.exp,
-              "log": _value_log, "sqrt": _value_sqrt, "abs": abs}
-# a batch of values applies the one-point functions element by element
-_VALUE_BATCH_OPS = {
-    **{name: functools.partial(_each, _VALUE_OPS[name])
-       for name in ("sin", "cos", "tan", "exp", "log", "sqrt")},
-    "/": _batch_div, "^": _batch_value_pow, "abs": abs}
+_VALUE_OPS = {
+    **{name: functools.partial(_each, func) for name, func in (
+        ("sin", math.sin), ("cos", math.cos), ("tan", math.tan),
+        ("exp", math.exp), ("log", _value_log), ("sqrt", _value_sqrt))},
+    "/": _divide, "abs": abs,
+    "^": lambda base, p: _each(functools.partial(_value_pow, p=p), base)}
 
 
 class _Arithmetic(NamedTuple):
@@ -612,49 +601,44 @@ class _Arithmetic(NamedTuple):
     ops: dict
 
 
-_JETS = (_Arithmetic(constant_jet, variable_jet, _JET_OPS),
-         _Arithmetic(_batch_leaf(constant_jet), _batch_leaf(variable_jet),
-                     _JET_OPS))
-_VALUES = (_Arithmetic(_value_leaf, _value_leaf, _VALUE_OPS),
-           _Arithmetic(_value_leaf, _value_leaf, _VALUE_BATCH_OPS))
+_JETS = _Arithmetic(constant_jet, variable_jet, _JET_OPS)
+_VALUES = _Arithmetic(_value_leaf, _value_leaf, _VALUE_OPS)
 
 
-def _evaluate(expr: Expr, point, arithmetics):
-    """The one traversal behind :func:`eval_jet` and :func:`eval_value`, in
-    the arithmetic of one point or, when the first coordinate is an array,
-    of a batch (the other coordinates broadcast against it)."""
-    point = tuple(point)
+def _evaluate(expr: Expr, coords, arithmetic: _Arithmetic):
+    """The one traversal behind :func:`eval_jet` and :func:`eval_value`,
+    over a batch of coordinate arrays (the others broadcast against the
+    first)."""
     n = len(expr.variables)
-    if len(point) != n:
+    if len(coords) != n:
         raise ArityMismatchError(
             f"expected {n} coordinates for variables {expr.variables}, "
-            f"got {len(point)}")
+            f"got {len(coords)}")
+    coords = np.broadcast_arrays(*(np.asarray(c, dtype=float)
+                                   for c in coords))
+    if coords and coords[0].ndim != 1:
+        raise ValueError("a batch needs one-dimensional coordinate arrays")
     index = {name: i for i, name in enumerate(expr.variables)}
-    if point and type(point[0]) is np.ndarray:
-        coords = np.broadcast_arrays(*(np.asarray(c, dtype=float)
-                                       for c in point))
-        if coords[0].ndim != 1:
-            raise ValueError("a batch needs one-dimensional coordinate arrays")
-        return batched(functools.partial(_run, expr.root, index, arithmetics),
-                       *coords)
-    constant, variable, ops = arithmetics[0]
-    return _walk(expr.root, _Walk(tuple(map(float, point)), index, n,
-                                  constant, variable, ops))
+    return batched(functools.partial(_run, expr.root, index, arithmetic),
+                   *coords)
 
 
-def _run(root: Node, index: dict, arithmetics, *coords):
-    """One traversal over a batch (arrays), widened to the batch's full
-    shape, or at one of its points (floats) when the batch reruns."""
+def _run(root: Node, index: dict, arithmetic: _Arithmetic, *coords):
+    """One traversal over a batch, widened to the batch's full shape."""
     n = len(coords)
-    if type(coords[0]) is not np.ndarray:
-        return _walk(root, _Walk(coords, index, n, *arithmetics[0]))
-    out = _walk(root, _Walk(coords, index, n, *arithmetics[1]))
-    size = len(coords[0])
+    out = _walk(root, _Walk(coords, index, n, *arithmetic))
+    size = len(coords[0]) if coords else 1
     if isinstance(out, Jet):
-        return Jet(np.broadcast_to(out.value, (size,)).copy(),
-                   np.broadcast_to(out.grad, (n, size)).copy(),
-                   np.broadcast_to(out.hess, (n, n, size)).copy())
-    return np.broadcast_to(out, (size,)).copy()
+        return Jet(_widened(out.value, (size,)), _widened(out.grad, (n, size)),
+                   _widened(out.hess, (n, n, size)))
+    return _widened(out, (size,))
+
+
+def _widened(part, shape) -> np.ndarray:
+    """A new array of ``shape`` filled by broadcasting ``part``."""
+    full = np.empty(shape)
+    full[...] = part
+    return full
 
 
 class _Walk(NamedTuple):
@@ -699,26 +683,38 @@ def _walk(node: Node, ctx: _Walk):
     raise TypeError(f"unknown node {node!r}")
 
 
+def _one_point(point) -> tuple:
+    """A point of floats as a batch of one."""
+    return tuple(np.array([float(c)]) for c in point)
+
+
 def eval_jet(expr: Expr, point) -> Jet:
     """Evaluate ``expr`` at ``point``, returning exact second-order data.
 
     ``point`` must have one entry per declared variable. Domain problems
     (division by zero, log/sqrt of a nonpositive argument, the abs kink)
     raise :class:`DomainEvalError` naming the offending subexpression.
-    With one-dimensional coordinate arrays it evaluates that batch of N
-    points in one pass (see :func:`batched`): the jet's shapes are (N,),
-    (n, N) and (n, n, N), and a failing batch raises the error of its first
-    failing point.
+    One-dimensional coordinate arrays are a batch of N points, evaluated in
+    one pass (see :func:`batched`): the jet's shapes are (N,), (n, N) and
+    (n, n, N), and a failing batch raises the error of its first failing
+    point. A point of floats is a batch of one whose jet comes back with a
+    float value, an (n,) gradient and an (n, n) Hessian.
     """
-    return _evaluate(expr, point, _JETS)
+    point = tuple(point)
+    if point and type(point[0]) is np.ndarray:
+        return _evaluate(expr, point, _JETS)
+    return _unbatch(_evaluate(expr, _one_point(point), _JETS))
 
 
 def eval_value(expr: Expr, point) -> float:
-    """Value-only evaluation in float arithmetic, cheaper than
-    :func:`eval_jet` and independent of it; ``sqrt`` and ``abs`` have a
-    value at 0 where they have no jet. Coordinate arrays give a batch of
-    values, shape (N,), as :func:`eval_jet` does."""
-    return _evaluate(expr, point, _VALUES)
+    """Value-only evaluation, cheaper than :func:`eval_jet` and independent
+    of it; ``sqrt`` and ``abs`` have a value at 0 where they have no jet.
+    Coordinate arrays give a batch of values, shape (N,), as
+    :func:`eval_jet` does; a point of floats, a float."""
+    point = tuple(point)
+    if point and type(point[0]) is np.ndarray:
+        return _evaluate(expr, point, _VALUES)
+    return float(_evaluate(expr, _one_point(point), _VALUES)[0])
 
 
 def compose_jet(outer: Jet, inners) -> Jet:

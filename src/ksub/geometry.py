@@ -34,7 +34,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import FdMarginError, OutsideDomainError
-from .expr import Expr, Jet, batched, eval_jet, parse, power
+from .expr import Expr, Jet, _first_bad, batched, eval_jet, parse, power
 
 __all__ = [
     "Rect",
@@ -171,11 +171,11 @@ class KillingData:
         self._jets: dict[tuple, tuple[Jet, Jet, Jet]] = {}
 
     def _require_positive(self, x, y):
-        # a failing batch reruns point by point, so the error names a point
         lam = self.lam(x, y)
-        if np.any(lam <= 0.0):
-            raise ValueError(
-                f"lam must be positive on the domain; lam({x}, {y}) <= 0")
+        bad = _first_bad(lam <= 0.0, x, y)
+        if bad:
+            raise ValueError("lam must be positive on the domain; "
+                             f"lam({bad[0]}, {bad[1]}) <= 0")
         return lam
 
     def base_jets(self, x, y) -> tuple[Jet, Jet, Jet]:
@@ -215,16 +215,12 @@ class KillingData:
                 eval_jet(self.b, point))
 
     def require_inside(self, x, y):
-        inside = self.domain.contains(x, y)
-        if type(x) is np.ndarray:
-            if inside.all():
-                return
-            first = inside.argmin()
-            x, y = float(x[first]), float(y[first])
-        elif inside:
-            return
-        raise OutsideDomainError(
-            f"point ({x}, {y}) outside domain of {self.description or 'metric'}")
+        """Raise OutsideDomainError naming the first point outside."""
+        bad = _first_bad(np.logical_not(self.domain.contains(x, y)), x, y)
+        if bad:
+            raise OutsideDomainError(
+                f"point ({bad[0]}, {bad[1]}) outside domain of "
+                f"{self.description or 'metric'}")
 
 
 def bcv(c: float, mu: float) -> KillingData:
@@ -250,13 +246,6 @@ def bcv(c: float, mu: float) -> KillingData:
 # Scalars of the submersion
 # ---------------------------------------------------------------------------
 
-def _base_point(p):
-    """(x, y) of a base point: floats, or coordinate arrays for a batch."""
-    if type(p[0]) is np.ndarray:
-        return p[0], p[1]
-    return float(p[0]), float(p[1])
-
-
 def _bundle_value(data: KillingData, x, y):
     lam, a, b = data.base_jets(x, y)
     num = (lam.grad[0] * b.value + lam.value * b.grad[0]
@@ -272,7 +261,7 @@ def bundle_curvature(data: KillingData, p) -> tuple[float, np.ndarray]:
     derivatives, so grad r is exact without raising the jet order. On a
     batch of N points, r has shape (N,) and the gradient (2, N).
     """
-    x, y = _base_point(p)
+    x, y = p[0], p[1]
     data.require_inside(x, y)
     r = _bundle_value(data, x, y)
     lam, a, b = data.base_jets(x, y)
@@ -285,7 +274,7 @@ def bundle_curvature(data: KillingData, p) -> tuple[float, np.ndarray]:
 def gauss_curvature(data: KillingData, p) -> float:
     """Gaussian curvature of the base metric, from exact jets of lam (shape
     (N,) on a batch)."""
-    x, y = _base_point(p)
+    x, y = p[0], p[1]
     data.require_inside(x, y)
     lam, _, _ = data.base_jets(x, y)
     lam_sq = power(lam.value, 2)
@@ -304,7 +293,7 @@ def frame(data: KillingData, p) -> np.ndarray:
     (3, 3) matrix whose rows are the coordinate components of E1..E3;
     (3, 3, N) on a batch of N points, each equal to its one-point frame (a
     point outside the domain names the first such point)."""
-    x, y = _base_point(p)
+    x, y = p[0], p[1]
     data.require_inside(x, y)
     lam, a, b = data.base_jets(x, y)
     e = np.zeros((3, 3) + np.shape(lam.value))
@@ -319,7 +308,7 @@ def metric_matrix(data: KillingData, p) -> np.ndarray:
     """Coordinate metric tensor at a base point (independent of z), from
     value-only evaluations; (3, 3, N) on a batch of N points, each equal to
     its one-point matrix."""
-    x, y = _base_point(p)
+    x, y = p[0], p[1]
     lam = data.lam(x, y)
     ax = lam * data.a(x, y)
     ay = lam * data.b(x, y)
@@ -336,12 +325,9 @@ def metric_matrix(data: KillingData, p) -> np.ndarray:
 def frame_components(data: KillingData, p, v_coord) -> np.ndarray:
     """Convert a coordinate tangent vector at p to frame components; on a
     batch, v_coord is (3, N) and so is the result."""
-    x, y = _base_point(p)
+    x, y = p[0], p[1]
     lam, a, b = data.base_jets(x, y)
-    if type(x) is np.ndarray:
-        vx, vy, vz = v_coord
-    else:
-        vx, vy, vz = (float(c) for c in v_coord)
+    vx, vy, vz = v_coord
     return np.array([
         lam.value * vx,
         lam.value * vy,
@@ -352,7 +338,7 @@ def frame_components(data: KillingData, p, v_coord) -> np.ndarray:
 def coord_components(data: KillingData, p, v_frame) -> np.ndarray:
     """Convert frame components at p back to coordinate components; on a
     batch, v_frame is (3, N) and so is the result."""
-    x, y = _base_point(p)
+    x, y = p[0], p[1]
     lam, a, b = data.base_jets(x, y)
     f1, f2, f3 = v_frame
     return np.array([
@@ -389,7 +375,7 @@ def connection(data: KillingData, p) -> np.ndarray:
     """Closed-form connection coefficients gamma[i, j, k] = <D_{Ei} Ej, Ek>;
     (3, 3, 3, N) on a batch of N points, each equal to its one-point table
     (a point outside the domain names the first such point)."""
-    x, y = _base_point(p)
+    x, y = p[0], p[1]
     data.require_inside(x, y)
     lam, _, _ = data.base_jets(x, y)
     r = _bundle_value(data, x, y)
@@ -429,12 +415,11 @@ def _oracle_steps(data: KillingData, x: np.ndarray, y: np.ndarray,
 
 
 def _as_batch(p):
-    """(x, y) of a point or a batch as coordinate arrays, a point being a
-    batch of one, and whether p was one point."""
-    x, y = _base_point(p)
-    if type(x) is np.ndarray:
-        return x, y, False
-    return np.array([x]), np.array([y]), True
+    """(x, y) of a point or a batch as coordinate arrays, a point of floats
+    being a batch of one, and whether p was one point."""
+    if type(p[0]) is np.ndarray:
+        return p[0], p[1], False
+    return np.array([float(p[0])]), np.array([float(p[1])]), True
 
 
 def _unbatch(out: np.ndarray, one: bool) -> np.ndarray:
@@ -484,7 +469,7 @@ def connection_oracle(data: KillingData, p) -> np.ndarray:
 def frame_bracket_12(data: KillingData, p) -> np.ndarray:
     """Frame components of [E1, E2] (the only nonzero frame bracket); (3, N)
     on a batch."""
-    x, y = _base_point(p)
+    x, y = p[0], p[1]
     lam, _, _ = data.base_jets(x, y)
     r = _bundle_value(data, x, y)
     lam_sq = power(lam.value, 2)
@@ -518,7 +503,7 @@ def riemann_closed(data: KillingData, p, X, Y, Z, W):
     one point, (3, N) on a batch of N points, where the result is (N,) and
     each entry equals its one-point value.
     """
-    x, y = _base_point(p)
+    x, y = p[0], p[1]
     X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
     r, grad = bundle_curvature(data, (x, y))
     g_curv = gauss_curvature(data, (x, y))
@@ -590,8 +575,9 @@ def riemann_direct(data: KillingData, p, X, Y, Z, W):
 
 
 def ricci(data: KillingData, p) -> np.ndarray:
-    """Ricci tensor in the frame, from the closed-form component formulas."""
-    x, y = float(p[0]), float(p[1])
+    """Ricci tensor in the frame, from the closed-form component formulas;
+    (3, 3, N) on a batch of N points, each equal to its one-point tensor."""
+    x, y = p[0], p[1]
     r, grad = bundle_curvature(data, (x, y))
     return ricci_from_scalars(r, grad, gauss_curvature(data, (x, y)),
                               data.lam(x, y))

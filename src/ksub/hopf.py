@@ -27,9 +27,10 @@ The sweep along the curve is one batch. :func:`hopf_residuals` evaluates
 the geodesic curvature once per stencil column over all samples, and r, G
 and the Ricci values once each; a chart method or :func:`geodesic_curvature`
 given arrays of points (the batch on a trailing axis) equals its one-point
-results bit for bit, and a float is a batch of one. A failing sweep reruns
-sample by sample (:func:`ksub.expr.batched`), so its first failing sample
-raises its own error.
+results bit for bit, and a float is a batch of one. A sweep that raises
+reruns sample by sample (:func:`ksub.expr.batched`) until its first failing
+sample raises its own error; a sweep that only goes non-finite keeps its
+values and reruns its first non-finite sample alone.
 
 Everything here is numpy or plain-float code. Arc length is a composite
 Gauss-Legendre rule whose panel table also inverts it: t(s) is a batched
@@ -63,7 +64,8 @@ from .errors import (
     NotArcLengthError,
     OutsideDomainError,
 )
-from .expr import Expr, Jet, batched, eval_jet, parse, power
+from .expr import (Expr, Jet, _first_bad, _unbatch, batched, eval_jet, parse,
+                   power)
 
 __all__ = [
     "BaseCurve",
@@ -182,11 +184,12 @@ class ReparamCurve:
                                    f"at s = {float(s[todo[0]])}")
 
     def point_jets(self, s) -> tuple[Jet, Jet]:
-        """Jets in s at a float s, or at an array of s in one solve."""
-        if type(s) is np.ndarray:
-            t = self._times(s)
-        else:
-            t = float(self._times(np.array([float(s)]))[0])
+        """Jets in s at an array of s in one solve; a float s is a batch of
+        one."""
+        if type(s) is not np.ndarray:
+            jx, jy = self.point_jets(np.array([float(s)]))
+            return _unbatch(jx), _unbatch(jy)
+        t = self._times(s)
         sigma, dsigma = self.base.speed_jet(self.curve, t)
         tp = 1.0 / sigma
         tpp = -dsigma / power(sigma, 3)
@@ -203,21 +206,9 @@ class ReparamCurve:
 # ---------------------------------------------------------------------------
 
 def _hypot(x, y):
-    """``math.hypot``, one element at a time on arrays (numpy's hypot,
-    libm's, differs from Python's in the last bit at about 0.6 % of
-    arguments)."""
-    if type(x) is not np.ndarray:
-        return math.hypot(x, y)
+    """``math.hypot``, one element at a time (numpy's hypot, libm's,
+    differs from Python's in the last bit at about 0.6 % of arguments)."""
     return np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
-
-
-def _first_bad(flags, *values):
-    """The values as floats at the first point whose flag is set (at one
-    point, the values themselves), or None if no flag is set."""
-    if not np.any(flags):
-        return None
-    i = int(np.argmax(flags))
-    return tuple(float(np.ravel(v)[i]) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +362,8 @@ def bcv_circle(c: float, radius: float | None = None,
 
     Exactly one of ``radius`` (Euclidean) or ``kappa`` (geodesic curvature)
     must be given; the arc-length scaling is exact because the conformal
-    factor is constant on the circle.
+    factor is constant on the circle. The radius must be finite and > 0,
+    and so must the metric speed of the circle's unit-rate parametrization.
     """
     if (radius is None) == (kappa is None):
         raise ValueError("give exactly one of radius or kappa")
@@ -379,8 +371,14 @@ def bcv_circle(c: float, radius: float | None = None,
     if radius is None:
         radius = circle_radius_for_kappa(c, float(kappa))
     radius = float(radius)
-    lam0 = 1.0 / (1.0 + 0.25 * c * radius * radius)
-    scale = lam0 * radius  # metric speed of the unit-rate parametrization
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"circle radius must be finite and > 0, got {radius}")
+    stretch = 1.0 + 0.25 * c * radius * radius
+    # metric speed of the unit-rate parametrization, lam * radius
+    scale = 1.0 / stretch * radius if stretch > 0.0 else 0.0
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"circle radius {radius} gives no finite positive "
+                         f"arc-length scale in the BCV(c={c}) chart")
     x = parse(f"{radius!r}*cos(s/{scale!r})", ("s",))
     y = parse(f"{radius!r}*sin(s/{scale!r})", ("s",))
     return BaseCurve(x, y, (0.0, 2.0 * math.pi * scale), arc_length=True)
@@ -485,14 +483,12 @@ def geodesic_curvature(curve, base, s):
     failing array raises the error of its first failing point (see
     :func:`ksub.expr.batched`); a float is a batch of one.
     """
-    if type(s) is np.ndarray:
-        return batched(functools.partial(_geodesic_curvature, curve, base), s)
-    return _geodesic_curvature(curve, base, s)
-
-
-def _geodesic_curvature(curve, base, s):
-    if type(s) is not np.ndarray:  # one point is a batch of one
+    if type(s) is not np.ndarray:
         return float(_geodesic_curvature(curve, base, np.array([float(s)]))[0])
+    return batched(functools.partial(_geodesic_curvature, curve, base), s)
+
+
+def _geodesic_curvature(curve, base, s: np.ndarray) -> np.ndarray:
     jx, jy = curve.point_jets(s)
     p = (jx.value, jy.value)
     vel = np.array([jx.grad[0], jy.grad[0]])
@@ -589,11 +585,7 @@ class _Sampled:
 
 def _sweep(curve, base, h: float, s):
     """kappa, kappa', kappa'', tau, r, G, r' and the residuals of both
-    systems at an array of samples s (a float is a batch of one), in the
-    order of one sample's steps."""
-    if type(s) is not np.ndarray:
-        return tuple(float(v[0])
-                     for v in _sweep(curve, base, h, np.array([float(s)])))
+    systems at an array of samples s, in the order of one sample's steps."""
     jx, jy = jets = curve.point_jets(s)
     p = (jx.value, jy.value)
     bad = _first_bad(np.logical_not(base.contains(p)), s, *p)
@@ -626,8 +618,9 @@ def hopf_residuals(curve, base, n_samples: int = 64,
 
     All samples are one batch: each quantity is one pass over the sample
     array, the geodesic curvature one pass per stencil column. If the batch
-    fails it reruns sample by sample, so the first failing sample raises
-    its own error. The tolerances default to CONST_TOL and CRITERION_TOL
+    raises it reruns sample by sample, so the first failing sample raises
+    its own error; if it only goes non-finite its first non-finite sample
+    reruns alone (see :func:`ksub.expr.batched`). The tolerances default to CONST_TOL and CRITERION_TOL
     as they are when called.
     """
     const_tol = CONST_TOL if const_tol is None else const_tol

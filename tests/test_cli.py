@@ -83,6 +83,14 @@ class TestInfo:
         code, _, _ = run(capsys, "info", "--at", "0", "0")
         assert code == 2
 
+    def test_domain_with_bcv_exits_2(self, capsys):
+        # a BCV metric has its own domain; --domain would be ignored
+        code, out, err = run(capsys, "info", "--bcv", "0", "0.5",
+                             "--domain", "0", "0", "0", "1", "--at", "0", "0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "--domain" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["info", "--nope"]) == 2
 
@@ -148,6 +156,14 @@ class TestNumericFaults:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_division_by_zero_names_its_subexpression(self, capsys):
+        # a point is a batch of one: its error keeps the one-point message
+        code, out, err = run(capsys, "info", "--lambda=1", "--a=x/0",
+                             "--at", "0.5", "0.5")
+        assert (code, out, err) == (2, "",
+                                    "error: division by zero in 'x/0.0'\n")
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_in_lazy_ambient_data_names_the_residual(self, capsys):
@@ -527,6 +543,19 @@ class TestHopfCommand:
                            "--format", "csv")
         assert all(row.endswith(",fail") for row in out.splitlines()[1:])
 
+    @pytest.mark.parametrize("circle", [
+        ("--bcv", "4", "0", "--circle-kg", "1e200"),   # radius overflows
+        ("--bcv", "0", "0", "--circle-kg", "1e-320"),  # radius overflows
+        ("--bcv", "1", "0", "--circle", "1e308"),      # scale underflows
+        ("--bcv", "1", "0", "--circle", "0"),
+    ])
+    def test_degenerate_circle_names_its_radius(self, capsys, circle):
+        code, out, err = run(capsys, "hopf", "check", *circle)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "circle radius" in err
+        assert "undeclared variable" not in err
+
     def test_zero_samples_exits_2(self, capsys):
         code, out, err = run(capsys, "hopf", "check", "--bcv", "1", "0",
                              "--circle-kg", "1", "--samples", "0")
@@ -605,14 +634,15 @@ class TestOnePointEvaluations:
 
     @pytest.fixture
     def one_point(self, monkeypatch):
+        # a point is a batch of one, so an evaluation of one point is a
+        # batch of size one
         seen = []
         evaluate = expr._evaluate
 
-        def counted(e, point, arithmetics):
-            point = tuple(point)
-            if not (point and isinstance(point[0], np.ndarray)):
+        def counted(e, coords, arithmetic):
+            if not coords or len(coords[0]) == 1:
                 seen.append(e)
-            return evaluate(e, point, arithmetics)
+            return evaluate(e, coords, arithmetic)
 
         monkeypatch.setattr(expr, "_evaluate", counted)
         return seen

@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import ksub
 
 from ksub.errors import (
     ArityMismatchError,
@@ -225,15 +230,25 @@ class TestJets:
                                        atol=1e-4 * scale)
             checked += 1
 
-    def test_domain_errors_name_subexpression(self):
+    # each domain error at one point and inside a batch, whose first
+    # failing point it is: the message names the point's value as a
+    # Python float ("-1.0", never "np.float64(-1.0)" or "array([-1.])")
+    @pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+    @pytest.mark.parametrize("text, x, message", [
+        ("1/x", 0.0, "division by zero in '1.0/x'"),
+        ("log(x)", -1.0, "log of nonpositive value -1.0 in 'log(x)'"),
+        ("sqrt(x)", -4.0, "sqrt of nonpositive value -4.0 in 'sqrt(x)'"),
+        ("x^0.5", -1.0,
+         "negative base for non-integer power 0.5 in 'x^0.5'"),
+        ("x^-1", 0.0, "power -1.0 not twice differentiable at 0 in 'x^-1.0'"),
+        ("abs(x)", 1e-13, "abs is not differentiable at 0 in 'abs(x)'"),
+    ])
+    def test_domain_errors_name_subexpression(self, text, x, message,
+                                              batch):
+        point = (np.array([2.0, x, x - 1.0]),) if batch else (x,)
         with pytest.raises(DomainEvalError) as err:
-            eval_jet(parse("1/x", ("x",)), (0.0,))
-        assert "1.0/x" in str(err.value)
-        with pytest.raises(DomainEvalError) as err:
-            eval_jet(parse("log(x)", ("x",)), (-1.0,))
-        assert "log" in str(err.value)
-        with pytest.raises(DomainEvalError):
-            eval_jet(parse("sqrt(x)", ("x",)), (-4.0,))
+            eval_jet(parse(text, ("x",)), point)
+        assert str(err.value) == message
 
     def test_abs_kink(self):
         with pytest.raises(DomainEvalError):
@@ -248,6 +263,7 @@ class TestJets:
             with pytest.raises(ArityMismatchError):
                 evaluate(parse("x", ("x", "y")), (1.0,))
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
     @pytest.mark.parametrize("text, x, message", [
         ("1/x", 0.0, "division by zero in '1.0/x'"),
         ("log(x)", -1.0, "log of nonpositive value -1.0 in 'log(x)'"),
@@ -256,9 +272,11 @@ class TestJets:
          "negative base for non-integer power 0.5 in 'x^0.5'"),
         ("x^-1", 0.0, "zero base for negative power in 'x^-1.0'"),
     ])
-    def test_value_domain_errors_name_subexpression(self, text, x, message):
+    def test_value_domain_errors_name_subexpression(self, text, x, message,
+                                                    batch):
+        point = (np.array([2.0, x, x - 1.0]),) if batch else (x,)
         with pytest.raises(DomainEvalError) as err:
-            eval_value(parse(text, ("x",)), (x,))
+            eval_value(parse(text, ("x",)), point)
         assert str(err.value) == message
 
     def test_annotation_names_innermost_subexpression(self):
@@ -327,6 +345,54 @@ class TestBatch:
     def test_batch_coordinates_must_be_one_dimensional(self):
         with pytest.raises(ValueError):
             eval_jet(parse("x", ("x",)), (np.zeros((2, 2)),))
+
+    def test_one_point_results_are_floats_and_arrays(self):
+        e = parse("x*y^2", ("x", "y"))
+        jet = eval_jet(e, (2.0, 3.0))
+        assert type(jet.value) is float and jet.value == 18.0
+        assert jet.grad.shape == (2,) and jet.hess.shape == (2, 2)
+        assert type(eval_value(e, (2.0, 3.0))) is float
+
+    # a point is a batch of one: only a public entry point that takes a
+    # float may ask whether it holds an array, to hand back its point
+    POINT_ENTRIES = {
+        "expr": {"eval_jet", "eval_value"},
+        "geometry": {"KillingData.base_jets", "_as_batch"},
+        "hopf": {"ReparamCurve.point_jets", "geodesic_curvature"},
+    }
+
+    def test_point_or_array_branches_only_at_float_entry_points(self):
+        found = {}
+        for path in sorted(Path(ksub.__file__).parent.glob("*.py")):
+            for scope in _array_branches(ast.parse(path.read_text())):
+                found.setdefault(path.stem, []).append(scope)
+        assert {module: sorted(scopes) for module, scopes in found.items()} \
+            == {module: sorted(names)
+                for module, names in self.POINT_ENTRIES.items()}
+
+
+def _array_branches(tree) -> list[str]:
+    """The qualified names of the functions holding a ``type(...) is
+    np.ndarray`` or ``is not`` test, one entry per test."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Compare)
+                    and isinstance(child.left, ast.Call)
+                    and ast.unparse(child.left.func) == "type"
+                    and all(isinstance(op, (ast.Is, ast.IsNot))
+                            for op in child.ops)
+                    and any(ast.unparse(c) == "np.ndarray"
+                            for c in child.comparators)):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
 
 
 class TestCompose:

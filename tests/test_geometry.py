@@ -343,6 +343,13 @@ class TestBatchedOracles:
             assert same_bytes(geo.riemann_direct(data, (x, y, z), *vecs[n]),
                               want)
 
+    def test_ricci(self, sample):
+        data, points, batch, _ = sample
+        tensors = geo.ricci(data, batch)
+        assert tensors.shape == (3, 3, 6)
+        for n, (x, y, z) in enumerate(points):
+            assert same_bytes(tensors[..., n], geo.ricci(data, (x, y, z)))
+
     def test_ricci_contraction(self, sample):
         data, points, batch, _ = sample
         tensors = geo.ricci_contraction(data, tuple(c[:2] for c in batch))
@@ -360,6 +367,7 @@ class TestBatchedOracles:
         "riemann_direct": lambda p: geo.riemann_direct(FLAT, p,
                                                        *e1e2e1e2(p)),
         "ricci_contraction": lambda p: geo.ricci_contraction(FLAT, p),
+        "ricci": lambda p: geo.ricci(FLAT, p),
         "frame": lambda p: geo.frame(FLAT, p),
         "riemann_closed": lambda p: geo.riemann_closed(FLAT, p,
                                                        *e1e2e1e2(p)),

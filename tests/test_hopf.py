@@ -335,12 +335,27 @@ class TestHopfResiduals:
             hopf.hopf_residuals(fast, FLAT_BASE)
 
     def test_nan_in_second_system_reaches_crosscheck(self, monkeypatch):
+        # a sweep that only goes non-finite keeps its own values and reruns
+        # its first non-finite sample alone: 5 stencil columns for the batch
+        # and 5 for that sample (a rerun of every sample would make 325)
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
+        circle = hopf.bcv_circle(1.0, kappa=1.0)
+        finite = hopf.hopf_residuals(circle, base)
         monkeypatch.setattr(base, "ricci_values",
                             lambda *args: (math.nan, 0.0, 0.0))
-        report = hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), base,
-                                     n_samples=8)
+        calls = []
+        original = hopf.geodesic_curvature
+
+        def counted(curve, base, s):
+            calls.append(len(s))
+            return original(curve, base, s)
+
+        monkeypatch.setattr(hopf, "geodesic_curvature", counted)
+        report = hopf.hopf_residuals(circle, base, n_samples=64)
         assert math.isnan(report.crosscheck)
+        assert calls == [64] * 5 + [1] * 5
+        assert report.kappa.tobytes() == finite.kappa.tobytes()
+        assert report.residuals.tobytes() == finite.residuals.tobytes()
 
     def test_five_geodesic_curvatures_per_sample(self, monkeypatch):
         # kappa, kappa' and kappa'' come from the 5-point stencil of each
@@ -368,9 +383,9 @@ class TestHopfResiduals:
         calls = []
         evaluate = expr._evaluate
 
-        def counted(e, point, arithmetics):
-            calls.append(arithmetics is expr._JETS)
-            return evaluate(e, point, arithmetics)
+        def counted(e, coords, arithmetic):
+            calls.append(arithmetic is expr._JETS)
+            return evaluate(e, coords, arithmetic)
 
         monkeypatch.setattr(expr, "_evaluate", counted)
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
