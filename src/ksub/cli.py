@@ -7,7 +7,10 @@ and ``verify-paper`` (the built-in verification suite).
 
 Output is machine-readable JSON (default) or CSV. Serialization is
 deterministic: fixed field order and %.12e float formatting, so identical
-configurations produce byte-identical output. Exit codes: 0 all requested
+configurations produce byte-identical output. :func:`dumps_json` writes
+exact Python floats, dicts, lists and strings on a fast path, so ``info``
+builds its payload from ``tolist()`` columns; numpy values and subclasses
+take an isinstance chain to the same text. Exit codes: 0 all requested
 checks pass, 1 a check failed, 2 usage or input error.
 """
 
@@ -38,14 +41,6 @@ SCHEMA_VERSION = 1
 # Deterministic serialization
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".12e")
-
-
 def dumps_json(obj) -> str:
     """JSON text with insertion-ordered keys and %.12e floats."""
     pieces: list[str] = []
@@ -54,32 +49,40 @@ def dumps_json(obj) -> str:
 
 
 def _write_json(obj, out: list[str]):
-    if obj is None:
+    # exact types first; numpy scalars and subclasses take isinstance below
+    kind = type(obj)
+    if kind is float:  # a non-finite float is quoted: "nan", "inf", "-inf"
+        out.append(format(obj, ".12e") if math.isfinite(obj) else f'"{obj}"')
+    elif kind is dict:
+        sep = "{"
+        for key, value in obj.items():
+            out.append(sep)
+            _write_json(str(key), out)
+            out.append(":")
+            _write_json(value, out)
+            sep = ","
+        out.append("}" if obj else "{}")
+    elif kind is list or kind is tuple:
+        sep = "["
+        for value in obj:
+            out.append(sep)
+            _write_json(value, out)
+            sep = ","
+        out.append("]" if obj else "[]")
+    elif isinstance(obj, str):
+        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        _write_json(float(obj), out)
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            _write_json(str(key), out)
-            out.append(":")
-            _write_json(value, out)
-        out.append("}")
+        _write_json(dict(obj.items()), out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, value in enumerate(list(obj)):
-            if i:
-                out.append(",")
-            _write_json(value, out)
-        out.append("]")
+        _write_json(list(obj), out)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -231,20 +234,18 @@ def cmd_info(args) -> int:
         nx, ny = args.grid if args.grid else (5, 5)
         points = data.domain.grid(int(nx), int(ny))
     xs, ys = map(np.array, zip(*points))
-    r_all, grad_all, g_all, lam_all = batched(
+    r, grad, g_curv, lam = batched(
         functools.partial(_info_fields, data), xs, ys)
-    records = []
-    rows = []
-    for i, (x, y) in enumerate(points):
-        r, grad, g_val = r_all[i], grad_all[:, i], g_all[i]
-        ric = geo.ricci_from_scalars(r, grad, g_val, lam_all[i])
-        records.append({
-            "x": x, "y": y, "r": r, "G": g_val,
-            "grad_r": [grad[0], grad[1]],
-            "ricci": [[ric[i, j] for j in range(3)] for i in range(3)],
-        })
-        rows.append({"s_or_u": x, "v": y, "check": "info",
-                     "residual": r, "tol": g_val, "status": "pass"})
+    ricci = geo.ricci_from_scalars(r, grad, g_curv, lam)
+    # Python floats, one tolist() per column: the writer's fast path
+    records = [{"x": x, "y": y, "r": r_i, "G": g_i, "grad_r": grad_i,
+                "ricci": ricci_i}
+               for (x, y), r_i, g_i, grad_i, ricci_i in zip(
+                   points, r.tolist(), g_curv.tolist(), grad.T.tolist(),
+                   ricci.transpose(2, 0, 1).tolist())]
+    rows = [{"s_or_u": p["x"], "v": p["y"], "check": "info",
+             "residual": p["r"], "tol": p["G"], "status": "pass"}
+            for p in records]
     payload = {"schema_version": SCHEMA_VERSION, "command": "info",
                "metric": data.description, "points": records}
     _emit(args, payload, rows)

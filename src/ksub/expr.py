@@ -346,18 +346,27 @@ def batched(fn, *coords):
     ``fn`` takes one array per coordinate and returns a Jet, an array or a
     tuple of them, with the batch on the trailing axis; it runs under
     ``np.errstate(all="ignore")``. If it raises an input or arithmetic
-    error, it runs again at each point in turn, each a batch of one, and the
-    first point that raises raises its own error. If it only yields a
-    non-finite number, its values stand (they equal its points' bit for
-    bit), and its first non-finite point runs again for that point's
-    warnings.
+    error, bisection finds its first point that raises (of the points in
+    question, the front half is kept if it raises under that errstate, else
+    the back half), and that point runs again alone, without the errstate,
+    to raise its own error; if it does not, the batch's error stands. If it
+    only yields a non-finite number, its values stand (they equal its
+    points' bit for bit); its first non-finite point reruns for its warnings.
     """
     try:
         with np.errstate(all="ignore"):
             out = fn(*coords)
     except (ArithmeticError, ValueError, KsubError):
-        for i in range(len(coords[0]) if coords else 1):
-            fn(*(c[i:i + 1] for c in coords))
+        lo, hi = 0, len(coords[0]) if coords else 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                with np.errstate(all="ignore"):
+                    fn(*(c[lo:mid] for c in coords))
+                lo = mid
+            except (ArithmeticError, ValueError, KsubError):
+                hi = mid
+        fn(*(c[lo:hi] for c in coords))
         raise
     if not _finite(out):
         i = int(np.argmax(_nonfinite(out)))

@@ -43,6 +43,100 @@ class TestSerializer:
     def test_string_escaping(self):
         assert dumps_json('say "hi"') == '"say \\"hi\\""'
 
+    def test_writer_equals_the_reference(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        floats = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True,
+                      allow_subnormal=True),
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                             -2.2250738585072014e-308]))
+        leaves = st.one_of(
+            floats, floats.map(np.float64),
+            st.floats(width=32).map(np.float32),
+            st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+            st.integers(), st.booleans(), st.none(),
+            st.text(alphabet=st.sampled_from('ab"\\/ \n\u00e9')))
+        arrays = st.lists(floats, max_size=6).map(np.array)
+        keys = st.one_of(st.text(alphabet=st.sampled_from('k"\\')),
+                         st.integers(), floats, st.booleans(), st.none())
+        payloads = st.recursive(
+            st.one_of(leaves, arrays),
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=5),
+                st.lists(inner, max_size=5).map(tuple),
+                st.dictionaries(keys, inner, max_size=5),
+                st.integers(0, 3).flatmap(lambda n: st.lists(
+                    st.lists(floats, min_size=n, max_size=n),
+                    min_size=1, max_size=3)).map(np.array)),
+            max_leaves=30)
+
+        @settings(max_examples=100, deadline=None)
+        @given(payloads)
+        def check(payload):
+            assert dumps_json(payload) == reference_json(payload)
+
+        check()
+
+    @pytest.mark.parametrize("obj", [{1.0}, np.bool_(True),
+                                     {"a": [1.0, {2}]}],
+                             ids=["set", "numpy-bool", "nested-set"])
+    def test_unsupported_type_raises_as_the_reference(self, obj):
+        with pytest.raises(TypeError) as want:
+            reference_json(obj)
+        with pytest.raises(TypeError) as got:
+            dumps_json(obj)
+        assert str(got.value) == str(want.value)
+
+
+def reference_json(obj) -> str:
+    """The recursive writer as it was before its exact-type fast path: an
+    isinstance chain per value, and a helper per float."""
+    pieces: list[str] = []
+    _reference_write(obj, pieces)
+    return "".join(pieces)
+
+
+def _reference_float(x: float) -> str:
+    if math.isnan(x):
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return format(x, ".12e")
+
+
+def _reference_write(obj, out: list[str]):
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_reference_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if i:
+                out.append(",")
+            _reference_write(str(key), out)
+            out.append(":")
+            _reference_write(value, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        out.append("[")
+        for i, value in enumerate(list(obj)):
+            if i:
+                out.append(",")
+            _reference_write(value, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
 
 class TestInfo:
     def test_bcv_point(self, capsys):
@@ -138,6 +232,73 @@ class TestInfo:
         assert code == 2
         assert out == ""
         assert "usage:" in err and "--grid" in err
+
+
+GAUSSIAN = ("--lambda=exp(-(x^2+y^2)/4.5)", "--a=0.3*y-0.2*x*y",
+            "--b=-0.4*x+0.15*x^2", "--domain", "-1.5", "1.5", "-1.5", "1.5")
+TRIG = ("--lambda=1+0.25*sin(x)*cos(y)", "--a=-0.35*sin(0.8*y)",
+        "--b=0.5*cos(1.2*x)", "--domain", "-1.5", "1.5", "-1.5", "1.5")
+INFO_ARGVS = {
+    **{f"bcv{c}": ("--bcv", c, "0.7") for c in ("-1", "0", "1", "4")},
+    "gaussian": GAUSSIAN, "trig": TRIG,
+}
+
+
+def reference_info(argv) -> str:
+    """``info``'s output built point by point, as before the payload was
+    built column-wise: numpy scalars indexed out of the batch and one Ricci
+    tensor per point."""
+    args = cli._parser().parse_args(argv)
+    data = cli._metric_from_args(args)
+    points = ([tuple(args.at)] if args.at is not None
+              else data.domain.grid(*(args.grid or (5, 5))))
+    xs, ys = map(np.array, zip(*points))
+    with np.errstate(all="ignore"):
+        r_all, grad_all, g_all, lam_all = expr.batched(
+            lambda x, y: cli._info_fields(data, x, y), xs, ys)
+        records, rows = [], []
+        for i, (x, y) in enumerate(points):
+            r, grad, g_val = r_all[i], grad_all[:, i], g_all[i]
+            ric = geo.ricci_from_scalars(r, grad, g_val, lam_all[i])
+            records.append({
+                "x": x, "y": y, "r": r, "G": g_val,
+                "grad_r": [grad[0], grad[1]],
+                "ricci": [[ric[i, j] for j in range(3)] for i in range(3)],
+            })
+            rows.append({"s_or_u": x, "v": y, "check": "info",
+                         "residual": r, "tol": g_val, "status": "pass"})
+    if args.format == "csv":
+        return cli.dumps_csv(rows)
+    return reference_json({"schema_version": cli.SCHEMA_VERSION,
+                           "command": "info", "metric": data.description,
+                           "points": records}) + "\n"
+
+
+class TestColumnarInfo:
+    @pytest.mark.parametrize("metric", sorted(INFO_ARGVS))
+    @pytest.mark.parametrize("where", [
+        ("--grid", "12", "12"), ("--at", "0.3", "-0.6"),
+        ("--grid", "3", "4", "--format", "csv")], ids=["grid", "at", "csv"])
+    def test_output_equals_the_per_point_reference(self, capsys, metric,
+                                                   where):
+        argv = ["info", *INFO_ARGVS[metric], *where]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == reference_info(argv)
+
+    def test_one_ricci_tensor_per_op(self, capsys, monkeypatch):
+        # the whole grid is one (3, 3, 144) call, where it was 144 calls
+        shapes = []
+        original = geo.ricci_from_scalars
+
+        def counted(r, grad, g_curv, lam):
+            shapes.append(np.shape(r))
+            return original(r, grad, g_curv, lam)
+
+        monkeypatch.setattr(geo, "ricci_from_scalars", counted)
+        assert main(["info", *GAUSSIAN, "--grid", "12", "12"]) == 0
+        capsys.readouterr()
+        assert shapes == [(144,)]
 
 
 class TestNumericFaults:

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from ksub.errors import (
     ExprSyntaxError,
     UndeclaredVariableError,
 )
-from ksub.expr import Expr, compose_jet, eval_jet, eval_value, parse
+from ksub.expr import (Expr, batched, compose_jet, eval_jet, eval_value,
+                       parse)
 
 
 def fd_gradient(expr, point, h=1e-4):
@@ -341,6 +343,43 @@ class TestBatch:
             with pytest.raises(DomainEvalError) as batch:
                 evaluate(e, (xs, ys))
             assert str(batch.value) == str(one.value)
+
+    @staticmethod
+    def _failing(bad, calls):
+        # raises at the points of `bad`; a batch names its size and its
+        # first bad point, so a batch's error differs from its point's
+        def fn(xs):
+            calls.append(len(xs))
+            hits = [x for x in xs.tolist() if x in bad]
+            if hits:
+                raise DomainEvalError(f"{len(xs)} points, first bad {hits[0]}")
+            return xs * 2.0
+        return fn
+
+    @pytest.mark.parametrize("bad", [{143.0}, {0.0}, {37.0, 100.0, 143.0},
+                                     set(map(float, range(50, 144)))])
+    def test_failing_batch_bisects_to_its_first_failing_point(self, bad):
+        # rerunning every point before the first bad one took n + 1 calls
+        # (145 when only the last of 144 fails); bisection takes a batch
+        # per halving and the bad point once more on its own
+        calls = []
+        with pytest.raises(DomainEvalError) as err:
+            batched(self._failing(bad, calls), np.arange(144.0))
+        assert str(err.value) == f"1 points, first bad {min(bad)}"
+        assert calls[-1] == 1
+        assert len(calls) <= 2 * math.ceil(math.log2(144)) + 2
+
+    def test_batch_error_stands_when_no_point_fails_alone(self):
+        calls = []
+        fail = self._failing({5.0}, calls)
+
+        def fn(xs):
+            # only the whole batch fails
+            return fail(xs if len(xs) == 8 else xs + 100.0)
+
+        with pytest.raises(DomainEvalError, match="^8 points, first bad 5"):
+            batched(fn, np.arange(8.0))
+        assert calls[0] == 8 and calls[-1] == 1 and len(calls) <= 8
 
     def test_batch_coordinates_must_be_one_dimensional(self):
         with pytest.raises(ValueError):

@@ -55,3 +55,23 @@ def test_tracer_installs_and_removes():
     finally:
         tracer.remove()
     assert numdiff.d2 is original
+
+
+def test_each_op_writes_its_payload_through_the_traced_writer(capsys):
+    # `--trace 1` reports cli.dumps_json.calls from the tracer's wrapper;
+    # an op that wrote its payload some other way would read 0 there
+    tracer = tracing.Tracer()
+    index = tracer.names.index("cli.dumps_json")
+    ops = (["info", "--bcv", "1", "0.5", "--grid", "12", "12"],
+           ["check-surface", "--bcv", "0", "0.5", "--graph", "x*y",
+            "--grid", "1", "1"])
+    for op, argv in enumerate(ops):
+        before = tracer.calls[index]
+        tracer.install(op)
+        try:
+            assert ksub.cli.main(argv) == 0
+        finally:
+            tracer.remove()
+        assert tracer.calls[index] - before == 1
+        assert tracer.calls_from("cli.dumps_json", "ksub.cli") == op + 1
+    capsys.readouterr()
