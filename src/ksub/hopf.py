@@ -28,9 +28,9 @@ the geodesic curvature once per stencil column over all samples, and r, G
 and the Ricci values once each; a chart method or :func:`geodesic_curvature`
 given arrays of points (the batch on a trailing axis) equals its one-point
 results bit for bit, and a float is a batch of one. A sweep that raises
-reruns sample by sample (:func:`ksub.expr.batched`) until its first failing
-sample raises its own error; a sweep that only goes non-finite keeps its
-values and reruns its first non-finite sample alone.
+bisects (:func:`ksub.expr.batched`) to its first failing sample, which
+raises its own error; a sweep that only goes non-finite keeps its values
+and reruns its first non-finite sample alone.
 
 Everything here is numpy or plain-float code. Arc length is a composite
 Gauss-Legendre rule whose panel table also inverts it: t(s) is a batched
@@ -612,19 +612,19 @@ def _sweep(curve, base, h: float, s):
 
 
 def hopf_residuals(curve, base, n_samples: int = 64,
-                   const_tol: float | None = None,
-                   crit_tol: float | None = None) -> HopfReport:
+                   tol: float | None = None) -> HopfReport:
     """Evaluate both cylinder systems along the curve and classify it.
 
     All samples are one batch: each quantity is one pass over the sample
     array, the geodesic curvature one pass per stencil column. If the batch
-    raises it reruns sample by sample, so the first failing sample raises
-    its own error; if it only goes non-finite its first non-finite sample
-    reruns alone (see :func:`ksub.expr.batched`). The tolerances default to CONST_TOL and CRITERION_TOL
-    as they are when called.
+    raises, bisection finds its first failing sample, which raises its own
+    error; if it only goes non-finite its first non-finite sample reruns
+    alone (see :func:`ksub.expr.batched`). ``tol`` bounds both the spread
+    of kappa, r and G and the criterion's defect; None reads CONST_TOL and
+    CRITERION_TOL as they are when called.
     """
-    const_tol = CONST_TOL if const_tol is None else const_tol
-    crit_tol = CRITERION_TOL if crit_tol is None else crit_tol
+    const_tol = CONST_TOL if tol is None else tol
+    crit_tol = CRITERION_TOL if tol is None else tol
     if not getattr(curve, "arc_length", False):
         raise NotArcLengthError("hopf residuals need an arc-length curve")
     s0, s1 = curve.interval
@@ -797,9 +797,7 @@ def _circle_condition(f: Expr, r: float, t):
 
 
 def rotational_case_search(f, r: float, interval: tuple[float, float],
-                           const_tol: float | None = None,
-                           crit_tol: float | None = None
-                           ) -> list[RotationalCase]:
+                           tol: float | None = None) -> list[RotationalCase]:
     """Find coordinate circles t = t0 whose vertical cylinder is proper
     biharmonic in the warped chart dt^2 + f(t)^2 dtheta^2 with bundle
     curvature r.
@@ -809,8 +807,8 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
     refined in its bracket by Brent's method (:func:`_brentq`, about 6
     evaluations of the condition per root).
     For each root the circle s -> (t0, s / f(t0)) is returned together with
-    its full residual report, classified with ``const_tol`` and ``crit_tol``
-    as in :func:`hopf_residuals` (which reads the module defaults); the
+    its full residual report, classified with ``tol`` as in
+    :func:`hopf_residuals` (None reads the module defaults); the
     geodesic curvature is f'(t0)/f(t0) and the chart curvature is
     G = -f''(t0)/f(t0).
     """
@@ -861,8 +859,7 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
             parse(f"{root!r}+0*s", ("s",)),
             parse(f"s/{j.value!r}", ("s",)),
             (0.0, circumference), arc_length=True)
-        report = hopf_residuals(curve, base, const_tol=const_tol,
-                                crit_tol=crit_tol)
+        report = hopf_residuals(curve, base, tol=tol)
         cases.append(RotationalCase(root, float(kappa), float(gauss),
                                     curve, base, report))
     return cases

@@ -25,12 +25,14 @@ Christoffels, the adapted frame and the Weingarten half (shape operator,
 mean curvature, |A|^2). The ambient half reads the jets of (lam, a, b) at
 the batch's distinct image points, evaluated as one batch and gathered by
 index (:meth:`~ksub.geometry.KillingData.base_jets`); no jet is evaluated
-point by point. Nothing is computed on read. Every point operation first
-builds its point's lattice in one batch (:meth:`SurfaceEvaluator.lattice`:
-the point, its derivative stencil and its probe lattice); a record read
-outside a built lattice is built as a batch of one, and a batch agrees with
-its points bit for bit. A batch that fails is tried once: its records are
-built one at a time where they are read.
+point by point. A record is a row of its batch, and nothing is computed
+on read. Every point operation first builds its point's lattice in one
+batch (:meth:`SurfaceEvaluator.lattice`: the point, its derivative stencil
+and its probe lattice), once per point and patch; a record read outside a
+built lattice is built as a batch of one, and a batch agrees with its
+points bit for bit. A lattice is a one-shot prefetch: a batch that fails
+stores nothing, and its records are built one at a time where they are
+read.
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step h = ``1e-3 * patch
@@ -41,6 +43,7 @@ differentiates the first form numerically.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -90,11 +93,12 @@ class SurfacePatch:
             raise ValueError("immersion expressions need exactly 2 parameters")
         if self.y.variables != params or self.z.variables != params:
             raise ValueError("immersion components disagree on parameters")
-        # the patch owns its point records, and the parameter points whose
-        # batch failed; evaluators are views over them, so a dropped patch
-        # frees its records by reference count
+        # the patch owns its point records (rows of the batches that built
+        # them) and the parameter points whose lattice was tried once;
+        # evaluators are views over them, so a dropped patch frees its
+        # records by reference count
         self._points: dict[tuple[float, float], _PointData] = {}
-        self._failed: set[tuple[float, float]] = set()
+        self._tried: set[tuple[float, float]] = set()
         # a record refuses a degenerate first form, so building the 5x5
         # grid's records (one batch; point by point where it fails) checks
         # the immersion's regularity
@@ -124,34 +128,29 @@ class SurfacePatch:
                    domain, ambient)
 
 
-class _PointData:
-    """Everything first- and second-order at one parameter point, as plain
-    attributes filled by :func:`_build` when the point's batch is built.
+_PointData = collections.namedtuple("_PointData", (
+    "params", "point", "coord_tangents", "coord_hessians", "tangents",
+    "first_form", "normal", "cos_phi", "sin_phi", "phi", "vertical_tangent",
+    "lam", "r", "grad_r", "gauss_base", "gamma", "tangent_derivs",
+    "christoffels", "shape_frame", "ortho_basis", "shape_ortho", "mean_h",
+    "norm_sq", "e1", "e2"))
+_PointData.__doc__ = """Everything first- and second-order at one parameter
+point: a row of the batch :func:`_build` builds, made by :func:`_records`.
 
-    Immersion data: the jets of x, y, z up to their Hessians, the frame
-    tangents, the first form, the unit normal, the angle and the vertical
-    tangent. Ambient data at the image point: lam, r, grad r, G and the
-    connection table. From the order-2 jets: ``tangent_derivs``, the
-    first form's ``christoffels`` and the exact Weingarten half, in which
-    the shape operator ``shape_ortho`` lives in the orthonormalized
-    (d/du, d/dv) basis ``ortho_basis``, ``mean_h`` is its trace and
-    ``norm_sq`` is |A|^2. The adapted frame ``e1, e2`` is None within
-    ANGLE_EPS of a vertical normal. Nothing is computed on read.
-    """
+Immersion data: the jets of x, y, z up to their Hessians, the frame
+tangents, the first form, the unit normal, the angle and the vertical
+tangent. Ambient data at the image point: lam, r, grad r, G and the
+connection table. From the order-2 jets: ``tangent_derivs``, the first
+form's ``christoffels`` and the exact Weingarten half, in which the shape
+operator ``shape_ortho`` lives in the orthonormalized (d/du, d/dv) basis
+``ortho_basis``, ``mean_h`` is its trace and ``norm_sq`` is |A|^2. The
+adapted frame ``e1, e2`` is None within ANGLE_EPS of a vertical normal.
+Nothing is computed on read.
+"""
 
-    __slots__ = ("params", "point", "coord_tangents", "coord_hessians",
-                 "tangents", "first_form", "normal", "cos_phi", "sin_phi",
-                 "phi", "vertical_tangent", "lam", "r", "grad_r",
-                 "gauss_base", "gamma", "tangent_derivs", "christoffels",
-                 "shape_frame", "ortho_basis", "shape_ortho", "mean_h",
-                 "norm_sq", "e1", "e2")
-
-
-# Fields of a batch kept as per-point rows (the rest are per-point scalars
-# or, for the point and the frame, assembled in _records).
-_ROWS = ("coord_tangents", "coord_hessians", "tangents", "first_form",
-         "normal", "vertical_tangent", "grad_r", "gamma", "tangent_derivs",
-         "christoffels", "shape_frame", "ortho_basis", "shape_ortho")
+# Fields of a batch that are floats per point; the others between the point
+# and the frame are the batch's rows
+_FLOATS = {"cos_phi", "sin_phi", "phi", "lam", "mean_h", "norm_sq"}
 
 
 def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
@@ -274,29 +273,18 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
 
 
 def _records(keys, fields: dict) -> list[_PointData]:
-    """The records of a built batch, one per parameter key: floats, numpy
-    scalars for r and G (as ``geometry`` returns them at a point), and
-    views of the batch's rows for vectors and matrices."""
-    floats = {key: fields[key].tolist()
-              for key in ("cos_phi", "sin_phi", "phi", "lam", "mean_h",
-                          "norm_sq")}
-    points = list(zip(*(c.tolist() for c in fields["point"])))
-    out = []
-    for n, key in enumerate(keys):
-        d = _PointData()
-        d.params = key
-        d.point = points[n]
-        for name in _ROWS:
-            setattr(d, name, fields[name][n])
-        for name, values in floats.items():
-            setattr(d, name, values[n])
-        d.r = fields["r"][n]
-        d.gauss_base = fields["gauss_base"][n]
-        framed = fields["framed"][n]
-        d.e1 = fields["e1"][n] if framed else None
-        d.e2 = fields["e2"][n] if framed else None
-        out.append(d)
-    return out
+    """The records of a built batch, one per parameter key, zipped from its
+    columns: floats, numpy scalars for r and G (as ``geometry`` returns them
+    at a point), views of the batch's rows for vectors and matrices, and
+    None for e1, e2 where the point has no adapted frame."""
+    framed = fields["framed"].tolist()
+    columns = ([keys, list(zip(*(c.tolist() for c in fields["point"])))]
+               + [fields[name].tolist() if name in _FLOATS
+                  else list(fields[name])
+                  for name in _PointData._fields[2:-2]]
+               + [[row if f else None for row, f in zip(fields[name], framed)]
+                  for name in ("e1", "e2")])
+    return [_PointData._make(row) for row in zip(*columns)]
 
 
 class SurfaceEvaluator:
@@ -307,7 +295,7 @@ class SurfaceEvaluator:
         self.patch = patch
         self.h = PARAM_STEP_FRAC * patch.domain.diameter
         self._data = patch._points
-        self._failed = patch._failed
+        self._tried = patch._tried
 
     # -- core point data -----------------------------------------------------
 
@@ -323,11 +311,9 @@ class SurfaceEvaluator:
     def _prefetch(self, keys) -> None:
         """Build the missing records among the parameter points ``keys`` in
         one batch. A batch that raises or yields a non-finite value stores
-        nothing, and its points are remembered and left out of later
-        batches: their records are built where they are read, one at a
-        time, and every error and warning arises there."""
-        keys = [k for k in dict.fromkeys(keys)
-                if k not in self._data and k not in self._failed]
+        nothing: its records are built where they are read, one at a time,
+        and every error and warning arises there."""
+        keys = [k for k in dict.fromkeys(keys) if k not in self._data]
         if not keys:
             return
         us, vs = (np.array(c) for c in zip(*keys))
@@ -335,23 +321,26 @@ class SurfaceEvaluator:
             with np.errstate(all="ignore"):
                 fields = _build(self.patch, us, vs)
         except (ArithmeticError, ValueError, KsubError, RecursionError):
-            fields = None
-        if fields is None or not _finite(tuple(fields.values())):
-            if len(self._failed) >= geo.CACHE_LIMIT:
-                self._failed.clear()
-            self._failed.update(keys)
             return
-        for key, record in zip(keys, _records(keys, fields)):
-            geo.memo(self._data, key, lambda *_: record)
+        if _finite(tuple(fields.values())):
+            for key, record in zip(keys, _records(keys, fields)):
+                geo.memo(self._data, key, lambda *_: record)
 
     def lattice(self, *qs) -> None:
         """Build, in one batch, the records every point operation at the
         parameter points ``qs`` reads: each q, its 17 derivative stencil
         points when its margin is at least h, and its 5x5 probe lattice
-        when the margin is at least 4 h (see :meth:`_prefetch`)."""
+        when the margin is at least 4 h (see :meth:`_prefetch`). A point's
+        lattice is tried once per patch: a q tried before adds nothing,
+        whether its batch was built or failed."""
         keys = []
         for q in qs:
             u, v = float(q[0]), float(q[1])
+            if (u, v) in self._tried:
+                continue
+            if len(self._tried) >= geo.CACHE_LIMIT:
+                self._tried.clear()
+            self._tried.add((u, v))
             keys.append((u, v))
             margin = self.patch.domain.margin_at(u, v)
             if margin >= self.h:

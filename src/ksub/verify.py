@@ -341,31 +341,34 @@ def _minimal_planes():
 def check_harmonic_sanity(tol=1e-6) -> CheckReport:
     worst = _Worst()
     ok = True
-    for patch in _minimal_planes():
-        for flipped in (False, True):
-            p = patch.flipped() if flipped else patch
+    # each patch and its flipped twin, built once and read by both loops
+    planes = [(patch, patch.flipped()) for patch in _minimal_planes()]
+    for pair in planes:
+        for flipped, p in zip((False, True), pair):
             bt = bih.bitension_residual(p, (0.1, 0.2))
             if abs(bt.mean_h) > bih.PROPER_H_TOL:
                 ok = False
             worst.update(max(abs(bt.normal), bt.tangential_norm),
-                         f"{patch.name} (flip={flipped})")
+                         f"{p.name} (flip={flipped})")
 
     # orientation flip must not change any verdict
     K = geo.bcv(1.0, 0.0)
     circ = hopf.bcv_circle(1.0, kappa=1.0)
     cyl = hopf.cylinder_patch(K, circ)
     q = (0.5 * circ.interval[1], 0.5)
-    for patch, point in [(cyl, q)] + [(p, (0.1, 0.2)) for p in _minimal_planes()]:
+    cases = [((cyl, cyl.flipped()), q)] + [(pair, (0.1, 0.2))
+                                           for pair in planes]
+    for (patch, twin), point in cases:
         one = bih.bitension_residual(patch, point)
-        other = bih.bitension_residual(patch.flipped(), point)
+        other = bih.bitension_residual(twin, point)
         if one.is_biharmonic() != other.is_biharmonic():
             ok = False
         branch_one = bih.classify_point(patch, point)
-        branch_other = bih.classify_point(patch.flipped(), point)
+        branch_other = bih.classify_point(twin, point)
         if branch_one.branch != branch_other.branch:
             ok = False
         lines_one = np.abs(bih.frame_system_residuals(patch, point))
-        lines_other = np.abs(bih.frame_system_residuals(patch.flipped(), point))
+        lines_other = np.abs(bih.frame_system_residuals(twin, point))
         worst_flip = float(np.max(np.abs(lines_one - lines_other)))
         if worst_flip > 1e-10:
             ok = False

@@ -409,6 +409,20 @@ class TestBatch:
             == {module: sorted(names)
                 for module, names in self.POINT_ENTRIES.items()}
 
+    def test_defaulted_parameters_stay_counted(self):
+        # every parameter with a default, and each **kwargs, is a knob; a
+        # change that adds one raises this number on purpose
+        knobs = 0
+        for path in Path(ksub.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                    args = node.args
+                    knobs += (len(args.defaults)
+                              + sum(d is not None for d in args.kw_defaults)
+                              + (args.kwarg is not None))
+        assert knobs <= 29
+
 
 def _array_branches(tree) -> list[str]:
     """The qualified names of the functions holding a ``type(...) is

@@ -551,7 +551,8 @@ class TestLazyAmbientData:
         assert stencil in ev._data
         for q in ((u, v), stencil):
             d = ev.data(*q)
-            assert all(hasattr(d, name) for name in d.__slots__)
+            assert all(getattr(d, name) is not None
+                       for name in d._fields if name not in ("e1", "e2"))
             x, y, z = d.point
             r, grad_r = geo.bundle_curvature(K, (x, y))
             gamma = geo.connection(K, (x, y, z))
@@ -629,6 +630,29 @@ class TestPointRecords:
         assert 0 < len(built) <= limit
 
     @pytest.mark.parametrize("argv", [
+        # 24 and 40 while every point operation rebuilt its lattice's keys
+        ["--bcv", "0", "0.5", "--graph", "x*y", "--grid", "2", "2"],
+        ["--bcv", "1", "1", "--surface", "0.8*cos(u);0.8*sin(u);v",
+         "--patch-domain", "0", "3", "0", "1", "--grid", "2", "2"],
+    ])
+    def test_each_points_lattice_is_listed_once(self, argv, monkeypatch,
+                                                capsys):
+        # check-surface lists the lattices of its 4 points in one call;
+        # the point operations after it find their points tried
+        calls = []
+        original = srf._abscissae
+
+        def counted(p, h):
+            calls.append(p)
+            return original(p, h)
+
+        monkeypatch.setattr(srf, "_abscissae", counted)
+        code = main(["check-surface", *argv])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("argv", [
         # 20 while the bitension and angle-shape residuals took a second
         # gradient and the compatibility check one per frame vector
         ["--bcv", "0", "0.5", "--graph", "x*y+0.9*x", "--grid", "2", "2"],
@@ -680,9 +704,10 @@ class TestBatchedLattice:
             built = [key for key in ev._data if key not in before]
             # 4 points x (the point, 16 stencil points, 24 probe points)
             assert len(built) == 4 * 41
+            assert len(srf._PointData._fields) == 25
             for key in built:
                 batched, single = ev.data(*key), ev._build_one(*key)
-                for name in srf._PointData.__slots__:
+                for name in srf._PointData._fields:
                     got, want = getattr(batched, name), getattr(single, name)
                     assert type(got) is type(want), name
                     if want is not None:

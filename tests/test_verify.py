@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ksub import surface as srf
 from ksub import verify
 from ksub.verify import CheckReport, _Worst
 
@@ -79,3 +80,21 @@ class TestRunChecksTolerances:
     def test_reports_carry_the_tolerance(self, only, default):
         assert [r.tol for r in verify.run_checks(only=only)] == [default]
         assert [r.tol for r in verify.run_checks(only=only, tol=2e-3)] == [2e-3]
+
+
+class TestHarmonicSanity:
+    def test_builds_each_patch_and_its_flip_once(self, monkeypatch):
+        # three vertical planes and a Hopf cylinder, each with its flipped
+        # twin; 22 patches while both loops rebuilt the planes and every
+        # comparison flipped its patch anew
+        built = []
+        original = srf.SurfacePatch.__post_init__
+
+        def counted(patch):
+            built.append(patch)
+            original(patch)
+
+        monkeypatch.setattr(srf.SurfacePatch, "__post_init__", counted)
+        report = verify.check_harmonic_sanity()
+        assert report.status == "pass"
+        assert 0 < len(built) <= 8
