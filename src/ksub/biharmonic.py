@@ -39,7 +39,9 @@ from .errors import (
     NotCMCError,
     ZeroGradRError,
 )
-from .surface import ANGLE_EPS, SurfacePatch, point_evaluator
+from . import surface as srf
+from .expr import _each
+from .surface import ANGLE_EPS, SurfacePatch
 
 __all__ = [
     "BitensionResidual",
@@ -101,51 +103,72 @@ class BranchReport:
 # CMC gate
 # ---------------------------------------------------------------------------
 
+def _cmc(lat):
+    """Mean curvature over the probe lattice of each point of a lattice:
+    (mean value, max deviation from the mean)."""
+    values = lat.column("probes", "mean_h")
+    mean = values.mean(axis=1)
+    return mean, np.max(np.abs(values - mean[:, None]), axis=1)
+
+
 def cmc_probe(patch: SurfacePatch, q):
     """Mean curvature spread over the probe lattice around q.
 
     Returns (mean value, max deviation from the mean).
     """
-    ev, u, v = point_evaluator(patch, q)
-    values = np.asarray([ev.weingarten(*p).mean_h
-                         for p in ev.probe_lattice(u, v)])
-    mean = float(values.mean())
-    return mean, float(np.max(np.abs(values - mean)))
+    mean, dev = _cmc(srf.point_lattice(patch, q))
+    return float(mean[0]), float(dev[0])
 
 
-def _require_cmc(patch, q):
-    mean, dev = cmc_probe(patch, q)
-    if dev > CMC_TOL:
+def _cmc_lattice(patch: SurfacePatch, q):
+    """The lattice of q and its probe spread (mean, dev), once the CMC gate
+    passes at q."""
+    lat = srf.point_lattice(patch, q)
+    mean, dev = _cmc(lat)
+    # a nan spread passes, as a nan passes every comparison below
+    if dev[0] > CMC_TOL:
         raise NotCMCError(
-            f"mean curvature varies by {dev:.3e} (> {CMC_TOL:.1e}) around "
+            f"mean curvature varies by {dev[0]:.3e} (> {CMC_TOL:.1e}) around "
             f"parameters {tuple(q)}; the CMC residual systems do not apply")
-    return mean, dev
+    return lat, mean, dev
 
 
 # ---------------------------------------------------------------------------
 # Bitension decomposition
 # ---------------------------------------------------------------------------
 
+def _bitension(lat, mean, dev) -> list[BitensionResidual]:
+    """:func:`bitension_residual` at every point of a lattice, each CMC
+    with the probe spread (mean, dev)."""
+    centre = lat.centre
+    lap_h, dh = srf.SurfaceEvaluator.laplacian(
+        lat, lat.column("stencil", "mean_h"))
+    grad_coeff = np.linalg.solve(centre("first_form"), dh[:, :, None])[:, :, 0]
+    grad_h = srf._vecmat(grad_coeff, centre("tangents"))
+    a_grad_h = srf._vecmat(grad_coeff, centre("shape_frame"))
+
+    ric = geo.ricci_from_scalars(centre("r"), centre("grad_r").T,
+                                 centre("gauss_base"), centre("lam"))
+    normal, basis = centre("normal").T, centre("ortho_basis")
+    f1, f2 = basis[:, 0], basis[:, 1]
+    ric_nn = geo.product(normal, ric, normal)
+    # summed from zero, so a -0.0 component reads +0.0
+    ric_tangent = (0.0 + geo.product(normal, ric, f1.T)[:, None] * f1
+                   + geo.product(normal, ric, f2.T)[:, None] * f2)
+
+    h_val = centre("mean_h")
+    normal_res = lap_h + h_val * centre("norm_sq") - h_val * ric_nn
+    tangential_vec = (2.0 * a_grad_h + h_val[:, None] * grad_h
+                      - (2.0 * h_val)[:, None] * ric_tangent)
+    tangential = np.stack([geo.product(tangential_vec.T, f1.T),
+                           geo.product(tangential_vec.T, f2.T)], axis=1)
+    return [BitensionResidual(n, t, d, m) for n, t, d, m in zip(
+        normal_res.tolist(), tangential, dev.tolist(), mean.tolist())]
+
+
 def bitension_residual(patch: SurfacePatch, q) -> BitensionResidual:
     """Normal and tangential residuals of the biharmonicity system."""
-    ev, u, v = point_evaluator(patch, q)
-    mean, dev = _require_cmc(patch, q)
-    d = ev.weingarten(u, v)
-
-    lap_h, dh = ev.laplacian(ev.mean_h_field, u, v)
-    grad_coeff = np.linalg.solve(d.first_form, dh)
-    grad_h = grad_coeff @ d.tangents
-    a_grad_h = ev.shape_apply_coeff(u, v, grad_coeff)
-
-    ric = geo.ricci_from_scalars(d.r, d.grad_r, d.gauss_base, d.lam)
-    ric_nn = float(d.normal @ ric @ d.normal)
-    ric_tangent = sum(float(d.normal @ ric @ f) * f for f in d.ortho_basis)
-
-    h_val = d.mean_h
-    normal = lap_h + h_val * d.norm_sq - h_val * ric_nn
-    tangential_vec = 2.0 * a_grad_h + h_val * grad_h - 2.0 * h_val * ric_tangent
-    tangential = np.array([float(tangential_vec @ f) for f in d.ortho_basis])
-    return BitensionResidual(float(normal), tangential, dev, mean)
+    return _bitension(*_cmc_lattice(patch, q))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +189,15 @@ def _system_lines(gauss, r, rx, ry, lam, e1, e2, normal, norm_sq):
     return np.array([line1, line2, line3])
 
 
+def _frame_system(lat) -> np.ndarray:
+    """The three lines at each point of a lattice, (3, N)."""
+    centre = lat.centre
+    basis, grad_r = centre("ortho_basis"), centre("grad_r")
+    return _system_lines(centre("gauss_base"), centre("r"), grad_r[:, 0],
+                         grad_r[:, 1], centre("lam"), basis[:, 0].T,
+                         basis[:, 1].T, centre("normal").T, centre("norm_sq"))
+
+
 def frame_system_residuals(patch: SurfacePatch, q) -> np.ndarray:
     """The three biharmonicity residuals in the components of the
     orthonormalized coordinate tangents (no angle restriction).
@@ -173,18 +205,12 @@ def frame_system_residuals(patch: SurfacePatch, q) -> np.ndarray:
     Line 1 and the norm of (line 2, line 3) do not depend on the tangent
     pair: any rotated or reflected orthonormal pair gives them too.
     """
-    ev, u, v = point_evaluator(patch, q)
-    _require_cmc(patch, q)
-    d = ev.weingarten(u, v)
-    e1, e2 = d.ortho_basis
-    return _system_lines(d.gauss_base, d.r, d.grad_r[0], d.grad_r[1],
-                         d.lam, e1, e2, d.normal, d.norm_sq)
+    return _frame_system(_cmc_lattice(patch, q)[0])[:, 0]
 
 
 def normality_identity(patch: SurfacePatch, q) -> float:
     """cos(phi) <grad r, eta>: must vanish on proper biharmonic surfaces."""
-    ev, u, v = point_evaluator(patch, q)
-    d = ev.data(u, v)
+    d = srf.analyze_point(patch, q)
     c1, c2, c3 = d.normal
     return float(c3 * (c1 * d.grad_r[0] + c2 * d.grad_r[1]) / d.lam)
 
@@ -192,8 +218,7 @@ def normality_identity(patch: SurfacePatch, q) -> float:
 def normality_assemblies(patch: SurfacePatch, q) -> tuple[float, float]:
     """The normality value assembled two ways (directly, and from the
     tangential system lines); they agree up to the frame handedness sign."""
-    ev, u, v = point_evaluator(patch, q)
-    d = ev.weingarten(u, v)
+    d = srf.analyze_point(patch, q)
     direct = normality_identity(patch, q)
     lines = _system_lines(d.gauss_base, d.r, d.grad_r[0], d.grad_r[1],
                           d.lam, d.ortho_basis[0], d.ortho_basis[1],
@@ -235,8 +260,10 @@ def angle_system_scalars(gauss: float, r: float, grad_norm: float,
     }
 
 
-def _grad_r_norm(d) -> float:
-    return float(math.hypot(d.grad_r[0], d.grad_r[1]) / d.lam)
+def _grad_r_norm(grad_r, lam) -> list[float]:
+    """|grad r| at each point, from the rows of grad r and lam."""
+    return [math.hypot(gx, gy) / scale for (gx, gy), scale in zip(
+        np.reshape(grad_r, (-1, 2)).tolist(), np.ravel(lam).tolist())]
 
 
 def reduced_angle_system(patch: SurfacePatch, q) -> dict:
@@ -247,12 +274,11 @@ def reduced_angle_system(patch: SurfacePatch, q) -> dict:
     4 r^2 = G with grad r != 0 raises
     :class:`GaussBundleDegenerateError`.
     """
-    ev, u, v = point_evaluator(patch, q)
-    d = ev.weingarten(u, v)
+    d = srf.analyze_point(patch, q)
     if d.sin_phi < ANGLE_EPS or abs(d.cos_phi) < ANGLE_EPS:
         raise AngleSingularError(
             f"angle phi = {d.phi:.6f} is not interior at parameters {q}")
-    grad_norm = _grad_r_norm(d)
+    [grad_norm] = _grad_r_norm(d.grad_r, d.lam)
     if grad_norm <= GRAD_ZERO_TOL:
         raise ZeroGradRError(
             f"|grad r| = {grad_norm:.2e} at parameters {q}; "
@@ -265,18 +291,25 @@ def reduced_angle_system(patch: SurfacePatch, q) -> dict:
     return angle_system_scalars(d.gauss_base, d.r, grad_norm, d.phi, d.norm_sq)
 
 
+def _angle_shape(lat) -> np.ndarray:
+    """:func:`angle_shape_residual` at every point of a lattice."""
+    lap_phi, dphi = srf.SurfaceEvaluator.laplacian(
+        lat, lat.column("stencil", "phi"))
+    grad_sq = geo.product(dphi.T, np.linalg.solve(
+        lat.centre("first_form"), dphi[:, :, None])[:, :, 0].T)
+    return (2.0 * lat.centre("norm_sq")
+            - _each(math.tan, lat.centre("phi")) * lap_phi - grad_sq)
+
+
 def angle_shape_residual(patch: SurfacePatch, q) -> float:
     """Defect of 2 |A|^2 = tan(phi) Delta(phi) + |grad phi|^2."""
-    ev, u, v = point_evaluator(patch, q)
-    d = ev.weingarten(u, v)
-    if d.sin_phi < ANGLE_EPS:
+    lat = srf.point_lattice(patch, q)
+    if lat.centre("sin_phi")[0] < ANGLE_EPS:
         raise AngleSingularError(f"phi ~ 0 at parameters {q}")
-    if abs(d.cos_phi) < COS_EPS:
+    if abs(lat.centre("cos_phi")[0]) < COS_EPS:
         raise AngleSingularError(
             f"phi ~ pi/2 at parameters {q}: tan(phi) check is degenerate")
-    lap_phi, dphi = ev.laplacian(ev.phi_field, u, v)
-    grad_sq = float(dphi @ np.linalg.solve(d.first_form, dphi))
-    return 2.0 * d.norm_sq - math.tan(d.phi) * lap_phi - grad_sq
+    return float(_angle_shape(lat)[0])
 
 
 def angle_shape_alt_assembly(patch: SurfacePatch, q) -> float:
@@ -288,15 +321,24 @@ def angle_shape_alt_assembly(patch: SurfacePatch, q) -> float:
     c_a are the (du, dv) coefficients of e_a: phi's Hessian and the
     coefficients' derivatives each come from one stencil level.
     """
-    ev, u, v = point_evaluator(patch, q)
-    d = ev.weingarten(u, v)
+    lat = srf.point_lattice(patch, q)
+    d = srf.analyze_point(patch, q)
     if d.sin_phi < ANGLE_EPS or abs(d.cos_phi) < COS_EPS:
         raise AngleSingularError(f"angle not interior at parameters {q}")
 
-    _, dphi, hess = ev.field_derivatives(ev.phi_field, u, v)
-    c = np.stack(ev.adapted_coeffs(u, v))
+    _, dphi, hess = srf._derivatives(lat, lat.column("stencil", "phi"))
+    dphi, hess = dphi[0], hess[0]
+    # the coefficients at the stencil's axis points need a frame there
+    framed = lat.column("stencil", "framed")[0, 1:9]
+    if not framed.all():
+        k = 1 + int(np.argmin(framed))
+        raise srf._no_frame(float(lat.column("stencil", "sin_phi")[0, k]),
+                            *lat.column("stencil", "params")[0, k].tolist())
+    c = np.stack([d.e1_coeff, d.e2_coeff])
     # dc[j, a, i] = d_j c_a^i
-    dc = ev.dfield(lambda uu, vv: np.stack(ev.adapted_coeffs(uu, vv)), u, v)
+    dc = srf._derivatives(lat, np.stack(
+        [lat.column("stencil", "e1_coeff"),
+         lat.column("stencil", "e2_coeff")], axis=2))[1][0]
     e_phi = c @ dphi
     e_e_phi = (np.einsum("ai,aj,ij->a", c, c, hess)
                + np.einsum("aj,jai,i->a", c, dc, dphi))
@@ -369,28 +411,33 @@ def classify_scalars(cos_phi: float, grad_norm: float, gauss: float,
         "variable-r branch: angle pinned by tan(2 phi)")
 
 
+def _classify(lat) -> list[BranchReport]:
+    """:func:`classify_point` at every point of a lattice."""
+    centre = lat.centre
+    reports = [classify_scalars(*args) for args in zip(
+        centre("cos_phi").tolist(),
+        _grad_r_norm(centre("grad_r"), centre("lam")), centre("gauss_base"),
+        centre("r"), centre("norm_sq").tolist(), centre("mean_h").tolist())]
+    # branch a: constancy of r and G along the surface, probed on the
+    # lattice; branch b2: the angle-shape identity where tan(phi) is defined
+    r_spread = np.ptp(lat.column("probes", "r"), axis=1).tolist()
+    g_spread = np.ptp(lat.column("probes", "gauss_base"), axis=1).tolist()
+    angled = (np.array([report.branch == "b2" for report in reports])
+              & ~(centre("sin_phi") < ANGLE_EPS)
+              & ~(np.abs(centre("cos_phi")) < COS_EPS))
+    aphi = iter(_angle_shape(lat.take(angled)).tolist()
+                if angled.any() else ())
+    for report, r_sp, g_sp, angle in zip(reports, r_spread, g_spread, angled):
+        if report.branch == "a":
+            report.diagnostics.update(r_spread=r_sp, gauss_spread=g_sp)
+            report.satisfied = bool(report.satisfied and r_sp <= RESIDUAL_TOL
+                                    and g_sp <= RESIDUAL_TOL)
+        elif report.branch == "b2":
+            report.diagnostics["aphi_residual"] = next(aphi) if angle else None
+    return reports
+
+
 def classify_point(patch: SurfacePatch, q) -> BranchReport:
     """Classify a CMC surface point against the branches of the
     classification (see :func:`classify_scalars`)."""
-    ev, u, v = point_evaluator(patch, q)
-    _require_cmc(patch, q)
-    d = ev.weingarten(u, v)
-    report = classify_scalars(d.cos_phi, _grad_r_norm(d), d.gauss_base, d.r,
-                              d.norm_sq, d.mean_h)
-
-    if report.branch == "a":
-        # constancy of r and G along the surface, probed on the lattice
-        pts = [ev.data(*p) for p in ev.probe_lattice(u, v)]
-        r_vals = np.array([p.r for p in pts])
-        g_vals = np.array([p.gauss_base for p in pts])
-        report.diagnostics["r_spread"] = float(np.ptp(r_vals))
-        report.diagnostics["gauss_spread"] = float(np.ptp(g_vals))
-        constant = (report.diagnostics["r_spread"] <= RESIDUAL_TOL
-                    and report.diagnostics["gauss_spread"] <= RESIDUAL_TOL)
-        report.satisfied = bool(report.satisfied and constant)
-    elif report.branch == "b2":
-        try:
-            report.diagnostics["aphi_residual"] = angle_shape_residual(patch, q)
-        except AngleSingularError:
-            report.diagnostics["aphi_residual"] = None
-    return report
+    return _classify(_cmc_lattice(patch, q)[0])[0]

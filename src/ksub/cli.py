@@ -30,8 +30,7 @@ from . import geometry as geo
 from . import hopf
 from . import surface as srf
 from . import verify
-from .errors import (AngleSingularError, DomainEvalError, FdMarginError,
-                     KsubError, NotCMCError)
+from .errors import DomainEvalError, KsubError
 from .expr import batched, parse
 
 SCHEMA_VERSION = 1
@@ -276,48 +275,61 @@ def _patch_from_args(args, data) -> srf.SurfacePatch:
                             parse(parts[2], pvars), rect, data)
 
 
-def _surface_point_checks(patch, q, tol) -> list[dict]:
-    checks = []
+def _check(name, residual, tol, status) -> dict:
+    return {"check": name, "residual": float(residual), "tol": tol,
+            "status": status or ("pass" if abs(residual) <= tol else "fail")}
 
-    def add(name, residual, status=None):
-        state = status or ("pass" if abs(residual) <= tol else "fail")
-        checks.append({"check": name, "residual": float(residual),
-                       "tol": tol, "status": state})
 
-    def skip(name):
-        add(name, 0.0, "skipped")
+def _surface_checks(lat, tol) -> list[list[dict]]:
+    """The check rows of each point of a lattice: each residual is computed
+    for all the points it applies to at once, and skipped at the others."""
+    def over(mask, compute) -> list:
+        # compute(sub-lattice) where mask is set, None elsewhere
+        values = iter(compute(lat.take(mask)) if mask.any() else ())
+        return [next(values) if m else None for m in mask]
 
-    def add_guarded(name, compute):
-        # adapted-frame checks are undefined where the vertical field is
-        # normal to the surface, and stencil-bound ones where the point
-        # sits too close to the patch edge; report them as skipped there
-        try:
-            add(name, compute())
-        except (AngleSingularError, FdMarginError):
-            skip(name)
-
-    add_guarded("gauss", lambda: srf.gauss_residual(patch, q))
-    add_guarded("codazzi",
-                lambda: float(np.max(np.abs(srf.codazzi_residual(patch, q)))))
-    add_guarded("compatibility",
-                lambda: float(np.max(srf.compatibility_residuals(patch, q))))
-    try:
-        bt = bih.bitension_residual(patch, q)
-        lines = bih.frame_system_residuals(patch, q)
-        branch = bih.classify_point(patch, q)
-    except (NotCMCError, FdMarginError):
-        for name in ("bitension-normal", "bitension-tangential",
-                     "frame-system", "branch"):
-            skip(name)
-        add("proper-biharmonic", 0.0, "no")
-        return checks
-    add("bitension-normal", bt.normal)
-    add("bitension-tangential", bt.tangential_norm)
-    add("frame-system", float(np.max(np.abs(lines))))
-    verdict = "yes" if branch.satisfied and bt.is_proper(tol) else "no"
-    add("branch", 0.0, branch.branch)
-    add("proper-biharmonic", 0.0, verdict)
-    return checks
+    # adapted-frame checks are undefined where the vertical field is normal
+    # to the surface, and stencil-bound ones where the point sits too close
+    # to the patch edge
+    framed = lat.centre("framed") & lat.reaches("stencil")
+    integrity = {
+        "gauss": over(framed, lambda sub: srf._gauss(sub).tolist()),
+        "codazzi": over(framed, lambda sub: np.max(
+            np.abs(srf._codazzi(sub)), axis=1).tolist()),
+        "compatibility": over(framed, lambda sub: np.max(
+            srf._compatibility(sub), axis=1).tolist()),
+    }
+    # the biharmonicity rows need the CMC probe's margin and a CMC point
+    spread = over(lat.reaches("probes"), lambda sub: zip(*bih._cmc(sub)))
+    cmc = np.array([s is not None and not s[1] > bih.CMC_TOL
+                    for s in spread])
+    mean, dev = np.reshape([s for s, c in zip(spread, cmc) if c], (-1, 2)).T
+    verdicts = over(cmc, lambda sub: zip(
+        bih._bitension(sub, mean, dev),
+        np.max(np.abs(bih._frame_system(sub)), axis=0).tolist(),
+        bih._classify(sub)))
+    rows = []
+    for n, verdict in enumerate(verdicts):
+        checks = [_check(name, 0.0, tol, "skipped") if values[n] is None
+                  else _check(name, values[n], tol, None)
+                  for name, values in integrity.items()]
+        if verdict is None:
+            checks += [_check(name, 0.0, tol, "skipped") for name in (
+                "bitension-normal", "bitension-tangential", "frame-system",
+                "branch")]
+            checks.append(_check("proper-biharmonic", 0.0, tol, "no"))
+        else:
+            bt, lines, branch = verdict
+            proper = branch.satisfied and bt.is_proper(tol)
+            checks += [_check("bitension-normal", bt.normal, tol, None),
+                       _check("bitension-tangential", bt.tangential_norm, tol,
+                              None),
+                       _check("frame-system", lines, tol, None),
+                       _check("branch", 0.0, tol, branch.branch),
+                       _check("proper-biharmonic", 0.0, tol,
+                              "yes" if proper else "no")]
+        rows.append(checks)
+    return rows
 
 
 def cmd_check_surface(args) -> int:
@@ -325,17 +337,18 @@ def cmd_check_surface(args) -> int:
     patch = _patch_from_args(args, data)
     nx, ny = args.grid if args.grid else (3, 3)
     points = patch.domain.grid(int(nx), int(ny), inset=0.25)
-    # the records every point reads, in one batch
-    patch.evaluator().lattice(*points)
     tol = args.tol
+    # every point's residuals from the columns of one lattice (one per
+    # point where its batch fails)
+    checked = [checks for lat in srf.lattices(patch, points)
+               for checks in _surface_checks(lat, tol)]
     records = []
     rows = []
     failed = False
     # the structure equations must hold on any genuine surface; the
     # biharmonicity rows express a verdict, not an integrity failure
     integrity = {"gauss", "codazzi", "compatibility"}
-    for q in points:
-        checks = _surface_point_checks(patch, q, tol)
+    for q, checks in zip(points, checked):
         for chk in checks:
             if chk["status"] == "fail" and chk["check"] in integrity:
                 failed = True

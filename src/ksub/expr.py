@@ -311,15 +311,20 @@ def parse(text: str, variables) -> Expr:
 # Elementwise libm calls and batches of points
 # ---------------------------------------------------------------------------
 
+_POW = np.frompyfunc(pow, 2, 1)
+
+
 def power(value, p):
-    """``value ** p``, one libm ``pow`` per element.
+    """``value ** p``, one libm ``pow`` per element; a float gives a numpy
+    float.
 
     numpy's own array power (``x * x`` for a square) and its ``exp``,
     ``log`` and ``tan`` differ from libm in the last bit on 0.1-5 % of
     arguments, so every power and function of a batch is taken element by
-    element, to equal its one-point value bit for bit.
+    element, to equal its one-point value bit for bit. Square root is
+    correctly rounded in IEEE 754, so ``np.sqrt`` is exact as it is.
     """
-    return _each(functools.partial(pow, exp=p), value)
+    return np.asarray(_POW(value, p), dtype=float)[()]
 
 
 def _each(func, value):
@@ -524,7 +529,7 @@ class Jet:
         bad = _first_bad(v <= 0.0, v)
         if bad:
             raise DomainEvalError(f"sqrt of nonpositive value {bad[0]!r}")
-        s = _each(math.sqrt, v)
+        s = np.sqrt(v)
         return self._lift(s, 0.5 / s, -0.25 / (v * s))
 
     def __abs__(self):
@@ -577,10 +582,11 @@ def _value_log(arg: float) -> float:
     return math.log(arg)
 
 
-def _value_sqrt(arg: float) -> float:
-    if arg < 0.0:
-        raise DomainEvalError(f"sqrt of negative value {arg!r}")
-    return math.sqrt(arg)
+def _value_sqrt(arg):
+    bad = _first_bad(arg < 0.0, arg)
+    if bad:
+        raise DomainEvalError(f"sqrt of negative value {bad[0]!r}")
+    return np.sqrt(arg)
 
 
 def _value_leaf(value, *_):
@@ -596,8 +602,8 @@ _JET_OPS = {"/": operator.truediv, "^": operator.pow, "sin": Jet.sin,
 _VALUE_OPS = {
     **{name: functools.partial(_each, func) for name, func in (
         ("sin", math.sin), ("cos", math.cos), ("tan", math.tan),
-        ("exp", math.exp), ("log", _value_log), ("sqrt", _value_sqrt))},
-    "/": _divide, "abs": abs,
+        ("exp", math.exp), ("log", _value_log))},
+    "sqrt": _value_sqrt, "/": _divide, "abs": abs,
     "^": lambda base, p: _each(functools.partial(_value_pow, p=p), base)}
 
 

@@ -69,7 +69,8 @@ CACHE_LIMIT = 200_000
 
 def rows(a) -> np.ndarray:
     """A batch (on the trailing axis) as C-contiguous per-point rows."""
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+    a = np.asarray(a)
+    return np.ascontiguousarray(a.transpose(a.ndim - 1, *range(a.ndim - 1)))
 
 
 def product(*factors):

@@ -679,8 +679,8 @@ def cylinder_surface_check(data: geo.KillingData, curve: BaseCurve,
     curvature of the induced metric.
     """
     patch = cylinder_patch(data, curve)
-    ev = patch.evaluator()
-    d = ev.weingarten(float(s), float(v))
+    q = (float(s), float(v))
+    d = srf.analyze_point(patch, q)
     jx, jy = curve.point_jets(float(s))
     lam = data.lam(jx.value, jy.value)
     eta_lift = np.array([lam * jy.grad[0], -lam * jx.grad[0], 0.0])
@@ -689,13 +689,13 @@ def cylinder_surface_check(data: geo.KillingData, curve: BaseCurve,
     xi = np.array([0.0, 0.0, 1.0])
     beta = d.tangents[0] - d.tangents[0][2] * xi
     beta = beta / np.linalg.norm(beta)
-    coeff = ev.tangent_coefficients(d, beta)
-    a_beta = ev.shape_apply_coeff(float(s), float(v), coeff)
+    a_beta = np.linalg.solve(d.first_form, d.tangents @ beta) @ d.shape_frame
     return {
         "tau_g": -sign * float(a_beta @ xi),
         "mean_h": sign * d.mean_h,
         "phi": d.phi,
-        "induced_curvature": ev.brioschi_curvature(float(s), float(v)),
+        "induced_curvature": float(patch.evaluator().brioschi_curvature(
+            srf.point_lattice(patch, q))[0]),
         "norm_sq_shape": d.norm_sq,
     }
 

@@ -15,24 +15,27 @@ adapted tangent frame e1 = T/sin(phi), e2 = eta x T / sin(phi), where T is
 the tangential part of the vertical field; the frame degenerates as
 phi -> 0 and operations that need it raise :class:`AngleSingularError`.
 
-Each parameter point has one record, kept in its patch's store and read
-through the patch's :class:`SurfaceEvaluator` view. Records are built in
-batches by one builder, :func:`_build`, which runs every formula on a
-trailing batch axis: the immersion half (jets of x, y, z, tangents, first
-form, normal, the angle and the vertical tangent), the ambient half at the
-image point (lam, r, its gradient, G and the connection table), the
-Christoffels, the adapted frame and the Weingarten half (shape operator,
-mean curvature, |A|^2). The ambient half reads the jets of (lam, a, b) at
-the batch's distinct image points, evaluated as one batch and gathered by
-index (:meth:`~ksub.geometry.KillingData.base_jets`); no jet is evaluated
-point by point. A record is a row of its batch, and nothing is computed
-on read. Every point operation first builds its point's lattice in one
-batch (:meth:`SurfaceEvaluator.lattice`: the point, its derivative stencil
-and its probe lattice), once per point and patch; a record read outside a
-built lattice is built as a batch of one, and a batch agrees with its
-points bit for bit. A lattice is a one-shot prefetch: a batch that fails
-stores nothing, and its records are built one at a time where they are
-read.
+One builder, :func:`_build`, computes every field at a batch of parameter
+points: the immersion half (jets of x, y, z, tangents, first form, normal,
+the angle and the vertical tangent), the ambient half at the image point
+(lam, r, its gradient, G and the connection table, from one batch of jets
+of (lam, a, b) at the distinct image points), the Christoffels, the adapted
+frame, the Weingarten half (shape operator, mean curvature, |A|^2) and the
+(du, dv) coefficients of the vertical tangent, of e1, e2 and of the shape
+operator. A batch agrees with its points bit for bit.
+
+Every point operation is array algebra over the columns of a lattice
+(:class:`_Lattice`: for each of its points the point, its 17 stencil points
+and its 5x5 probe lattice, built in one batch). A derivative is
+:func:`~ksub.numdiff._quotients` over a stencil column, with no callback;
+``check-surface`` computes each residual for all its points at once, and a
+module function at one point runs the same code on a lattice of one
+(:func:`point_lattice`). A lattice takes the rows it shares with the
+patch's regularity grid from it. A lattice whose batch raises or yields a
+non-finite value builds its rows one at a time, group by group as the
+operations read them, so each error arises where its row is read. A record
+(:class:`_PointData`) is one row of its point's lattice, made when
+:meth:`SurfaceEvaluator.data` reads it.
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step h = ``1e-3 * patch
@@ -44,9 +47,10 @@ differentiates the first form numerically.
 from __future__ import annotations
 
 import collections
+import copy
 import math
+import weakref
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -57,8 +61,8 @@ from .errors import (
     FdMarginError,
     KsubError,
 )
-from .expr import Expr, _each, _finite, eval_jet, parse
-from .numdiff import _abscissae, derivatives, partial1
+from .expr import Expr, _each, _finite, eval_jet, parse, power
+from .numdiff import _abscissae, _quotients
 
 __all__ = [
     "SurfacePatch",
@@ -93,24 +97,19 @@ class SurfacePatch:
             raise ValueError("immersion expressions need exactly 2 parameters")
         if self.y.variables != params or self.z.variables != params:
             raise ValueError("immersion components disagree on parameters")
-        # the patch owns its point records (rows of the batches that built
-        # them) and the parameter points whose lattice was tried once;
-        # evaluators are views over them, so a dropped patch frees its
-        # records by reference count
-        self._points: dict[tuple[float, float], _PointData] = {}
-        self._tried: set[tuple[float, float]] = set()
-        # a record refuses a degenerate first form, so building the 5x5
-        # grid's records (one batch; point by point where it fails) checks
-        # the immersion's regularity
-        ev = self.evaluator()
+        # the patch owns the lattices of the points operated on; they refer
+        # to it weakly, so a dropped patch frees them by reference count
+        self._lattices: dict[tuple[float, float], _Lattice] = {}
+        # a batch refuses a degenerate first form, so building the 5x5
+        # grid (one batch; point by point where it fails) checks the
+        # immersion's regularity; the lattices reuse the batch's rows
         grid = self.domain.grid(5, 5, inset=0.02)
-        ev._prefetch(grid)
-        for (u, v) in grid:
-            ev.data(u, v)
-
-    @property
-    def params(self) -> tuple[str, str]:
-        return self.x.variables  # type: ignore[return-value]
+        fields = _attempt(self, grid)
+        if fields is None:
+            for (u, v) in grid:
+                _build(self, np.array([u]), np.array([v]))
+            grid, fields = [], {}
+        self._grid = ({key: n for n, key in enumerate(grid)}, fields)
 
     def evaluator(self) -> "SurfaceEvaluator":
         return SurfaceEvaluator(self)
@@ -133,9 +132,11 @@ _PointData = collections.namedtuple("_PointData", (
     "first_form", "normal", "cos_phi", "sin_phi", "phi", "vertical_tangent",
     "lam", "r", "grad_r", "gauss_base", "gamma", "tangent_derivs",
     "christoffels", "shape_frame", "ortho_basis", "shape_ortho", "mean_h",
-    "norm_sq", "e1", "e2"))
+    "norm_sq", "vertical_coeff", "shape_coeff", "e1", "e2", "e1_coeff",
+    "e2_coeff"))
 _PointData.__doc__ = """Everything first- and second-order at one parameter
-point: a row of the batch :func:`_build` builds, made by :func:`_records`.
+point: one row of a batch that :func:`_build` built, made by
+:func:`_record` when it is read.
 
 Immersion data: the jets of x, y, z up to their Hessians, the frame
 tangents, the first form, the unit normal, the angle and the vertical
@@ -144,13 +145,17 @@ connection table. From the order-2 jets: ``tangent_derivs``, the first
 form's ``christoffels`` and the exact Weingarten half, in which the shape
 operator ``shape_ortho`` lives in the orthonormalized (d/du, d/dv) basis
 ``ortho_basis``, ``mean_h`` is its trace and ``norm_sq`` is |A|^2. The
-adapted frame ``e1, e2`` is None within ANGLE_EPS of a vertical normal.
-Nothing is computed on read.
+(du, dv) coefficients of the vertical tangent (``vertical_coeff``) and of
+the adapted frame (``e1_coeff``, ``e2_coeff``), and ``shape_coeff``, the
+matrix M with A(d_j) = sum_i M[i, j] d_i. The adapted frame and its
+coefficients are None within ANGLE_EPS of a vertical normal.
 """
 
-# Fields of a batch that are floats per point; the others between the point
-# and the frame are the batch's rows
+# Fields of a record that are floats, and those that are None where the
+# point has no adapted frame; the others are the batch's rows (numpy
+# scalars for r and G, as ``geometry`` returns them at a point)
 _FLOATS = {"cos_phi", "sin_phi", "phi", "lam", "mean_h", "norm_sq"}
+_FRAMED = {"e1", "e2", "e1_coeff", "e2_coeff"}
 
 
 def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
@@ -190,7 +195,7 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
     cos_phi = np.where(cos_phi > -1.0, cos_phi, -1.0)
     phi = _each(math.acos, cos_phi)
     sin_sq = 1.0 - cos_phi * cos_phi
-    sin_phi = _each(math.sqrt, np.where(sin_sq > 0.0, sin_sq, 0.0))
+    sin_phi = np.sqrt(np.where(sin_sq > 0.0, sin_sq, 0.0))
     vertical = np.array([[0.0], [0.0], [1.0]]) - cos_phi * normal
 
     r, grad_r = geo.bundle_curvature(K, (x, y))
@@ -230,7 +235,7 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
     # Gram-Schmidt on the tangents: rows f1, f2 and their (du, dv)
     # coefficient rows
     g00, g01 = first_form[:, 0, 0], first_form[:, 0, 1]
-    root = _each(math.sqrt, g00)
+    root = np.sqrt(g00)
     w = t1 - (g01 / g00) * t0
     wn = np.sqrt(geo.product(w, w))
     ortho_basis = geo.rows(np.stack([t0 / root, w / wn]))
@@ -240,11 +245,20 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
                    @ ortho_basis.transpose(0, 2, 1))
     diagonal = np.ascontiguousarray(np.diagonal(shape_ortho, 0, 1, 2))
 
+    def coefficients(vectors):
+        # (du, dv) coefficients of tangent vectors in frame components
+        rhs = tangents @ np.ascontiguousarray(vectors)[:, :, None]
+        return np.linalg.solve(first_form, rhs)[:, :, 0]
+
     # the adapted frame only where sin(phi) is clear of 0
     framed = sin_phi >= ANGLE_EPS
     divisor = np.where(framed, sin_phi, 1.0)
+    vertical_rows = geo.rows(vertical)
+    e1 = geo.rows(vertical / divisor)
+    e2 = geo.rows(geo.wedge(normal, vertical) / divisor)
     return {
-        "point": (jx.value, jy.value, jz.value),
+        "params": geo.rows(np.array([us, vs])),
+        "point": geo.rows(np.array([jx.value, jy.value, jz.value])),
         "coord_tangents": ct,
         "coord_hessians": coord_hessians,
         "tangents": tangents,
@@ -253,7 +267,7 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
         "cos_phi": cos_phi,
         "sin_phi": sin_phi,
         "phi": phi,
-        "vertical_tangent": geo.rows(vertical),
+        "vertical_tangent": vertical_rows,
         "lam": K.lam(x, y),
         "r": r,
         "grad_r": geo.rows(grad_r),
@@ -266,259 +280,393 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
         "shape_ortho": shape_ortho,
         "mean_h": diagonal.sum(axis=1),
         "norm_sq": (shape_ortho * shape_ortho).reshape(-1, 4).sum(axis=1),
+        "vertical_coeff": coefficients(vertical_rows),
+        "shape_coeff": np.stack([coefficients(shape_frame[:, j])
+                                 for j in range(2)], axis=2),
         "framed": framed,
-        "e1": geo.rows(vertical / divisor),
-        "e2": geo.rows(geo.wedge(normal, vertical) / divisor),
+        "e1": e1,
+        "e2": e2,
+        "e1_coeff": coefficients(e1),
+        "e2_coeff": coefficients(e2),
     }
 
 
-def _records(keys, fields: dict) -> list[_PointData]:
-    """The records of a built batch, one per parameter key, zipped from its
-    columns: floats, numpy scalars for r and G (as ``geometry`` returns them
-    at a point), views of the batch's rows for vectors and matrices, and
-    None for e1, e2 where the point has no adapted frame."""
-    framed = fields["framed"].tolist()
-    columns = ([keys, list(zip(*(c.tolist() for c in fields["point"])))]
-               + [fields[name].tolist() if name in _FLOATS
-                  else list(fields[name])
-                  for name in _PointData._fields[2:-2]]
-               + [[row if f else None for row, f in zip(fields[name], framed)]
-                  for name in ("e1", "e2")])
-    return [_PointData._make(row) for row in zip(*columns)]
+def _attempt(patch: SurfacePatch, keys) -> dict | None:
+    """The fields at the parameter points ``keys`` built in one batch, or
+    None where the batch raises or yields a non-finite value: its rows are
+    then built one at a time, where every error and warning arises."""
+    us, vs = (np.array(c) for c in zip(*keys))
+    try:
+        with np.errstate(all="ignore"):
+            fields = _build(patch, us, vs)
+    except (ArithmeticError, ValueError, KsubError, RecursionError):
+        return None
+    return fields if _finite(tuple(fields.values())) else None
+
+
+def _record(fields: dict, n: int) -> _PointData:
+    """Row n of a built batch as a record: floats, numpy scalars for r and
+    G, views of the batch's rows for vectors and matrices, and None for the
+    adapted frame where the point has none."""
+    framed = fields["framed"][n]
+    return _PointData(
+        tuple(fields["params"][n].tolist()),
+        tuple(fields["point"][n].tolist()),
+        *(float(fields[name][n]) if name in _FLOATS
+          else None if name in _FRAMED and not framed
+          else fields[name][n]
+          for name in _PointData._fields[2:]))
+
+
+def _no_frame(sin_phi: float, u: float, v: float) -> AngleSingularError:
+    return AngleSingularError(
+        f"sin(phi) = {sin_phi:.2e} at parameters ({u}, {v}); "
+        "the vertical field is normal and no adapted frame exists")
+
+
+class _Lattice:
+    """The rows the point operations at N parameter points read, as columns.
+
+    Three groups: each point ("centre"), its 17 stencil points in
+    :func:`_abscissae` order ("stencil"; the point needs a margin of h from
+    the patch edge) and its 5x5 probe lattice at 2 h spacing ("probes"; a
+    margin of 4 h). :meth:`column` gathers a field of a group by row index,
+    (N, ...), (N, 17, ...) or (N, 25, ...); a group that a point lacks the
+    margin for raises :class:`FdMarginError` for the first such point. Rows
+    are built in one batch (:meth:`_prefetch`), or else one at a time, in
+    order, when their group is first read. The lattice refers to its patch
+    weakly, so the patch can own it.
+    """
+
+    def __init__(self, patch: SurfacePatch, qs):
+        self._patch = weakref.ref(patch)
+        self.h = h = PARAM_STEP_FRAC * patch.domain.diameter
+        self.points = [(float(q[0]), float(q[1])) for q in qs]
+        reach = [patch.domain.margin_at(u, v) for u, v in self.points]
+        self._keys = {
+            "centre": [[q] for q in self.points],
+            "stencil": [[tuple(p) for p in _abscissae(q, h)]
+                        if m >= h else None
+                        for q, m in zip(self.points, reach)],
+            "probes": [[(q[0] + i * 2.0 * h, q[1] + j * 2.0 * h)
+                        for i in range(-2, 3) for j in range(-2, 3)]
+                       if m >= 4.0 * h else None
+                       for q, m in zip(self.points, reach)],
+        }
+        self._fields, self._index, self._columns = {}, {}, {}
+        self._record = None
+
+    def reaches(self, group: str) -> np.ndarray:
+        """Per point, whether it has the margin that ``group`` needs."""
+        return np.array([keys is not None for keys in self._keys[group]])
+
+    def _keep(self, keys, parts) -> None:
+        """Add the rows at ``keys``, the batches ``parts`` in order."""
+        parts = ([self._fields] if self._index else []) + parts
+        self._fields = {name: np.concatenate([p[name] for p in parts])
+                        for name in parts[-1]}
+        self._index = {**self._index, **{key: len(self._index) + n
+                                         for n, key in enumerate(keys)}}
+
+    def _prefetch(self) -> bool:
+        """Build every row in one batch, taking those of the patch's
+        regularity grid from it; False where the batch failed."""
+        patch = self._patch()
+        keys = list(dict.fromkeys(key for group in self._keys.values()
+                                  for keys in group if keys for key in keys))
+        index, fields = patch._grid
+        reused = [key for key in keys if key in index]
+        if reused:
+            rows = [index[key] for key in reused]
+            self._keep(reused, [{name: column[rows]
+                                 for name, column in fields.items()}])
+        missing = [key for key in keys if key not in index]
+        built = _attempt(patch, missing) if missing else {}
+        if built:
+            self._keep(missing, [built])
+        return built is not None
+
+    def take(self, mask) -> "_Lattice":
+        """The lattice of the points where ``mask`` is set, on the same
+        rows."""
+        if np.all(mask):
+            return self
+        sub = copy.copy(self)
+        sub.points = [q for q, keep in zip(self.points, mask) if keep]
+        sub._keys = {group: [k for k, keep in zip(keys, mask) if keep]
+                     for group, keys in self._keys.items()}
+        sub._columns, sub._record = {}, None
+        return sub
+
+    def _rows(self, group: str) -> np.ndarray:
+        """Row indices of a group; its missing rows are built one at a
+        time, in order, and kept only if none raises."""
+        rows = self._columns.get(group)
+        if rows is None:
+            for (u, v), keys in zip(self.points, self._keys[group]):
+                if keys is None:
+                    raise FdMarginError(
+                        f"parameter point ({u}, {v}) too close to the patch "
+                        "edge for a stencil of width "
+                        f"{self.h if group == 'stencil' else 4.0 * self.h}")
+            missing = dict.fromkeys(key for keys in self._keys[group]
+                                    for key in keys if key not in self._index)
+            if missing:
+                self._keep(missing, [_build(self._patch(), np.array([u]),
+                                            np.array([v]))
+                                     for u, v in missing])
+            rows = np.array([[self._index[key] for key in keys]
+                             for keys in self._keys[group]], dtype=np.intp)
+            rows = self._columns[group] = (rows[:, 0] if group == "centre"
+                                           else rows)
+        return rows
+
+    def column(self, group: str, name: str) -> np.ndarray:
+        """The field ``name`` at the rows of ``group``, C-contiguous."""
+        col = self._columns.get((group, name))
+        if col is None:
+            rows = self._rows(group)  # first: it may build the rows
+            col = self._columns[group, name] = self._fields[name][rows]
+        return col
+
+    def centre(self, name: str) -> np.ndarray:
+        return self.column("centre", name)
+
+    def record(self) -> _PointData:
+        """The record of the lattice's first point, made once."""
+        if self._record is None:
+            n = int(self._rows("centre")[0])  # first: it may build the row
+            self._record = _record(self._fields, n)
+        return self._record
+
+    def require_frame(self) -> None:
+        """Raise :class:`AngleSingularError` for the first point with no
+        adapted frame."""
+        framed = self.centre("framed")
+        if not framed.all():
+            n = int(np.argmin(framed))
+            raise _no_frame(float(self.centre("sin_phi")[n]),
+                            *self.points[n])
+
+
+def lattices(patch: SurfacePatch, qs) -> list[_Lattice]:
+    """The lattices the point operations at ``qs`` read: one, built in one
+    batch; where the batch fails, one per point, built as read, so each
+    error arises at its point and read."""
+    lat = _Lattice(patch, qs)
+    if lat._prefetch() or len(lat.points) == 1:
+        return [lat]
+    return [_Lattice(patch, [q]) for q in lat.points]
+
+
+def point_lattice(patch: SurfacePatch, q) -> _Lattice:
+    """The lattice of one parameter point, built once per point and
+    patch."""
+    return geo.memo(patch._lattices, (float(q[0]), float(q[1])),
+                    lambda u, v: lattices(patch, [(u, v)])[0])
+
+
+# ---------------------------------------------------------------------------
+# Per-point rows: stacked products round as the one-point ones do
+# ---------------------------------------------------------------------------
+
+def _apply(m, x) -> np.ndarray:
+    """m @ x per point, for (N, a, b) matrices and (N, b) vectors."""
+    return (np.ascontiguousarray(m)
+            @ np.ascontiguousarray(x)[:, :, None])[:, :, 0]
+
+
+def _vecmat(x, m) -> np.ndarray:
+    """x @ m per point, for (N, a) vectors and (N, a, b) matrices."""
+    return (np.ascontiguousarray(x)[:, None, :]
+            @ np.ascontiguousarray(m))[:, 0, :]
+
+
+def _derivatives(lat: _Lattice, samples):
+    """(value, gradient, Hessian) at each point of a lattice from the
+    (N, 17, ...) stencil samples of a field: (N, ...), (N, 2, ...) and
+    (N, 2, 2, ...)."""
+    value, grad, hess = _quotients(samples.swapaxes(0, 1), lat.h)
+    return (value, np.ascontiguousarray(grad.swapaxes(0, 1)),
+            np.ascontiguousarray(hess.swapaxes(1, 2).swapaxes(0, 1)))
+
+
+def _gradient(lat: _Lattice, name: str) -> np.ndarray:
+    """(d/du, d/dv) of a field at each point, (N, 2, ...)."""
+    return _derivatives(lat, lat.column("stencil", name))[1]
+
+
+def _square(values) -> np.ndarray:
+    """values ** 2 element by element as numpy scalars take it: libm
+    ``pow``, and inf (not an error, as a float's power raises) past the
+    float range."""
+    return np.array([value ** 2 for value in values], dtype=float)
+
+
+def _directional_r(lat: _Lattice, name: str) -> np.ndarray:
+    """Derivative of the bundle curvature along a tangent frame vector."""
+    vec, grad_r = lat.centre(name), lat.centre("grad_r")
+    return (vec[:, 0] * grad_r[:, 0] + vec[:, 1] * grad_r[:, 1]) \
+        / lat.centre("lam")
 
 
 class SurfaceEvaluator:
-    """Per-point computations over one patch, reading the records in the
-    patch's store."""
+    """A view of one patch: the records read at single parameter points,
+    and the derivative operations over the columns of a lattice."""
 
     def __init__(self, patch: SurfacePatch):
         self.patch = patch
         self.h = PARAM_STEP_FRAC * patch.domain.diameter
-        self._data = patch._points
-        self._tried = patch._tried
-
-    # -- core point data -----------------------------------------------------
 
     def data(self, u: float, v: float) -> _PointData:
-        """The record at (u, v); a miss builds it as a batch of one."""
-        return geo.memo(self._data, (u, v), self._build_one)
+        """The record at (u, v), a row of its point lattice."""
+        return point_lattice(self.patch, (u, v)).record()
 
-    def _build_one(self, u: float, v: float) -> _PointData:
-        key = (u, v)
-        return _records([key], _build(self.patch, np.array([u]),
-                                      np.array([v])))[0]
-
-    def _prefetch(self, keys) -> None:
-        """Build the missing records among the parameter points ``keys`` in
-        one batch. A batch that raises or yields a non-finite value stores
-        nothing: its records are built where they are read, one at a time,
-        and every error and warning arises there."""
-        keys = [k for k in dict.fromkeys(keys) if k not in self._data]
-        if not keys:
-            return
-        us, vs = (np.array(c) for c in zip(*keys))
-        try:
-            with np.errstate(all="ignore"):
-                fields = _build(self.patch, us, vs)
-        except (ArithmeticError, ValueError, KsubError, RecursionError):
-            return
-        if _finite(tuple(fields.values())):
-            for key, record in zip(keys, _records(keys, fields)):
-                geo.memo(self._data, key, lambda *_: record)
-
-    def lattice(self, *qs) -> None:
-        """Build, in one batch, the records every point operation at the
-        parameter points ``qs`` reads: each q, its 17 derivative stencil
-        points when its margin is at least h, and its 5x5 probe lattice
-        when the margin is at least 4 h (see :meth:`_prefetch`). A point's
-        lattice is tried once per patch: a q tried before adds nothing,
-        whether its batch was built or failed."""
-        keys = []
-        for q in qs:
-            u, v = float(q[0]), float(q[1])
-            if (u, v) in self._tried:
-                continue
-            if len(self._tried) >= geo.CACHE_LIMIT:
-                self._tried.clear()
-            self._tried.add((u, v))
-            keys.append((u, v))
-            margin = self.patch.domain.margin_at(u, v)
-            if margin >= self.h:
-                keys += [tuple(p) for p in _abscissae((u, v), self.h)]
-            if margin >= 4.0 * self.h:
-                keys += self.probe_lattice(u, v)
-        self._prefetch(keys)
-
-    def probe_lattice(self, u: float, v: float) -> list[tuple[float, float]]:
-        """The 5x5 parameter lattice at 2 h spacing around (u, v) that the
-        CMC and constancy probes read; it reaches 4 h, so the point needs
-        that margin."""
-        self.require_margin(u, v, 4.0 * self.h)
-        step = 2.0 * self.h
-        return [(u + i * step, v + j * step)
-                for i in range(-2, 3) for j in range(-2, 3)]
-
-    # -- shape operator --------------------------------------------------------
-
-    def weingarten(self, u: float, v: float) -> _PointData:
-        """The point's record, read for its Weingarten half (shape operator,
-        mean curvature, |A|^2), which every record carries."""
-        return self.data(u, v)
-
-    def require_margin(self, u, v, need):
-        if self.patch.domain.margin_at(u, v) < need:
-            raise FdMarginError(
-                f"parameter point ({u}, {v}) too close to the patch edge "
-                f"for a stencil of width {need}")
-
-    def shape_apply_coeff(self, u: float, v: float, coeff) -> np.ndarray:
-        """A applied to a tangent vector given by (du, dv) coefficients."""
-        return np.asarray(coeff, dtype=float) @ self.weingarten(u, v).shape_frame
-
-    def shape_operator_coeff(self, u: float, v: float) -> np.ndarray:
-        """Matrix M with A(d_j) = sum_i M[i, j] d_i in the coordinate basis."""
-        d = self.weingarten(u, v)
-        cols = [self.tangent_coefficients(d, d.shape_frame[j]) for j in range(2)]
-        return np.stack(cols, axis=1)
-
-    # -- adapted frame ---------------------------------------------------------
+    # the record, read for its Weingarten half (shape operator, mean
+    # curvature, |A|^2), which every record carries
+    weingarten = data
 
     def adapted(self, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
         d = self.data(u, v)
         if d.e1 is None:
-            raise AngleSingularError(
-                f"sin(phi) = {d.sin_phi:.2e} at parameters ({u}, {v}); "
-                "the vertical field is normal and no adapted frame exists")
+            raise _no_frame(d.sin_phi, u, v)
         return d.e1, d.e2
 
-    def tangent_coefficients(self, d: _PointData, vec_frame) -> np.ndarray:
-        """(du, dv) coefficients of a tangent vector in frame components."""
-        rhs = d.tangents @ np.asarray(vec_frame, dtype=float)
-        return np.linalg.solve(d.first_form, rhs)
+    @staticmethod
+    def laplacian(lat: _Lattice, samples) -> tuple[np.ndarray, np.ndarray]:
+        """Laplace-Beltrami (div grad convention) of a parameter field at
+        each point of a lattice, g^ij (f_ij - Gamma^k_ij f_k), and its
+        (d/du, d/dv) gradient, from the field's (N, 17) stencil samples and
+        the exact Christoffels of the points."""
+        _, grad, hess = _derivatives(lat, samples)
+        hess = hess - np.einsum("nkij,nk->nij", lat.centre("christoffels"),
+                                grad)
+        inv = np.linalg.inv(lat.centre("first_form"))
+        return (inv * hess).reshape(-1, 4).sum(axis=1), grad
 
-    # -- derivatives of scalar fields over parameters ---------------------------
-
-    def dfield(self, field: Callable, u: float, v: float) -> np.ndarray:
-        """(d/du, d/dv) of a scalar or array field, central + Richardson;
-        the stencil reaches h, so the point needs that margin."""
-        self.require_margin(u, v, self.h)
-        return np.array([partial1(lambda q: field(*q), (u, v), i, self.h)
-                         for i in range(2)])
-
-    def base_directional_r(self, d: _PointData, vec_frame) -> float:
-        """Derivative of the bundle curvature along a tangent frame vector."""
-        v = np.asarray(vec_frame, dtype=float)
-        return float((v[0] * d.grad_r[0] + v[1] * d.grad_r[1]) / d.lam)
-
-    def phi_field(self, u: float, v: float) -> float:
-        return self.data(u, v).phi
-
-    def mean_h_field(self, u: float, v: float) -> float:
-        return self.weingarten(u, v).mean_h
-
-    # -- induced metric machinery ----------------------------------------------
-
-    def covariant_coeff(self, field_coeff: Callable[[float, float], np.ndarray],
-                        directions, u: float, v: float) -> np.ndarray:
-        """Surface covariant derivatives of a tangent coefficient field, one
-        row per (du, dv) direction given, from one stencil over the field."""
-        chris = self.data(u, v).christoffels
-        w = field_coeff(u, v)
-        dw = self.dfield(field_coeff, u, v)
-        du, dv = (dw[i] + chris[:, i, :] @ w for i in range(2))
-        # summed from zero in coordinate order, so the output keeps its digits
-        return np.array([np.zeros(2) + c[0] * du + c[1] * dv
-                         for c in np.asarray(directions, dtype=float)])
-
-    def field_derivatives(self, field: Callable, u: float, v: float):
-        """(value, gradient, Hessian) of a parameter field, one sampling
-        pass; like :meth:`dfield`, it needs a margin of h."""
-        self.require_margin(u, v, self.h)
-        return derivatives(lambda q: field(*q), (u, v), self.h)
-
-    def laplacian(self, field: Callable[[float, float], float],
-                  u: float, v: float) -> tuple[float, np.ndarray]:
-        """Laplace-Beltrami (div grad convention) of a parameter field,
-        g^ij (f_ij - Gamma^k_ij f_k), and its (d/du, d/dv) gradient, from
-        one sampling pass over the field and the exact Christoffels of the
-        point's record."""
-        _, grad, hess = self.field_derivatives(field, u, v)
-        d = self.data(u, v)
-        hess -= np.einsum("kij,k->ij", d.christoffels, grad)
-        return float(np.sum(np.linalg.inv(d.first_form) * hess)), grad
-
-    def brioschi_curvature(self, u: float, v: float) -> float:
-        """Gaussian curvature of the induced metric, Brioschi formula, from
-        one sampling pass over the first form."""
-        self.require_margin(u, v, self.h)
-        g, dg, ddg = derivatives(lambda q: self.data(*q).first_form, (u, v),
-                                 self.h)
-        E, F, G = g[0, 0], g[0, 1], g[1, 1]
-        E_u, F_u, G_u = dg[0, 0, 0], dg[0, 0, 1], dg[0, 1, 1]
-        E_v, F_v, G_v = dg[1, 0, 0], dg[1, 0, 1], dg[1, 1, 1]
-        E_vv, F_uv, G_uu = ddg[1, 1, 0, 0], ddg[0, 1, 0, 1], ddg[0, 0, 1, 1]
-
-        m1 = np.array([
+    @staticmethod
+    def brioschi_curvature(lat: _Lattice) -> np.ndarray:
+        """Gaussian curvature of the induced metric at each point of a
+        lattice, Brioschi formula, from the first form's stencil column."""
+        g, dg, ddg = _derivatives(lat, lat.column("stencil", "first_form"))
+        E, F, G = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+        E_u, F_u, G_u = dg[:, 0, 0, 0], dg[:, 0, 0, 1], dg[:, 0, 1, 1]
+        E_v, F_v, G_v = dg[:, 1, 0, 0], dg[:, 1, 0, 1], dg[:, 1, 1, 1]
+        E_vv, F_uv = ddg[:, 1, 1, 0, 0], ddg[:, 0, 1, 0, 1]
+        G_uu, zero = ddg[:, 0, 0, 1, 1], np.zeros_like(E)
+        m1 = geo.rows(np.array([
             [-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v],
             [F_v - 0.5 * G_u, E, F],
             [0.5 * G_v, F, G],
-        ])
-        m2 = np.array([
-            [0.0, 0.5 * E_v, 0.5 * G_u],
+        ]))
+        m2 = geo.rows(np.array([
+            [zero, 0.5 * E_v, 0.5 * G_u],
             [0.5 * E_v, E, F],
             [0.5 * G_u, F, G],
-        ])
-        denom = (E * G - F * F) ** 2
-        return float((np.linalg.det(m1) - np.linalg.det(m2)) / denom)
-
-    # -- adapted frame as coefficient fields -------------------------------------
-
-    def adapted_coeffs(self, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
-        d = self.data(u, v)
-        e1, e2 = self.adapted(u, v)
-        return (self.tangent_coefficients(d, e1),
-                self.tangent_coefficients(d, e2))
+        ]))
+        return ((np.linalg.det(m1) - np.linalg.det(m2))
+                / _square(E * G - F * F))
 
 
 # ---------------------------------------------------------------------------
-# Module-level operations
+# Residuals over the points of a lattice
 # ---------------------------------------------------------------------------
 
-def point_evaluator(patch: SurfacePatch, q):
-    """(evaluator, u, v) for an operation at parameter point q, with the
-    records of q's lattice built (:meth:`SurfaceEvaluator.lattice`)."""
-    u, v = float(q[0]), float(q[1])
-    ev = patch.evaluator()
-    ev.lattice((u, v))
-    return ev, u, v
+def _gauss(lat: _Lattice) -> np.ndarray:
+    """:func:`gauss_residual` at every point of a lattice."""
+    lat.require_frame()
+    k_ind = SurfaceEvaluator.brioschi_curvature(lat)
+    r, cos_phi = lat.centre("r"), lat.centre("cos_phi")
+    rhs = (np.linalg.det(lat.centre("shape_ortho")) + _square(r)
+           + (lat.centre("gauss_base") - 4.0 * _square(r))
+           * power(cos_phi, 2)
+           - _each(math.sin, 2.0 * lat.centre("phi"))
+           * _directional_r(lat, "e2"))
+    return k_ind - rhs
 
+
+def _codazzi(lat: _Lattice) -> np.ndarray:
+    """:func:`codazzi_residual` at every point of a lattice."""
+    lat.require_frame()
+    c1, c2 = lat.centre("e1_coeff"), lat.centre("e2_coeff")
+    s = lat.centre("shape_coeff")
+    ds = _gradient(lat, "shape_coeff")
+    chris = lat.centre("christoffels")
+    curl = (ds[:, 0, :, 1] - ds[:, 1, :, 0]
+            + _apply(chris[:, :, 0], s[:, :, 1])
+            - _apply(chris[:, :, 1], s[:, :, 0]))
+    det = c1[:, 0] * c2[:, 1] - c1[:, 1] * c2[:, 0]
+    lhs = _vecmat(det[:, None] * curl, lat.centre("tangents"))
+
+    e1, e2 = lat.centre("e1"), lat.centre("e2")
+    r, phi = lat.centre("r"), lat.centre("phi")
+    rhs_e2 = ((4.0 * _square(r) - lat.centre("gauss_base"))
+              * lat.centre("cos_phi") * _each(math.sin, phi)
+              - _each(math.cos, 2.0 * phi) * _directional_r(lat, "e2"))
+    diff = lhs - (rhs_e2[:, None] * e2
+                  - _directional_r(lat, "e1")[:, None] * e1)
+    return np.stack([geo.product(diff.T, e1.T), geo.product(diff.T, e2.T)],
+                    axis=1)
+
+
+def _compatibility(lat: _Lattice) -> np.ndarray:
+    """:func:`compatibility_residuals` at every point of a lattice."""
+    lat.require_frame()
+    # one gradient of T's coefficients and one of cos(phi), read along both
+    # frame vectors; nabla_X T = X^i (d_i w + Gamma_i w), summed from zero
+    # in coordinate order
+    chris, w = lat.centre("christoffels"), lat.centre("vertical_coeff")
+    dw = _gradient(lat, "vertical_coeff")
+    du, dv = (dw[:, i] + _apply(chris[:, :, i], w) for i in range(2))
+    dcos = _gradient(lat, "cos_phi")
+    tangents, normal = lat.centre("tangents"), lat.centre("normal")
+    r, cos_phi = lat.centre("r")[:, None], lat.centre("cos_phi")[:, None]
+    res1, res2 = [], []
+    for name in ("e1", "e2"):
+        vec, coeff = lat.centre(name), lat.centre(name + "_coeff")
+        nabla = 0.0 + coeff[:, :1] * du + coeff[:, 1:] * dv
+        nabla_t = _vecmat(nabla, tangents)
+        a_vec = _vecmat(coeff, lat.centre("shape_frame"))
+        eta_wedge = geo.wedge(normal.T, vec.T).T
+        first = nabla_t - cos_phi * (a_vec - r * eta_wedge)
+        res1.append(np.sqrt(geo.product(first.T, first.T)))
+        res2.append(geo.product((a_vec - r * eta_wedge).T,
+                                lat.centre("vertical_tangent").T)
+                    + geo.product(coeff.T, dcos.T))
+    # np.max, unlike max, propagates a nan, so a nan residual fails
+    return np.stack([np.max(res1, axis=0), np.max(np.abs(res2), axis=0)],
+                    axis=1)
+
+
+def _angle_derivatives(lat: _Lattice):
+    """(e1(phi), e2(phi)) at each point; raises where no adapted frame."""
+    lat.require_frame()
+    dphi = _gradient(lat, "phi")
+    return (geo.product(lat.centre("e1_coeff").T, dphi.T),
+            geo.product(lat.centre("e2_coeff").T, dphi.T))
+
+
+# ---------------------------------------------------------------------------
+# Module-level operations at one parameter point
+# ---------------------------------------------------------------------------
 
 def analyze_point(patch: SurfacePatch, q) -> _PointData:
     """Full first/second-order package at a parameter point."""
-    ev, u, v = point_evaluator(patch, q)
-    return ev.weingarten(u, v)
+    return patch.evaluator().data(float(q[0]), float(q[1]))
 
 
 def shape_frame_fd(patch: SurfacePatch, q) -> np.ndarray:
     """Oracle for the exact Weingarten map: rows A(d/du), A(d/dv) from
     A(X) = -D_X eta, the unit normal differentiated across the parameter
     grid (central differences, one Richardson level) plus the connection."""
-    ev, u, v = point_evaluator(patch, q)
-    d = ev.data(u, v)
-    d_normal = ev.dfield(lambda uu, vv: ev.data(uu, vv).normal, u, v)
+    lat = point_lattice(patch, q)
+    d_normal = _gradient(lat, "normal")
+    tangents, normal = lat.centre("tangents"), lat.centre("normal")
     return np.stack([
-        -(d_normal[i]
-          + np.einsum("i,m,imk->k", d.tangents[i], d.normal, d.gamma))
-        for i in range(2)])
-
-
-def _angle_derivatives(patch: SurfacePatch, q):
-    """(record, e1(phi), e2(phi), H) at q; raises where no adapted frame."""
-    ev, u, v = point_evaluator(patch, q)
-    d = ev.data(u, v)
-    c1, c2 = ev.adapted_coeffs(u, v)  # raises when singular
-    dphi = ev.dfield(ev.phi_field, u, v)
-    return d, float(c1 @ dphi), float(c2 @ dphi), ev.weingarten(u, v).mean_h
+        -(d_normal[:, i]
+          + np.einsum("ni,nm,nimk->nk", np.ascontiguousarray(tangents[:, i]),
+                      normal, lat.centre("gamma")))
+        for i in range(2)], axis=1)[0]
 
 
 def shape_matrix_adapted(patch: SurfacePatch, q) -> np.ndarray:
@@ -527,9 +675,11 @@ def shape_matrix_adapted(patch: SurfacePatch, q) -> np.ndarray:
     The matrix is [[e1(phi), e2(phi) - r], [e2(phi) - r, H - e1(phi)]];
     it must agree with the Weingarten computation expressed in (e1, e2).
     """
-    d, e1_phi, e2_phi, mean_h = _angle_derivatives(patch, q)
-    off = e2_phi - d.r
-    return np.array([[e1_phi, off], [off, mean_h - e1_phi]])
+    lat = point_lattice(patch, q)
+    e1_phi, e2_phi = (float(c[0]) for c in _angle_derivatives(lat))
+    off = e2_phi - lat.centre("r")[0]
+    return np.array([[e1_phi, off],
+                     [off, float(lat.centre("mean_h")[0]) - e1_phi]])
 
 
 def gauss_residual(patch: SurfacePatch, q) -> float:
@@ -537,15 +687,7 @@ def gauss_residual(patch: SurfacePatch, q) -> float:
 
         det A + r^2 + (G - 4 r^2) cos^2(phi) - sin(2 phi) e2(r).
     """
-    ev, u, v = point_evaluator(patch, q)
-    _, e2 = ev.adapted(u, v)
-    d = ev.weingarten(u, v)
-    k_ind = ev.brioschi_curvature(u, v)
-    e2_r = ev.base_directional_r(d, e2)
-    rhs = (np.linalg.det(d.shape_ortho) + d.r ** 2
-           + (d.gauss_base - 4.0 * d.r ** 2) * d.cos_phi ** 2
-           - math.sin(2.0 * d.phi) * e2_r)
-    return float(k_ind - rhs)
+    return float(_gauss(point_lattice(patch, q))[0])
 
 
 def codazzi_residual(patch: SurfacePatch, q) -> np.ndarray:
@@ -554,29 +696,11 @@ def codazzi_residual(patch: SurfacePatch, q) -> np.ndarray:
     Left side: (nabla_{e1} A)(e2) - (nabla_{e2} A)(e1), tensorial and
     antisymmetric, so det(c1, c2) [d_u S_v - d_v S_u + Gamma_u S_v -
     Gamma_v S_u] with c1, c2 the coefficients of e1, e2, S_j the columns of
-    :meth:`~SurfaceEvaluator.shape_operator_coeff` (one stencil level) and
-    Gamma the exact Christoffels of the record. Right side:
+    the coordinate shape operator (one stencil level) and Gamma the exact
+    Christoffels of the point. Right side:
     [(4 r^2 - G) cos(phi) sin(phi) - cos(2 phi) e2(r)] e2 - e1(r) e1.
     """
-    ev, u, v = point_evaluator(patch, q)
-    d = ev.data(u, v)
-    e1, e2 = ev.adapted(u, v)
-    c1, c2 = ev.adapted_coeffs(u, v)
-    s = ev.shape_operator_coeff(u, v)
-    s_u, s_v = ev.dfield(ev.shape_operator_coeff, u, v)
-    chris = d.christoffels
-    curl = (s_u[:, 1] - s_v[:, 0]
-            + chris[:, 0, :] @ s[:, 1] - chris[:, 1, :] @ s[:, 0])
-    lhs = (c1[0] * c2[1] - c1[1] * c2[0]) * curl @ d.tangents  # frame comps
-
-    e1_r = ev.base_directional_r(d, e1)
-    e2_r = ev.base_directional_r(d, e2)
-    sin_phi = math.sin(d.phi)
-    rhs_e2 = ((4.0 * d.r ** 2 - d.gauss_base) * d.cos_phi * sin_phi
-              - math.cos(2.0 * d.phi) * e2_r)
-    rhs = rhs_e2 * e2 - e1_r * e1
-    diff = lhs - rhs
-    return np.array([float(diff @ e1), float(diff @ e2)])
+    return _codazzi(point_lattice(patch, q))[0]
 
 
 def compatibility_residuals(patch: SurfacePatch, q) -> tuple[float, float]:
@@ -586,30 +710,7 @@ def compatibility_residuals(patch: SurfacePatch, q) -> tuple[float, float]:
     (worst frame-component norm). Second: <A(X) - r eta x X, T> + X(cos phi)
     (worst absolute value).
     """
-    ev, u, v = point_evaluator(patch, q)
-    d = ev.data(u, v)
-    e1, e2 = ev.adapted(u, v)
-
-    def t_coeff(uu, vv):
-        dd = ev.data(uu, vv)
-        return ev.tangent_coefficients(dd, dd.vertical_tangent)
-
-    # one gradient of T and one of cos(phi), read along both frame vectors
-    coeffs = [ev.tangent_coefficients(d, vec) for vec in (e1, e2)]
-    nablas = ev.covariant_coeff(t_coeff, coeffs, u, v)
-    dcos = ev.dfield(lambda uu, vv: ev.data(uu, vv).cos_phi, u, v)
-    res1 = []
-    res2 = []
-    for vec, coeff, nabla in zip((e1, e2), coeffs, nablas):
-        nabla_t = nabla @ d.tangents
-        a_vec = ev.shape_apply_coeff(u, v, coeff)
-        eta_wedge = geo.wedge(d.normal, vec)
-        first = nabla_t - d.cos_phi * (a_vec - d.r * eta_wedge)
-        res1.append(np.linalg.norm(first))
-        res2.append((a_vec - d.r * eta_wedge) @ d.vertical_tangent
-                    + float(coeff @ dcos))
-    # np.max, unlike max, propagates a nan, so a nan residual fails
-    return float(np.max(res1)), float(np.max(np.abs(res2)))
+    return tuple(_compatibility(point_lattice(patch, q))[0].tolist())
 
 
 def shape_norm_from_angle(patch: SurfacePatch, q) -> float:
@@ -617,6 +718,9 @@ def shape_norm_from_angle(patch: SurfacePatch, q) -> float:
 
         2 (e1(phi)^2 + e2(phi)^2) + H^2 + 2 r^2 - 4 r e2(phi) - 2 H e1(phi)
     """
-    d, e1_phi, e2_phi, mean_h = _angle_derivatives(patch, q)
-    return (2.0 * (e1_phi ** 2 + e2_phi ** 2) + mean_h ** 2 + 2.0 * d.r ** 2
-            - 4.0 * d.r * e2_phi - 2.0 * mean_h * e1_phi)
+    lat = point_lattice(patch, q)
+    e1_phi, e2_phi = _angle_derivatives(lat)
+    mean_h, r = lat.centre("mean_h"), lat.centre("r")
+    return float((2.0 * (power(e1_phi, 2) + power(e2_phi, 2))
+                  + power(mean_h, 2) + 2.0 * _square(r)
+                  - 4.0 * r * e2_phi - 2.0 * mean_h * e1_phi)[0])

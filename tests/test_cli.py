@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from ksub import geometry as geo
 from ksub import hopf
 from ksub import surface as srf
 from ksub import verify
-from ksub.cli import _surface_point_checks, dumps_json, main
+from ksub.cli import _surface_checks, dumps_json, main
 from ksub.errors import DomainEvalError
 from ksub.expr import parse
 
@@ -357,9 +358,10 @@ class TestNumericFaults:
     def test_nan_compatibility_component_fails(self, monkeypatch):
         patch = srf.SurfacePatch.graph(geo.bcv(0.0, 0.5), "x*y",
                                        geo.Rect(-0.45, 0.45, -0.45, 0.45))
-        monkeypatch.setattr(srf, "compatibility_residuals",
-                            lambda patch, q: (1e-9, math.nan))
-        checks = _surface_point_checks(patch, (0.2, 0.1), 1e-4)
+        monkeypatch.setattr(srf, "_compatibility", lambda lat: np.array(
+            [[1e-9, math.nan]] * len(lat.points)))
+        [lat] = srf.lattices(patch, [(0.2, 0.1)])
+        [checks] = _surface_checks(lat, 1e-4)
         by_name = {c["check"]: c for c in checks}
         assert math.isnan(by_name["compatibility"]["residual"])
         assert by_name["compatibility"]["status"] == "fail"
@@ -503,7 +505,7 @@ class TestOutputPath:
             raise AssertionError("work done for an --out that cannot be "
                                  "written")
 
-        for owner, name in ((cli, "batched"), (cli, "_surface_point_checks"),
+        for owner, name in ((cli, "batched"), (cli, "_surface_checks"),
                             (hopf, "hopf_residuals"),
                             (hopf, "rotational_case_search"),
                             (verify, "run_checks")):
@@ -644,6 +646,52 @@ class TestCheckSurface:
         # the probe lattice around these points reaches v < 0, where log(v)
         # is undefined
         self.check_thin_patch(capsys, "u;v;log(v)")
+
+
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+
+
+class TestErrorPathCorpus:
+    # exit code, stderr and stdout sha256 of check-surface commands that end
+    # in an error or in skipped rows, each on a 2x2 grid; the values were
+    # taken while the point checks still read one record at a time
+    CASES = {
+        "probe-leaves-domain": (
+            ["--lambda", "1", "--a=-0.5*y", "--b=0.5*x",
+             "--domain", "-2", "2", "-2", "0.7999984",
+             "--surface=0.8*cos(u);0.8*sin(u);v",
+             "--patch-domain", "1.315139", "2.315139", "0", "1"],
+            2, "error: point (3.780363233608751e-07, 0.7999999999999107) "
+               "outside domain of custom\n", EMPTY_SHA256),
+        "degenerate-immersion": (
+            ["--lambda", "1", "--surface=u;u;0"],
+            2, "error: immersion degenerate at parameters (0.02, 0.02)\n",
+            EMPTY_SHA256),
+        "non-finite-result": (
+            ["--lambda", "1", "--b=1e200*x^2", "--graph=x"],
+            2, "error: non-finite result at points[0].checks[0].residual\n",
+            EMPTY_SHA256),
+        "no-adapted-frame": (
+            ["--lambda", "1", "--graph=0.3"], 0, "",
+            "fd42624ed8b67a3314a65c2c1f12485e"
+            "85799dfce6d69225a63397caa5432b15"),
+        "not-cmc": (
+            ["--bcv", "0", "0.5", "--graph=x*y+0.9*x"], 0, "",
+            "8dd41335acb5ba80da7ce177d20f46f8"
+            "6c85bf051b5172965b0e3c3b93701cc0"),
+        "branch-a-spreads": (
+            ["--lambda", "1", "--surface=u;u;v"], 0, "",
+            "a3ad9ac1af88e012eea92d16e128d72b"
+            "026b257d99ae80edfff1ab1d53e6c667"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_stderr_and_stdout_are_pinned(self, capsys, case):
+        argv, code, err, digest = self.CASES[case]
+        got_code, out, got_err = run(capsys, "check-surface", *argv,
+                                     "--grid", "2", "2")
+        assert (got_code, got_err) == (code, err)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestHopfCommand:

@@ -423,6 +423,26 @@ class TestBatch:
                               + (args.kwarg is not None))
         assert knobs <= 29
 
+    def test_surface_stencils_take_no_callback(self):
+        # the surface and biharmonic derivatives are quotients over lattice
+        # columns; a lambda or a bound method handed to a numdiff stencil
+        # would read the points one record at a time again
+        assert _callback_stencils("surface") == []
+        assert _callback_stencils("biharmonic") == []
+
+
+def _callback_stencils(module: str) -> list[str]:
+    """The calls in a ksub module that hand a lambda or a bound method, as
+    the field to differentiate, to ``numdiff.derivatives`` or ``partial1``
+    (or to a surface operation that would pass it on)."""
+    source = (Path(ksub.__file__).parent / f"{module}.py").read_text()
+    formers = ("derivatives", "partial1", "dfield", "field_derivatives",
+               "laplacian", "covariant_coeff")
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and node.args
+            and ast.unparse(node.func).split(".")[-1] in formers
+            and isinstance(node.args[0], (ast.Lambda, ast.Attribute))]
+
 
 def _array_branches(tree) -> list[str]:
     """The qualified names of the functions holding a ``type(...) is

@@ -15,6 +15,7 @@ from ksub.errors import (
     AngleSingularError,
     DegenerateImmersionError,
     FdMarginError,
+    NotCMCError,
     OutsideDomainError,
 )
 from ksub.expr import parse
@@ -52,6 +53,20 @@ def horizontal_slice():
 def heis_graph():
     return srf.SurfacePatch.graph(HEIS, "0.2+0.5*x+0.3*y+0.4*x*y",
                                   geo.Rect(-0.5, 0.5, -0.5, 0.5))
+
+
+def brioschi(patch, q):
+    """The Brioschi curvature at one parameter point."""
+    lat = srf.point_lattice(patch, q)
+    return float(patch.evaluator().brioschi_curvature(lat)[0])
+
+
+def laplacian(patch, q, samples):
+    """The Laplacian at q of a field given by its samples at q's stencil
+    points, a function of the stencil's (N, 17, 2) parameter points."""
+    lat = srf.point_lattice(patch, q)
+    values = samples(lat.column("stencil", "params"))
+    return float(patch.evaluator().laplacian(lat, values)[0][0])
 
 
 class TestAnalyzePoint:
@@ -169,8 +184,8 @@ class TestShapeMatrixAdapted:
         dd = ev.data(*q)
         w = np.empty((2, 2))
         for i, a in enumerate((d.e1, d.e2)):
-            img = ev.shape_apply_coeff(q[0], q[1],
-                                       ev.tangent_coefficients(dd, a))
+            img = np.linalg.solve(dd.first_form, dd.tangents @ a) \
+                @ dd.shape_frame
             for j, b in enumerate((d.e1, d.e2)):
                 w[i, j] = img @ b
         np.testing.assert_allclose(mat, w, atol=1e-5)
@@ -200,8 +215,7 @@ class TestGaussResidual:
         # det A = -r^2 and K_induced = 0 on any vertical cylinder
         d = srf.analyze_point(patch, q)
         assert np.linalg.det(d.shape_ortho) == pytest.approx(-0.49, abs=1e-7)
-        assert patch.evaluator().brioschi_curvature(*q) == pytest.approx(
-            0.0, abs=1e-8)
+        assert brioschi(patch, q) == pytest.approx(0.0, abs=1e-8)
 
     def test_vertical_plane_zero(self):
         assert srf.gauss_residual(vertical_plane(), (0.1, 0.2)) == pytest.approx(
@@ -218,8 +232,8 @@ class TestGaussResidual:
             parse(f"{rho!r}*cos(u)", PV),
             geo.Rect(0.4, 1.2, 0.1, 1.2),
             make_data("1", "0", "0", rect=(-3, 3, -3, 3)))
-        assert patch.evaluator().brioschi_curvature(0.8, 0.6) == pytest.approx(
-            1.0 / rho**2, abs=1e-7)
+        assert brioschi(patch, (0.8, 0.6)) == pytest.approx(1.0 / rho**2,
+                                                           abs=1e-7)
 
 
 class TestCodazziResidual:
@@ -283,19 +297,18 @@ class TestCompatibility:
 
 class TestSurfaceLaplacian:
     def test_constant_field(self):
-        ev = vertical_plane().evaluator()
-        assert ev.laplacian(lambda u, v: 3.5, 0.1, 0.2)[0] == pytest.approx(
+        assert laplacian(vertical_plane(), (0.1, 0.2),
+                         lambda p: np.full(p.shape[:2], 3.5)) == pytest.approx(
             0.0, abs=1e-10)
 
     def test_euclidean_quadratic(self):
-        ev = vertical_plane().evaluator()
-        assert ev.laplacian(lambda u, v: u * u, 0.1, 0.2)[0] == pytest.approx(
+        assert laplacian(vertical_plane(), (0.1, 0.2),
+                         lambda p: p[..., 0] * p[..., 0]) == pytest.approx(
             2.0, abs=1e-9)
 
     def test_margin_guard(self):
-        ev = vertical_plane().evaluator()
         with pytest.raises(FdMarginError):
-            ev.laplacian(lambda u, v: u, 0.9999, 0.0)
+            laplacian(vertical_plane(), (0.9999, 0.0), lambda p: p[..., 0])
 
     def test_margin_is_the_stencil_reach(self):
         # every numdiff stencil reaches h: a point 1.5 h from the edge
@@ -304,9 +317,14 @@ class TestSurfaceLaplacian:
         patch = heis_graph()
         ev = patch.evaluator()
         near, too_near = (0.5 - 1.5 * ev.h, 0.0), (0.5 - 0.5 * ev.h, 0.0)
-        for op in (lambda q: ev.laplacian(ev.mean_h_field, *q)[0],
-                   lambda q: ev.brioschi_curvature(*q),
-                   lambda q: ev.dfield(ev.phi_field, *q),
+
+        def mean_h_laplacian(q):
+            lat = srf.point_lattice(patch, q)
+            return ev.laplacian(lat, lat.column("stencil", "mean_h"))[0]
+
+        for op in (mean_h_laplacian,
+                   lambda q: brioschi(patch, q),
+                   lambda q: srf._gradient(srf.point_lattice(patch, q), "phi"),
                    lambda q: srf.codazzi_residual(patch, q),
                    lambda q: srf.shape_frame_fd(patch, q),
                    lambda q: bih.angle_shape_alt_assembly(patch, q)):
@@ -321,25 +339,29 @@ class TestSurfaceLaplacian:
         q = (0.1, -0.05)
         ev = patch.evaluator()
         d = ev.data(*q)
-        lap = ev.laplacian(ev.phi_field, *q)[0]
+        lat = srf.point_lattice(patch, q)
+        lap = ev.laplacian(lat, lat.column("stencil", "phi"))[0][0]
 
-        def along(field, which):
-            # e_which(field), the frame coefficients against its gradient
-            def derivative(u, v):
-                return float(ev.adapted_coeffs(u, v)[which]
-                             @ ev.dfield(field, u, v))
-            return derivative
+        def frame_derivatives(p):
+            # (e1(phi), e2(phi)) at p, from the stencil of p's own lattice
+            at = srf.point_lattice(patch, p)
+            dphi = srf._gradient(at, "phi")[0]
+            return [float(at.centre(name)[0] @ dphi)
+                    for name in ("e1_coeff", "e2_coeff")]
 
-        e1_phi, e2_phi = along(ev.phi_field, 0), along(ev.phi_field, 1)
         # a stencil over stencils: the independent assembly of the test
-        e1e1 = along(e1_phi, 0)(*q)
-        e2e2 = along(e2_phi, 1)(*q)
+        samples = np.array([[frame_derivatives(p) for p in
+                             lat.column("stencil", "params")[0].tolist()]])
+        grads = srf._derivatives(lat, samples)[1][0]
+        e1e1 = float(d.e1_coeff @ grads[:, 0])
+        e2e2 = float(d.e2_coeff @ grads[:, 1])
+        e1_phi, e2_phi = frame_derivatives(q)
         w = ev.weingarten(*q)
         cot = d.cos_phi / d.sin_phi
-        grad_sq = e1_phi(*q) ** 2 + e2_phi(*q) ** 2
+        grad_sq = e1_phi ** 2 + e2_phi ** 2
         assembled = (e1e1 + e2e2
-                     - cot * (grad_sq - (2.0 * d.r * e2_phi(*q)
-                                         + w.mean_h * e1_phi(*q))))
+                     - cot * (grad_sq - (2.0 * d.r * e2_phi
+                                         + w.mean_h * e1_phi)))
         assert lap == pytest.approx(assembled, abs=1e-3)
 
 
@@ -350,14 +372,15 @@ class TestSurfaceLaplacian:
         # extrapolated
         for height in ("0.2+0.5*x+0.3*y+0.4*x*y-0.3*x^2",
                        "0.3*x^2-0.2*y^2+0.1*x*y", "0.5*sin(x)*cos(y)"):
-            ev = srf.SurfacePatch.graph(FLAT, height,
-                                        geo.Rect(-0.5, 0.5, -0.5, 0.5)
-                                        ).evaluator()
+            patch = srf.SurfacePatch.graph(FLAT, height,
+                                           geo.Rect(-0.5, 0.5, -0.5, 0.5))
+            ev = patch.evaluator()
             for q in ((0.1, -0.2), (0.3, 0.25), (-0.35, 0.05)):
                 d = ev.weingarten(*q)
+                lat = srf.point_lattice(patch, q)
+                points = lat.column("stencil", "point")
                 for i in range(3):
-                    lap = ev.laplacian(lambda u, v: ev.data(u, v).point[i],
-                                       *q)[0]
+                    lap = ev.laplacian(lat, points[..., i])[0][0]
                     assert lap == pytest.approx(d.mean_h * d.normal[i],
                                                 abs=1e-9)
 
@@ -408,14 +431,14 @@ class TestSurfaceConnection:
         d = ev.data(*q)
         assert d.sin_phi >= 0.1
 
-        def e1_coeff(u, v):
-            return ev.adapted_coeffs(u, v)[0]
-
-        c2 = ev.adapted_coeffs(*q)[1]
-        nabla = ev.covariant_coeff(e1_coeff, [c2], *q)[0] @ d.tangents
-        e2_vec = ev.adapted(*q)[1]
-        got = float(nabla @ e2_vec)
-        e1_phi = float(ev.adapted_coeffs(*q)[0] @ ev.dfield(ev.phi_field, *q))
+        # D_{e2} e1 from the gradient of e1's coefficients over q's stencil
+        lat = srf.point_lattice(patch, q)
+        de1 = srf._gradient(lat, "e1_coeff")[0]
+        du, dv = (de1[i] + d.christoffels[:, i, :] @ d.e1_coeff
+                  for i in range(2))
+        nabla = (d.e2_coeff[0] * du + d.e2_coeff[1] * dv) @ d.tangents
+        got = float(nabla @ d.e2)
+        e1_phi = float(d.e1_coeff @ srf._gradient(lat, "phi")[0])
         mu = ev.weingarten(*q).mean_h - e1_phi
         expected = mu * d.cos_phi / d.sin_phi
         assert got == pytest.approx(expected, abs=1e-3)
@@ -508,10 +531,9 @@ class TestCaches:
             data = geo.bcv(0.0, 0.5)
             patch = srf.SurfacePatch.graph(data, "0.2+0.5*x+0.3*y+0.4*x*y",
                                            geo.Rect(-0.5, 0.5, -0.5, 0.5))
-            ev = patch.evaluator()
             out = (srf.gauss_residual(patch, (0.1, -0.1)),
                    srf.codazzi_residual(patch, (0.1, -0.1)).tolist())
-            return out, (data._jets, ev._data)
+            return out, (data._jets, patch._lattices)
 
         unlimited, _ = residuals()
         monkeypatch.setattr(geo, "CACHE_LIMIT", 8)
@@ -546,13 +568,12 @@ class TestLazyAmbientData:
         u, v = 0.1, -0.1
         srf.analyze_point(patch, (u, v))
         stencil = (u + ev.h, v)
-        # nothing is computed on read: the records built with q's lattice
-        # carry every field, at a stencil point not read yet as well
-        assert stencil in ev._data
+        # nothing is computed on read: a record, a row of q's lattice or a
+        # batch of one, carries every field
         for q in ((u, v), stencil):
             d = ev.data(*q)
             assert all(getattr(d, name) is not None
-                       for name in d._fields if name not in ("e1", "e2"))
+                       for name in d._fields if name not in srf._FRAMED)
             x, y, z = d.point
             r, grad_r = geo.bundle_curvature(K, (x, y))
             gamma = geo.connection(K, (x, y, z))
@@ -615,19 +636,28 @@ class TestPointRecords:
     ])
     def test_check_surface_record_count(self, argv, limit, monkeypatch,
                                         capsys):
-        # records the builder creates, in batches or one at a time
-        built = []
-        original = srf._records
+        # parameter points the builder builds, in batches or one at a time:
+        # each once (the regularity grid, then every lattice row), and no
+        # record is made of them, as the checks read columns
+        built, records = [], []
+        build, record = srf._build, srf._record
 
-        def counted(keys, fields):
-            built.extend(keys)
-            return original(keys, fields)
+        def counted_build(patch, us, vs):
+            built.extend(zip(us.tolist(), vs.tolist()))
+            return build(patch, us, vs)
 
-        monkeypatch.setattr(srf, "_records", counted)
+        def counted_record(fields, n):
+            records.append(n)
+            return record(fields, n)
+
+        monkeypatch.setattr(srf, "_build", counted_build)
+        monkeypatch.setattr(srf, "_record", counted_record)
         code = main(["check-surface", *argv])
         capsys.readouterr()
         assert code == 0
-        assert 0 < len(built) <= limit
+        assert 0 < len(set(built)) <= limit
+        assert len(built) == len(set(built))
+        assert records == []
 
     @pytest.mark.parametrize("argv", [
         # 24 and 40 while every point operation rebuilt its lattice's keys
@@ -652,31 +682,42 @@ class TestPointRecords:
         assert code == 0
         assert len(calls) == 4
 
-    @pytest.mark.parametrize("argv", [
-        # 20 while the bitension and angle-shape residuals took a second
-        # gradient and the compatibility check one per frame vector
-        ["--bcv", "0", "0.5", "--graph", "x*y+0.9*x", "--grid", "2", "2"],
-        # 24 in the same stage
-        ["--bcv", "1", "1", "--surface", "0.8*cos(u);0.8*sin(u);v",
-         "--patch-domain", "0.5", "2", "0", "1", "--grid", "2", "2"],
+    @pytest.mark.parametrize("argv, passes", [
+        # 12 stencils per 4 points (20 while the bitension and angle-shape
+        # residuals took a second gradient and the compatibility check one
+        # per frame vector); not CMC, so no Laplacian
+        pytest.param(["--bcv", "0", "0.5", "--graph", "x*y+0.9*x"], 4,
+                     id="argv0"),
+        # 12 per 4 points (24 in the same stage); branch a, and the
+        # Laplacian of H
+        pytest.param(["--bcv", "1", "1", "--surface",
+                      "0.8*cos(u);0.8*sin(u);v", "--patch-domain", "0.5",
+                      "2", "0", "1"], 5, id="argv1"),
     ])
-    def test_each_field_differentiated_once_per_point(self, argv,
+    def test_each_field_differentiated_once_per_point(self, argv, passes,
                                                       monkeypatch, capsys):
-        # per point: the shape operator (Codazzi), the vertical tangent and
-        # cos(phi) (compatibility); H and phi take their gradients from the
-        # Laplacian's own pass
+        # per lattice, whatever its number of points: the first form
+        # (Brioschi), the shape operator (Codazzi), the vertical tangent
+        # and cos(phi) (compatibility) and, on a CMC surface, H (the
+        # bitension Laplacian, which hands back its gradient)
         calls = []
-        original = srf.SurfaceEvaluator.dfield
+        original = srf._quotients
 
-        def counted(self, field, u, v):
-            calls.append((u, v))
-            return original(self, field, u, v)
+        def counted(samples, h):
+            calls.append(len(samples))
+            return original(samples, h)
 
-        monkeypatch.setattr(srf.SurfaceEvaluator, "dfield", counted)
-        code = main(["check-surface", *argv])
-        capsys.readouterr()
-        assert code == 0
-        assert len(calls) == 12
+        monkeypatch.setattr(srf, "_quotients", counted)
+        for grid in ("1", "2"):
+            calls.clear()
+            code = main(["check-surface", *argv, "--grid", grid, grid])
+            capsys.readouterr()
+            assert code == 0
+            assert calls == [17] * passes
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
 
 
 class TestBatchedLattice:
@@ -697,16 +738,15 @@ class TestBatchedLattice:
         for patch in self.patches(data):
             if flip:
                 patch = patch.flipped()
-            ev = patch.evaluator()
             qs = patch.domain.grid(2, 2, inset=0.25)
-            before = set(ev._data)
-            ev.lattice(*qs)
-            built = [key for key in ev._data if key not in before]
+            [lat] = srf.lattices(patch, qs)
             # 4 points x (the point, 16 stencil points, 24 probe points)
-            assert len(built) == 4 * 41
-            assert len(srf._PointData._fields) == 25
-            for key in built:
-                batched, single = ev.data(*key), ev._build_one(*key)
+            assert len(lat._index) == 4 * 41
+            assert len(srf._PointData._fields) == 29
+            for key, row in lat._index.items():
+                batched = srf._record(lat._fields, row)
+                single = srf._record(srf._build(
+                    patch, np.array([key[0]]), np.array([key[1]])), 0)
                 for name in srf._PointData._fields:
                     got, want = getattr(batched, name), getattr(single, name)
                     assert type(got) is type(want), name
@@ -714,6 +754,60 @@ class TestBatchedLattice:
                         got, want = (np.asarray(value, dtype=float).tobytes()
                                      for value in (got, want))
                         assert got == want, name
+
+    @pytest.mark.parametrize("data", [FLAT, HEIS, geo.bcv(1.0, 1.0)],
+                             ids=lambda data: data.description)
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_columns_equal_the_point_functions(self, data, flip):
+        # every check-surface residual, computed for 4 points at once,
+        # equals its one-point module function to the bit
+        for patch in self.patches(data):
+            if flip:
+                patch = patch.flipped()
+            qs = patch.domain.grid(2, 2, inset=0.25)
+            [lat] = srf.lattices(patch, qs)
+            columns = {
+                "gauss": srf._gauss(lat),
+                "codazzi": srf._codazzi(lat),
+                "compatibility": srf._compatibility(lat),
+            }
+            # the biharmonicity residuals at the CMC points, as check-surface
+            # computes them; the others raise at a single point
+            mean, dev = bih._cmc(lat)
+            cmc = ~(dev > bih.CMC_TOL)
+            bitension = (bih._bitension(lat.take(cmc), mean[cmc], dev[cmc])
+                         if cmc.any() else [])
+            branches = bih._classify(lat.take(cmc)) if cmc.any() else []
+            lines = bih._frame_system(lat.take(cmc)).T if cmc.any() else []
+            rank = np.cumsum(cmc) - 1
+            for n, q in enumerate(qs):
+                points = {
+                    "gauss": srf.gauss_residual(patch, q),
+                    "codazzi": srf.codazzi_residual(patch, q),
+                    "compatibility": srf.compatibility_residuals(patch, q),
+                }
+                for name, value in points.items():
+                    assert hexes(columns[name][n]) == hexes(value), name
+                if not cmc[n]:
+                    for function in (bih.bitension_residual,
+                                     bih.frame_system_residuals,
+                                     bih.classify_point):
+                        with pytest.raises(NotCMCError):
+                            function(patch, q)
+                    continue
+                k = rank[n]
+                assert hexes(lines[k]) == hexes(
+                    bih.frame_system_residuals(patch, q))
+                one = bih.bitension_residual(patch, q)
+                assert hexes([bitension[k].normal, bitension[k].cmc_deviation,
+                              bitension[k].mean_h, *bitension[k].tangential]) \
+                    == hexes([one.normal, one.cmc_deviation, one.mean_h,
+                              *one.tangential])
+                branch = bih.classify_point(patch, q)
+                assert (branches[k].branch, branches[k].satisfied) \
+                    == (branch.branch, branch.satisfied)
+                assert repr(branches[k].diagnostics) \
+                    == repr(branch.diagnostics)
 
     # a cylinder of radius 0.8 whose ruling at u = pi/2 lies just beyond the
     # domain's top edge: the probe column 4 h from the checked point leaves
@@ -726,16 +820,19 @@ class TestBatchedLattice:
     ERROR = ("point (3.780363233608751e-07, 0.7999999999999107) outside "
              "domain of custom")
 
-    def test_failing_lattice_keeps_the_one_point_rows_and_error(self, capsys):
+    @staticmethod
+    def failing_patch():
         data = make_data("1", "-0.5*y", "0.5*x", rect=(-2, 2, -2, 0.7999984),
                          desc="custom")
         patch = srf.SurfacePatch(parse("0.8*cos(u)", PV),
                                  parse("0.8*sin(u)", PV), parse("v", PV),
                                  geo.Rect(1.315139, 2.315139, 0.0, 1.0), data)
-        ev = patch.evaluator()
-        q = patch.domain.grid(1, 1, inset=0.25)[0]
-        ev.lattice(q)
-        assert len(ev._data) == 25  # the regularity grid only
+        return patch, patch.domain.grid(1, 1, inset=0.25)[0]
+
+    def test_failing_lattice_keeps_the_one_point_rows_and_error(self, capsys):
+        patch, q = self.failing_patch()
+        # the lattice's batch fails: it keeps no row until one is read
+        assert srf.point_lattice(patch, q)._index == {}
         # the rows before the probe, as computed one record at a time
         assert srf.gauss_residual(patch, q).hex() == "0x1.0000000000000p-54"
         assert ([c.hex() for c in srf.codazzi_residual(patch, q).tolist()]
@@ -749,6 +846,21 @@ class TestBatchedLattice:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {self.ERROR}\n"
+
+    def test_failed_lattice_reads_the_one_point_record(self):
+        # a record read where the lattice's batch failed is the point's
+        # batch of one, field by field
+        patch, q = self.failing_patch()
+        assert srf.point_lattice(patch, q)._index == {}
+        got = srf.analyze_point(patch, q)
+        want = srf._record(srf._build(patch, np.array([q[0]]),
+                                      np.array([q[1]])), 0)
+        for name in srf._PointData._fields:
+            assert hexes(getattr(got, name)) == hexes(getattr(want, name)), \
+                name
+        # the other record readers run on it too
+        assert math.isfinite(bih.normality_identity(patch, q))
+        assert all(map(math.isfinite, bih.normality_assemblies(patch, q)))
 
     def test_failed_lattice_is_not_rebuilt(self, monkeypatch, capsys):
         # the failing lattice is tried once as a batch; later point
