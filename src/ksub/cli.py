@@ -411,10 +411,10 @@ def cmd_hopf_check(args) -> int:
         "crosscheck": report.crosscheck,
     }
     status = "pass" if report.verdict.passed else "fail"
-    rows = [{"s_or_u": float(s), "v": 0.0, "check": "hopf-residual",
-             "residual": float(np.max(np.abs(res))), "tol": args.tol,
-             "status": status}
-            for s, res in zip(report.s, report.residuals)]
+    worst_rows = np.max(np.abs(report.residuals), axis=1)
+    rows = [{"s_or_u": s, "v": 0.0, "check": "hopf-residual",
+             "residual": res, "tol": args.tol, "status": status}
+            for s, res in zip(report.s.tolist(), worst_rows.tolist())]
     _emit(args, payload, rows)
     return _expect_exit(args.expect, report.verdict.passed)
 

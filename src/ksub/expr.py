@@ -568,12 +568,19 @@ def _divide(left, right):
     return left / right
 
 
-def _value_pow(base: float, p: float) -> float:
-    if base < 0.0 and p != int(p):
+def _value_pow(base, p: float):
+    """``base ** p`` (see :func:`power`) after the domain checks of each
+    element in order: the first element with a negative base for a
+    non-integer power, or a zero base for a negative one, raises."""
+    negative = np.ravel(base < 0.0)
+    zero = np.ravel((base == 0.0) & (p < 0.0))
+    first_zero = int(np.argmax(zero)) if zero.any() else math.inf
+    if (negative.any() and int(np.argmax(negative)) < first_zero
+            and p != int(p)):
         raise DomainEvalError(f"negative base for non-integer power {p}")
-    if base == 0.0 and p < 0.0:
+    if zero.any():
         raise DomainEvalError("zero base for negative power")
-    return base ** p
+    return power(base, p)
 
 
 def _value_log(arg: float) -> float:
@@ -595,7 +602,8 @@ def _value_leaf(value, *_):
 
 # "/", "^" and the functions differ between the two arithmetics; "+", "-",
 # "*" and negation are the operators of both arrays and jets. Values apply
-# the functions element by element, each with its own domain check.
+# the functions element by element, each with its own domain check; "^"
+# and "sqrt" check a whole batch first, in element order.
 _JET_OPS = {"/": operator.truediv, "^": operator.pow, "sin": Jet.sin,
             "cos": Jet.cos, "tan": Jet.tan, "exp": Jet.exp, "log": Jet.log,
             "sqrt": Jet.sqrt, "abs": abs}
@@ -604,7 +612,7 @@ _VALUE_OPS = {
         ("sin", math.sin), ("cos", math.cos), ("tan", math.tan),
         ("exp", math.exp), ("log", _value_log))},
     "sqrt": _value_sqrt, "/": _divide, "abs": abs,
-    "^": lambda base, p: _each(functools.partial(_value_pow, p=p), base)}
+    "^": _value_pow}
 
 
 class _Arithmetic(NamedTuple):

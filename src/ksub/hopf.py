@@ -24,13 +24,17 @@ construction below works without ever building an isothermal conformal
 factor.
 
 The sweep along the curve is one batch. :func:`hopf_residuals` evaluates
-the geodesic curvature once per stencil column over all samples, and r, G
-and the Ricci values once each; a chart method or :func:`geodesic_curvature`
-given arrays of points (the batch on a trailing axis) equals its one-point
-results bit for bit, and a float is a batch of one. A sweep that raises
-bisects (:func:`ksub.expr.batched`) to its first failing sample, which
-raises its own error; a sweep that only goes non-finite keeps its values
-and reruns its first non-finite sample alone.
+the geodesic curvature in two calls over all samples, the centre column of
+its 5-point stencil (the samples themselves) and then the 4 off-centre
+columns as one batch, forms kappa, kappa' and kappa'' from the columns
+with :func:`ksub.numdiff._quotients`, and evaluates r, G and the Ricci
+values once each; a chart method or :func:`geodesic_curvature` given arrays
+of points (the batch on a trailing axis) equals its one-point results bit
+for bit, and a float is a batch of one. A sweep that raises bisects
+(:func:`ksub.expr.batched`) to its first failing sample, which raises its
+own error (that of its first failing stencil point, in table order); a
+sweep that only goes non-finite keeps its values and reruns its first
+non-finite sample alone.
 
 Everything here is numpy or plain-float code. Arc length is a composite
 Gauss-Legendre rule whose panel table also inverts it: t(s) is a batched
@@ -594,8 +598,15 @@ def _sweep(curve, base, h: float, s):
                                  f"{bad[0]}: point {bad[1:]}")
     xp, yp = jx.grad[0], jy.grad[0]
     sampled = _Sampled(curve, s, jets)
-    k, grad, hess = numdiff.derivatives(
-        lambda q: geodesic_curvature(sampled, base, q[0]), (s,), h)
+    # the centre column first: it reuses the sample jets, and its
+    # Christoffels memoise the base jets that bundle and gauss read; then
+    # the 4 off-centre columns as one batch, in table order
+    centre, *off = numdiff._abscissae((s,), h)
+    k_centre = geodesic_curvature(sampled, base, centre[0])
+    k_off = geodesic_curvature(sampled, base,
+                               np.concatenate([q[0] for q in off]))
+    k, grad, hess = numdiff._quotients(
+        [k_centre, *np.split(k_off, len(off))], h)
     k1, k2 = grad[0], hess[0, 0]
     r, grad_r = base.bundle(p)
     g = base.gauss(p)
@@ -616,12 +627,13 @@ def hopf_residuals(curve, base, n_samples: int = 64,
     """Evaluate both cylinder systems along the curve and classify it.
 
     All samples are one batch: each quantity is one pass over the sample
-    array, the geodesic curvature one pass per stencil column. If the batch
-    raises, bisection finds its first failing sample, which raises its own
-    error; if it only goes non-finite its first non-finite sample reruns
-    alone (see :func:`ksub.expr.batched`). ``tol`` bounds both the spread
-    of kappa, r and G and the criterion's defect; None reads CONST_TOL and
-    CRITERION_TOL as they are when called.
+    array, the geodesic curvature two passes, one over the centre column of
+    the stencil and one over its 4 off-centre columns together. If the
+    batch raises, bisection finds its first failing sample, which raises
+    its own error; if it only goes non-finite its first non-finite sample
+    reruns alone (see :func:`ksub.expr.batched`). ``tol`` bounds both the
+    spread of kappa, r and G and the criterion's defect; None reads
+    CONST_TOL and CRITERION_TOL as they are when called.
     """
     const_tol = CONST_TOL if tol is None else tol
     crit_tol = CRITERION_TOL if tol is None else tol

@@ -693,6 +693,38 @@ class TestErrorPathCorpus:
         assert (got_code, got_err) == (code, err)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # the same for hopf commands; the values were taken while the sweep
+    # still evaluated one stencil column per call
+    HOPF_CASES = {
+        "curve-leaves-domain": (
+            ["check", "--lambda", "1", "--domain", "-1", "1", "-1", "1",
+             "--curve=0.9*cos(s);0.9*sin(s)+0.2",
+             "--interval", "0", "6.283185307179586"],
+            2, "error: curve leaves the base domain at s = "
+               "0.9983981453108361: point (0.4007343559984558, "
+               "1.0058610152641105)\n", EMPTY_SHA256),
+        "example-no-root": (
+            ["example", "--f", "1+t", "--r", "0", "--interval", "0", "1"],
+            2, "error: no sign change of the circle condition on the "
+               "interval\n", EMPTY_SHA256),
+        "heisenberg-inadmissible": (
+            ["check", "--bcv", "0", "0.5", "--circle", "1"], 0, "",
+            "c5abfac42ae04ebeb19c223fda19f02e"
+            "62b0a0eb62b9d379e6bd999b0c51dcc1"),
+        "csv-pass": (
+            ["check", "--bcv", "1", "0", "--circle-kg", "1",
+             "--format", "csv"], 0, "",
+            "e4e4dae62f5bd4f2f7de2ad256e091de"
+            "fdbf4f2a8f4af93e1807cf90f94b5fff"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HOPF_CASES))
+    def test_hopf_exit_stderr_and_stdout_are_pinned(self, capsys, case):
+        argv, code, err, digest = self.HOPF_CASES[case]
+        got_code, out, got_err = run(capsys, "hopf", *argv)
+        assert (got_code, got_err) == (code, err)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestHopfCommand:
     def test_example_cosine(self, capsys):
@@ -885,10 +917,11 @@ class TestWorkingSet:
         assert unreachable <= 10
 
     # calls per (op, points): info evaluates its grid as one batch, hopf
-    # its 64 samples (r) and its 5 stencil columns of 64 (base jets) as
-    # batches, check-surface the distinct base points of its regularity
-    # grid and of its lattice as one batch each
-    CALLS = {("info", 144): 1, ("hopf", 64): 1, ("hopf", 320): 5,
+    # its 64 samples (r) as one batch and its stencil (base jets) as two,
+    # the centre column of 64 and the 4 off-centre columns of 64 together,
+    # check-surface the distinct base points of its regularity grid and of
+    # its lattice as one batch each
+    CALLS = {("info", 144): 1, ("hopf", 64): 1, ("hopf", 320): 2,
              ("check-surface", 23): 2}
 
     @staticmethod

@@ -425,10 +425,12 @@ class TestBatch:
 
     def test_surface_stencils_take_no_callback(self):
         # the surface and biharmonic derivatives are quotients over lattice
-        # columns; a lambda or a bound method handed to a numdiff stencil
-        # would read the points one record at a time again
+        # columns, the Hopf sweep's over its stencil columns; a lambda or a
+        # bound method handed to a numdiff stencil would read the points
+        # one record (or one column) at a time again
         assert _callback_stencils("surface") == []
         assert _callback_stencils("biharmonic") == []
+        assert _callback_stencils("hopf") == []
 
 
 def _callback_stencils(module: str) -> list[str]:

@@ -336,8 +336,9 @@ class TestHopfResiduals:
 
     def test_nan_in_second_system_reaches_crosscheck(self, monkeypatch):
         # a sweep that only goes non-finite keeps its own values and reruns
-        # its first non-finite sample alone: 5 stencil columns for the batch
-        # and 5 for that sample (a rerun of every sample would make 325)
+        # its first non-finite sample alone: the centre column and the 4
+        # off-centre columns as one batch, for all samples and for that
+        # sample (a rerun of every sample would make 130 calls)
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
         circle = hopf.bcv_circle(1.0, kappa=1.0)
         finite = hopf.hopf_residuals(circle, base)
@@ -353,7 +354,7 @@ class TestHopfResiduals:
         monkeypatch.setattr(hopf, "geodesic_curvature", counted)
         report = hopf.hopf_residuals(circle, base, n_samples=64)
         assert math.isnan(report.crosscheck)
-        assert calls == [64] * 5 + [1] * 5
+        assert calls == [64, 256, 1, 4]
         assert report.kappa.tobytes() == finite.kappa.tobytes()
         assert report.residuals.tobytes() == finite.residuals.tobytes()
 
@@ -379,7 +380,9 @@ class TestHopfResiduals:
 
     def test_sample_jets_read_once(self, monkeypatch):
         # the centre column of the kappa stencil is the samples themselves
-        # and reuses their jets: 25 jet evaluations, not 27
+        # and reuses their jets, and the 4 off-centre columns are one
+        # batch: x and y at the samples, base jets at the centre column,
+        # and x, y and base jets at the off-centre batch
         calls = []
         evaluate = expr._evaluate
 
@@ -391,7 +394,7 @@ class TestHopfResiduals:
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
         hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), base,
                             n_samples=64)
-        assert sum(calls) == 25
+        assert sum(calls) == 10
 
     def test_tolerances_read_when_called(self, monkeypatch):
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
@@ -438,13 +441,18 @@ class TestHopfResiduals:
             assert report.verdict.passed == residual_pass
 
 
+def sweep_samples(curve, n_samples=64):
+    """The step and the samples of :func:`hopf.hopf_residuals`."""
+    s0, s1 = curve.interval
+    h = max(1e-3 * (s1 - s0), 1e-6)
+    return h, np.linspace(s0 + 3.0 * h, s1 - 3.0 * h, n_samples)
+
+
 def loop_report(curve, base, n_samples=64):
     """The per-sample sweep as it was written before the batched one: each
     sample in turn, its 5 stencil points through the scalar geodesic
     curvature."""
-    s0, s1 = curve.interval
-    h = max(1e-3 * (s1 - s0), 1e-6)
-    samples = np.linspace(s0 + 3.0 * h, s1 - 3.0 * h, n_samples)
+    h, samples = sweep_samples(curve, n_samples)
     n = len(samples)
     kap, kd1, kd2, tau, rr, gg, rdot = (np.empty(n) for _ in range(7))
     res, gres = np.empty((n, 3)), np.empty((n, 3))
@@ -556,9 +564,7 @@ class TestBatchedSweep:
         curve = hopf.arclength_reparam(arc, small)
         # the first of the 64 samples of the arc-length interval whose point
         # is outside, as the sweep places them
-        s0, s1 = curve.interval
-        h = max(1e-3 * (s1 - s0), 1e-6)
-        samples = np.linspace(s0 + 3.0 * h, s1 - 3.0 * h, 64).tolist()
+        samples = sweep_samples(curve)[1].tolist()
         s, point = next((s, curve.point(s)) for s in samples
                         if not small.contains(curve.point(s)))
         assert s == 0.8080424088138286
@@ -583,6 +589,89 @@ class TestBatchedSweep:
         with pytest.raises(NotArcLengthError) as err:
             loop_report(curve, FLAT_BASE)
         assert str(err.value) == message
+
+
+def column_sweep(curve, base, h, s):
+    """``hopf._sweep`` with one geodesic-curvature call per stencil column,
+    through ``numdiff.derivatives``, as the sweep was written before its
+    off-centre columns became one batch."""
+    jx, jy = jets = curve.point_jets(s)
+    p = (jx.value, jy.value)
+    bad = expr._first_bad(np.logical_not(base.contains(p)), s, *p)
+    if bad:
+        raise OutsideDomainError(f"curve leaves the base domain at s = "
+                                 f"{bad[0]}: point {bad[1:]}")
+    xp, yp = jx.grad[0], jy.grad[0]
+    sampled = hopf._Sampled(curve, s, jets)
+    k, grad, hess = numdiff.derivatives(
+        lambda q: hopf.geodesic_curvature(sampled, base, q[0]), (s,), h)
+    k1, k2 = grad[0], hess[0, 0]
+    r, grad_r = base.bundle(p)
+    g = base.gauss(p)
+    rd = xp * grad_r[0] + yp * grad_r[1]
+    t = -r
+    ric_nn, ric_n1, ric_n2 = base.ricci_values(p, xp, yp, r, grad_r, g)
+    return (k, k1, k2, t, r, g, rd,
+            k2 - expr.power(k, 3) + (g - 4.0 * r * r) * k,
+            k * k1,
+            r * k1 + rd * k,
+            k2 - k * (k * k + 2.0 * t * t) + k * ric_nn,
+            3.0 * k1 * k - k * ric_n1,
+            k1 * t + k * ric_n2)
+
+
+def sweep_cases():
+    for c, kappa in ((-1.0, 1.5), (1.0, 1.0), (4.0, 1.2)):
+        yield pytest.param(hopf.bcv_circle(c, kappa=kappa),
+                           hopf.ConformalBase(geo.bcv(c, 0.3)), id=f"bcv{c}")
+    case = hopf.rotational_case_search("cos(t)", 0.25, (0.0, 1.5))[0]
+    yield pytest.param(case.curve, case.base, id="warped-root")
+    yield pytest.param(*generic_ellipse(), id="ellipse")
+
+
+class TestStencilColumns:
+    """The sweep's centre column and its batch of 4 off-centre columns
+    equal one call per column bit for bit, and fail as they fail."""
+
+    @pytest.mark.parametrize("curve, base", list(sweep_cases()))
+    def test_equals_one_call_per_column(self, curve, base):
+        h, samples = sweep_samples(curve)
+        got = hopf._sweep(curve, base, h, samples)
+        want = column_sweep(curve, base, h, samples)
+        assert len(got) == len(want) == 13
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_failing_off_centre_point(self, monkeypatch):
+        # sample 7's s + h/2 and sample 9's s + h fail: the batch of the
+        # off-centre columns meets sample 9 first (the s + h column leads),
+        # but the sweep bisects to sample 7, whose point raises
+        base = hopf.ConformalBase(geo.bcv(1.0, 0.3))
+        curve = hopf.bcv_circle(1.0, kappa=1.0)
+        h, samples = sweep_samples(curve)
+        jx, jy = curve.point_jets(np.array([samples[7] + 0.5 * h,
+                                            samples[9] + h]))
+        targets = list(zip(jx.value.tolist(), jy.value.tolist()))
+        metric = base.metric
+
+        def failing_metric(p):
+            flags = np.zeros(np.shape(p[0]), dtype=bool)
+            for x, y in targets:
+                flags |= (p[0] == x) & (p[1] == y)
+            bad = expr._first_bad(flags, *p)
+            if bad:
+                raise DomainEvalError(f"chart fails at {bad}")
+            return metric(p)
+
+        monkeypatch.setattr(base, "metric", failing_metric)
+        errors = []
+        for sweep in (hopf._sweep, column_sweep):
+            monkeypatch.setattr(hopf, "_sweep", sweep)
+            with pytest.raises(DomainEvalError) as err:
+                hopf.hopf_residuals(curve, base)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == f"chart fails at {targets[0]}"
 
 
 class TestCylinderSurfaceCheck:
