@@ -574,6 +574,9 @@ def main(argv=None) -> int:
     except RecursionError as err:  # parsing and jets recurse on the tree
         print(f"error: expression nested too deeply: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:  # numpy refuses an array past the memory
+        print(f"error: MemoryError: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -478,19 +478,27 @@ def frame_bracket_12(data: KillingData, p) -> np.ndarray:
 
 
 def frame_bracket_fd(data: KillingData, p, i: int, j: int) -> np.ndarray:
-    """[E_i, E_j] in frame components from differentiated frame flows."""
-    x, y = float(p[0]), float(p[1])
-    h = _oracle_step(x, y)
+    """[E_i, E_j] in frame components from differentiated frame flows.
 
-    def vectors(q):
-        return frame(data, q)
-
-    e = vectors((x, y))
-    bracket = np.zeros(3)
+    On a batch of N points the result is (3, N): the centre and eight d1
+    abscissae of every point, point after point, are one :func:`frame`
+    batch of 9 N points, so a point outside the domain is the one a
+    point-by-point sweep meets first, and each point's bracket equals its
+    one-point bracket.
+    """
+    x, y, one = _as_batch(p)
+    h = np.array([_oracle_step(a, b) for a, b in zip(x.tolist(),
+                                                     y.tolist())])
+    table = ([[x, y]] + numdiff._axis((x, y), 0, h)
+             + numdiff._axis((x, y), 1, h))
+    e = frame(data, tuple(np.stack(c, axis=1).ravel() for c in zip(*table)))
+    e = e.reshape(3, 3, len(x), 9)
+    bracket = np.zeros((3, len(x)))
     for c in range(2):  # z-derivatives vanish
-        de = numdiff.partial1(vectors, (x, y), c, h)
-        bracket = bracket + e[i][c] * de[j] - e[j][c] * de[i]
-    return frame_components(data, (x, y), bracket)
+        de = numdiff._first(*np.moveaxis(e[..., 1 + 4 * c:5 + 4 * c], 3, 0),
+                            h)
+        bracket = bracket + e[i, c, :, 0] * de[j] - e[j, c, :, 0] * de[i]
+    return _unbatch(rows(frame_components(data, (x, y), bracket)), one)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ and its 5x5 probe lattice, built in one batch). A derivative is
 :func:`~ksub.numdiff._quotients` over a stencil column, with no callback;
 ``check-surface`` computes each residual for all its points at once, and a
 module function at one point runs the same code on a lattice of one
-(:func:`point_lattice`). A lattice takes the rows it shares with the
-patch's regularity grid from it. A lattice whose batch raises or yields a
+(:func:`point_lattice`). A lattice whose batch raises or yields a
 non-finite value builds its rows one at a time, group by group as the
 operations read them, so each error arises where its row is read. A record
 (:class:`_PointData`) is one row of its point's lattice, made when
@@ -102,14 +101,11 @@ class SurfacePatch:
         self._lattices: dict[tuple[float, float], _Lattice] = {}
         # a batch refuses a degenerate first form, so building the 5x5
         # grid (one batch; point by point where it fails) checks the
-        # immersion's regularity; the lattices reuse the batch's rows
+        # immersion's regularity; the rows are not kept
         grid = self.domain.grid(5, 5, inset=0.02)
-        fields = _attempt(self, grid)
-        if fields is None:
+        if _attempt(self, grid) is None:
             for (u, v) in grid:
                 _build(self, np.array([u]), np.array([v]))
-            grid, fields = [], {}
-        self._grid = ({key: n for n, key in enumerate(grid)}, fields)
 
     def evaluator(self) -> "SurfaceEvaluator":
         return SurfaceEvaluator(self)
@@ -128,27 +124,26 @@ class SurfacePatch:
 
 
 _PointData = collections.namedtuple("_PointData", (
-    "params", "point", "coord_tangents", "coord_hessians", "tangents",
-    "first_form", "normal", "cos_phi", "sin_phi", "phi", "vertical_tangent",
-    "lam", "r", "grad_r", "gauss_base", "gamma", "tangent_derivs",
-    "christoffels", "shape_frame", "ortho_basis", "shape_ortho", "mean_h",
-    "norm_sq", "vertical_coeff", "shape_coeff", "e1", "e2", "e1_coeff",
-    "e2_coeff"))
+    "params", "point", "tangents", "first_form", "normal", "cos_phi",
+    "sin_phi", "phi", "vertical_tangent", "lam", "r", "grad_r", "gauss_base",
+    "gamma", "christoffels", "shape_frame", "ortho_basis", "shape_ortho",
+    "mean_h", "norm_sq", "vertical_coeff", "shape_coeff", "e1", "e2",
+    "e1_coeff", "e2_coeff"))
 _PointData.__doc__ = """Everything first- and second-order at one parameter
 point: one row of a batch that :func:`_build` built, made by
 :func:`_record` when it is read.
 
-Immersion data: the jets of x, y, z up to their Hessians, the frame
-tangents, the first form, the unit normal, the angle and the vertical
-tangent. Ambient data at the image point: lam, r, grad r, G and the
-connection table. From the order-2 jets: ``tangent_derivs``, the first
-form's ``christoffels`` and the exact Weingarten half, in which the shape
-operator ``shape_ortho`` lives in the orthonormalized (d/du, d/dv) basis
-``ortho_basis``, ``mean_h`` is its trace and ``norm_sq`` is |A|^2. The
-(du, dv) coefficients of the vertical tangent (``vertical_coeff``) and of
-the adapted frame (``e1_coeff``, ``e2_coeff``), and ``shape_coeff``, the
-matrix M with A(d_j) = sum_i M[i, j] d_i. The adapted frame and its
-coefficients are None within ANGLE_EPS of a vertical normal.
+Immersion data: the parameters, the image point, the frame tangents, the
+first form, the unit normal, the angle and the vertical tangent. Ambient
+data at the image point: lam, r, grad r, G and the connection table. From
+the order-2 jets: the first form's ``christoffels`` and the exact
+Weingarten half, in which the shape operator ``shape_ortho`` lives in the
+orthonormalized (d/du, d/dv) basis ``ortho_basis``, ``mean_h`` is its
+trace and ``norm_sq`` is |A|^2. The (du, dv) coefficients of the vertical
+tangent (``vertical_coeff``) and of the adapted frame (``e1_coeff``,
+``e2_coeff``), and ``shape_coeff``, the matrix M with A(d_j) = sum_i
+M[i, j] d_i. The adapted frame and its coefficients are None within
+ANGLE_EPS of a vertical normal.
 """
 
 # Fields of a record that are floats, and those that are None where the
@@ -259,8 +254,6 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
     return {
         "params": geo.rows(np.array([us, vs])),
         "point": geo.rows(np.array([jx.value, jy.value, jz.value])),
-        "coord_tangents": ct,
-        "coord_hessians": coord_hessians,
         "tangents": tangents,
         "first_form": first_form,
         "normal": normal_rows,
@@ -273,7 +266,6 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
         "grad_r": geo.rows(grad_r),
         "gauss_base": geo.gauss_curvature(K, (x, y)),
         "gamma": gamma,
-        "tangent_derivs": tangent_derivs,
         "christoffels": christoffels,
         "shape_frame": shape_frame,
         "ortho_basis": ortho_basis,
@@ -369,22 +361,13 @@ class _Lattice:
                                          for n, key in enumerate(keys)}}
 
     def _prefetch(self) -> bool:
-        """Build every row in one batch, taking those of the patch's
-        regularity grid from it; False where the batch failed."""
-        patch = self._patch()
+        """Build every row in one batch; False where the batch failed."""
         keys = list(dict.fromkeys(key for group in self._keys.values()
                                   for keys in group if keys for key in keys))
-        index, fields = patch._grid
-        reused = [key for key in keys if key in index]
-        if reused:
-            rows = [index[key] for key in reused]
-            self._keep(reused, [{name: column[rows]
-                                 for name, column in fields.items()}])
-        missing = [key for key in keys if key not in index]
-        built = _attempt(patch, missing) if missing else {}
-        if built:
-            self._keep(missing, [built])
-        return built is not None
+        fields = _attempt(self._patch(), keys)
+        if fields is not None:
+            self._keep(keys, [fields])
+        return fields is not None
 
     def take(self, mask) -> "_Lattice":
         """The lattice of the points where ``mask`` is set, on the same

@@ -727,6 +727,26 @@ class TestErrorPathCorpus:
 
 
 class TestHopfCommand:
+    def test_sample_count_beyond_memory_exits_2(self):
+        # 10^12 samples ask numpy for a 7.28 TiB array; with the address
+        # space capped at 4 GiB no machine can overcommit the request
+        def cap():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(ksub.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "ksub.cli", "hopf", "check", "--bcv", "1",
+             "0", "--circle-kg", "1", "--samples", "1000000000000"],
+            env=env, preexec_fn=cap, capture_output=True, text=True,
+            timeout=60)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: MemoryError: ")
+
     def test_example_cosine(self, capsys):
         code, data, _ = run_json(capsys, "hopf", "example", "--f", "cos(t)",
                                  "--r", "0", "--interval", "0", "1.5",

@@ -432,6 +432,16 @@ class TestBatch:
         assert _callback_stencils("biharmonic") == []
         assert _callback_stencils("hopf") == []
 
+    def test_geometry_forms_no_derivative_through_a_callback(self):
+        # the FD oracles of geometry difference batches of their stencil
+        # points with numdiff's quotient formers; none samples a field
+        # through numdiff's callback entry points
+        source = (Path(ksub.__file__).parent / "geometry.py").read_text()
+        callers = ("partial1", "derivatives", "d1", "d2")
+        assert [ast.unparse(node) for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] in callers] == []
+
 
 def _callback_stencils(module: str) -> list[str]:
     """The calls in a ksub module that hand a lambda or a bound method, as

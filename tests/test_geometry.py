@@ -216,6 +216,20 @@ def one_point_connection_oracle(data, x, y):
     return np.einsum("ijc,cd,kd->ijk", cov, g, eframe)
 
 
+def one_point_frame_bracket_fd(data, x, y, i, j):
+    h = geo._oracle_step(x, y)
+
+    def vectors(q):
+        return one_point_frame(data, *q)
+
+    e = vectors((x, y))
+    bracket = np.zeros(3)
+    for c in range(2):
+        de = numdiff.partial1(vectors, (x, y), c, h)
+        bracket = bracket + e[i][c] * de[j] - e[j][c] * de[i]
+    return geo.frame_components(data, (x, y), bracket)
+
+
 def one_point_riemann_closed(data, x, y, X, Y, Z, W):
     r, grad = geo.bundle_curvature(data, (x, y))
     g_curv = geo.gauss_curvature(data, (x, y))
@@ -327,6 +341,17 @@ class TestBatchedOracles:
             assert same_bytes(tables[..., n], want)
             assert same_bytes(geo.connection_oracle(data, (x, y, z)), want)
 
+    def test_frame_bracket_fd(self, sample):
+        data, points, batch, _ = sample
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            brackets = geo.frame_bracket_fd(data, batch, i, j)
+            assert brackets.shape == (3, 6)
+            for n, (x, y, z) in enumerate(points):
+                want = one_point_frame_bracket_fd(data, x, y, i, j)
+                assert same_bytes(brackets[:, n], want)
+                assert same_bytes(geo.frame_bracket_fd(data, (x, y, z), i, j),
+                                  want)
+
     def test_riemann(self, sample):
         data, points, batch, vecs = sample
         columns = vecs.transpose(1, 2, 0)  # four (3, N) vector batches
@@ -369,6 +394,7 @@ class TestBatchedOracles:
         "ricci_contraction": lambda p: geo.ricci_contraction(FLAT, p),
         "ricci": lambda p: geo.ricci(FLAT, p),
         "frame": lambda p: geo.frame(FLAT, p),
+        "frame_bracket_fd": lambda p: geo.frame_bracket_fd(FLAT, p, 0, 1),
         "riemann_closed": lambda p: geo.riemann_closed(FLAT, p,
                                                        *e1e2e1e2(p)),
     }

@@ -1,10 +1,13 @@
+import ast
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ksub
 from ksub import biharmonic as bih
 from ksub import geometry as geo
 from ksub import hopf
@@ -626,24 +629,28 @@ class TestExactWeingarten:
 
 
 class TestPointRecords:
-    @pytest.mark.parametrize("argv, limit", [
+    @pytest.mark.parametrize("argv, lattice, shared", [
         # 2,137 records while the normal was differentiated numerically,
-        # 401 while the first form was
-        (["--bcv", "0", "0.5", "--graph", "x*y", "--grid", "3", "3"], 393),
-        # 1,173 and 257 records in the same two stages
+        # 401 while the first form was, 393 while the lattice took its
+        # centre from the regularity grid
+        (["--bcv", "0", "0.5", "--graph", "x*y", "--grid", "3", "3"], 369,
+         1),
+        # 1,173 and 257 records in the first two stages
         (["--bcv", "1", "1", "--surface", "0.8*cos(u);0.8*sin(u);v",
-          "--patch-domain", "0", "3", "0", "1", "--grid", "2", "2"], 189),
+          "--patch-domain", "0", "3", "0", "1", "--grid", "2", "2"], 164,
+         0),
     ])
-    def test_check_surface_record_count(self, argv, limit, monkeypatch,
-                                        capsys):
-        # parameter points the builder builds, in batches or one at a time:
-        # each once (the regularity grid, then every lattice row), and no
-        # record is made of them, as the checks read columns
-        built, records = [], []
+    def test_check_surface_record_count(self, argv, lattice, shared,
+                                        monkeypatch, capsys):
+        # parameter points the builder builds: the regularity grid's 25,
+        # then every lattice row, each once within its own batch; the only
+        # repeat is a grid point that the lattice also needs. No record is
+        # made of them, as the checks read columns
+        batches, records = [], []
         build, record = srf._build, srf._record
 
         def counted_build(patch, us, vs):
-            built.extend(zip(us.tolist(), vs.tolist()))
+            batches.append(list(zip(us.tolist(), vs.tolist())))
             return build(patch, us, vs)
 
         def counted_record(fields, n):
@@ -655,9 +662,33 @@ class TestPointRecords:
         code = main(["check-surface", *argv])
         capsys.readouterr()
         assert code == 0
-        assert 0 < len(set(built)) <= limit
-        assert len(built) == len(set(built))
+        grid, *rest = batches
+        rows = [key for batch in rest for key in batch]
+        assert len(grid) == len(set(grid)) == 25
+        assert len(rows) == len(set(rows)) == lattice
+        assert len(set(grid) & set(rows)) == shared
         assert records == []
+
+    def test_every_field_has_a_reader(self):
+        # a record field is read as a lattice column (.centre or .column
+        # with its name) or as a record attribute somewhere in the package
+        # or its tests; a field nothing reads is stored for every row for
+        # nothing
+        read = set()
+        files = [*Path(ksub.__file__).parent.glob("*.py"),
+                 *Path(__file__).parent.glob("*.py")]
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in ("centre", "column"):
+                    read.update(arg.value for arg in node.args
+                                if isinstance(arg, ast.Constant))
+        assert [name for name in srf._PointData._fields
+                if name not in read] == []
 
     @pytest.mark.parametrize("argv", [
         # 24 and 40 while every point operation rebuilt its lattice's keys
@@ -742,7 +773,7 @@ class TestBatchedLattice:
             [lat] = srf.lattices(patch, qs)
             # 4 points x (the point, 16 stencil points, 24 probe points)
             assert len(lat._index) == 4 * 41
-            assert len(srf._PointData._fields) == 29
+            assert len(srf._PointData._fields) == 26
             for key, row in lat._index.items():
                 batched = srf._record(lat._fields, row)
                 single = srf._record(srf._build(
