@@ -8,10 +8,12 @@ and ``verify-paper`` (the built-in verification suite).
 Output is machine-readable JSON (default) or CSV. Serialization is
 deterministic: fixed field order and %.12e float formatting, so identical
 configurations produce byte-identical output. :func:`dumps_json` writes
-exact Python floats, dicts, lists and strings on a fast path, so ``info``
-builds its payload from ``tolist()`` columns; numpy values and subclasses
-take an isinstance chain to the same text. Exit codes: 0 all requested
-checks pass, 1 a check failed, 2 usage or input error.
+exact Python floats, dicts, lists and strings on a fast path; numpy values
+and subclasses take an isinstance chain to the same text. ``info`` hands it
+its grid as one table: the points' floats as an (N, 15) block, written with
+one ``%`` of a record template where the block is finite, and record by
+record (non-finite floats quoted) where it is not. Exit codes: 0 all
+requested checks pass, 1 a check failed, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ def _write_json(obj, out: list[str]):
             _write_json(value, out)
             sep = ","
         out.append("]" if obj else "[]")
+    elif kind is _Table:
+        block = obj.block
+        if np.isfinite(block).all():  # "%.12e" % x is format(x, ".12e")
+            out.append("[" + ",".join([obj.template()] * len(block))
+                       % tuple(block.ravel().tolist()) + "]")
+        else:
+            _write_json(obj.records(), out)
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif obj is None:
@@ -84,6 +93,47 @@ def _write_json(obj, out: list[str]):
         _write_json(list(obj), out)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+class _Table:
+    """A list of records of one layout, held as an (N, width) float block.
+
+    ``layout`` pairs each key with the shape of its value: () for a float,
+    (2,) for a list of two, (3, 3) for a 3x3 nested list. A row of
+    ``block`` is one record's floats in key order, each value flattened
+    row-major. :meth:`records` is the same list as dicts. No key holds a
+    "%", which the record template would read as a conversion.
+    """
+
+    __slots__ = ("layout", "block")
+
+    def __init__(self, layout: tuple, block: np.ndarray):
+        self.layout, self.block = layout, block
+
+    def template(self) -> str:
+        """One record's JSON text with a ``%.12e`` for each float."""
+        def value(shape) -> str:
+            if not shape:
+                return "%.12e"
+            return "[" + ",".join([value(shape[1:])] * shape[0]) + "]"
+
+        pieces = ["{"]
+        for key, shape in self.layout:
+            _write_json(key, pieces)
+            pieces += [":", value(shape), ","]
+        pieces[-1] = "}"
+        return "".join(pieces)
+
+    def records(self) -> list[dict]:
+        """The records as dicts of Python floats and nested lists."""
+        columns, start = [], 0
+        for _, shape in self.layout:
+            width = math.prod(shape)
+            columns.append(self.block[:, start:start + width]
+                           .reshape(-1, *shape).tolist())
+            start += width
+        keys = [key for key, _ in self.layout]
+        return [dict(zip(keys, values)) for values in zip(*columns)]
 
 
 def dumps_csv(rows: list[dict]) -> str:
@@ -105,6 +155,8 @@ def _floats(obj, path: str = ""):
     """(path, value) of every float in a payload, in output order."""
     if isinstance(obj, (float, np.floating)):
         yield path, obj
+    elif isinstance(obj, _Table):
+        yield from _floats(obj.records(), path)
     elif isinstance(obj, dict):
         for key, value in obj.items():
             yield from _floats(value, f"{path}.{key}" if path else key)
@@ -225,9 +277,16 @@ def _info_fields(data: geo.KillingData, x, y):
     return r, grad, geo.gauss_curvature(data, (x, y)), data.lam(x, y)
 
 
+# an info record: its keys in output order and the shapes of their values
+_INFO_LAYOUT = (("x", ()), ("y", ()), ("r", ()), ("G", ()),
+                ("grad_r", (2,)), ("ricci", (3, 3)))
+
+
 def cmd_info(args) -> int:
     data = _metric_from_args(args)
     if args.at is not None:
+        if args.grid:
+            raise UsageError("give either --at or --grid, not both")
         points = [tuple(args.at)]
     else:
         nx, ny = args.grid if args.grid else (5, 5)
@@ -236,17 +295,17 @@ def cmd_info(args) -> int:
     r, grad, g_curv, lam = batched(
         functools.partial(_info_fields, data), xs, ys)
     ricci = geo.ricci_from_scalars(r, grad, g_curv, lam)
-    # Python floats, one tolist() per column: the writer's fast path
-    records = [{"x": x, "y": y, "r": r_i, "G": g_i, "grad_r": grad_i,
-                "ricci": ricci_i}
-               for (x, y), r_i, g_i, grad_i, ricci_i in zip(
-                   points, r.tolist(), g_curv.tolist(), grad.T.tolist(),
-                   ricci.transpose(2, 0, 1).tolist())]
-    rows = [{"s_or_u": p["x"], "v": p["y"], "check": "info",
-             "residual": p["r"], "tol": p["G"], "status": "pass"}
-            for p in records]
+    # one row per point: x, y, r, G, grad_r, then ricci row by row
+    block = np.column_stack([xs, ys, r, g_curv, grad.T,
+                             ricci.reshape(9, -1).T])
+    rows = []
+    if args.format == "csv":
+        rows = [{"s_or_u": x, "v": y, "check": "info", "residual": r_i,
+                 "tol": g_i, "status": "pass"}
+                for x, y, r_i, g_i in block[:, :4].tolist()]
     payload = {"schema_version": SCHEMA_VERSION, "command": "info",
-               "metric": data.description, "points": records}
+               "metric": data.description,
+               "points": _Table(_INFO_LAYOUT, block)}
     _emit(args, payload, rows)
     return 0
 
@@ -384,6 +443,9 @@ def cmd_hopf_check(args) -> int:
     data = _metric_from_args(args)
     base = hopf.ConformalBase(data)
     if args.circle is not None or args.circle_kg is not None:
+        if args.curve:
+            raise UsageError("give either --circle/--circle-kg or --curve, "
+                             "not both")
         if args.bcv is None:
             raise UsageError("--circle/--circle-kg need a --bcv metric")
         c = args.bcv[0]

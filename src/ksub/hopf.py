@@ -32,9 +32,10 @@ values once each; a chart method or :func:`geodesic_curvature` given arrays
 of points (the batch on a trailing axis) equals its one-point results bit
 for bit, and a float is a batch of one. A sweep that raises bisects
 (:func:`ksub.expr.batched`) to its first failing sample, which raises its
-own error (that of its first failing stencil point, in table order); a
-sweep that only goes non-finite keeps its values and reruns its first
-non-finite sample alone.
+own error; the two geodesic-curvature calls are not bisected again, so a
+sample whose 4 off-centre points fail raises the error their batch meets
+first. A sweep that only goes non-finite keeps its values and reruns its
+first non-finite sample alone.
 
 Everything here is numpy or plain-float code. Arc length is a composite
 Gauss-Legendre rule whose panel table also inverts it: t(s) is a batched
@@ -485,10 +486,14 @@ def geodesic_curvature(curve, base, s):
     positively oriented. ``s`` may be a float or an array of parameters:
     an array is one pass, equal point by point to the float results, and a
     failing array raises the error of its first failing point (see
-    :func:`ksub.expr.batched`); a float is a batch of one.
+    :func:`ksub.expr.batched`); a float is a batch of one. The columns
+    of a sweep (a :class:`_Sampled` curve) raise the error their batch
+    meets: :func:`hopf_residuals` bisects the samples itself.
     """
     if type(s) is not np.ndarray:
         return float(_geodesic_curvature(curve, base, np.array([float(s)]))[0])
+    if type(curve) is _Sampled:
+        return _geodesic_curvature(curve, base, s)
     return batched(functools.partial(_geodesic_curvature, curve, base), s)
 
 

@@ -1,10 +1,13 @@
 import gc
 import hashlib
+import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +229,13 @@ class TestInfo:
         assert err.splitlines() == [
             "error: non-finite result at points[0].ricci[0][0]"]
 
+    def test_point_with_grid_exits_2(self, capsys):
+        # one of the two was dropped without a word
+        code, out, err = run(capsys, "info", "--bcv", "0", "0.5",
+                             "--at", "0", "0", "--grid", "2", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: give either --at or --grid, not both\n"
+
     @pytest.mark.parametrize("grid", [("0", "3"), ("3", "-1")])
     def test_empty_grid_exits_2(self, capsys, grid):
         code, out, err = run(capsys, "info", "--bcv", "0", "0.5",
@@ -300,6 +310,130 @@ class TestColumnarInfo:
         assert main(["info", *GAUSSIAN, "--grid", "12", "12"]) == 0
         capsys.readouterr()
         assert shapes == [(144,)]
+
+
+def float_blocks(st):
+    """(N, 15) blocks of finite doubles, N from 1 to 4: the edges of the
+    range, random bit patterns and hypothesis's own floats."""
+    edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                             1.7976931348623157e308,
+                             -1.7976931348623157e308,
+                             2.2250738585072014e-308])
+    bits = st.integers(0, 2 ** 64 - 1).map(
+        lambda n: struct.unpack("<d", n.to_bytes(8, "little"))[0])
+    floats = st.one_of(edges, bits.filter(math.isfinite), st.floats(
+        allow_nan=False, allow_infinity=False, allow_subnormal=True))
+    rows = st.lists(floats, min_size=15, max_size=15)
+    return st.lists(rows, min_size=1, max_size=4).map(np.array)
+
+
+def per_record_payload(block) -> dict:
+    """``info``'s payload as it was built before the table: one dict per
+    point from ``tolist()`` columns."""
+    xs, ys, r, g_curv = block[:, :4].T
+    grad = block[:, 4:6].T
+    ricci = block[:, 6:].T.reshape(3, 3, -1)
+    records = [{"x": x, "y": y, "r": r_i, "G": g_i, "grad_r": grad_i,
+                "ricci": ricci_i}
+               for x, y, r_i, g_i, grad_i, ricci_i in zip(
+                   xs.tolist(), ys.tolist(), r.tolist(), g_curv.tolist(),
+                   grad.T.tolist(), ricci.transpose(2, 0, 1).tolist())]
+    return {"schema_version": cli.SCHEMA_VERSION, "command": "info",
+            "metric": "metric", "points": records}
+
+
+def info_of_block(block, monkeypatch) -> tuple[int, str, str]:
+    """``info``'s exit code, stdout and stderr when its grid points and
+    fields are the columns of ``block`` (N, 15)."""
+    def fields(fn, xs, ys):
+        return (block[:, 2].copy(), block[:, 4:6].T.copy(),
+                block[:, 3].copy(), np.ones(len(block)))
+
+    points = list(zip(block[:, 0].tolist(), block[:, 1].tolist()))
+    data = types.SimpleNamespace(
+        description="metric",
+        domain=types.SimpleNamespace(grid=lambda nx, ny: points))
+    monkeypatch.setattr(cli, "_metric_from_args", lambda args: data)
+    monkeypatch.setattr(cli, "batched", fields)
+    monkeypatch.setattr(geo, "ricci_from_scalars", lambda *args: (
+        block[:, 6:].T.reshape(3, 3, -1).copy()))
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    code = main(["info", "--bcv", "1", "0.5", "--grid", "1", "1"])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestTableWriter:
+    """``info`` writes its grid as one table, a record template applied
+    with one ``%`` to the finite float block, with exactly the text of its
+    per-record dicts."""
+
+    def test_table_equals_the_per_record_dicts(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=150, deadline=None)
+        @given(float_blocks(st))
+        def check(block):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                code, out, err = info_of_block(block, monkeypatch)
+            assert (code, err) == (0, "")
+            assert out == dumps_json(per_record_payload(block)) + "\n"
+
+        check()
+
+    def test_non_finite_entry_names_the_per_record_path(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        cases = st.tuples(float_blocks(st), st.integers(0, 3),
+                          st.integers(0, 14),
+                          st.sampled_from([math.nan, math.inf, -math.inf]))
+
+        @settings(max_examples=150, deadline=None)
+        @given(cases)
+        def check(case):
+            block, row, column, bad = case
+            row %= len(block)
+            block[row, column] = bad
+            payload = per_record_payload(block)
+            path = next(path for path, value in cli._floats(payload)
+                        if not math.isfinite(value))
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                code, out, err = info_of_block(block, monkeypatch)
+            assert (code, out) == (2, "")
+            assert err == f"error: non-finite result at {path}\n"
+            assert path.startswith(f"points[{row}].")
+
+        check()
+
+    def test_grid_takes_few_writer_calls(self, capsys, monkeypatch):
+        # the per-record dicts took about 3,900 calls for 144 points
+        calls = []
+        write = cli._write_json
+
+        def counted(obj, out):
+            calls.append(obj)
+            return write(obj, out)
+
+        monkeypatch.setattr(cli, "_write_json", counted)
+        assert main(["info", "--bcv", "1", "0.5", "--grid", "12", "12"]) == 0
+        capsys.readouterr()
+        assert len(calls) < 50
+
+    @pytest.mark.parametrize("where", [("--grid", "12", "12"),
+                                       ("--at", "0.3", "-0.6")],
+                             ids=["grid", "at"])
+    def test_out_writes_the_stdout_bytes(self, capsys, tmp_path, where):
+        argv = ["info", *GAUSSIAN, *where]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        path = tmp_path / "info.json"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
 
 
 class TestNumericFaults:
@@ -837,6 +971,15 @@ class TestHopfCommand:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "1.000e-09" in err and "6.000e-06" in err
+
+    def test_circle_with_curve_exits_2(self, capsys):
+        # --curve was dropped without a word
+        code, out, err = run(capsys, "hopf", "check", "--bcv", "1", "0",
+                             "--circle", "0.5", "--curve", "cos(s);sin(s)",
+                             "--interval", "0", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: give either --circle/--circle-kg or --curve, "
+                       "not both\n")
 
     def test_example_identically_zero_exits_2(self, capsys):
         code, _, err = run(capsys, "hopf", "example", "--f", "1", "--r", "0",

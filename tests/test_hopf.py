@@ -673,6 +673,41 @@ class TestStencilColumns:
         assert errors[0] == errors[1]
         assert errors[0][1] == f"chart fails at {targets[0]}"
 
+    @pytest.mark.parametrize("column", range(4))
+    def test_failing_sample_is_bisected_once(self, column, monkeypatch):
+        # one off-centre point of sample 40 of 64 fails: the bisection over
+        # samples runs 5 points per sample of each half it tries and the
+        # failing sample once more alone; bisecting each failing batch of
+        # off-centre points again took 47 calls over 992 points
+        base = hopf.ConformalBase(geo.bcv(1.0, 0.3))
+        curve = hopf.bcv_circle(1.0, kappa=1.0)
+        h, samples = sweep_samples(curve)
+        off = numdiff._abscissae((samples,), h)[1:]
+        jx, jy = curve.point_jets(off[column][0][40:41])
+        target = (float(jx.value[0]), float(jy.value[0]))
+        metric = base.metric
+
+        def failing_metric(p):
+            bad = expr._first_bad((p[0] == target[0]) & (p[1] == target[1]),
+                                  *p)
+            if bad:
+                raise DomainEvalError(f"chart fails at {bad}")
+            return metric(p)
+
+        points = []
+        original = hopf._geodesic_curvature
+
+        def counted(curve, base, s):
+            points.append(len(s))
+            return original(curve, base, s)
+
+        monkeypatch.setattr(base, "metric", failing_metric)
+        monkeypatch.setattr(hopf, "_geodesic_curvature", counted)
+        with pytest.raises(DomainEvalError) as err:
+            hopf.hopf_residuals(curve, base)
+        assert str(err.value) == f"chart fails at {target}"
+        assert sum(points) <= 640
+
 
 class TestCylinderSurfaceCheck:
     def test_torsion_and_mean_curvature(self):
