@@ -10,8 +10,8 @@ keeps the power rule exact.
 
 Both arithmetics run over a batch of N points, given as one-dimensional
 coordinate arrays, on a trailing axis: value (N,), gradient (n, N), Hessian
-(n, n, N). A point of floats is a batch of one, which :func:`eval_jet` and
-:func:`eval_value` hand back as a float value and (n,) and (n, n) arrays.
+(n, n, N). A point of floats is a batch of one (:func:`at_point`, the one
+adapter), which :func:`eval_jet` hands back as a float value and arrays.
 Every ``**`` and function is the libm call of one point, applied element by
 element (:func:`power`; numpy's own array power, exp, log and tan differ in
 the last bit), and ``+ - * /`` are the same IEEE operations on a batch as on
@@ -60,6 +60,8 @@ __all__ = [
     "eval_value",
     "compose_jet",
     "batched",
+    "at_point",
+    "pointwise",
     "power",
     "constant_jet",
     "variable_jet",
@@ -379,6 +381,33 @@ def batched(fn, *coords):
     return out
 
 
+def at_point(fn, *coords):
+    """``fn(*coords)`` on a batch of coordinate arrays; on a point of
+    floats, ``fn`` of it as a batch of one, unbatched (see :func:`_unbatch`).
+    ``fn`` returns a Jet, an array or a tuple of them, batch axis last."""
+    if coords and type(coords[0]) is np.ndarray:
+        return fn(*coords)
+    return _unbatch(fn(*(np.array([float(c)]) for c in coords)))
+
+
+def pointwise(fn):
+    """Batch code ``fn(owner, point, *args)`` as an entry taking a point too."""
+    @functools.wraps(fn)
+    def entry(owner, point, *args):
+        return at_point(lambda *batch: fn(owner, batch, *args), *point)
+    return entry
+
+
+def _unbatch(out):
+    """The one point of a batch of one: a Jet with a float value, an array
+    without its batch axis (a float for a scalar), a tuple part by part."""
+    if isinstance(out, Jet):
+        return Jet(float(out.value[0]), out.grad[..., 0], out.hess[..., 0])
+    if isinstance(out, tuple):
+        return tuple(map(_unbatch, out))
+    return out[..., 0] if out.ndim > 1 else float(out[0])
+
+
 def _finite(out) -> bool:
     if isinstance(out, Jet):
         return _finite(out.value) and _finite(out.grad) and _finite(out.hess)
@@ -552,12 +581,6 @@ def variable_jet(value, index: int, nvars: int) -> Jet:
     return Jet(value, grad, np.zeros((nvars, nvars, 1)))
 
 
-def _unbatch(jet: Jet) -> Jet:
-    """The one point of a batch of one: a float value, (n,) gradient and
-    (n, n) Hessian."""
-    return Jet(float(jet.value[0]), jet.grad[:, 0], jet.hess[:, :, 0])
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -583,17 +606,12 @@ def _value_pow(base, p: float):
     return power(base, p)
 
 
-def _value_log(arg: float) -> float:
-    if arg <= 0.0:
-        raise DomainEvalError(f"log of nonpositive value {arg!r}")
-    return math.log(arg)
-
-
-def _value_sqrt(arg):
-    bad = _first_bad(arg < 0.0, arg)
+def _value_checked(kernel, what: str, outside, arg):
+    """``kernel(arg)`` once no element is ``outside(element, 0.0)``."""
+    bad = _first_bad(outside(arg, 0.0), arg)
     if bad:
-        raise DomainEvalError(f"sqrt of negative value {bad[0]!r}")
-    return np.sqrt(arg)
+        raise DomainEvalError(f"{what} value {bad[0]!r}")
+    return kernel(arg)
 
 
 def _value_leaf(value, *_):
@@ -602,17 +620,20 @@ def _value_leaf(value, *_):
 
 # "/", "^" and the functions differ between the two arithmetics; "+", "-",
 # "*" and negation are the operators of both arrays and jets. Values apply
-# the functions element by element, each with its own domain check; "^"
-# and "sqrt" check a whole batch first, in element order.
+# the functions element by element; "^", "sqrt" and "log" check a whole
+# batch first, in element order.
 _JET_OPS = {"/": operator.truediv, "^": operator.pow, "sin": Jet.sin,
             "cos": Jet.cos, "tan": Jet.tan, "exp": Jet.exp, "log": Jet.log,
             "sqrt": Jet.sqrt, "abs": abs}
 _VALUE_OPS = {
     **{name: functools.partial(_each, func) for name, func in (
         ("sin", math.sin), ("cos", math.cos), ("tan", math.tan),
-        ("exp", math.exp), ("log", _value_log))},
-    "sqrt": _value_sqrt, "/": _divide, "abs": abs,
-    "^": _value_pow}
+        ("exp", math.exp))},
+    "log": functools.partial(_value_checked, functools.partial(_each, math.log),
+                             "log of nonpositive", operator.le),
+    "sqrt": functools.partial(_value_checked, np.sqrt, "sqrt of negative",
+                              operator.lt),
+    "/": _divide, "abs": abs, "^": _value_pow}
 
 
 class _Arithmetic(NamedTuple):
@@ -706,11 +727,7 @@ def _walk(node: Node, ctx: _Walk):
     raise TypeError(f"unknown node {node!r}")
 
 
-def _one_point(point) -> tuple:
-    """A point of floats as a batch of one."""
-    return tuple(np.array([float(c)]) for c in point)
-
-
+@pointwise
 def eval_jet(expr: Expr, point) -> Jet:
     """Evaluate ``expr`` at ``point``, returning exact second-order data.
 
@@ -723,21 +740,16 @@ def eval_jet(expr: Expr, point) -> Jet:
     point. A point of floats is a batch of one whose jet comes back with a
     float value, an (n,) gradient and an (n, n) Hessian.
     """
-    point = tuple(point)
-    if point and type(point[0]) is np.ndarray:
-        return _evaluate(expr, point, _JETS)
-    return _unbatch(_evaluate(expr, _one_point(point), _JETS))
+    return _evaluate(expr, point, _JETS)
 
 
+@pointwise
 def eval_value(expr: Expr, point) -> float:
     """Value-only evaluation, cheaper than :func:`eval_jet` and independent
     of it; ``sqrt`` and ``abs`` have a value at 0 where they have no jet.
     Coordinate arrays give a batch of values, shape (N,), as
     :func:`eval_jet` does; a point of floats, a float."""
-    point = tuple(point)
-    if point and type(point[0]) is np.ndarray:
-        return _evaluate(expr, point, _VALUES)
-    return float(_evaluate(expr, _one_point(point), _VALUES)[0])
+    return _evaluate(expr, point, _VALUES)
 
 
 def compose_jet(outer: Jet, inners) -> Jet:

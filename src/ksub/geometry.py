@@ -20,9 +20,10 @@ The orthonormal frame used throughout is
     E1 = (1/lam) d/dx + a d/dz,   E2 = (1/lam) d/dy + b d/dz,   E3 = d/dz,
 
 declared positively oriented; all ``Vec3`` quantities are components with
-respect to it, so inner products are plain dot products. Every closed-form
-tensor here is paired with a finite-difference oracle that derives the same
-quantity from metric evaluations only.
+respect to it, so inner products are plain dot products. Every closed form
+here has a finite-difference oracle that derives it from metric evaluations
+only. The oracles run a batch of points; a point of floats is a batch of one
+(:func:`ksub.expr.pointwise`), and the closed forms take it as numpy floats.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import numpy as np
 
 from . import numdiff
 from .errors import FdMarginError, OutsideDomainError
-from .expr import Expr, Jet, _first_bad, batched, eval_jet, parse, power
+from .expr import (Expr, Jet, _first_bad, at_point, batched, eval_jet, parse,
+                   pointwise, power)
 
 __all__ = [
     "Rect",
@@ -180,19 +182,20 @@ class KillingData:
         return lam
 
     def base_jets(self, x, y) -> tuple[Jet, Jet, Jet]:
-        """Jets of (lam, a, b) at a base point, or at each point of a batch
-        of coordinate arrays: value (N,), gradient (2, N), Hessian (2, 2, N).
+        """Jets of (lam, a, b) at each point of a batch of coordinate
+        arrays: value (N,), gradient (2, N), Hessian (2, 2, N); a point of
+        floats is a batch of one (see :func:`ksub.expr.at_point`).
 
-        A point is memoised by its coordinates, a batch by their bytes. A
-        batch that repeats points (the records of a surface share base
-        points, and a vertical cylinder's whole ruling sits over one)
-        evaluates its distinct points as one batch, itself memoised, and
-        gathers them by index.
+        A batch is memoised by the bytes of its coordinates. A batch that
+        repeats points (the records of a surface share base points, and a
+        vertical cylinder's whole ruling sits over one) evaluates its
+        distinct points as one batch, itself memoised, and gathers them.
         """
-        if type(x) is np.ndarray:
-            return memo(self._jets, (x.tobytes(), y.tobytes()),
-                        lambda *_: self._distinct_jets(x, y))
-        return memo(self._jets, (float(x), float(y)), self._eval_base_jets)
+        return at_point(self._batch_jets, x, y)
+
+    def _batch_jets(self, x, y) -> tuple[Jet, Jet, Jet]:
+        return memo(self._jets, (x.tobytes(), y.tobytes()),
+                    lambda *_: self._distinct_jets(x, y))
 
     def _distinct_jets(self, x: np.ndarray, y: np.ndarray
                        ) -> tuple[Jet, Jet, Jet]:
@@ -210,10 +213,8 @@ class KillingData:
                            for part in (jet.value, jet.grad, jet.hess)))
                      for jet in self.base_jets(*distinct))
 
-    def _eval_base_jets(self, x: float, y: float) -> tuple[Jet, Jet, Jet]:
-        point = (x, y)
-        return (eval_jet(self.lam, point), eval_jet(self.a, point),
-                eval_jet(self.b, point))
+    def _eval_base_jets(self, x, y) -> tuple[Jet, Jet, Jet]:
+        return tuple(eval_jet(e, (x, y)) for e in (self.lam, self.a, self.b))
 
     def require_inside(self, x, y):
         """Raise OutsideDomainError naming the first point outside."""
@@ -415,20 +416,16 @@ def _oracle_steps(data: KillingData, x: np.ndarray, y: np.ndarray,
     return np.array(steps)
 
 
-def _as_batch(p):
-    """(x, y) of a point or a batch as coordinate arrays, a point of floats
-    being a batch of one, and whether p was one point."""
-    if type(p[0]) is np.ndarray:
-        return p[0], p[1], False
-    return np.array([float(p[0])]), np.array([float(p[1])]), True
+def _oracle_stencil(data: KillingData, p):
+    """x, y, the steps h (see :func:`_oracle_steps`) and the 9 N stencil
+    points: the centres, then each d1 abscissa along x and y, of all points."""
+    x, y = p[0], p[1]
+    h = _oracle_steps(data, x, y, "inside the domain around")
+    table = [[x, y]] + numdiff._axis((x, y), 0, h) + numdiff._axis((x, y), 1, h)
+    return x, y, h, tuple(np.concatenate(c) for c in zip(*table))
 
 
-def _unbatch(out: np.ndarray, one: bool) -> np.ndarray:
-    """Per-point rows (N, ...) as the batch convention's trailing axis, or
-    the one point's own array."""
-    return out[0] if one else np.moveaxis(out, 0, -1)
-
-
+@pointwise
 def connection_oracle(data: KillingData, p) -> np.ndarray:
     """Connection table from metric evaluations only (no closed form).
 
@@ -441,11 +438,7 @@ def connection_oracle(data: KillingData, p) -> np.ndarray:
     its one-point table (a point too close to the edge names the first such
     point).
     """
-    x, y, one = _as_batch(p)
-    h = _oracle_steps(data, x, y, "inside the domain around")
-    # per point: the centre, the d1 abscissae along x, then along y
-    table = [[x, y]] + numdiff._axis((x, y), 0, h) + numdiff._axis((x, y), 1, h)
-    q = tuple(np.concatenate(c) for c in zip(*table))
+    x, y, h, q = _oracle_stencil(data, p)
     samples = (metric_matrix(data, q).reshape(3, 3, 9, -1),
                frame(data, q).reshape(3, 3, 9, -1))
 
@@ -464,7 +457,7 @@ def connection_oracle(data: KillingData, p) -> np.ndarray:
     cov = (np.einsum("nic,ncjk->nijk", eframe, dE)
            + np.einsum("nia,njb,nkab->nijk", eframe, eframe, christoffel))
     # project with the metric: gamma[i, j, k] = g(cov_ij, E_k)
-    return _unbatch(np.einsum("nijc,ncd,nkd->nijk", cov, g, eframe), one)
+    return np.moveaxis(np.einsum("nijc,ncd,nkd->nijk", cov, g, eframe), 0, -1)
 
 
 def frame_bracket_12(data: KillingData, p) -> np.ndarray:
@@ -477,28 +470,22 @@ def frame_bracket_12(data: KillingData, p) -> np.ndarray:
     return np.array([lam.grad[1] / lam_sq, -lam.grad[0] / lam_sq, 2.0 * r])
 
 
+@pointwise
 def frame_bracket_fd(data: KillingData, p, i: int, j: int) -> np.ndarray:
     """[E_i, E_j] in frame components from differentiated frame flows.
 
-    On a batch of N points the result is (3, N): the centre and eight d1
-    abscissae of every point, point after point, are one :func:`frame`
-    batch of 9 N points, so a point outside the domain is the one a
-    point-by-point sweep meets first, and each point's bracket equals its
-    one-point bracket.
+    Needs an interior point with margin >= 2h. On a batch of N points the
+    result is (3, N), from one :func:`frame` batch of the 9 N stencil
+    points, and each point's bracket equals its one-point bracket (a point
+    too close to the edge names the first such point).
     """
-    x, y, one = _as_batch(p)
-    h = np.array([_oracle_step(a, b) for a, b in zip(x.tolist(),
-                                                     y.tolist())])
-    table = ([[x, y]] + numdiff._axis((x, y), 0, h)
-             + numdiff._axis((x, y), 1, h))
-    e = frame(data, tuple(np.stack(c, axis=1).ravel() for c in zip(*table)))
-    e = e.reshape(3, 3, len(x), 9)
+    x, y, h, q = _oracle_stencil(data, p)
+    e = frame(data, q).reshape(3, 3, 9, -1)
     bracket = np.zeros((3, len(x)))
     for c in range(2):  # z-derivatives vanish
-        de = numdiff._first(*np.moveaxis(e[..., 1 + 4 * c:5 + 4 * c], 3, 0),
-                            h)
-        bracket = bracket + e[i, c, :, 0] * de[j] - e[j, c, :, 0] * de[i]
-    return _unbatch(rows(frame_components(data, (x, y), bracket)), one)
+        de = numdiff._first(*np.moveaxis(e[:, :, 1 + 4 * c:5 + 4 * c], 2, 0), h)
+        bracket = bracket + e[i, c, 0] * de[j] - e[j, c, 0] * de[i]
+    return frame_components(data, (x, y), bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +519,7 @@ def riemann_closed(data: KillingData, p, X, Y, Z, W):
     return term1 + term2 + term3
 
 
+@pointwise
 def riemann_direct(data: KillingData, p, X, Y, Z, W):
     """<R(X,Y)Z, W> from the definition D_X D_Y Z - D_Y D_X Z - D_[X,Y] Z.
 
@@ -544,7 +532,7 @@ def riemann_direct(data: KillingData, p, X, Y, Z, W):
     are (3, N) and the result is (N,), each entry equal to its one-point
     value (a point too close to the edge names the first such point).
     """
-    x, y, one = _as_batch(p)
+    x, y = p[0], p[1]
     X, Y, Z, W = (np.asarray(v, dtype=float).reshape(3, -1)
                   for v in (X, Y, Z, W))
     h = _oracle_steps(data, x, y, "around")
@@ -579,8 +567,7 @@ def riemann_direct(data: KillingData, p, X, Y, Z, W):
 
     curl = (second_cov(0, X, Y, Z) - second_cov(1, Y, X, Z)
             - along(bracket, Z, gamma))
-    out = product(curl.T, W)
-    return float(out[0]) if one else out
+    return product(curl.T, W)
 
 
 def ricci(data: KillingData, p) -> np.ndarray:
@@ -604,12 +591,13 @@ def ricci_from_scalars(r: float, grad, g_curv: float, lam: float) -> np.ndarray:
     return m
 
 
+@pointwise
 def ricci_contraction(data: KillingData, p) -> np.ndarray:
     """Ricci by contracting the finite-difference curvature (oracle),
     Ric(E_a, E_b) = sum_i <R(E_i, E_a) E_b, E_i>: the 18 tuples (a <= b, i)
     of every point are one :func:`riemann_direct` batch. (3, 3, N) on a
     batch of N points, each equal to its one-point tensor."""
-    x, y, one = _as_batch(p)
+    x, y = p[0], p[1]
     n = len(x)
     pairs = [(a, b) for a in range(3) for b in range(a, 3)]
     # the basis indices of (X, Y, Z, W) per tuple, each tuple at every point
@@ -622,4 +610,4 @@ def ricci_contraction(data: KillingData, p) -> np.ndarray:
     for (a, b), (t0, t1, t2) in zip(pairs, values):
         # summed from 0.0 in order of i, as one point's sum is
         out[:, a, b] = out[:, b, a] = 0.0 + t0 + t1 + t2
-    return _unbatch(out, one)
+    return np.moveaxis(out, 0, -1)

@@ -26,16 +26,16 @@ factor.
 The sweep along the curve is one batch. :func:`hopf_residuals` evaluates
 the geodesic curvature in two calls over all samples, the centre column of
 its 5-point stencil (the samples themselves) and then the 4 off-centre
-columns as one batch, forms kappa, kappa' and kappa'' from the columns
-with :func:`ksub.numdiff._quotients`, and evaluates r, G and the Ricci
-values once each; a chart method or :func:`geodesic_curvature` given arrays
-of points (the batch on a trailing axis) equals its one-point results bit
-for bit, and a float is a batch of one. A sweep that raises bisects
-(:func:`ksub.expr.batched`) to its first failing sample, which raises its
-own error; the two geodesic-curvature calls are not bisected again, so a
-sample whose 4 off-centre points fail raises the error their batch meets
-first. A sweep that only goes non-finite keeps its values and reruns its
-first non-finite sample alone.
+columns as one batch, forms kappa, kappa' and kappa'' from the columns with
+:func:`ksub.numdiff._quotients`, and evaluates r, G and the Ricci values
+once each; a chart method or :func:`geodesic_curvature` given arrays of
+points (the batch on a trailing axis) equals its one-point results bit for
+bit; a float is a batch of one (:func:`ksub.expr.at_point`). A sweep that
+raises bisects (:func:`ksub.expr.batched`) to its first failing sample,
+which raises its own error; the two geodesic-curvature calls are not
+bisected again, so a sample whose 4 off-centre points fail raises the error
+their batch meets first. A sweep that only goes non-finite keeps its values
+and reruns its first non-finite sample alone.
 
 Everything here is numpy or plain-float code. Arc length is a composite
 Gauss-Legendre rule whose panel table also inverts it: t(s) is a batched
@@ -69,7 +69,7 @@ from .errors import (
     NotArcLengthError,
     OutsideDomainError,
 )
-from .expr import (Expr, Jet, _first_bad, _unbatch, batched, eval_jet, parse,
+from .expr import (Expr, Jet, _first_bad, at_point, batched, eval_jet, parse,
                    power)
 
 __all__ = [
@@ -189,11 +189,10 @@ class ReparamCurve:
                                    f"at s = {float(s[todo[0]])}")
 
     def point_jets(self, s) -> tuple[Jet, Jet]:
-        """Jets in s at an array of s in one solve; a float s is a batch of
-        one."""
-        if type(s) is not np.ndarray:
-            jx, jy = self.point_jets(np.array([float(s)]))
-            return _unbatch(jx), _unbatch(jy)
+        """Jets in s at an array of s in one solve; a float is a batch of one."""
+        return at_point(self._batch_jets, s)
+
+    def _batch_jets(self, s: np.ndarray) -> tuple[Jet, Jet]:
         t = self._times(s)
         sigma, dsigma = self.base.speed_jet(self.curve, t)
         tp = 1.0 / sigma
@@ -201,9 +200,8 @@ class ReparamCurve:
         jx, jy = self.curve.point_jets(t)
         return _chain(jx, tp, tpp), _chain(jy, tp, tpp)
 
-    def point(self, s: float) -> tuple[float, float]:
-        t = float(self._times(np.array([float(s)]))[0])
-        return self.curve.point(t)
+    def point(self, s) -> tuple[float, float]:
+        return self.curve.point(at_point(self._times, s))
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +484,15 @@ def geodesic_curvature(curve, base, s):
     positively oriented. ``s`` may be a float or an array of parameters:
     an array is one pass, equal point by point to the float results, and a
     failing array raises the error of its first failing point (see
-    :func:`ksub.expr.batched`); a float is a batch of one. The columns
-    of a sweep (a :class:`_Sampled` curve) raise the error their batch
-    meets: :func:`hopf_residuals` bisects the samples itself.
+    :func:`ksub.expr.batched`); a float is a batch of one (see
+    :func:`ksub.expr.at_point`). The columns of a sweep (a
+    :class:`_Sampled` curve) raise the error their batch meets:
+    :func:`hopf_residuals` bisects the samples itself.
     """
-    if type(s) is not np.ndarray:
-        return float(_geodesic_curvature(curve, base, np.array([float(s)]))[0])
+    kappa = functools.partial(_geodesic_curvature, curve, base)
     if type(curve) is _Sampled:
-        return _geodesic_curvature(curve, base, s)
-    return batched(functools.partial(_geodesic_curvature, curve, base), s)
+        return kappa(s)
+    return at_point(functools.partial(batched, kappa), s)
 
 
 def _geodesic_curvature(curve, base, s: np.ndarray) -> np.ndarray:

@@ -281,6 +281,36 @@ class TestJets:
             eval_value(parse(text, ("x",)), point)
         assert str(err.value) == message
 
+    # a batch whose first nonpositive element sits at index k, after
+    # elements that log takes: a nan, an inf and a tiny positive value
+    LOG_BATCHES = [[v] for v in (0.0, -0.0, -1e-300, math.nan, math.inf)] + [
+        [2.5, math.nan, math.inf, 1e-300][:k] + [bad, -1.0, 0.0]
+        for k, bad in enumerate((0.0, -0.0, -1e-300, 0.0, -0.0))] + [
+        [2.5, math.nan, math.inf, 1e-300, 1e300]]
+
+    @pytest.mark.parametrize("xs", LOG_BATCHES, ids=str)
+    def test_value_log_checks_its_batch_in_element_order(self, xs):
+        # the reference: log of each element in turn as a float, raising
+        # at the first nonpositive one
+        def outcome(run):
+            try:
+                return np.asarray(run(), dtype=float).tobytes()
+            except DomainEvalError as err:
+                return type(err), str(err)
+
+        def reference():
+            for v in xs:
+                if v <= 0.0:
+                    raise DomainEvalError(
+                        f"log of nonpositive value {v!r} in 'log(x)'")
+            return [math.log(v) for v in xs]
+
+        e = parse("log(x)", ("x",))
+        want = outcome(reference)
+        assert outcome(lambda: eval_value(e, (np.array(xs),))) == want
+        if len(xs) == 1:
+            assert outcome(lambda: eval_value(e, (xs[0],))) == want
+
     def test_annotation_names_innermost_subexpression(self):
         e = parse("2+3*log(x)", ("x",))
         for evaluate in (eval_jet, eval_value):
@@ -392,13 +422,9 @@ class TestBatch:
         assert jet.grad.shape == (2,) and jet.hess.shape == (2, 2)
         assert type(eval_value(e, (2.0, 3.0))) is float
 
-    # a point is a batch of one: only a public entry point that takes a
-    # float may ask whether it holds an array, to hand back its point
-    POINT_ENTRIES = {
-        "expr": {"eval_jet", "eval_value"},
-        "geometry": {"KillingData.base_jets", "_as_batch"},
-        "hopf": {"ReparamCurve.point_jets", "geodesic_curvature"},
-    }
+    # a point is a batch of one: only the one adapter asks whether it holds
+    # an array, to run a point as a batch of one and hand back its point
+    POINT_ENTRIES = {"expr": {"at_point"}}
 
     def test_point_or_array_branches_only_at_float_entry_points(self):
         found = {}
@@ -408,6 +434,15 @@ class TestBatch:
         assert {module: sorted(scopes) for module, scopes in found.items()} \
             == {module: sorted(names)
                 for module, names in self.POINT_ENTRIES.items()}
+
+    def test_only_the_adapter_makes_a_batch_of_one(self):
+        # a batch of one built by hand from a float is a second adapter
+        found = {}
+        for path in sorted(Path(ksub.__file__).parent.glob("*.py")):
+            for scope in _scopes_where(ast.parse(path.read_text()),
+                                       _is_batch_of_one):
+                found.setdefault(path.stem, []).append(scope)
+        assert found == {"expr": ["at_point"]}
 
     def test_defaulted_parameters_stay_counted(self):
         # every parameter with a default, and each **kwargs, is a knob; a
@@ -421,7 +456,7 @@ class TestBatch:
                     knobs += (len(args.defaults)
                               + sum(d is not None for d in args.kw_defaults)
                               + (args.kwarg is not None))
-        assert knobs <= 29
+        assert knobs <= 27
 
     def test_surface_stencils_take_no_callback(self):
         # the surface and biharmonic derivatives are quotients over lattice
@@ -456,9 +491,9 @@ def _callback_stencils(module: str) -> list[str]:
             and isinstance(node.args[0], (ast.Lambda, ast.Attribute))]
 
 
-def _array_branches(tree) -> list[str]:
-    """The qualified names of the functions holding a ``type(...) is
-    np.ndarray`` or ``is not`` test, one entry per test."""
+def _scopes_where(tree, test) -> list[str]:
+    """The qualified names of the functions holding a node that passes
+    ``test``, one entry per node."""
     found = []
 
     def visit(node, scope):
@@ -466,18 +501,31 @@ def _array_branches(tree) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Compare)
-                    and isinstance(child.left, ast.Call)
-                    and ast.unparse(child.left.func) == "type"
-                    and all(isinstance(op, (ast.Is, ast.IsNot))
-                            for op in child.ops)
-                    and any(ast.unparse(c) == "np.ndarray"
-                            for c in child.comparators)):
+            if test(child):
                 found.append(".".join(scope))
             visit(child, scope)
 
     visit(tree, ())
     return found
+
+
+def _is_array_branch(node) -> bool:
+    """A ``type(...) is np.ndarray`` or ``is not`` test."""
+    return (isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Call)
+            and ast.unparse(node.left.func) == "type"
+            and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(ast.unparse(c) == "np.ndarray" for c in node.comparators))
+
+
+def _is_batch_of_one(node) -> bool:
+    """An ``np.array([float(...)])``: a batch of one made from a float."""
+    return (isinstance(node, ast.Call)
+            and ast.unparse(node).startswith("np.array([float("))
+
+
+def _array_branches(tree) -> list[str]:
+    return _scopes_where(tree, _is_array_branch)
 
 
 class TestCompose:

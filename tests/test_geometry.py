@@ -111,6 +111,25 @@ class TestBatchedScalars:
         with pytest.raises(OutsideDomainError, match=r"point \(2\.5, 0\.0\)"):
             geo.bundle_curvature(FLAT, (xs, ys))
 
+    def test_negative_zero_point_is_not_served_the_positive_zeros_jets(self):
+        # a point is a batch of one in the store keyed by bits: once keyed
+        # by float value, (0.0, 0.5) filled the entry that (-0.0, 0.5) read
+        data, fresh = geo.bcv(0.0, 0.5), geo.bcv(0.0, 0.5)
+        data.base_jets(0.0, 0.5)
+        b = data.base_jets(-0.0, 0.5)[2]
+        want = fresh.base_jets(-0.0, 0.5)[2]
+        batch = fresh.base_jets(np.array([-0.0]), np.array([0.5]))[2]
+        for got, one, col in ((b.value, want.value, batch.value[0]),
+                              (b.grad, want.grad, batch.grad[:, 0]),
+                              (b.hess, want.hess, batch.hess[..., 0])):
+            assert same_bytes(got, one) and same_bytes(got, col)
+        assert math.copysign(1.0, b.value) == -1.0
+        point = (-0.0, 0.5, 0.0)
+        frame = geo.frame(data, point)
+        assert same_bytes(frame, geo.frame(geo.bcv(0.0, 0.5), point))
+        assert same_bytes(frame, geo.frame(
+            data, tuple(np.array([c]) for c in point))[..., 0])
+
     def test_repeated_points_are_evaluated_once_and_gathered(self,
                                                              monkeypatch):
         data = make_data("1+x^2", "x", "-y")
@@ -398,6 +417,18 @@ class TestBatchedOracles:
         "riemann_closed": lambda p: geo.riemann_closed(FLAT, p,
                                                        *e1e2e1e2(p)),
     }
+
+    def test_frame_bracket_fd_checks_the_margin_of_its_point(self):
+        # the stencil of (2.99995, 0) reaches past the edge of [-3, 3]^2: the
+        # caller's point is too close to it, as for the other oracles, and
+        # no stencil point the caller never passed is named
+        data, p = geo.bcv(0.0, 0.5), (2.99995, 0.0)
+        with pytest.raises(FdMarginError) as want:
+            geo.connection_oracle(data, p)
+        with pytest.raises(FdMarginError) as got:
+            geo.frame_bracket_fd(data, p, 0, 1)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith("(2.99995, 0.0)")
 
     @pytest.mark.parametrize("name", sorted(CALLS))
     @pytest.mark.parametrize("bad", [(INSIDE_MARGIN, OUTSIDE),

@@ -62,15 +62,12 @@ class TestRunChecksTolerances:
 
     def test_default_run_uses_the_default_tolerances(self, monkeypatch):
         seen = self.bound_arguments(monkeypatch)
-        assert seen == {**DEFAULT_TOLS,
-                        "hopf-tube": {"residual_tol": 1e-5, "defect_min": 0.1}}
+        assert seen == DEFAULT_TOLS
 
     def test_tol_overrides_every_residual_tolerance(self, monkeypatch):
         seen = self.bound_arguments(monkeypatch, tol=3e-3)
-        expected = {name: dict.fromkeys(tols, 3e-3)
-                    for name, tols in DEFAULT_TOLS.items()}
-        expected["hopf-tube"]["defect_min"] = 0.1
-        assert seen == expected
+        assert seen == {name: dict.fromkeys(tols, 3e-3)
+                        for name, tols in DEFAULT_TOLS.items()}
 
     def test_check_names_keep_their_order(self):
         assert verify.CHECK_NAMES == [*DEFAULT_TOLS, "cli-determinism"]
