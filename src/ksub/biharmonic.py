@@ -7,8 +7,9 @@ A surface with constant mean curvature H is biharmonic exactly when
 
 and properly so when additionally H != 0. Both lines are evaluated honestly
 (Delta H and grad H are finite differences of the mean-curvature field, not
-assumed zero) so near-CMC inputs degrade gracefully; a probe stencil
-enforces the CMC hypothesis up to a tolerance first.
+assumed zero) so near-CMC inputs degrade gracefully; the mean-curvature
+spread over the probe lattice (:func:`_cmc`, which each residual reads from
+its lattice) enforces the CMC hypothesis up to a tolerance first.
 
 Expanded in an adapted orthonormal frame e1, e2, eta with components
 (a_i), (b_i), (c_i) against the ambient frame, the same condition becomes a
@@ -40,7 +41,7 @@ from .errors import (
     ZeroGradRError,
 )
 from . import surface as srf
-from .expr import _each
+from .expr import _each, _hypot
 from .surface import ANGLE_EPS, SurfacePatch
 
 __all__ = [
@@ -121,25 +122,24 @@ def cmc_probe(patch: SurfacePatch, q):
 
 
 def _cmc_lattice(patch: SurfacePatch, q):
-    """The lattice of q and its probe spread (mean, dev), once the CMC gate
-    passes at q."""
+    """The lattice of q, once the CMC gate passes at q."""
     lat = srf.point_lattice(patch, q)
-    mean, dev = _cmc(lat)
+    dev = _cmc(lat)[1]
     # a nan spread passes, as a nan passes every comparison below
     if dev[0] > CMC_TOL:
         raise NotCMCError(
             f"mean curvature varies by {dev[0]:.3e} (> {CMC_TOL:.1e}) around "
             f"parameters {tuple(q)}; the CMC residual systems do not apply")
-    return lat, mean, dev
+    return lat
 
 
 # ---------------------------------------------------------------------------
 # Bitension decomposition
 # ---------------------------------------------------------------------------
 
-def _bitension(lat, mean, dev) -> list[BitensionResidual]:
+def _bitension(lat) -> list[BitensionResidual]:
     """:func:`bitension_residual` at every point of a lattice, each CMC
-    with the probe spread (mean, dev)."""
+    with its probe spread (see :func:`_cmc`)."""
     centre = lat.centre
     lap_h, dh = srf.SurfaceEvaluator.laplacian(
         lat, lat.column("stencil", "mean_h"))
@@ -162,13 +162,14 @@ def _bitension(lat, mean, dev) -> list[BitensionResidual]:
                       - (2.0 * h_val)[:, None] * ric_tangent)
     tangential = np.stack([geo.product(tangential_vec.T, f1.T),
                            geo.product(tangential_vec.T, f2.T)], axis=1)
+    mean, dev = _cmc(lat)
     return [BitensionResidual(n, t, d, m) for n, t, d, m in zip(
         normal_res.tolist(), tangential, dev.tolist(), mean.tolist())]
 
 
 def bitension_residual(patch: SurfacePatch, q) -> BitensionResidual:
     """Normal and tangential residuals of the biharmonicity system."""
-    return _bitension(*_cmc_lattice(patch, q))[0]
+    return _bitension(_cmc_lattice(patch, q))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,7 @@ def frame_system_residuals(patch: SurfacePatch, q) -> np.ndarray:
     Line 1 and the norm of (line 2, line 3) do not depend on the tangent
     pair: any rotated or reflected orthonormal pair gives them too.
     """
-    return _frame_system(_cmc_lattice(patch, q)[0])[:, 0]
+    return _frame_system(_cmc_lattice(patch, q))[:, 0]
 
 
 def normality_identity(patch: SurfacePatch, q) -> float:
@@ -262,8 +263,7 @@ def angle_system_scalars(gauss: float, r: float, grad_norm: float,
 
 def _grad_r_norm(grad_r, lam) -> list[float]:
     """|grad r| at each point, from the rows of grad r and lam."""
-    return [math.hypot(gx, gy) / scale for (gx, gy), scale in zip(
-        np.reshape(grad_r, (-1, 2)).tolist(), np.ravel(lam).tolist())]
+    return (_hypot(*np.reshape(grad_r, (-1, 2)).T) / np.ravel(lam)).tolist()
 
 
 def reduced_angle_system(patch: SurfacePatch, q) -> dict:
@@ -425,19 +425,18 @@ def _classify(lat) -> list[BranchReport]:
     angled = (np.array([report.branch == "b2" for report in reports])
               & ~(centre("sin_phi") < ANGLE_EPS)
               & ~(np.abs(centre("cos_phi")) < COS_EPS))
-    aphi = iter(_angle_shape(lat.take(angled)).tolist()
-                if angled.any() else ())
-    for report, r_sp, g_sp, angle in zip(reports, r_spread, g_spread, angled):
+    aphi = lat.over(angled, lambda sub: _angle_shape(sub).tolist())
+    for report, r_sp, g_sp, angle in zip(reports, r_spread, g_spread, aphi):
         if report.branch == "a":
             report.diagnostics.update(r_spread=r_sp, gauss_spread=g_sp)
             report.satisfied = bool(report.satisfied and r_sp <= RESIDUAL_TOL
                                     and g_sp <= RESIDUAL_TOL)
         elif report.branch == "b2":
-            report.diagnostics["aphi_residual"] = next(aphi) if angle else None
+            report.diagnostics["aphi_residual"] = angle
     return reports
 
 
 def classify_point(patch: SurfacePatch, q) -> BranchReport:
     """Classify a CMC surface point against the branches of the
     classification (see :func:`classify_scalars`)."""
-    return _classify(_cmc_lattice(patch, q)[0])[0]
+    return _classify(_cmc_lattice(patch, q))[0]

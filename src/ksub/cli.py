@@ -339,32 +339,31 @@ def _check(name, residual, tol, status) -> dict:
             "status": status or ("pass" if abs(residual) <= tol else "fail")}
 
 
+# The structure equations, which hold on any genuine surface, as residuals
+# over a lattice; the biharmonicity rows are verdicts, not integrity checks
+_INTEGRITY = {
+    "gauss": lambda sub: srf._gauss(sub).tolist(),
+    "codazzi": lambda sub: np.max(np.abs(srf._codazzi(sub)), axis=1).tolist(),
+    "compatibility": lambda sub: np.max(srf._compatibility(sub),
+                                        axis=1).tolist(),
+}
+
+
 def _surface_checks(lat, tol) -> list[list[dict]]:
     """The check rows of each point of a lattice: each residual is computed
     for all the points it applies to at once, and skipped at the others."""
-    def over(mask, compute) -> list:
-        # compute(sub-lattice) where mask is set, None elsewhere
-        values = iter(compute(lat.take(mask)) if mask.any() else ())
-        return [next(values) if m else None for m in mask]
-
     # adapted-frame checks are undefined where the vertical field is normal
     # to the surface, and stencil-bound ones where the point sits too close
     # to the patch edge
     framed = lat.centre("framed") & lat.reaches("stencil")
-    integrity = {
-        "gauss": over(framed, lambda sub: srf._gauss(sub).tolist()),
-        "codazzi": over(framed, lambda sub: np.max(
-            np.abs(srf._codazzi(sub)), axis=1).tolist()),
-        "compatibility": over(framed, lambda sub: np.max(
-            srf._compatibility(sub), axis=1).tolist()),
-    }
-    # the biharmonicity rows need the CMC probe's margin and a CMC point
-    spread = over(lat.reaches("probes"), lambda sub: zip(*bih._cmc(sub)))
-    cmc = np.array([s is not None and not s[1] > bih.CMC_TOL
-                    for s in spread])
-    mean, dev = np.reshape([s for s, c in zip(spread, cmc) if c], (-1, 2)).T
-    verdicts = over(cmc, lambda sub: zip(
-        bih._bitension(sub, mean, dev),
+    integrity = {name: lat.over(framed, residual)
+                 for name, residual in _INTEGRITY.items()}
+    # the biharmonicity rows need the CMC probe's margin (None reads False)
+    # and a CMC point (a nan spread passes)
+    cmc = np.array(lat.over(lat.reaches("probes"), lambda sub: (
+        ~(bih._cmc(sub)[1] > bih.CMC_TOL)).tolist()), dtype=bool)
+    verdicts = lat.over(cmc, lambda sub: zip(
+        bih._bitension(sub),
         np.max(np.abs(bih._frame_system(sub)), axis=0).tolist(),
         bih._classify(sub)))
     rows = []
@@ -401,18 +400,12 @@ def cmd_check_surface(args) -> int:
     # point where its batch fails)
     checked = [checks for lat in srf.lattices(patch, points)
                for checks in _surface_checks(lat, tol)]
-    records = []
-    rows = []
-    failed = False
-    # the structure equations must hold on any genuine surface; the
-    # biharmonicity rows express a verdict, not an integrity failure
-    integrity = {"gauss", "codazzi", "compatibility"}
+    records, rows = [], []
     for q, checks in zip(points, checked):
-        for chk in checks:
-            if chk["status"] == "fail" and chk["check"] in integrity:
-                failed = True
-            rows.append({"s_or_u": q[0], "v": q[1], **chk})
+        rows += [{"s_or_u": q[0], "v": q[1], **chk} for chk in checks]
         records.append({"u": q[0], "v": q[1], "checks": checks})
+    failed = any(chk["status"] == "fail" and chk["check"] in _INTEGRITY
+                 for checks in checked for chk in checks)
     payload = {"schema_version": SCHEMA_VERSION, "command": "check-surface",
                "metric": data.description, "tol": tol, "points": records}
     _emit(args, payload, rows)

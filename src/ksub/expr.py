@@ -337,6 +337,12 @@ def _each(func, value):
                     ).reshape(value.shape)[()]
 
 
+def _hypot(x, y) -> np.ndarray:
+    """``math.hypot`` of each pair of elements (see :func:`power`; numpy's
+    hypot, libm's, differs in the last bit at about 0.6 % of arguments)."""
+    return np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
+
+
 def _first_bad(flags, *values):
     """The values as floats at the first point whose flag is set, or None
     if no flag is set; a float value is its own first point."""

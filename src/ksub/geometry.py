@@ -445,8 +445,7 @@ def connection_oracle(data: KillingData, p) -> np.ndarray:
     def slopes(s):
         # d[c, a, b] = d s_ab / d x_c as (N, 3, 3, 3) rows; z-independent
         d = np.zeros((3, 3, 3, len(x)))
-        d[:2] = [numdiff._first(*np.moveaxis(s[:, :, 1 + 4 * c:5 + 4 * c], 2, 0),
-                                h) for c in range(2)]
+        d[:2] = numdiff._slopes(np.moveaxis(s, 2, 0), h)
         return rows(d)
 
     (g, dg), (eframe, dE) = ((rows(s[:, :, 0]), slopes(s)) for s in samples)
@@ -481,9 +480,8 @@ def frame_bracket_fd(data: KillingData, p, i: int, j: int) -> np.ndarray:
     """
     x, y, h, q = _oracle_stencil(data, p)
     e = frame(data, q).reshape(3, 3, 9, -1)
-    bracket = np.zeros((3, len(x)))
-    for c in range(2):  # z-derivatives vanish
-        de = numdiff._first(*np.moveaxis(e[:, :, 1 + 4 * c:5 + 4 * c], 2, 0), h)
+    bracket = np.zeros((3, len(x)))  # z-derivatives vanish
+    for c, de in enumerate(numdiff._slopes(np.moveaxis(e, 2, 0), h)):
         bracket = bracket + e[i, c, 0] * de[j] - e[j, c, 0] * de[i]
     return frame_components(data, (x, y), bracket)
 
@@ -560,10 +558,11 @@ def riemann_direct(data: KillingData, p, X, Y, Z, W):
 
     def second_cov(k, A, B, C):
         # D_A (D_B C) at p, where D_B C = B^i C^j gamma_ij^k varies
-        samples = [along(B, C, table) for table in tables[4 * k:4 * k + 4]]
-        deriv = numdiff._first(*samples, steps[k][:, None])
-        return deriv + np.einsum("ni,nm,nimk->nk", A, along(B, C, gamma),
-                                 gamma)
+        centre = along(B, C, gamma)
+        [deriv] = numdiff._slopes([centre] + [
+            along(B, C, table) for table in tables[4 * k:4 * k + 4]],
+            steps[k][:, None])
+        return deriv + np.einsum("ni,nm,nimk->nk", A, centre, gamma)
 
     curl = (second_cov(0, X, Y, Z) - second_cov(1, Y, X, Z)
             - along(bracket, Z, gamma))

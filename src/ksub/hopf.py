@@ -69,8 +69,8 @@ from .errors import (
     NotArcLengthError,
     OutsideDomainError,
 )
-from .expr import (Expr, Jet, _first_bad, at_point, batched, eval_jet, parse,
-                   power)
+from .expr import (Expr, Jet, _first_bad, _hypot, at_point, batched,
+                   eval_jet, parse, power)
 
 __all__ = [
     "BaseCurve",
@@ -205,16 +205,6 @@ class ReparamCurve:
 
 
 # ---------------------------------------------------------------------------
-# Batches
-# ---------------------------------------------------------------------------
-
-def _hypot(x, y):
-    """``math.hypot``, one element at a time (numpy's hypot, libm's,
-    differs from Python's in the last bit at about 0.6 % of arguments)."""
-    return np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
-
-
-# ---------------------------------------------------------------------------
 # Base charts
 # ---------------------------------------------------------------------------
 # Every chart method takes a point of floats or of coordinate arrays (a batch
@@ -346,17 +336,22 @@ class WarpedBase:
 # ---------------------------------------------------------------------------
 
 def circle_radius_for_kappa(c: float, kappa: float) -> float:
-    """Euclidean radius of the origin-centered circle with geodesic curvature
-    kappa (kappa > -inf, kappa^2 + c > 0 required when c != 0)."""
+    """Euclidean radius, finite and > 0, of the origin-centered circle with
+    geodesic curvature kappa (kappa^2 + c > 0 required when c != 0)."""
     if c == 0.0:
         if kappa <= 0.0:
             raise ValueError("flat chart circles need kappa > 0")
-        return 1.0 / kappa
-    disc = kappa * kappa + c
-    if disc <= 0.0:
-        raise ValueError(f"no circle with geodesic curvature {kappa} when "
-                         f"kappa^2 + c = {disc} <= 0")
-    return 2.0 * (math.sqrt(disc) - kappa) / c
+        radius = 1.0 / kappa
+    else:
+        disc = kappa * kappa + c
+        if disc <= 0.0:
+            raise ValueError(f"no circle with geodesic curvature {kappa} when "
+                             f"kappa^2 + c = {disc} <= 0")
+        radius = 2.0 * (math.sqrt(disc) - kappa) / c
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"geodesic curvature {kappa!r} gives no finite "
+                         f"positive circle radius in the BCV(c={c}) chart")
+    return radius
 
 
 def bcv_circle(c: float, radius: float | None = None,
@@ -843,17 +838,12 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
             "circle condition vanishes identically: every circle is a "
             "geodesic (minimal case), no isolated root")
 
-    roots: list[float] = []
-    for i in range(len(ts) - 1):
-        a, b = float(ts[i]), float(ts[i + 1])
-        ga, gb = gv[i], gv[i + 1]
-        if ga == 0.0:
-            roots.append(a)
-        elif ga * gb < 0.0:
-            roots.append(_brentq(
-                lambda t: _circle_condition(f, r, t)[1], a, b))
-    if gv[-1] == 0.0:
-        roots.append(float(ts[-1]))
+    # the exact zeros of the scan, then each sign-change bracket refined in
+    # scan order, so the first bracket that fails raises
+    signs = np.flatnonzero(gv[:-1] * gv[1:] < 0.0)
+    roots = ts[gv == 0.0].tolist() + [
+        _brentq(lambda t: _circle_condition(f, r, t)[1], a, b)
+        for a, b in zip(ts[signs].tolist(), ts[signs + 1].tolist())]
     if not roots:
         raise NoIsolatedRootError(
             "no sign change of the circle condition on the interval")

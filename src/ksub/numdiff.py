@@ -2,10 +2,11 @@
 
 Every difference quotient in the package is formed here from one stencil
 table: :func:`_abscissae` lists the points around p in a fixed order, and
-:func:`_quotients` forms the value, gradient and Hessian from a field's
-samples there. :func:`derivatives` samples the whole table once;
-:func:`partial1`, :func:`d1` and :func:`d2` sample the part they read, so a
-derivative is the same number on every path. No stencil nests in another.
+from a column of a field's samples there :func:`_slopes` forms the first
+derivatives, :func:`_quotients` the value, gradient and Hessian.
+:func:`derivatives` samples the whole table once; :func:`partial1`,
+:func:`d1` and :func:`d2` sample the part they read, so a derivative is the
+same number on every path. No stencil nests in another.
 ``f`` may return a float or a numpy array; the result has its shape. A
 coordinate may be an array of points: ``f`` then sees arrays, and each
 entry of the result is that point's own.
@@ -50,11 +51,23 @@ def _first(plus, minus, half_plus, half_minus, h: float):
                        (half_plus - half_minus) / (2.0 * (0.5 * h)))
 
 
+def _axes(samples) -> list:
+    """The :func:`_axis` samples of each coordinate in a column of samples
+    in table order (5 samples in one coordinate, 9 or 17 in two)."""
+    return [samples[1 + 4 * i:5 + 4 * i]
+            for i in range(1 if len(samples) == 5 else 2)]
+
+
+def _slopes(samples, h: float):
+    """The first derivative along each coordinate, stacked, from a column
+    of samples in table order (see :func:`_axes`)."""
+    return np.array([_first(*a, h) for a in _axes(samples)])
+
+
 def _quotients(samples, h: float):
     """(value, gradient, Hessian) from the samples at :func:`_abscissae`;
     the mixed entry is the cross quotient with the lower coordinate first."""
-    centre, n = samples[0], 1 if len(samples) == 5 else 2
-    axes = [samples[1 + 4 * i:5 + 4 * i] for i in range(n)]
+    centre, axes = samples[0], _axes(samples)
 
     def second(plus, minus, s):
         return (plus - 2.0 * centre + minus) / (s * s)
@@ -64,11 +77,11 @@ def _quotients(samples, h: float):
 
     hess = [[_richardson(second(*a[:2], h), second(*a[2:], 0.5 * h))
              for a in axes]]
-    if n == 2:
+    if len(axes) == 2:
         mixed = _richardson(cross(*samples[9:13], h),
                             cross(*samples[13:], 0.5 * h))
         hess = [[hess[0][0], mixed], [mixed, hess[0][1]]]
-    return centre, np.array([_first(*a, h) for a in axes]), np.array(hess)
+    return centre, _slopes(samples, h), np.array(hess)
 
 
 def derivatives(f, p, h: float):

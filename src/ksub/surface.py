@@ -28,13 +28,14 @@ Every point operation is array algebra over the columns of a lattice
 (:class:`_Lattice`: for each of its points the point, its 17 stencil points
 and its 5x5 probe lattice, built in one batch). A derivative is
 :func:`~ksub.numdiff._quotients` over a stencil column, with no callback;
-``check-surface`` computes each residual for all its points at once, and a
-module function at one point runs the same code on a lattice of one
-(:func:`point_lattice`). A lattice whose batch raises or yields a
-non-finite value builds its rows one at a time, group by group as the
-operations read them, so each error arises where its row is read. A record
-(:class:`_PointData`) is one row of its point's lattice, made when
-:meth:`SurfaceEvaluator.data` reads it.
+``check-surface`` computes each residual at once for the points it applies
+to (:meth:`_Lattice.over` a mask), and a module function at one point runs
+the same code on a lattice of one (:func:`point_lattice`, keyed by the
+point's bits). A lattice whose batch raises or yields a non-finite value
+builds its rows one at a time, group by group as the operations read them,
+so each error arises where its row is read. A record (:class:`_PointData`)
+is one row of its point's lattice, made when :meth:`SurfaceEvaluator.data`
+reads it; :meth:`_Lattice.require_frame` guards the adapted frame.
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step h = ``1e-3 * patch
@@ -60,7 +61,7 @@ from .errors import (
     FdMarginError,
     KsubError,
 )
-from .expr import Expr, _each, _finite, eval_jet, parse, power
+from .expr import Expr, _each, _finite, batched, eval_jet, parse, power
 from .numdiff import _abscissae, _quotients
 
 __all__ = [
@@ -98,14 +99,12 @@ class SurfacePatch:
             raise ValueError("immersion components disagree on parameters")
         # the patch owns the lattices of the points operated on; they refer
         # to it weakly, so a dropped patch frees them by reference count
-        self._lattices: dict[tuple[float, float], _Lattice] = {}
-        # a batch refuses a degenerate first form, so building the 5x5
-        # grid (one batch; point by point where it fails) checks the
-        # immersion's regularity; the rows are not kept
-        grid = self.domain.grid(5, 5, inset=0.02)
-        if _attempt(self, grid) is None:
-            for (u, v) in grid:
-                _build(self, np.array([u]), np.array([v]))
+        self._lattices: dict[tuple[str, str], _Lattice] = {}
+        # the 5x5 grid's batch refuses a degenerate first form (its first
+        # failing point reruns alone): a regularity check, its rows not kept
+        batched(lambda us, vs: np.linalg.det(
+            _build(self, us, vs)["first_form"]),
+            *map(np.array, zip(*self.domain.grid(5, 5, inset=0.02))))
 
     def evaluator(self) -> "SurfaceEvaluator":
         return SurfaceEvaluator(self)
@@ -381,6 +380,12 @@ class _Lattice:
         sub._columns, sub._record = {}, None
         return sub
 
+    def over(self, mask, compute) -> list:
+        """``compute`` of the lattice of the points where ``mask`` is set,
+        one value per such point, and None at the other points."""
+        values = iter(compute(self.take(mask)) if mask.any() else ())
+        return [next(values) if m else None for m in mask]
+
     def _rows(self, group: str) -> np.ndarray:
         """Row indices of a group; its missing rows are built one at a
         time, in order, and kept only if none raises."""
@@ -443,10 +448,11 @@ def lattices(patch: SurfacePatch, qs) -> list[_Lattice]:
 
 
 def point_lattice(patch: SurfacePatch, q) -> _Lattice:
-    """The lattice of one parameter point, built once per point and
-    patch."""
-    return geo.memo(patch._lattices, (float(q[0]), float(q[1])),
-                    lambda u, v: lattices(patch, [(u, v)])[0])
+    """The lattice of one parameter point, built once per point and patch;
+    points are told apart by their bits, so -0.0 is not 0.0."""
+    u, v = float(q[0]), float(q[1])
+    return geo.memo(patch._lattices, (u.hex(), v.hex()),
+                    lambda *_: lattices(patch, [(u, v)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +514,6 @@ class SurfaceEvaluator:
     # the record, read for its Weingarten half (shape operator, mean
     # curvature, |A|^2), which every record carries
     weingarten = data
-
-    def adapted(self, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
-        d = self.data(u, v)
-        if d.e1 is None:
-            raise _no_frame(d.sin_phi, u, v)
-        return d.e1, d.e2
 
     @staticmethod
     def laplacian(lat: _Lattice, samples) -> tuple[np.ndarray, np.ndarray]:

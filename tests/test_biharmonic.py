@@ -117,8 +117,10 @@ class TestFrameSystem:
     def test_adapted_basis_agrees_on_invariants(self):
         patch, q = biharmonic_cylinder()
         ortho = bih.frame_system_residuals(patch, q)
-        ev = patch.evaluator()
-        adapted = system_lines(ev.weingarten(*q), *ev.adapted(*q))
+        lat = srf.point_lattice(patch, q)
+        lat.require_frame()
+        d = lat.record()
+        adapted = system_lines(d, d.e1, d.e2)
         assert ortho[0] == pytest.approx(adapted[0], abs=1e-12)
         assert np.hypot(ortho[1], ortho[2]) == pytest.approx(
             np.hypot(adapted[1], adapted[2]), abs=1e-12)

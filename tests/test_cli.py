@@ -817,6 +817,11 @@ class TestErrorPathCorpus:
             ["--lambda", "1", "--surface=u;u;v"], 0, "",
             "a3ad9ac1af88e012eea92d16e128d72b"
             "026b257d99ae80edfff1ab1d53e6c667"),
+        # the regularity grid's batch lets the RecursionError through
+        "deep-graph": (
+            ["--lambda", "1", "--graph=" + "+".join(["x"] * 3000)],
+            2, "error: expression nested too deeply: maximum recursion "
+               "depth exceeded\n", EMPTY_SHA256),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -850,6 +855,26 @@ class TestErrorPathCorpus:
              "--format", "csv"], 0, "",
             "e4e4dae62f5bd4f2f7de2ad256e091de"
             "fdbf4f2a8f4af93e1807cf90f94b5fff"),
+        "example-six-roots": (
+            ["example", "--f=1+0.5*sin(3*t)", "--r", "0.1",
+             "--interval", "0.1", "6"], 0, "",
+            "e16e60f44e4647613b4921cf0efdd8bf"
+            "e3d7b423cf11746b8840383094409605"),
+        # a curvature whose circle has no finite positive radius names the
+        # curvature and the chart, not a radius that was never given
+        "circle-kg-radius-overflows": (
+            ["check", "--bcv", "1", "0", "--circle-kg", "1e308"],
+            2, "error: geodesic curvature 1e+308 gives no finite positive "
+               "circle radius in the BCV(c=1.0) chart\n", EMPTY_SHA256),
+        "circle-kg-subnormal-flat": (
+            ["check", "--bcv", "0", "0", "--circle-kg", "1e-320"],
+            2, "error: geodesic curvature 1e-320 gives no finite positive "
+               "circle radius in the BCV(c=0.0) chart\n", EMPTY_SHA256),
+        "circle-kg-radius-underflows": (
+            ["check", "--bcv", "-1", "0", "--circle-kg", "1e10"],
+            2, "error: geodesic curvature 10000000000.0 gives no finite "
+               "positive circle radius in the BCV(c=-1.0) chart\n",
+            EMPTY_SHA256),
     }
 
     @pytest.mark.parametrize("case", sorted(HOPF_CASES))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ksub
+from ksub import surface as srf
 
 from ksub.errors import (
     ArityMismatchError,
@@ -476,6 +477,46 @@ class TestBatch:
         assert [ast.unparse(node) for node in ast.walk(ast.parse(source))
                 if isinstance(node, ast.Call)
                 and ast.unparse(node.func).split(".")[-1] in callers] == []
+
+
+class TestOneOwnerPerBatchRule:
+    # each batch rule is decided in the one module that owns it: numdiff
+    # forms the stencil slopes, expr the elementwise hypot and the search
+    # for a failing batch's first point, surface the masked lattice compute
+    @staticmethod
+    def owners(test) -> dict[str, list[str]]:
+        found = {}
+        for path in sorted(Path(ksub.__file__).parent.glob("*.py")):
+            for scope in _scopes_where(ast.parse(path.read_text()), test):
+                found.setdefault(path.stem, []).append(scope)
+        return found
+
+    @staticmethod
+    def calls(name: str):
+        return lambda node: (isinstance(node, ast.Call)
+                             and ast.unparse(node.func).split(".")[-1] == name)
+
+    def test_only_numdiff_forms_first_derivatives(self):
+        assert set(self.owners(self.calls("_first"))) == {"numdiff"}
+
+    def test_only_expr_calls_hypot(self):
+        assert set(self.owners(
+            lambda node: isinstance(node, ast.Attribute)
+            and ast.unparse(node) == "math.hypot")) == {"expr"}
+
+    def test_only_surface_takes_a_sub_lattice(self):
+        # a lattice's take, not numpy's
+        assert set(self.owners(
+            lambda node: self.calls("take")(node)
+            and ast.unparse(node.func.value) != "np")) == {"surface"}
+
+    def test_only_the_lattice_prefetch_attempts_a_batch(self):
+        # a regularity grid finds its first failing point through batched
+        assert self.owners(self.calls("_attempt")) \
+            == {"surface": ["_Lattice._prefetch"]}
+
+    def test_the_lattice_alone_guards_the_adapted_frame(self):
+        assert not hasattr(srf.SurfaceEvaluator, "adapted")
 
 
 def _callback_stencils(module: str) -> list[str]:

@@ -97,7 +97,7 @@ class TestAnalyzePoint:
         np.testing.assert_allclose(d.shape_ortho, np.zeros((2, 2)), atol=1e-12)
         assert d.e1 is None
         with pytest.raises(AngleSingularError):
-            patch.evaluator().adapted(0.0, 0.0)
+            srf.point_lattice(patch, (0.0, 0.0)).require_frame()
 
     def test_normal_unit_and_orthogonal(self):
         d = srf.analyze_point(heis_graph(), (0.1, -0.2))
@@ -143,7 +143,8 @@ class TestAdaptedFrame:
             d = srf.analyze_point(patch, q)
             if d.e1 is None:
                 continue
-            e1, e2 = patch.evaluator().adapted(*q)
+            srf.point_lattice(patch, q).require_frame()
+            e1, e2 = d.e1, d.e2
             assert e1 @ e1 == pytest.approx(1.0, abs=1e-10)
             assert e2 @ e2 == pytest.approx(1.0, abs=1e-10)
             assert e1 @ e2 == pytest.approx(0.0, abs=1e-10)
@@ -529,6 +530,22 @@ class TestCaches:
         assert d is ev.data(0.1, -0.1)
         assert d is srf.analyze_point(ev.patch, (0.1, -0.1))
 
+    def test_point_lattices_tell_minus_zero_apart(self):
+        # keyed by the coordinates' bits, as base_jets is: the lattice of
+        # (0.0, 0.25) does not serve (-0.0, 0.25)
+        def patch():
+            return srf.SurfacePatch(parse("u", PV), parse("v", PV),
+                                    parse("0.3*u+0.2*v", PV),
+                                    geo.Rect(-0.5, 0.5, -0.5, 0.5),
+                                    geo.bcv(0.0, 0.5))
+
+        fresh = srf.analyze_point(patch(), (-0.0, 0.25)).point
+        assert repr(fresh) == "(-0.0, 0.25, 0.05)"
+        used = patch()
+        assert srf.analyze_point(used, (0.0, 0.25)).point == fresh
+        assert repr(srf.analyze_point(used, (-0.0, 0.25)).point) \
+            == repr(fresh)
+
     def test_stores_stay_within_limit(self, monkeypatch):
         def residuals():
             data = geo.bcv(0.0, 0.5)
@@ -804,13 +821,10 @@ class TestBatchedLattice:
             }
             # the biharmonicity residuals at the CMC points, as check-surface
             # computes them; the others raise at a single point
-            mean, dev = bih._cmc(lat)
-            cmc = ~(dev > bih.CMC_TOL)
-            bitension = (bih._bitension(lat.take(cmc), mean[cmc], dev[cmc])
-                         if cmc.any() else [])
-            branches = bih._classify(lat.take(cmc)) if cmc.any() else []
-            lines = bih._frame_system(lat.take(cmc)).T if cmc.any() else []
-            rank = np.cumsum(cmc) - 1
+            cmc = ~(bih._cmc(lat)[1] > bih.CMC_TOL)
+            bitension = lat.over(cmc, bih._bitension)
+            branches = lat.over(cmc, bih._classify)
+            lines = lat.over(cmc, lambda sub: bih._frame_system(sub).T)
             for n, q in enumerate(qs):
                 points = {
                     "gauss": srf.gauss_residual(patch, q),
@@ -826,18 +840,17 @@ class TestBatchedLattice:
                         with pytest.raises(NotCMCError):
                             function(patch, q)
                     continue
-                k = rank[n]
-                assert hexes(lines[k]) == hexes(
+                assert hexes(lines[n]) == hexes(
                     bih.frame_system_residuals(patch, q))
                 one = bih.bitension_residual(patch, q)
-                assert hexes([bitension[k].normal, bitension[k].cmc_deviation,
-                              bitension[k].mean_h, *bitension[k].tangential]) \
+                assert hexes([bitension[n].normal, bitension[n].cmc_deviation,
+                              bitension[n].mean_h, *bitension[n].tangential]) \
                     == hexes([one.normal, one.cmc_deviation, one.mean_h,
                               *one.tangential])
                 branch = bih.classify_point(patch, q)
-                assert (branches[k].branch, branches[k].satisfied) \
+                assert (branches[n].branch, branches[n].satisfied) \
                     == (branch.branch, branch.satisfied)
-                assert repr(branches[k].diagnostics) \
+                assert repr(branches[n].diagnostics) \
                     == repr(branch.diagnostics)
 
     # a cylinder of radius 0.8 whose ruling at u = pi/2 lies just beyond the
