@@ -97,7 +97,6 @@ class BranchReport:
     branch: str                  # a | b1 | b2 | none | contradiction-propRconst
     satisfied: bool
     diagnostics: dict = field(default_factory=dict)
-    note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +120,20 @@ def cmc_probe(patch: SurfacePatch, q):
     return float(mean[0]), float(dev[0])
 
 
+def _cmc_mask(lat) -> np.ndarray:
+    """The CMC gate at each point of a lattice: its mean-curvature spread is
+    at most CMC_TOL. A nan spread passes."""
+    return ~(_cmc(lat)[1] > CMC_TOL)
+
+
 def _cmc_lattice(patch: SurfacePatch, q):
     """The lattice of q, once the CMC gate passes at q."""
     lat = srf.point_lattice(patch, q)
-    dev = _cmc(lat)[1]
-    # a nan spread passes, as a nan passes every comparison below
-    if dev[0] > CMC_TOL:
+    if not _cmc_mask(lat)[0]:
         raise NotCMCError(
-            f"mean curvature varies by {dev[0]:.3e} (> {CMC_TOL:.1e}) around "
-            f"parameters {tuple(q)}; the CMC residual systems do not apply")
+            f"mean curvature varies by {_cmc(lat)[1][0]:.3e} "
+            f"(> {CMC_TOL:.1e}) around parameters {tuple(q)}; the CMC "
+            "residual systems do not apply")
     return lat
 
 
@@ -363,42 +367,38 @@ def classify_scalars(cos_phi: float, grad_norm: float, gauss: float,
     diff = 4.0 * r * r - gauss
 
     if sin_phi < ANGLE_EPS:
-        return BranchReport(
-            "none", False,
-            {"sin_phi": sin_phi},
-            "vertical field normal to the surface: rejected (a proper "
-            "biharmonic CMC surface cannot have phi = 0)")
+        # vertical field normal to the surface: rejected (a proper
+        # biharmonic CMC surface cannot have phi = 0)
+        return BranchReport("none", False, {"sin_phi": sin_phi})
 
     if abs(cos_phi) < ANGLE_EPS:
+        # Hopf-cylinder regime: needs r, G constant along the surface and
+        # H^2 = G - 4 r^2
         hopf_residual = abs(mean_h * mean_h - (gauss - 4.0 * r * r))
         return BranchReport(
             "a", hopf_residual <= RESIDUAL_TOL,
             {"hopf_criterion_residual": hopf_residual,
-             "admissible_h_sq": gauss - 4.0 * r * r},
-            "Hopf-cylinder regime: needs r, G constant along the surface "
-            "and H^2 = G - 4 r^2")
+             "admissible_h_sq": gauss - 4.0 * r * r})
 
     if abs(diff) <= DEGENERATE_TOL and grad_norm > GRAD_ZERO_TOL:
+        # 4 r^2 = G with grad r != 0: no proper biharmonic CMC surface
         return BranchReport(
             "contradiction-propRconst", False,
-            {"gauss_bundle_diff": diff, "grad_r_norm": grad_norm},
-            "4 r^2 = G with grad r != 0: no proper biharmonic CMC surface")
+            {"gauss_bundle_diff": diff, "grad_r_norm": grad_norm})
 
     if grad_norm <= GRAD_ZERO_TOL:
         sphere_residual = abs(norm_sq - 2.0 * r * r)
+        diagnostics = {"sphere_condition_residual": sphere_residual,
+                       "gauss_bundle_diff": diff}
         if abs(diff) > RESIDUAL_TOL:
-            return BranchReport(
-                "b1", False,
-                {"sphere_condition_residual": sphere_residual,
-                 "gauss_bundle_diff": diff},
-                "constant r with G != 4 r^2 forces a vertical normal and a "
-                "minimal surface: not proper")
-        return BranchReport(
-            "b1", sphere_residual <= RESIDUAL_TOL,
-            {"sphere_condition_residual": sphere_residual,
-             "gauss_bundle_diff": diff},
-            "constant-r branch: algebraic signature |A|^2 = 2 r^2")
+            # constant r with G != 4 r^2 forces a vertical normal and a
+            # minimal surface: not proper
+            return BranchReport("b1", False, diagnostics)
+        # constant-r branch: algebraic signature |A|^2 = 2 r^2
+        return BranchReport("b1", sphere_residual <= RESIDUAL_TOL,
+                            diagnostics)
 
+    # variable-r branch: angle pinned by tan(2 phi)
     scal = angle_system_scalars(gauss, r, grad_norm, phi, norm_sq)
     tan2 = scal["tan2phi_residual"]
     satisfied = (abs(tan2) <= RESIDUAL_TOL
@@ -407,8 +407,7 @@ def classify_scalars(cos_phi: float, grad_norm: float, gauss: float,
         "b2", satisfied,
         {"tan2phi_residual": tan2,
          "norm_residual": scal["norm_residual"],
-         "res1": scal["res1"], "res2": scal["res2"]},
-        "variable-r branch: angle pinned by tan(2 phi)")
+         "res1": scal["res1"], "res2": scal["res2"]})
 
 
 def _classify(lat) -> list[BranchReport]:
@@ -422,9 +421,9 @@ def _classify(lat) -> list[BranchReport]:
     # lattice; branch b2: the angle-shape identity where tan(phi) is defined
     r_spread = np.ptp(lat.column("probes", "r"), axis=1).tolist()
     g_spread = np.ptp(lat.column("probes", "gauss_base"), axis=1).tolist()
-    angled = (np.array([report.branch == "b2" for report in reports])
-              & ~(centre("sin_phi") < ANGLE_EPS)
-              & ~(np.abs(centre("cos_phi")) < COS_EPS))
+    # b2 implies sin_phi >= ANGLE_EPS (the same float operations as
+    # _build's) and |cos_phi| >= ANGLE_EPS > COS_EPS, so tan(phi) is defined
+    angled = np.array([report.branch == "b2" for report in reports])
     aphi = lat.over(angled, lambda sub: _angle_shape(sub).tolist())
     for report, r_sp, g_sp, angle in zip(reports, r_spread, g_spread, aphi):
         if report.branch == "a":

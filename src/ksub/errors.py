@@ -5,6 +5,10 @@ class KsubError(Exception):
     """Base class for all errors raised by this package."""
 
 
+# the input or arithmetic errors of a failing point, which a batch bisects
+POINT_FAILURES = (ArithmeticError, ValueError, KsubError)
+
+
 class ExprSyntaxError(KsubError):
     """Malformed expression text; carries the 0-based offset of the problem."""
 

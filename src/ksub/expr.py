@@ -48,7 +48,7 @@ from .errors import (
     ArityMismatchError,
     DomainEvalError,
     ExprSyntaxError,
-    KsubError,
+    POINT_FAILURES,
     UndeclaredVariableError,
 )
 
@@ -369,7 +369,7 @@ def batched(fn, *coords):
     try:
         with np.errstate(all="ignore"):
             out = fn(*coords)
-    except (ArithmeticError, ValueError, KsubError):
+    except POINT_FAILURES:
         lo, hi = 0, len(coords[0]) if coords else 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -377,7 +377,7 @@ def batched(fn, *coords):
                 with np.errstate(all="ignore"):
                     fn(*(c[lo:mid] for c in coords))
                 lo = mid
-            except (ArithmeticError, ValueError, KsubError):
+            except POINT_FAILURES:
                 hi = mid
         fn(*(c[lo:hi] for c in coords))
         raise

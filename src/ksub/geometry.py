@@ -24,6 +24,8 @@ respect to it, so inner products are plain dot products. Every closed form
 here has a finite-difference oracle that derives it from metric evaluations
 only. The oracles run a batch of points; a point of floats is a batch of one
 (:func:`ksub.expr.pointwise`), and the closed forms take it as numpy floats.
+The jets of (lam, a, b) are memoised per batch, keyed by its coordinates'
+bytes, and a batch is evaluated as given (:meth:`KillingData.base_jets`).
 """
 
 from __future__ import annotations
@@ -186,32 +188,15 @@ class KillingData:
         arrays: value (N,), gradient (2, N), Hessian (2, 2, N); a point of
         floats is a batch of one (see :func:`ksub.expr.at_point`).
 
-        A batch is memoised by the bytes of its coordinates. A batch that
-        repeats points (the records of a surface share base points, and a
-        vertical cylinder's whole ruling sits over one) evaluates its
-        distinct points as one batch, itself memoised, and gathers them.
+        A batch is memoised by the bytes of its coordinates and evaluated as
+        given: a point that a batch repeats (a vertical cylinder's ruling
+        sits over one) is evaluated at each place, with the same bits.
         """
         return at_point(self._batch_jets, x, y)
 
     def _batch_jets(self, x, y) -> tuple[Jet, Jet, Jet]:
         return memo(self._jets, (x.tobytes(), y.tobytes()),
-                    lambda *_: self._distinct_jets(x, y))
-
-    def _distinct_jets(self, x: np.ndarray, y: np.ndarray
-                       ) -> tuple[Jet, Jet, Jet]:
-        # points are told apart by their bits, so -0.0 is not 0.0
-        x, y = (np.asarray(c, dtype=float) for c in (x, y))
-        bits = list(zip(x.view(np.int64).tolist(), y.view(np.int64).tolist()))
-        slot = dict.fromkeys(bits)
-        if len(slot) == len(bits):
-            return self._eval_base_jets(x, y)
-        for n, key in enumerate(slot):  # in order of first appearance
-            slot[key] = n
-        inverse = [slot[key] for key in bits]
-        distinct = np.array(list(slot)).view(float).T.copy()
-        return tuple(Jet(*(np.take(part, inverse, axis=-1)
-                           for part in (jet.value, jet.grad, jet.hess)))
-                     for jet in self.base_jets(*distinct))
+                    lambda *_: self._eval_base_jets(x, y))
 
     def _eval_base_jets(self, x, y) -> tuple[Jet, Jet, Jet]:
         return tuple(eval_jet(e, (x, y)) for e in (self.lam, self.a, self.b))

@@ -531,19 +531,14 @@ class HopfVerdict:
 
 @dataclass
 class HopfReport:
-    """Sampled data and residuals of the cylinder biharmonicity systems."""
+    """The samples with kappa and tau at each, the residuals of the
+    constant-curvature system, their cross-check and the verdict."""
 
     s: np.ndarray
     kappa: np.ndarray
-    kappa_d1: np.ndarray
-    kappa_d2: np.ndarray
     tau: np.ndarray
-    r: np.ndarray
-    gauss: np.ndarray
-    r_dot: np.ndarray
-    residuals: np.ndarray          # (n, 3): the constant-curvature system
-    general_residuals: np.ndarray  # (n, 3): torsion/Ricci form, cross-check
-    crosscheck: float              # max aligned deviation between the systems
+    residuals: np.ndarray  # (n, 3): the constant-curvature system
+    crosscheck: float      # max aligned deviation from the torsion/Ricci form
     verdict: HopfVerdict
 
 
@@ -586,8 +581,8 @@ class _Sampled:
 
 
 def _sweep(curve, base, h: float, s):
-    """kappa, kappa', kappa'', tau, r, G, r' and the residuals of both
-    systems at an array of samples s, in the order of one sample's steps."""
+    """kappa, tau, r, G and the residuals of both systems at an array of
+    samples s, in the order of one sample's steps."""
     jx, jy = jets = curve.point_jets(s)
     p = (jx.value, jy.value)
     bad = _first_bad(np.logical_not(base.contains(p)), s, *p)
@@ -611,7 +606,7 @@ def _sweep(curve, base, h: float, s):
     rd = xp * grad_r[0] + yp * grad_r[1]
     t = -r
     ric_nn, ric_n1, ric_n2 = base.ricci_values(p, xp, yp, r, grad_r, g)
-    return (k, k1, k2, t, r, g, rd,
+    return (k, t, r, g,
             k2 - power(k, 3) + (g - 4.0 * r * r) * k,
             k * k1,
             r * k1 + rd * k,
@@ -646,7 +641,7 @@ def hopf_residuals(curve, base, n_samples: int = 64,
             f"arc-length interval of length {span:.3e} is shorter than the "
             f"{6.0 * h:.3e} the geodesic-curvature stencil needs")
     samples = np.linspace(s0 + 3.0 * h, s1 - 3.0 * h, n_samples)
-    kap, kd1, kd2, tau, rr, gg, rdot, *systems = batched(
+    kap, tau, rr, gg, *systems = batched(
         functools.partial(_sweep, curve, base, h), samples)
     res = np.stack(systems[:3], axis=-1)
     gres = np.stack(systems[3:], axis=-1)
@@ -656,8 +651,7 @@ def hopf_residuals(curve, base, n_samples: int = 64,
                                  gres[:, 1] - 3.0 * res[:, 1],
                                  gres[:, 2] + res[:, 2]]), initial=0.0))
     verdict = _verdict_from_samples(kap, rr, gg, const_tol, crit_tol)
-    return HopfReport(samples, kap, kd1, kd2, tau, rr, gg, rdot,
-                      res, gres, cross, verdict)
+    return HopfReport(samples, kap, tau, res, cross, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ One builder, :func:`_build`, computes every field at a batch of parameter
 points: the immersion half (jets of x, y, z, tangents, first form, normal,
 the angle and the vertical tangent), the ambient half at the image point
 (lam, r, its gradient, G and the connection table, from one batch of jets
-of (lam, a, b) at the distinct image points), the Christoffels, the adapted
+of (lam, a, b) at the image points), the Christoffels, the adapted
 frame, the Weingarten half (shape operator, mean curvature, |A|^2) and the
 (du, dv) coefficients of the vertical tangent, of e1, e2 and of the shape
 operator. A batch agrees with its points bit for bit.
@@ -59,7 +59,7 @@ from .errors import (
     AngleSingularError,
     DegenerateImmersionError,
     FdMarginError,
-    KsubError,
+    POINT_FAILURES,
 )
 from .expr import Expr, _each, _finite, batched, eval_jet, parse, power
 from .numdiff import _abscissae, _quotients
@@ -290,7 +290,7 @@ def _attempt(patch: SurfacePatch, keys) -> dict | None:
     try:
         with np.errstate(all="ignore"):
             fields = _build(patch, us, vs)
-    except (ArithmeticError, ValueError, KsubError, RecursionError):
+    except POINT_FAILURES:
         return None
     return fields if _finite(tuple(fields.values())) else None
 

@@ -3,6 +3,10 @@ checkout, so that two checkouts compare with ``diff``::
 
     python tests/byte_probe.py CHECKOUT [--seeds 1 7] > probe.txt
 
+With ``--header`` it first prints ``#`` lines naming the seeds, the Python,
+numpy and C library versions, and the command that writes the committed
+corpus ``byte_corpus.txt`` (seed 1), which ``test_byte_corpus.py`` replays.
+
 A command's line is ``label exit-code sha256(stdout) sha256(stderr)``; a
 ``verify/`` line holds the status, the ``float.hex`` residual and the
 location of one report of ``verify.run_checks()``. The corpus is
@@ -33,6 +37,19 @@ import sys
 from pathlib import Path
 
 RUN_SECONDS = 20  # the run length of BENCHMARK.json, so the ops are its ops
+REGENERATE = ("python tests/byte_probe.py . --seeds 1 --header "
+              "> tests/byte_corpus.txt")
+
+
+def versions() -> str:
+    """The versions whose libm and numpy kernels fix the last bits."""
+    import platform
+
+    import numpy
+
+    libc, libc_version = platform.libc_ver()
+    return (f"python {platform.python_version()} numpy {numpy.__version__} "
+            f"{libc or 'libc'} {libc_version or 'unknown'}")
 
 
 def _sha(text: str) -> str:
@@ -100,10 +117,16 @@ def _workload_commands(seeds) -> list[tuple[str, list[str]]]:
     return commands
 
 
-def _child(seeds) -> None:
+def _child(seeds, header=False) -> None:
     from ksub import verify
     from ksub.cli import main
 
+    if header:
+        print(f"# byte_probe.py at seeds {' '.join(map(str, seeds))}: label, "
+              "exit code, sha256 of stdout and of stderr per command; status, "
+              "float.hex residual and location per verify check")
+        print(f"# versions: {versions()}")
+        print(f"# regenerate: {REGENERATE}", flush=True)
     for label, argv in (_workload_commands(seeds) + _corpus_commands()
                         + _edge_commands()):
         out, err = io.StringIO(), io.StringIO()
@@ -126,6 +149,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
+    parser.add_argument("--header", action="store_true",
+                        help="print the seeds, versions and regenerating "
+                             "command as # lines first")
     args = parser.parse_args(argv)
     root = args.checkout.resolve()
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -133,7 +159,8 @@ def main(argv=None) -> int:
            "PYTHONPATH": os.pathsep.join([str(root / "src"),
                                           str(root / "perfbench")])}
     code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-            f"import byte_probe; byte_probe._child({args.seeds!r})")
+            "import byte_probe; "
+            f"byte_probe._child({args.seeds!r}, {args.header})")
     return subprocess.run([sys.executable, "-c", code], env=env,
                           preexec_fn=_cap).returncode
 

@@ -1107,10 +1107,11 @@ class TestWorkingSet:
     # calls per (op, points): info evaluates its grid as one batch, hopf
     # its 64 samples (r) as one batch and its stencil (base jets) as two,
     # the centre column of 64 and the 4 off-centre columns of 64 together,
-    # check-surface the distinct base points of its regularity grid and of
-    # its lattice as one batch each
+    # check-surface the base points of its 25 regularity-grid points and of
+    # its 164 lattice rows as one batch each, a cylinder's repeated base
+    # points included
     CALLS = {("info", 144): 1, ("hopf", 64): 1, ("hopf", 320): 2,
-             ("check-surface", 23): 2}
+             ("check-surface", 189): 2}
 
     @staticmethod
     def _points(p):
@@ -1134,12 +1135,13 @@ class TestWorkingSet:
         assert len(seen) == self.CALLS[op, points]
 
     @pytest.mark.parametrize("op, points", [("info", 144), ("hopf", 320),
-                                            ("check-surface", 23)])
+                                            ("check-surface", 189)])
     def test_base_jets_evaluated_once_per_point(self, op, points, monkeypatch,
                                                 capsys):
         # grad r is read from the point's own jets, so no base point is
         # evaluated only to feed a difference stencil; r and G share the
-        # batch of info
+        # batch of info; a batch is evaluated as given, so check-surface
+        # counts its rows, not its distinct base points
         seen = []
         original = geo.KillingData._eval_base_jets
 

@@ -1,4 +1,7 @@
 import ast
+import dataclasses
+import functools
+import importlib
 import math
 from pathlib import Path
 
@@ -517,6 +520,38 @@ class TestOneOwnerPerBatchRule:
 
     def test_the_lattice_alone_guards_the_adapted_frame(self):
         assert not hasattr(srf.SurfaceEvaluator, "adapted")
+
+    def test_a_points_failures_are_named_once(self):
+        # the exceptions that make a point of a batch fail are one tuple,
+        # errors.POINT_FAILURES, which expr.batched and surface._attempt read
+        assert self.owners(
+            lambda node: isinstance(node, ast.Tuple)
+            and {"ArithmeticError", "ValueError"}
+            <= {ast.unparse(elt) for elt in node.elts}) == {"errors": [""]}
+
+
+class TestResultFields:
+    @staticmethod
+    @functools.cache
+    def read() -> frozenset:
+        """The attributes read anywhere in the package or its tests."""
+        return frozenset(
+            node.attr for path in [*Path(ksub.__file__).parent.glob("*.py"),
+                                   *Path(__file__).parent.glob("*.py")]
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load))
+
+    @pytest.mark.parametrize("result", [
+        "hopf.HopfReport", "hopf.HopfVerdict", "hopf.RotationalCase",
+        "biharmonic.BranchReport", "biharmonic.BitensionResidual",
+        "verify.CheckReport"])
+    def test_every_field_has_a_reader(self, result):
+        # a field nothing reads is computed and carried for nothing
+        module, name = result.split(".")
+        cls = getattr(importlib.import_module(f"ksub.{module}"), name)
+        assert [field.name for field in dataclasses.fields(cls)
+                if field.name not in self.read()] == []
 
 
 def _callback_stencils(module: str) -> list[str]:

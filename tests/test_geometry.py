@@ -130,8 +130,8 @@ class TestBatchedScalars:
         assert same_bytes(frame, geo.frame(
             data, tuple(np.array([c]) for c in point))[..., 0])
 
-    def test_repeated_points_are_evaluated_once_and_gathered(self,
-                                                             monkeypatch):
+    def test_repeated_points_are_evaluated_where_they_stand(self,
+                                                            monkeypatch):
         data = make_data("1+x^2", "x", "-y")
         seen = []
         original = geo.KillingData._eval_base_jets
@@ -144,8 +144,10 @@ class TestBatchedScalars:
         xs = np.array([0.5, -0.0, 0.5, 0.0, -0.0])
         ys = np.array([0.25, 0.0, 0.25, -0.0, 0.0])
         jets = data.base_jets(xs, ys)
-        # 0.5, -0.0 and 0.0 (told apart by their bits) in one batch
-        assert seen == [3]
+        # the batch as given, repeats included; its bytes key the memo
+        assert seen == [5]
+        assert data.base_jets(xs.copy(), ys.copy()) is jets
+        assert seen == [5]
         for n, point in enumerate(zip(xs.tolist(), ys.tolist())):
             for jet, e in zip(jets, (data.lam, data.a, data.b)):
                 one = eval_jet(e, point)
