@@ -120,20 +120,20 @@ def cmc_probe(patch: SurfacePatch, q):
     return float(mean[0]), float(dev[0])
 
 
-def _cmc_mask(lat) -> np.ndarray:
-    """The CMC gate at each point of a lattice: its mean-curvature spread is
-    at most CMC_TOL. A nan spread passes."""
-    return ~(_cmc(lat)[1] > CMC_TOL)
+def _cmc_mask(dev) -> np.ndarray:
+    """The CMC gate on a lattice's mean-curvature spreads ``_cmc(lat)[1]``:
+    each is at most CMC_TOL. A nan spread passes."""
+    return ~(dev > CMC_TOL)
 
 
 def _cmc_lattice(patch: SurfacePatch, q):
     """The lattice of q, once the CMC gate passes at q."""
     lat = srf.point_lattice(patch, q)
-    if not _cmc_mask(lat)[0]:
+    dev = _cmc(lat)[1]
+    if not _cmc_mask(dev)[0]:
         raise NotCMCError(
-            f"mean curvature varies by {_cmc(lat)[1][0]:.3e} "
-            f"(> {CMC_TOL:.1e}) around parameters {tuple(q)}; the CMC "
-            "residual systems do not apply")
+            f"mean curvature varies by {dev[0]:.3e} (> {CMC_TOL:.1e}) around "
+            f"parameters {tuple(q)}; the CMC residual systems do not apply")
     return lat
 
 

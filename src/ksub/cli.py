@@ -361,7 +361,7 @@ def _surface_checks(lat, tol) -> list[list[dict]]:
     # the biharmonicity rows need the CMC probe's margin (None reads False)
     # and a CMC point (a nan spread passes)
     cmc = np.array(lat.over(lat.reaches("probes"), lambda sub: (
-        bih._cmc_mask(sub).tolist())), dtype=bool)
+        bih._cmc_mask(bih._cmc(sub)[1]).tolist())), dtype=bool)
     verdicts = lat.over(cmc, lambda sub: zip(
         bih._bitension(sub),
         np.max(np.abs(bih._frame_system(sub)), axis=0).tolist(),

@@ -3,9 +3,9 @@ checkout, so that two checkouts compare with ``diff``::
 
     python tests/byte_probe.py CHECKOUT [--seeds 1 7] > probe.txt
 
-With ``--header`` it first prints ``#`` lines naming the seeds, the Python,
-numpy and C library versions, and the command that writes the committed
-corpus ``byte_corpus.txt`` (seed 1), which ``test_byte_corpus.py`` replays.
+It first prints ``#`` lines naming the seeds, the Python, numpy and C
+library versions, and the command that writes the committed corpus
+``byte_corpus.txt`` (seed 1), which ``test_byte_corpus.py`` replays.
 
 A command's line is ``label exit-code sha256(stdout) sha256(stderr)``; a
 ``verify/`` line holds the status, the ``float.hex`` residual and the
@@ -37,8 +37,7 @@ import sys
 from pathlib import Path
 
 RUN_SECONDS = 20  # the run length of BENCHMARK.json, so the ops are its ops
-REGENERATE = ("python tests/byte_probe.py . --seeds 1 --header "
-              "> tests/byte_corpus.txt")
+REGENERATE = "python tests/byte_probe.py . --seeds 1 > tests/byte_corpus.txt"
 
 
 def versions() -> str:
@@ -117,16 +116,15 @@ def _workload_commands(seeds) -> list[tuple[str, list[str]]]:
     return commands
 
 
-def _child(seeds, header=False) -> None:
+def _child(seeds) -> None:
     from ksub import verify
     from ksub.cli import main
 
-    if header:
-        print(f"# byte_probe.py at seeds {' '.join(map(str, seeds))}: label, "
-              "exit code, sha256 of stdout and of stderr per command; status, "
-              "float.hex residual and location per verify check")
-        print(f"# versions: {versions()}")
-        print(f"# regenerate: {REGENERATE}", flush=True)
+    print(f"# byte_probe.py at seeds {' '.join(map(str, seeds))}: label, "
+          "exit code, sha256 of stdout and of stderr per command; status, "
+          "float.hex residual and location per verify check")
+    print(f"# versions: {versions()}")
+    print(f"# regenerate: {REGENERATE}", flush=True)
     for label, argv in (_workload_commands(seeds) + _corpus_commands()
                         + _edge_commands()):
         out, err = io.StringIO(), io.StringIO()
@@ -149,9 +147,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
-    parser.add_argument("--header", action="store_true",
-                        help="print the seeds, versions and regenerating "
-                             "command as # lines first")
     args = parser.parse_args(argv)
     root = args.checkout.resolve()
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -160,7 +155,7 @@ def main(argv=None) -> int:
                                           str(root / "perfbench")])}
     code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
             "import byte_probe; "
-            f"byte_probe._child({args.seeds!r}, {args.header})")
+            f"byte_probe._child({args.seeds!r})")
     return subprocess.run([sys.executable, "-c", code], env=env,
                           preexec_fn=_cap).returncode
 

@@ -39,13 +39,12 @@ def test_environment_matches_the_corpus():
 def test_every_output_equals_the_corpus():
     proc = subprocess.run(
         [sys.executable, str(HERE / "byte_probe.py"), str(HERE.parent),
-         "--seeds", "1", "--header"],
+         "--seeds", "1"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    got_header, got = _split(proc.stdout)
-    want_header, want = _split(CORPUS.read_text())
+    _, got = _split(proc.stdout)
+    _, want = _split(CORPUS.read_text())
     moved = [f"{w!r} -> {g!r}" for w, g in zip(want, got) if w != g]
     assert not moved and len(got) == len(want), (
         f"{len(moved)} of {len(want)} lines moved "
         f"({len(got)} lines now):\n" + "\n".join(moved[:20]))
-    assert got_header == want_header

@@ -1136,8 +1136,8 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("op, points", [("info", 144), ("hopf", 320),
                                             ("check-surface", 189)])
-    def test_base_jets_evaluated_once_per_point(self, op, points, monkeypatch,
-                                                capsys):
+    def test_base_jets_evaluated_once_per_batch_row(self, op, points,
+                                                    monkeypatch, capsys):
         # grad r is read from the point's own jets, so no base point is
         # evaluated only to feed a difference stencil; r and G share the
         # batch of info; a batch is evaluated as given, so check-surface

@@ -547,7 +547,10 @@ class TestResultFields:
         "biharmonic.BranchReport", "biharmonic.BitensionResidual",
         "verify.CheckReport"])
     def test_every_field_has_a_reader(self, result):
-        # a field nothing reads is computed and carried for nothing
+        # a field nothing reads is computed and carried for nothing; the
+        # check goes by attribute name only, over the package and its tests,
+        # so a field whose name another type also reads (r, gauss), or that
+        # only tests read, passes
         module, name = result.split(".")
         cls = getattr(importlib.import_module(f"ksub.{module}"), name)
         assert [field.name for field in dataclasses.fields(cls)
