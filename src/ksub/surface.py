@@ -35,7 +35,10 @@ point's bits). A lattice whose batch raises or yields a non-finite value
 builds its rows one at a time, group by group as the operations read them,
 so each error arises where its row is read. A record (:class:`_PointData`)
 is one row of its point's lattice, made when :meth:`SurfaceEvaluator.data`
-reads it; :meth:`_Lattice.require_frame` guards the adapted frame.
+reads it; :meth:`_Lattice.require_frame` guards the adapted frame. A patch's
+5x5 regularity grid is checked with its first lattice batch, ahead of the
+lattice's rows, which keeps none of the grid's; a flipped twin inherits the
+check.
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step h = ``1e-3 * patch
@@ -81,7 +84,12 @@ REGULARITY_TOL = 1e-10
 
 @dataclass(eq=False)
 class SurfacePatch:
-    """Parametrized surface (immersion expressions share the parameter pair)."""
+    """Parametrized surface (immersion expressions share the parameter pair).
+
+    The constructor validates the expressions; the first form is checked on
+    a 5x5 regularity grid with the patch's first lattice batch, so a
+    degenerate patch raises :class:`DegenerateImmersionError` at its first
+    read, naming the grid's first degenerate point."""
 
     x: Expr
     y: Expr
@@ -100,17 +108,20 @@ class SurfacePatch:
         # the patch owns the lattices of the points operated on; they refer
         # to it weakly, so a dropped patch frees them by reference count
         self._lattices: dict[tuple[str, str], _Lattice] = {}
-        # the 5x5 grid's batch refuses a degenerate first form (its first
-        # failing point reruns alone): a regularity check, its rows not kept
-        batched(lambda us, vs: np.linalg.det(
-            _build(self, us, vs)["first_form"]),
-            *map(np.array, zip(*self.domain.grid(5, 5, inset=0.02))))
+        # the 5x5 regularity grid, pending until the patch's first lattice
+        # batch checks it (:meth:`_Lattice._prefetch`), then emptied
+        self._grid = self.domain.grid(5, 5, inset=0.02)
 
     def evaluator(self) -> "SurfaceEvaluator":
         return SurfaceEvaluator(self)
 
     def flipped(self) -> "SurfacePatch":
-        return replace(self, flip_normal=not self.flip_normal)
+        """The patch with the opposite normal. A flip leaves the first form
+        alone, so the twin shares the regularity grid: a check by either
+        holds for both."""
+        twin = replace(self, flip_normal=not self.flip_normal)
+        twin._grid = self._grid
+        return twin
 
     @classmethod
     def graph(cls, ambient: geo.KillingData, height,
@@ -360,12 +371,28 @@ class _Lattice:
                                          for n, key in enumerate(keys)}}
 
     def _prefetch(self) -> bool:
-        """Build every row in one batch; False where the batch failed."""
+        """Build every row in one batch, after the patch's pending regularity
+        grid; False where the batch failed.
+
+        The grid's rows are checked, not kept. Where the joint batch fails,
+        the grid's batch refuses a degenerate first form as a check on its
+        own (its first failing point reruns alone, to raise its own error),
+        and the rows are tried again without it."""
+        patch = self._patch()
+        grid = patch._grid
         keys = list(dict.fromkeys(key for group in self._keys.values()
                                   for keys in group if keys for key in keys))
-        fields = _attempt(self._patch(), keys)
+        fields = _attempt(patch, grid + keys)
+        if fields is None and grid:
+            batched(lambda us, vs: np.linalg.det(
+                _build(patch, us, vs)["first_form"]),
+                *map(np.array, zip(*grid)))
+            grid.clear()
+            return self._prefetch()
         if fields is not None:
-            self._keep(keys, [fields])
+            self._keep(keys, [{name: field[len(grid):]
+                               for name, field in fields.items()}])
+            grid.clear()
         return fields is not None
 
     def take(self, mask) -> "_Lattice":

@@ -801,6 +801,13 @@ class TestErrorPathCorpus:
             ["--lambda", "1", "--surface=u;u;0"],
             2, "error: immersion degenerate at parameters (0.02, 0.02)\n",
             EMPTY_SHA256),
+        # only the regularity grid's points at u = 0 are singular; the
+        # checked points' lattice is regular, so the grid alone fails
+        "degenerate-grid-only": (
+            ["--lambda", "1", "--surface=u^2;v;0",
+             "--patch-domain", "-1", "1", "-1", "1"],
+            2, "error: immersion degenerate at parameters (0.0, -0.96)\n",
+            EMPTY_SHA256),
         "non-finite-result": (
             ["--lambda", "1", "--b=1e200*x^2", "--graph=x"],
             2, "error: non-finite result at points[0].checks[0].residual\n",
@@ -817,7 +824,8 @@ class TestErrorPathCorpus:
             ["--lambda", "1", "--surface=u;u;v"], 0, "",
             "a3ad9ac1af88e012eea92d16e128d72b"
             "026b257d99ae80edfff1ab1d53e6c667"),
-        # the regularity grid's batch lets the RecursionError through
+        # the batch of the regularity grid and the lattice lets the
+        # RecursionError through
         "deep-graph": (
             ["--lambda", "1", "--graph=" + "+".join(["x"] * 3000)],
             2, "error: expression nested too deeply: maximum recursion "
@@ -875,6 +883,12 @@ class TestErrorPathCorpus:
             2, "error: geodesic curvature 10000000000.0 gives no finite "
                "positive circle radius in the BCV(c=-1.0) chart\n",
             EMPTY_SHA256),
+        # a geodesic line: the cylinder over it is minimal, not proper
+        "minimal-line": (
+            ["check", "--bcv", "0", "0", "--curve=s;0", "--interval", "0",
+             "1"], 0, "",
+            "8c0f20d7b94da2fd2c5efa74d44779a2"
+            "b043cef405dba229b97b7f404607fe67"),
     }
 
     @pytest.mark.parametrize("case", sorted(HOPF_CASES))
@@ -1108,10 +1122,10 @@ class TestWorkingSet:
     # its 64 samples (r) as one batch and its stencil (base jets) as two,
     # the centre column of 64 and the 4 off-centre columns of 64 together,
     # check-surface the base points of its 25 regularity-grid points and of
-    # its 164 lattice rows as one batch each, a cylinder's repeated base
-    # points included
+    # its 164 lattice rows as one batch, a cylinder's repeated base points
+    # included
     CALLS = {("info", 144): 1, ("hopf", 64): 1, ("hopf", 320): 2,
-             ("check-surface", 189): 2}
+             ("check-surface", 189): 1}
 
     @staticmethod
     def _points(p):

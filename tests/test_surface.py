@@ -126,9 +126,16 @@ class TestAnalyzePoint:
                                    atol=1e-14)
 
     def test_degenerate_immersion_rejected(self):
-        with pytest.raises(DegenerateImmersionError):
-            srf.SurfacePatch(parse("u", PV), parse("u", PV), parse("0", PV),
-                             geo.Rect(-1, 1, -1, 1), FLAT)
+        # the regularity grid is checked with the patch's first lattice
+        # batch, so the first read raises, naming the grid's first point
+        # rather than the point read; a flipped twin shares the grid
+        patch = srf.SurfacePatch(parse("u", PV), parse("u", PV),
+                                 parse("0", PV), geo.Rect(-1, 1, -1, 1), FLAT)
+        for p in (patch, patch.flipped()):
+            with pytest.raises(DegenerateImmersionError) as err:
+                srf.analyze_point(p, (0.5, 0.25))
+            assert str(err.value) \
+                == "immersion degenerate at parameters (-0.96, -0.96)"
 
 
 class TestAdaptedFrame:
@@ -659,10 +666,10 @@ class TestPointRecords:
     ])
     def test_check_surface_record_count(self, argv, lattice, shared,
                                         monkeypatch, capsys):
-        # parameter points the builder builds: the regularity grid's 25,
-        # then every lattice row, each once within its own batch; the only
-        # repeat is a grid point that the lattice also needs. No record is
-        # made of them, as the checks read columns
+        # parameter points the builder builds: the regularity grid's 25
+        # ahead of every lattice row in the first batch, each once within
+        # its part; the only repeat is a grid point that the lattice also
+        # needs. No record is made of them, as the checks read columns
         batches, records = [], []
         build, record = srf._build, srf._record
 
@@ -679,8 +686,8 @@ class TestPointRecords:
         code = main(["check-surface", *argv])
         capsys.readouterr()
         assert code == 0
-        grid, *rest = batches
-        rows = [key for batch in rest for key in batch]
+        keys = [key for batch in batches for key in batch]
+        grid, rows = batches[0][:25], keys[25:]
         assert len(grid) == len(set(grid)) == 25
         assert len(rows) == len(set(rows)) == lattice
         assert len(set(grid) & set(rows)) == shared
@@ -920,5 +927,55 @@ class TestBatchedLattice:
         monkeypatch.setattr(srf, "_build", counted)
         assert main(self.ARGV) == 2
         capsys.readouterr()
-        # the regularity grid, then the checked point's lattice
-        assert [n for n in sizes if n > 1] == [25, 41]
+        # the regularity grid with the checked point's lattice, then, as
+        # that batch fails, the grid alone and the lattice alone
+        assert [n for n in sizes if n > 1] == [66, 25, 41]
+
+
+class TestRegularityGrid:
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        batches = []
+        build = srf._build
+
+        def counted_build(patch, us, vs):
+            batches.append(list(zip(us.tolist(), vs.tolist())))
+            return build(patch, us, vs)
+
+        monkeypatch.setattr(srf, "_build", counted_build)
+        return batches
+
+    def test_rides_the_first_lattice_batch_and_keeps_no_row(self,
+                                                            monkeypatch):
+        # a graph whose grid shares a point with the checked points'
+        # lattice: the batch holds it twice, the lattice keeps one row, its
+        # own
+        patch = srf.SurfacePatch.graph(HEIS, "x*y",
+                                       geo.Rect(-0.45, 0.45, -0.45, 0.45))
+        batches = self.counted(monkeypatch)
+        [lat] = srf.lattices(patch, patch.domain.grid(3, 3, inset=0.25))
+        keys = list(dict.fromkeys(key for group in lat._keys.values()
+                                  for keys in group for key in keys))
+        grid = patch.domain.grid(5, 5, inset=0.02)
+        assert batches == [grid + keys]
+        assert list(lat._index) == keys
+        assert lat._fields["params"].tolist() == [list(k) for k in keys]
+
+    def test_flipped_twin_of_a_checked_patch_checks_no_grid(self,
+                                                            monkeypatch):
+        patch, q = heis_graph(), (0.1, 0.2)
+        srf.analyze_point(patch, q)
+        batches = self.counted(monkeypatch)
+        srf.analyze_point(patch.flipped(), q)
+        assert [len(batch) for batch in batches] \
+            == [len(srf.point_lattice(patch, q)._index)]
+
+    def test_a_twins_check_holds_for_its_patch(self, monkeypatch):
+        # twins made before either is read, as harmonic-sanity makes them
+        patch, q = heis_graph(), (0.1, 0.2)
+        twin = patch.flipped()
+        batches = self.counted(monkeypatch)
+        srf.analyze_point(twin, q)
+        srf.analyze_point(patch, q)
+        rows = len(srf.point_lattice(patch, q)._index)
+        assert [len(batch) for batch in batches] == [25 + rows, rows]
