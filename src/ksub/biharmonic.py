@@ -41,7 +41,7 @@ from .errors import (
     ZeroGradRError,
 )
 from . import surface as srf
-from .expr import _each, _hypot
+from .expr import _hypot
 from .surface import ANGLE_EPS, SurfacePatch
 
 __all__ = [
@@ -302,7 +302,7 @@ def _angle_shape(lat) -> np.ndarray:
     grad_sq = geo.product(dphi.T, np.linalg.solve(
         lat.centre("first_form"), dphi[:, :, None])[:, :, 0].T)
     return (2.0 * lat.centre("norm_sq")
-            - _each(math.tan, lat.centre("phi")) * lap_phi - grad_sq)
+            - np.tan(lat.centre("phi")) * lap_phi - grad_sq)
 
 
 def angle_shape_residual(patch: SurfacePatch, q) -> float:

@@ -12,10 +12,12 @@ Both arithmetics run over a batch of N points, given as one-dimensional
 coordinate arrays, on a trailing axis: value (N,), gradient (n, N), Hessian
 (n, n, N). A point of floats is a batch of one (:func:`at_point`, the one
 adapter), which :func:`eval_jet` hands back as a float value and arrays.
-Every ``**`` and function is the libm call of one point, applied element by
-element (:func:`power`; numpy's own array power, exp, log and tan differ in
-the last bit), and ``+ - * /`` are the same IEEE operations on a batch as on
-a point, so a batch equals its points bit for bit. :func:`batched` reruns a
+Every ``**`` and function is one numpy kernel over the batch (:func:`power`,
+:func:`_kernel`), which gives each element the bits it gets in a batch of
+one, and ``+ - * /`` are the same IEEE operations on a batch as on a point,
+so a batch equals its points bit for bit. Where the libm call of one float
+raised (an overflow, a function of an infinite argument), the kernel raises
+:class:`DomainEvalError` at the first such element. :func:`batched` reruns a
 batch that raises point by point, each a batch of one, until its first
 failing point raises its own error; a batch that only goes non-finite keeps
 its values and reruns its first non-finite point alone, for that point's
@@ -310,37 +312,38 @@ def parse(text: str, variables) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Elementwise libm calls and batches of points
+# Elementwise kernels and batches of points
 # ---------------------------------------------------------------------------
 
-_POW = np.frompyfunc(pow, 2, 1)
+def _kernel(ufunc, *args):
+    """numpy's ``ufunc`` of ``args``, raising :class:`DomainEvalError` at
+    the first element where the libm call of one float raised: a nan from
+    arguments that are not nan (sin, cos or tan of an infinite argument),
+    or an infinity from finite arguments (exp or pow overflowing). A float
+    gives a numpy float."""
+    out = ufunc(*args)
+    if not np.isfinite(out).all():
+        args = np.broadcast_arrays(*args)
+        raised = ((np.isnan(out) & ~np.isnan(args).any(axis=0))
+                  | (np.isinf(out) & np.isfinite(args).all(axis=0)))
+        bad = _first_bad(raised, out, *args)
+        if bad:
+            raise DomainEvalError(
+                f"{ufunc.__name__}({', '.join(map(repr, bad[1:]))}) "
+                f"{'is undefined' if math.isnan(bad[0]) else 'overflows'}")
+    return out
 
 
 def power(value, p):
-    """``value ** p``, one libm ``pow`` per element; a float gives a numpy
-    float.
-
-    numpy's own array power (``x * x`` for a square) and its ``exp``,
-    ``log`` and ``tan`` differ from libm in the last bit on 0.1-5 % of
-    arguments, so every power and function of a batch is taken element by
-    element, to equal its one-point value bit for bit. Square root is
-    correctly rounded in IEEE 754, so ``np.sqrt`` is exact as it is.
-    """
-    return np.asarray(_POW(value, p), dtype=float)[()]
-
-
-def _each(func, value):
-    """``func`` of each element of ``value`` (see :func:`power`); a float
-    gives a numpy float."""
-    value = np.asarray(value)
-    return np.array([func(v) for v in value.ravel().tolist()]
-                    ).reshape(value.shape)[()]
+    """``value ** p`` by numpy's power kernel (see :func:`_kernel`); a
+    float gives a numpy float."""
+    return _kernel(np.power, value, p)
 
 
 def _hypot(x, y) -> np.ndarray:
-    """``math.hypot`` of each pair of elements (see :func:`power`; numpy's
-    hypot, libm's, differs in the last bit at about 0.6 % of arguments)."""
-    return np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    """numpy's hypot of each pair of elements; libm's, on one float, gives
+    inf past the float range rather than raising, and so does this."""
+    return np.hypot(x, y)
 
 
 def _first_bad(flags, *values):
@@ -536,20 +539,20 @@ class Jet:
         return Jet(f0, f1 * self.grad, f1 * self.hess + f2 * cross)
 
     def sin(self):
-        s, c = _each(math.sin, self.value), _each(math.cos, self.value)
+        s, c = _kernel(np.sin, self.value), _kernel(np.cos, self.value)
         return self._lift(s, c, -s)
 
     def cos(self):
-        s, c = _each(math.sin, self.value), _each(math.cos, self.value)
+        s, c = _kernel(np.sin, self.value), _kernel(np.cos, self.value)
         return self._lift(c, -s, -c)
 
     def tan(self):
-        t = _each(math.tan, self.value)
+        t = _kernel(np.tan, self.value)
         d = 1.0 + t * t
         return self._lift(t, d, 2.0 * t * d)
 
     def exp(self):
-        e = _each(math.exp, self.value)
+        e = _kernel(np.exp, self.value)
         return self._lift(e, e, e)
 
     def log(self):
@@ -557,7 +560,7 @@ class Jet:
         bad = _first_bad(v <= 0.0, v)
         if bad:
             raise DomainEvalError(f"log of nonpositive value {bad[0]!r}")
-        return self._lift(_each(math.log, v), 1.0 / v, -1.0 / power(v, 2))
+        return self._lift(_kernel(np.log, v), 1.0 / v, -1.0 / power(v, 2))
 
     def sqrt(self):
         v = self.value
@@ -625,17 +628,15 @@ def _value_leaf(value, *_):
 
 
 # "/", "^" and the functions differ between the two arithmetics; "+", "-",
-# "*" and negation are the operators of both arrays and jets. Values apply
-# the functions element by element; "^", "sqrt" and "log" check a whole
-# batch first, in element order.
+# "*" and negation are the operators of both arrays and jets. "^", "sqrt"
+# and "log" check a whole batch first, in element order.
 _JET_OPS = {"/": operator.truediv, "^": operator.pow, "sin": Jet.sin,
             "cos": Jet.cos, "tan": Jet.tan, "exp": Jet.exp, "log": Jet.log,
             "sqrt": Jet.sqrt, "abs": abs}
 _VALUE_OPS = {
-    **{name: functools.partial(_each, func) for name, func in (
-        ("sin", math.sin), ("cos", math.cos), ("tan", math.tan),
-        ("exp", math.exp))},
-    "log": functools.partial(_value_checked, functools.partial(_each, math.log),
+    **{name: functools.partial(_kernel, ufunc) for name, ufunc in (
+        ("sin", np.sin), ("cos", np.cos), ("tan", np.tan), ("exp", np.exp))},
+    "log": functools.partial(_value_checked, functools.partial(_kernel, np.log),
                              "log of nonpositive", operator.le),
     "sqrt": functools.partial(_value_checked, np.sqrt, "sqrt of negative",
                               operator.lt),

@@ -37,8 +37,8 @@ import numpy as np
 
 from . import numdiff
 from .errors import FdMarginError, OutsideDomainError
-from .expr import (Expr, Jet, _first_bad, at_point, batched, eval_jet, parse,
-                   pointwise, power)
+from .expr import (Expr, Jet, _first_bad, _hypot, at_point, batched, eval_jet,
+                   parse, pointwise, power)
 
 __all__ = [
     "Rect",
@@ -133,7 +133,7 @@ class Rect:
 
     @property
     def diameter(self) -> float:
-        return float(np.hypot(self.xmax - self.xmin, self.ymax - self.ymin))
+        return float(_hypot(self.xmax - self.xmin, self.ymax - self.ymin))
 
     def grid(self, nx: int, ny: int, inset: float = 0.05):
         """Interior grid points, inset by a fraction of each side."""

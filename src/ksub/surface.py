@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import collections
 import copy
-import math
 import weakref
 from dataclasses import dataclass, replace
 
@@ -64,7 +63,7 @@ from .errors import (
     FdMarginError,
     POINT_FAILURES,
 )
-from .expr import Expr, _each, _finite, batched, eval_jet, parse, power
+from .expr import Expr, _finite, batched, eval_jet, parse, power
 from .numdiff import _abscissae, _quotients
 
 __all__ = [
@@ -198,7 +197,7 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
     # max(-1, min(1, c)) as on floats, a nan going to 1
     cos_phi = np.where(normal[2] < 1.0, normal[2], 1.0)
     cos_phi = np.where(cos_phi > -1.0, cos_phi, -1.0)
-    phi = _each(math.acos, cos_phi)
+    phi = np.arccos(cos_phi)
     sin_sq = 1.0 - cos_phi * cos_phi
     sin_phi = np.sqrt(np.where(sin_sq > 0.0, sin_sq, 0.0))
     vertical = np.array([[0.0], [0.0], [1.0]]) - cos_phi * normal
@@ -363,10 +362,12 @@ class _Lattice:
         return np.array([keys is not None for keys in self._keys[group]])
 
     def _keep(self, keys, parts) -> None:
-        """Add the rows at ``keys``, the batches ``parts`` in order."""
+        """Add the rows at ``keys``, the batches ``parts`` in order; a lone
+        batch is kept as it is."""
         parts = ([self._fields] if self._index else []) + parts
-        self._fields = {name: np.concatenate([p[name] for p in parts])
-                        for name in parts[-1]}
+        self._fields = parts[0] if len(parts) == 1 else {
+            name: np.concatenate([p[name] for p in parts])
+            for name in parts[-1]}
         self._index = {**self._index, **{key: len(self._index) + n
                                          for n, key in enumerate(keys)}}
 
@@ -390,9 +391,11 @@ class _Lattice:
             grid.clear()
             return self._prefetch()
         if fields is not None:
-            self._keep(keys, [{name: field[len(grid):]
-                               for name, field in fields.items()}])
-            grid.clear()
+            if grid:  # a copy of the rest, so the grid's rows are not kept
+                fields = {name: field[len(grid):].copy()
+                          for name, field in fields.items()}
+                grid.clear()
+            self._keep(keys, [fields])
         return fields is not None
 
     def take(self, mask) -> "_Lattice":
@@ -512,13 +515,6 @@ def _gradient(lat: _Lattice, name: str) -> np.ndarray:
     return _derivatives(lat, lat.column("stencil", name))[1]
 
 
-def _square(values) -> np.ndarray:
-    """values ** 2 element by element as numpy scalars take it: libm
-    ``pow``, and inf (not an error, as a float's power raises) past the
-    float range."""
-    return np.array([value ** 2 for value in values], dtype=float)
-
-
 def _directional_r(lat: _Lattice, name: str) -> np.ndarray:
     """Derivative of the bundle curvature along a tangent frame vector."""
     vec, grad_r = lat.centre(name), lat.centre("grad_r")
@@ -575,7 +571,7 @@ class SurfaceEvaluator:
             [0.5 * G_u, F, G],
         ]))
         return ((np.linalg.det(m1) - np.linalg.det(m2))
-                / _square(E * G - F * F))
+                / np.square(E * G - F * F))
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +583,10 @@ def _gauss(lat: _Lattice) -> np.ndarray:
     lat.require_frame()
     k_ind = SurfaceEvaluator.brioschi_curvature(lat)
     r, cos_phi = lat.centre("r"), lat.centre("cos_phi")
-    rhs = (np.linalg.det(lat.centre("shape_ortho")) + _square(r)
-           + (lat.centre("gauss_base") - 4.0 * _square(r))
+    rhs = (np.linalg.det(lat.centre("shape_ortho")) + np.square(r)
+           + (lat.centre("gauss_base") - 4.0 * np.square(r))
            * power(cos_phi, 2)
-           - _each(math.sin, 2.0 * lat.centre("phi"))
+           - np.sin(2.0 * lat.centre("phi"))
            * _directional_r(lat, "e2"))
     return k_ind - rhs
 
@@ -610,9 +606,9 @@ def _codazzi(lat: _Lattice) -> np.ndarray:
 
     e1, e2 = lat.centre("e1"), lat.centre("e2")
     r, phi = lat.centre("r"), lat.centre("phi")
-    rhs_e2 = ((4.0 * _square(r) - lat.centre("gauss_base"))
-              * lat.centre("cos_phi") * _each(math.sin, phi)
-              - _each(math.cos, 2.0 * phi) * _directional_r(lat, "e2"))
+    rhs_e2 = ((4.0 * np.square(r) - lat.centre("gauss_base"))
+              * lat.centre("cos_phi") * np.sin(phi)
+              - np.cos(2.0 * phi) * _directional_r(lat, "e2"))
     diff = lhs - (rhs_e2[:, None] * e2
                   - _directional_r(lat, "e1")[:, None] * e1)
     return np.stack([geo.product(diff.T, e1.T), geo.product(diff.T, e2.T)],
@@ -732,5 +728,5 @@ def shape_norm_from_angle(patch: SurfacePatch, q) -> float:
     e1_phi, e2_phi = _angle_derivatives(lat)
     mean_h, r = lat.centre("mean_h"), lat.centre("r")
     return float((2.0 * (power(e1_phi, 2) + power(e2_phi, 2))
-                  + power(mean_h, 2) + 2.0 * _square(r)
+                  + power(mean_h, 2) + 2.0 * np.square(r)
                   - 4.0 * r * e2_phi - 2.0 * mean_h * e1_phi)[0])

@@ -70,7 +70,7 @@ def _corpus_commands() -> list[tuple[str, list[str]]]:
              if isinstance(node, ast.ClassDef)
              and node.name == "TestErrorPathCorpus"]
     prefix = {"CASES": (["check-surface"], ["--grid", "2", "2"]),
-              "HOPF_CASES": (["hopf"], [])}
+              "HOPF_CASES": (["hopf"], []), "COMMANDS": ([], [])}
     commands = []
     for node in cls.body:
         if isinstance(node, ast.Assign) and node.targets[0].id in prefix:

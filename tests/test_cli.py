@@ -898,6 +898,28 @@ class TestErrorPathCorpus:
         assert (got_code, got_err) == (code, err)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # the same for whole command lines: where the libm call of one float
+    # raised, the element's kernel raises and names its subexpression
+    COMMANDS = {
+        "exp-overflows": (
+            ["check-surface", "--lambda", "1", "--surface=u;v;exp(800*u)",
+             "--grid", "1", "1"],
+            2, "error: exp(784.0) overflows in 'exp(800.0*u)'\n",
+            EMPTY_SHA256),
+        "sin-of-infinity": (
+            ["info", "--lambda", "2+sin(1e200*1e200*x)", "--at", "0.5",
+             "0.5"],
+            2, "error: sin(-inf) is undefined in 'sin(1e+200*1e+200*x)'\n",
+            EMPTY_SHA256),
+    }
+
+    @pytest.mark.parametrize("case", sorted(COMMANDS))
+    def test_command_exit_stderr_and_stdout_are_pinned(self, capsys, case):
+        argv, code, err, digest = self.COMMANDS[case]
+        got_code, out, got_err = run(capsys, *argv)
+        assert (got_code, got_err) == (code, err)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestHopfCommand:
     def test_sample_count_beyond_memory_exits_2(self):

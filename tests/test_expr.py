@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ksub
+from ksub import expr
 from ksub import surface as srf
 
 from ksub.errors import (
@@ -332,9 +333,8 @@ class TestJets:
 
 
 class TestBatch:
-    # the libm results of numpy's own array power, exp, log and tan differ
-    # in the last bit on 0.1-5 % of arguments: seeded draws of 400 points
-    # meet every such difference
+    # numpy's power, exp, log and tan differ from libm's in the last bit on
+    # 0.1-5 % of arguments: seeded draws of 400 points meet such arguments
     @pytest.mark.parametrize("text", [
         "x^2", "x^3", "x^-1", "y^-2", "x^1.5", "x^0.5", "1/x", "x/y",
         "sin(x)", "cos(x)", "tan(x)", "exp(x)", "log(x)", "sqrt(x)",
@@ -505,7 +505,7 @@ class TestOneOwnerPerBatchRule:
     def test_only_expr_calls_hypot(self):
         assert set(self.owners(
             lambda node: isinstance(node, ast.Attribute)
-            and ast.unparse(node) == "math.hypot")) == {"expr"}
+            and ast.unparse(node) == "np.hypot")) == {"expr"}
 
     def test_only_surface_takes_a_sub_lattice(self):
         # a lattice's take, not numpy's
@@ -528,6 +528,160 @@ class TestOneOwnerPerBatchRule:
             lambda node: isinstance(node, ast.Tuple)
             and {"ArithmeticError", "ValueError"}
             <= {ast.unparse(elt) for elt in node.elts}) == {"errors": [""]}
+
+
+def _signed(rng, top: float) -> np.ndarray:
+    """370 signed arguments whose magnitudes spread over the binades from
+    1e-3 to 10**top."""
+    return rng.choice([-1.0, 1.0], 370) * 10.0 ** rng.uniform(-3.0, top, 370)
+
+
+def _positive(rng) -> np.ndarray:
+    return 10.0 ** rng.uniform(-3.0, 3.0, 370)
+
+
+# each numpy kernel the package applies to a batch, with arguments from its
+# domain; power at the exponents of the power rule for the literals of
+# test_batch (p, p - 1 and p - 2) and the package's own squares and cubes
+KERNELS = {
+    "sin": (np.sin, lambda rng: [_signed(rng, 3.0)]),
+    "cos": (np.cos, lambda rng: [_signed(rng, 3.0)]),
+    "tan": (np.tan, lambda rng: [_signed(rng, 3.0)]),
+    "exp": (np.exp, lambda rng: [_signed(rng, 2.8)]),
+    "log": (np.log, lambda rng: [_positive(rng)]),
+    "sqrt": (np.sqrt, lambda rng: [_positive(rng)]),
+    "arccos": (np.arccos, lambda rng: [rng.uniform(-1.0, 1.0, 370)]),
+    "square": (np.square, lambda rng: [_signed(rng, 3.0)]),
+    "hypot": (np.hypot, lambda rng: [_signed(rng, 3.0), _signed(rng, 3.0)]),
+    **{f"power^{p}": (lambda x, p=p: np.power(x, p),
+                      lambda rng: [_positive(rng)])
+       for p in (-3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.5, 1.5, 2.0, 2.5,
+                 3.0)},
+}
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+LIBM = {"sin", "cos", "tan", "exp", "log", "acos", "asin", "atan", "atan2",
+        "hypot", "pow", "sqrt"}
+
+
+def _libm_loops(tree) -> list[str]:
+    """The comprehensions that apply a math function, pow, ``**`` or a
+    function-valued parameter to the elements of a batch (its ``.tolist()``
+    or a parameter iterated as it is)."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+        for comp in ast.walk(fn):
+            if not isinstance(comp, _COMPREHENSIONS):
+                continue
+            over_batch = any(
+                ast.unparse(g.iter) in params
+                or any(isinstance(n, ast.Attribute) and n.attr == "tolist"
+                       for n in ast.walk(g.iter))
+                for g in comp.generators)
+            elt = comp.value if isinstance(comp, ast.DictComp) else comp.elt
+            applies = any(
+                isinstance(n, ast.Call)
+                and (ast.unparse(n.func).startswith("math.")
+                     or ast.unparse(n.func) in params | {"pow"})
+                or isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                for n in ast.walk(elt))
+            if over_batch and applies:
+                found.append(ast.unparse(comp))
+    return found
+
+
+class TestElementwiseKernels:
+    # a batch takes each function and power by numpy's kernel, which gives
+    # an element the bits it gets in a batch of one; math keeps to the float
+    # code of one point
+    def test_no_function_is_applied_element_by_element(self):
+        for path in sorted(Path(ksub.__file__).parent.glob("*.py")):
+            source = path.read_text()
+            assert "frompyfunc" not in source, path.name
+            assert _libm_loops(ast.parse(source)) == [], path.name
+
+    def test_math_functions_stay_in_float_code(self):
+        found = {}
+        for path in sorted(Path(ksub.__file__).parent.glob("*.py")):
+            for scope in _scopes_where(
+                    ast.parse(path.read_text()),
+                    lambda node: isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[0] == "math"
+                    and ast.unparse(node.func).split(".")[-1] in LIBM):
+                found.setdefault(path.stem, set()).add(scope)
+        assert found == {
+            "biharmonic": {"angle_shape_alt_assembly",
+                           "angle_system_scalars", "classify_scalars"},
+            "hopf": {"circle_radius_for_kappa"},
+            "verify": {"_random_graph", "check_branch_logic",
+                       "check_surface_identities"},
+        }
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_a_batch_has_the_bits_of_its_batches_of_one(self, name):
+        # a build of numpy whose kernel takes another path for a long batch,
+        # its tail or a start off the buffer's alignment fails here by name
+        kernel, draw = KERNELS[name]
+        args = draw(np.random.default_rng(29))
+        for n in (1, 2, 17, 369):
+            for start in (0, 1):  # 1: an offset slice
+                part = [a[start:start + n] for a in args]
+                ones = [kernel(*(a[i:i + 1] for a in part)) for i in range(n)]
+                assert kernel(*part).tobytes() == np.concatenate(
+                    ones).tobytes(), (n, start)
+
+    SPECIAL = (0.0, -0.0, 0.5, -2.0, math.pi / 2, 709.0, 710.0, -746.0,
+               1e-320, -1e-320, 1e154, 1e200, -1e200, 1.7976931348623157e308,
+               math.inf, -math.inf, math.nan)
+
+    @staticmethod
+    def _raises(call) -> bool:
+        try:
+            with np.errstate(all="ignore"):
+                call()
+        except (OverflowError, ValueError, DomainEvalError):
+            return True
+        return False
+
+    @pytest.mark.parametrize("name", ["sin", "cos", "tan", "exp", "log"])
+    def test_a_function_raises_where_libm_raised(self, name):
+        libm, ufunc = getattr(math, name), getattr(np, name)
+        assert [x for x in self.SPECIAL
+                if self._raises(lambda: libm(x))
+                != self._raises(lambda: expr._kernel(ufunc, np.array([x])))
+                ] == []
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, -1.0, -1.5, 0.5, 1.5])
+    def test_power_raises_where_libm_raised(self, p):
+        # a negative base meets the check for a non-integer power first
+        # (numpy's power of -inf to 0.5 is nan where libm's is inf)
+        bases = [x for x in self.SPECIAL if p == int(p) or not x < 0.0]
+        assert [x for x in bases
+                if self._raises(lambda: math.pow(x, p))
+                != self._raises(lambda: expr.power(np.array([x]), p))] == []
+
+    def test_hypot_overflows_to_inf_as_libm_does(self):
+        assert math.hypot(1.5e308, 1.5e308) == math.inf
+        with np.errstate(all="ignore"):
+            assert expr._hypot(np.array([1.5e308]), np.array([1.5e308]))[0] \
+                == math.inf
+
+    @pytest.mark.parametrize("text, point, message", [
+        ("exp(800*x)", 1.0, "exp(800.0) overflows in 'exp(800.0*x)'"),
+        ("x^2", 1e200, "power(1e+200, 2.0) overflows in 'x^2.0'"),
+        ("2+sin(x)", math.inf, "sin(inf) is undefined in 'sin(x)'"),
+    ])
+    def test_a_raising_element_names_its_value_and_subexpression(
+            self, text, point, message):
+        e = parse(text, ("x",))
+        for evaluate in (eval_value, eval_jet):
+            with np.errstate(all="ignore"), pytest.raises(DomainEvalError) \
+                    as err:
+                evaluate(e, (np.array([0.5, point]),))
+            assert str(err.value) == message
 
 
 class TestResultFields:

@@ -473,7 +473,7 @@ def loop_report(curve, base, n_samples=64):
         t = -r
         ric_nn, ric_n1, ric_n2 = base.ricci_values(p, xp, yp, r, grad_r, g)
         kap[i], tau[i], rr[i], gg[i] = k, t, r, g
-        res[i] = (k2 - k ** 3 + (g - 4.0 * r * r) * k, k * k1,
+        res[i] = (k2 - expr.power(k, 3) + (g - 4.0 * r * r) * k, k * k1,
                   r * k1 + rd * k)
         gres[i] = (k2 - k * (k * k + 2.0 * t * t) + k * ric_nn,
                    3.0 * k1 * k - k * ric_n1, k1 * t + k * ric_n2)

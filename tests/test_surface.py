@@ -979,3 +979,40 @@ class TestRegularityGrid:
         srf.analyze_point(patch, q)
         rows = len(srf.point_lattice(patch, q)._index)
         assert [len(batch) for batch in batches] == [25 + rows, rows]
+
+    @staticmethod
+    def built(monkeypatch) -> list:
+        """The field batches ``_build`` returns, as it returns them."""
+        batches = []
+        build = srf._build
+
+        def recorded_build(patch, us, vs):
+            batches.append(build(patch, us, vs))
+            return batches[-1]
+
+        monkeypatch.setattr(srf, "_build", recorded_build)
+        return batches
+
+    def test_a_lone_batch_is_kept_as_built(self, monkeypatch):
+        # once the grid is checked, a lattice's one batch has no row to
+        # drop, so its fields are the built arrays, not copies
+        patch, q = heis_graph(), (0.1, 0.2)
+        srf.analyze_point(patch, q)
+        batches = self.built(monkeypatch)
+        lat = srf.point_lattice(patch, (0.2, 0.1))
+        [fields] = batches
+        assert all(lat._fields[name] is field
+                   for name, field in fields.items())
+
+    def test_the_grid_rows_are_dropped_from_the_first_batch(self,
+                                                             monkeypatch):
+        # the first batch keeps its lattice rows in arrays of their own, so
+        # the grid's 25 rows are not held through a view of the batch
+        patch = heis_graph()
+        batches = self.built(monkeypatch)
+        lat = srf.point_lattice(patch, (0.1, 0.2))
+        [fields] = batches
+        for name, field in fields.items():
+            kept = lat._fields[name]
+            assert kept.base is None and len(kept) == len(lat._index)
+            assert kept.tobytes() == field[25:].tobytes()
