@@ -10,9 +10,10 @@ deterministic: fixed field order and %.12e float formatting, so identical
 configurations produce byte-identical output. :func:`dumps_json` writes
 exact Python floats, dicts, lists and strings on a fast path; numpy values
 and subclasses take an isinstance chain to the same text. ``info`` hands it
-its grid as one table: the points' floats as an (N, 15) block, written with
-one ``%`` of a record template where the block is finite, and record by
-record (non-finite floats quoted) where it is not. Exit codes: 0 all
+its grid as one table: the points' floats as an (N, 15) block. Where the
+block is finite, each distinct float in it is formatted once and one ``%``
+of a record template places the texts; where it is not, the table is
+written record by record (non-finite floats quoted). Exit codes: 0 all
 requested checks pass, 1 a check failed, 2 usage or input error.
 """
 
@@ -23,6 +24,7 @@ import errno
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -72,9 +74,16 @@ def _write_json(obj, out: list[str]):
         out.append("]" if obj else "[]")
     elif kind is _Table:
         block = obj.block
-        if np.isfinite(block).all():  # "%.12e" % x is format(x, ".12e")
-            out.append("[" + ",".join([obj.template()] * len(block))
-                       % tuple(block.ravel().tolist()) + "]")
+        if np.isfinite(block).all():
+            # one text per distinct bit pattern (so -0.0 and 0.0 stay
+            # apart), repeated through the inverse into the template's slots
+            bits, slots = np.unique(block.view(np.int64).ravel(),
+                                    return_inverse=True)
+            texts = np.array([format(x, ".12e")
+                              for x in bits.view(np.float64).tolist()],
+                             dtype=object)[slots]
+            out += ["[", ",".join([obj.template()] * len(block))
+                    % tuple(texts), "]"]
         else:
             _write_json(obj.records(), out)
     elif isinstance(obj, str):
@@ -101,8 +110,11 @@ class _Table:
     ``layout`` pairs each key with the shape of its value: () for a float,
     (2,) for a list of two, (3, 3) for a 3x3 nested list. A row of
     ``block`` is one record's floats in key order, each value flattened
-    row-major. :meth:`records` is the same list as dicts. No key holds a
-    "%", which the record template would read as a conversion.
+    row-major. :meth:`records` is the same list as dicts. The writer
+    formats each distinct float of a finite block once (a grid repeats its
+    coordinates, and a BCV metric most of its fields) and fills
+    :meth:`template`'s slots with the texts. No key holds a "%", which the
+    record template would read as a conversion.
     """
 
     __slots__ = ("layout", "block")
@@ -111,10 +123,10 @@ class _Table:
         self.layout, self.block = layout, block
 
     def template(self) -> str:
-        """One record's JSON text with a ``%.12e`` for each float."""
+        """One record's JSON text with a ``%s`` slot for each float."""
         def value(shape) -> str:
             if not shape:
-                return "%.12e"
+                return "%s"
             return "[" + ",".join([value(shape[1:])] * shape[0]) + "]"
 
         pieces = ["{"]
@@ -537,11 +549,27 @@ def cmd_verify_paper(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+# a negative number, its exponent included: "-3e-05", "-.5e3"
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, reading every negative number as a value:
+    argparse's own pattern knows no exponent, so it took "-3e-05" after
+    --at or --domain for an option. Subparsers are made of the same class,
+    and no flag of ksub looks like a negative number."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_NUMBER.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ksub",
         description="Numerical engine for canonical Killing submersions")
-    output = argparse.ArgumentParser(add_help=False)
+    output = _Parser(add_help=False)
     output.add_argument("--format", choices=("json", "csv"), default="json")
     output.add_argument("--out", metavar="PATH", help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True)

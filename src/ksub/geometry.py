@@ -141,7 +141,8 @@ class Rect:
         dy = (self.ymax - self.ymin) * inset
         xs = np.linspace(self.xmin + dx, self.xmax - dx, nx)
         ys = np.linspace(self.ymin + dy, self.ymax - dy, ny)
-        return [(float(x), float(y)) for x in xs for y in ys]
+        # x-major order; numpy refuses a grid past the memory at once
+        return list(zip(np.repeat(xs, ny).tolist(), np.tile(ys, nx).tolist()))
 
     def random_point(self, rng):
         """A uniform point, kept 15 % of each side from the boundary."""

@@ -1,3 +1,4 @@
+import builtins
 import gc
 import hashlib
 import io
@@ -313,8 +314,10 @@ class TestColumnarInfo:
 
 
 def float_blocks(st):
-    """(N, 15) blocks of finite doubles, N from 1 to 4: the edges of the
-    range, random bit patterns and hypothesis's own floats."""
+    """(N, 15) blocks of finite doubles: the edges of the range, random bit
+    patterns and hypothesis's own floats, N from 1 to 4; or, as a grid
+    repeats its floats, N from 1 to 144 with entries drawn from a pool of
+    at most 6 such floats."""
     edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
                              1.7976931348623157e308,
                              -1.7976931348623157e308,
@@ -324,7 +327,13 @@ def float_blocks(st):
     floats = st.one_of(edges, bits.filter(math.isfinite), st.floats(
         allow_nan=False, allow_infinity=False, allow_subnormal=True))
     rows = st.lists(floats, min_size=15, max_size=15)
-    return st.lists(rows, min_size=1, max_size=4).map(np.array)
+    pooled = st.builds(
+        lambda pool, n, seed: np.array(pool)[np.random.default_rng(
+            seed).integers(len(pool), size=(n, 15))],
+        st.lists(floats, min_size=1, max_size=6), st.integers(1, 144),
+        st.integers(0, 2 ** 32 - 1))
+    return st.one_of(st.lists(rows, min_size=1, max_size=4).map(np.array),
+                     pooled)
 
 
 def per_record_payload(block) -> dict:
@@ -383,6 +392,39 @@ class TestTableWriter:
             assert out == dumps_json(per_record_payload(block)) + "\n"
 
         check()
+
+    def test_each_distinct_float_is_formatted_once(self, monkeypatch):
+        # x and y repeat along a grid, and a BCV metric's r, G and most
+        # Ricci entries are constant: 2,160 entries, 7 distinct floats
+        xs, ys = np.meshgrid([0.5, -1.25, 3.0], [2.0, -0.0], indexing="ij")
+        block = np.zeros((6, 15))
+        block[:, 0], block[:, 1] = xs.ravel(), ys.ravel()
+        block[:, 2:4], block[:, 6] = 1.5, -0.0
+        block = np.tile(block, (24, 1))
+        expected = dumps_json(per_record_payload(block)) + "\n"
+        formatted = []
+
+        def counted(value, spec):
+            formatted.append(value)
+            return builtins.format(value, spec)
+
+        monkeypatch.setattr(cli, "format", counted, raising=False)
+        code, out, _ = info_of_block(block, monkeypatch)
+        assert (code, out) == (0, expected)
+        assert sorted(map(float.hex, formatted)) == sorted(map(float.hex, [
+            0.5, -1.25, 3.0, 2.0, -0.0, 0.0, 1.5]))
+
+    def test_both_zeros_print_in_their_own_places(self, monkeypatch):
+        block = np.zeros((2, 15))
+        block[0, 1::2] = -0.0
+        block[1, 0::2] = -0.0
+        code, out, _ = info_of_block(block, monkeypatch)
+        assert code == 0
+        points = json.loads(out)["points"]
+        signs = [[math.copysign(1.0, value) for value in (
+            point["x"], point["y"], point["r"], point["G"], *point["grad_r"],
+            *np.ravel(point["ricci"]).tolist())] for point in points]
+        assert signs == np.where(np.signbit(block), -1.0, 1.0).tolist()
 
     def test_non_finite_entry_names_the_per_record_path(self):
         pytest.importorskip("hypothesis")
@@ -698,6 +740,42 @@ class TestFiniteFlags:
         assert "usage:" in err
         assert f"argument {flag}" in err and "must be finite" in err
 
+    # argparse's own negative-number pattern has no exponent, so it took
+    # these values for options and exited 2 with its usage text
+    @pytest.mark.parametrize("argv, decimal", [
+        (["info", "--lambda", "1", "--at", "-0.2", "-3e-05"],
+         ["info", "--lambda", "1", "--at", "-0.2", "-0.00003"]),
+        (["info", "--lambda", "1", "--domain", "-1e-1", "1", "-1", "1",
+          "--at", "0", "0"],
+         ["info", "--lambda", "1", "--domain", "-0.1", "1", "-1", "1",
+          "--at", "0", "0"]),
+        (["info", "--lambda", "1", "--domain", "-.5e3", "1", "-1", "1",
+          "--at", "0", "0"],
+         ["info", "--lambda", "1", "--domain", "-500", "1", "-1", "1",
+          "--at", "0", "0"]),
+        (["hopf", "check", "--bcv", "1", "-1e-3", "--circle-kg", "1"],
+         ["hopf", "check", "--bcv", "1", "-0.001", "--circle-kg", "1"]),
+        (["hopf", "example", "--f=cos(t)", "--r", "-1e-3",
+          "--interval", "0", "1.5"],
+         ["hopf", "example", "--f=cos(t)", "--r", "-0.001",
+          "--interval", "0", "1.5"]),
+        (["check-surface", "--lambda", "1", "--graph=x",
+          "--patch-domain", "-4e-1", "0.4", "-0.4", "0.4", "--grid", "1", "1"],
+         ["check-surface", "--lambda", "1", "--graph=x",
+          "--patch-domain", "-0.4", "0.4", "-0.4", "0.4", "--grid", "1", "1"]),
+    ], ids=["at", "domain", "domain-no-digit", "bcv", "r", "patch-domain"])
+    def test_negative_exponent_is_a_value(self, capsys, argv, decimal):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, *decimal)
+
+    def test_unknown_option_is_still_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "info", "--lambda", "1",
+                             "--at", "-x", "1")
+        assert (code, out) == (2, "")
+        assert "usage:" in err
+        assert "argument --at: expected 2 arguments" in err
+
 
 class TestCheckSurface:
     def test_heisenberg_graph_identities_pass(self, capsys):
@@ -921,26 +999,41 @@ class TestErrorPathCorpus:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def assert_refused_for_memory(*argv) -> None:
+    """Run the CLI in a child with its address space capped at 4 GiB, so
+    no machine can overcommit a 7.28 TiB request, and expect exit 2 with
+    one ``MemoryError`` line."""
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(ksub.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-m", "ksub.cli", *argv],
+                            env=env, preexec_fn=cap, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: MemoryError: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "--lambda", "1"),
+    ("check-surface", "--lambda", "1", "--graph=x")], ids=["info", "surface"])
+def test_grid_beyond_memory_exits_2(argv):
+    # 10^6 x 10^6 points ask numpy for 7.28 TiB of coordinates at once; a
+    # list of point tuples grew until the memory was gone
+    assert_refused_for_memory(*argv, "--grid", "1000000", "1000000")
+
+
 class TestHopfCommand:
     def test_sample_count_beyond_memory_exits_2(self):
-        # 10^12 samples ask numpy for a 7.28 TiB array; with the address
-        # space capped at 4 GiB no machine can overcommit the request
-        def cap():
-            import resource
-            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
-
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": str(Path(ksub.__file__).resolve().parents[1])}
-        result = subprocess.run(
-            [sys.executable, "-m", "ksub.cli", "hopf", "check", "--bcv", "1",
-             "0", "--circle-kg", "1", "--samples", "1000000000000"],
-            env=env, preexec_fn=cap, capture_output=True, text=True,
-            timeout=60)
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert "Traceback" not in result.stderr
-        [line] = result.stderr.splitlines()
-        assert line.startswith("error: MemoryError: ")
+        # 10^12 samples ask numpy for a 7.28 TiB array
+        assert_refused_for_memory("hopf", "check", "--bcv", "1", "0",
+                                  "--circle-kg", "1",
+                                  "--samples", "1000000000000")
 
     def test_example_cosine(self, capsys):
         code, data, _ = run_json(capsys, "hopf", "example", "--f", "cos(t)",

@@ -19,10 +19,8 @@ from hypothesis import strategies as st  # noqa: E402
 from ksub.cli import main  # noqa: E402
 from test_batch import texts  # noqa: E402
 
-# short decimals, as the constants of the expressions are: argparse takes
-# "-3e-05" for an option, not for a value of --at
-points = st.lists(st.floats(-0.9, 0.9).map(lambda v: repr(round(v, 3))),
-                  min_size=2, max_size=2)
+# repr floats, "-3e-05" among them
+points = st.lists(st.floats(-0.9, 0.9).map(repr), min_size=2, max_size=2)
 
 
 def _ends_cleanly(argv) -> None:

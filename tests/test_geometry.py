@@ -809,3 +809,21 @@ class TestBcvConstructor:
     def test_lambda_positivity_enforced(self):
         with pytest.raises(ValueError):
             make_data("x", "0", "0")
+
+
+class TestRectGrid:
+    @pytest.mark.parametrize("nx, ny, inset", [
+        (1, 1, 0.25), (3, 7, 0.05), (12, 12, 0.05), (5, 5, 0.02),
+        (9, 2, 1e-3)])
+    def test_grid_is_the_x_major_list_of_float_pairs(self, nx, ny, inset):
+        # the nested comprehension the numpy grid replaced, as reference
+        rect = geo.Rect(-1.3, 2.1, -0.45, 0.9)
+        dx, dy = (2.1 - -1.3) * inset, (0.9 - -0.45) * inset
+        xs = np.linspace(-1.3 + dx, 2.1 - dx, nx)
+        ys = np.linspace(-0.45 + dy, 0.9 - dy, ny)
+        reference = [(float(x), float(y)) for x in xs for y in ys]
+        grid = rect.grid(nx, ny, inset=inset)
+        assert [tuple(map(float.hex, p)) for p in grid] == [
+            tuple(map(float.hex, p)) for p in reference]
+        assert {type(p) for p in grid} == {tuple}
+        assert {type(v) for p in grid for v in p} == {float}
