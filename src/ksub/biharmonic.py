@@ -73,7 +73,6 @@ class BitensionResidual:
 
     normal: float
     tangential: np.ndarray       # components in the orthonormal tangent basis
-    cmc_deviation: float
     mean_h: float
 
     @property
@@ -142,8 +141,8 @@ def _cmc_lattice(patch: SurfacePatch, q):
 # ---------------------------------------------------------------------------
 
 def _bitension(lat) -> list[BitensionResidual]:
-    """:func:`bitension_residual` at every point of a lattice, each CMC
-    with its probe spread (see :func:`_cmc`)."""
+    """:func:`bitension_residual` at every point of a lattice, each with
+    the mean of H over its probe lattice (see :func:`_cmc`)."""
     centre = lat.centre
     lap_h, dh = srf.SurfaceEvaluator.laplacian(
         lat, lat.column("stencil", "mean_h"))
@@ -166,9 +165,8 @@ def _bitension(lat) -> list[BitensionResidual]:
                       - (2.0 * h_val)[:, None] * ric_tangent)
     tangential = np.stack([geo.product(tangential_vec.T, f1.T),
                            geo.product(tangential_vec.T, f2.T)], axis=1)
-    mean, dev = _cmc(lat)
-    return [BitensionResidual(n, t, d, m) for n, t, d, m in zip(
-        normal_res.tolist(), tangential, dev.tolist(), mean.tolist())]
+    return [BitensionResidual(n, t, m) for n, t, m in zip(
+        normal_res.tolist(), tangential, _cmc(lat)[0].tolist())]
 
 
 def bitension_residual(patch: SurfacePatch, q) -> BitensionResidual:
@@ -417,21 +415,14 @@ def _classify(lat) -> list[BranchReport]:
         centre("cos_phi").tolist(),
         _grad_r_norm(centre("grad_r"), centre("lam")), centre("gauss_base"),
         centre("r"), centre("norm_sq").tolist(), centre("mean_h").tolist())]
-    # branch a: constancy of r and G along the surface, probed on the
-    # lattice; branch b2: the angle-shape identity where tan(phi) is defined
+    # branch a: constancy of r and G along the surface, probed on the lattice
     r_spread = np.ptp(lat.column("probes", "r"), axis=1).tolist()
     g_spread = np.ptp(lat.column("probes", "gauss_base"), axis=1).tolist()
-    # b2 implies sin_phi >= ANGLE_EPS (the same float operations as
-    # _build's) and |cos_phi| >= ANGLE_EPS > COS_EPS, so tan(phi) is defined
-    angled = np.array([report.branch == "b2" for report in reports])
-    aphi = lat.over(angled, lambda sub: _angle_shape(sub).tolist())
-    for report, r_sp, g_sp, angle in zip(reports, r_spread, g_spread, aphi):
+    for report, r_sp, g_sp in zip(reports, r_spread, g_spread):
         if report.branch == "a":
             report.diagnostics.update(r_spread=r_sp, gauss_spread=g_sp)
             report.satisfied = bool(report.satisfied and r_sp <= RESIDUAL_TOL
                                     and g_sp <= RESIDUAL_TOL)
-        elif report.branch == "b2":
-            report.diagnostics["aphi_residual"] = angle
     return reports
 
 

@@ -10,11 +10,10 @@ deterministic: fixed field order and %.12e float formatting, so identical
 configurations produce byte-identical output. :func:`dumps_json` writes
 exact Python floats, dicts, lists and strings on a fast path; numpy values
 and subclasses take an isinstance chain to the same text. ``info`` hands it
-its grid as one table: the points' floats as an (N, 15) block. Where the
-block is finite, each distinct float in it is formatted once and one ``%``
-of a record template places the texts; where it is not, the table is
-written record by record (non-finite floats quoted). Exit codes: 0 all
-requested checks pass, 1 a check failed, 2 usage or input error.
+its grid as one table: the points' floats as an (N, 15) block, each
+distinct float formatted once (a non-finite one as its quoted name) and
+placed by one ``%`` of a record template. Exit codes: 0 all requested
+checks pass, 1 a check failed, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -51,11 +50,16 @@ def dumps_json(obj) -> str:
     return "".join(pieces)
 
 
+def _float_text(x: float) -> str:
+    """A float's text: %.12e, or its quoted name "nan", "inf" or "-inf"."""
+    return format(x, ".12e") if math.isfinite(x) else f'"{x}"'
+
+
 def _write_json(obj, out: list[str]):
     # exact types first; numpy scalars and subclasses take isinstance below
     kind = type(obj)
-    if kind is float:  # a non-finite float is quoted: "nan", "inf", "-inf"
-        out.append(format(obj, ".12e") if math.isfinite(obj) else f'"{obj}"')
+    if kind is float:
+        out.append(_float_text(obj))
     elif kind is dict:
         sep = "{"
         for key, value in obj.items():
@@ -73,19 +77,15 @@ def _write_json(obj, out: list[str]):
             sep = ","
         out.append("]" if obj else "[]")
     elif kind is _Table:
-        block = obj.block
-        if np.isfinite(block).all():
-            # one text per distinct bit pattern (so -0.0 and 0.0 stay
-            # apart), repeated through the inverse into the template's slots
-            bits, slots = np.unique(block.view(np.int64).ravel(),
-                                    return_inverse=True)
-            texts = np.array([format(x, ".12e")
-                              for x in bits.view(np.float64).tolist()],
-                             dtype=object)[slots]
-            out += ["[", ",".join([obj.template()] * len(block))
-                    % tuple(texts), "]"]
-        else:
-            _write_json(obj.records(), out)
+        # one text per distinct bit pattern (so -0.0 and 0.0 stay apart),
+        # repeated through the inverse into the template's slots
+        bits, slots = np.unique(obj.block.view(np.int64).ravel(),
+                                return_inverse=True)
+        texts = np.array(list(map(_float_text,
+                                  bits.view(np.float64).tolist())),
+                         dtype=object)[slots]
+        out += ["[", ",".join([obj.template()] * len(obj.block))
+                % tuple(texts), "]"]
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif obj is None:
@@ -111,7 +111,7 @@ class _Table:
     (2,) for a list of two, (3, 3) for a 3x3 nested list. A row of
     ``block`` is one record's floats in key order, each value flattened
     row-major. :meth:`records` is the same list as dicts. The writer
-    formats each distinct float of a finite block once (a grid repeats its
+    formats each distinct float of the block once (a grid repeats its
     coordinates, and a BCV metric most of its fields) and fills
     :meth:`template`'s slots with the texts. No key holds a "%", which the
     record template would read as a conversion.
@@ -149,15 +149,14 @@ class _Table:
 
 
 def dumps_csv(rows: list[dict]) -> str:
-    header = "s_or_u,v,check,residual,tol,status"
-    lines = [header]
+    lines = ["s_or_u,v,check,residual,tol,status"]
     for row in rows:
         lines.append(",".join([
-            format(float(row.get("s_or_u", 0.0)), ".12e"),
-            format(float(row.get("v", 0.0)), ".12e"),
+            _float_text(float(row["s_or_u"])),
+            _float_text(float(row["v"])),
             str(row["check"]),
-            format(float(row["residual"]), ".12e"),
-            format(float(row["tol"]), ".12e"),
+            _float_text(float(row["residual"])),
+            _float_text(float(row["tol"])),
             str(row["status"]),
         ]))
     return "\n".join(lines) + "\n"
@@ -253,10 +252,13 @@ class UsageError(Exception):
 
 
 def count(text: str) -> int:
-    """argparse type for grid sizes and sample counts: an integer >= 1."""
-    value = int(text)
+    """argparse type for grid sizes and sample counts: an integer from 1 to
+    the most float64 elements numpy can size (np.linspace fails past it)."""
+    value, most = int(text), np.iinfo(np.intp).max // 8
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > most:
+        raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
     return value
 
 
@@ -591,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_surf.add_argument("--patch-domain", nargs=4, type=finite,
                         metavar=("UMIN", "UMAX", "VMIN", "VMAX"))
     p_surf.add_argument("--grid", nargs=2, type=count, metavar=("NU", "NV"))
-    p_surf.add_argument("--tol", type=tolerance, default=1e-4)
+    p_surf.add_argument("--tol", type=tolerance, default=bih.RESIDUAL_TOL)
     p_surf.set_defaults(func=cmd_check_surface)
 
     p_hopf = sub.add_parser("hopf", help="vertical cylinder analysis")
@@ -607,8 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--curve", metavar="\"X;Y\"",
                          help="curve expressions in s")
     p_check.add_argument("--interval", nargs=2, type=finite, metavar=("A", "B"))
-    p_check.add_argument("--samples", type=count, default=64)
-    p_check.add_argument("--tol", type=tolerance, default=1e-5)
+    p_check.add_argument("--samples", type=count, default=hopf.SAMPLES)
+    p_check.add_argument("--tol", type=tolerance, default=hopf.CRITERION_TOL)
     p_check.add_argument("--expect", choices=("pass", "fail"))
     p_check.set_defaults(func=cmd_hopf_check)
 
@@ -617,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--f", metavar="EXPR", help="warp profile f(t) > 0")
     p_ex.add_argument("--r", type=finite, help="constant bundle curvature")
     p_ex.add_argument("--interval", nargs=2, type=finite, metavar=("A", "B"))
-    p_ex.add_argument("--tol", type=tolerance, default=1e-5)
+    p_ex.add_argument("--tol", type=tolerance, default=hopf.CRITERION_TOL)
     p_ex.add_argument("--expect", choices=("pass", "fail"))
     p_ex.set_defaults(func=cmd_hopf_example)
 

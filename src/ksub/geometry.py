@@ -128,10 +128,6 @@ class Rect:
         return min(x - self.xmin, self.xmax - x, y - self.ymin, self.ymax - y)
 
     @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
-
-    @property
     def diameter(self) -> float:
         return float(_hypot(self.xmax - self.xmin, self.ymax - self.ymin))
 

@@ -97,6 +97,7 @@ CRITERION_TOL = 1e-5   # allowed defect in kappa^2 = G - 4 r^2
 KAPPA_MIN = 1e-6       # |kappa| below this counts as minimal (not proper)
 NEWTON_MAXITER = 50    # Newton steps of one t(s) before the inversion fails
 ROOT_MAXITER = 100     # root refinement iterations before it fails
+SAMPLES = 64           # arc-length samples of a cylinder sweep
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,8 @@ class WarpedBase:
     """Rotationally symmetric chart dt^2 + f(t)^2 dtheta^2, constant bundle r.
 
     Curve components are read as (t(s), theta(s)). The angular coordinate is
-    periodic, so only the t-range is checked for containment.
+    periodic, so only the t-range is checked for containment. Its curves
+    are built at unit speed, so it has no speed jet.
     """
 
     def __init__(self, f: Expr, r: float, t_interval: tuple[float, float]):
@@ -314,21 +316,6 @@ class WarpedBase:
     def ricci_values(self, p, xp: float, yp: float, r: float, grad_r,
                      gauss: float):
         return (gauss - 2.0 * power(r, 2), 0.0, 0.0)
-
-    def speed_jet(self, curve: BaseCurve, t) -> tuple[float, float]:
-        jx, jy = curve.point_jets(t)
-        f = self._fjet(jx.value)
-        f_sq = power(f.value, 2)
-        tp, thp = jx.grad[0], jy.grad[0]
-        tpp, thpp = jx.hess[0, 0], jy.hess[0, 0]
-        sq = tp * tp + f_sq * thp * thp
-        bad = _first_bad(sq <= 0.0, t)
-        if bad:
-            raise DegenerateCurveError(f"curve has zero velocity at t = {bad[0]}")
-        sigma = np.sqrt(sq)
-        dsq = (2.0 * tp * tpp + 2.0 * f.value * f.grad[0] * tp * thp * thp
-               + 2.0 * f_sq * thp * thpp)
-        return sigma, 0.5 * dsq / sigma
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +602,7 @@ def _sweep(curve, base, h: float, s):
             k1 * t + k * ric_n2)
 
 
-def hopf_residuals(curve, base, n_samples: int = 64,
+def hopf_residuals(curve, base, n_samples: int = SAMPLES,
                    tol: float | None = None) -> HopfReport:
     """Evaluate both cylinder systems along the curve and classify it.
 
@@ -674,8 +661,8 @@ def cylinder_patch(data: geo.KillingData, curve: BaseCurve) -> srf.SurfacePatch:
 
 
 def cylinder_surface_check(data: geo.KillingData, curve: BaseCurve,
-                           s: float, v: float = 0.5) -> dict:
-    """Frame invariants of the cylinder computed via the surface module.
+                           s: float) -> dict:
+    """Frame invariants of the cylinder at (s, 0.5), via the surface module.
 
     Uses the lifted frame (tangent lift, vertical, lifted normal): returns
     the geodesic torsion tau_g = -<A(beta'), xi>, the mean curvature with
@@ -683,7 +670,7 @@ def cylinder_surface_check(data: geo.KillingData, curve: BaseCurve,
     curvature of the induced metric.
     """
     patch = cylinder_patch(data, curve)
-    q = (float(s), float(v))
+    q = (float(s), 0.5)
     d = srf.analyze_point(patch, q)
     jx, jy = curve.point_jets(float(s))
     lam = data.lam(jx.value, jy.value)

@@ -528,7 +528,6 @@ class SurfaceEvaluator:
 
     def __init__(self, patch: SurfacePatch):
         self.patch = patch
-        self.h = PARAM_STEP_FRAC * patch.domain.diameter
 
     def data(self, u: float, v: float) -> _PointData:
         """The record at (u, v), a row of its point lattice."""

@@ -62,7 +62,7 @@ class TestBitension:
         assert not bt.is_proper()
 
     def test_default_tolerance_read_when_called(self, monkeypatch):
-        bt = bih.BitensionResidual(5e-5, np.zeros(2), 0.0, 1.0)
+        bt = bih.BitensionResidual(5e-5, np.zeros(2), 1.0)
         assert bt.is_biharmonic() and bt.is_proper()
         monkeypatch.setattr(bih, "RESIDUAL_TOL", 1e-5)
         assert not bt.is_biharmonic()
@@ -272,7 +272,7 @@ class TestProbeLattice:
     def test_probes_need_a_4h_margin(self):
         # the 5x5 lattice at 2 h spacing reaches 4 h from the point
         patch = vertical_plane()
-        h = patch.evaluator().h
+        h = srf.point_lattice(patch, (0.0, 0.0)).h
         mean, dev = bih.cmc_probe(patch, (1.0 - 4.5 * h, 0.0))
         assert abs(mean) <= 1e-12 and dev <= 1e-12
         for probe in (bih.cmc_probe, bih.classify_point,
@@ -345,7 +345,8 @@ class TestClassify:
         report = bih.classify_point(patch, (0.3, 0.1))
         assert report.branch == "b2"
         assert not report.satisfied
-        assert report.diagnostics["aphi_residual"] is not None
+        assert set(report.diagnostics) == {"tan2phi_residual", "norm_residual",
+                                           "res1", "res2"}
 
     def test_orientation_flip_keeps_branch(self):
         patch, q = biharmonic_cylinder()

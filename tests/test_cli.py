@@ -375,7 +375,7 @@ def info_of_block(block, monkeypatch) -> tuple[int, str, str]:
 
 class TestTableWriter:
     """``info`` writes its grid as one table, a record template applied
-    with one ``%`` to the finite float block, with exactly the text of its
+    with one ``%`` to the float block, with exactly the text of its
     per-record dicts."""
 
     def test_table_equals_the_per_record_dicts(self):
@@ -425,6 +425,17 @@ class TestTableWriter:
             point["x"], point["y"], point["r"], point["G"], *point["grad_r"],
             *np.ravel(point["ricci"]).tolist())] for point in points]
         assert signs == np.where(np.signbit(block), -1.0, 1.0).tolist()
+
+    def test_non_finite_block_equals_the_per_record_dicts(self):
+        # the table path quotes a non-finite float as the float path does
+        block = np.arange(45.0).reshape(3, 15)
+        block[0, 2], block[1, 7], block[2, 14] = math.nan, math.inf, -math.inf
+        block[2, 0] = math.nan
+        table = cli._Table(cli._INFO_LAYOUT, block)
+        text = dumps_json(table)
+        assert text == dumps_json(per_record_payload(block)["points"])
+        assert text.count('"nan"') == 2
+        assert text.count('"inf"') == 1 and text.count('"-inf"') == 1
 
     def test_non_finite_entry_names_the_per_record_path(self):
         pytest.importorskip("hypothesis")
@@ -1026,6 +1037,23 @@ def test_grid_beyond_memory_exits_2(argv):
     # 10^6 x 10^6 points ask numpy for 7.28 TiB of coordinates at once; a
     # list of point tuples grew until the memory was gone
     assert_refused_for_memory(*argv, "--grid", "1000000", "1000000")
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--grid", ["info", "--lambda", "1", "--grid", str(2 ** 63 - 1), "1"]),
+    ("--grid", ["info", "--lambda", "1", "--grid", "2", str(2 ** 63)]),
+    ("--grid", ["check-surface", "--lambda", "1", "--graph", "x",
+                "--grid", str(2 ** 63 - 1), "1"]),
+    ("--samples", ["hopf", "check", "--bcv", "1", "0", "--circle-kg", "1",
+                   "--samples", str(2 ** 63)]),
+], ids=["info-nx", "info-ny", "surface", "hopf"])
+def test_count_numpy_cannot_size_is_a_usage_error(capsys, flag, argv):
+    # np.linspace died on these counts with an IndexError traceback, exit 1;
+    # they are refused as the flag is read, before any array is asked for
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert "usage:" in err and f"argument {flag}: must be at most" in err
 
 
 class TestHopfCommand:

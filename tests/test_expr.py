@@ -460,7 +460,7 @@ class TestBatch:
                     knobs += (len(args.defaults)
                               + sum(d is not None for d in args.kw_defaults)
                               + (args.kwarg is not None))
-        assert knobs <= 27
+        assert knobs <= 26
 
     def test_surface_stencils_take_no_callback(self):
         # the surface and biharmonic derivatives are quotients over lattice

@@ -327,7 +327,8 @@ class TestSurfaceLaplacian:
         # the patch
         patch = heis_graph()
         ev = patch.evaluator()
-        near, too_near = (0.5 - 1.5 * ev.h, 0.0), (0.5 - 0.5 * ev.h, 0.0)
+        h = srf.point_lattice(patch, (0.0, 0.0)).h
+        near, too_near = (0.5 - 1.5 * h, 0.0), (0.5 - 0.5 * h, 0.0)
 
         def mean_h_laplacian(q):
             lat = srf.point_lattice(patch, q)
@@ -459,8 +460,9 @@ class TestExactChristoffels:
     @staticmethod
     def reference(ev, u, v):
         # Christoffels from the first form differentiated across the grid
+        h = srf.point_lattice(ev.patch, (u, v)).h
         dg = np.stack([nd.partial1(lambda q: ev.data(*q).first_form, (u, v),
-                                   c, ev.h) for c in range(2)])
+                                   c, h) for c in range(2)])
         g_inv = np.linalg.inv(ev.data(u, v).first_form)
         sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
         return 0.5 * np.einsum("cd,abd->cab", g_inv, sym)
@@ -594,7 +596,7 @@ class TestLazyAmbientData:
         K, ev = patch.ambient, patch.evaluator()
         u, v = 0.1, -0.1
         srf.analyze_point(patch, (u, v))
-        stencil = (u + ev.h, v)
+        stencil = (u + srf.point_lattice(patch, (u, v)).h, v)
         # nothing is computed on read: a record, a row of q's lattice or a
         # batch of one, carries every field
         for q in ((u, v), stencil):
@@ -646,7 +648,7 @@ class TestExactWeingarten:
     def test_needs_no_stencil_margin(self):
         # the exact map reads one record; only the oracle needs a stencil
         patch = heis_graph()
-        q = (0.5 - 0.5 * patch.evaluator().h, 0.0)
+        q = (0.5 - 0.5 * srf.point_lattice(patch, (0.0, 0.0)).h, 0.0)
         assert srf.analyze_point(patch, q).mean_h is not None
         with pytest.raises(FdMarginError):
             srf.shape_frame_fd(patch, q)
@@ -850,10 +852,9 @@ class TestBatchedLattice:
                 assert hexes(lines[n]) == hexes(
                     bih.frame_system_residuals(patch, q))
                 one = bih.bitension_residual(patch, q)
-                assert hexes([bitension[n].normal, bitension[n].cmc_deviation,
-                              bitension[n].mean_h, *bitension[n].tangential]) \
-                    == hexes([one.normal, one.cmc_deviation, one.mean_h,
-                              *one.tangential])
+                assert hexes([bitension[n].normal, bitension[n].mean_h,
+                              *bitension[n].tangential]) \
+                    == hexes([one.normal, one.mean_h, *one.tangential])
                 branch = bih.classify_point(patch, q)
                 assert (branches[n].branch, branches[n].satisfied) \
                     == (branch.branch, branch.satisfied)
