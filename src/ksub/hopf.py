@@ -23,19 +23,19 @@ constant bundle curvature, which is how the constant-curvature circle
 construction below works without ever building an isothermal conformal
 factor.
 
-The sweep along the curve is one batch. :func:`hopf_residuals` evaluates
-the geodesic curvature in two calls over all samples, the centre column of
-its 5-point stencil (the samples themselves) and then the 4 off-centre
-columns as one batch, forms kappa, kappa' and kappa'' from the columns with
-:func:`ksub.numdiff._quotients`, and evaluates r, G and the Ricci values
-once each; a chart method or :func:`geodesic_curvature` given arrays of
-points (the batch on a trailing axis) equals its one-point results bit for
-bit; a float is a batch of one (:func:`ksub.expr.at_point`). A sweep that
-raises bisects (:func:`ksub.expr.batched`) to its first failing sample,
-which raises its own error; the two geodesic-curvature calls are not
-bisected again, so a sample whose 4 off-centre points fail raises the error
-their batch meets first. A sweep that only goes non-finite keeps its values
-and reruns its first non-finite sample alone.
+The sweep along the curve is one batch. :func:`hopf_residuals` reads the
+curve's jets once at all 5 columns of each sample's stencil (the samples
+first, then the 4 off-centre columns in table order), takes the geodesic
+curvature of that batch in one pass, forms kappa, kappa' and kappa'' from
+its columns with :func:`ksub.numdiff._quotients`, and evaluates r, G and
+the Ricci values once each at the samples; a chart method or
+:func:`geodesic_curvature` given arrays of points (the batch on a trailing
+axis) equals its one-point results bit for bit; a float is a batch of one
+(:func:`ksub.expr.at_point`). A sweep that raises bisects
+(:func:`ksub.expr.batched`) to its first failing sample, whose 5 points
+then go through each stage together and raise the error of the first
+stage that fails. A sweep that only goes non-finite keeps its values and
+reruns its first non-finite sample alone.
 
 Everything here is numpy or plain-float code. Arc length is a composite
 Gauss-Legendre rule whose panel table also inverts it: t(s) is a batched
@@ -92,8 +92,7 @@ __all__ = [
 ]
 
 ARC_TOL = 1e-6         # allowed |speed - 1| for operations that assume arc length
-CONST_TOL = 1e-5       # allowed spread for "constant along the curve"
-CRITERION_TOL = 1e-5   # allowed defect in kappa^2 = G - 4 r^2
+CRITERION_TOL = 1e-5   # allowed spread along the curve and criterion defect
 KAPPA_MIN = 1e-6       # |kappa| below this counts as minimal (not proper)
 NEWTON_MAXITER = 50    # Newton steps of one t(s) before the inversion fails
 ROOT_MAXITER = 100     # root refinement iterations before it fails
@@ -195,10 +194,10 @@ class ReparamCurve:
 
     def _batch_jets(self, s: np.ndarray) -> tuple[Jet, Jet]:
         t = self._times(s)
-        sigma, dsigma = self.base.speed_jet(self.curve, t)
+        jx, jy = self.curve.point_jets(t)
+        sigma, dsigma = self.base.speed_jet(jx, jy, t)
         tp = 1.0 / sigma
         tpp = -dsigma / power(sigma, 3)
-        jx, jy = self.curve.point_jets(t)
         return _chain(jx, tp, tpp), _chain(jy, tp, tpp)
 
     def point(self, s) -> tuple[float, float]:
@@ -251,9 +250,9 @@ class ConformalBase:
         return (geo.product(eta, ric, eta), geo.product(eta, ric, e1),
                 geo.product(eta, ric, e2))
 
-    def speed_jet(self, curve: BaseCurve, t) -> tuple[float, float]:
-        """(speed, d speed / dt) of a curve in this chart."""
-        jx, jy = curve.point_jets(t)
+    def speed_jet(self, jx: Jet, jy: Jet, t) -> tuple[float, float]:
+        """(speed, d speed / dt) of a curve in this chart, from the jets of
+        its components at t."""
         lam = eval_jet(self.data.lam, (jx.value, jy.value))
         xp, yp = jx.grad[0], jy.grad[0]
         xpp, ypp = jx.hess[0, 0], jy.hess[0, 0]
@@ -400,8 +399,9 @@ def _gauss_sums(a, b, speeds) -> np.ndarray:
 
 
 def _speeds(curve, base, t: np.ndarray) -> np.ndarray:
-    """Metric speed at a 2-d array of parameters, as one batch."""
-    return base.speed_jet(curve, t.ravel())[0].reshape(t.shape)
+    """Metric speed at an array of parameters, as one batch."""
+    flat = t.ravel()
+    return base.speed_jet(*curve.point_jets(flat), flat)[0].reshape(t.shape)
 
 
 def _length_table(curve, base) -> tuple[np.ndarray, np.ndarray]:
@@ -447,7 +447,7 @@ def arclength_reparam(curve: BaseCurve, base):
     """
     t0, t1 = curve.interval
     ts = np.linspace(t0, t1, 257)
-    speeds = batched(lambda t: base.speed_jet(curve, t)[0], ts)
+    speeds = batched(functools.partial(_speeds, curve, base), ts)
     if np.min(speeds) ** 2 <= 1e-12:
         raise DegenerateCurveError("curve speed vanishes on the interval")
     if np.max(np.abs(speeds - 1.0)) <= 1e-10:
@@ -467,18 +467,17 @@ def geodesic_curvature(curve, base, s):
     an array is one pass, equal point by point to the float results, and a
     failing array raises the error of its first failing point (see
     :func:`ksub.expr.batched`); a float is a batch of one (see
-    :func:`ksub.expr.at_point`). The columns of a sweep (a
-    :class:`_Sampled` curve) raise the error their batch meets:
-    :func:`hopf_residuals` bisects the samples itself.
+    :func:`ksub.expr.at_point`). :func:`hopf_residuals` does not call
+    it: its sweep reads the curve's jets at all stencil points at once
+    and passes them to the same code.
     """
-    kappa = functools.partial(_geodesic_curvature, curve, base)
-    if type(curve) is _Sampled:
-        return kappa(s)
-    return at_point(functools.partial(batched, kappa), s)
+    return at_point(functools.partial(
+        batched, lambda t: _kappa(base, curve.point_jets(t), t)), s)
 
 
-def _geodesic_curvature(curve, base, s: np.ndarray) -> np.ndarray:
-    jx, jy = curve.point_jets(s)
+def _kappa(base, jets: tuple[Jet, Jet], s: np.ndarray) -> np.ndarray:
+    """Geodesic curvature from the jets of the curve at the parameters s."""
+    jx, jy = jets
     p = (jx.value, jy.value)
     vel = np.array([jx.grad[0], jy.grad[0]])
     acc2 = np.array([jx.hess[0, 0], jy.hess[0, 0]])
@@ -529,14 +528,14 @@ class HopfReport:
     verdict: HopfVerdict
 
 
-def _verdict_from_samples(kappa, r, gauss, const_tol, crit_tol) -> HopfVerdict:
+def _verdict_from_samples(kappa, r, gauss, tol: float) -> HopfVerdict:
     k_mean, k_std = float(np.mean(kappa)), float(np.std(kappa))
     r_mean, r_std = float(np.mean(r)), float(np.std(r))
     g_mean, g_std = float(np.mean(gauss)), float(np.std(gauss))
     target = g_mean - 4.0 * r_mean ** 2
     admissible = target > 0.0
     defect = abs(k_mean * k_mean - target)
-    constant = k_std <= const_tol and r_std <= const_tol and g_std <= const_tol
+    constant = k_std <= tol and r_std <= tol and g_std <= tol
     proper = abs(k_mean) > KAPPA_MIN
 
     passed, certified = False, None
@@ -547,7 +546,7 @@ def _verdict_from_samples(kappa, r, gauss, const_tol, crit_tol) -> HopfVerdict:
     elif not admissible:
         reason = (f"G - 4 r^2 = {target:.6g} <= 0: no real mean curvature "
                   "satisfies H^2 = G - 4 r^2")
-    elif defect > crit_tol:
+    elif defect > tol:
         reason = f"kappa_g^2 - (G - 4 r^2) = {defect:.6g}"
     else:
         passed, reason = True, "proper biharmonic"
@@ -556,37 +555,21 @@ def _verdict_from_samples(kappa, r, gauss, const_tol, crit_tol) -> HopfVerdict:
                        r_std, g_mean, g_std, reason, certified)
 
 
-class _Sampled:
-    """A curve whose jets at the sample array s are already read: the
-    centre column of the stencil is s itself and reuses them."""
-
-    def __init__(self, curve, s: np.ndarray, jets: tuple[Jet, Jet]):
-        self.curve, self.s, self.jets = curve, s, jets
-
-    def point_jets(self, t) -> tuple[Jet, Jet]:
-        return self.jets if t is self.s else self.curve.point_jets(t)
-
-
 def _sweep(curve, base, h: float, s):
     """kappa, tau, r, G and the residuals of both systems at an array of
     samples s, in the order of one sample's steps."""
-    jx, jy = jets = curve.point_jets(s)
-    p = (jx.value, jy.value)
+    # the 5 stencil columns in table order, the samples first, as one batch
+    n = len(s)
+    columns = np.concatenate([q[0] for q in numdiff._abscissae((s,), h)])
+    jx, jy = jets = curve.point_jets(columns)
+    p = (jx.value[:n], jy.value[:n])
     bad = _first_bad(np.logical_not(base.contains(p)), s, *p)
     if bad:
         raise OutsideDomainError(f"curve leaves the base domain at s = "
                                  f"{bad[0]}: point {bad[1:]}")
-    xp, yp = jx.grad[0], jy.grad[0]
-    sampled = _Sampled(curve, s, jets)
-    # the centre column first: it reuses the sample jets, and its
-    # Christoffels memoise the base jets that bundle and gauss read; then
-    # the 4 off-centre columns as one batch, in table order
-    centre, *off = numdiff._abscissae((s,), h)
-    k_centre = geodesic_curvature(sampled, base, centre[0])
-    k_off = geodesic_curvature(sampled, base,
-                               np.concatenate([q[0] for q in off]))
+    xp, yp = jx.grad[0, :n], jy.grad[0, :n]
     k, grad, hess = numdiff._quotients(
-        [k_centre, *np.split(k_off, len(off))], h)
+        np.split(_kappa(base, jets, columns), 5), h)
     k1, k2 = grad[0], hess[0, 0]
     r, grad_r = base.bundle(p)
     g = base.gauss(p)
@@ -607,16 +590,18 @@ def hopf_residuals(curve, base, n_samples: int = SAMPLES,
     """Evaluate both cylinder systems along the curve and classify it.
 
     All samples are one batch: each quantity is one pass over the sample
-    array, the geodesic curvature two passes, one over the centre column of
-    the stencil and one over its 4 off-centre columns together. If the
-    batch raises, bisection finds its first failing sample, which raises
-    its own error; if it only goes non-finite its first non-finite sample
-    reruns alone (see :func:`ksub.expr.batched`). ``tol`` bounds both the
-    spread of kappa, r and G and the criterion's defect; None reads
-    CONST_TOL and CRITERION_TOL as they are when called.
+    array, and the curve's jets and the geodesic curvature one pass over
+    all 5 columns of the stencil, the samples first. If the batch raises,
+    bisection finds its first failing sample, which raises its own error;
+    if it only goes non-finite its first non-finite sample reruns alone
+    (see :func:`ksub.expr.batched`). Constancy needs at least 2 samples.
+    ``tol`` bounds both the spread of kappa, r and G and the criterion's
+    defect; None reads CRITERION_TOL as it is when called.
     """
-    const_tol = CONST_TOL if tol is None else tol
-    crit_tol = CRITERION_TOL if tol is None else tol
+    if n_samples < 2:
+        raise ValueError("a constancy check needs at least 2 samples, "
+                         f"got {n_samples}")
+    tol = CRITERION_TOL if tol is None else tol
     if not getattr(curve, "arc_length", False):
         raise NotArcLengthError("hopf residuals need an arc-length curve")
     s0, s1 = curve.interval
@@ -637,7 +622,7 @@ def hopf_residuals(curve, base, n_samples: int = SAMPLES,
     cross = float(np.max(np.abs([gres[:, 0] - res[:, 0],
                                  gres[:, 1] - 3.0 * res[:, 1],
                                  gres[:, 2] + res[:, 2]]), initial=0.0))
-    verdict = _verdict_from_samples(kap, rr, gg, const_tol, crit_tol)
+    verdict = _verdict_from_samples(kap, rr, gg, tol)
     return HopfReport(samples, kap, tau, res, cross, verdict)
 
 
@@ -799,7 +784,7 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
     evaluations of the condition per root).
     For each root the circle s -> (t0, s / f(t0)) is returned together with
     its full residual report, classified with ``tol`` as in
-    :func:`hopf_residuals` (None reads the module defaults); the
+    :func:`hopf_residuals` (None reads CRITERION_TOL); the
     geodesic curvature is f'(t0)/f(t0) and the chart curvature is
     G = -f''(t0)/f(t0).
     """

@@ -978,6 +978,13 @@ class TestErrorPathCorpus:
              "1"], 0, "",
             "8c0f20d7b94da2fd2c5efa74d44779a2"
             "b043cef405dba229b97b7f404607fe67"),
+        # not unit speed: the sweep reads the curve through t(s)
+        "reparam-ellipse": (
+            ["check", "--bcv", "1", "0.3",
+             "--curve=0.7*cos(s);0.4*sin(s)",
+             "--interval", "0", "6.283185307179586"], 0, "",
+            "2dc72af7ee8a56cbb99d508f3a6e230b"
+            "55b6dcec1eec73f85eecdd94de55df1a"),
     }
 
     @pytest.mark.parametrize("case", sorted(HOPF_CASES))
@@ -1141,6 +1148,14 @@ class TestHopfCommand:
         assert "usage:" in err and "--samples" in err
         assert "zero-size" not in err
 
+    def test_one_sample_exits_2(self, capsys):
+        # one sample has no spread: it certified "constant" from nothing
+        code, out, err = run(capsys, "hopf", "check", "--bcv", "1", "0",
+                             "--circle-kg", "1", "--samples", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: a constancy check needs at least 2 samples, "
+                       "got 1\n")
+
     def test_interval_shorter_than_the_stencil_exits_2(self, capsys):
         # the kappa'' stencil needs 6e-6 of arc length; the samples would
         # otherwise fall outside the curve
@@ -1262,12 +1277,12 @@ class TestWorkingSet:
         assert unreachable <= 10
 
     # calls per (op, points): info evaluates its grid as one batch, hopf
-    # its 64 samples (r) as one batch and its stencil (base jets) as two,
-    # the centre column of 64 and the 4 off-centre columns of 64 together,
+    # its 64 samples (r) as one batch and its base jets as two, the 5
+    # stencil columns of 64 together and then the 64 samples for r and G,
     # check-surface the base points of its 25 regularity-grid points and of
     # its 164 lattice rows as one batch, a cylinder's repeated base points
     # included
-    CALLS = {("info", 144): 1, ("hopf", 64): 1, ("hopf", 320): 2,
+    CALLS = {("info", 144): 1, ("hopf", 64): 1, ("hopf", 384): 2,
              ("check-surface", 189): 1}
 
     @staticmethod
@@ -1291,7 +1306,7 @@ class TestWorkingSet:
         assert sum(seen) == points
         assert len(seen) == self.CALLS[op, points]
 
-    @pytest.mark.parametrize("op, points", [("info", 144), ("hopf", 320),
+    @pytest.mark.parametrize("op, points", [("info", 144), ("hopf", 384),
                                             ("check-surface", 189)])
     def test_base_jets_evaluated_once_per_batch_row(self, op, points,
                                                     monkeypatch, capsys):

@@ -334,55 +334,64 @@ class TestHopfResiduals:
         with pytest.raises(NotArcLengthError):
             hopf.hopf_residuals(fast, FLAT_BASE)
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_constancy_needs_two_samples(self, n_samples):
+        # one sample has no spread, so it certified "constant" from nothing
+        base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
+        with pytest.raises(ValueError) as err:
+            hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), base,
+                                n_samples=n_samples)
+        assert str(err.value) == ("a constancy check needs at least 2 "
+                                  f"samples, got {n_samples}")
+
     def test_nan_in_second_system_reaches_crosscheck(self, monkeypatch):
         # a sweep that only goes non-finite keeps its own values and reruns
-        # its first non-finite sample alone: the centre column and the 4
-        # off-centre columns as one batch, for all samples and for that
-        # sample (a rerun of every sample would make 130 calls)
+        # its first non-finite sample alone: the 5 stencil columns as one
+        # batch, for all samples and for that sample (a rerun of every
+        # sample would make 65 calls)
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
         circle = hopf.bcv_circle(1.0, kappa=1.0)
         finite = hopf.hopf_residuals(circle, base)
         monkeypatch.setattr(base, "ricci_values",
                             lambda *args: (math.nan, 0.0, 0.0))
         calls = []
-        original = hopf.geodesic_curvature
+        original = hopf._kappa
 
-        def counted(curve, base, s):
+        def counted(base, jets, s):
             calls.append(len(s))
-            return original(curve, base, s)
+            return original(base, jets, s)
 
-        monkeypatch.setattr(hopf, "geodesic_curvature", counted)
+        monkeypatch.setattr(hopf, "_kappa", counted)
         report = hopf.hopf_residuals(circle, base, n_samples=64)
         assert math.isnan(report.crosscheck)
-        assert calls == [64, 256, 1, 4]
+        assert calls == [320, 5]
         assert report.kappa.tobytes() == finite.kappa.tobytes()
         assert report.residuals.tobytes() == finite.residuals.tobytes()
 
     def test_five_geodesic_curvatures_per_sample(self, monkeypatch):
         # kappa, kappa' and kappa'' come from the 5-point stencil of each
-        # sample, evaluated as batches: one call per stencil column
+        # sample, evaluated as one batch of all its columns
         calls = []
-        original = hopf.geodesic_curvature
+        original = hopf._kappa
 
-        def counted(curve, base, s):
+        def counted(base, jets, s):
             calls.append(np.array(s, ndmin=1))
-            return original(curve, base, s)
+            return original(base, jets, s)
 
-        monkeypatch.setattr(hopf, "geodesic_curvature", counted)
+        monkeypatch.setattr(hopf, "_kappa", counted)
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
         report = hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), base,
                                      n_samples=64)
         assert len(report.kappa) == 64
         abscissae = np.concatenate(calls)
-        assert len(calls) <= 5
+        assert len(calls) == 1
         assert len(abscissae) == 5 * 64
         assert len(set(abscissae.tolist())) == len(abscissae)
 
     def test_sample_jets_read_once(self, monkeypatch):
-        # the centre column of the kappa stencil is the samples themselves
-        # and reuses their jets, and the 4 off-centre columns are one
-        # batch: x and y at the samples, base jets at the centre column,
-        # and x, y and base jets at the off-centre batch
+        # the 5 columns of the kappa stencil, the samples first, are one
+        # batch: x and y and the base jets there, then the base jets at
+        # the samples for r and G
         calls = []
         evaluate = expr._evaluate
 
@@ -394,16 +403,14 @@ class TestHopfResiduals:
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
         hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), base,
                             n_samples=64)
-        assert sum(calls) == 10
+        assert sum(calls) == 8
 
     def test_tolerances_read_when_called(self, monkeypatch):
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
         circle = hopf.bcv_circle(1.0, kappa=1.0)
         assert hopf.hopf_residuals(circle, base, n_samples=8).verdict.passed
+        # one tolerance bounds the spread, which is checked first
         monkeypatch.setattr(hopf, "CRITERION_TOL", -1.0)
-        verdict = hopf.hopf_residuals(circle, base, n_samples=8).verdict
-        assert not verdict.passed and "kappa_g^2" in verdict.reason
-        monkeypatch.setattr(hopf, "CONST_TOL", -1.0)
         verdict = hopf.hopf_residuals(circle, base, n_samples=8).verdict
         assert not verdict.passed and "varies" in verdict.reason
 
@@ -480,8 +487,7 @@ def loop_report(curve, base, n_samples=64):
     cross = float(np.max(np.abs([gres[:, 0] - res[:, 0],
                                  gres[:, 1] - 3.0 * res[:, 1],
                                  gres[:, 2] + res[:, 2]]), initial=0.0))
-    verdict = hopf._verdict_from_samples(kap, rr, gg, hopf.CONST_TOL,
-                                         hopf.CRITERION_TOL)
+    verdict = hopf._verdict_from_samples(kap, rr, gg, hopf.CRITERION_TOL)
     return hopf.HopfReport(samples, kap, tau, res, cross, verdict)
 
 
@@ -509,7 +515,7 @@ class TestBatchedSweep:
     """The batched sweep equals the per-sample loop bit for bit, and fails
     where and as the loop fails."""
 
-    @pytest.mark.parametrize("n_samples", [1, 8, 64])
+    @pytest.mark.parametrize("n_samples", [2, 8, 64])
     @pytest.mark.parametrize("c, kappa", [(4.0, 1.2), (1.0, 1.0), (0.0, 1.0)])
     def test_bcv_circle(self, c, kappa, n_samples):
         base = hopf.ConformalBase(geo.bcv(c, 0.5))
@@ -517,14 +523,14 @@ class TestBatchedSweep:
         assert_same_report(hopf.hopf_residuals(curve, base, n_samples),
                            loop_report(curve, base, n_samples))
 
-    @pytest.mark.parametrize("n_samples", [1, 8, 64])
+    @pytest.mark.parametrize("n_samples", [2, 8, 64])
     def test_warped_root(self, n_samples):
         case = hopf.rotational_case_search("cos(t)", 0.25, (0.0, 1.5))[0]
         assert_same_report(
             hopf.hopf_residuals(case.curve, case.base, n_samples),
             loop_report(case.curve, case.base, n_samples))
 
-    @pytest.mark.parametrize("n_samples", [1, 8, 64])
+    @pytest.mark.parametrize("n_samples", [2, 8, 64])
     def test_reparametrized_ellipse(self, n_samples):
         curve, base = generic_ellipse()
         assert_same_report(hopf.hopf_residuals(curve, base, n_samples),
@@ -539,6 +545,23 @@ class TestBatchedSweep:
                 assert jet.value[i] == one.value
                 assert jet.grad[:, i].tobytes() == one.grad.tobytes()
                 assert jet.hess[:, :, i].tobytes() == one.hess.tobytes()
+
+    def test_reparametrized_jets_read_the_curve_once(self, monkeypatch):
+        # x and y are evaluated once at t(s): the speed jet and the chain
+        # rule share that read
+        curve, _ = generic_ellipse()
+        s = np.linspace(0.0, curve.interval[1], 33)
+        t = curve._times(s)
+        reads = []
+        point_jets = curve.curve.point_jets
+
+        def counted(ts):
+            reads.append(np.array_equal(ts, t))
+            return point_jets(ts)
+
+        monkeypatch.setattr(curve.curve, "point_jets", counted)
+        curve.point_jets(s)
+        assert sum(reads) == 1
 
     def test_first_sample_leaving_the_domain(self):
         small = hopf.ConformalBase(make_data("1", "0", "0",
@@ -592,17 +615,16 @@ class TestBatchedSweep:
 def column_sweep(curve, base, h, s):
     """``hopf._sweep`` with one geodesic-curvature call per stencil column,
     through ``numdiff.derivatives``, as the sweep was written before its
-    off-centre columns became one batch."""
-    jx, jy = jets = curve.point_jets(s)
+    columns became one batch."""
+    jx, jy = curve.point_jets(s)
     p = (jx.value, jy.value)
     bad = expr._first_bad(np.logical_not(base.contains(p)), s, *p)
     if bad:
         raise OutsideDomainError(f"curve leaves the base domain at s = "
                                  f"{bad[0]}: point {bad[1:]}")
     xp, yp = jx.grad[0], jy.grad[0]
-    sampled = hopf._Sampled(curve, s, jets)
     k, grad, hess = numdiff.derivatives(
-        lambda q: hopf.geodesic_curvature(sampled, base, q[0]), (s,), h)
+        lambda q: hopf.geodesic_curvature(curve, base, q[0]), (s,), h)
     k1, k2 = grad[0], hess[0, 0]
     r, grad_r = base.bundle(p)
     g = base.gauss(p)
@@ -628,8 +650,8 @@ def sweep_cases():
 
 
 class TestStencilColumns:
-    """The sweep's centre column and its batch of 4 off-centre columns
-    equal one call per column bit for bit, and fail as they fail."""
+    """The sweep's one batch of its 5 stencil columns equals one call per
+    column bit for bit, and fails as they fail."""
 
     @pytest.mark.parametrize("curve, base", list(sweep_cases()))
     def test_equals_one_call_per_column(self, curve, base):
@@ -693,14 +715,14 @@ class TestStencilColumns:
             return metric(p)
 
         points = []
-        original = hopf._geodesic_curvature
+        original = hopf._kappa
 
-        def counted(curve, base, s):
+        def counted(base, jets, s):
             points.append(len(s))
-            return original(curve, base, s)
+            return original(base, jets, s)
 
         monkeypatch.setattr(base, "metric", failing_metric)
-        monkeypatch.setattr(hopf, "_geodesic_curvature", counted)
+        monkeypatch.setattr(hopf, "_kappa", counted)
         with pytest.raises(DomainEvalError) as err:
             hopf.hopf_residuals(curve, base)
         assert str(err.value) == f"chart fails at {target}"
@@ -775,7 +797,7 @@ class TestRotationalSearch:
             hopf.rotational_case_search("cos(t)", 0.0, (0.0, 0.5))
 
     def test_tolerances_read_when_called(self, monkeypatch):
-        monkeypatch.setattr(hopf, "CONST_TOL", -1.0)
+        monkeypatch.setattr(hopf, "CRITERION_TOL", -1.0)
         case = hopf.rotational_case_search("cos(t)", 0.0, (0.0, 1.5))[0]
         assert not case.report.verdict.passed
 
