@@ -410,10 +410,8 @@ def cmd_check_surface(args) -> int:
     nx, ny = args.grid if args.grid else (3, 3)
     points = patch.domain.grid(int(nx), int(ny), inset=0.25)
     tol = args.tol
-    # every point's residuals from the columns of one lattice (one per
-    # point where its batch fails)
-    checked = [checks for lat in srf.lattices(patch, points)
-               for checks in _surface_checks(lat, tol)]
+    # every point's residuals from the columns of one lattice
+    checked = _surface_checks(srf._Lattice(patch, points), tol)
     records, rows = [], []
     for q, checks in zip(points, checked):
         rows += [{"s_or_u": q[0], "v": q[1], **chk} for chk in checks]

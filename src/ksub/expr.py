@@ -360,7 +360,8 @@ def batched(fn, *coords):
     exactly the results of its points one at a time.
 
     ``fn`` takes one array per coordinate and returns a Jet, an array or a
-    tuple of them, with the batch on the trailing axis; it runs under
+    tuple of them, with the batch on the trailing axis, or a dict of arrays
+    with the batch on the leading axis; it runs under
     ``np.errstate(all="ignore")``. If it raises an input or arithmetic
     error, bisection finds its first point that raises (of the points in
     question, the front half is kept if it raises under that errstate, else
@@ -420,6 +421,8 @@ def _unbatch(out):
 def _finite(out) -> bool:
     if isinstance(out, Jet):
         return _finite(out.value) and _finite(out.grad) and _finite(out.hess)
+    if isinstance(out, dict):
+        out = tuple(out.values())
     if isinstance(out, tuple):
         return all(_finite(part) for part in out)
     return bool(np.isfinite(out).all())
@@ -429,6 +432,9 @@ def _nonfinite(out) -> np.ndarray:
     """Per point of a batch, whether any number of ``out`` is not finite."""
     if isinstance(out, Jet):
         out = (out.value, out.grad, out.hess)
+    if isinstance(out, dict):  # arrays with the batch on the leading axis
+        out = tuple(np.reshape(part, (len(part), -1)).T
+                    for part in out.values())
     if isinstance(out, tuple):
         return functools.reduce(np.logical_or, map(_nonfinite, out))
     bad = np.atleast_1d(np.logical_not(np.isfinite(out)))

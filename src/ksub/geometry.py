@@ -67,8 +67,10 @@ __all__ = [
 # truncation against cancellation at this size for double precision.
 FD_SCALE = 1e-4
 
-# Entries a per-object memo store holds before it is emptied.
-CACHE_LIMIT = 200_000
+# Entries a per-object memo store holds before it is emptied: a point
+# lattice with the base jets of its batch holds about 55 KB, so a full store
+# of them about 56 MB (no workload fills more than 6 entries)
+CACHE_LIMIT = 1_024
 
 
 def rows(a) -> np.ndarray:

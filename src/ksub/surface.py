@@ -31,14 +31,14 @@ and its 5x5 probe lattice, built in one batch). A derivative is
 ``check-surface`` computes each residual at once for the points it applies
 to (:meth:`_Lattice.over` a mask), and a module function at one point runs
 the same code on a lattice of one (:func:`point_lattice`, keyed by the
-point's bits). A lattice whose batch raises or yields a non-finite value
-builds its rows one at a time, group by group as the operations read them,
-so each error arises where its row is read. A record (:class:`_PointData`)
-is one row of its point's lattice, made when :meth:`SurfaceEvaluator.data`
-reads it; :meth:`_Lattice.require_frame` guards the adapted frame. A patch's
-5x5 regularity grid is checked with its first lattice batch, ahead of the
-lattice's rows, which keeps none of the grid's; a flipped twin inherits the
-check.
+point's bits). A lattice whose batch raises builds its rows group by
+group as the operations read them, one batch each, so the error that
+arises is the first failing row's in read order. A record
+(:class:`_PointData`) is one row of its point's lattice, made when
+:meth:`SurfaceEvaluator.data` reads it; :meth:`_Lattice.require_frame`
+guards the adapted frame. A patch's 5x5 regularity grid is checked with
+its first lattice batch, ahead of the lattice's rows, which keeps none of
+the grid's; a flipped twin inherits the check.
 
 Derivatives of derived surface fields (phi, shape entries, mean curvature)
 are finite differences in parameter space with step h = ``1e-3 * patch
@@ -63,7 +63,7 @@ from .errors import (
     FdMarginError,
     POINT_FAILURES,
 )
-from .expr import Expr, _finite, batched, eval_jet, parse, power
+from .expr import Expr, batched, eval_jet, parse, power
 from .numdiff import _abscissae, _quotients
 
 __all__ = [
@@ -292,17 +292,12 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
     }
 
 
-def _attempt(patch: SurfacePatch, keys) -> dict | None:
-    """The fields at the parameter points ``keys`` built in one batch, or
-    None where the batch raises or yields a non-finite value: its rows are
-    then built one at a time, where every error and warning arises."""
-    us, vs = (np.array(c) for c in zip(*keys))
-    try:
-        with np.errstate(all="ignore"):
-            fields = _build(patch, us, vs)
-    except POINT_FAILURES:
-        return None
-    return fields if _finite(tuple(fields.values())) else None
+def _batch(patch: SurfacePatch, keys) -> dict:
+    """The fields at the parameter points ``keys``, built in one batch by
+    :func:`~ksub.expr.batched`: a batch that raises raises the error of its
+    first failing point, and a non-finite one stands."""
+    return batched(lambda us, vs: _build(patch, us, vs),
+                   *map(np.array, zip(*keys)))
 
 
 def _record(fields: dict, n: int) -> _PointData:
@@ -334,9 +329,10 @@ class _Lattice:
     margin of 4 h). :meth:`column` gathers a field of a group by row index,
     (N, ...), (N, 17, ...) or (N, 25, ...); a group that a point lacks the
     margin for raises :class:`FdMarginError` for the first such point. Rows
-    are built in one batch (:meth:`_prefetch`), or else one at a time, in
-    order, when their group is first read. The lattice refers to its patch
-    weakly, so the patch can own it.
+    are built in one batch (:meth:`_prefetch`), or else group by group, one
+    batch each, when the group is first read; the rows are one store that
+    the lattice shares with its sub-lattices (:meth:`take`). The lattice
+    refers to its patch weakly, so the patch can own it.
     """
 
     def __init__(self, patch: SurfacePatch, qs):
@@ -356,47 +352,46 @@ class _Lattice:
         }
         self._fields, self._index, self._columns = {}, {}, {}
         self._record = None
+        self._prefetch()
 
     def reaches(self, group: str) -> np.ndarray:
         """Per point, whether it has the margin that ``group`` needs."""
         return np.array([keys is not None for keys in self._keys[group]])
 
-    def _keep(self, keys, parts) -> None:
-        """Add the rows at ``keys``, the batches ``parts`` in order; a lone
-        batch is kept as it is."""
-        parts = ([self._fields] if self._index else []) + parts
-        self._fields = parts[0] if len(parts) == 1 else {
-            name: np.concatenate([p[name] for p in parts])
-            for name in parts[-1]}
-        self._index = {**self._index, **{key: len(self._index) + n
-                                         for n, key in enumerate(keys)}}
+    def _keep(self, keys, fields) -> None:
+        """Add the rows at ``keys``, the batch ``fields``, in place to the
+        store the lattice shares with its sub-lattices; a first batch is
+        kept as it is."""
+        store, start = self._fields, len(self._index)
+        store.update(fields if not store else {
+            name: np.concatenate([store[name], field])
+            for name, field in fields.items()})
+        self._index.update((key, start + n) for n, key in enumerate(keys))
 
-    def _prefetch(self) -> bool:
+    def _prefetch(self) -> None:
         """Build every row in one batch, after the patch's pending regularity
-        grid; False where the batch failed.
+        grid, whose rows are checked, not kept.
 
-        The grid's rows are checked, not kept. Where the joint batch fails,
-        the grid's batch refuses a degenerate first form as a check on its
-        own (its first failing point reruns alone, to raise its own error),
-        and the rows are tried again without it."""
+        Where the batch raises, the grid's batch runs alone, to raise the
+        grid's own error, and no row is kept: each group builds its rows as
+        one batch when first read. A non-finite batch is kept, as its rows
+        built again would give the same bits."""
         patch = self._patch()
         grid = patch._grid
         keys = list(dict.fromkeys(key for group in self._keys.values()
                                   for keys in group if keys for key in keys))
-        fields = _attempt(patch, grid + keys)
-        if fields is None and grid:
-            batched(lambda us, vs: np.linalg.det(
-                _build(patch, us, vs)["first_form"]),
-                *map(np.array, zip(*grid)))
-            grid.clear()
-            return self._prefetch()
-        if fields is not None:
-            if grid:  # a copy of the rest, so the grid's rows are not kept
-                fields = {name: field[len(grid):].copy()
-                          for name, field in fields.items()}
+        try:
+            fields = _batch(patch, grid + keys)
+        except POINT_FAILURES:
+            if grid:
+                _batch(patch, grid)
                 grid.clear()
-            self._keep(keys, [fields])
-        return fields is not None
+            return
+        if grid:  # a copy of the rest, so the grid's rows are not kept
+            fields = {name: field[len(grid):].copy()
+                      for name, field in fields.items()}
+            grid.clear()
+        self._keep(keys, fields)
 
     def take(self, mask) -> "_Lattice":
         """The lattice of the points where ``mask`` is set, on the same
@@ -417,8 +412,8 @@ class _Lattice:
         return [next(values) if m else None for m in mask]
 
     def _rows(self, group: str) -> np.ndarray:
-        """Row indices of a group; its missing rows are built one at a
-        time, in order, and kept only if none raises."""
+        """Row indices of a group; its missing rows are built as one batch,
+        which raises the error of its first failing row, and kept."""
         rows = self._columns.get(group)
         if rows is None:
             for (u, v), keys in zip(self.points, self._keys[group]):
@@ -430,9 +425,7 @@ class _Lattice:
             missing = dict.fromkeys(key for keys in self._keys[group]
                                     for key in keys if key not in self._index)
             if missing:
-                self._keep(missing, [_build(self._patch(), np.array([u]),
-                                            np.array([v]))
-                                     for u, v in missing])
+                self._keep(missing, _batch(self._patch(), missing))
             rows = np.array([[self._index[key] for key in keys]
                              for keys in self._keys[group]], dtype=np.intp)
             rows = self._columns[group] = (rows[:, 0] if group == "centre"
@@ -467,22 +460,12 @@ class _Lattice:
                             *self.points[n])
 
 
-def lattices(patch: SurfacePatch, qs) -> list[_Lattice]:
-    """The lattices the point operations at ``qs`` read: one, built in one
-    batch; where the batch fails, one per point, built as read, so each
-    error arises at its point and read."""
-    lat = _Lattice(patch, qs)
-    if lat._prefetch() or len(lat.points) == 1:
-        return [lat]
-    return [_Lattice(patch, [q]) for q in lat.points]
-
-
 def point_lattice(patch: SurfacePatch, q) -> _Lattice:
     """The lattice of one parameter point, built once per point and patch;
     points are told apart by their bits, so -0.0 is not 0.0."""
     u, v = float(q[0]), float(q[1])
     return geo.memo(patch._lattices, (u.hex(), v.hex()),
-                    lambda *_: lattices(patch, [(u, v)])[0])
+                    lambda *_: _Lattice(patch, [(u, v)]))
 
 
 # ---------------------------------------------------------------------------

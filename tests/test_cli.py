@@ -547,7 +547,7 @@ class TestNumericFaults:
                                        geo.Rect(-0.45, 0.45, -0.45, 0.45))
         monkeypatch.setattr(srf, "_compatibility", lambda lat: np.array(
             [[1e-9, math.nan]] * len(lat.points)))
-        [lat] = srf.lattices(patch, [(0.2, 0.1)])
+        lat = srf._Lattice(patch, [(0.2, 0.1)])
         [checks] = _surface_checks(lat, 1e-4)
         by_name = {c["check"]: c for c in checks}
         assert math.isnan(by_name["compatibility"]["residual"])
@@ -1007,6 +1007,22 @@ class TestErrorPathCorpus:
              "0.5"],
             2, "error: sin(-inf) is undefined in 'sin(1e+200*1e+200*x)'\n",
             EMPTY_SHA256),
+        # a 6x6 lattice whose batch raises: some stencil and probe points
+        # near u = pi/2 leave the domain's top edge
+        "lattice-batch-raises": (
+            ["check-surface", "--lambda", "1", "--a=-0.5*y", "--b=0.5*x",
+             "--domain", "-2", "2", "-2", "0.7999984",
+             "--surface=0.8*cos(u);0.8*sin(u);v",
+             "--patch-domain", "0.815139", "1.815139", "0", "1",
+             "--grid", "6", "6"],
+            2, "error: point (3.780363233608751e-07, 0.7999999999999107) "
+               "outside domain of custom\n", EMPTY_SHA256),
+        # a 6x6 lattice whose batch is non-finite and raises nothing
+        "lattice-batch-non-finite": (
+            ["check-surface", "--lambda", "1", "--b=1e200*x^2",
+             "--graph=x*y", "--grid", "6", "6"],
+            2, "error: non-finite result at points[0].checks[0].residual\n",
+            EMPTY_SHA256),
     }
 
     @pytest.mark.parametrize("case", sorted(COMMANDS))
@@ -1015,6 +1031,28 @@ class TestErrorPathCorpus:
         got_code, out, got_err = run(capsys, *argv)
         assert (got_code, got_err) == (code, err)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case, builds", [
+        # the joint batch and the 12 builds of its bisection, the grid,
+        # the centres, the stencils, and the probes and the 11 of theirs
+        ("lattice-batch-raises", 28),
+        # the joint batch, kept, and its first non-finite row for warnings
+        ("lattice-batch-non-finite", 2),
+    ])
+    def test_a_failed_lattice_builds_its_groups_as_batches(
+            self, capsys, monkeypatch, case, builds):
+        # 1,270 and 1,480 builds while a failed lattice split into a
+        # lattice per point, each building its rows one at a time
+        calls = []
+        build = srf._build
+
+        def counted(patch, us, vs):
+            calls.append(len(us))
+            return build(patch, us, vs)
+
+        monkeypatch.setattr(srf, "_build", counted)
+        run(capsys, *self.COMMANDS[case][0])
+        assert len(calls) == builds
 
 
 def assert_refused_for_memory(*argv) -> None:

@@ -4,34 +4,51 @@
 The metric fields of ``info`` and the graph height of ``check-surface`` are
 the random expressions in x and y of ``test_batch``: all seven functions,
 "/" and "^", so they divide by zero, overflow, leave their domains and go
-non-finite.
+non-finite. The ``check-surface --surface`` patches are random expressions
+in u and v built the same way; each run must also equal the points of its
+grid checked one at a time, each on a lattice of its own.
 """
 
 import contextlib
 import io
+import json
+import math
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from ksub import cli  # noqa: E402
+from ksub import surface as srf  # noqa: E402
 from ksub.cli import main  # noqa: E402
-from test_batch import texts  # noqa: E402
+from ksub.errors import KsubError, POINT_FAILURES  # noqa: E402
+from test_batch import _compound, texts  # noqa: E402
 
 # repr floats, "-3e-05" among them
 points = st.lists(st.floats(-0.9, 0.9).map(repr), min_size=2, max_size=2)
 
 
-def _ends_cleanly(argv) -> None:
+uv_texts = st.recursive(
+    st.one_of(st.sampled_from(("u", "v")),
+              st.floats(0.0, 4.0).map(lambda v: repr(round(v, 3)))),
+    _compound, max_leaves=6)
+
+
+def _ends_cleanly(argv):
+    """The exit code, stdout and error line of a run that ends cleanly."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)  # an exception escaping it would be a traceback
     assert code in (0, 1, 2)
+    line = None
     if code == 2:
         assert out.getvalue() == ""
         [line] = err.getvalue().splitlines()
         assert line.startswith("error: ")
+    return code, out.getvalue(), line
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -46,3 +63,56 @@ def test_generated_metrics_end_in_an_exit_code(lam, a, b, at):
 def test_generated_graphs_end_in_an_exit_code(height):
     _ends_cleanly(["check-surface", "--bcv", "1", "0.5", f"--graph={height}",
                    "--grid", "2", "2"])
+
+
+def _error_line(err) -> str:
+    """The line ``main`` prints for a point's error."""
+    if isinstance(err, (KsubError, ValueError)):
+        return f"error: {err}"
+    return f"error: {type(err).__name__}: {err}"
+
+
+def _per_point(argv):
+    """Per point of the command's grid, its check rows on a lattice of its
+    own, and the error lines of the points that raise alone."""
+    args = cli._parser().parse_args(argv)
+    rows, errors = [], set()
+    with np.errstate(all="ignore"):
+        patch = cli._patch_from_args(args, cli._metric_from_args(args))
+        for q in patch.domain.grid(2, 2, inset=0.25):
+            try:
+                [checks] = cli._surface_checks(srf._Lattice(patch, [q]),
+                                               args.tol)
+            except POINT_FAILURES as err:
+                errors.add(_error_line(err))
+            else:
+                rows.append(checks)
+    return rows, errors
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(uv_texts, uv_texts, uv_texts)
+def test_generated_patches_equal_their_points(x, y, z):
+    argv = ["check-surface", "--bcv", "1", "0.5",
+            f"--surface=u+0.2*({x});v+0.2*({y});{z}",
+            "--grid", "2", "2"]
+    code, out, line = _ends_cleanly(argv)
+    rows, errors = _per_point(argv)
+    if errors:
+        # the error of the first failing row in read order is an error its
+        # point raises alone
+        assert code == 2 and line in errors
+        return
+    bad = [(n, k) for n, checks in enumerate(rows)
+           for k, chk in enumerate(checks)
+           if not math.isfinite(chk["residual"])]
+    if bad:
+        n, k = bad[0]
+        assert (code, line) == (
+            2, f"error: non-finite result at points[{n}].checks[{k}].residual")
+        return
+    failed = any(chk["status"] == "fail" and chk["check"] in cli._INTEGRITY
+                 for checks in rows for chk in checks)
+    assert code == (1 if failed else 0)
+    assert [point["checks"] for point in json.loads(out)["points"]] \
+        == json.loads(cli.dumps_json(rows))

@@ -513,17 +513,18 @@ class TestOneOwnerPerBatchRule:
             lambda node: self.calls("take")(node)
             and ast.unparse(node.func.value) != "np")) == {"surface"}
 
-    def test_only_the_lattice_prefetch_attempts_a_batch(self):
-        # a regularity grid finds its first failing point through batched
-        assert self.owners(self.calls("_attempt")) \
-            == {"surface": ["_Lattice._prefetch"]}
+    def test_surface_builds_only_through_batched(self):
+        # every batch of lattice rows, the regularity grid's too, finds its
+        # first failing point through batched, which _batch hands _build
+        assert self.owners(self.calls("_build")) == {"surface": ["_batch"]}
 
     def test_the_lattice_alone_guards_the_adapted_frame(self):
         assert not hasattr(srf.SurfaceEvaluator, "adapted")
 
     def test_a_points_failures_are_named_once(self):
         # the exceptions that make a point of a batch fail are one tuple,
-        # errors.POINT_FAILURES, which expr.batched and surface._attempt read
+        # errors.POINT_FAILURES, which expr.batched and the lattice prefetch
+        # read
         assert self.owners(
             lambda node: isinstance(node, ast.Tuple)
             and {"ArithmeticError", "ValueError"}

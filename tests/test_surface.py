@@ -1,6 +1,7 @@
 import ast
 import gc
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -513,6 +514,26 @@ class TestCaches:
         geo.memo(store, (3,), lambda k: k)
         assert store == {(3,): 3}
 
+    def test_a_full_store_of_point_lattices_stays_small(self):
+        # a point lattice and the base jets of its batch, as traced: a
+        # store of point lattices holds under 128 MB before it is emptied
+        # (about 11 GB while the limit was 200,000 entries)
+        data = geo.bcv(0.0, 0.5)
+        patch = srf.SurfacePatch.graph(data, "0.2+0.5*x+0.3*y+0.4*x*y",
+                                       geo.Rect(-0.5, 0.5, -0.5, 0.5))
+        srf.gauss_residual(patch, (0.0, 0.0))  # checks the regularity grid
+        qs = [(0.02 * i, 0.02 * j) for i in range(1, 6) for j in range(1, 5)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for q in qs:
+                srf.gauss_residual(patch, q)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(patch._lattices) == len(data._jets) == 1 + len(qs)
+        assert held / len(qs) * geo.CACHE_LIMIT < 128 << 20
+
     def test_metric_is_not_pinned(self):
         data = geo.bcv(1.0, 0.5)
         data.base_jets(0.1, 0.2)
@@ -796,7 +817,7 @@ class TestBatchedLattice:
             if flip:
                 patch = patch.flipped()
             qs = patch.domain.grid(2, 2, inset=0.25)
-            [lat] = srf.lattices(patch, qs)
+            lat = srf._Lattice(patch, qs)
             # 4 points x (the point, 16 stencil points, 24 probe points)
             assert len(lat._index) == 4 * 41
             assert len(srf._PointData._fields) == 26
@@ -822,7 +843,7 @@ class TestBatchedLattice:
             if flip:
                 patch = patch.flipped()
             qs = patch.domain.grid(2, 2, inset=0.25)
-            [lat] = srf.lattices(patch, qs)
+            lat = srf._Lattice(patch, qs)
             columns = {
                 "gauss": srf._gauss(lat),
                 "codazzi": srf._codazzi(lat),
@@ -915,9 +936,9 @@ class TestBatchedLattice:
         assert all(map(math.isfinite, bih.normality_assemblies(patch, q)))
 
     def test_failed_lattice_is_not_rebuilt(self, monkeypatch, capsys):
-        # the failing lattice is tried once as a batch; later point
-        # operations leave its points out, so only the records they read
-        # are built, one at a time
+        # the failing lattice is tried once as a batch; then each group the
+        # checks read is built as one batch, and kept, so no row is built
+        # twice
         sizes = []
         build = srf._build
 
@@ -928,9 +949,54 @@ class TestBatchedLattice:
         monkeypatch.setattr(srf, "_build", counted)
         assert main(self.ARGV) == 2
         capsys.readouterr()
-        # the regularity grid with the checked point's lattice, then, as
-        # that batch fails, the grid alone and the lattice alone
-        assert [n for n in sizes if n > 1] == [66, 25, 41]
+        # the regularity grid with the checked point's lattice, bisected to
+        # its first failing row; as that batch fails, the grid alone; then
+        # the centre, the stencil (16 rows more) and the probes (24 more),
+        # whose batch is bisected to the row that raises the error
+        assert sizes == [66, 33, 16, 8, 4, 2, 1, 1, 25, 1, 16, 24, 12, 6, 3,
+                         1, 1, 1]
+
+    def test_error_is_the_first_failing_row_in_read_order(self, capsys):
+        # a probe of the first point and the centre of a later point leave
+        # the domain's top edge; every centre is read before any probe, so
+        # the error is the centre's (while each point had a lattice of its
+        # own, the first point's probe raised first, at
+        # (0.25565685424949236, 0.8))
+        code = main(["check-surface", "--lambda", "1",
+                     "--domain", "-2", "2", "-2", "0.7999984",
+                     "--surface=u;0.8*cos(12.710169770110815"
+                     "*(u-0.25565685424949236));v",
+                     "--patch-domain", "0", "1", "0", "1", "--grid", "2", "2"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: point (0.75, 0.8) outside domain of custom\n"
+
+    def test_rows_a_sub_lattice_builds_are_its_parents(self, monkeypatch):
+        # a lattice whose batch failed shares one row store with the
+        # sub-lattices it takes: a row one of them builds is not built again
+        patch, _ = self.failing_patch()
+        lat = srf._Lattice(patch, patch.domain.grid(2, 2, inset=0.25))
+        assert lat._index == {}
+        sizes = []
+        build = srf._build
+
+        def counted(patch, us, vs):
+            sizes.append(len(us))
+            return build(patch, us, vs)
+
+        monkeypatch.setattr(srf, "_build", counted)
+        sub = lat.take(np.array([True, False, False, True]))
+        stencil = sub.column("stencil", "phi")
+        assert sizes == [34]
+        assert list(lat._index) == [key for keys in sub._keys["stencil"]
+                                    for key in keys]
+        # the parent reads the sub-lattice's rows and builds only the rest
+        assert hexes(lat.column("stencil", "phi")[[0, 3]]) == hexes(stencil)
+        lat.centre("phi")
+        assert sizes == [34, 34]
+        assert len(lat._index) == 4 * 17
+        assert [lat._fields["params"][row].tolist()
+                for row in lat._index.values()] == [list(k) for k in lat._index]
 
 
 class TestRegularityGrid:
@@ -954,7 +1020,7 @@ class TestRegularityGrid:
         patch = srf.SurfacePatch.graph(HEIS, "x*y",
                                        geo.Rect(-0.45, 0.45, -0.45, 0.45))
         batches = self.counted(monkeypatch)
-        [lat] = srf.lattices(patch, patch.domain.grid(3, 3, inset=0.25))
+        lat = srf._Lattice(patch, patch.domain.grid(3, 3, inset=0.25))
         keys = list(dict.fromkeys(key for group in lat._keys.values()
                                   for keys in group for key in keys))
         grid = patch.domain.grid(5, 5, inset=0.02)
