@@ -17,11 +17,10 @@ Every ``**`` and function is one numpy kernel over the batch (:func:`power`,
 one, and ``+ - * /`` are the same IEEE operations on a batch as on a point,
 so a batch equals its points bit for bit. Where the libm call of one float
 raised (an overflow, a function of an infinite argument), the kernel raises
-:class:`DomainEvalError` at the first such element. :func:`batched` reruns a
-batch that raises point by point, each a batch of one, until its first
-failing point raises its own error; a batch that only goes non-finite keeps
-its values and reruns its first non-finite point alone, for that point's
-warnings.
+:class:`DomainEvalError` at the first such element. :func:`batched` tries
+a batch once and keeps what it returns, non-finite values included; only a
+batch that raises is searched, by bisection, until its first failing point
+raises its own error as a batch of one.
 
 Grammar::
 
@@ -359,20 +358,17 @@ def batched(fn, *coords):
     """``fn(*coords)`` over equal-length coordinate arrays in one pass, with
     exactly the results of its points one at a time.
 
-    ``fn`` takes one array per coordinate and returns a Jet, an array or a
-    tuple of them, with the batch on the trailing axis, or a dict of arrays
-    with the batch on the leading axis; it runs under
-    ``np.errstate(all="ignore")``. If it raises an input or arithmetic
-    error, bisection finds its first point that raises (of the points in
-    question, the front half is kept if it raises under that errstate, else
-    the back half), and that point runs again alone, without the errstate,
-    to raise its own error; if it does not, the batch's error stands. If it
-    only yields a non-finite number, its values stand (they equal its
-    points' bit for bit); its first non-finite point reruns for its warnings.
+    ``fn`` takes one array per coordinate. It runs once, under the
+    caller's numpy error state, and what it returns stands, non-finite
+    numbers included (they equal its points' bit for bit). If it raises an
+    input or arithmetic error, bisection finds its first point that raises
+    (of the points in question, the front half is kept if it raises under
+    ``np.errstate(all="ignore")``, else the back half), and that point runs
+    again alone, under the caller's error state, to raise its own error; if
+    it does not, the batch's error stands.
     """
     try:
-        with np.errstate(all="ignore"):
-            out = fn(*coords)
+        return fn(*coords)
     except POINT_FAILURES:
         lo, hi = 0, len(coords[0]) if coords else 1
         while hi - lo > 1:
@@ -385,10 +381,6 @@ def batched(fn, *coords):
                 hi = mid
         fn(*(c[lo:hi] for c in coords))
         raise
-    if not _finite(out):
-        i = int(np.argmax(_nonfinite(out)))
-        fn(*(c[i:i + 1] for c in coords))
-    return out
 
 
 def at_point(fn, *coords):
@@ -416,29 +408,6 @@ def _unbatch(out):
     if isinstance(out, tuple):
         return tuple(map(_unbatch, out))
     return out[..., 0] if out.ndim > 1 else float(out[0])
-
-
-def _finite(out) -> bool:
-    if isinstance(out, Jet):
-        return _finite(out.value) and _finite(out.grad) and _finite(out.hess)
-    if isinstance(out, dict):
-        out = tuple(out.values())
-    if isinstance(out, tuple):
-        return all(_finite(part) for part in out)
-    return bool(np.isfinite(out).all())
-
-
-def _nonfinite(out) -> np.ndarray:
-    """Per point of a batch, whether any number of ``out`` is not finite."""
-    if isinstance(out, Jet):
-        out = (out.value, out.grad, out.hess)
-    if isinstance(out, dict):  # arrays with the batch on the leading axis
-        out = tuple(np.reshape(part, (len(part), -1)).T
-                    for part in out.values())
-    if isinstance(out, tuple):
-        return functools.reduce(np.logical_or, map(_nonfinite, out))
-    bad = np.atleast_1d(np.logical_not(np.isfinite(out)))
-    return bad.reshape(-1, bad.shape[-1]).any(axis=0)
 
 
 # ---------------------------------------------------------------------------

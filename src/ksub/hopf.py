@@ -25,17 +25,18 @@ factor.
 
 The sweep along the curve is one batch. :func:`hopf_residuals` reads the
 curve's jets once at all 5 columns of each sample's stencil (the samples
-first, then the 4 off-centre columns in table order), takes the geodesic
-curvature of that batch in one pass, forms kappa, kappa' and kappa'' from
-its columns with :func:`ksub.numdiff._quotients`, and evaluates r, G and
-the Ricci values once each at the samples; a chart method or
-:func:`geodesic_curvature` given arrays of points (the batch on a trailing
-axis) equals its one-point results bit for bit; a float is a batch of one
-(:func:`ksub.expr.at_point`). A sweep that raises bisects
+first, then the 4 off-centre columns in table order), checks that every
+column lies in the base domain, takes the geodesic curvature of that batch
+in one pass, forms kappa, kappa' and kappa'' from its columns with
+:func:`ksub.numdiff._quotients`, and takes r and G from the base jets of
+all 5 columns, keeping the samples', and the Ricci values at the samples;
+a chart method or :func:`geodesic_curvature` given arrays of points (the
+batch on a trailing axis) equals its one-point results bit for bit; a
+float is a batch of one (:func:`ksub.expr.at_point`). A sweep runs once
+and its values stand, non-finite ones included; one that raises bisects
 (:func:`ksub.expr.batched`) to its first failing sample, whose 5 points
 then go through each stage together and raise the error of the first
-stage that fails. A sweep that only goes non-finite keeps its values and
-reruns its first non-finite sample alone.
+stage that fails.
 
 Everything here is numpy or plain-float code. Arc length is a composite
 Gauss-Legendre rule whose panel table also inverts it: t(s) is a batched
@@ -562,8 +563,8 @@ def _sweep(curve, base, h: float, s):
     n = len(s)
     columns = np.concatenate([q[0] for q in numdiff._abscissae((s,), h)])
     jx, jy = jets = curve.point_jets(columns)
-    p = (jx.value[:n], jy.value[:n])
-    bad = _first_bad(np.logical_not(base.contains(p)), s, *p)
+    q = (jx.value, jy.value)
+    bad = _first_bad(np.logical_not(base.contains(q)), columns, *q)
     if bad:
         raise OutsideDomainError(f"curve leaves the base domain at s = "
                                  f"{bad[0]}: point {bad[1:]}")
@@ -571,8 +572,11 @@ def _sweep(curve, base, h: float, s):
     k, grad, hess = numdiff._quotients(
         np.split(_kappa(base, jets, columns), 5), h)
     k1, k2 = grad[0], hess[0, 0]
-    r, grad_r = base.bundle(p)
-    g = base.gauss(p)
+    # r and G at every column, whose base jets _kappa memoised; the first
+    # n are the samples'
+    r, grad_r = (part[..., :n] for part in base.bundle(q))
+    g = base.gauss(q)[:n]
+    p = (jx.value[:n], jy.value[:n])
     rd = xp * grad_r[0] + yp * grad_r[1]
     t = -r
     ric_nn, ric_n1, ric_n2 = base.ricci_values(p, xp, yp, r, grad_r, g)
@@ -590,10 +594,10 @@ def hopf_residuals(curve, base, n_samples: int = SAMPLES,
     """Evaluate both cylinder systems along the curve and classify it.
 
     All samples are one batch: each quantity is one pass over the sample
-    array, and the curve's jets and the geodesic curvature one pass over
-    all 5 columns of the stencil, the samples first. If the batch raises,
-    bisection finds its first failing sample, which raises its own error;
-    if it only goes non-finite its first non-finite sample reruns alone
+    array, and the curve's jets, the base jets and the geodesic curvature
+    one pass over all 5 columns of the stencil, the samples first, each of
+    which must lie in the base domain. The batch runs once; if it raises,
+    bisection finds its first failing sample, which raises its own error
     (see :func:`ksub.expr.batched`). Constancy needs at least 2 samples.
     ``tol`` bounds both the spread of kappa, r and G and the criterion's
     defect; None reads CRITERION_TOL as it is when called.

@@ -329,10 +329,11 @@ class _Lattice:
     margin of 4 h). :meth:`column` gathers a field of a group by row index,
     (N, ...), (N, 17, ...) or (N, 25, ...); a group that a point lacks the
     margin for raises :class:`FdMarginError` for the first such point. Rows
-    are built in one batch (:meth:`_prefetch`), or else group by group, one
-    batch each, when the group is first read; the rows are one store that
-    the lattice shares with its sub-lattices (:meth:`take`). The lattice
-    refers to its patch weakly, so the patch can own it.
+    are built in one batch, tried once (:meth:`_prefetch`), or, where it
+    raises, group by group, one :func:`_batch` each, when the group is
+    first read; the rows are one store that the lattice shares with its
+    sub-lattices (:meth:`take`). The lattice refers to its patch weakly, so
+    the patch can own it.
     """
 
     def __init__(self, patch: SurfacePatch, qs):
@@ -372,16 +373,18 @@ class _Lattice:
         """Build every row in one batch, after the patch's pending regularity
         grid, whose rows are checked, not kept.
 
-        Where the batch raises, the grid's batch runs alone, to raise the
-        grid's own error, and no row is kept: each group builds its rows as
-        one batch when first read. A non-finite batch is kept, as its rows
-        built again would give the same bits."""
+        The batch is tried once, with :func:`_build` itself: where it
+        raises, its error is dropped unsearched, the grid's batch runs
+        alone through :func:`_batch`, to raise the grid's own error, and no
+        row is kept; each group builds its rows as one batch when first
+        read. A non-finite batch is kept, as its rows built again would
+        give the same bits."""
         patch = self._patch()
         grid = patch._grid
         keys = list(dict.fromkeys(key for group in self._keys.values()
                                   for keys in group if keys for key in keys))
         try:
-            fields = _batch(patch, grid + keys)
+            fields = _build(patch, *map(np.array, zip(*(grid + keys))))
         except POINT_FAILURES:
             if grid:
                 _batch(patch, grid)

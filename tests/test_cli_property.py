@@ -6,13 +6,17 @@ the random expressions in x and y of ``test_batch``: all seven functions,
 "/" and "^", so they divide by zero, overflow, leave their domains and go
 non-finite. The ``check-surface --surface`` patches are random expressions
 in u and v built the same way; each run must also equal the points of its
-grid checked one at a time, each on a lattice of its own.
+grid checked one at a time, each on a lattice of its own. The ``hopf check
+--curve`` curves and the ``hopf example --f`` profiles are random
+expressions in s and in t; a curve's run that ends in exit 0 or 1 must
+have read the metric's base jets only inside ``--domain``.
 """
 
 import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ksub import cli  # noqa: E402
+from ksub import geometry as geo  # noqa: E402
 from ksub import surface as srf  # noqa: E402
 from ksub.cli import main  # noqa: E402
 from ksub.errors import KsubError, POINT_FAILURES  # noqa: E402
@@ -31,10 +36,17 @@ from test_batch import _compound, texts  # noqa: E402
 points = st.lists(st.floats(-0.9, 0.9).map(repr), min_size=2, max_size=2)
 
 
-uv_texts = st.recursive(
-    st.one_of(st.sampled_from(("u", "v")),
-              st.floats(0.0, 4.0).map(lambda v: repr(round(v, 3)))),
-    _compound, max_leaves=6)
+def _texts_in(*names):
+    """Random expressions in ``names``, built as ``test_batch`` builds
+    them."""
+    return st.recursive(
+        st.one_of(st.sampled_from(names),
+                  st.floats(0.0, 4.0).map(lambda v: repr(round(v, 3)))),
+        _compound, max_leaves=6)
+
+
+uv_texts = _texts_in("u", "v")
+s_texts = _texts_in("s")
 
 
 def _ends_cleanly(argv):
@@ -116,3 +128,35 @@ def test_generated_patches_equal_their_points(x, y, z):
     assert code == (1 if failed else 0)
     assert [point["checks"] for point in json.loads(out)["points"]] \
         == json.loads(cli.dumps_json(rows))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(s_texts, s_texts, st.sampled_from(("pass", "fail")))
+def test_generated_curves_read_the_metric_inside_the_domain(x, y, expect):
+    # a perturbed unit circle; every batch of base jets that a run which
+    # ends in a verdict reads lies inside the rectangle
+    batches = []
+    original = geo.KillingData._eval_base_jets
+
+    def recorded(data, xs, ys):
+        batches.append((xs.copy(), ys.copy()))
+        return original(data, xs, ys)
+
+    with mock.patch.object(geo.KillingData, "_eval_base_jets", recorded):
+        code, _, _ = _ends_cleanly([
+            "hopf", "check", "--lambda", "1", "--a=-0.5*y", "--b=0.5*x",
+            "--domain", "-1.5", "1.5", "-1.5", "1.5",
+            f"--curve=cos(s)+0.2*({x});sin(s)+0.2*({y})",
+            "--interval", "0", "1", "--samples", "8", "--expect", expect])
+    if code != 2:
+        assert batches
+        for xs, ys in batches:
+            assert ((-1.5 < xs) & (xs < 1.5) & (-1.5 < ys) & (ys < 1.5)).all()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_texts_in("t"))
+def test_generated_profiles_end_in_an_exit_code(f):
+    # a perturbed profile with six roots of the circle condition
+    _ends_cleanly(["hopf", "example", f"--f=1+0.5*sin(3*t)+0.1*({f})",
+                   "--r", "0.1", "--interval", "0.1", "6", "--expect", "pass"])

@@ -415,6 +415,19 @@ class TestBatch:
             batched(fn, np.arange(8.0))
         assert calls[0] == 8 and calls[-1] == 1 and len(calls) <= 8
 
+    def test_non_finite_batch_runs_once(self):
+        # a batch that raises nothing stands as it is: its first non-finite
+        # point was run again alone, only for its numpy warnings
+        calls = []
+
+        def fn(xs):
+            calls.append(len(xs))
+            return np.where(xs > 2.0, math.inf, xs)
+
+        out = batched(fn, np.arange(8.0))
+        assert calls == [8]
+        assert out.tolist() == [0.0, 1.0, 2.0] + [math.inf] * 5
+
     def test_batch_coordinates_must_be_one_dimensional(self):
         with pytest.raises(ValueError):
             eval_jet(parse("x", ("x",)), (np.zeros((2, 2)),))
@@ -514,9 +527,12 @@ class TestOneOwnerPerBatchRule:
             and ast.unparse(node.func.value) != "np")) == {"surface"}
 
     def test_surface_builds_only_through_batched(self):
-        # every batch of lattice rows, the regularity grid's too, finds its
-        # first failing point through batched, which _batch hands _build
-        assert self.owners(self.calls("_build")) == {"surface": ["_batch"]}
+        # every batch of lattice rows that raises its error, the regularity
+        # grid's too, finds its first failing point through batched, which
+        # _batch hands _build; the prefetch alone tries its batch once and
+        # drops its error unsearched
+        assert self.owners(self.calls("_build")) == {
+            "surface": ["_batch", "_Lattice._prefetch"]}
 
     def test_the_lattice_alone_guards_the_adapted_frame(self):
         assert not hasattr(srf.SurfaceEvaluator, "adapted")

@@ -345,10 +345,9 @@ class TestHopfResiduals:
                                   f"samples, got {n_samples}")
 
     def test_nan_in_second_system_reaches_crosscheck(self, monkeypatch):
-        # a sweep that only goes non-finite keeps its own values and reruns
-        # its first non-finite sample alone: the 5 stencil columns as one
-        # batch, for all samples and for that sample (a rerun of every
-        # sample would make 65 calls)
+        # a sweep that only goes non-finite keeps its own values: the 5
+        # stencil columns of all samples as one batch, and no rerun (a
+        # rerun of its first non-finite sample made a second call of 5)
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
         circle = hopf.bcv_circle(1.0, kappa=1.0)
         finite = hopf.hopf_residuals(circle, base)
@@ -364,7 +363,7 @@ class TestHopfResiduals:
         monkeypatch.setattr(hopf, "_kappa", counted)
         report = hopf.hopf_residuals(circle, base, n_samples=64)
         assert math.isnan(report.crosscheck)
-        assert calls == [320, 5]
+        assert calls == [320]
         assert report.kappa.tobytes() == finite.kappa.tobytes()
         assert report.residuals.tobytes() == finite.residuals.tobytes()
 
@@ -390,8 +389,8 @@ class TestHopfResiduals:
 
     def test_sample_jets_read_once(self, monkeypatch):
         # the 5 columns of the kappa stencil, the samples first, are one
-        # batch: x and y and the base jets there, then the base jets at
-        # the samples for r and G
+        # batch: x and y and the base jets there, which r and G read too
+        # (the base jets at the samples were 3 more)
         calls = []
         evaluate = expr._evaluate
 
@@ -403,7 +402,7 @@ class TestHopfResiduals:
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))
         hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), base,
                             n_samples=64)
-        assert sum(calls) == 8
+        assert sum(calls) == 5
 
     def test_tolerances_read_when_called(self, monkeypatch):
         base = hopf.ConformalBase(geo.bcv(1.0, 0.0))

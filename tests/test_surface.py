@@ -949,12 +949,11 @@ class TestBatchedLattice:
         monkeypatch.setattr(srf, "_build", counted)
         assert main(self.ARGV) == 2
         capsys.readouterr()
-        # the regularity grid with the checked point's lattice, bisected to
-        # its first failing row; as that batch fails, the grid alone; then
-        # the centre, the stencil (16 rows more) and the probes (24 more),
-        # whose batch is bisected to the row that raises the error
-        assert sizes == [66, 33, 16, 8, 4, 2, 1, 1, 25, 1, 16, 24, 12, 6, 3,
-                         1, 1, 1]
+        # the regularity grid with the checked point's lattice, tried once;
+        # as that batch fails, the grid alone; then the centre, the stencil
+        # (16 rows more) and the probes (24 more), whose batch is bisected
+        # to the row that raises the error
+        assert sizes == [66, 25, 1, 16, 24, 12, 6, 3, 1, 1, 1]
 
     def test_error_is_the_first_failing_row_in_read_order(self, capsys):
         # a probe of the first point and the centre of a later point leave
