@@ -497,18 +497,18 @@ def cmd_hopf_example(args) -> int:
     for case in cases:
         verdict = case.report.verdict
         all_pass = all_pass and verdict.passed
+        worst = float(np.max(np.abs(case.report.residuals)))
         records.append({
             "t0": case.t0,
             "kappa_g": case.kappa_g,
             "kappa_g_sq": case.kappa_g ** 2,
             "G": case.gauss,
             "H_sq_target": case.gauss - 4.0 * args.r ** 2,
-            "max_residual": float(np.max(np.abs(case.report.residuals))),
+            "max_residual": worst,
             "verdict": _verdict_dict(verdict),
         })
         rows.append({"s_or_u": case.t0, "v": 0.0, "check": "example-root",
-                     "residual": float(np.max(np.abs(case.report.residuals))),
-                     "tol": args.tol,
+                     "residual": worst, "tol": args.tol,
                      "status": "pass" if verdict.passed else "fail"})
     payload = {"schema_version": SCHEMA_VERSION, "command": "hopf-example",
                "f": args.f, "r": args.r, "roots": records}

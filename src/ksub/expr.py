@@ -3,9 +3,10 @@
 Expressions are parsed from text over a declared list of variables into an
 immutable AST, then evaluated either as values or as ``Jet`` values carrying
 (value, gradient, Hessian) with respect to the declared variables. One walker
-serves both, with one arithmetic per kind: the value operations with their
-own domain checks, and the ``Jet`` methods, which also check that the result
-is twice differentiable. Exponents of ``^`` must be numeric literals, which
+serves both, with one arithmetic per kind: the value operations, and the
+``Jet`` methods, which also check that the result is twice differentiable.
+Each domain check is one function for both: ``_divide``, the values' log and
+``_value_checked`` (sqrt). Exponents of ``^`` must be numeric literals, which
 keeps the power rule exact.
 
 Both arithmetics run over a batch of N points, given as one-dimensional
@@ -477,9 +478,8 @@ class Jet:
 
     def _reciprocal(self):
         v = self.value
-        if np.any(v == 0.0):
-            raise DomainEvalError("division by zero")
-        return self._lift(1.0 / v, -1.0 / power(v, 2), 2.0 / power(v, 3))
+        return self._lift(_divide(1.0, v), -1.0 / power(v, 2),
+                          2.0 / power(v, 3))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -532,17 +532,11 @@ class Jet:
 
     def log(self):
         v = self.value
-        bad = _first_bad(v <= 0.0, v)
-        if bad:
-            raise DomainEvalError(f"log of nonpositive value {bad[0]!r}")
-        return self._lift(_kernel(np.log, v), 1.0 / v, -1.0 / power(v, 2))
+        return self._lift(_VALUE_OPS["log"](v), 1.0 / v, -1.0 / power(v, 2))
 
     def sqrt(self):
         v = self.value
-        bad = _first_bad(v <= 0.0, v)
-        if bad:
-            raise DomainEvalError(f"sqrt of nonpositive value {bad[0]!r}")
-        s = np.sqrt(v)
+        s = _value_checked(np.sqrt, "sqrt of nonpositive", operator.le, v)
         return self._lift(s, 0.5 / s, -0.25 / (v * s))
 
     def __abs__(self):

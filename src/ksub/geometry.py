@@ -25,7 +25,8 @@ here has a finite-difference oracle that derives it from metric evaluations
 only. The oracles run a batch of points; a point of floats is a batch of one
 (:func:`ksub.expr.pointwise`), and the closed forms take it as numpy floats.
 The jets of (lam, a, b) are memoised per batch, keyed by its coordinates'
-bytes, and a batch is evaluated as given (:meth:`KillingData.base_jets`).
+bytes, and a batch is evaluated as given (:meth:`KillingData.base_jets`)
+once it passes the one check of the domain rectangle.
 """
 
 from __future__ import annotations
@@ -189,7 +190,8 @@ class KillingData:
 
         A batch is memoised by the bytes of its coordinates and evaluated as
         given: a point that a batch repeats (a vertical cylinder's ruling
-        sits over one) is evaluated at each place, with the same bits.
+        sits over one) is evaluated at each place, with the same bits; the
+        first point outside the domain raises before any is evaluated.
         """
         return at_point(self._batch_jets, x, y)
 
@@ -198,6 +200,7 @@ class KillingData:
                     lambda *_: self._eval_base_jets(x, y))
 
     def _eval_base_jets(self, x, y) -> tuple[Jet, Jet, Jet]:
+        self.require_inside(x, y)
         return tuple(eval_jet(e, (x, y)) for e in (self.lam, self.a, self.b))
 
     def require_inside(self, x, y):
@@ -248,7 +251,6 @@ def bundle_curvature(data: KillingData, p) -> tuple[float, np.ndarray]:
     batch of N points, r has shape (N,) and the gradient (2, N).
     """
     x, y = p[0], p[1]
-    data.require_inside(x, y)
     r = _bundle_value(data, x, y)
     lam, a, b = data.base_jets(x, y)
     lb, la = lam * b, lam * a
@@ -261,7 +263,6 @@ def gauss_curvature(data: KillingData, p) -> float:
     """Gaussian curvature of the base metric, from exact jets of lam (shape
     (N,) on a batch)."""
     x, y = p[0], p[1]
-    data.require_inside(x, y)
     lam, _, _ = data.base_jets(x, y)
     lam_sq = power(lam.value, 2)
     # Laplacian of log(lam) in the flat background metric
@@ -277,10 +278,8 @@ def gauss_curvature(data: KillingData, p) -> float:
 def frame(data: KillingData, p) -> np.ndarray:
     """Orthonormal frame (E1, E2, E3) at a point of the total space: a
     (3, 3) matrix whose rows are the coordinate components of E1..E3;
-    (3, 3, N) on a batch of N points, each equal to its one-point frame (a
-    point outside the domain names the first such point)."""
+    (3, 3, N) on a batch of N points, each equal to its one-point frame."""
     x, y = p[0], p[1]
-    data.require_inside(x, y)
     lam, a, b = data.base_jets(x, y)
     e = np.zeros((3, 3) + np.shape(lam.value))
     e[0, 0] = e[1, 1] = 1.0 / lam.value
@@ -359,10 +358,9 @@ def rotate_j(v) -> np.ndarray:
 
 def connection(data: KillingData, p) -> np.ndarray:
     """Closed-form connection coefficients gamma[i, j, k] = <D_{Ei} Ej, Ek>;
-    (3, 3, 3, N) on a batch of N points, each equal to its one-point table
-    (a point outside the domain names the first such point)."""
+    (3, 3, 3, N) on a batch of N points, each equal to its one-point
+    table."""
     x, y = p[0], p[1]
-    data.require_inside(x, y)
     lam, _, _ = data.base_jets(x, y)
     r = _bundle_value(data, x, y)
     lx = lam.grad[0] / power(lam.value, 2)

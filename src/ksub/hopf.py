@@ -25,18 +25,19 @@ factor.
 
 The sweep along the curve is one batch. :func:`hopf_residuals` reads the
 curve's jets once at all 5 columns of each sample's stencil (the samples
-first, then the 4 off-centre columns in table order), checks that every
-column lies in the base domain, takes the geodesic curvature of that batch
-in one pass, forms kappa, kappa' and kappa'' from its columns with
-:func:`ksub.numdiff._quotients`, and takes r and G from the base jets of
-all 5 columns, keeping the samples', and the Ricci values at the samples;
-a chart method or :func:`geodesic_curvature` given arrays of points (the
-batch on a trailing axis) equals its one-point results bit for bit; a
-float is a batch of one (:func:`ksub.expr.at_point`). A sweep runs once
-and its values stand, non-finite ones included; one that raises bisects
-(:func:`ksub.expr.batched`) to its first failing sample, whose 5 points
-then go through each stage together and raise the error of the first
-stage that fails.
+first, then the 4 off-centre columns in table order), checks every column
+against the base domain (``_require_on_base``, the one check of a curve
+point, which each speed batch of :func:`arclength_reparam` passes too),
+takes the geodesic curvature of that batch in one pass, forms kappa, kappa'
+and kappa'' from its columns with :func:`ksub.numdiff._quotients`, and takes
+r and G from the base jets of all 5 columns, keeping the samples', and the
+Ricci values at the samples; a chart method or :func:`geodesic_curvature`
+given arrays of points (the batch on a trailing axis) equals its one-point
+results bit for bit; a float is a batch of one (:func:`ksub.expr.at_point`).
+A sweep runs once and its values stand, non-finite ones included; one that
+raises bisects (:func:`ksub.expr.batched`) to its first failing sample,
+whose 5 points then go through each stage together and raise the error of
+the first stage that fails.
 
 Everything here is numpy or plain-float code. Arc length is a composite
 Gauss-Legendre rule whose panel table also inverts it: t(s) is a batched
@@ -399,10 +400,20 @@ def _gauss_sums(a, b, speeds) -> np.ndarray:
     return (b - a) * total
 
 
+def _require_on_base(base, params: np.ndarray, q) -> None:
+    """Raise OutsideDomainError at the first curve point q off the base."""
+    bad = _first_bad(np.logical_not(base.contains(q)), params, *q)
+    if bad:
+        raise OutsideDomainError(f"curve leaves the base domain at s = "
+                                 f"{bad[0]}: point {bad[1:]}")
+
+
 def _speeds(curve, base, t: np.ndarray) -> np.ndarray:
     """Metric speed at an array of parameters, as one batch."""
     flat = t.ravel()
-    return base.speed_jet(*curve.point_jets(flat), flat)[0].reshape(t.shape)
+    jx, jy = jets = curve.point_jets(flat)
+    _require_on_base(base, flat, (jx.value, jy.value))
+    return base.speed_jet(*jets, flat)[0].reshape(t.shape)
 
 
 def _length_table(curve, base) -> tuple[np.ndarray, np.ndarray]:
@@ -564,10 +575,7 @@ def _sweep(curve, base, h: float, s):
     columns = np.concatenate([q[0] for q in numdiff._abscissae((s,), h)])
     jx, jy = jets = curve.point_jets(columns)
     q = (jx.value, jy.value)
-    bad = _first_bad(np.logical_not(base.contains(q)), columns, *q)
-    if bad:
-        raise OutsideDomainError(f"curve leaves the base domain at s = "
-                                 f"{bad[0]}: point {bad[1:]}")
+    _require_on_base(base, columns, q)
     xp, yp = jx.grad[0, :n], jy.grad[0, :n]
     k, grad, hess = numdiff._quotients(
         np.split(_kappa(base, jets, columns), 5), h)

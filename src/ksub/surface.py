@@ -175,7 +175,6 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
     K = patch.ambient
     jx, jy, jz = (eval_jet(e, (us, vs)) for e in (patch.x, patch.y, patch.z))
     x, y = jx.value, jy.value
-    K.require_inside(x, y)
     lam, ja, jb = K.base_jets(x, y)
 
     coord_tangents = np.stack([jx.grad, jy.grad, jz.grad], axis=1)

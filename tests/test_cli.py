@@ -605,6 +605,7 @@ class TestBatchedGrid:
                 "codes = [main(['hopf', 'check', '--bcv', '4', '0.3',\n"
                 "               '--circle-kg', '1.2']),\n"
                 "         main(['hopf', 'check', '--lambda', '1',\n"
+                "               '--domain', '-3', '3', '-3', '3',\n"
                 "               '--curve', '2*cos(s);2*sin(s)',\n"
                 "               '--interval', '0', '6.283185307']),\n"
                 "         main(['hopf', 'example', '--f', 'cos(t)',\n"
@@ -630,8 +631,9 @@ SCIPY_FREE_ARGVS = [
       "--domain", "-1.5", "1.5", "-1.5", "1.5",
       "--curve", "0.7*cos(s);0.4*sin(s)", "--interval", "0", "6.283185307",
       "--samples", "16", "--expect", "pass"], 1),
-    (["hopf", "check", "--lambda", "1", "--curve", "2*cos(s);2*sin(s)",
-      "--interval", "0", "6.283185307", "--samples", "16"], 0),
+    (["hopf", "check", "--lambda", "1", "--domain", "-3", "3", "-3", "3",
+      "--curve", "2*cos(s);2*sin(s)", "--interval", "0", "6.283185307",
+      "--samples", "16"], 0),
     (["hopf", "example", "--f", "cos(t)", "--r", "0.25",
       "--interval", "0", "1.5"], 0),
     (["hopf", "example", "--f", "cos(t)", "--r", "0",
@@ -930,24 +932,43 @@ class TestErrorPathCorpus:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # the same for hopf commands; the values were taken while the sweep
-    # still evaluated one stencil column per call
+    # still evaluated one stencil column per call. A --curve's first point
+    # outside the domain is the first of the 257 samples of its speed grid
+    # (arclength_reparam) that lies outside, named by its own parameter
     HOPF_CASES = {
         "curve-leaves-domain": (
             ["check", "--lambda", "1", "--domain", "-1", "1", "-1", "1",
              "--curve=0.9*cos(s);0.9*sin(s)+0.2",
              "--interval", "0", "6.283185307179586"],
             2, "error: curve leaves the base domain at s = "
-               "0.9983981453108361: point (0.4007343559984558, "
-               "1.0058610152641105)\n", EMPTY_SHA256),
-        # every sample inside, but an off-centre stencil column outside: the
-        # metric is not read there (the sweep read it and exited 0 while it
-        # checked only the samples)
+               "1.1044661672776617: point (0.4046501966891459, "
+               "1.0039018710759637)\n", EMPTY_SHA256),
+        # every sweep sample inside, but an off-centre stencil column
+        # outside: the metric is not read there (the sweep read it and
+        # exited 0 while it checked only the samples)
         "stencil-leaves-domain": (
             ["check", "--lambda", "1", "--domain", "-2", "2", "-2", "0.9995",
              "--curve=cos(s);sin(s)", "--interval", "0", "6.283185307179586"],
             2, "error: curve leaves the base domain at s = "
-               "1.5987215948268059: point (-0.027921638723568856, "
-               "0.9996101150403544)\n", EMPTY_SHA256),
+               "1.5462526341887264: point (0.024541228522912264, "
+               "0.9996988186962042)\n", EMPTY_SHA256),
+        # the curve starts outside, where no sweep column reaches: the speed
+        # grid read the metric there and the check exited 0, or, where lam
+        # blows up at the edge, exited 2 on a negative arc length
+        "curve-starts-outside-domain": (
+            ["check", "--lambda", "1", "--domain", "-2", "2", "-2",
+             "0.99999999", "--curve=cos(s);sin(s)",
+             "--interval", "1.5707", "7.0"],
+            2, "error: curve leaves the base domain at s = 1.5707: point "
+               "(9.632679474766714e-05, 0.9999999953605743)\n",
+            EMPTY_SHA256),
+        "curve-starts-outside-singular-metric": (
+            ["check", "--lambda=1/(0.99999999-y)", "--domain", "-2", "2",
+             "-2", "0.99999999", "--curve=cos(s);sin(s)",
+             "--interval", "1.5707", "7.0"],
+            2, "error: curve leaves the base domain at s = 1.5707: point "
+               "(9.632679474766714e-05, 0.9999999953605743)\n",
+            EMPTY_SHA256),
         "example-no-root": (
             ["example", "--f", "1+t", "--r", "0", "--interval", "0", "1"],
             2, "error: no sign change of the circle condition on the "
@@ -1032,6 +1053,13 @@ class TestErrorPathCorpus:
              "--graph=x*y", "--grid", "6", "6"],
             2, "error: non-finite result at points[0].checks[0].residual\n",
             EMPTY_SHA256),
+        # the u = 0 column is unframed, so the integrity checks run on
+        # a sub-lattice of the other points (_Lattice.take)
+        "lattice-take": (
+            ["check-surface", "--lambda", "1", "--graph", "x^2",
+             "--grid", "3", "3"], 0, "",
+            "d916111cc0d4efcc5797c33f78a06f53"
+            "792848c6855db0cc409ada72a1e24458"),
     }
 
     @pytest.mark.parametrize("case", sorted(COMMANDS))
@@ -1040,6 +1068,18 @@ class TestErrorPathCorpus:
         got_code, out, got_err = run(capsys, *argv)
         assert (got_code, got_err) == (code, err)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_a_corpus_line_takes_a_sub_lattice(self, capsys, monkeypatch):
+        masks = []
+        take = srf._Lattice.take
+
+        def spied(lat, mask):
+            masks.append(bool(np.all(mask)))
+            return take(lat, mask)
+
+        monkeypatch.setattr(srf._Lattice, "take", spied)
+        assert run(capsys, *self.COMMANDS["lattice-take"][0])[0] == 0
+        assert False in masks
 
     @pytest.mark.parametrize("case, builds", [
         # the joint batch, tried once, the grid, the centres, the
@@ -1154,6 +1194,7 @@ class TestHopfCommand:
     def test_custom_curve_reparametrized(self, capsys):
         code, data, _ = run_json(
             capsys, "hopf", "check", "--lambda", "1", "--a", "0", "--b", "0",
+            "--domain", "-3", "3", "-3", "3",
             "--curve", "2*cos(s);2*sin(s)", "--interval", "0", "6.283185307",
             "--samples", "16")
         assert code == 0

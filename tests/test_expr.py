@@ -547,6 +547,36 @@ class TestOneOwnerPerBatchRule:
             <= {ast.unparse(elt) for elt in node.elts}) == {"errors": [""]}
 
 
+class TestOneOwnerPerDomainRule:
+    # each domain rule is checked in one place: the metric's rectangle where
+    # a batch of base jets is evaluated (a memoised batch was checked then),
+    # each analytic domain of expr where its message is formed, for values
+    # and jets alike
+    owners = staticmethod(TestOneOwnerPerBatchRule.owners)
+
+    def test_only_the_base_jet_miss_path_checks_the_rectangle(self):
+        assert self.owners(TestOneOwnerPerBatchRule.calls("require_inside")) \
+            == {"geometry": ["KillingData._eval_base_jets"]}
+
+    @pytest.mark.parametrize("message, owner", [
+        ("division by zero", "_divide"),
+        # the value arithmetic's log, which Jet.log calls
+        ("log of nonpositive", ""),
+        ("sqrt of nonpositive", "Jet.sqrt"),
+    ])
+    def test_each_analytic_domain_message_is_formed_once(self, message,
+                                                         owner):
+        tree = ast.parse(Path(expr.__file__).read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef,
+                                           ast.FunctionDef))
+                      and isinstance(node.body[0], ast.Expr)}
+        assert _scopes_where(tree, lambda node: (
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and message in node.value
+            and id(node) not in docstrings)) == [owner]
+
+
 def _signed(rng, top: float) -> np.ndarray:
     """370 signed arguments whose magnitudes spread over the binades from
     1e-3 to 10**top."""

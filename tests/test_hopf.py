@@ -581,17 +581,17 @@ class TestBatchedSweep:
                                              rect=(-0.5, 0.5, -0.5, 0.5)))
         arc = hopf.BaseCurve(parse("s", ("s",)), parse("0.1*s^2", ("s",)),
                              (-0.3, 1.0))
-        curve = hopf.arclength_reparam(arc, small)
-        # the first of the 64 samples of the arc-length interval whose point
-        # is outside, as the sweep places them
-        samples = sweep_samples(curve)[1].tolist()
-        s, point = next((s, curve.point(s)) for s in samples
-                        if not small.contains(curve.point(s)))
-        assert s == 0.8080424088138286
+        # the first of the 257 samples of the speed grid whose point is
+        # outside, named by the curve's own parameter: the metric is not
+        # read there (nor anywhere else outside)
+        t, point = next((t, arc.point(t))
+                        for t in np.linspace(-0.3, 1.0, 257).tolist()
+                        if not small.contains(arc.point(t)))
+        assert t == 0.5023437500000001
         with pytest.raises(OutsideDomainError) as err:
-            hopf.hopf_residuals(curve, small)
+            hopf.arclength_reparam(arc, small)
         assert str(err.value) == (
-            f"curve leaves the base domain at s = {s}: point {point}")
+            f"curve leaves the base domain at s = {t}: point {point}")
 
     def test_first_stencil_point_off_unit_speed(self):
         # unit speed up to s = a, which lies between the s + h/2 and s + h
