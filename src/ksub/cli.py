@@ -193,7 +193,7 @@ def _emit(args, payload: dict, rows: list[dict]) -> None:
         with open(args.out, "w") as handle:
             handle.write(text)
     except OSError as err:
-        raise UsageError(
+        raise KsubError(
             f"cannot write {args.out}: {err.strerror or err}") from None
 
 
@@ -210,7 +210,7 @@ def _check_writable(path: str) -> None:
         code = errno.EACCES
     else:
         return
-    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
+    raise KsubError(f"cannot write {path}: {os.strerror(code)}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +232,19 @@ def _add_metric_flags(parser):
 def _metric_from_args(args) -> geo.KillingData:
     if args.bcv is not None:
         if args.lam or args.a or args.b:
-            raise UsageError("give either --bcv or --lambda/--a/--b, not both")
+            raise KsubError("give either --bcv or --lambda/--a/--b, not both")
         if args.domain:
-            raise UsageError("--domain applies to --lambda metrics; --bcv "
-                             "has its own domain")
+            raise KsubError("--domain applies to --lambda metrics; --bcv "
+                            "has its own domain")
         return geo.bcv(args.bcv[0], args.bcv[1])
     if not args.lam:
-        raise UsageError("a metric is required: --bcv C MU or --lambda EXPR "
-                         "(with optional --a/--b)")
+        raise KsubError("a metric is required: --bcv C MU or --lambda EXPR "
+                        "(with optional --a/--b)")
     rect = geo.Rect(*args.domain) if args.domain else geo.Rect(-2, 2, -2, 2)
     lam = parse(args.lam, ("x", "y"))
     a = parse(args.a or "0", ("x", "y"))
     b = parse(args.b or "0", ("x", "y"))
     return geo.KillingData(lam, a, b, rect, description="custom")
-
-
-class UsageError(Exception):
-    pass
 
 
 def count(text: str) -> int:
@@ -300,7 +296,7 @@ def cmd_info(args) -> int:
     data = _metric_from_args(args)
     if args.at is not None:
         if args.grid:
-            raise UsageError("give either --at or --grid, not both")
+            raise KsubError("give either --at or --grid, not both")
         points = [tuple(args.at)]
     else:
         nx, ny = args.grid if args.grid else (5, 5)
@@ -330,17 +326,17 @@ def cmd_info(args) -> int:
 
 def _patch_from_args(args, data) -> srf.SurfacePatch:
     if args.surface and args.graph:
-        raise UsageError("give either --surface or --graph, not both")
+        raise KsubError("give either --surface or --graph, not both")
     if args.graph:
         rect = (geo.Rect(*args.patch_domain) if args.patch_domain
                 else geo.Rect(-0.45, 0.45, -0.45, 0.45))
         return srf.SurfacePatch.graph(data, args.graph, rect)
     if not args.surface:
-        raise UsageError("a surface is required: --surface \"X;Y;Z\" or "
-                         "--graph \"z(x,y)\"")
+        raise KsubError("a surface is required: --surface \"X;Y;Z\" or "
+                        "--graph \"z(x,y)\"")
     parts = args.surface.split(";")
     if len(parts) != 3:
-        raise UsageError("--surface needs three ;-separated expressions")
+        raise KsubError("--surface needs three ;-separated expressions")
     rect = (geo.Rect(*args.patch_domain) if args.patch_domain
             else geo.Rect(0.0, 1.0, 0.0, 1.0))
     pvars = ("u", "v")
@@ -449,36 +445,35 @@ def cmd_hopf_check(args) -> int:
     base = hopf.ConformalBase(data)
     if args.circle is not None or args.circle_kg is not None:
         if args.curve:
-            raise UsageError("give either --circle/--circle-kg or --curve, "
-                             "not both")
+            raise KsubError("give either --circle/--circle-kg or --curve, "
+                            "not both")
         if args.bcv is None:
-            raise UsageError("--circle/--circle-kg need a --bcv metric")
+            raise KsubError("--circle/--circle-kg need a --bcv metric")
         c = args.bcv[0]
         curve = hopf.bcv_circle(c, radius=args.circle, kappa=args.circle_kg)
     elif args.curve:
         parts = args.curve.split(";")
         if len(parts) != 2:
-            raise UsageError("--curve needs two ;-separated expressions in s")
+            raise KsubError("--curve needs two ;-separated expressions in s")
         if not args.interval:
-            raise UsageError("--curve needs --interval A B")
+            raise KsubError("--curve needs --interval A B")
         curve = hopf.BaseCurve(parse(parts[0], ("s",)), parse(parts[1], ("s",)),
                                tuple(args.interval))
         curve = hopf.arclength_reparam(curve, base)
     else:
-        raise UsageError("a curve is required: --circle R, --circle-kg K or "
-                         "--curve \"x;y\" --interval A B")
+        raise KsubError("a curve is required: --circle R, --circle-kg K or "
+                        "--curve \"x;y\" --interval A B")
     report = hopf.hopf_residuals(curve, base, n_samples=int(args.samples),
                                  tol=args.tol)
-    worst = float(np.max(np.abs(report.residuals)))
+    worst_rows = np.max(np.abs(report.residuals), axis=1)
     payload = {
         "schema_version": SCHEMA_VERSION, "command": "hopf-check",
         "metric": data.description,
         "verdict": _verdict_dict(report.verdict),
-        "max_residual": worst,
+        "max_residual": float(np.max(worst_rows)),
         "crosscheck": report.crosscheck,
     }
     status = "pass" if report.verdict.passed else "fail"
-    worst_rows = np.max(np.abs(report.residuals), axis=1)
     rows = [{"s_or_u": s, "v": 0.0, "check": "hopf-residual",
              "residual": res, "tol": args.tol, "status": status}
             for s, res in zip(report.s.tolist(), worst_rows.tolist())]
@@ -488,7 +483,7 @@ def cmd_hopf_check(args) -> int:
 
 def cmd_hopf_example(args) -> int:
     if args.f is None or args.r is None or not args.interval:
-        raise UsageError("example mode needs --f EXPR --r R --interval A B")
+        raise KsubError("example mode needs --f EXPR --r R --interval A B")
     cases = hopf.rotational_case_search(args.f, args.r, tuple(args.interval),
                                         tol=args.tol)
     records = []
@@ -648,7 +643,7 @@ def main(argv=None) -> int:
         # numpy faults surface as non-finite results, which _emit refuses
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (UsageError, KsubError, ValueError) as err:
+    except KsubError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ArithmeticError as err:  # overflow, division by zero, FP traps

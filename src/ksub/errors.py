@@ -1,12 +1,12 @@
 """Exception hierarchy shared across the package."""
 
 
-class KsubError(Exception):
-    """Base class for all errors raised by this package."""
+class KsubError(ValueError):
+    """The one kind of input error (exit 2); other ValueErrors are defects."""
 
 
-# the input or arithmetic errors of a failing point, which a batch bisects
-POINT_FAILURES = (ArithmeticError, ValueError, KsubError)
+# a failing point's input or arithmetic errors, the only ones a batch bisects
+POINT_FAILURES = (ArithmeticError, KsubError)
 
 
 class ExprSyntaxError(KsubError):

@@ -50,6 +50,7 @@ from .errors import (
     ArityMismatchError,
     DomainEvalError,
     ExprSyntaxError,
+    KsubError,
     POINT_FAILURES,
     UndeclaredVariableError,
 )
@@ -304,9 +305,9 @@ def parse(text: str, variables) -> Expr:
     variables = tuple(variables)
     for name in variables:
         if name in _RESERVED:
-            raise ValueError(f"variable name {name!r} is reserved")
+            raise KsubError(f"variable name {name!r} is reserved")
         if not re.fullmatch(r"[a-zA-Z_][a-zA-Z0-9_]*", name):
-            raise ValueError(f"invalid variable name {name!r}")
+            raise KsubError(f"invalid variable name {name!r}")
     root = _Parser(text, variables).parse()
     return Expr(root, variables)
 
@@ -637,7 +638,7 @@ def _evaluate(expr: Expr, coords, arithmetic: _Arithmetic):
     coords = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                    for c in coords))
     if coords and coords[0].ndim != 1:
-        raise ValueError("a batch needs one-dimensional coordinate arrays")
+        raise KsubError("a batch needs one-dimensional coordinate arrays")
     index = {name: i for i, name in enumerate(expr.variables)}
     return batched(functools.partial(_run, expr.root, index, arithmetic),
                    *coords)

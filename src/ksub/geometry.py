@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numdiff
-from .errors import FdMarginError, OutsideDomainError
+from .errors import FdMarginError, KsubError, OutsideDomainError
 from .expr import (Expr, Jet, _first_bad, _hypot, at_point, batched, eval_jet,
                    parse, pointwise, power)
 
@@ -119,7 +119,10 @@ class Rect:
 
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
-            raise ValueError("rectangle must have positive area")
+            raise KsubError("rectangle must have positive area")
+        for lo, hi in (self.xmin, self.xmax), (self.ymin, self.ymax):
+            if not np.isfinite(hi - lo):
+                raise KsubError(f"rectangle side ({lo}, {hi}) has length inf")
 
     def contains(self, x, y):
         """Whether (x, y) lies inside; elementwise on coordinate arrays."""
@@ -170,7 +173,7 @@ class KillingData:
     def __post_init__(self):
         for name, e in (("lam", self.lam), ("a", self.a), ("b", self.b)):
             if tuple(e.variables) != ("x", "y"):
-                raise ValueError(f"{name} must be an expression in (x, y)")
+                raise KsubError(f"{name} must be an expression in (x, y)")
         xs, ys = map(np.array, zip(*self.domain.grid(8, 8, inset=0.02)))
         batched(self._require_positive, xs, ys)
         self._jets: dict[tuple, tuple[Jet, Jet, Jet]] = {}
@@ -179,8 +182,8 @@ class KillingData:
         lam = self.lam(x, y)
         bad = _first_bad(lam <= 0.0, x, y)
         if bad:
-            raise ValueError("lam must be positive on the domain; "
-                             f"lam({bad[0]}, {bad[1]}) <= 0")
+            raise KsubError("lam must be positive on the domain; "
+                            f"lam({bad[0]}, {bad[1]}) <= 0")
         return lam
 
     def base_jets(self, x, y) -> tuple[Jet, Jet, Jet]:
@@ -291,12 +294,10 @@ def frame(data: KillingData, p) -> np.ndarray:
 
 def metric_matrix(data: KillingData, p) -> np.ndarray:
     """Coordinate metric tensor at a base point (independent of z), from
-    value-only evaluations; (3, 3, N) on a batch of N points, each equal to
-    its one-point matrix."""
-    x, y = p[0], p[1]
-    lam = data.lam(x, y)
-    ax = lam * data.a(x, y)
-    ay = lam * data.b(x, y)
+    the values of the checked base jets; (3, 3, N) on a batch of N points,
+    each equal to its one-point matrix."""
+    lam, a, b = (jet.value for jet in data.base_jets(p[0], p[1]))
+    ax, ay = lam * a, lam * b
     g = np.empty((3, 3) + np.shape(lam))
     g[0, 0] = lam * lam + ax * ax
     g[0, 1] = g[1, 0] = ax * ay

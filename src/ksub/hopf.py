@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from .errors import (
     DegenerateCurveError,
     DomainEvalError,
     FdMarginError,
+    KsubError,
     NoIsolatedRootError,
     NotArcLengthError,
     OutsideDomainError,
@@ -112,13 +113,14 @@ class BaseCurve:
     x: Expr
     y: Expr
     interval: tuple[float, float]
-    arc_length: bool = False
 
     def __post_init__(self):
         if len(self.x.variables) != 1 or self.y.variables != self.x.variables:
-            raise ValueError("curve components must share one parameter")
+            raise KsubError("curve components must share one parameter")
         if not self.interval[1] > self.interval[0]:
-            raise ValueError("curve interval must have positive length")
+            raise KsubError("curve interval must have positive length")
+        if not math.isfinite(self.interval[1] - self.interval[0]):
+            raise KsubError(f"curve interval {self.interval} has length inf")
 
     def point_jets(self, s) -> tuple[Jet, Jet]:
         """Jets of x and y at s, a float or an array of parameters."""
@@ -156,7 +158,6 @@ class ReparamCurve:
         self._edges = edges
         self._cum = cum
         self.interval = (0.0, float(cum[-1]))
-        self.arc_length = True
 
     def _times(self, s: np.ndarray) -> np.ndarray:
         """t(s) for an array of arc lengths, all at once. An element stops
@@ -279,7 +280,7 @@ class WarpedBase:
 
     def __init__(self, f: Expr, r: float, t_interval: tuple[float, float]):
         if len(f.variables) != 1:
-            raise ValueError("warp profile must be an expression in one variable")
+            raise KsubError("warp profile must be an expression in one variable")
         self.f = f
         self.r = float(r)
         self.t_interval = (float(t_interval[0]), float(t_interval[1]))
@@ -328,17 +329,17 @@ def circle_radius_for_kappa(c: float, kappa: float) -> float:
     geodesic curvature kappa (kappa^2 + c > 0 required when c != 0)."""
     if c == 0.0:
         if kappa <= 0.0:
-            raise ValueError("flat chart circles need kappa > 0")
+            raise KsubError("flat chart circles need kappa > 0")
         radius = 1.0 / kappa
     else:
         disc = kappa * kappa + c
         if disc <= 0.0:
-            raise ValueError(f"no circle with geodesic curvature {kappa} when "
-                             f"kappa^2 + c = {disc} <= 0")
+            raise KsubError(f"no circle with geodesic curvature {kappa} when "
+                            f"kappa^2 + c = {disc} <= 0")
         radius = 2.0 * (math.sqrt(disc) - kappa) / c
     if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"geodesic curvature {kappa!r} gives no finite "
-                         f"positive circle radius in the BCV(c={c}) chart")
+        raise KsubError(f"geodesic curvature {kappa!r} gives no finite "
+                        f"positive circle radius in the BCV(c={c}) chart")
     return radius
 
 
@@ -352,22 +353,22 @@ def bcv_circle(c: float, radius: float | None = None,
     and so must the metric speed of the circle's unit-rate parametrization.
     """
     if (radius is None) == (kappa is None):
-        raise ValueError("give exactly one of radius or kappa")
+        raise KsubError("give exactly one of radius or kappa")
     c = float(c)
     if radius is None:
         radius = circle_radius_for_kappa(c, float(kappa))
     radius = float(radius)
     if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"circle radius must be finite and > 0, got {radius}")
+        raise KsubError(f"circle radius must be finite and > 0, got {radius}")
     stretch = 1.0 + 0.25 * c * radius * radius
     # metric speed of the unit-rate parametrization, lam * radius
     scale = 1.0 / stretch * radius if stretch > 0.0 else 0.0
     if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"circle radius {radius} gives no finite positive "
-                         f"arc-length scale in the BCV(c={c}) chart")
+        raise KsubError(f"circle radius {radius} gives no finite positive "
+                        f"arc-length scale in the BCV(c={c}) chart")
     x = parse(f"{radius!r}*cos(s/{scale!r})", ("s",))
     y = parse(f"{radius!r}*sin(s/{scale!r})", ("s",))
-    return BaseCurve(x, y, (0.0, 2.0 * math.pi * scale), arc_length=True)
+    return BaseCurve(x, y, (0.0, 2.0 * math.pi * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +452,7 @@ def arclength_reparam(curve: BaseCurve, base):
     """Reparametrize a regular curve by arc length.
 
     If the curve is already unit speed (within 1e-10 on a grid of 257
-    samples) it is returned unchanged with the flag set. Otherwise it
+    samples) it is returned unchanged. Otherwise it
     returns a :class:`ReparamCurve` over the panel table of
     :func:`curve_length`: t(s) is a Newton solve of S(t) = s for all
     abscissae at once, and evaluation keeps exact jets of the original
@@ -463,7 +464,7 @@ def arclength_reparam(curve: BaseCurve, base):
     if np.min(speeds) ** 2 <= 1e-12:
         raise DegenerateCurveError("curve speed vanishes on the interval")
     if np.max(np.abs(speeds - 1.0)) <= 1e-10:
-        return replace(curve, arc_length=True) if not curve.arc_length else curve
+        return curve
     return ReparamCurve(curve, base, *_length_table(curve, base))
 
 
@@ -611,11 +612,9 @@ def hopf_residuals(curve, base, n_samples: int = SAMPLES,
     defect; None reads CRITERION_TOL as it is when called.
     """
     if n_samples < 2:
-        raise ValueError("a constancy check needs at least 2 samples, "
-                         f"got {n_samples}")
+        raise KsubError("a constancy check needs at least 2 samples, "
+                        f"got {n_samples}")
     tol = CRITERION_TOL if tol is None else tol
-    if not getattr(curve, "arc_length", False):
-        raise NotArcLengthError("hopf residuals need an arc-length curve")
     s0, s1 = curve.interval
     span = s1 - s0
     h = max(1e-3 * span, 1e-6)
@@ -648,7 +647,7 @@ def cylinder_patch(data: geo.KillingData, curve: BaseCurve) -> srf.SurfacePatch:
     if not isinstance(curve, BaseCurve):
         raise TypeError("cylinder_patch needs an expression-backed BaseCurve")
     if curve.x.variables != ("s",):
-        raise ValueError("cylinder_patch needs a curve in the parameter s")
+        raise KsubError("cylinder_patch needs a curve in the parameter s")
     pvars = ("s", "v")
     x = Expr(curve.x.root, pvars)
     y = Expr(curve.y.root, pvars)
@@ -804,12 +803,14 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
         f = parse(f, ("t",))
     t0, t1 = float(interval[0]), float(interval[1])
     if not t1 > t0:
-        raise ValueError("interval must have positive length")
+        raise KsubError("interval must have positive length")
+    if not math.isfinite(t1 - t0):
+        raise KsubError(f"interval ({t0}, {t1}) has length inf")
 
     ts = np.linspace(t0, t1, 1024)
     fv, gv = batched(functools.partial(_circle_condition, f, r), ts)
     if np.min(fv) <= 0.0:
-        raise ValueError("warp profile f must be positive on the interval")
+        raise KsubError("warp profile f must be positive on the interval")
     scale = max(1.0, float(np.max(np.abs(fv))) ** 2)
     if np.max(np.abs(gv)) < 1e-13 * scale:
         raise NoIsolatedRootError(
@@ -841,7 +842,7 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
         curve = BaseCurve(
             parse(f"{root!r}+0*s", ("s",)),
             parse(f"s/{j.value!r}", ("s",)),
-            (0.0, circumference), arc_length=True)
+            (0.0, circumference))
         report = hopf_residuals(curve, base, tol=tol)
         cases.append(RotationalCase(root, float(kappa), float(gauss),
                                     curve, base, report))

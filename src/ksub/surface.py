@@ -61,6 +61,7 @@ from .errors import (
     AngleSingularError,
     DegenerateImmersionError,
     FdMarginError,
+    KsubError,
     POINT_FAILURES,
 )
 from .expr import Expr, batched, eval_jet, parse, power
@@ -101,9 +102,9 @@ class SurfacePatch:
     def __post_init__(self):
         params = self.x.variables
         if len(params) != 2:
-            raise ValueError("immersion expressions need exactly 2 parameters")
+            raise KsubError("immersion expressions need exactly 2 parameters")
         if self.y.variables != params or self.z.variables != params:
-            raise ValueError("immersion components disagree on parameters")
+            raise KsubError("immersion components disagree on parameters")
         # the patch owns the lattices of the points operated on; they refer
         # to it weakly, so a dropped patch frees them by reference count
         self._lattices: dict[tuple[str, str], _Lattice] = {}

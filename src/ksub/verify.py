@@ -22,6 +22,7 @@ from . import biharmonic as bih
 from . import geometry as geo
 from . import hopf
 from . import surface as srf
+from .errors import KsubError
 from .expr import batched, parse
 
 __all__ = ["CheckReport", "CHECK_NAMES", "run_checks", "metric_families"]
@@ -469,11 +470,11 @@ def run_checks(only: str | None = None, tol: float | None = None) -> list[CheckR
     ``tol`` overrides every residual tolerance (runtime limits stay fixed);
     tightening it below the finite-difference floor makes the FD-limited
     checks fail with their honest residuals. A filter that matches no check
-    is a ValueError, so a misspelt name cannot read as a pass.
+    is a KsubError, so a misspelt name cannot read as a pass.
     """
     if only and not any(only in name for name in CHECK_NAMES):
-        raise ValueError(f"no check name contains {only!r}; the checks are "
-                         + ", ".join(CHECK_NAMES))
+        raise KsubError(f"no check name contains {only!r}; the checks are "
+                        + ", ".join(CHECK_NAMES))
     reports = []
     for name, keywords in _TOL_KEYWORDS.items():
         if only and only not in name:

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import gc
 import hashlib
@@ -554,6 +555,49 @@ class TestNumericFaults:
         assert by_name["compatibility"]["status"] == "fail"
 
 
+class TestInputErrors:
+    # exit 2 with an "error:" line is for a KsubError (and the arithmetic,
+    # nesting and memory failures); any other exception is a defect
+
+    def test_main_reports_only_the_input_errors_as_such(self):
+        [fn] = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main"]
+        handlers = [ast.unparse(handler.type) for node in ast.walk(fn)
+                    if isinstance(node, ast.Try) for handler in node.handlers]
+        assert handlers == ["SystemExit", "KsubError", "ArithmeticError",
+                            "RecursionError", "MemoryError"]
+
+    def test_a_defects_value_error_escapes_main(self, capsys, monkeypatch):
+        # a defect is no input error: no exit 2 and no "error:" line
+        def broken(patch, us, vs):
+            raise ValueError("shape mismatch")
+
+        monkeypatch.setattr(srf, "_build", broken)
+        with pytest.raises(ValueError, match="^shape mismatch$"):
+            main(["check-surface", "--bcv", "1", "1", "--graph=x",
+                  "--grid", "2", "2"])
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        # the grid's points would be nan and inf
+        (["info", "--lambda=x^2-0.25", "--domain", "-1e308", "1e308", "-1",
+          "1", "--grid", "2", "2"],
+         "rectangle side (-1e+308, 1e+308) has length inf"),
+        (["check-surface", "--bcv", "1", "1", "--graph=x",
+          "--patch-domain", "-1e308", "1e308", "-1", "1"],
+         "rectangle side (-1e+308, 1e+308) has length inf"),
+        # the speed grid's parameters would be nan
+        (["hopf", "check", "--bcv", "0", "0", "--curve=s;0",
+          "--interval", "-1e308", "1e308"],
+         "curve interval (-1e+308, 1e+308) has length inf"),
+        (["hopf", "example", "--f=1+t^2", "--r", "0",
+          "--interval", "-1e308", "1e308"],
+         "interval (-1e+308, 1e+308) has length inf"),
+    ])
+    def test_a_side_of_no_finite_length_exits_2(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 class TestBatchedGrid:
     # info evaluates its grid as one batch; a batch that fails reruns point
     # by point, so the error is the one the first failing point raises
@@ -1060,6 +1104,13 @@ class TestErrorPathCorpus:
              "--grid", "3", "3"], 0, "",
             "d916111cc0d4efcc5797c33f78a06f53"
             "792848c6855db0cc409ada72a1e24458"),
+        # a domain side whose length overflows: its positivity grid was all
+        # nan and inf, so lam < 0 at the point passed with exit 0
+        "domain-side-overflows": (
+            ["info", "--lambda=x^2-0.25", "--domain", "-1e308", "1e308",
+             "-1", "1", "--at", "0", "0"],
+            2, "error: rectangle side (-1e+308, 1e+308) has length inf\n",
+            EMPTY_SHA256),
     }
 
     @pytest.mark.parametrize("case", sorted(COMMANDS))

@@ -79,7 +79,7 @@ def test_generated_graphs_end_in_an_exit_code(height):
 
 def _error_line(err) -> str:
     """The line ``main`` prints for a point's error."""
-    if isinstance(err, (KsubError, ValueError)):
+    if isinstance(err, KsubError):
         return f"error: {err}"
     return f"error: {type(err).__name__}: {err}"
 

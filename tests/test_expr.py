@@ -16,6 +16,8 @@ from ksub.errors import (
     ArityMismatchError,
     DomainEvalError,
     ExprSyntaxError,
+    KsubError,
+    POINT_FAILURES,
     UndeclaredVariableError,
 )
 from ksub.expr import (Expr, batched, compose_jet, eval_jet, eval_value,
@@ -428,6 +430,19 @@ class TestBatch:
         assert calls == [8]
         assert out.tolist() == [0.0, 1.0, 2.0] + [math.inf] * 5
 
+    def test_a_defects_value_error_is_not_bisected(self):
+        # only an input or arithmetic error makes a point fail; a defect's
+        # ValueError leaves the batch's one run unsearched (it took 8 calls)
+        calls = []
+
+        def fn(xs):
+            calls.append(len(xs))
+            raise ValueError("shape mismatch")
+
+        with pytest.raises(ValueError, match="^shape mismatch$") as err:
+            batched(fn, np.arange(64.0))
+        assert calls == [64] and not isinstance(err.value, KsubError)
+
     def test_batch_coordinates_must_be_one_dimensional(self):
         with pytest.raises(ValueError):
             eval_jet(parse("x", ("x",)), (np.zeros((2, 2)),))
@@ -543,8 +558,18 @@ class TestOneOwnerPerBatchRule:
         # read
         assert self.owners(
             lambda node: isinstance(node, ast.Tuple)
-            and {"ArithmeticError", "ValueError"}
+            and {"ArithmeticError", "KsubError"}
             <= {ast.unparse(elt) for elt in node.elts}) == {"errors": [""]}
+        assert POINT_FAILURES == (ArithmeticError, KsubError)
+
+    def test_value_error_is_named_only_as_the_input_errors_base(self):
+        # every input error is a KsubError: no raise makes a ValueError of
+        # another kind, and no except catches a defect's ValueError as input
+        assert self.owners(
+            lambda node: isinstance(node, ast.Name)
+            and node.id == "ValueError") == {"errors": ["KsubError"]}
+        assert not any("UsageError" in path.read_text() for path in
+                       Path(ksub.__file__).parent.glob("*.py"))
 
 
 class TestOneOwnerPerDomainRule:

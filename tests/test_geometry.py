@@ -5,7 +5,7 @@ import pytest
 
 from ksub import geometry as geo
 from ksub import numdiff, verify
-from ksub.errors import FdMarginError, OutsideDomainError
+from ksub.errors import FdMarginError, KsubError, OutsideDomainError
 from ksub.expr import eval_jet, parse
 
 
@@ -352,6 +352,13 @@ class TestBatchedOracles:
                     (frame[..., n], one_point_frame(data, x, y)),
                     (geo.frame(data, (x, y, z)), one_point_frame(data, x, y))):
                 assert same_bytes(got, want)
+
+    def test_metric_matrix_reads_the_checked_base_jets(self):
+        # lam, a and b come from the base jets, which check the domain
+        with pytest.raises(OutsideDomainError) as err:
+            geo.metric_matrix(geo.bcv(1.0, 0.0), (10.0, 10.0))
+        assert str(err.value) == ("point (10.0, 10.0) outside domain of "
+                                  "BCV(c=1.0, mu=0.0)")
 
     def test_connection_oracle(self, sample):
         data, points, batch, _ = sample
@@ -812,6 +819,18 @@ class TestBcvConstructor:
 
 
 class TestRectGrid:
+    @pytest.mark.parametrize("sides, message", [
+        ((1.0, 1.0, -1.0, 1.0), "rectangle must have positive area"),
+        ((-1.0, 1.0, -1e308, 1e308),
+         "rectangle side (-1e+308, 1e+308) has length inf"),
+    ])
+    def test_sides_need_a_finite_positive_length(self, sides, message):
+        # a side of length inf gives a grid of nan and inf points, on which
+        # the positivity grid of lam checks nothing
+        with pytest.raises(KsubError) as err:
+            geo.Rect(*sides)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("nx, ny, inset", [
         (1, 1, 0.25), (3, 7, 0.05), (12, 12, 0.05), (5, 5, 0.02),
         (9, 2, 1e-3)])

@@ -10,6 +10,7 @@ from ksub import hopf, numdiff
 from ksub.errors import (
     DegenerateCurveError,
     DomainEvalError,
+    KsubError,
     NoIsolatedRootError,
     NotArcLengthError,
     OutsideDomainError,
@@ -32,8 +33,16 @@ class TestArclength:
                                 (0.0, 2 * math.pi))
         out = hopf.arclength_reparam(circle, FLAT_BASE)
         assert isinstance(out, hopf.BaseCurve)
-        assert out.arc_length
         assert out.point(1.3) == pytest.approx(circle.point(1.3), abs=1e-10)
+
+    @pytest.mark.parametrize("interval, message", [
+        ((0.0, 0.0), "curve interval must have positive length"),
+        ((-1e308, 1e308), "curve interval (-1e+308, 1e+308) has length inf"),
+    ])
+    def test_interval_needs_a_finite_positive_length(self, interval, message):
+        with pytest.raises(KsubError) as err:
+            hopf.BaseCurve(parse("s", ("s",)), parse("0", ("s",)), interval)
+        assert str(err.value) == message
 
     def test_double_speed_line(self):
         line = hopf.BaseCurve(parse("2*t", ("t",)), parse("0", ("t",)),
@@ -248,7 +257,7 @@ class TestGeodesicCurvature:
 
     def test_straight_line_geodesic(self):
         line = hopf.BaseCurve(parse("s", ("s",)), parse("0.5", ("s",)),
-                              (-1.0, 1.0), arc_length=True)
+                              (-1.0, 1.0))
         assert hopf.geodesic_curvature(line, FLAT_BASE, 0.1) == pytest.approx(
             0.0, abs=1e-12)
 
@@ -259,14 +268,14 @@ class TestGeodesicCurvature:
         f0 = 2 + math.sin(t0)
         curve = hopf.BaseCurve(parse(f"{t0!r}+0*s", ("s",)),
                                parse(f"s/{f0!r}", ("s",)),
-                               (0.0, 2 * math.pi * f0), arc_length=True)
+                               (0.0, 2 * math.pi * f0))
         expected = math.cos(t0) / f0
         assert hopf.geodesic_curvature(curve, base, 1.0) == pytest.approx(
             expected, abs=1e-12)
 
     def test_requires_arc_length(self):
         fast = hopf.BaseCurve(parse("2*s", ("s",)), parse("0", ("s",)),
-                              (0.0, 1.0), arc_length=True)
+                              (0.0, 1.0))
         with pytest.raises(NotArcLengthError):
             hopf.geodesic_curvature(fast, FLAT_BASE, 0.5)
 
@@ -308,7 +317,7 @@ class TestHopfResiduals:
 
     def test_geodesic_minimal_not_proper(self):
         line = hopf.BaseCurve(parse("s", ("s",)), parse("0", ("s",)),
-                              (-1.0, 1.0), arc_length=True)
+                              (-1.0, 1.0))
         report = hopf.hopf_residuals(line, FLAT_BASE)
         assert np.max(np.abs(report.residuals)) <= 1e-10
         assert not report.verdict.passed
@@ -328,11 +337,15 @@ class TestHopfResiduals:
         with pytest.raises(OutsideDomainError):
             hopf.hopf_residuals(circ, base)
 
-    def test_requires_arclength_flag(self):
+    def test_requires_unit_speed(self):
+        # unit speed is measured at every sample, not declared by a flag: an
+        # unflagged line of speed 2 is refused at its first sample
         fast = hopf.BaseCurve(parse("2*s", ("s",)), parse("0", ("s",)),
                               (0.0, 1.0))
-        with pytest.raises(NotArcLengthError):
+        with pytest.raises(NotArcLengthError) as err:
             hopf.hopf_residuals(fast, FLAT_BASE)
+        assert str(err.value) == ("curve speed 2.0 at s = 0.003; "
+                                  "reparametrize by arc length first")
 
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_constancy_needs_two_samples(self, n_samples):
@@ -566,7 +579,7 @@ class TestBatchedSweep:
         small = hopf.ConformalBase(make_data("1", "0", "0",
                                              rect=(-0.5, 0.5, -0.5, 0.5)))
         line = hopf.BaseCurve(parse("s", ("s",)), parse("0", ("s",)),
-                              (-0.3, 1.0), arc_length=True)
+                              (-0.3, 1.0))
         message = ("curve leaves the base domain at s = 0.5038333333333334: "
                    "point (0.5038333333333334, 0.0)")
         with pytest.raises(OutsideDomainError) as err:
@@ -600,7 +613,7 @@ class TestBatchedSweep:
         a = float(np.linspace(3 * h, 1 - 3 * h, 64)[20] + 0.0007)
         curve = hopf.BaseCurve(
             parse(f"s+(s-{a!r}+abs(s-{a!r}))^2", ("s",)), parse("0", ("s",)),
-            (0.0, 1.0), arc_length=True)
+            (0.0, 1.0))
         message = ("curve speed 1.0024000000000002 at s = 0.31955555555555554"
                    "; reparametrize by arc length first")
         with pytest.raises(NotArcLengthError) as err:
@@ -784,6 +797,12 @@ class TestRotationalSearch:
         with pytest.raises(ValueError):
             hopf.rotational_case_search("cos(t)", 0.0, (0.0, 3.0))
 
+    def test_interval_of_no_finite_length_rejected(self):
+        # its 1024 scan points would be nan and inf
+        with pytest.raises(KsubError) as err:
+            hopf.rotational_case_search("1+t^2", 0.0, (-1e308, 1e308))
+        assert str(err.value) == "interval (-1e+308, 1e+308) has length inf"
+
     def test_multiple_roots_sorted(self):
         # cos on a symmetric window has roots at +-pi/4
         cases = hopf.rotational_case_search("cos(t)", 0.0, (-1.5, 1.5))
@@ -832,7 +851,7 @@ class TestConformalWarpedAgreement:
         lam0 = math.cos(t0)  # sech(u0)
         curve = hopf.BaseCurve(parse(f"{u0!r}+0*s", ("s",)),
                                parse(f"s/{lam0!r}", ("s",)),
-                               (0.0, 2 * math.pi * lam0), arc_length=True)
+                               (0.0, 2 * math.pi * lam0))
         report = hopf.hopf_residuals(curve, base)
         assert report.verdict.passed
         assert report.verdict.kappa_mean ** 2 == pytest.approx(
