@@ -280,11 +280,10 @@ def tolerance(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 def _info_fields(data: geo.KillingData, x, y):
-    """r, grad r, G and lam at a point or over a batch. lam is the value
-    path's, not the jet's: a jet divides through the reciprocal and can
-    differ in the last bit."""
+    """r, grad r, G and lam over a batch, from its memoised base jets."""
     r, grad = geo.bundle_curvature(data, (x, y))
-    return r, grad, geo.gauss_curvature(data, (x, y)), data.lam(x, y)
+    return (r, grad, geo.gauss_curvature(data, (x, y)),
+            data.base_jets(x, y)[0].value)
 
 
 # an info record: its keys in output order and the shapes of their values

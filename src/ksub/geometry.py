@@ -26,7 +26,8 @@ only. The oracles run a batch of points; a point of floats is a batch of one
 (:func:`ksub.expr.pointwise`), and the closed forms take it as numpy floats.
 The jets of (lam, a, b) are memoised per batch, keyed by its coordinates'
 bytes, and a batch is evaluated as given (:meth:`KillingData.base_jets`)
-once it passes the one check of the domain rectangle.
+once it passes the one check of the domain rectangle and then lam > 0 is
+checked on it; they are the one read of the metric, lam's values included.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class Rect:
 class KillingData:
     """A canonical metric: the triple (lam, a, b) on a rectangle.
 
-    Positivity of lam is checked on a validation grid at construction.
+    lam > 0 is checked on a value grid at construction and on each jet batch.
     Instances are immutable by convention and safe to share across workers.
     Base points are floats, or equal-length coordinate arrays for a batch
     (see :func:`ksub.expr.batched`).
@@ -175,16 +176,17 @@ class KillingData:
             if tuple(e.variables) != ("x", "y"):
                 raise KsubError(f"{name} must be an expression in (x, y)")
         xs, ys = map(np.array, zip(*self.domain.grid(8, 8, inset=0.02)))
-        batched(self._require_positive, xs, ys)
+        # values, not jets: a jet can fail where a value does not
+        batched(lambda *p: self.require_positive(*p, self.lam(*p)), xs, ys)
         self._jets: dict[tuple, tuple[Jet, Jet, Jet]] = {}
 
-    def _require_positive(self, x, y):
-        lam = self.lam(x, y)
+    @staticmethod
+    def require_positive(x, y, lam):
+        """Raise KsubError naming the first point where lam <= 0."""
         bad = _first_bad(lam <= 0.0, x, y)
         if bad:
             raise KsubError("lam must be positive on the domain; "
                             f"lam({bad[0]}, {bad[1]}) <= 0")
-        return lam
 
     def base_jets(self, x, y) -> tuple[Jet, Jet, Jet]:
         """Jets of (lam, a, b) at each point of a batch of coordinate
@@ -192,9 +194,9 @@ class KillingData:
         floats is a batch of one (see :func:`ksub.expr.at_point`).
 
         A batch is memoised by the bytes of its coordinates and evaluated as
-        given: a point that a batch repeats (a vertical cylinder's ruling
-        sits over one) is evaluated at each place, with the same bits; the
-        first point outside the domain raises before any is evaluated.
+        given, a point it repeats (a vertical cylinder's ruling sits over
+        one) at each place with the same bits; the first point outside the
+        domain raises before any is evaluated, the first with lam <= 0 after.
         """
         return at_point(self._batch_jets, x, y)
 
@@ -204,7 +206,9 @@ class KillingData:
 
     def _eval_base_jets(self, x, y) -> tuple[Jet, Jet, Jet]:
         self.require_inside(x, y)
-        return tuple(eval_jet(e, (x, y)) for e in (self.lam, self.a, self.b))
+        jets = tuple(eval_jet(e, (x, y)) for e in (self.lam, self.a, self.b))
+        self.require_positive(x, y, jets[0].value)
+        return jets
 
     def require_inside(self, x, y):
         """Raise OutsideDomainError naming the first point outside."""
@@ -484,7 +488,7 @@ def riemann_closed(data: KillingData, p, X, Y, Z, W):
     X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
     r, grad = bundle_curvature(data, (x, y))
     g_curv = gauss_curvature(data, (x, y))
-    lam = data.lam(x, y)
+    lam = data.base_jets(x, y)[0].value
 
     def dr(v):
         return v[0] * grad[0] / lam + v[1] * grad[1] / lam
@@ -558,7 +562,7 @@ def ricci(data: KillingData, p) -> np.ndarray:
     x, y = p[0], p[1]
     r, grad = bundle_curvature(data, (x, y))
     return ricci_from_scalars(r, grad, gauss_curvature(data, (x, y)),
-                              data.lam(x, y))
+                              data.base_jets(x, y)[0].value)
 
 
 def ricci_from_scalars(r: float, grad, g_curv: float, lam: float) -> np.ndarray:

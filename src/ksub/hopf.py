@@ -30,14 +30,14 @@ against the base domain (``_require_on_base``, the one check of a curve
 point, which each speed batch of :func:`arclength_reparam` passes too),
 takes the geodesic curvature of that batch in one pass, forms kappa, kappa'
 and kappa'' from its columns with :func:`ksub.numdiff._quotients`, and takes
-r and G from the base jets of all 5 columns, keeping the samples', and the
-Ricci values at the samples; a chart method or :func:`geodesic_curvature`
-given arrays of points (the batch on a trailing axis) equals its one-point
-results bit for bit; a float is a batch of one (:func:`ksub.expr.at_point`).
-A sweep runs once and its values stand, non-finite ones included; one that
-raises bisects (:func:`ksub.expr.batched`) to its first failing sample,
-whose 5 points then go through each stage together and raise the error of
-the first stage that fails.
+r, G and the Ricci values at all 5 columns from their memoised base jets,
+keeping the samples'. A chart method or :func:`geodesic_curvature` given
+arrays of points (the batch on a trailing axis) equals its one-point results
+bit for bit; a float is a batch of one (:func:`ksub.expr.at_point`). A sweep
+runs once and its values stand, non-finite ones included; one that raises
+bisects (:func:`ksub.expr.batched`) to its first failing sample, whose 5
+points then go through each stage together and raise the error of the first
+stage that fails.
 
 Everything here is numpy or plain-float code. Arc length is a composite
 Gauss-Legendre rule whose panel table also inverts it: t(s) is a batched
@@ -223,7 +223,7 @@ class ConformalBase:
         return self.data.domain.contains(p[0], p[1])
 
     def metric(self, p) -> np.ndarray:
-        lam = self.data.lam(p[0], p[1])
+        lam = self.data.base_jets(p[0], p[1])[0].value
         lam_sq = lam * lam
         zero = np.zeros_like(lam_sq)
         return np.array([[lam_sq, zero], [zero, lam_sq]])
@@ -244,7 +244,7 @@ class ConformalBase:
                      gauss: float):
         """(Ricc(eta,eta), Ricc(eta,e1), Ricc(eta,e2)) for the lifted frame,
         from r, its gradient and G at ``p``."""
-        lam = self.data.lam(p[0], p[1])
+        lam = self.data.base_jets(p[0], p[1])[0].value
         zero = np.zeros_like(lam)
         eta = np.array([lam * yp, -lam * xp, zero])
         e1 = np.array([lam * xp, lam * yp, zero])
@@ -255,8 +255,10 @@ class ConformalBase:
 
     def speed_jet(self, jx: Jet, jy: Jet, t) -> tuple[float, float]:
         """(speed, d speed / dt) of a curve in this chart, from the jets of
-        its components at t."""
+        its components at t; lam's jet is not memoised, as arc length's
+        batches are many and read once."""
         lam = eval_jet(self.data.lam, (jx.value, jy.value))
+        self.data.require_positive(jx.value, jy.value, lam.value)
         xp, yp = jx.grad[0], jy.grad[0]
         xpp, ypp = jx.hess[0, 0], jy.hess[0, 0]
         # as compose_jet forms it
@@ -268,6 +270,15 @@ class ConformalBase:
         sigma = lam.value * qn
         dsigma = dlam * qn + lam.value * (xp * xpp + yp * ypp) / qn
         return sigma, dsigma
+
+
+def _profile_jet(f: Expr, t) -> Jet:
+    """The jet of a warp profile at t; the first t where f <= 0 raises."""
+    jet = eval_jet(f, (t,))
+    bad = _first_bad(jet.value <= 0.0, t)
+    if bad:
+        raise OutsideDomainError(f"warp profile nonpositive at t = {bad[0]}")
+    return jet
 
 
 class WarpedBase:
@@ -288,27 +299,20 @@ class WarpedBase:
     def contains(self, p):
         return (self.t_interval[0] < p[0]) & (p[0] < self.t_interval[1])
 
-    def _fjet(self, t) -> Jet:
-        jet = eval_jet(self.f, (t,))
-        bad = _first_bad(jet.value <= 0.0, t)
-        if bad:
-            raise OutsideDomainError(f"warp profile nonpositive at t = {bad[0]}")
-        return jet
-
     def metric(self, p) -> np.ndarray:
-        f_sq = power(self._fjet(p[0]).value, 2)
+        f_sq = power(_profile_jet(self.f, p[0]).value, 2)
         zero = np.zeros_like(f_sq)
         return np.array([[zero + 1.0, zero], [zero, f_sq]])
 
     def christoffels(self, p) -> np.ndarray:
-        f = self._fjet(p[0])
+        f = _profile_jet(self.f, p[0])
         gamma = np.zeros((2, 2, 2) + np.shape(f.value))
         gamma[0, 1, 1] = -f.value * f.grad[0]
         gamma[1, 0, 1] = gamma[1, 1, 0] = f.grad[0] / f.value
         return gamma
 
     def gauss(self, p) -> float:
-        f = self._fjet(p[0])
+        f = _profile_jet(self.f, p[0])
         return -f.hess[0, 0] / f.value
 
     def bundle(self, p) -> tuple[float, np.ndarray]:
@@ -577,18 +581,18 @@ def _sweep(curve, base, h: float, s):
     jx, jy = jets = curve.point_jets(columns)
     q = (jx.value, jy.value)
     _require_on_base(base, columns, q)
-    xp, yp = jx.grad[0, :n], jy.grad[0, :n]
     k, grad, hess = numdiff._quotients(
         np.split(_kappa(base, jets, columns), 5), h)
     k1, k2 = grad[0], hess[0, 0]
-    # r and G at every column, whose base jets _kappa memoised; the first
-    # n are the samples'
-    r, grad_r = (part[..., :n] for part in base.bundle(q))
-    g = base.gauss(q)[:n]
-    p = (jx.value[:n], jy.value[:n])
-    rd = xp * grad_r[0] + yp * grad_r[1]
+    # r, G and the Ricci values (a constant broadcast) at every column, whose
+    # base jets _kappa memoised; the first n are the samples'
+    r, grad_r = base.bundle(q)
+    g = base.gauss(q)
+    ric = base.ricci_values(q, jx.grad[0], jy.grad[0], r, grad_r, g)
+    ric_nn, ric_n1, ric_n2 = (np.broadcast_to(v, g.shape)[:n] for v in ric)
+    r, grad_r, g = r[:n], grad_r[:, :n], g[:n]
+    rd = jx.grad[0, :n] * grad_r[0] + jy.grad[0, :n] * grad_r[1]
     t = -r
-    ric_nn, ric_n1, ric_n2 = base.ricci_values(p, xp, yp, r, grad_r, g)
     return (k, t, r, g,
             k2 - power(k, 3) + (g - 4.0 * r * r) * k,
             k * k1,
@@ -669,7 +673,7 @@ def cylinder_surface_check(data: geo.KillingData, curve: BaseCurve,
     q = (float(s), 0.5)
     d = srf.analyze_point(patch, q)
     jx, jy = curve.point_jets(float(s))
-    lam = data.lam(jx.value, jy.value)
+    lam = data.base_jets(jx.value, jy.value)[0].value
     eta_lift = np.array([lam * jy.grad[0], -lam * jx.grad[0], 0.0])
     sign = 1.0 if float(d.normal @ eta_lift) >= 0.0 else -1.0
 
@@ -778,7 +782,7 @@ class RotationalCase:
 
 def _circle_condition(f: Expr, r: float, t):
     """(f, f (f'' + 4 r^2 f) + f'^2) at t, or over an array of t."""
-    j = eval_jet(f, (t,))
+    j = _profile_jet(f, t)
     return j.value, (j.value * (j.hess[0, 0] + 4.0 * r * r * j.value)
                      + power(j.grad[0], 2))
 
@@ -809,8 +813,6 @@ def rotational_case_search(f, r: float, interval: tuple[float, float],
 
     ts = np.linspace(t0, t1, 1024)
     fv, gv = batched(functools.partial(_circle_condition, f, r), ts)
-    if np.min(fv) <= 0.0:
-        raise KsubError("warp profile f must be positive on the interval")
     scale = max(1.0, float(np.max(np.abs(fv))) ** 2)
     if np.max(np.abs(gv)) < 1e-13 * scale:
         raise NoIsolatedRootError(

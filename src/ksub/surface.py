@@ -105,6 +105,8 @@ class SurfacePatch:
             raise KsubError("immersion expressions need exactly 2 parameters")
         if self.y.variables != params or self.z.variables != params:
             raise KsubError("immersion components disagree on parameters")
+        if not np.isfinite(self.domain.diameter):
+            raise KsubError(f"patch domain {self.domain} has diameter inf")
         # the patch owns the lattices of the points operated on; they refer
         # to it weakly, so a dropped patch frees them by reference count
         self._lattices: dict[tuple[str, str], _Lattice] = {}
@@ -270,7 +272,7 @@ def _build(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray) -> dict:
         "sin_phi": sin_phi,
         "phi": phi,
         "vertical_tangent": vertical_rows,
-        "lam": K.lam(x, y),
+        "lam": lam.value,
         "r": r,
         "grad_r": geo.rows(grad_r),
         "gauss_base": geo.gauss_curvature(K, (x, y)),

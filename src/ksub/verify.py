@@ -146,7 +146,7 @@ def check_curvature_formula(tol=1e-5) -> CheckReport:
         xs, ys = map(np.array, zip(*ident))
         r, grad = geo.bundle_curvature(data, (xs, ys))
         g_curv = geo.gauss_curvature(data, (xs, ys))
-        lam = data.lam(xs, ys)
+        lam = data.base_jets(xs, ys)[0].value
         for n, got in enumerate(values):
             for j in range(2):
                 worst.update(abs(got[2 * j] + r[n] * r[n]),

@@ -1111,6 +1111,36 @@ class TestErrorPathCorpus:
              "-1", "1", "--at", "0", "0"],
             2, "error: rectangle side (-1e+308, 1e+308) has length inf\n",
             EMPTY_SHA256),
+        # lam < 0 near x = 0, between the nodes of the 8x8 positivity grid
+        # (x = +-0.274), so each read there passed with exit 0: info at the
+        # dip, the patch's regularity grid and the arc-length speed grid
+        "lam-dips-at-point": (
+            ["info", "--lambda=x^2-0.0001", "--domain", "-2", "2", "-1", "1",
+             "--at", "0", "0"],
+            2, "error: lam must be positive on the domain; "
+               "lam(0.0, 0.0) <= 0\n", EMPTY_SHA256),
+        "lam-dips-under-patch": (
+            ["check-surface", "--lambda=x^2-0.0001", "--domain", "-2", "2",
+             "-1", "1", "--graph=0.5*x",
+             "--patch-domain", "-0.4", "0.4", "-0.4", "0.4",
+             "--grid", "1", "1"],
+            2, "error: lam must be positive on the domain; "
+               "lam(0.0, -0.384) <= 0\n", EMPTY_SHA256),
+        "lam-dips-under-curve": (
+            ["hopf", "check", "--lambda=x^2-0.0001", "--domain", "-2", "2",
+             "-1", "1", "--curve=s;0.1", "--interval", "-1", "1"],
+            2, "error: lam must be positive on the domain; "
+               "lam(-0.0078125, 0.1) <= 0\n", EMPTY_SHA256),
+        # finite sides whose diagonal overflows: the lattice step was inf
+        # and every row skipped, with exit 0
+        "patch-diameter-overflows": (
+            ["check-surface", "--lambda", "1",
+             "--domain", "-8.9e307", "8.9e307", "-8.9e307", "8.9e307",
+             "--graph=x", "--patch-domain", "-8e307", "8e307", "-8e307",
+             "8e307", "--grid", "1", "1"],
+            2, "error: patch domain Rect(xmin=-8e+307, xmax=8e+307, "
+               "ymin=-8e+307, ymax=8e+307) has diameter inf\n",
+            EMPTY_SHA256),
     }
 
     @pytest.mark.parametrize("case", sorted(COMMANDS))
@@ -1463,3 +1493,23 @@ class TestWorkingSet:
         capsys.readouterr()
         assert sum(seen) == points
         assert len(seen) == self.CALLS[op, points]
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_the_metric_is_evaluated_by_value_once(self, op, monkeypatch,
+                                                   capsys):
+        # the validation grid of lam; every other value of lam is read from
+        # the base jets (info, check-surface and hopf made 2, 2 and 3 value
+        # evaluations while info's lam, the surface records' lam and the
+        # conformal chart's metric and Ricci values were read by value)
+        seen = []
+        original = expr._evaluate
+
+        def counted(e, coords, arithmetic):
+            if arithmetic is expr._VALUES:
+                seen.append(e)
+            return original(e, coords, arithmetic)
+
+        monkeypatch.setattr(expr, "_evaluate", counted)
+        assert main(OPS[op]) == 0
+        capsys.readouterr()
+        assert len(seen) == 1

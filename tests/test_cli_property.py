@@ -165,3 +165,37 @@ def test_generated_profiles_end_in_an_exit_code(f):
     # a perturbed profile with six roots of the circle condition
     _ends_cleanly(["hopf", "example", f"--f=1+0.5*sin(3*t)+0.1*({f})",
                    "--r", "0.1", "--interval", "0.1", "6", "--expect", "pass"])
+
+
+# the nodes of the 8x8 positivity grid of --domain -2 2 -1 1 (inset 2 %)
+GRID_X = np.linspace(-1.92, 1.92, 8)
+GRID_Y = np.linspace(-0.96, 0.96, 8)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.floats(0.2, 0.8),
+       st.floats(0.2, 0.8), st.floats(1e-8, 1e-3),
+       st.sampled_from(("info", "check-surface", "hopf")))
+def test_a_dip_between_the_grid_nodes_never_exits_0(i, j, fx, fy, depth,
+                                                     command):
+    # lam < 0 only within sqrt(depth) <= 0.032 of (cx, cy), inside a cell of
+    # the grid whose nodes stay more than 0.2 of a cell side (0.055) away,
+    # so the grid passes; each command reads lam at the dip (a patch may
+    # first meet a point where lam is so small that it is degenerate)
+    x = float(GRID_X[i] + fx * (GRID_X[i + 1] - GRID_X[i]))
+    y = float(GRID_Y[j] + fy * (GRID_Y[j + 1] - GRID_Y[j]))
+    cx, cy = repr(x), repr(y)
+    argv = {
+        "info": ["info", "--at", cx, cy],
+        # the centre of the 5x5 regularity grid is the dip
+        "check-surface": ["check-surface", "--graph=0", "--patch-domain",
+                          *map(repr, (x - 0.01, x + 0.01, y - 0.01, y + 0.01)),
+                          "--grid", "1", "1"],
+        # the middle of the 257 speed samples is the dip
+        "hopf": ["hopf", "check", f"--curve=s;{cy}", "--interval",
+                 repr(x - 0.05), repr(x + 0.05)],
+    }[command]
+    code, _, _ = _ends_cleanly(argv + [
+        f"--lambda=(x-({cx}))^2+(y-({cy}))^2-{depth!r}",
+        "--domain", "-2", "2", "-1", "1"])
+    assert code == 2

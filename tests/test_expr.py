@@ -583,6 +583,22 @@ class TestOneOwnerPerDomainRule:
         assert self.owners(TestOneOwnerPerBatchRule.calls("require_inside")) \
             == {"geometry": ["KillingData._eval_base_jets"]}
 
+    def test_lam_is_checked_positive_where_it_is_read(self):
+        # by value on the validation grid, where a batch of base jets is
+        # evaluated, and on the unmemoised lam jet of the speed of a curve
+        assert self.owners(
+            TestOneOwnerPerBatchRule.calls("require_positive")) == {
+                "geometry": ["KillingData.__post_init__",
+                             "KillingData._eval_base_jets"],
+                "hopf": ["ConformalBase.speed_jet"]}
+
+    def test_the_metric_is_read_by_value_only_on_the_validation_grid(self):
+        # every other read of lam, a or b is a memoised, checked base jet
+        assert self.owners(lambda node: (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("lam", "a", "b"))) \
+            == {"geometry": ["KillingData.__post_init__"]}
+
     @pytest.mark.parametrize("message, owner", [
         ("division by zero", "_divide"),
         # the value arithmetic's log, which Jet.log calls
