@@ -83,7 +83,7 @@ class BitensionResidual:
         """Whether both defects are within ``tol`` (RESIDUAL_TOL as it is
         when called, by default)."""
         tol = RESIDUAL_TOL if tol is None else tol
-        return max(abs(self.normal), self.tangential_norm) <= tol
+        return abs(self.normal) <= tol and self.tangential_norm <= tol
 
     def is_proper(self, tol: float | None = None) -> bool:
         return self.is_biharmonic(tol) and abs(self.mean_h) > PROPER_H_TOL

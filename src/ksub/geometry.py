@@ -136,7 +136,9 @@ class Rect:
 
     @property
     def diameter(self) -> float:
-        return float(_hypot(self.xmax - self.xmin, self.ymax - self.ymin))
+        """The diagonal; inf, with no warning, where it overflows."""
+        with np.errstate(over="ignore"):
+            return float(_hypot(self.xmax - self.xmin, self.ymax - self.ymin))
 
     def grid(self, nx: int, ny: int, inset: float = 0.05):
         """Interior grid points, inset by a fraction of each side."""

@@ -69,6 +69,13 @@ class TestBitension:
         assert not bt.is_proper()
         assert bt.is_proper(1e-4)
 
+    @pytest.mark.parametrize("normal, tangential", [
+        (float("nan"), [0.0, 0.0]), (0.0, [float("nan"), 0.0])])
+    def test_a_nan_defect_is_not_biharmonic(self, normal, tangential):
+        bt = bih.BitensionResidual(normal, np.array(tangential), 1.0)
+        assert not bt.is_biharmonic()
+        assert not bt.is_proper()
+
     def test_proper_biharmonic_cylinder(self):
         patch, q = biharmonic_cylinder()
         bt = bih.bitension_residual(patch, q)

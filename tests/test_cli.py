@@ -702,6 +702,23 @@ def test_runs_without_scipy():
         [want for _, want in SCIPY_FREE_ARGVS])
 
 
+def test_leaves_numpy_random_unimported():
+    # verify-paper draws its samples from Python's random: no command pays
+    # for numpy's generators (and the secrets, hmac and hashlib they import)
+    argvs = [SCIPY_FREE_ARGVS[k] for k in (0, 1, 2, -1)]  # info to verify
+    code = ("import sys\n"
+            "from ksub.cli import main\n"
+            f"print([main(argv) for argv, _ in {argvs!r}],\n"
+            "      'numpy.random' in sys.modules)\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ksub.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == (
+        f"{[want for _, want in argvs]} False")
+
+
 OUT_ARGVS = [
     ("info", "--bcv", "1", "1", "--at", "0", "0"),
     ("check-surface", "--bcv", "0", "0.5", "--graph", "x*y",

@@ -153,8 +153,15 @@ class TestRoundTrip:
             # anything else escaping would fail the test
 
 
+# each grammar function on an argument inside its smooth domain
+SMOOTH_CALLS = {"sin": "sin({})", "cos": "cos({})", "tan": "tan(sin({})/2)",
+                "exp": "exp(({})/4)", "log": "log(2+({})^2)",
+                "sqrt": "sqrt(1+({})^2)", "abs": "abs(1.5+sin({}))"}
+
+
 def _random_expr(rng, variables, depth=0, safe=True) -> Expr:
-    """Random expression tree; `safe` keeps evaluation smooth on [-1, 1]^n."""
+    """Random expression tree over every grammar function; `safe` keeps
+    evaluation smooth on [-1, 1]^n."""
     def node(depth):
         if depth > 3 or rng.random() < 0.25:
             if rng.random() < 0.5:
@@ -172,9 +179,9 @@ def _random_expr(rng, variables, depth=0, safe=True) -> Expr:
                 return f"({node(depth+1)}/(4+({node(depth+1)})^2))"
             return f"({node(depth+1)}/{node(depth+1)})"
         if kind == 4:
-            fn = ("sin", "cos", "exp")[int(rng.integers(0, 3))]
+            fn = expr.FUNCTIONS[int(rng.integers(0, len(expr.FUNCTIONS)))]
             inner = node(depth + 1)
-            return f"{fn}(({inner})/4)" if safe and fn == "exp" else f"{fn}({inner})"
+            return SMOOTH_CALLS[fn].format(inner) if safe else f"{fn}({inner})"
         return f"({node(depth+1)})^{int(rng.integers(1, 4))}"
 
     return parse(node(depth), variables)
@@ -238,6 +245,46 @@ class TestJets:
             np.testing.assert_allclose(fd_hessian(e, point), jet.hess,
                                        atol=1e-4 * scale)
             checked += 1
+
+    # one case per grammar function, at a point inside its smooth domain;
+    # abs's argument is negative there
+    SYMPY_CASES = {"sin": "sin(x*y+0.3)", "cos": "cos(x-2*y)",
+                   "tan": "tan(x/4+y^2/3)", "exp": "exp(x*y/2)",
+                   "log": "log(2+x^2+y)", "sqrt": "sqrt(1+x^2+y^2/2)",
+                   "abs": "abs(1.5*y+sin(x))"}
+
+    @pytest.mark.parametrize("name", expr.FUNCTIONS)
+    def test_every_function_jet_equals_sympy(self, name):
+        sympy = pytest.importorskip("sympy")
+        text = self.SYMPY_CASES[name]
+        x, y = sympy.symbols("x y", real=True)
+        f = sympy.sympify(text.replace("^", "**"), locals={"x": x, "y": y})
+        point = (0.3, -0.7)
+
+        def at(g):
+            return float(g.subs({x: point[0], y: point[1]}).evalf(30))
+
+        jet = eval_jet(parse(text, ("x", "y")), point)
+        np.testing.assert_allclose(jet.value, at(f), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            jet.grad, [at(sympy.diff(f, v)) for v in (x, y)],
+            rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            jet.hess, [[at(sympy.diff(f, v, w)) for w in (x, y)]
+                       for v in (x, y)], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("c", [-4.0, 0.5])
+    def test_float_operands_equal_constant_jet_operands(self, c):
+        # a power of two, so dividing by c and multiplying by its
+        # reciprocal round alike; + 0.0 sets both signed zeros to +0.0
+        jet = eval_jet(parse("sin(x)*y+x^2", ("x", "y")), (0.3, -0.7))
+        const = expr.Jet(c, np.zeros(2), np.zeros((2, 2)))
+        for got, want in ((jet * c, jet * const), (c * jet, const * jet),
+                          (jet / c, jet / const), (c / jet, const / jet)):
+            assert [np.asarray(part + 0.0).tobytes()
+                    for part in (got.value, got.grad, got.hess)] == [
+                np.asarray(part + 0.0).tobytes()
+                for part in (want.value, want.grad, want.hess)]
 
     # each domain error at one point and inside a batch, whose first
     # failing point it is: the message names the point's value as a

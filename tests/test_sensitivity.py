@@ -12,11 +12,22 @@ Two gaps are known, and no tolerance was changed to close them:
   (1e-6, on a finite-difference table) first sees it at 1e-5.
 - ``gauss_curvature`` scaled by 1 + 1e-9 fails no check; bcv-constants
   (tolerance 1e-8 on G, |G| <= 4) first sees it at 1e-7.
+
+A second table puts a nan, through a monkeypatched attribute too, into one
+value that one check reads, and that check alone must fail: ``max(a, nan)``
+is ``a`` and ``nan > tol`` is False, so a test written either way would
+pass it.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from ksub import biharmonic as bih
 from ksub import geometry as geo
+from ksub import hopf
+from ksub import surface as srf
 from ksub import verify
 
 TABLE = [
@@ -46,3 +57,49 @@ def test_a_scaled_closed_form_fails_its_checks(name, eps, caught,
     monkeypatch.setattr(geo, name, _scaled(getattr(geo, name), eps))
     assert {r.name for r in verify.run_checks()
             if r.status != "pass"} == caught
+
+
+NAN = float("nan")
+
+
+def _nan_last(values):
+    """A copy of ``values`` whose last entry is nan."""
+    out = np.array(values, dtype=float)
+    out.flat[-1] = NAN
+    return out
+
+
+# (check, module, attribute, what the nan does to the attribute's result)
+NAN_TABLE = [
+    ("bcv-constants", geo, "gauss_curvature",
+     lambda g, args: _nan_last(g)),
+    ("ricci", geo, "ricci",  # the Heisenberg entry only
+     lambda ric, args: _nan_last(ric) if args[1] == (0.3, -0.4) else ric),
+    ("hopf-tube", hopf, "hopf_residuals",  # the defect of a failing circle
+     lambda rep, args: rep if rep.verdict.passed else replace(
+         rep, verdict=replace(rep.verdict, defect=NAN))),
+    ("rotational-example", hopf, "rotational_case_search",
+     lambda cases, args: [replace(c, report=replace(
+         c.report, residuals=_nan_last(c.report.residuals))) for c in cases]),
+    ("surface-identities", srf, "compatibility_residuals",
+     lambda c, args: (c[0], NAN)),
+    ("harmonic-sanity", bih, "bitension_residual",
+     lambda bt, args: replace(bt, tangential=_nan_last(bt.tangential))),
+    ("harmonic-sanity", bih, "bitension_residual",
+     lambda bt, args: replace(bt, mean_h=NAN)),
+    ("harmonic-sanity", bih, "frame_system_residuals",
+     lambda lines, args: _nan_last(lines)),
+]
+
+
+@pytest.mark.parametrize(
+    "check, module, name, spoil", NAN_TABLE,
+    ids=["bcv-G", "ricci-heisenberg", "hopf-tube-defect",
+         "rotational-sweep", "surface-compatibility-2",
+         "harmonic-tangential", "harmonic-mean-h", "harmonic-flip"])
+def test_a_nan_fails_its_check(check, module, name, spoil, monkeypatch):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: spoil(original(*args), args))
+    assert [(r.name, r.status) for r in verify.run_checks(only=check)] == [
+        (check, "fail")]

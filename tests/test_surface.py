@@ -19,6 +19,7 @@ from ksub.errors import (
     AngleSingularError,
     DegenerateImmersionError,
     FdMarginError,
+    KsubError,
     NotCMCError,
     OutsideDomainError,
 )
@@ -996,6 +997,17 @@ class TestBatchedLattice:
         assert len(lat._index) == 4 * 17
         assert [lat._fields["params"][row].tolist()
                 for row in lat._index.values()] == [list(k) for k in lat._index]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_diameter_that_overflows_is_the_domain_error_not_a_warning():
+    # finite sides whose diagonal overflows, outside the CLI's np.errstate
+    data = geo.KillingData(parse("1", ("x", "y")), parse("0", ("x", "y")),
+                           parse("0", ("x", "y")),
+                           geo.Rect(-8.9e307, 8.9e307, -8.9e307, 8.9e307))
+    domain = geo.Rect(-8e307, 8e307, -8e307, 8e307)
+    with pytest.raises(KsubError, match="^patch domain .* has diameter inf$"):
+        srf.SurfacePatch.graph(data, "x", domain)
 
 
 class TestRegularityGrid:
