@@ -446,6 +446,9 @@ def cmd_hopf_check(args) -> int:
         if args.curve:
             raise KsubError("give either --circle/--circle-kg or --curve, "
                             "not both")
+        if args.interval:
+            raise KsubError("give either --circle/--circle-kg or --interval, "
+                            "not both")
         if args.bcv is None:
             raise KsubError("--circle/--circle-kg need a --bcv metric")
         c = args.bcv[0]

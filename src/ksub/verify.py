@@ -11,8 +11,12 @@ numpy's generators would cost every ``ksub`` process an import of about
 10 ms and 5 MB (with ``secrets``, ``hmac`` and ``hashlib``) for a thousand
 draws.
 
-Residual tolerances can be overridden globally (``tol=``) to demonstrate
-which checks are finite-difference-limited; runtime limits are fixed.
+Every check decides its status in one place, ``_Worst.report``: it passes
+when its own conditions hold and its worst residual is at most its
+tolerance, and a nan never is. Each ``check_<name>`` takes one ``tol``:
+``None`` reads the check's default tolerances, and any number, 0.0 included,
+replaces every residual tolerance the check reads, to show which checks are
+finite-difference-limited. Runtime limits are fixed.
 """
 
 from __future__ import annotations
@@ -41,17 +45,11 @@ HOPF_DEFECT_MIN = 0.1  # least defect of a non-biharmonic hopf-tube circle
 @dataclass
 class CheckReport:
     name: str
-    status: str            # pass | fail | skipped
+    status: str            # pass | fail
     residual: float
     tol: float
     location: str = ""
     details: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_residual(cls, name, residual, tol, location="", details=None):
-        status = "pass" if residual <= tol else "fail"
-        return cls(name, status, float(residual), float(tol), location,
-                   details or {})
 
 
 class _Worst:
@@ -66,6 +64,30 @@ class _Worst:
         if not (abs(value) <= self.value or math.isnan(self.value)):
             self.value = abs(value)
             self.location = location
+
+    def report(self, name, tol, ok, details) -> CheckReport:
+        """The check's report: it passes when the check's own conditions
+        hold (``ok``) and the worst residual is at most ``tol``; a nan is
+        never ``<= tol``."""
+        passed = ok and self.value <= tol
+        return CheckReport(name, "pass" if passed else "fail",
+                           float(self.value), float(tol), self.location,
+                           details)
+
+
+def _tol(override, default):
+    """A check's tolerance: ``default`` unless the run overrides it. Only
+    None keeps the default; 0.0 is an override like any other value."""
+    return default if override is None else override
+
+
+def _in_time(start, limit, details) -> bool:
+    """Whether the check ran for less than ``limit`` seconds since
+    ``start``; if not, its details say ``runtime_limit_exceeded``."""
+    if time.monotonic() - start < limit:
+        return True
+    details["runtime_limit_exceeded"] = True
+    return False
 
 
 def metric_families() -> list[geo.KillingData]:
@@ -85,7 +107,7 @@ def metric_families() -> list[geo.KillingData]:
 # Criterion 1: closed-form connection vs Koszul finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def check_connection_oracle(tol=1e-6) -> CheckReport:
+def check_connection_oracle(tol=None) -> CheckReport:
     rng = random.Random(SEED)
     families = metric_families()
     worst = _Worst()
@@ -101,21 +123,16 @@ def check_connection_oracle(tol=1e-6) -> CheckReport:
                        - geo.connection_oracle(data, batch))
         for p, diff in zip(points, diffs.max(axis=(0, 1, 2))):
             worst.update(diff, f"{data.description} at {p}")
-    elapsed = time.monotonic() - start
-    report = CheckReport.from_residual(
-        "connection-oracle", worst.value, tol, worst.location,
-        {"points": 100, "families": len(families)})
-    if elapsed >= 5.0:
-        report.status = "fail"
-        report.details["runtime_limit_exceeded"] = True
-    return report
+    details = {"points": 100, "families": len(families)}
+    return worst.report("connection-oracle", _tol(tol, 1e-6),
+                        _in_time(start, 5.0, details), details)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 2: curvature formula vs direct definition, plus component identities
 # ---------------------------------------------------------------------------
 
-def check_curvature_formula(tol=1e-5) -> CheckReport:
+def check_curvature_formula(tol=None) -> CheckReport:
     rng = random.Random(SEED + 1)
     families = metric_families()
     # every sample drawn first, in the order the updates below read them:
@@ -165,15 +182,15 @@ def check_curvature_formula(tol=1e-5) -> CheckReport:
                              f"mixed identity j={j}, {data.description}")
             worst.update(abs(got[4] - (3.0 * r[n] * r[n] - g_curv[n])),
                          f"horizontal identity, {data.description}")
-    return CheckReport.from_residual("curvature-formula", worst.value, tol,
-                                     worst.location, {"tuples": 200})
+    return worst.report("curvature-formula", _tol(tol, 1e-5), True,
+                        {"tuples": 200})
 
 
 # ---------------------------------------------------------------------------
 # Criterion 3: Ricci closed form vs contraction of the FD curvature
 # ---------------------------------------------------------------------------
 
-def check_ricci(tol=1e-5, heis_tol=1e-8) -> CheckReport:
+def check_ricci(tol=None) -> CheckReport:
     rng = random.Random(SEED + 2)
     worst = _Worst()
     for data in metric_families():
@@ -182,16 +199,13 @@ def check_ricci(tol=1e-5, heis_tol=1e-8) -> CheckReport:
         diff = np.max(np.abs(geo.ricci(data, (x, y))
                              - geo.ricci_contraction(data, p)))
         worst.update(diff, f"{data.description} at {p}")
-    report = CheckReport.from_residual("ricci", worst.value, tol,
-                                       worst.location)
     heis = geo.bcv(0.0, 0.5)
     expected = np.diag([-0.5, -0.5, 0.5])
-    heis_diff = float(np.max(np.abs(geo.ricci(heis, (0.3, -0.4)) - expected)))
-    report.details["heisenberg_residual"] = heis_diff
-    if not heis_diff <= heis_tol:
-        report.status = "fail"
-        report.residual = float(np.max((report.residual, heis_diff)))
-    return report
+    q = (0.3, -0.4)
+    heis_diff = float(np.max(np.abs(geo.ricci(heis, q) - expected)))
+    worst.update(heis_diff, f"Heisenberg entry, {heis.description} at {q}")
+    return worst.report("ricci", _tol(tol, 1e-5), heis_diff <= _tol(tol, 1e-8),
+                        {"heisenberg_residual": heis_diff})
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +217,8 @@ def _bcv_scalars(data: geo.KillingData, x, y):
             geo.gauss_curvature(data, (x, y)))
 
 
-def check_bcv_constants(r_tol=1e-10, g_tol=1e-8) -> CheckReport:
+def check_bcv_constants(tol=None) -> CheckReport:
+    r_bound, g_bound = _tol(tol, 1e-10), _tol(tol, 1e-8)
     worst = _Worst()
     ok = True
     for c, mu in ((1.0, 1.0), (-1.0, 0.3), (0.0, 0.5), (4.0, 1.0)):
@@ -212,31 +227,28 @@ def check_bcv_constants(r_tol=1e-10, g_tol=1e-8) -> CheckReport:
         rs, gs = batched(functools.partial(_bcv_scalars, data),
                          *map(np.array, zip(*points)))
         r_dev, g_dev = np.abs(rs - mu), np.abs(gs - c)
-        ok = ok and bool(np.all(r_dev <= r_tol) and np.all(g_dev <= g_tol))
+        ok = ok and bool(np.all(r_dev <= r_bound) and np.all(g_dev <= g_bound))
         # np.maximum and np.argmax keep a nan: the first nan, else the
         # first largest deviation, is the family's worst point
         deviation = np.maximum(r_dev, g_dev)
         k = int(np.argmax(deviation))
         x, y = points[k]
         worst.update(deviation[k], f"BCV({c}, {mu}) at ({x:.3f}, {y:.3f})")
-    report = CheckReport.from_residual("bcv-constants", worst.value,
-                                       max(r_tol, g_tol), worst.location,
-                                       {"grid": "20x20", "pairs": 4})
-    report.status = "pass" if ok else "fail"
-    return report
+    return worst.report("bcv-constants", max(r_bound, g_bound), ok,
+                        {"grid": "20x20", "pairs": 4})
 
 
 # ---------------------------------------------------------------------------
 # Criterion 5: the Hopf-cylinder criterion
 # ---------------------------------------------------------------------------
 
-def check_hopf_tube(residual_tol=1e-5) -> CheckReport:
+def check_hopf_tube(tol=None) -> CheckReport:
     start = time.monotonic()
     sphere = hopf.ConformalBase(geo.bcv(1.0, 0.0))
     good = hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), sphere)
     worst = _Worst()
     worst.update(np.max(np.abs(good.residuals)), "kappa=1 circle in BCV(1,0)")
-    ok = good.verdict.passed and worst.value <= residual_tol
+    ok = good.verdict.passed
 
     details = {"kappa1_defect": good.verdict.defect}
     for kappa in (0.5, 2.0):
@@ -252,45 +264,31 @@ def check_hopf_tube(residual_tol=1e-5) -> CheckReport:
     if v.admissible or v.passed:
         ok = False
 
-    elapsed = time.monotonic() - start
-    report = CheckReport.from_residual("hopf-tube", worst.value, residual_tol,
-                                       worst.location, details)
-    if not ok or elapsed >= 2.0:
-        report.status = "fail"
-        if elapsed >= 2.0:
-            report.details["runtime_limit_exceeded"] = True
-    return report
+    in_time = _in_time(start, 2.0, details)
+    return worst.report("hopf-tube", _tol(tol, 1e-5), ok and in_time, details)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 6: the rotationally symmetric construction
 # ---------------------------------------------------------------------------
 
-def check_rotational_example(root_tol=1e-8, residual_tol=1e-5) -> CheckReport:
+def check_rotational_example(tol=None) -> CheckReport:
     worst = _Worst()
     case = hopf.rotational_case_search("cos(t)", 0.0, (0.0, 1.5))[0]
     worst.update(abs(case.t0 - math.pi / 4.0), "root for f=cos, r=0")
     worst.update(abs(case.kappa_g ** 2 - 1.0), "kappa^2 for f=cos, r=0")
     worst.update(abs(case.gauss - 1.0), "G for f=cos, r=0")
-    ok = case.report.verdict.passed
     max_res = float(np.max(np.abs(case.report.residuals)))
+    ok = case.report.verdict.passed and max_res <= _tol(tol, 1e-5)
     details = {"t0": case.t0, "residual_r0": max_res}
-    if not max_res <= residual_tol:
-        ok = False
 
     case = hopf.rotational_case_search("cos(t)", 0.25, (0.0, 1.5))[0]
     target = case.gauss - 4.0 * 0.25 ** 2
     worst.update(abs(case.kappa_g ** 2 - 0.75), "kappa^2 for f=cos, r=1/4")
     worst.update(abs(case.kappa_g ** 2 - target), "criterion for f=cos, r=1/4")
     details["t0_quarter"] = case.t0
-    if not case.report.verdict.passed:
-        ok = False
-
-    report = CheckReport.from_residual("rotational-example", worst.value,
-                                       root_tol, worst.location, details)
-    if not ok:
-        report.status = "fail"
-    return report
+    ok = ok and case.report.verdict.passed
+    return worst.report("rotational-example", _tol(tol, 1e-8), ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +309,7 @@ def _random_graph(data: geo.KillingData, rng) -> tuple[srf.SurfacePatch, tuple]:
     raise RuntimeError("could not draw a sufficiently tilted graph")
 
 
-def check_surface_identities(tol=1e-4) -> CheckReport:
+def check_surface_identities(tol=None) -> CheckReport:
     rng = random.Random(SEED + 3)
     worst = _Worst()
     for data, count in zip(metric_families()[:3], (4, 3, 3)):
@@ -330,15 +328,15 @@ def check_surface_identities(tol=1e-4) -> CheckReport:
             if math.sin(d.phi) >= 0.1:
                 alt = srf.shape_norm_from_angle(patch, q)
                 worst.update(d.norm_sq - alt, "shape-norm: " + where)
-    return CheckReport.from_residual("surface-identities", worst.value, tol,
-                                     worst.location, {"graphs": 10})
+    return worst.report("surface-identities", _tol(tol, 1e-4), True,
+                        {"graphs": 10})
 
 
 # ---------------------------------------------------------------------------
 # Criterion 8: harmonic implies biharmonic; orientation invariance
 # ---------------------------------------------------------------------------
 
-def check_harmonic_sanity(tol=1e-6) -> CheckReport:
+def check_harmonic_sanity(tol=None) -> CheckReport:
     worst = _Worst()
     ok = True
     # vertical planes over base geodesics in three ambient families, which
@@ -375,19 +373,15 @@ def check_harmonic_sanity(tol=1e-6) -> CheckReport:
         worst_flip = float(np.max(np.abs(lines_one - lines_other)))
         if not worst_flip <= 1e-10:
             ok = False
-
-    report = CheckReport.from_residual("harmonic-sanity", worst.value, tol,
-                                       worst.location)
-    if not ok:
-        report.status = "fail"
-    return report
+    return worst.report("harmonic-sanity", _tol(tol, 1e-6), ok, {})
 
 
 # ---------------------------------------------------------------------------
 # Criterion 9: branch logic
 # ---------------------------------------------------------------------------
 
-def check_branch_logic(tan2_tol=1e-12) -> CheckReport:
+def check_branch_logic(tol=None) -> CheckReport:
+    worst = _Worst()
     ok = True
     details = {}
 
@@ -411,7 +405,7 @@ def check_branch_logic(tan2_tol=1e-12) -> CheckReport:
     norm_sq = 2.0 * r * r + grad_norm * math.tan(phi)
     synth = bih.classify_scalars(cos_phi=math.cos(phi), grad_norm=grad_norm,
                                  gauss=g_val, r=r, norm_sq=norm_sq, mean_h=1.0)
-    tan2 = abs(synth.diagnostics["tan2phi_residual"])
+    worst.update(synth.diagnostics["tan2phi_residual"], "synthetic b2 data")
     details["b2_branch"] = synth.branch
     if synth.branch != "b2" or not synth.satisfied:
         ok = False
@@ -422,12 +416,7 @@ def check_branch_logic(tan2_tol=1e-12) -> CheckReport:
     details["b1_branch"] = b1.branch
     if b1.branch != "b1" or not b1.satisfied:
         ok = False
-
-    report = CheckReport.from_residual("branch-logic", tan2, tan2_tol,
-                                       "synthetic b2 data", details)
-    if not ok:
-        report.status = "fail"
-    return report
+    return worst.report("branch-logic", _tol(tol, 1e-12), ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -456,31 +445,22 @@ def report_to_dict(report: CheckReport) -> dict:
     }
 
 
-# The checks in run order, each with the tolerance keywords that ``tol``
-# overrides; each default is written once, in the check's signature. A check
-# runs the module's ``check_<name>`` function, looked up when it runs, so a
-# function replaced on the module (a wrapper, a test fake) is the one called.
-# cli-determinism comes last: it serializes the reports before it.
-_TOL_KEYWORDS = {
-    "connection-oracle": ("tol",),
-    "curvature-formula": ("tol",),
-    "ricci": ("tol", "heis_tol"),
-    "bcv-constants": ("r_tol", "g_tol"),
-    "hopf-tube": ("residual_tol",),
-    "rotational-example": ("root_tol", "residual_tol"),
-    "surface-identities": ("tol",),
-    "harmonic-sanity": ("tol",),
-    "branch-logic": ("tan2_tol",),
-}
-
-CHECK_NAMES = [*_TOL_KEYWORDS, "cli-determinism"]
+# The checks in run order. A check runs the module's ``check_<name>``
+# function, looked up when it runs, so a function replaced on the module (a
+# wrapper, a test fake) is the one called. cli-determinism comes last: it
+# serializes the reports before it.
+CHECK_NAMES = ["connection-oracle", "curvature-formula", "ricci",
+               "bcv-constants", "hopf-tube", "rotational-example",
+               "surface-identities", "harmonic-sanity", "branch-logic",
+               "cli-determinism"]
 
 
 def run_checks(only: str | None = None, tol: float | None = None) -> list[CheckReport]:
     """Run the verification suite, optionally filtered by substring.
 
     ``tol`` overrides every residual tolerance (runtime limits stay fixed);
-    tightening it below the finite-difference floor makes the FD-limited
+    None keeps each check's defaults, and 0.0 is an override like any other.
+    Tightening it below the finite-difference floor makes the FD-limited
     checks fail with their honest residuals. A filter that matches no check
     is a KsubError, so a misspelt name cannot read as a pass.
     """
@@ -488,12 +468,11 @@ def run_checks(only: str | None = None, tol: float | None = None) -> list[CheckR
         raise KsubError(f"no check name contains {only!r}; the checks are "
                         + ", ".join(CHECK_NAMES))
     reports = []
-    for name, keywords in _TOL_KEYWORDS.items():
+    for name in CHECK_NAMES:
         if only and only not in name:
             continue
-        check = globals()["check_" + name.replace("-", "_")]
-        overrides = dict.fromkeys(keywords, tol) if tol else {}
-        reports.append(check(**overrides))
-    if not only or only in "cli-determinism":
-        reports.append(check_serialization_determinism(reports))
+        if name == "cli-determinism":
+            reports.append(check_serialization_determinism(reports))
+        else:
+            reports.append(globals()["check_" + name.replace("-", "_")](tol))
     return reports

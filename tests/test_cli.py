@@ -1364,6 +1364,16 @@ class TestHopfCommand:
         assert err == ("error: give either --circle/--circle-kg or --curve, "
                        "not both\n")
 
+    @pytest.mark.parametrize("circle", [("--circle", "0.5"),
+                                        ("--circle-kg", "1")])
+    def test_circle_with_interval_exits_2(self, capsys, circle):
+        # --interval was dropped without a word: a circle is whole
+        code, out, err = run(capsys, "hopf", "check", "--bcv", "1", "0",
+                             *circle, "--interval", "0", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: give either --circle/--circle-kg or "
+                       "--interval, not both\n")
+
     def test_example_identically_zero_exits_2(self, capsys):
         code, _, err = run(capsys, "hopf", "example", "--f", "1", "--r", "0",
                            "--interval", "0", "1")

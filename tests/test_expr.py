@@ -535,7 +535,7 @@ class TestBatch:
                     knobs += (len(args.defaults)
                               + sum(d is not None for d in args.kw_defaults)
                               + (args.kwarg is not None))
-        assert knobs <= 26
+        assert knobs <= 21
 
     def test_surface_stencils_take_no_callback(self):
         # the surface and biharmonic derivatives are quotients over lattice

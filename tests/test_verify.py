@@ -1,24 +1,28 @@
+import ast
 import inspect
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from test_expr import _scopes_where
 
+import ksub
+from ksub import geometry as geo
+from ksub import hopf
 from ksub import surface as srf
 from ksub import verify
-from ksub.verify import CheckReport, _Worst
+from ksub.verify import _Worst
 
-# every residual tolerance of the suite at its default
-DEFAULT_TOLS = {
-    "connection-oracle": {"tol": 1e-6},
-    "curvature-formula": {"tol": 1e-5},
-    "ricci": {"tol": 1e-5, "heis_tol": 1e-8},
-    "bcv-constants": {"r_tol": 1e-10, "g_tol": 1e-8},
-    "hopf-tube": {"residual_tol": 1e-5},
-    "rotational-example": {"root_tol": 1e-8, "residual_tol": 1e-5},
-    "surface-identities": {"tol": 1e-4},
-    "harmonic-sanity": {"tol": 1e-6},
-    "branch-logic": {"tan2_tol": 1e-12},
-}
+# the checks that take a tolerance, in run order; cli-determinism, which
+# serializes the reports before it, takes none
+TOL_CHECKS = ["connection-oracle", "curvature-formula", "ricci",
+              "bcv-constants", "hopf-tube", "rotational-example",
+              "surface-identities", "harmonic-sanity", "branch-logic"]
+
+
+def _check(name):
+    return getattr(verify, "check_" + name.replace("-", "_"))
 
 
 class TestWorst:
@@ -36,47 +40,154 @@ class TestWorst:
         worst.update(5.0, "c")
         worst.update(math.nan, "d")
         assert math.isnan(worst.value) and worst.location == "b"
-        report = CheckReport.from_residual("x", worst.value, 1e-6)
+        report = worst.report("x", 1e-6, True, {})
         assert report.status == "fail"
+        assert math.isnan(report.residual) and report.location == "b"
+
+    @pytest.mark.parametrize("residual, ok, status", [
+        (1e-6, True, "pass"), (2e-6, True, "fail"), (0.0, False, "fail")])
+    def test_report_passes_when_ok_and_within_tol(self, residual, ok, status):
+        worst = _Worst()
+        worst.update(residual, "here")
+        report = worst.report("x", 1e-6, ok, {"n": 1})
+        assert (report.name, report.status, report.residual, report.tol,
+                report.details) == ("x", status, residual, 1e-6, {"n": 1})
 
 
 class TestRunChecksTolerances:
-    def bound_arguments(self, monkeypatch, **kwargs):
-        """The arguments each check is called with by run_checks(**kwargs),
-        defaults applied; the check bodies do not run."""
+    def received(self, monkeypatch, **kwargs):
+        """The ``tol`` each check is called with by run_checks(**kwargs);
+        the check bodies do not run."""
         seen = {}
-        for name in DEFAULT_TOLS:
-            func = "check_" + name.replace("-", "_")
-            signature = inspect.signature(getattr(verify, func))
+        for name in TOL_CHECKS:
+            def fake(tol=None, _name=name):
+                seen[_name] = tol
+                return verify.CheckReport(_name, "pass", 0.0, 0.0)
 
-            def fake(*args, _name=name, _sig=signature, **kw):
-                bound = _sig.bind(*args, **kw)
-                bound.apply_defaults()
-                seen[_name] = dict(bound.arguments)
-                return CheckReport(_name, "pass", 0.0, 0.0)
-
-            monkeypatch.setattr(verify, func, fake)
+            monkeypatch.setattr(verify, "check_" + name.replace("-", "_"),
+                                fake)
         reports = verify.run_checks(**kwargs)
         assert [r.name for r in reports] == verify.CHECK_NAMES
         return seen
 
-    def test_default_run_uses_the_default_tolerances(self, monkeypatch):
-        seen = self.bound_arguments(monkeypatch)
-        assert seen == DEFAULT_TOLS
+    @pytest.mark.parametrize("tol", [None, 3e-3, 0.0])
+    def test_each_check_receives_the_one_tol(self, monkeypatch, tol):
+        kwargs = {} if tol is None else {"tol": tol}
+        seen = self.received(monkeypatch, **kwargs)
+        assert seen == dict.fromkeys(TOL_CHECKS, tol)
 
-    def test_tol_overrides_every_residual_tolerance(self, monkeypatch):
-        seen = self.bound_arguments(monkeypatch, tol=3e-3)
-        assert seen == {name: dict.fromkeys(tols, 3e-3)
-                        for name, tols in DEFAULT_TOLS.items()}
+    @pytest.mark.parametrize("name", TOL_CHECKS)
+    def test_each_check_takes_one_tol_none_by_default(self, name):
+        assert list(inspect.signature(_check(name)).parameters.values()) == [
+            inspect.Parameter("tol", inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                              default=None)]
 
     def test_check_names_keep_their_order(self):
-        assert verify.CHECK_NAMES == [*DEFAULT_TOLS, "cli-determinism"]
+        assert verify.CHECK_NAMES == [*TOL_CHECKS, "cli-determinism"]
 
     @pytest.mark.parametrize("only, default", [("connection-oracle", 1e-6),
                                                ("branch-logic", 1e-12)])
     def test_reports_carry_the_tolerance(self, only, default):
         assert [r.tol for r in verify.run_checks(only=only)] == [default]
         assert [r.tol for r in verify.run_checks(only=only, tol=2e-3)] == [2e-3]
+
+    def test_zero_tol_is_an_override(self):
+        # 0.0 once read as "no override": ricci reported 1e-05 and passed
+        # on its finite-difference residual
+        [report] = verify.run_checks(only="ricci", tol=0.0)
+        assert (report.tol, report.status) == (0.0, "fail")
+        assert report.residual > 0.0
+
+
+def _offset(function, delta, where=None):
+    """``function`` with ``delta`` added to what it returns (to the first
+    part of a tuple), at every point or only at the point ``where``."""
+    def wrapped(data, p):
+        out = function(data, p)
+        if where is not None and p != where:
+            return out
+        if isinstance(out, tuple):
+            return (out[0] + delta, *out[1:])
+        return out + delta
+    return wrapped
+
+
+def _sweep_off(cases, delta):
+    return [replace(c, report=replace(c.report,
+                                      residuals=c.report.residuals + delta))
+            for c in cases]
+
+
+class TestOverrideReachesEverySecondaryTolerance:
+    # each row breaks one tolerance of a check that reads more than one:
+    # the check fails at its defaults and passes once tol replaces them all
+    ROWS = [
+        # the Heisenberg entry (1e-8) next to the contraction's 1e-5
+        ("ricci", geo, "ricci",
+         lambda f: _offset(f, 1e-6, where=(0.3, -0.4)), 1e-5),
+        # r (1e-10) and G (1e-8); the report carries the larger
+        ("bcv-constants", geo, "bundle_curvature",
+         lambda f: _offset(f, 1e-9), 1e-7),
+        ("bcv-constants", geo, "gauss_curvature",
+         lambda f: _offset(f, 1e-7), 1e-6),
+        # the sweep residual (1e-5) next to the roots' 1e-8
+        ("rotational-example", hopf, "rotational_case_search",
+         lambda f: lambda *args: _sweep_off(f(*args), 1e-4), 1e-3),
+    ]
+
+    @pytest.mark.parametrize("check, module, name, spoil, loose", ROWS,
+                             ids=["ricci-heisenberg", "bcv-r", "bcv-G",
+                                  "rotational-sweep"])
+    def test_fails_at_default_and_passes_loosened(self, check, module, name,
+                                                  spoil, loose, monkeypatch):
+        monkeypatch.setattr(module, name, spoil(getattr(module, name)))
+        assert _check(check)().status == "fail"
+        assert _check(check)(loose).status == "pass"
+
+    def test_ricci_names_the_heisenberg_point(self, monkeypatch):
+        # the residual was the Heisenberg deviation but the location stayed
+        # on the contraction's worst point
+        monkeypatch.setattr(geo, "ricci",
+                            _offset(geo.ricci, 1e-6, where=(0.3, -0.4)))
+        [report] = verify.run_checks(only="ricci")
+        assert report.status == "fail"
+        assert report.residual == pytest.approx(1e-6, rel=1e-9)
+        assert report.location == ("Heisenberg entry, BCV(c=0.0, mu=0.5) at "
+                                   "(0.3, -0.4)")
+        assert report.details["heisenberg_residual"] == report.residual
+
+
+def _sources():
+    return sorted(Path(ksub.__file__).parent.glob("*.py"))
+
+
+class TestOneVerdictRule:
+    def test_no_code_assigns_a_status_or_residual(self):
+        # a status set again after the report was built is a second rule
+        found = []
+        for path in _sources():
+            for node in ast.walk(ast.parse(path.read_text())):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target]
+                           if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                           else [])
+                found += [f"{path.stem}: {ast.unparse(node)}"
+                          for target in targets
+                          for sub in ast.walk(target)
+                          if isinstance(sub, ast.Attribute)
+                          and sub.attr in ("status", "residual")]
+        assert found == []
+
+    def test_only_the_builder_makes_a_report(self):
+        found = {}
+        for path in _sources():
+            for scope in _scopes_where(
+                    ast.parse(path.read_text()),
+                    lambda node: isinstance(node, ast.Call) and ast.unparse(
+                        node.func).split(".")[-1] == "CheckReport"):
+                found.setdefault(path.stem, []).append(scope)
+        assert found == {"verify": ["_Worst.report",
+                                    "check_serialization_determinism"]}
 
 
 class TestHarmonicSanity:
