@@ -14,6 +14,15 @@ its grid as one table: the points' floats as an (N, 15) block, each
 distinct float formatted once (a non-finite one as its quoted name) and
 placed by one ``%`` of a record template. Exit codes: 0 all requested
 checks pass, 1 a check failed, 2 usage or input error.
+
+A subcommand loads the layers it runs on first use: importing this module
+registers ``surface``, ``biharmonic``, ``hopf`` and ``verify`` without
+running them (:func:`_lazy`), and each body runs when a command first reads
+one of its attributes. So ``info`` runs none of them, ``hopf`` only
+``hopf``, ``check-surface`` ``surface`` and ``biharmonic``, and
+``verify-paper`` those its checks read (all four on a full pass). The parser
+reads no layer: a default that is a layer's constant (``--tol``,
+``--samples``) is None there, and the command reads the constant.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import importlib.util
 import math
 import os
 import re
@@ -28,13 +38,33 @@ import sys
 
 import numpy as np
 
-from . import biharmonic as bih
 from . import geometry as geo
-from . import hopf
-from . import surface as srf
-from . import verify
 from .errors import DomainEvalError, KsubError
 from .expr import batched, parse
+
+
+def _lazy(name: str):
+    """The module ``ksub.<name>``, registered in ``sys.modules`` and on the
+    package without running it: its body runs when something first reads
+    one of its attributes (or imports it). A module already loaded is
+    returned as it is."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the layers behind check-surface, hopf and verify-paper: info runs none
+srf = _lazy("surface")
+bih = _lazy("biharmonic")
+hopf = _lazy("hopf")
+verify = _lazy("verify")
 
 SCHEMA_VERSION = 1
 
@@ -404,7 +434,7 @@ def cmd_check_surface(args) -> int:
     patch = _patch_from_args(args, data)
     nx, ny = args.grid if args.grid else (3, 3)
     points = patch.domain.grid(int(nx), int(ny), inset=0.25)
-    tol = args.tol
+    tol = bih.RESIDUAL_TOL if args.tol is None else args.tol
     # every point's residuals from the columns of one lattice
     checked = _surface_checks(srf._Lattice(patch, points), tol)
     records, rows = [], []
@@ -465,8 +495,9 @@ def cmd_hopf_check(args) -> int:
     else:
         raise KsubError("a curve is required: --circle R, --circle-kg K or "
                         "--curve \"x;y\" --interval A B")
-    report = hopf.hopf_residuals(curve, base, n_samples=int(args.samples),
-                                 tol=args.tol)
+    samples = hopf.SAMPLES if args.samples is None else args.samples
+    tol = hopf.CRITERION_TOL if args.tol is None else args.tol
+    report = hopf.hopf_residuals(curve, base, n_samples=int(samples), tol=tol)
     worst_rows = np.max(np.abs(report.residuals), axis=1)
     payload = {
         "schema_version": SCHEMA_VERSION, "command": "hopf-check",
@@ -477,7 +508,7 @@ def cmd_hopf_check(args) -> int:
     }
     status = "pass" if report.verdict.passed else "fail"
     rows = [{"s_or_u": s, "v": 0.0, "check": "hopf-residual",
-             "residual": res, "tol": args.tol, "status": status}
+             "residual": res, "tol": tol, "status": status}
             for s, res in zip(report.s.tolist(), worst_rows.tolist())]
     _emit(args, payload, rows)
     return _expect_exit(args.expect, report.verdict.passed)
@@ -486,8 +517,9 @@ def cmd_hopf_check(args) -> int:
 def cmd_hopf_example(args) -> int:
     if args.f is None or args.r is None or not args.interval:
         raise KsubError("example mode needs --f EXPR --r R --interval A B")
+    tol = hopf.CRITERION_TOL if args.tol is None else args.tol
     cases = hopf.rotational_case_search(args.f, args.r, tuple(args.interval),
-                                        tol=args.tol)
+                                        tol=tol)
     records = []
     all_pass = True
     rows = []
@@ -505,7 +537,7 @@ def cmd_hopf_example(args) -> int:
             "verdict": _verdict_dict(verdict),
         })
         rows.append({"s_or_u": case.t0, "v": 0.0, "check": "example-root",
-                     "residual": worst, "tol": args.tol,
+                     "residual": worst, "tol": tol,
                      "status": "pass" if verdict.passed else "fail"})
     payload = {"schema_version": SCHEMA_VERSION, "command": "hopf-example",
                "f": args.f, "r": args.r, "roots": records}
@@ -588,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_surf.add_argument("--patch-domain", nargs=4, type=finite,
                         metavar=("UMIN", "UMAX", "VMIN", "VMAX"))
     p_surf.add_argument("--grid", nargs=2, type=count, metavar=("NU", "NV"))
-    p_surf.add_argument("--tol", type=tolerance, default=bih.RESIDUAL_TOL)
+    p_surf.add_argument("--tol", type=tolerance)
     p_surf.set_defaults(func=cmd_check_surface)
 
     p_hopf = sub.add_parser("hopf", help="vertical cylinder analysis")
@@ -604,8 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--curve", metavar="\"X;Y\"",
                          help="curve expressions in s")
     p_check.add_argument("--interval", nargs=2, type=finite, metavar=("A", "B"))
-    p_check.add_argument("--samples", type=count, default=hopf.SAMPLES)
-    p_check.add_argument("--tol", type=tolerance, default=hopf.CRITERION_TOL)
+    p_check.add_argument("--samples", type=count)
+    p_check.add_argument("--tol", type=tolerance)
     p_check.add_argument("--expect", choices=("pass", "fail"))
     p_check.set_defaults(func=cmd_hopf_check)
 
@@ -614,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--f", metavar="EXPR", help="warp profile f(t) > 0")
     p_ex.add_argument("--r", type=finite, help="constant bundle curvature")
     p_ex.add_argument("--interval", nargs=2, type=finite, metavar=("A", "B"))
-    p_ex.add_argument("--tol", type=tolerance, default=hopf.CRITERION_TOL)
+    p_ex.add_argument("--tol", type=tolerance)
     p_ex.add_argument("--expect", choices=("pass", "fail"))
     p_ex.set_defaults(func=cmd_hopf_example)
 
@@ -623,7 +655,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--only", metavar="NAME",
                           help="run only checks whose name contains NAME")
     p_verify.add_argument("--tol", dest="tol_override", type=tolerance,
-                          help="override every residual tolerance")
+                          help="override each check's residual tolerances; "
+                          "the bounds of its own conditions stay: "
+                          "PROPER_H_TOL, the 1e-10 flip bound, RESIDUAL_TOL "
+                          "in the verdicts, CRITERION_TOL, HOPF_DEFECT_MIN "
+                          "and the runtime limits")
     p_verify.set_defaults(func=cmd_verify_paper)
     return parser
 

@@ -62,7 +62,6 @@ import numpy as np
 
 from . import geometry as geo
 from . import numdiff
-from . import surface as srf
 from .errors import (
     DegenerateCurveError,
     DomainEvalError,
@@ -648,6 +647,7 @@ def hopf_residuals(curve, base, n_samples: int = SAMPLES,
 def cylinder_patch(data: geo.KillingData, curve: BaseCurve) -> srf.SurfacePatch:
     """Vertical cylinder (x(s), y(s), v), 0 < v < 1, over an
     expression-backed curve."""
+    from . import surface as srf  # only a patch needs the surface layer
     if not isinstance(curve, BaseCurve):
         raise TypeError("cylinder_patch needs an expression-backed BaseCurve")
     if curve.x.variables != ("s",):
@@ -669,6 +669,7 @@ def cylinder_surface_check(data: geo.KillingData, curve: BaseCurve,
     respect to that frame's normal, the tilt angle, and the intrinsic
     curvature of the induced metric.
     """
+    from . import surface as srf
     patch = cylinder_patch(data, curve)
     q = (float(s), 0.5)
     d = srf.analyze_point(patch, q)

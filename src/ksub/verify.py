@@ -15,8 +15,10 @@ Every check decides its status in one place, ``_Worst.report``: it passes
 when its own conditions hold and its worst residual is at most its
 tolerance, and a nan never is. Each ``check_<name>`` takes one ``tol``:
 ``None`` reads the check's default tolerances, and any number, 0.0 included,
-replaces every residual tolerance the check reads, to show which checks are
-finite-difference-limited. Runtime limits are fixed.
+replaces the residual tolerances the check reads, to show which checks are
+finite-difference-limited. The bounds of a check's own conditions are fixed
+(see :func:`run_checks`), and so are the runtime limits; a condition that
+fails names itself in the report.
 """
 
 from __future__ import annotations
@@ -338,7 +340,14 @@ def check_surface_identities(tol=None) -> CheckReport:
 
 def check_harmonic_sanity(tol=None) -> CheckReport:
     worst = _Worst()
-    ok = True
+    # the first of the check's own conditions to fail, which ``tol`` does
+    # not reach: its location and details name it, the patch and the value
+    failed = {}
+
+    def require(holds, condition, patch, value):
+        if not holds and not failed:
+            failed.update(condition=condition, patch=patch.name, value=value)
+
     # vertical planes over base geodesics in three ambient families, which
     # are minimal, then a proper biharmonic cylinder; the orientation flip
     # of each must not change any verdict
@@ -351,29 +360,36 @@ def check_harmonic_sanity(tol=None) -> CheckReport:
     K = geo.bcv(1.0, 0.0)
     circ = hopf.bcv_circle(1.0, kappa=1.0)
     cyl = hopf.cylinder_patch(K, circ)
+    cyl.name = f"kappa=1 cylinder in {K.description}"
     cases.append((cyl, (0.5 * circ.interval[1], 0.5)))
     for patch, point in cases:
         twin = patch.flipped()
         one = bih.bitension_residual(patch, point)
         other = bih.bitension_residual(twin, point)
         if patch is not cyl:
-            for flipped, p, bt in ((False, patch, one), (True, twin, other)):
-                if not abs(bt.mean_h) <= bih.PROPER_H_TOL:
-                    ok = False
+            for flipped, bt in ((False, one), (True, other)):
+                require(abs(bt.mean_h) <= bih.PROPER_H_TOL,
+                        f"|H| > PROPER_H_TOL (flip={flipped})", patch,
+                        abs(bt.mean_h))
                 worst.update(np.max((abs(bt.normal), bt.tangential_norm)),
-                             f"{p.name} (flip={flipped})")
-        if one.is_biharmonic() != other.is_biharmonic():
-            ok = False
-        branch_one = bih.classify_point(patch, point)
-        branch_other = bih.classify_point(twin, point)
-        if branch_one.branch != branch_other.branch:
-            ok = False
+                             f"{patch.name} (flip={flipped})")
+        verdicts = (one.is_biharmonic(), other.is_biharmonic())
+        require(verdicts[0] == verdicts[1],
+                "is_biharmonic changed under the flip", patch,
+                "%s -> %s" % verdicts)
+        branch_one = bih.classify_point(patch, point).branch
+        branch_other = bih.classify_point(twin, point).branch
+        require(branch_one == branch_other, "branch changed under the flip",
+                patch, f"{branch_one} -> {branch_other}")
         lines_one = np.abs(bih.frame_system_residuals(patch, point))
         lines_other = np.abs(bih.frame_system_residuals(twin, point))
         worst_flip = float(np.max(np.abs(lines_one - lines_other)))
-        if not worst_flip <= 1e-10:
-            ok = False
-    return worst.report("harmonic-sanity", _tol(tol, 1e-6), ok, {})
+        require(worst_flip <= 1e-10, "frame-system moved > 1e-10 under the "
+                "flip", patch, worst_flip)
+    if failed:
+        worst.location = ", ".join(map(str, failed.values()))
+    return worst.report("harmonic-sanity", _tol(tol, 1e-6), not failed,
+                        failed)
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +474,18 @@ CHECK_NAMES = ["connection-oracle", "curvature-formula", "ricci",
 def run_checks(only: str | None = None, tol: float | None = None) -> list[CheckReport]:
     """Run the verification suite, optionally filtered by substring.
 
-    ``tol`` overrides every residual tolerance (runtime limits stay fixed);
-    None keeps each check's defaults, and 0.0 is an override like any other.
-    Tightening it below the finite-difference floor makes the FD-limited
-    checks fail with their honest residuals. A filter that matches no check
-    is a KsubError, so a misspelt name cannot read as a pass.
+    ``tol`` overrides each check's residual tolerances: the bound on the
+    residual it reports, and ricci's Heisenberg entry and
+    rotational-example's sweep residual. None keeps each check's defaults,
+    and 0.0 is an override like any other. Tightening it below the
+    finite-difference floor makes the FD-limited checks fail with their
+    honest residuals. It does not reach the bounds of the checks' own
+    conditions: ``biharmonic.PROPER_H_TOL`` and harmonic-sanity's 1e-10
+    flip bound, ``biharmonic.RESIDUAL_TOL`` in the biharmonic and branch
+    verdicts, ``hopf.CRITERION_TOL`` in the Hopf verdicts of hopf-tube and
+    rotational-example, ``HOPF_DEFECT_MIN``, and the runtime limits (5 s
+    and 2 s). A filter that matches no check is a KsubError, so a misspelt
+    name cannot read as a pass.
     """
     if only and not any(only in name for name in CHECK_NAMES):
         raise KsubError(f"no check name contains {only!r}; the checks are "

@@ -719,6 +719,42 @@ def test_leaves_numpy_random_unimported():
         f"{[want for _, want in argvs]} False")
 
 
+
+LAYERS = ("surface", "biharmonic", "hopf", "verify")
+
+
+@pytest.mark.parametrize("argv, ran", [
+    ((), []),
+    (("info", "--bcv", "1", "1", "--grid", "2", "2"), []),
+    (("check-surface", "--bcv", "0", "0.5", "--graph", "x*y",
+      "--grid", "1", "1"), ["surface", "biharmonic"]),
+    (("hopf", "check", "--bcv", "1", "0", "--circle-kg", "1",
+      "--samples", "4"), ["hopf"]),
+    (("hopf", "example", "--f", "cos(t)", "--r", "0",
+      "--interval", "0", "1.5"), ["hopf"]),
+    (("verify-paper", "--only", "bcv"), ["verify"]),
+    (("verify-paper", "--only", "harmonic"), list(LAYERS)),
+], ids=["import", "info", "check-surface", "hopf-check", "hopf-example",
+        "verify-bcv", "verify-harmonic"])
+def test_each_command_runs_only_its_layers(argv, ran):
+    # importing ksub.cli registers the layers without running them; a
+    # command runs the bodies of those it reads. object.__getattribute__
+    # reads a module's namespace without running its body.
+    code = ("import contextlib, io, sys\n"
+            "from ksub.cli import main\n"
+            f"if {argv!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert main(list({argv!r})) == 0\n"
+            f"print([name for name in {LAYERS!r} if '__all__' in\n"
+            "       object.__getattribute__(sys.modules['ksub.' + name],\n"
+            "                               '__dict__')])\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ksub.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(ran)
+
 OUT_ARGVS = [
     ("info", "--bcv", "1", "1", "--at", "0", "0"),
     ("check-surface", "--bcv", "0", "0.5", "--graph", "x*y",

@@ -25,6 +25,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from ksub import biharmonic as bih  # noqa: E402
 from ksub import cli  # noqa: E402
 from ksub import expr  # noqa: E402
 from ksub import surface as srf  # noqa: E402
@@ -88,13 +89,15 @@ def _per_point(argv):
     """Per point of the command's grid, its check rows on a lattice of its
     own, and the error lines of the points that raise alone."""
     args = cli._parser().parse_args(argv)
+    # the tolerance cmd_check_surface reads: --tol, else RESIDUAL_TOL
+    tol = bih.RESIDUAL_TOL if args.tol is None else args.tol
     rows, errors = [], set()
     with np.errstate(all="ignore"):
         patch = cli._patch_from_args(args, cli._metric_from_args(args))
         for q in patch.domain.grid(2, 2, inset=0.25):
             try:
                 [checks] = cli._surface_checks(srf._Lattice(patch, [q]),
-                                               args.tol)
+                                               tol)
             except POINT_FAILURES as err:
                 errors.add(_error_line(err))
             else:

@@ -4,6 +4,7 @@ here and says so on purpose."""
 
 import argparse
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -61,14 +62,23 @@ def test_cli_flags():
     }
 
 
-def test_defaults_read_their_module_constants(monkeypatch):
-    # each default has one owner: the constant the library reads too
+def test_defaults_read_their_module_constants(monkeypatch, capsys):
+    # each default has one owner: the constant the library reads too, read
+    # when the command runs, as the printed tol and the sample count show
     monkeypatch.setattr(bih, "RESIDUAL_TOL", 3e-4)
     monkeypatch.setattr(hopf, "CRITERION_TOL", 2e-5)
     monkeypatch.setattr(hopf, "SAMPLES", 16)
-    parser = cli.build_parser()
-    surface = parser.parse_args(["check-surface"])
-    check = parser.parse_args(["hopf", "check"])
-    example = parser.parse_args(["hopf", "example"])
-    assert surface.tol == 3e-4
-    assert (check.tol, check.samples, example.tol) == (2e-5, 16, 2e-5)
+
+    def csv_rows(*argv):
+        cli.main([*argv, "--format", "csv"])
+        return [line.split(",") for line in
+                capsys.readouterr().out.splitlines()[1:]]
+
+    cli.main(["check-surface", "--bcv", "0", "0.5", "--graph", "x*y",
+              "--grid", "1", "1"])
+    assert json.loads(capsys.readouterr().out)["tol"] == 3e-4
+    check = csv_rows("hopf", "check", "--bcv", "1", "0", "--circle-kg", "1")
+    example = csv_rows("hopf", "example", "--f", "cos(t)", "--r", "0",
+                       "--interval", "0", "1.5")
+    assert (len(check), len(example)) == (16, 1)
+    assert {row[4] for row in check + example} == {"2.000000000000e-05"}

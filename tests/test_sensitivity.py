@@ -17,6 +17,11 @@ A second table puts a nan, through a monkeypatched attribute too, into one
 value that one check reads, and that check alone must fail: ``max(a, nan)``
 is ``a`` and ``nan > tol`` is False, so a test written either way would
 pass it.
+
+A third table spoils one of harmonic-sanity's own conditions, which its
+``tol`` does not reach (|H| of a plane, the flip invariance of the verdicts
+and of the frame system): the check fails at every ``tol``, and its location
+and details name the condition, the patch and the value.
 """
 
 from dataclasses import replace
@@ -103,3 +108,54 @@ def test_a_nan_fails_its_check(check, module, name, spoil, monkeypatch):
                         lambda *args: spoil(original(*args), args))
     assert [(r.name, r.status) for r in verify.run_checks(only=check)] == [
         (check, "fail")]
+
+
+def _every_second(spoil):
+    """A wrapper factory that spoils every second call's result."""
+    def factory(original):
+        calls = []
+
+        def wrapped(*args):
+            calls.append(args)
+            out = original(*args)
+            return spoil(out) if len(calls) % 2 == 0 else out
+        return wrapped
+    return factory
+
+
+# (module, attribute, spoiled result, the condition the failure names, the
+# patch it names, the value it names); ``tol`` reaches none of these
+# conditions, so each fails at every tol and no failure reads as an empty
+# location
+CONDITION_TABLE = [
+    (bih, "frame_system_residuals",
+     _every_second(lambda lines: lines + 1e-9),
+     "frame-system moved > 1e-10 under the flip",
+     "vertical plane in flat-product", pytest.approx(1e-9, rel=1e-3)),
+    (bih, "bitension_residual",
+     lambda original: lambda *args: replace(original(*args), mean_h=1e-6),
+     "|H| > PROPER_H_TOL (flip=False)",
+     "vertical plane in flat-product", 1e-6),
+    (bih, "bitension_residual",
+     _every_second(lambda bt: replace(bt, normal=1.0)),
+     "is_biharmonic changed under the flip",
+     "vertical plane in flat-product", "True -> False"),
+    (bih, "classify_point",
+     _every_second(lambda rep: replace(rep, branch="b2")),
+     "branch changed under the flip", "vertical plane in flat-product",
+     "a -> b2"),
+]
+
+
+@pytest.mark.parametrize("module, name, wrap, condition, patch, value",
+                         CONDITION_TABLE,
+                         ids=["flip", "mean-h", "biharmonic", "branch"])
+@pytest.mark.parametrize("tol", [None, 1e-3, 1.0])
+def test_a_failed_condition_names_itself(module, name, wrap, condition,
+                                         patch, value, tol, monkeypatch):
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    report = verify.check_harmonic_sanity(tol)
+    assert report.status == "fail"
+    assert report.details == {"condition": condition, "patch": patch,
+                              "value": value}
+    assert report.location.startswith(f"{condition}, {patch}, ")

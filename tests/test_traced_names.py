@@ -6,7 +6,7 @@ import importlib
 import types
 from pathlib import Path
 
-import ksub.cli  # noqa: F401  (loads every ksub module the tracer wraps)
+import ksub.cli  # noqa: F401  (registers every ksub module the tracer wraps)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
