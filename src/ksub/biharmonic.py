@@ -91,7 +91,11 @@ class BitensionResidual:
 
 @dataclass
 class BranchReport:
-    """Outcome of the branch classifier at one surface point."""
+    """Outcome of the branch classifier at one surface point; its
+    diagnostics are the residuals that decided it: ``hopf_criterion_residual``
+    in a, ``sphere_condition_residual`` in b1, ``tan2phi_residual`` and
+    ``norm_residual`` in b2, and none in none and contradiction-propRconst.
+    """
 
     branch: str                  # a | b1 | b2 | none | contradiction-propRconst
     satisfied: bool
@@ -360,52 +364,38 @@ def classify_scalars(cos_phi: float, grad_norm: float, gauss: float,
     This is the core behind :func:`classify_point`; it also serves synthetic
     data that has no backing surface patch.
     """
-    sin_phi = math.sqrt(max(0.0, 1.0 - cos_phi * cos_phi))
-    phi = math.acos(max(-1.0, min(1.0, cos_phi)))
     diff = 4.0 * r * r - gauss
-
-    if sin_phi < ANGLE_EPS:
+    if math.sqrt(max(0.0, 1.0 - cos_phi * cos_phi)) < ANGLE_EPS:
         # vertical field normal to the surface: rejected (a proper
         # biharmonic CMC surface cannot have phi = 0)
-        return BranchReport("none", False, {"sin_phi": sin_phi})
+        return BranchReport("none", False)
 
     if abs(cos_phi) < ANGLE_EPS:
-        # Hopf-cylinder regime: needs r, G constant along the surface and
-        # H^2 = G - 4 r^2
-        hopf_residual = abs(mean_h * mean_h - (gauss - 4.0 * r * r))
-        return BranchReport(
-            "a", hopf_residual <= RESIDUAL_TOL,
-            {"hopf_criterion_residual": hopf_residual,
-             "admissible_h_sq": gauss - 4.0 * r * r})
+        # Hopf-cylinder regime: H^2 = G - 4 r^2 (and r, G constant along
+        # the surface, which :func:`_classify` checks)
+        residual = abs(mean_h * mean_h + diff)
+        return BranchReport("a", residual <= RESIDUAL_TOL,
+                            {"hopf_criterion_residual": residual})
 
     if abs(diff) <= DEGENERATE_TOL and grad_norm > GRAD_ZERO_TOL:
         # 4 r^2 = G with grad r != 0: no proper biharmonic CMC surface
-        return BranchReport(
-            "contradiction-propRconst", False,
-            {"gauss_bundle_diff": diff, "grad_r_norm": grad_norm})
+        return BranchReport("contradiction-propRconst", False)
 
     if grad_norm <= GRAD_ZERO_TOL:
-        sphere_residual = abs(norm_sq - 2.0 * r * r)
-        diagnostics = {"sphere_condition_residual": sphere_residual,
-                       "gauss_bundle_diff": diff}
-        if abs(diff) > RESIDUAL_TOL:
-            # constant r with G != 4 r^2 forces a vertical normal and a
-            # minimal surface: not proper
-            return BranchReport("b1", False, diagnostics)
-        # constant-r branch: algebraic signature |A|^2 = 2 r^2
-        return BranchReport("b1", sphere_residual <= RESIDUAL_TOL,
-                            diagnostics)
+        # constant-r branch: |A|^2 = 2 r^2 with G = 4 r^2 (else the normal
+        # is vertical and the surface minimal: not proper)
+        residual = abs(norm_sq - 2.0 * r * r)
+        return BranchReport(
+            "b1", abs(diff) <= RESIDUAL_TOL and residual <= RESIDUAL_TOL,
+            {"sphere_condition_residual": residual})
 
-    # variable-r branch: angle pinned by tan(2 phi)
-    scal = angle_system_scalars(gauss, r, grad_norm, phi, norm_sq)
-    tan2 = scal["tan2phi_residual"]
-    satisfied = (abs(tan2) <= RESIDUAL_TOL
-                 and abs(scal["norm_residual"]) <= RESIDUAL_TOL)
-    return BranchReport(
-        "b2", satisfied,
-        {"tan2phi_residual": tan2,
-         "norm_residual": scal["norm_residual"],
-         "res1": scal["res1"], "res2": scal["res2"]})
+    # variable-r branch: angle pinned by tan(2 phi) (phi is interior here)
+    scal = angle_system_scalars(gauss, r, grad_norm, math.acos(cos_phi),
+                                norm_sq)
+    residuals = {key: scal[key] for key in ("tan2phi_residual",
+                                            "norm_residual")}
+    return BranchReport("b2", all(abs(value) <= RESIDUAL_TOL
+                                  for value in residuals.values()), residuals)
 
 
 def _classify(lat) -> list[BranchReport]:
@@ -415,14 +405,12 @@ def _classify(lat) -> list[BranchReport]:
         centre("cos_phi").tolist(),
         _grad_r_norm(centre("grad_r"), centre("lam")), centre("gauss_base"),
         centre("r"), centre("norm_sq").tolist(), centre("mean_h").tolist())]
-    # branch a: constancy of r and G along the surface, probed on the lattice
-    r_spread = np.ptp(lat.column("probes", "r"), axis=1).tolist()
-    g_spread = np.ptp(lat.column("probes", "gauss_base"), axis=1).tolist()
-    for report, r_sp, g_sp in zip(reports, r_spread, g_spread):
-        if report.branch == "a":
-            report.diagnostics.update(r_spread=r_sp, gauss_spread=g_sp)
-            report.satisfied = bool(report.satisfied and r_sp <= RESIDUAL_TOL
-                                    and g_sp <= RESIDUAL_TOL)
+    # branch a: r and G constant over the probe lattice (a nan spread fails)
+    spreads = np.maximum(np.ptp(lat.column("probes", "r"), axis=1),
+                         np.ptp(lat.column("probes", "gauss_base"), axis=1))
+    for report, spread in zip(reports, spreads.tolist()):
+        if report.branch == "a" and not spread <= RESIDUAL_TOL:
+            report.satisfied = False
     return reports
 
 

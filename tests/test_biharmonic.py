@@ -7,6 +7,7 @@ from ksub import biharmonic as bih
 from ksub import geometry as geo
 from ksub import hopf
 from ksub import surface as srf
+from ksub import verify
 from ksub.errors import (
     AngleSingularError,
     FdMarginError,
@@ -150,6 +151,39 @@ class TestFrameSystem:
         assert res[0] == pytest.approx(assembled, abs=1e-5)
         kappa_sq = 1.0
         assert w.norm_sq == pytest.approx(kappa_sq + 2.0 * d.r ** 2, abs=1e-5)
+
+
+class TestBitensionFrameIdentity:
+    # the frame system is the bitension with its mean-curvature terms taken
+    # out, on any surface:
+    #     normal = Delta H - H line1
+    #     tangential_i = (2 A(grad H) + H grad H) . f_i - 2 H line_(i+1)
+    # the public entries refuse a non-CMC point, so both sides are read
+    # from one lattice (they agree to 5.6e-17)
+    @pytest.mark.parametrize("data", verify.metric_families(),
+                             ids=lambda data: data.description)
+    def test_holds_off_cmc(self, data):
+        patch = srf.SurfacePatch.graph(
+            data, "0.1+0.5*x+0.3*y+0.2*x*y+0.25*x^2-0.15*y^2",
+            geo.Rect(-0.45, 0.45, -0.45, 0.45))
+        for q in ((0.1, -0.05), (-0.12, 0.08)):
+            lat = srf.point_lattice(patch, q)
+            # H spreads by 1.2e-3 to 3.6e-3 over the probes
+            assert bih._cmc(lat)[1][0] > bih.CMC_TOL
+            [bt] = bih._bitension(lat)
+            lines = bih._frame_system(lat)[:, 0]
+            lap_h, dh = srf.SurfaceEvaluator.laplacian(
+                lat, lat.column("stencil", "mean_h"))
+            coeff = np.linalg.solve(lat.centre("first_form")[0], dh[0])
+            grad_h = coeff @ lat.centre("tangents")[0]
+            a_grad_h = coeff @ lat.centre("shape_frame")[0]
+            h = lat.centre("mean_h")[0]
+            assert bt.normal == pytest.approx(lap_h[0] - h * lines[0],
+                                              abs=1e-12)
+            for i, f in enumerate(lat.centre("ortho_basis")[0]):
+                assert bt.tangential[i] == pytest.approx(
+                    (2.0 * a_grad_h + h * grad_h) @ f - 2.0 * h * lines[i + 1],
+                    abs=1e-12)
 
 
 class TestRicciAssemblies:
@@ -302,6 +336,19 @@ class TestClassify:
         assert report.branch == "a"
         assert not report.satisfied
 
+    @pytest.mark.parametrize("kappa, satisfied, residual", [
+        (1.0, True, 4.4e-16), (1.2, False, 0.44)])
+    def test_branch_a_off_r_zero(self, kappa, satisfied, residual):
+        # in BCV(2, 0.5), 4 r^2 = 1 and G = 2, so the criterion
+        # H^2 = G - 4 r^2 holds on the cylinder over the kappa = 1 circle
+        circ = hopf.bcv_circle(2.0, kappa=kappa)
+        patch = hopf.cylinder_patch(geo.bcv(2.0, 0.5), circ)
+        report = bih.classify_point(patch, (0.5 * circ.interval[1], 0.5))
+        assert report.branch == "a"
+        assert report.satisfied == satisfied
+        assert report.diagnostics == {
+            "hopf_criterion_residual": pytest.approx(residual, abs=1e-12)}
+
     def test_b1_scalars(self):
         mu = 0.7
         report = bih.classify_scalars(cos_phi=0.4, grad_norm=0.0,
@@ -316,6 +363,15 @@ class TestClassify:
         report = bih.classify_scalars(cos_phi=0.4, grad_norm=0.0,
                                       gauss=4 * mu * mu, r=mu,
                                       norm_sq=1.0, mean_h=1.0)
+        assert report.branch == "b1"
+        assert not report.satisfied
+
+    @pytest.mark.parametrize("gauss, r", [(float("nan"), 0.7),
+                                          (1.96, float("nan"))])
+    def test_b1_nan_is_unsatisfied(self, gauss, r):
+        report = bih.classify_scalars(cos_phi=0.4, grad_norm=0.0,
+                                      gauss=gauss, r=r, norm_sq=0.98,
+                                      mean_h=1.0)
         assert report.branch == "b1"
         assert not report.satisfied
 
@@ -352,8 +408,7 @@ class TestClassify:
         report = bih.classify_point(patch, (0.3, 0.1))
         assert report.branch == "b2"
         assert not report.satisfied
-        assert set(report.diagnostics) == {"tan2phi_residual", "norm_residual",
-                                           "res1", "res2"}
+        assert set(report.diagnostics) == {"tan2phi_residual", "norm_residual"}
 
     def test_orientation_flip_keeps_branch(self):
         patch, q = biharmonic_cylinder()

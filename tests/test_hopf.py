@@ -523,6 +523,36 @@ def generic_ellipse():
     return hopf.arclength_reparam(ellipse, base), base
 
 
+# circles with no sweep: kappa^2 + c <= 0 has no circle of curvature kappa,
+# and at c = 0 the kappa = 0.3 circle (radius 1/0.3) leaves [-3, 3]^2
+REFUSED = {(-1.0, 0.3), (-1.0, 1.0), (0.0, 0.3)}
+
+
+class TestHopfTable:
+    @pytest.mark.parametrize("mu", (0.0, 0.1, 0.25, 0.5, 1.0))
+    @pytest.mark.parametrize("c", (-1.0, 0.0, 0.5, 1.0, 2.0, 4.0))
+    def test_passes_exactly_on_the_root(self, c, mu):
+        # the cylinder over a circle is proper biharmonic exactly when
+        # kappa^2 = c - 4 mu^2 > 0; the roots' residuals and defects read
+        # 1.7e-9 at most
+        base = hopf.ConformalBase(geo.bcv(c, mu))
+        kappas = [0.3, 1.0, 2.5]
+        root = math.sqrt(c - 4.0 * mu * mu) if c > 4.0 * mu * mu else None
+        if root is not None:
+            kappas += [root, 1.01 * root]
+        for kappa in kappas:
+            if (c, kappa) in REFUSED:
+                with pytest.raises(KsubError):
+                    hopf.hopf_residuals(hopf.bcv_circle(c, kappa=kappa), base)
+                continue
+            report = hopf.hopf_residuals(hopf.bcv_circle(c, kappa=kappa),
+                                         base)
+            assert report.verdict.passed is (kappa == root)
+            if kappa == root:
+                assert report.verdict.defect <= 1e-8
+                assert np.max(np.abs(report.residuals)) <= 1e-8
+
+
 class TestBatchedSweep:
     """The batched sweep equals the per-sample loop bit for bit, and fails
     where and as the loop fails."""

@@ -1,6 +1,7 @@
 import ast
 import gc
 import math
+import random
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -24,7 +25,7 @@ from ksub.errors import (
     OutsideDomainError,
 )
 from ksub.expr import parse
-from ksub.verify import metric_families
+from ksub.verify import _random_graph, metric_families
 
 PV = ("u", "v")
 
@@ -306,6 +307,23 @@ class TestCompatibility:
                                            geo.Rect(-0.45, 0.45, -0.45, 0.45))
             r1, r2 = srf.compatibility_residuals(patch, (-0.225, -0.225))
         assert math.isnan(r1) and math.isnan(r2)
+
+
+class TestIdentitiesWithGradR:
+    def test_random_graphs_in_gaussian_lambda(self):
+        # r varies in gaussian-lambda, so the e2(r) terms of the Gauss and
+        # Codazzi residuals are live (e2(r) reads 4.8e-3 to 3.9e-2 here;
+        # Gauss 7.7e-10 and the others 2.1e-12 at most)
+        [data] = [data for data in metric_families()
+                  if data.description == "gaussian-lambda"]
+        rng = random.Random(7)
+        for _ in range(4):
+            patch, q = _random_graph(data, rng)
+            assert abs(srf._directional_r(srf.point_lattice(patch, q),
+                                          "e2")[0]) >= 1e-3
+            assert abs(srf.gauss_residual(patch, q)) <= 1e-8
+            assert np.max(np.abs(srf.codazzi_residual(patch, q))) <= 1e-10
+            assert np.max(srf.compatibility_residuals(patch, q)) <= 1e-10
 
 
 class TestSurfaceLaplacian:
