@@ -15,15 +15,18 @@ Expanded in an adapted orthonormal frame e1, e2, eta with components
 (a_i), (b_i), (c_i) against the ambient frame, the same condition becomes a
 three-line algebraic system in the frame components, the bundle curvature r
 and its gradient, and the base curvature G; when grad r is tangent and
-nonzero the system reduces to two scalar equations in the tilt angle phi.
-The classifier sorts a point into the branches of the CMC classification:
+nonzero the system reduces to two scalar equations in the tilt angle phi
+(:func:`angle_system_scalars`, and b2's residuals below).
+:func:`classify_scalars` alone sorts a point into the branches of the CMC
+classification:
 
     a   phi = pi/2 (vertical tangent plane, Hopf-cylinder regime)
     b1  grad r = 0 (algebraic signature |A|^2 = 2 r^2 with G = 4 r^2)
     b2  grad r != 0 (angle pinned by tan(2 phi) = 2 |grad r| / (4 r^2 - G))
 
-plus a contradiction flag for the impossible configuration 4 r^2 = G with
-grad r != 0, and a rejection for phi ~ 0.
+plus contradiction-propRconst for the impossible configuration 4 r^2 = G
+with grad r != 0, and none for phi ~ 0. A nan among the inputs a branch
+reads leaves its report unsatisfied.
 """
 
 from __future__ import annotations
@@ -34,12 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
-from .errors import (
-    AngleSingularError,
-    GaussBundleDegenerateError,
-    NotCMCError,
-    ZeroGradRError,
-)
+from .errors import AngleSingularError, NotCMCError
 from . import surface as srf
 from .expr import _hypot
 from .surface import ANGLE_EPS, SurfacePatch
@@ -53,7 +51,6 @@ __all__ = [
     "normality_identity",
     "normality_assemblies",
     "angle_system_scalars",
-    "reduced_angle_system",
     "angle_shape_residual",
     "classify_scalars",
     "classify_point",
@@ -91,7 +88,9 @@ class BitensionResidual:
 
 @dataclass
 class BranchReport:
-    """Outcome of the branch classifier at one surface point; its
+    """Outcome of the branch classifier at one surface point, decided by
+    :func:`classify_scalars` alone (none, a, contradiction-propRconst, b1 or
+    b2); a nan input that the branch reads makes it unsatisfied. Its
     diagnostics are the residuals that decided it: ``hopf_criterion_residual``
     in a, ``sphere_condition_residual`` in b1, ``tan2phi_residual`` and
     ``norm_residual`` in b2, and none in none and contradiction-propRconst.
@@ -272,31 +271,6 @@ def _grad_r_norm(grad_r, lam) -> list[float]:
     return (_hypot(*np.reshape(grad_r, (-1, 2)).T) / np.ravel(lam)).tolist()
 
 
-def reduced_angle_system(patch: SurfacePatch, q) -> dict:
-    """Evaluate the reduced angle system at a surface point.
-
-    Requires an interior angle (sin phi and |cos phi| both bounded away from
-    0) and a nonzero bundle-curvature gradient. The impossible configuration
-    4 r^2 = G with grad r != 0 raises
-    :class:`GaussBundleDegenerateError`.
-    """
-    d = srf.analyze_point(patch, q)
-    if d.sin_phi < ANGLE_EPS or abs(d.cos_phi) < ANGLE_EPS:
-        raise AngleSingularError(
-            f"angle phi = {d.phi:.6f} is not interior at parameters {q}")
-    [grad_norm] = _grad_r_norm(d.grad_r, d.lam)
-    if grad_norm <= GRAD_ZERO_TOL:
-        raise ZeroGradRError(
-            f"|grad r| = {grad_norm:.2e} at parameters {q}; "
-            "use the frame-component system instead")
-    diff = 4.0 * d.r ** 2 - d.gauss_base
-    if abs(diff) < DEGENERATE_TOL:
-        raise GaussBundleDegenerateError(
-            f"4 r^2 - G = {diff:.2e} with |grad r| = {grad_norm:.2e}: "
-            "no proper biharmonic CMC surface exists here")
-    return angle_system_scalars(d.gauss_base, d.r, grad_norm, d.phi, d.norm_sq)
-
-
 def _angle_shape(lat) -> np.ndarray:
     """:func:`angle_shape_residual` at every point of a lattice."""
     lap_phi, dphi = srf.SurfaceEvaluator.laplacian(
@@ -377,8 +351,9 @@ def classify_scalars(cos_phi: float, grad_norm: float, gauss: float,
         return BranchReport("a", residual <= RESIDUAL_TOL,
                             {"hopf_criterion_residual": residual})
 
-    if abs(diff) <= DEGENERATE_TOL and grad_norm > GRAD_ZERO_TOL:
-        # 4 r^2 = G with grad r != 0: no proper biharmonic CMC surface
+    if abs(diff) <= DEGENERATE_TOL and not grad_norm <= GRAD_ZERO_TOL:
+        # 4 r^2 = G with grad r != 0 (a nan |grad r| counts as nonzero): no
+        # proper biharmonic CMC surface
         return BranchReport("contradiction-propRconst", False)
 
     if grad_norm <= GRAD_ZERO_TOL:
@@ -403,8 +378,9 @@ def _classify(lat) -> list[BranchReport]:
     centre = lat.centre
     reports = [classify_scalars(*args) for args in zip(
         centre("cos_phi").tolist(),
-        _grad_r_norm(centre("grad_r"), centre("lam")), centre("gauss_base"),
-        centre("r"), centre("norm_sq").tolist(), centre("mean_h").tolist())]
+        _grad_r_norm(centre("grad_r"), centre("lam")),
+        centre("gauss_base").tolist(), centre("r").tolist(),
+        centre("norm_sq").tolist(), centre("mean_h").tolist())]
     # branch a: r and G constant over the probe lattice (a nan spread fails)
     spreads = np.maximum(np.ptp(lat.column("probes", "r"), axis=1),
                          np.ptp(lat.column("probes", "gauss_base"), axis=1))

@@ -54,16 +54,6 @@ class NotCMCError(KsubError):
     constant-mean-curvature residual systems do not apply."""
 
 
-class ZeroGradRError(KsubError):
-    """The bundle-curvature gradient vanishes; the reduced angle system is
-    undefined and the constant-r path should be used instead."""
-
-
-class GaussBundleDegenerateError(KsubError):
-    """4 r^2 - G vanishes while grad r does not: the angle equation has no
-    solution, so no surface through here can be properly biharmonic."""
-
-
 class DegenerateCurveError(KsubError):
     """Base curve with vanishing speed somewhere on its interval."""
 

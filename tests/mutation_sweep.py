@@ -5,13 +5,18 @@
 Each ``+``/``-`` and ``*``/``/`` of a binary operation in
 ``src/ksub/MODULE.py`` is one site, and each site gives one mutant with that
 operator swapped (+ with -, * with /), found with ``ast``; the rest of the
-file keeps its bytes. Each mutant runs in a fresh temporary copy of
+file keeps its bytes. Each ``<``, ``<=``, ``>`` and ``>=`` of a comparison is
+a site too, whose mutant flips it (``<`` with ``>=``, ``<=`` with ``>``): a
+surviving flip is a branch decision that no run tells from its negation.
+The boundary swap ``<`` with ``<=`` is left out, as it mostly gives
+equivalent mutants. Each mutant runs in a fresh temporary copy of
 ``src``, ``tests`` and ``pyproject.toml`` (pytest's ``pythonpath =
 ["src"]`` would otherwise load the unmutated tree). A mutant
 is killed when ``python -m ksub.cli verify-paper`` exits non-zero, or
 failing that when ``pytest -x -q -p no:cacheprovider tests/test_MODULE.py``
 fails; a run that outlasts TIMEOUT seconds counts as a kill too. The sweep
-prints each survivor's line and swap, then the totals.
+prints each survivor's line and swap, then the totals of each kind of
+mutant.
 
 The unmutated tree must pass both runs first, or no kill would mean
 anything. One mutant costs a ``verify-paper`` run (about 1.5 s) and, for a
@@ -33,33 +38,48 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"),
          ast.Mult: ("*", "/"), ast.Div: ("/", "*")}
+FLIPS = {ast.Lt: ("<", ">="), ast.GtE: (">=", "<"),
+         ast.LtE: ("<=", ">"), ast.Gt: (">", "<=")}
 TIMEOUT = 300  # seconds for one run; a hung mutant counts as killed
+
+
+def _locate(lines, line: int, col: int, op: str) -> tuple[int, int]:
+    """(line, byte column) of the first ``op`` at or after (line, col),
+    skipping comments (only brackets, blanks and comments can sit between
+    an operand and its operator)."""
+    while lines[line - 1][col:col + len(op)] != op.encode():
+        if lines[line - 1][col:col + 1] in (b"#", b"\n", b""):
+            line, col = line + 1, 0
+        else:
+            col += 1
+    return line, col
 
 
 def sites(source: str) -> list[tuple[int, int, str, str]]:
     """(line, byte column, operator, swap) of each swappable binary
-    operator: the first operator character after the left operand, skipping
-    comments (only brackets, blanks and comments can sit beside it)."""
+    operator and each flippable comparison, the operator located after its
+    left operand."""
     lines = source.encode().splitlines(keepends=True)
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.BinOp) and type(node.op) in SWAPS):
+        if isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
+            pairs = [(node.left, SWAPS[type(node.op)])]
+        elif isinstance(node, ast.Compare):
+            pairs = [(left, FLIPS[type(op)]) for left, op in zip(
+                [node.left, *node.comparators], node.ops)
+                if type(op) in FLIPS]
+        else:
             continue
-        op, swap = SWAPS[type(node.op)]
-        line, col = node.left.end_lineno, node.left.end_col_offset
-        while lines[line - 1][col:col + 1] != op.encode():
-            if lines[line - 1][col:col + 1] in (b"#", b"\n", b""):
-                line, col = line + 1, 0
-            else:
-                col += 1
-        found.append((line, col, op, swap))
+        for left, (op, swap) in pairs:
+            found.append((*_locate(lines, left.end_lineno,
+                                   left.end_col_offset, op), op, swap))
     return sorted(found)
 
 
-def mutate(source: str, line: int, col: int, swap: str) -> str:
+def mutate(source: str, line: int, col: int, op: str, swap: str) -> str:
     lines = source.encode().splitlines(keepends=True)
     text = lines[line - 1]
-    lines[line - 1] = text[:col] + swap.encode() + text[col + 1:]
+    lines[line - 1] = text[:col] + swap.encode() + text[col + len(op):]
     return b"".join(lines).decode()
 
 
@@ -114,21 +134,26 @@ def main() -> int:
         print(f"the unmutated tree fails {unmutated}; no sweep")
         return 1
 
-    counts = {"verify-paper": 0, f"tests/test_{module}.py": 0, "timeout": 0}
+    kinds = {"operator swaps": set(SWAPS.values()),
+             "comparison flips": set(FLIPS.values())}
+    counts = {kind: {"verify-paper": 0, f"tests/test_{module}.py": 0,
+                     "timeout": 0, "survive": 0} for kind in kinds}
     found = sites(source)
-    survivors = 0
     for line, col, op, swap in found:
-        verdict = run_tree(module, mutate(source, line, col, swap))
+        [kind] = [k for k, pairs in kinds.items() if (op, swap) in pairs]
+        verdict = run_tree(module, mutate(source, line, col, op, swap))
         if verdict is None:
-            survivors += 1
+            verdict = "survive"
             text = source.splitlines()[line - 1].strip()
             print(f"survives {module}.py:{line}:{col + 1} {op} -> {swap}"
                   f"  {text}", flush=True)
-        else:
-            counts[verdict] += 1
-    print(f"{len(found)} sites in {module}.py: "
-          + ", ".join(f"{n} killed by {name}" for name, n in counts.items())
-          + f", {survivors} survive")
+        counts[kind][verdict] += 1
+    for kind, tally in counts.items():
+        survivors = tally.pop("survive")
+        print(f"{sum(tally.values()) + survivors} {kind} in {module}.py: "
+              + ", ".join(f"{n} killed by {name}"
+                          for name, n in tally.items())
+              + f", {survivors} survive")
     return 0
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,13 +9,7 @@ from ksub import geometry as geo
 from ksub import hopf
 from ksub import surface as srf
 from ksub import verify
-from ksub.errors import (
-    AngleSingularError,
-    FdMarginError,
-    GaussBundleDegenerateError,
-    NotCMCError,
-    ZeroGradRError,
-)
+from ksub.errors import FdMarginError, NotCMCError
 from ksub.expr import parse
 
 PV = ("u", "v")
@@ -261,24 +256,6 @@ class TestAngleSystem:
             assert lines[1] == pytest.approx(-scal["res2"], abs=1e-10)
             assert lines[2] == pytest.approx(0.0, abs=1e-12)
 
-    def test_degenerate_raises(self):
-        patch = srf.SurfacePatch.graph(VARIABLE_R, "0.2+0.4*y",
-                                       geo.Rect(-0.5, 0.5, -0.5, 0.5))
-        # at x = 0: r = x so 4r^2 - G = 0 while grad r = (1, 0)
-        with pytest.raises(GaussBundleDegenerateError):
-            bih.reduced_angle_system(patch, (0.0, 0.1))
-
-    def test_zero_grad_raises(self):
-        patch = srf.SurfacePatch.graph(geo.bcv(1.0, 0.5), "0.2+0.4*y",
-                                       geo.Rect(-0.5, 0.5, -0.5, 0.5))
-        with pytest.raises(ZeroGradRError):
-            bih.reduced_angle_system(patch, (0.1, 0.1))
-
-    def test_angle_guard(self):
-        patch, q = biharmonic_cylinder()  # phi = pi/2 exactly
-        with pytest.raises(AngleSingularError):
-            bih.reduced_angle_system(patch, q)
-
 
 class TestAngleShapeIdentity:
     def test_flat_vertical_graph_constant_angle(self):
@@ -375,12 +352,31 @@ class TestClassify:
         assert report.branch == "b1"
         assert not report.satisfied
 
-    def test_contradiction_flag(self):
-        report = bih.classify_scalars(cos_phi=0.5, grad_norm=0.5,
+    # 4 r^2 = G exactly: a nan |grad r| counts as nonzero, not as b2
+    @pytest.mark.parametrize("grad_norm", [0.5, float("nan")])
+    def test_contradiction_flag(self, grad_norm):
+        report = bih.classify_scalars(cos_phi=0.5, grad_norm=grad_norm,
                                       gauss=4 * 0.09, r=0.3,
                                       norm_sq=1.0, mean_h=1.0)
         assert report.branch == "contradiction-propRconst"
-        assert not report.satisfied
+        assert report.satisfied is False
+
+    def test_contradiction_on_a_surface(self):
+        # at x = 0: r = x so 4r^2 - G = 0 while grad r = (1, 0)
+        patch = srf.SurfacePatch.graph(VARIABLE_R, "0.2+0.4*y",
+                                       geo.Rect(-0.5, 0.5, -0.5, 0.5))
+        report = bih.classify_point(patch, (0.0, 0.1))
+        assert report.branch == "contradiction-propRconst"
+        assert report.satisfied is False
+
+    def test_constant_r_lattice_reads_b1(self):
+        # r is constant in BCV(1, 0.5); the probe spread (1.47e-4) fails
+        # the CMC gate, so the lattice is classified directly
+        patch = srf.SurfacePatch.graph(geo.bcv(1.0, 0.5), "0.2+0.4*y",
+                                       geo.Rect(-0.5, 0.5, -0.5, 0.5))
+        [report] = bih._classify(srf.point_lattice(patch, (0.1, 0.1)))
+        assert report.branch == "b1"
+        assert report.satisfied is False
 
     def test_vertical_normal_rejected(self):
         report = bih.classify_scalars(cos_phi=1.0, grad_norm=0.1, gauss=1.0,
@@ -416,6 +412,54 @@ class TestClassify:
         b = bih.classify_point(patch.flipped(), q)
         assert a.branch == b.branch
         assert a.satisfied == b.satisfied
+
+
+# every branch is reached, and 4 r^2 - G = 0 exactly at (G, r) = (0.36, 0.3)
+NAN, INF = float("nan"), float("inf")
+GRID = {"cos_phi": [0.0, 0.5, 1.0, NAN, INF, -INF],
+        "grad_norm": [0.0, 0.4, NAN, INF, -INF],
+        "gauss": [0.36, 0.3, NAN, INF, -INF],
+        "r": [0.3, 0.5, NAN, INF, -INF],
+        "norm_sq": [0.18, 1.0, NAN, INF],
+        "mean_h": [0.0, 1.0, NAN, INF]}
+READS = {"a": ("cos_phi", "mean_h", "r", "gauss"),
+         "b1": ("cos_phi", "grad_norm", "r", "gauss", "norm_sq"),
+         "b2": ("cos_phi", "grad_norm", "r", "gauss", "norm_sq")}
+
+
+def test_classify_scalars_is_total():
+    # never raises, always a bool, and a nan that the branch reads fails it
+    branches = set()
+    for values in itertools.product(*GRID.values()):
+        args = dict(zip(GRID, values))
+        report = bih.classify_scalars(**args)
+        branches.add((report.branch, report.satisfied))
+        assert type(report.satisfied) is bool, args
+        if any(math.isnan(args[name]) for name in READS.get(report.branch,
+                                                            ())):
+            assert not report.satisfied, args
+    assert {"none", "a", "contradiction-propRconst", "b1", "b2"} == {
+        branch for branch, _ in branches}
+    assert {("a", True), ("b1", True)} <= branches
+
+
+def test_grad_r_norm_against_differences():
+    # gaussian-lambda has lam != 1, so the division by lam is live
+    data = verify.metric_families()[4]
+    patch = srf.SurfacePatch.graph(data, "0", geo.Rect(-1, 1, -1, 1))
+    h = 1e-4
+
+    def r_at(x, y):
+        return float(geo.bundle_curvature(data, (x, y))[0])
+
+    for x, y in [(0.3, 0.2), (-0.25, 0.1), (0.1, -0.3)]:
+        lat = srf.point_lattice(patch, (x, y))
+        [norm] = bih._grad_r_norm(lat.centre("grad_r"), lat.centre("lam"))
+        [lam] = lat.centre("lam").tolist()
+        rx = (r_at(x + h, y) - r_at(x - h, y)) / (2 * h)
+        ry = (r_at(x, y + h) - r_at(x, y - h)) / (2 * h)
+        assert abs(lam - 1.0) >= 1e-3
+        assert norm == pytest.approx(math.hypot(rx, ry) / lam, abs=1e-7)
 
 
 class TestHarmonicImpliesBiharmonic:

@@ -22,8 +22,13 @@ A third table spoils one of harmonic-sanity's own conditions, which its
 ``tol`` does not reach (|H| of a plane, the flip invariance of the verdicts
 and of the frame system): the check fails at every ``tol``, and its location
 and details name the condition, the patch and the value.
+
+A last row puts a nan |grad r| into ``check-surface`` on a plane where
+4 r^2 = G exactly: the branch row reads the contradiction, and the run exits
+0 with no traceback.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +39,7 @@ from ksub import geometry as geo
 from ksub import hopf
 from ksub import surface as srf
 from ksub import verify
+from ksub.cli import main
 
 TABLE = [
     ("connection", 1e-5, {"connection-oracle", "curvature-formula", "ricci"}),
@@ -159,3 +165,17 @@ def test_a_failed_condition_names_itself(module, name, wrap, condition,
     assert report.details == {"condition": condition, "patch": patch,
                               "value": value}
     assert report.location.startswith(f"{condition}, {patch}, ")
+
+
+def test_a_nan_grad_r_norm_reads_as_the_contradiction(monkeypatch, capsys):
+    # a tilted minimal plane in the flat product: CMC, an interior angle
+    # and 4 r^2 - G = 0 exactly
+    monkeypatch.setattr(bih, "_grad_r_norm",
+                        lambda grad_r, lam: [NAN] * np.size(lam))
+    code = main(["check-surface", "--lambda", "1", "--graph", "0.3*x+0.4*y",
+                 "--grid", "1", "1"])
+    [point] = json.loads(capsys.readouterr().out)["points"]
+    status = {chk["check"]: chk["status"] for chk in point["checks"]}
+    assert code == 0
+    assert status["branch"] == "contradiction-propRconst"
+    assert status["proper-biharmonic"] == "no"
