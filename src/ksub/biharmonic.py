@@ -48,6 +48,7 @@ __all__ = [
     "cmc_probe",
     "bitension_residual",
     "frame_system_residuals",
+    "bitension_frame_identity",
     "normality_identity",
     "normality_assemblies",
     "angle_system_scalars",
@@ -212,6 +213,31 @@ def frame_system_residuals(patch: SurfacePatch, q) -> np.ndarray:
     pair: any rotated or reflected orthonormal pair gives them too.
     """
     return _frame_system(_cmc_lattice(patch, q))[:, 0]
+
+
+def bitension_frame_identity(patch: SurfacePatch, q) -> np.ndarray:
+    """Defects of the bitension against the frame system at q, on any
+    surface (no CMC gate): the frame system is the bitension with its
+    mean-curvature terms taken out,
+
+        normal = Delta H - H line1
+        tangential_i = (2 A(grad H) + H grad H) . f_i - 2 H line_(i+1),
+
+    with f_i the orthonormalized coordinate tangents. Returns the three
+    defects, each side read from q's lattice."""
+    lat = srf.point_lattice(patch, q)
+    [bt] = _bitension(lat)
+    lines = _frame_system(lat)[:, 0]
+    lap_h, dh = srf.SurfaceEvaluator.laplacian(
+        lat, lat.column("stencil", "mean_h"))
+    coeff = np.linalg.solve(lat.centre("first_form")[0], dh[0])
+    grad_h = coeff @ lat.centre("tangents")[0]
+    a_grad_h = coeff @ lat.centre("shape_frame")[0]
+    h = lat.centre("mean_h")[0]
+    tangential = [(2.0 * a_grad_h + h * grad_h) @ f - 2.0 * h * line
+                  for f, line in zip(lat.centre("ortho_basis")[0], lines[1:])]
+    return np.array([bt.normal - (lap_h[0] - h * lines[0]),
+                     *(bt.tangential - tangential)])
 
 
 def normality_identity(patch: SurfacePatch, q) -> float:

@@ -294,24 +294,35 @@ class WarpedBase:
         self.f = f
         self.r = float(r)
         self.t_interval = (float(t_interval[0]), float(t_interval[1]))
+        self._jets: dict = {}
+
+    def _jet(self, t) -> Jet:
+        """The profile's jet at t; a batch is memoised by its bytes, as
+        :meth:`ksub.geometry.KillingData.base_jets` memoises its own, so
+        the metric, Christoffels and G of one batch read it once."""
+        return at_point(self._batch_jet, t)
+
+    def _batch_jet(self, t: np.ndarray) -> Jet:
+        return geo.memo(self._jets, (t.tobytes(),),
+                        lambda _: _profile_jet(self.f, t))
 
     def contains(self, p):
         return (self.t_interval[0] < p[0]) & (p[0] < self.t_interval[1])
 
     def metric(self, p) -> np.ndarray:
-        f_sq = power(_profile_jet(self.f, p[0]).value, 2)
+        f_sq = power(self._jet(p[0]).value, 2)
         zero = np.zeros_like(f_sq)
         return np.array([[zero + 1.0, zero], [zero, f_sq]])
 
     def christoffels(self, p) -> np.ndarray:
-        f = _profile_jet(self.f, p[0])
+        f = self._jet(p[0])
         gamma = np.zeros((2, 2, 2) + np.shape(f.value))
         gamma[0, 1, 1] = -f.value * f.grad[0]
         gamma[1, 0, 1] = gamma[1, 1, 0] = f.grad[0] / f.value
         return gamma
 
     def gauss(self, p) -> float:
-        f = _profile_jet(self.f, p[0])
+        f = self._jet(p[0])
         return -f.hess[0, 0] / f.value
 
     def bundle(self, p) -> tuple[float, np.ndarray]:

@@ -1557,6 +1557,25 @@ class TestWorkingSet:
         assert sum(seen) == points
         assert len(seen) == self.CALLS[op, points]
 
+    def test_warp_profile_evaluated_once_per_batch(self, monkeypatch, capsys):
+        # the rotational example's sweep reads the metric, Christoffels and
+        # G of the warped chart at its 320 stencil columns from one jet
+        # batch of the profile (3 while each read evaluated its own); the
+        # root scan is one batch of 1024, Brent's steps and the root 7 floats
+        seen = []
+        original = expr._evaluate
+
+        def counted(e, coords, arithmetic):
+            if e.variables == ("t",):
+                seen.append(np.size(coords[0]))
+            return original(e, coords, arithmetic)
+
+        monkeypatch.setattr(expr, "_evaluate", counted)
+        assert main(["hopf", "example", "--f=cos(t)", "--r", "0.2",
+                     "--interval", "0", "1.5"]) == 0
+        capsys.readouterr()
+        assert sorted(seen) == [1] * 7 + [320, 1024]
+
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_the_metric_is_evaluated_by_value_once(self, op, monkeypatch,
                                                    capsys):

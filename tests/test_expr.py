@@ -751,8 +751,7 @@ class TestElementwiseKernels:
             "biharmonic": {"angle_shape_alt_assembly",
                            "angle_system_scalars", "classify_scalars"},
             "hopf": {"circle_radius_for_kappa"},
-            "verify": {"_random_graph", "check_branch_logic",
-                       "check_surface_identities"},
+            "verify": {"check_branch_logic"},
         }
 
     @pytest.mark.parametrize("name", sorted(KERNELS))

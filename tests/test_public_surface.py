@@ -30,6 +30,15 @@ def test_package_names():
     assert all(hasattr(ksub, name) for name in ksub.__all__)
 
 
+def test_biharmonic_names():
+    assert bih.__all__ == [
+        "BitensionResidual", "BranchReport", "cmc_probe",
+        "bitension_residual", "frame_system_residuals",
+        "bitension_frame_identity", "normality_identity",
+        "normality_assemblies", "angle_system_scalars",
+        "angle_shape_residual", "classify_scalars", "classify_point"]
+
+
 def command_flags(parser, command=()) -> dict:
     """Each (sub)command's option strings, read from the parser's actions."""
     found = {" ".join(command): {option for action in parser._actions

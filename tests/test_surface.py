@@ -312,8 +312,8 @@ class TestCompatibility:
 class TestIdentitiesWithGradR:
     def test_random_graphs_in_gaussian_lambda(self):
         # r varies in gaussian-lambda, so the e2(r) terms of the Gauss and
-        # Codazzi residuals are live (e2(r) reads 4.8e-3 to 3.9e-2 here;
-        # Gauss 7.7e-10 and the others 2.1e-12 at most)
+        # Codazzi residuals are live (e2(r) reads 9.4e-3 to 4.5e-2 here;
+        # Gauss 6.3e-10 and the others 5.3e-13 at most)
         [data] = [data for data in metric_families()
                   if data.description == "gaussian-lambda"]
         rng = random.Random(7)

@@ -206,3 +206,33 @@ class TestHarmonicSanity:
         report = verify.check_harmonic_sanity()
         assert report.status == "pass"
         assert 0 < len(built) <= 8
+
+
+class TestSurfaceIdentitiesDraw:
+    def test_every_graph_is_tilted_and_grad_r_is_live(self, monkeypatch):
+        # the check reads the graphs of _identity_graphs, 2 in each family;
+        # each is tilted by construction (sin phi 0.66 to 0.80 here), and
+        # gaussian-lambda's e2(r) (2.4e-2 and 3.0e-2 here) keeps the grad r
+        # terms of the Gauss, Codazzi and compatibility residuals live
+        graphs = verify._identity_graphs()
+        read = []
+        original = srf.gauss_residual
+
+        def recorded(patch, q):
+            read.append((patch.ambient.description, q))
+            return original(patch, q)
+
+        monkeypatch.setattr(srf, "gauss_residual", recorded)
+        assert verify.check_surface_identities().status == "pass"
+        assert read == [(data.description, q) for data, _, q in graphs]
+        assert [data.description for data, _, _ in graphs] == [
+            data.description for data in verify.metric_families()
+            for _ in range(2)]
+
+        e2_r = []
+        for data, patch, q in graphs:
+            assert math.sin(srf.analyze_point(patch, q).phi) >= 0.25
+            if data.description == "gaussian-lambda":
+                e2_r.append(abs(srf._directional_r(
+                    srf.point_lattice(patch, q), "e2")[0]))
+        assert max(e2_r) >= 1e-3
