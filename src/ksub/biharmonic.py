@@ -49,8 +49,6 @@ __all__ = [
     "bitension_residual",
     "frame_system_residuals",
     "bitension_frame_identity",
-    "normality_identity",
-    "normality_assemblies",
     "angle_system_scalars",
     "angle_shape_residual",
     "classify_scalars",
@@ -238,29 +236,6 @@ def bitension_frame_identity(patch: SurfacePatch, q) -> np.ndarray:
                   for f, line in zip(lat.centre("ortho_basis")[0], lines[1:])]
     return np.array([bt.normal - (lap_h[0] - h * lines[0]),
                      *(bt.tangential - tangential)])
-
-
-def normality_identity(patch: SurfacePatch, q) -> float:
-    """cos(phi) <grad r, eta>: must vanish on proper biharmonic surfaces."""
-    d = srf.analyze_point(patch, q)
-    c1, c2, c3 = d.normal
-    return float(c3 * (c1 * d.grad_r[0] + c2 * d.grad_r[1]) / d.lam)
-
-
-def normality_assemblies(patch: SurfacePatch, q) -> tuple[float, float]:
-    """The normality value assembled two ways (directly, and from the
-    tangential system lines); they agree up to the frame handedness sign."""
-    d = srf.analyze_point(patch, q)
-    direct = normality_identity(patch, q)
-    lines = _system_lines(d.gauss_base, d.r, d.grad_r[0], d.grad_r[1],
-                          d.lam, d.ortho_basis[0], d.ortho_basis[1],
-                          d.normal, d.norm_sq)
-    a3 = d.ortho_basis[0][2]
-    b3 = d.ortho_basis[1][2]
-    handed = float(np.linalg.det(np.stack(
-        [d.ortho_basis[0], d.ortho_basis[1], d.normal])))
-    assembled = (lines[1] * b3 - lines[2] * a3) * math.copysign(1.0, handed)
-    return direct, float(assembled)
 
 
 # ---------------------------------------------------------------------------

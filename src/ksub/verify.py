@@ -24,6 +24,7 @@ fails names itself in the report.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import random
 import time
@@ -441,18 +442,28 @@ def check_branch_logic(tol=None) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Criterion 10: serialization determinism
+# Criterion 10: serialization round-trip
 # ---------------------------------------------------------------------------
 
 def check_serialization_determinism(reports) -> CheckReport:
+    """The reports before it, written as JSON and read back: each record
+    has its report's name, status and location, its residual and tol in
+    the writer's text, and a passing record's residual is at most its tol."""
     from .cli import dumps_json  # local import to avoid a cycle
-    payload = [report_to_dict(r) for r in reports]
-    first = dumps_json({"schema_version": 1, "checks": payload})
-    second = dumps_json({"schema_version": 1, "checks": payload})
-    same = first == second
+    text = dumps_json({"schema_version": 1,
+                       "checks": [report_to_dict(r) for r in reports]})
+    records = json.loads(text)["checks"]
+    same = all(
+        (rec["check"], rec["status"], rec["location"])
+        == (r.name, r.status, r.location)
+        and dumps_json([rec["residual"], rec["tol"]])
+        == dumps_json([r.residual, r.tol])
+        and (rec["status"] != "pass"
+             or float(rec["residual"]) <= float(rec["tol"]))
+        for rec, r in zip(records, reports))
     return CheckReport("cli-determinism", "pass" if same else "fail",
                        0.0 if same else 1.0, 0.5, "",
-                       {"bytes": len(first)})
+                       {"bytes": len(text)})
 
 
 def report_to_dict(report: CheckReport) -> dict:
@@ -469,7 +480,7 @@ def report_to_dict(report: CheckReport) -> dict:
 # The checks in run order. A check runs the module's ``check_<name>``
 # function, looked up when it runs, so a function replaced on the module (a
 # wrapper, a test fake) is the one called. cli-determinism comes last: it
-# serializes the reports before it.
+# writes the reports before it and reads them back.
 CHECK_NAMES = ["connection-oracle", "curvature-formula", "ricci",
                "bcv-constants", "hopf-tube", "rotational-example",
                "surface-identities", "harmonic-sanity", "branch-logic",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ksub import geometry as geo
 from ksub import hopf
 from ksub import surface as srf
 from ksub import verify
-from ksub.errors import FdMarginError, NotCMCError
+from ksub.errors import AngleSingularError, FdMarginError, NotCMCError
 from ksub.expr import parse
 
 PV = ("u", "v")
@@ -188,24 +189,6 @@ class TestRicciAssemblies:
             float(d.normal @ ric @ w.ortho_basis[1]), abs=1e-12)
 
 
-class TestNormality:
-    def test_constant_r_gives_zero(self):
-        patch, q = biharmonic_cylinder()
-        assert bih.normality_identity(patch, q) == pytest.approx(0.0, abs=1e-12)
-
-    def test_vertical_surface_gives_zero(self):
-        patch = vertical_plane(VARIABLE_R)
-        assert bih.normality_identity(patch, (0.1, 0.2)) == pytest.approx(
-            0.0, abs=1e-12)
-
-    def test_two_assemblies_agree(self):
-        patch = srf.SurfacePatch.graph(VARIABLE_R, "0.1+0.3*x+0.4*y",
-                                       geo.Rect(-0.5, 0.5, -0.5, 0.5))
-        direct, assembled = bih.normality_assemblies(patch, (0.2, 0.1))
-        assert direct == pytest.approx(assembled, abs=1e-8)
-        assert abs(direct) > 1e-3  # genuinely nonzero on this surface
-
-
 class TestAngleSystem:
     def test_synthetic_exact_angle(self):
         grad_norm, r, g_val = 0.4, 0.5, 0.3
@@ -269,6 +252,21 @@ class TestAngleShapeIdentity:
         # another
         assert a == pytest.approx(b, abs=1e-9)
 
+    def test_alt_assembly_names_the_unframed_stencil_point(self):
+        # the paraboloid's vertex is horizontal, so it has no frame; at q
+        # one step right of it the centre has one, and stencil point 2,
+        # (q[0] - h, q[1]), is the vertex
+        patch = srf.SurfacePatch.graph(FLAT, "(x-0.2)^2+(y-0.1)^2",
+                                       geo.Rect(-0.5, 0.5, -0.5, 0.5))
+        h = srf.point_lattice(patch, (0.0, 0.0)).h
+        q = (0.2 + h, 0.1)
+        assert q[0] - h == 0.2
+        with pytest.raises(AngleSingularError) as err:
+            bih.angle_shape_alt_assembly(patch, q)
+        assert str(err.value) == (
+            "sin(phi) = 0.00e+00 at parameters (0.2, 0.1); the vertical "
+            "field is normal and no adapted frame exists")
+
 
 class TestProbeLattice:
     def test_probes_need_a_4h_margin(self):
@@ -279,7 +277,8 @@ class TestProbeLattice:
         assert abs(mean) <= 1e-12 and dev <= 1e-12
         for probe in (bih.cmc_probe, bih.classify_point,
                       bih.bitension_residual):
-            with pytest.raises(FdMarginError):
+            with pytest.raises(FdMarginError, match=re.escape(
+                    f"for a stencil of width {4.0 * h}")):
                 probe(patch, (1.0 - 3.5 * h, 0.0))
 
 

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import csv
 import gc
 import hashlib
 import io
@@ -1449,6 +1450,59 @@ class TestVerifyPaper:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["all_pass"] is True
+
+    def test_a_swapped_record_fails_the_round_trip(self, capsys,
+                                                   monkeypatch):
+        # every record written with its residual and tol swapped: each
+        # check still passes, but no record reads back as its report
+        original = verify.report_to_dict
+        monkeypatch.setattr(verify, "report_to_dict", lambda report: {
+            **original(report), "residual": report.tol,
+            "tol": report.residual})
+        code, data, _ = run_json(capsys, "verify-paper")
+        assert code == 1
+        assert [(c["check"], c["status"]) for c in data["checks"]
+                if c["status"] != "pass"] == [("cli-determinism", "fail")]
+
+
+class TestCsvRoundTrip:
+    # the CSV rows read back carry the JSON output's values: equal floats
+    # here are equal %.12e texts, as both writers format with _float_text
+    @staticmethod
+    def csv_rows(capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert list(rows[0]) == ["s_or_u", "v", "check", "residual", "tol",
+                                 "status"]
+        return rows
+
+    def test_check_surface(self, capsys):
+        argv = OPS["check-surface"]
+        _, data, _ = run_json(capsys, *argv)
+        want = [(point["u"], point["v"], chk["check"], chk["residual"],
+                 chk["tol"], chk["status"])
+                for point in data["points"] for chk in point["checks"]]
+        got = [(float(row["s_or_u"]), float(row["v"]), row["check"],
+                float(row["residual"]), float(row["tol"]), row["status"])
+               for row in self.csv_rows(capsys, argv)]
+        assert got == want
+        # the rows hold passes, fails and verdicts
+        assert {"pass", "fail", "a", "no"} <= {row[5] for row in got}
+
+    @pytest.mark.parametrize("kappa, status", [("1", "pass"),
+                                               ("0.5", "fail")])
+    def test_hopf_check(self, capsys, kappa, status):
+        argv = ["hopf", "check", "--bcv", "1", "0", "--circle-kg", kappa,
+                "--samples", "8"]
+        _, data, _ = run_json(capsys, *argv)
+        rows = self.csv_rows(capsys, argv)
+        assert data["verdict"]["passed"] is (status == "pass")
+        assert [(row["check"], float(row["v"]), float(row["tol"]),
+                 row["status"]) for row in rows] == [
+            ("hopf-residual", 0.0, hopf.CRITERION_TOL, status)] * 8
+        assert max(float(row["residual"]) for row in rows) == (
+            data["max_residual"])
 
 
 OPS = {

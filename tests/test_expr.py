@@ -279,7 +279,9 @@ class TestJets:
         # reciprocal round alike; + 0.0 sets both signed zeros to +0.0
         jet = eval_jet(parse("sin(x)*y+x^2", ("x", "y")), (0.3, -0.7))
         const = expr.Jet(c, np.zeros(2), np.zeros((2, 2)))
-        for got, want in ((jet * c, jet * const), (c * jet, const * jet),
+        for got, want in ((jet + c, jet + const), (c + jet, const + jet),
+                          (jet - c, jet - const), (c - jet, const - jet),
+                          (jet * c, jet * const), (c * jet, const * jet),
                           (jet / c, jet / const), (c / jet, const / jet)):
             assert [np.asarray(part + 0.0).tobytes()
                     for part in (got.value, got.grad, got.hess)] == [

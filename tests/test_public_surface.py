@@ -34,8 +34,7 @@ def test_biharmonic_names():
     assert bih.__all__ == [
         "BitensionResidual", "BranchReport", "cmc_probe",
         "bitension_residual", "frame_system_residuals",
-        "bitension_frame_identity", "normality_identity",
-        "normality_assemblies", "angle_system_scalars",
+        "bitension_frame_identity", "angle_system_scalars",
         "angle_shape_residual", "classify_scalars", "classify_point"]
 
 
