@@ -74,7 +74,6 @@ __all__ = [
     "gauss_residual",
     "codazzi_residual",
     "compatibility_residuals",
-    "shape_norm_from_angle",
 ]
 
 ANGLE_EPS = 1e-6   # sin(phi) below this: no adapted frame
@@ -705,15 +704,3 @@ def compatibility_residuals(patch: SurfacePatch, q) -> tuple[float, float]:
     """
     return tuple(_compatibility(point_lattice(patch, q))[0].tolist())
 
-
-def shape_norm_from_angle(patch: SurfacePatch, q) -> float:
-    """|A|^2 assembled from angle derivatives instead of the Weingarten map:
-
-        2 (e1(phi)^2 + e2(phi)^2) + H^2 + 2 r^2 - 4 r e2(phi) - 2 H e1(phi)
-    """
-    lat = point_lattice(patch, q)
-    e1_phi, e2_phi = _angle_derivatives(lat)
-    mean_h, r = lat.centre("mean_h"), lat.centre("r")
-    return float((2.0 * (power(e1_phi, 2) + power(e2_phi, 2))
-                  + power(mean_h, 2) + 2.0 * np.square(r)
-                  - 4.0 * r * e2_phi - 2.0 * mean_h * e1_phi)[0])

@@ -12,13 +12,14 @@ numpy's generators would cost every ``ksub`` process an import of about
 draws.
 
 Every check decides its status in one place, ``_Worst.report``: it passes
-when its own conditions hold and its worst residual is at most its
-tolerance, and a nan never is. Each ``check_<name>`` takes one ``tol``:
-``None`` reads the check's default tolerances, and any number, 0.0 included,
+when its worst residual is at most its tolerance (a nan never is) and none
+of its own conditions failed. Every check states them through
+``_Worst.require``, and a failing report names its first failed condition,
+where, and the value. Each ``check_<name>`` takes one ``tol``: ``None``
+reads the check's default tolerances, and any number, 0.0 included,
 replaces the residual tolerances the check reads, to show which checks are
-finite-difference-limited. The bounds of a check's own conditions are fixed
-(see :func:`run_checks`), and so are the runtime limits; a condition that
-fails names itself in the report.
+finite-difference-limited; the other bounds are fixed (see
+:func:`run_checks`).
 """
 
 from __future__ import annotations
@@ -56,11 +57,12 @@ class CheckReport:
 
 
 class _Worst:
-    """Track the largest residual and where it happened."""
+    """The largest residual, its location and the first failed condition."""
 
     def __init__(self):
         self.value = 0.0
         self.location = ""
+        self.failed = {}
 
     def update(self, value, location):
         # a nan is the worst value: it wins and then stays, so it fails
@@ -68,14 +70,20 @@ class _Worst:
             self.value = abs(value)
             self.location = location
 
-    def report(self, name, tol, ok, details) -> CheckReport:
-        """The check's report: it passes when the check's own conditions
-        hold (``ok``) and the worst residual is at most ``tol``; a nan is
-        never ``<= tol``."""
-        passed = ok and self.value <= tol
+    def require(self, holds, condition, where, value):
+        """A condition of the check; the first that fails fails the report."""
+        if not holds and not self.failed:
+            self.failed = dict(condition=condition, where=where, value=value)
+
+    def report(self, name, tol, details) -> CheckReport:
+        """The check's report: it passes when no condition failed and the
+        worst residual is at most ``tol`` (a nan never is). A failed
+        condition is its location and joins its details."""
+        passed = not self.failed and self.value <= tol
         return CheckReport(name, "pass" if passed else "fail",
-                           float(self.value), float(tol), self.location,
-                           details)
+                           float(self.value), float(tol),
+                           ", ".join(map(str, self.failed.values()))
+                           or self.location, {**details, **self.failed})
 
 
 def _tol(override, default):
@@ -84,13 +92,14 @@ def _tol(override, default):
     return default if override is None else override
 
 
-def _in_time(start, limit, details) -> bool:
-    """Whether the check ran for less than ``limit`` seconds since
+def _in_time(worst, start, limit, details):
+    """Require that the check ran for less than ``limit`` seconds since
     ``start``; if not, its details say ``runtime_limit_exceeded``."""
-    if time.monotonic() - start < limit:
-        return True
-    details["runtime_limit_exceeded"] = True
-    return False
+    elapsed = time.monotonic() - start
+    if not elapsed < limit:
+        details["runtime_limit_exceeded"] = True
+    worst.require(elapsed < limit, f"runtime >= {limit:g} s", "whole check",
+                  elapsed)
 
 
 def metric_families() -> list[geo.KillingData]:
@@ -127,8 +136,8 @@ def check_connection_oracle(tol=None) -> CheckReport:
         for p, diff in zip(points, diffs.max(axis=(0, 1, 2))):
             worst.update(diff, f"{data.description} at {p}")
     details = {"points": 100, "families": len(families)}
-    return worst.report("connection-oracle", _tol(tol, 1e-6),
-                        _in_time(start, 5.0, details), details)
+    _in_time(worst, start, 5.0, details)
+    return worst.report("connection-oracle", _tol(tol, 1e-6), details)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +194,7 @@ def check_curvature_formula(tol=None) -> CheckReport:
                              f"mixed identity j={j}, {data.description}")
             worst.update(abs(got[4] - (3.0 * r[n] * r[n] - g_curv[n])),
                          f"horizontal identity, {data.description}")
-    return worst.report("curvature-formula", _tol(tol, 1e-5), True,
-                        {"tuples": 200})
+    return worst.report("curvature-formula", _tol(tol, 1e-5), {"tuples": 200})
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +214,11 @@ def check_ricci(tol=None) -> CheckReport:
     expected = np.diag([-0.5, -0.5, 0.5])
     q = (0.3, -0.4)
     heis_diff = float(np.max(np.abs(geo.ricci(heis, q) - expected)))
-    worst.update(heis_diff, f"Heisenberg entry, {heis.description} at {q}")
-    return worst.report("ricci", _tol(tol, 1e-5), heis_diff <= _tol(tol, 1e-8),
+    where, bound = f"{heis.description} at {q}", _tol(tol, 1e-8)
+    worst.update(heis_diff, "Heisenberg entry, " + where)
+    worst.require(heis_diff <= bound, f"Heisenberg entry > {bound:g}", where,
+                  heis_diff)
+    return worst.report("ricci", _tol(tol, 1e-5),
                         {"heisenberg_residual": heis_diff})
 
 
@@ -223,21 +234,22 @@ def _bcv_scalars(data: geo.KillingData, x, y):
 def check_bcv_constants(tol=None) -> CheckReport:
     r_bound, g_bound = _tol(tol, 1e-10), _tol(tol, 1e-8)
     worst = _Worst()
-    ok = True
     for c, mu in ((1.0, 1.0), (-1.0, 0.3), (0.0, 0.5), (4.0, 1.0)):
         data = geo.bcv(c, mu)
         points = data.domain.grid(20, 20)
         rs, gs = batched(functools.partial(_bcv_scalars, data),
                          *map(np.array, zip(*points)))
         r_dev, g_dev = np.abs(rs - mu), np.abs(gs - c)
-        ok = ok and bool(np.all(r_dev <= r_bound) and np.all(g_dev <= g_bound))
-        # np.maximum and np.argmax keep a nan: the first nan, else the
-        # first largest deviation, is the family's worst point
-        deviation = np.maximum(r_dev, g_dev)
-        k = int(np.argmax(deviation))
-        x, y = points[k]
-        worst.update(deviation[k], f"BCV({c}, {mu}) at ({x:.3f}, {y:.3f})")
-    return worst.report("bcv-constants", max(r_bound, g_bound), ok,
+        # np.argmax keeps a nan: the first nan, else the first largest
+        # deviation, is the worst point of r and of G
+        for label, dev, bound in (("r - mu", r_dev, r_bound),
+                                  ("G - c", g_dev, g_bound)):
+            k = int(np.argmax(dev))
+            where = "BCV({}, {}) at ({:.3f}, {:.3f})".format(c, mu, *points[k])
+            worst.update(dev[k], where)
+            worst.require(dev[k] <= bound, f"|{label}| > {bound:g}", where,
+                          float(dev[k]))
+    return worst.report("bcv-constants", max(r_bound, g_bound),
                         {"grid": "20x20", "pairs": 4})
 
 
@@ -251,24 +263,27 @@ def check_hopf_tube(tol=None) -> CheckReport:
     good = hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=1.0), sphere)
     worst = _Worst()
     worst.update(np.max(np.abs(good.residuals)), "kappa=1 circle in BCV(1,0)")
-    ok = good.verdict.passed
+    worst.require(good.verdict.passed, "Hopf verdict fails",
+                  "kappa=1 circle in BCV(1,0)", good.verdict.reason)
 
     details = {"kappa1_defect": good.verdict.defect}
     for kappa in (0.5, 2.0):
         v = hopf.hopf_residuals(hopf.bcv_circle(1.0, kappa=kappa),
                                 sphere).verdict
         details[f"kappa{kappa}_defect"] = v.defect
-        if v.passed or not v.defect >= HOPF_DEFECT_MIN:
-            ok = False
+        where = f"kappa={kappa} circle in BCV(1,0)"
+        worst.require(not v.passed, "Hopf verdict passes", where, v.reason)
+        worst.require(v.defect >= HOPF_DEFECT_MIN, "defect < HOPF_DEFECT_MIN",
+                      where, v.defect)
 
     heis = hopf.ConformalBase(geo.bcv(0.0, 0.5))
     v = hopf.hopf_residuals(hopf.bcv_circle(0.0, kappa=1.0), heis).verdict
     details["heisenberg_admissible"] = v.admissible
-    if v.admissible or v.passed:
-        ok = False
+    worst.require(not (v.admissible or v.passed), "admissible or passes",
+                  "kappa=1 circle in BCV(0,0.5)", v.reason)
 
-    in_time = _in_time(start, 2.0, details)
-    return worst.report("hopf-tube", _tol(tol, 1e-5), ok and in_time, details)
+    _in_time(worst, start, 2.0, details)
+    return worst.report("hopf-tube", _tol(tol, 1e-5), details)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +296,12 @@ def check_rotational_example(tol=None) -> CheckReport:
     worst.update(abs(case.t0 - math.pi / 4.0), "root for f=cos, r=0")
     worst.update(abs(case.kappa_g ** 2 - 1.0), "kappa^2 for f=cos, r=0")
     worst.update(abs(case.gauss - 1.0), "G for f=cos, r=0")
+    worst.require(case.report.verdict.passed, "Hopf verdict fails",
+                  "f=cos, r=0", case.report.verdict.reason)
     max_res = float(np.max(np.abs(case.report.residuals)))
-    ok = case.report.verdict.passed and max_res <= _tol(tol, 1e-5)
+    bound = _tol(tol, 1e-5)
+    worst.require(max_res <= bound, f"sweep residual > {bound:g}",
+                  "f=cos, r=0", max_res)
     details = {"t0": case.t0, "residual_r0": max_res}
 
     case = hopf.rotational_case_search("cos(t)", 0.25, (0.0, 1.5))[0]
@@ -290,8 +309,9 @@ def check_rotational_example(tol=None) -> CheckReport:
     worst.update(abs(case.kappa_g ** 2 - 0.75), "kappa^2 for f=cos, r=1/4")
     worst.update(abs(case.kappa_g ** 2 - target), "criterion for f=cos, r=1/4")
     details["t0_quarter"] = case.t0
-    ok = ok and case.report.verdict.passed
-    return worst.report("rotational-example", _tol(tol, 1e-8), ok, details)
+    worst.require(case.report.verdict.passed, "Hopf verdict fails",
+                  "f=cos, r=1/4", case.report.verdict.reason)
+    return worst.report("rotational-example", _tol(tol, 1e-8), details)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +352,14 @@ def check_surface_identities(tol=None) -> CheckReport:
         oracle = srf.shape_frame_fd(patch, q)
         worst.update(np.max(np.abs(d.shape_frame - oracle)),
                      "weingarten-oracle: " + where)
-        worst.update(d.norm_sq - srf.shape_norm_from_angle(patch, q),
-                     "shape-norm: " + where)
+        e = np.array([d.e1, d.e2])  # <A(e_i), e_j>, the Weingarten map
+        adapted = (np.linalg.solve(d.first_form, d.tangents @ e.T).T
+                   @ d.shape_frame @ e.T)
+        worst.update(np.max(np.abs(srf.shape_matrix_adapted(patch, q)
+                                   - adapted)), "shape-matrix: " + where)
         worst.update(np.max(np.abs(bih.bitension_frame_identity(patch, q))),
                      "bitension-frame: " + where)
-    return worst.report("surface-identities", _tol(tol, 1e-4), True,
-                        {"graphs": 10})
+    return worst.report("surface-identities", _tol(tol, 1e-4), {"graphs": 10})
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +368,6 @@ def check_surface_identities(tol=None) -> CheckReport:
 
 def check_harmonic_sanity(tol=None) -> CheckReport:
     worst = _Worst()
-    # the first of the check's own conditions to fail, which ``tol`` does
-    # not reach: its location and details name it, the patch and the value
-    failed = {}
-
-    def require(holds, condition, patch, value):
-        if not holds and not failed:
-            failed.update(condition=condition, patch=patch.name, value=value)
-
     # vertical planes over base geodesics in three ambient families, which
     # are minimal, then a proper biharmonic cylinder; the orientation flip
     # of each must not change any verdict
@@ -374,28 +388,26 @@ def check_harmonic_sanity(tol=None) -> CheckReport:
         other = bih.bitension_residual(twin, point)
         if patch is not cyl:
             for flipped, bt in ((False, one), (True, other)):
-                require(abs(bt.mean_h) <= bih.PROPER_H_TOL,
-                        f"|H| > PROPER_H_TOL (flip={flipped})", patch,
-                        abs(bt.mean_h))
+                worst.require(abs(bt.mean_h) <= bih.PROPER_H_TOL,
+                              f"|H| > PROPER_H_TOL (flip={flipped})",
+                              patch.name, abs(bt.mean_h))
                 worst.update(np.max((abs(bt.normal), bt.tangential_norm)),
                              f"{patch.name} (flip={flipped})")
         verdicts = (one.is_biharmonic(), other.is_biharmonic())
-        require(verdicts[0] == verdicts[1],
-                "is_biharmonic changed under the flip", patch,
-                "%s -> %s" % verdicts)
+        worst.require(verdicts[0] == verdicts[1],
+                      "is_biharmonic changed under the flip", patch.name,
+                      "%s -> %s" % verdicts)
         branch_one = bih.classify_point(patch, point).branch
         branch_other = bih.classify_point(twin, point).branch
-        require(branch_one == branch_other, "branch changed under the flip",
-                patch, f"{branch_one} -> {branch_other}")
+        worst.require(branch_one == branch_other,
+                      "branch changed under the flip", patch.name,
+                      f"{branch_one} -> {branch_other}")
         lines_one = np.abs(bih.frame_system_residuals(patch, point))
         lines_other = np.abs(bih.frame_system_residuals(twin, point))
         worst_flip = float(np.max(np.abs(lines_one - lines_other)))
-        require(worst_flip <= 1e-10, "frame-system moved > 1e-10 under the "
-                "flip", patch, worst_flip)
-    if failed:
-        worst.location = ", ".join(map(str, failed.values()))
-    return worst.report("harmonic-sanity", _tol(tol, 1e-6), not failed,
-                        failed)
+        worst.require(worst_flip <= 1e-10, "frame-system moved > 1e-10 under "
+                      "the flip", patch.name, worst_flip)
+    return worst.report("harmonic-sanity", _tol(tol, 1e-6), {})
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +416,17 @@ def check_harmonic_sanity(tol=None) -> CheckReport:
 
 def check_branch_logic(tol=None) -> CheckReport:
     worst = _Worst()
-    ok = True
-    details = {}
-
     K = geo.bcv(1.0, 0.0)
     circ = hopf.bcv_circle(1.0, kappa=1.0)
     cyl = hopf.cylinder_patch(K, circ)
     report_a = bih.classify_point(cyl, (0.5 * circ.interval[1], 0.5))
-    details["cylinder_branch"] = report_a.branch
-    if report_a.branch != "a" or not report_a.satisfied:
-        ok = False
 
     flagged = bih.classify_scalars(cos_phi=0.5, grad_norm=0.5,
                                    gauss=4.0 * 0.09, r=0.3,
                                    norm_sq=1.0, mean_h=1.0)
-    details["degenerate_branch"] = flagged.branch
-    if flagged.branch != "contradiction-propRconst":
-        ok = False
+    worst.require(flagged.branch == "contradiction-propRconst",
+                  "not the contradiction branch", "synthetic degenerate data",
+                  flagged.branch)
 
     grad_norm, r, g_val = 0.4, 0.5, 0.3
     phi = 0.5 * math.atan2(2.0 * grad_norm, 4.0 * r * r - g_val)
@@ -428,17 +434,20 @@ def check_branch_logic(tol=None) -> CheckReport:
     synth = bih.classify_scalars(cos_phi=math.cos(phi), grad_norm=grad_norm,
                                  gauss=g_val, r=r, norm_sq=norm_sq, mean_h=1.0)
     worst.update(synth.diagnostics["tan2phi_residual"], "synthetic b2 data")
-    details["b2_branch"] = synth.branch
-    if synth.branch != "b2" or not synth.satisfied:
-        ok = False
 
     mu = 0.7
     b1 = bih.classify_scalars(cos_phi=0.4, grad_norm=0.0, gauss=4.0 * mu * mu,
                               r=mu, norm_sq=2.0 * mu * mu, mean_h=1.0)
-    details["b1_branch"] = b1.branch
-    if b1.branch != "b1" or not b1.satisfied:
-        ok = False
-    return worst.report("branch-logic", _tol(tol, 1e-12), ok, details)
+    for want, where, got in (("a", "kappa=1 cylinder in BCV(1,0)", report_a),
+                             ("b2", "synthetic b2 data", synth),
+                             ("b1", "synthetic b1 data", b1)):
+        worst.require(got.branch == want and got.satisfied,
+                      f"not a satisfied branch {want}", where,
+                      f"{got.branch}, satisfied={got.satisfied}")
+    details = {"cylinder_branch": report_a.branch,
+               "degenerate_branch": flagged.branch,
+               "b2_branch": synth.branch, "b1_branch": b1.branch}
+    return worst.report("branch-logic", _tol(tol, 1e-12), details)
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +504,15 @@ def run_checks(only: str | None = None, tol: float | None = None) -> list[CheckR
     rotational-example's sweep residual. None keeps each check's defaults,
     and 0.0 is an override like any other. Tightening it below the
     finite-difference floor makes the FD-limited checks fail with their
-    honest residuals. It does not reach the bounds of the checks' own
+    honest residuals. It does not reach the other bounds of the checks'
     conditions: ``biharmonic.PROPER_H_TOL`` and harmonic-sanity's 1e-10
     flip bound, ``biharmonic.RESIDUAL_TOL`` in the biharmonic and branch
     verdicts, ``hopf.CRITERION_TOL`` in the Hopf verdicts of hopf-tube and
     rotational-example, ``HOPF_DEFECT_MIN``, and the runtime limits (5 s
-    and 2 s). A filter that matches no check is a KsubError, so a misspelt
-    name cannot read as a pass.
+    and 2 s). Every check states its conditions through
+    ``_Worst.require``, and every failing report names its first failed
+    condition. A filter that matches no check is a KsubError, so a
+    misspelt name cannot read as a pass.
     """
     if only and not any(only in name for name in CHECK_NAMES):
         raise KsubError(f"no check name contains {only!r}; the checks are "

@@ -21,7 +21,8 @@ pass it.
 A third table spoils one of harmonic-sanity's own conditions, which its
 ``tol`` does not reach (|H| of a plane, the flip invariance of the verdicts
 and of the frame system): the check fails at every ``tol``, and its location
-and details name the condition, the patch and the value.
+and details name the condition, the patch and the value, under the keys
+every check's failed condition shares (``condition``, ``where``, ``value``).
 
 A last row puts a nan |grad r| into ``check-surface`` on a plane where
 4 r^2 = G exactly: the branch row reads the contradiction, and the run exits
@@ -162,9 +163,10 @@ def test_a_failed_condition_names_itself(module, name, wrap, condition,
     monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     report = verify.check_harmonic_sanity(tol)
     assert report.status == "fail"
-    assert report.details == {"condition": condition, "patch": patch,
+    assert report.details == {"condition": condition, "where": patch,
                               "value": value}
-    assert report.location.startswith(f"{condition}, {patch}, ")
+    assert report.location == (f"{condition}, {patch}, "
+                               f"{report.details['value']}")
 
 
 def test_a_nan_grad_r_norm_reads_as_the_contradiction(monkeypatch, capsys):

@@ -1,13 +1,16 @@
 import ast
 import inspect
+import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from test_expr import _scopes_where
 
 import ksub
+from ksub import biharmonic as bih
 from ksub import geometry as geo
 from ksub import hopf
 from ksub import surface as srf
@@ -40,18 +43,33 @@ class TestWorst:
         worst.update(5.0, "c")
         worst.update(math.nan, "d")
         assert math.isnan(worst.value) and worst.location == "b"
-        report = worst.report("x", 1e-6, True, {})
+        report = worst.report("x", 1e-6, {})
         assert report.status == "fail"
         assert math.isnan(report.residual) and report.location == "b"
 
-    @pytest.mark.parametrize("residual, ok, status", [
-        (1e-6, True, "pass"), (2e-6, True, "fail"), (0.0, False, "fail")])
-    def test_report_passes_when_ok_and_within_tol(self, residual, ok, status):
+    @pytest.mark.parametrize("residual, holds, status", [
+        (1e-6, True, "pass"), (2e-6, True, "fail"), (0.0, False, "fail")],
+        ids=["within-tol", "over-tol", "failed-condition"])
+    def test_report_passes_when_no_condition_fails_and_within_tol(
+            self, residual, holds, status):
         worst = _Worst()
         worst.update(residual, "here")
-        report = worst.report("x", 1e-6, ok, {"n": 1})
+        worst.require(holds, "|H| > 1e-9", "plane", 0.5)
+        report = worst.report("x", 1e-6, {"n": 1})
+        named = {} if holds else {"condition": "|H| > 1e-9", "where": "plane",
+                                  "value": 0.5}
         assert (report.name, report.status, report.residual, report.tol,
-                report.details) == ("x", status, residual, 1e-6, {"n": 1})
+                report.location, report.details) == (
+            "x", status, residual, 1e-6,
+            "here" if holds else "|H| > 1e-9, plane, 0.5", {"n": 1, **named})
+
+    def test_the_first_failed_condition_is_kept(self):
+        worst = _Worst()
+        worst.require(True, "a", "p", 1)
+        worst.require(False, "b", "q", 2)
+        worst.require(False, "c", "r", 3)
+        report = worst.report("x", 1.0, {})
+        assert (report.status, report.location) == ("fail", "b, q, 2")
 
 
 class TestRunChecksTolerances:
@@ -152,30 +170,131 @@ class TestOverrideReachesEverySecondaryTolerance:
         [report] = verify.run_checks(only="ricci")
         assert report.status == "fail"
         assert report.residual == pytest.approx(1e-6, rel=1e-9)
-        assert report.location == ("Heisenberg entry, BCV(c=0.0, mu=0.5) at "
-                                   "(0.3, -0.4)")
         assert report.details["heisenberg_residual"] == report.residual
+        named = ("Heisenberg entry > 1e-08",
+                 "BCV(c=0.0, mu=0.5) at (0.3, -0.4)", report.residual)
+        assert tuple(report.details[key] for key in (
+            "condition", "where", "value")) == named
+        assert report.location == ", ".join(map(str, named))
+
+
+def _stopwatch(monkeypatch):
+    """verify's clock, each reading 100 s after the one before."""
+    monkeypatch.setattr(verify, "time", SimpleNamespace(
+        monotonic=itertools.count(0.0, 100.0).__next__))
+
+
+class TestEveryConditionNamesItself:
+    # one row per kind of condition a check states besides its residual:
+    # each spoils a monkeypatched module attribute, the check fails, and
+    # its location and details name the condition, where and the value
+    ROWS = [
+        # r between its bound (1e-10) and the report's tol (G's 1e-8)
+        ("bcv-constants", lambda mp: mp.setattr(
+            geo, "bundle_curvature", _offset(geo.bundle_curvature, 1e-9)),
+         "|r - mu| > 1e-10", "BCV(1.0, 1.0) at (",
+         pytest.approx(1e-9, rel=1e-6), {}),
+        # the least defect of a circle that must fail (0.75 here)
+        ("hopf-tube", lambda mp: mp.setattr(verify, "HOPF_DEFECT_MIN", 10.0),
+         "defect < HOPF_DEFECT_MIN", "kappa=0.5 circle in BCV(1,0)",
+         pytest.approx(0.75), {}),
+        # the branch verdicts, whose residuals are FD-limited
+        ("branch-logic", lambda mp: mp.setattr(bih, "RESIDUAL_TOL", 1e-20),
+         "not a satisfied branch a", "kappa=1 cylinder in BCV(1,0)",
+         "a, satisfied=False", {}),
+        # the Hopf verdict, whose spread along the curve is FD-limited
+        ("rotational-example",
+         lambda mp: mp.setattr(hopf, "CRITERION_TOL", 1e-20),
+         "Hopf verdict fails", "f=cos, r=0",
+         "kappa_g, r or G varies along the curve", {}),
+        # the Heisenberg entry between its bound (1e-8) and the tol (1e-5)
+        ("ricci", lambda mp: mp.setattr(
+            geo, "ricci", _offset(geo.ricci, 1e-7, where=(0.3, -0.4))),
+         "Heisenberg entry > 1e-08", "BCV(c=0.0, mu=0.5) at (0.3, -0.4)",
+         pytest.approx(1e-7, rel=1e-6), {}),
+        # the runtime limits, 5 s and 2 s
+        ("connection-oracle", _stopwatch, "runtime >= 5 s", "whole check",
+         100.0, {"runtime_limit_exceeded": True}),
+        ("hopf-tube", _stopwatch, "runtime >= 2 s", "whole check", 100.0,
+         {"runtime_limit_exceeded": True}),
+    ]
+
+    @pytest.mark.parametrize(
+        "check, spoil, condition, where, value, also", ROWS,
+        ids=["bcv-r", "hopf-defect-min", "branch-verdict", "hopf-verdict",
+             "ricci-heisenberg", "runtime-5s", "runtime-2s"])
+    def test_fails_and_names_the_condition(self, check, spoil, condition,
+                                           where, value, also, monkeypatch):
+        spoil(monkeypatch)
+        report = _check(check)()
+        details = report.details
+        assert report.status == "fail"
+        assert (details["condition"], details["value"]) == (condition, value)
+        assert details["where"].startswith(where)
+        assert report.location == (f"{condition}, {details['where']}, "
+                                   f"{details['value']}")
+        assert details.items() >= also.items()
 
 
 def _sources():
     return sorted(Path(ksub.__file__).parent.glob("*.py"))
 
 
+def _writes(node, attrs) -> bool:
+    """Whether ``node`` assigns to an attribute named in ``attrs``."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target]
+               if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+    return any(isinstance(sub, ast.Attribute) and sub.attr in attrs
+               for target in targets for sub in ast.walk(target))
+
+
+def _verify_tree():
+    return ast.parse(Path(verify.__file__).read_text())
+
+
 class TestOneVerdictRule:
     def test_no_code_assigns_a_status_or_residual(self):
         # a status set again after the report was built is a second rule
-        found = []
+        found = [f"{path.stem}: {ast.unparse(node)}" for path in _sources()
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if _writes(node, ("status", "residual"))]
+        assert found == []
+
+    def test_only_the_tracker_writes_a_location(self):
+        # harmonic-sanity once wrote its failed condition over the location
+        found = {}
         for path in _sources():
-            for node in ast.walk(ast.parse(path.read_text())):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target]
-                           if isinstance(node, (ast.AugAssign, ast.AnnAssign))
-                           else [])
-                found += [f"{path.stem}: {ast.unparse(node)}"
-                          for target in targets
-                          for sub in ast.walk(target)
-                          if isinstance(sub, ast.Attribute)
-                          and sub.attr in ("status", "residual")]
+            for scope in _scopes_where(ast.parse(path.read_text()),
+                                       lambda node: _writes(node,
+                                                            ("location",))):
+                found.setdefault(path.stem, []).append(scope)
+        assert found == {"verify": ["_Worst.__init__", "_Worst.update"]}
+
+    def test_report_takes_no_verdict_of_its_own(self):
+        [tracker] = [node for node in _verify_tree().body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "_Worst"]
+        [report] = [node for node in tracker.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "report"]
+        assert [arg.arg for arg in report.args.args] == [
+            "self", "name", "tol", "details"]
+
+    def test_no_check_keeps_a_verdict_of_its_own(self):
+        # an ``ok`` or ``failed`` flag, or a nested ``require``, decided
+        # beside _Worst; every condition goes through _Worst.require
+        checks = [node for node in _verify_tree().body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name.startswith("check_")]
+        assert len(checks) == len(verify.CHECK_NAMES)
+        found = [f"{check.name}: {ast.unparse(sub)[:40]}" for check in checks
+                 for sub in ast.walk(check) if sub is not check and (
+                     isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.Lambda))
+                     or isinstance(sub, ast.Name)
+                     and isinstance(sub.ctx, ast.Store)
+                     and sub.id in ("ok", "failed"))]
         assert found == []
 
     def test_only_the_builder_makes_a_report(self):
