@@ -501,7 +501,7 @@ def cmd_hopf_check(args) -> int:
     worst_rows = np.max(np.abs(report.residuals), axis=1)
     payload = {
         "schema_version": SCHEMA_VERSION, "command": "hopf-check",
-        "metric": data.description,
+        "metric": data.description, "tol": tol,
         "verdict": _verdict_dict(report.verdict),
         "max_residual": float(np.max(worst_rows)),
         "crosscheck": report.crosscheck,
@@ -540,7 +540,7 @@ def cmd_hopf_example(args) -> int:
                      "residual": worst, "tol": tol,
                      "status": "pass" if verdict.passed else "fail"})
     payload = {"schema_version": SCHEMA_VERSION, "command": "hopf-example",
-               "f": args.f, "r": args.r, "roots": records}
+               "f": args.f, "r": args.r, "tol": tol, "roots": records}
     _emit(args, payload, rows)
     return _expect_exit(args.expect, all_pass)
 
@@ -687,7 +687,7 @@ def main(argv=None) -> int:
     except ArithmeticError as err:  # overflow, division by zero, FP traps
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
-    except RecursionError as err:  # parsing and jets recurse on the tree
+    except RecursionError as err:  # only the parser recurses, MAX_NESTING deep
         print(f"error: expression nested too deeply: {err}", file=sys.stderr)
         return 2
     except MemoryError as err:  # numpy refuses an array past the memory

@@ -1,13 +1,24 @@
 """Scalar expression parsing and second-order forward-mode differentiation.
 
 Expressions are parsed from text over a declared list of variables into an
-immutable AST, then evaluated either as values or as ``Jet`` values carrying
-(value, gradient, Hessian) with respect to the declared variables. One walker
-serves both, with one arithmetic per kind: the value operations, and the
-``Jet`` methods, which also check that the result is twice differentiable.
-Each domain check is one function for both: ``_divide``, the values' log and
-``_value_checked`` (sqrt). Exponents of ``^`` must be numeric literals, which
-keeps the power rule exact.
+immutable post-order program: a flat tuple of ``(op, arg)`` instructions,
+``("const", value)``, ``("var", name)``, ``("neg", None)``, ``(func, None)``,
+``("^", exponent)`` and ``(op, None)`` for ``+ - * /``, each operator after
+its operands. One loop runs a program over a stack, either as values or as
+``Jet`` values carrying (value, gradient, Hessian) with respect to the
+declared variables, with one arithmetic per kind: the value operations, and
+the ``Jet`` methods, which also check that the result is twice
+differentiable. A domain error names the subexpression that its instruction
+completes, printed from the program by the same loop-driven printer as
+``str(expr)``. Each domain check is one function for both: ``_divide``, the
+values' log and ``_value_checked`` (sqrt). Exponents of ``^`` must be
+numeric literals, which keeps the power rule exact.
+
+Only the parser recurses, and only into a parenthesised expression or a
+function's argument: a text nested deeper than ``MAX_NESTING`` such levels
+is an :class:`ExprSyntaxError`, while sums, products and runs of unary
+minuses of any length parse and evaluate. Whether a text parses is a
+property of the text, not of the caller's stack.
 
 Both arithmetics run over a batch of N points, given as one-dimensional
 coordinate arrays, on a trailing axis: value (N,), gradient (n, N), Hessian
@@ -41,8 +52,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,101 +85,72 @@ FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 _RESERVED = set(FUNCTIONS) | {"pi"}
 
 _ABS_KINK_TOL = 1e-12
+# parentheses and function calls one inside another that a text may hold
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
-# AST
+# Programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+# the printer's precedence of an instruction's text: additive 1,
+# multiplicative 2, power and unary minus 3; a constant, a variable or a
+# function call (4) never needs parentheses
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3, "neg": 3}
+_BINARY = ("+", "-", "*", "/")
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Expr(NamedTuple):
+    """Parsed scalar expression over an ordered tuple of variable names:
+    a post-order program of ``(op, arg)`` instructions (see :func:`parse`)."""
 
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # one of + - * /
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Node"
-    exponent: float
-
-
-Node = Union[Const, Var, Neg, Call, Binary, Power]
-
-
-@dataclass(frozen=True)
-class Expr:
-    """Parsed scalar expression over an ordered tuple of variable names."""
-
-    root: Node
+    program: tuple
     variables: tuple[str, ...]
 
     def __str__(self) -> str:
-        return _to_text(self.root, 0)
+        return _to_text(self.program, len(self.program) - 1)
 
     def __call__(self, *point: float) -> float:
         return eval_value(self, point)
 
 
-# precedence levels used by the printer: additive 1, multiplicative 2,
-# power/unary 3, atoms 4
-def _to_text(node: Node, parent_prec: int) -> str:
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.func}({_to_text(node.arg, 0)})"
-    if isinstance(node, Neg):
-        inner = node.arg
-        if isinstance(inner, (Const, Var, Call, Neg, Power)):
-            text = "-" + _to_text(inner, 3)
+def _to_text(program: tuple, end: int) -> str:
+    """The text of the subexpression that instruction ``end`` completes,
+    with just the parentheses that make it reparse to the same program."""
+    stack = []  # (text, op) of each operand not yet consumed
+    for i, (op, arg) in enumerate(program):
+        if op == "const":
+            text = repr(arg)
+        elif op == "var":
+            text = arg
+        elif op in _BINARY:
+            right, right_op = stack.pop()
+            left, left_op = stack.pop()
+            prec = _PRECEDENCE[op]
+            if _PRECEDENCE.get(left_op, 4) < prec:
+                left = f"({left})"
+            # the grammar is left-associative, so a right operand of equal
+            # precedence needs parentheses to reparse to the same program,
+            # and so does a leading minus ("a+-b")
+            if _PRECEDENCE.get(right_op, 4) <= prec or right.startswith("-"):
+                right = f"({right})"
+            text = f"{left}{op}{right}"
         else:
-            text = "-(" + _to_text(inner, 0) + ")"
-        return f"({text})" if parent_prec > 3 else text
-    if isinstance(node, Power):
-        base = node.base
-        if isinstance(base, (Const, Var, Call, Neg)):
-            base_text = _to_text(base, 3)
-        else:
-            base_text = "(" + _to_text(base, 0) + ")"
-        exp = node.exponent
-        exp_text = repr(exp) if exp >= 0 else "-" + repr(-exp)
-        text = f"{base_text}^{exp_text}"
-        return f"({text})" if parent_prec > 3 else text
-    if isinstance(node, Binary):
-        prec = 1 if node.op in "+-" else 2
-        left = _to_text(node.left, prec)
-        # the grammar is left-associative, so any right child of equal
-        # precedence needs parentheses to reparse to the same tree shape
-        right = _to_text(node.right, prec + 1)
-        # guard against "a+-b": wrap a leading-minus right operand
-        if right.startswith("-"):
-            right = "(" + right + ")"
-        text = f"{left}{node.op}{right}"
-        return f"({text})" if parent_prec > prec else text
-    raise TypeError(f"unknown node {node!r}")
+            inner, inner_op = stack.pop()
+            # a minus or a power of a power or of a binary operation
+            # wraps it: "-(x^2.0)" is not "-x^2.0", which is (-x)^2.0
+            if op in ("neg", "^") and (
+                    inner_op == "^" or _PRECEDENCE.get(inner_op, 4) < 3):
+                inner = f"({inner})"
+            if op == "neg":
+                text = "-" + inner
+            elif op == "^":
+                text = f"{inner}^{repr(arg) if arg >= 0 else '-' + repr(-arg)}"
+            else:
+                text = f"{op}({inner})"
+        if i == end:
+            return text
+        stack.append((text, op))
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +187,17 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent that emits each operator's instruction after its
+    operands' (post-order). Only a parenthesised expression and a function's
+    argument descend, at most MAX_NESTING levels, so whether a text parses
+    does not depend on the caller's stack."""
+
     def __init__(self, text: str, variables: tuple[str, ...]):
-        self.text = text
         self.variables = variables
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
+        self.program = []
 
     def peek(self):
         return self.tokens[self.idx]
@@ -226,40 +213,41 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", pos)
         return self.advance()
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> tuple:
+        self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected token {val!r}", pos)
-        return node
+        return tuple(self.program)
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> None:
+        self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                node = Binary(val, node, self.term())
+                self.term()
+                self.program.append((val, None))
             else:
-                return node
+                return
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> None:
+        self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                node = Binary(val, node, self.factor())
+                self.factor()
+                self.program.append((val, None))
             else:
-                return node
+                return
 
-    def factor(self) -> Node:
-        node = self.base()
+    def factor(self) -> None:
+        self.base()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            node = Power(node, self.exponent())
-        return node
+            self.program.append(("^", self.exponent()))
 
     def exponent(self) -> float:
         sign = 1.0
@@ -273,31 +261,37 @@ class _Parser:
         self.advance()
         return sign * float(val)
 
-    def base(self) -> Node:
+    def base(self) -> None:
         kind, val, pos = self.advance()
+        negations = 0
+        while kind == "op" and val == "-":
+            negations += 1
+            kind, val, pos = self.advance()
         if kind == "num":
-            return Const(float(val))
-        if kind == "ident":
-            if val == "pi":
-                return Const(math.pi)
-            if val in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
+            self.program.append(("const", float(val)))
+        elif kind == "ident" and val == "pi":
+            self.program.append(("const", math.pi))
+        elif kind == "ident" and val not in FUNCTIONS:
             if val not in self.variables:
-                raise UndeclaredVariableError(f"undeclared variable {val!r}", pos)
-            return Var(val)
-        if kind == "op":
-            if val == "(":
-                node = self.expr()
-                self.expect_op(")")
-                return node
-            if val == "-":
-                return Neg(self.base())
-        raise ExprSyntaxError(
-            f"unexpected token {val!r}" if val else "unexpected end of input", pos
-        )
+                raise UndeclaredVariableError(f"undeclared variable {val!r}",
+                                              pos)
+            self.program.append(("var", val))
+        elif kind == "ident" or (kind, val) == ("op", "("):
+            if kind == "ident":
+                self.expect_op("(")
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"expression nested deeper than {MAX_NESTING} levels", pos)
+            self.depth += 1
+            self.expr()
+            self.expect_op(")")
+            self.depth -= 1
+            if kind == "ident":
+                self.program.append((val, None))
+        else:
+            raise ExprSyntaxError(f"unexpected token {val!r}" if val
+                                  else "unexpected end of input", pos)
+        self.program.extend([("neg", None)] * negations)
 
 
 def parse(text: str, variables) -> Expr:
@@ -308,8 +302,7 @@ def parse(text: str, variables) -> Expr:
             raise KsubError(f"variable name {name!r} is reserved")
         if not re.fullmatch(r"[a-zA-Z_][a-zA-Z0-9_]*", name):
             raise KsubError(f"invalid variable name {name!r}")
-    root = _Parser(text, variables).parse()
-    return Expr(root, variables)
+    return Expr(_Parser(text, variables).parse(), variables)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +398,11 @@ def pointwise(fn):
 def _unbatch(out):
     """The one point of a batch of one: a Jet with a float value, an array
     without its batch axis (a float for a scalar), a tuple part by part."""
-    if isinstance(out, Jet):
-        return Jet(float(out.value[0]), out.grad[..., 0], out.hess[..., 0])
-    if isinstance(out, tuple):
-        return tuple(map(_unbatch, out))
-    return out[..., 0] if out.ndim > 1 else float(out[0])
+    parts = [Jet(float(part.value[0]), part.grad[..., 0], part.hess[..., 0])
+             if isinstance(part, Jet)
+             else part[..., 0] if part.ndim > 1 else float(part[0])
+             for part in (out if isinstance(out, tuple) else (out,))]
+    return tuple(parts) if isinstance(out, tuple) else parts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +593,13 @@ def _value_leaf(value, *_):
 # "/", "^" and the functions differ between the two arithmetics; "+", "-",
 # "*" and negation are the operators of both arrays and jets. "^", "sqrt"
 # and "log" check a whole batch first, in element order.
-_JET_OPS = {"/": operator.truediv, "^": operator.pow, "sin": Jet.sin,
-            "cos": Jet.cos, "tan": Jet.tan, "exp": Jet.exp, "log": Jet.log,
-            "sqrt": Jet.sqrt, "abs": abs}
+_RING_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "neg": operator.neg}
+_JET_OPS = {**_RING_OPS, "/": operator.truediv, "^": operator.pow,
+            "sin": Jet.sin, "cos": Jet.cos, "tan": Jet.tan, "exp": Jet.exp,
+            "log": Jet.log, "sqrt": Jet.sqrt, "abs": abs}
 _VALUE_OPS = {
+    **_RING_OPS,
     **{name: functools.partial(_kernel, ufunc) for name, ufunc in (
         ("sin", np.sin), ("cos", np.cos), ("tan", np.tan), ("exp", np.exp))},
     "log": functools.partial(_value_checked, functools.partial(_kernel, np.log),
@@ -627,7 +623,7 @@ _VALUES = _Arithmetic(_value_leaf, _value_leaf, _VALUE_OPS)
 
 
 def _evaluate(expr: Expr, coords, arithmetic: _Arithmetic):
-    """The one traversal behind :func:`eval_jet` and :func:`eval_value`,
+    """The one pass behind :func:`eval_jet` and :func:`eval_value`,
     over a batch of coordinate arrays (the others broadcast against the
     first)."""
     n = len(expr.variables)
@@ -640,14 +636,34 @@ def _evaluate(expr: Expr, coords, arithmetic: _Arithmetic):
     if coords and coords[0].ndim != 1:
         raise KsubError("a batch needs one-dimensional coordinate arrays")
     index = {name: i for i, name in enumerate(expr.variables)}
-    return batched(functools.partial(_run, expr.root, index, arithmetic),
+    return batched(functools.partial(_run, expr.program, index, arithmetic),
                    *coords)
 
 
-def _run(root: Node, index: dict, arithmetic: _Arithmetic, *coords):
-    """One traversal over a batch, widened to the batch's full shape."""
+def _run(program: tuple, index: dict, arithmetic: _Arithmetic, *coords):
+    """The program's one pass over a batch, each instruction replacing its
+    operands on a stack by its result, widened to the batch's full shape.
+    A domain error names the subexpression whose instruction raised it."""
     n = len(coords)
-    out = _walk(root, _Walk(coords, index, n, *arithmetic))
+    constant, variable, ops = arithmetic
+    stack = []
+    try:
+        for end, (op, arg) in enumerate(program):
+            if op == "const":
+                stack.append(constant(arg, n))
+            elif op == "var":
+                i = index[arg]
+                stack.append(variable(coords[i], i, n))
+            elif op in _BINARY:
+                right = stack.pop()
+                stack[-1] = ops[op](stack[-1], right)
+            elif op == "^":
+                stack[-1] = ops[op](stack[-1], arg)
+            else:
+                stack[-1] = ops[op](stack[-1])
+    except DomainEvalError as err:
+        raise DomainEvalError(f"{err} in '{_to_text(program, end)}'") from None
+    [out] = stack
     size = len(coords[0]) if coords else 1
     if isinstance(out, Jet):
         return Jet(_widened(out.value, (size,)), _widened(out.grad, (n, size)),
@@ -660,48 +676,6 @@ def _widened(part, shape) -> np.ndarray:
     full = np.empty(shape)
     full[...] = part
     return full
-
-
-class _Walk(NamedTuple):
-    """What one evaluation's traversal reads at every node."""
-
-    point: tuple
-    index: dict
-    n: int
-    constant: Callable
-    variable: Callable
-    ops: dict
-
-
-def _walk(node: Node, ctx: _Walk):
-    # module level, taking its context as an argument: a nested function
-    # that calls itself would leave a reference cycle behind per evaluation
-    try:
-        if isinstance(node, Const):
-            return ctx.constant(node.value, ctx.n)
-        if isinstance(node, Var):
-            i = ctx.index[node.name]
-            return ctx.variable(ctx.point[i], i, ctx.n)
-        if isinstance(node, Neg):
-            return -_walk(node.arg, ctx)
-        if isinstance(node, Call):
-            return ctx.ops[node.func](_walk(node.arg, ctx))
-        if isinstance(node, Power):
-            return ctx.ops["^"](_walk(node.base, ctx), node.exponent)
-        if isinstance(node, Binary):
-            left, right = _walk(node.left, ctx), _walk(node.right, ctx)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return ctx.ops["/"](left, right)
-    except DomainEvalError as err:
-        if " in '" in str(err):
-            raise  # already annotated with the offending subexpression
-        raise DomainEvalError(f"{err} in '{_to_text(node, 0)}'") from None
-    raise TypeError(f"unknown node {node!r}")
 
 
 @pointwise

@@ -664,8 +664,8 @@ def cylinder_patch(data: geo.KillingData, curve: BaseCurve) -> srf.SurfacePatch:
     if curve.x.variables != ("s",):
         raise KsubError("cylinder_patch needs a curve in the parameter s")
     pvars = ("s", "v")
-    x = Expr(curve.x.root, pvars)
-    y = Expr(curve.y.root, pvars)
+    x = Expr(curve.x.program, pvars)
+    y = Expr(curve.y.program, pvars)
     z = parse("v", pvars)
     domain = geo.Rect(curve.interval[0], curve.interval[1], 0.0, 1.0)
     return srf.SurfacePatch(x, y, z, domain, data)

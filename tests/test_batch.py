@@ -20,8 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ksub.errors import DomainEvalError  # noqa: E402
 from ksub.expr import (  # noqa: E402
-    FUNCTIONS, Binary, Call, Const, Expr, Neg, Power, Var, eval_jet,
-    eval_value, parse)
+    FUNCTIONS, _to_text, eval_jet, eval_value, parse)
 
 EXPONENTS = ("0", "1", "2", "3", "-1", "-2", "0.5", "1.5", "-0.5", "2.5")
 
@@ -109,41 +108,34 @@ FLOAT_OPS = {"/": _float_div, "^": _float_pow,
              "log": _float_log, "sqrt": _float_sqrt, "abs": abs}
 
 
-def _float_walk(node, values: dict, variables) -> float:
-    try:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
-            return values[node.name]
-        if isinstance(node, Neg):
-            return -_float_walk(node.arg, values, variables)
-        if isinstance(node, Call):
-            return FLOAT_OPS[node.func](_float_walk(node.arg, values,
-                                                    variables))
-        if isinstance(node, Power):
-            return FLOAT_OPS["^"](_float_walk(node.base, values, variables),
-                                  node.exponent)
-        assert isinstance(node, Binary)
-        left = _float_walk(node.left, values, variables)
-        right = _float_walk(node.right, values, variables)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return FLOAT_OPS["/"](left, right)
-    except DomainEvalError as err:
-        if " in '" in str(err):
-            raise
-        raise DomainEvalError(
-            f"{err} in '{Expr(node, variables)}'") from None
-
-
 def float_value(expr, point) -> float:
-    """``expr`` at one point in Python float arithmetic."""
+    """``expr`` at one point in Python float arithmetic, one instruction of
+    its program at a time."""
     values = dict(zip(expr.variables, map(float, point)))
-    return _float_walk(expr.root, values, expr.variables)
+    stack = []
+    for end, (op, arg) in enumerate(expr.program):
+        try:
+            if op == "const":
+                stack.append(arg)
+            elif op == "var":
+                stack.append(values[arg])
+            elif op == "neg":
+                stack.append(-stack.pop())
+            elif op == "^":
+                stack.append(FLOAT_OPS["^"](stack.pop(), arg))
+            elif op in FUNCTIONS:
+                stack.append(FLOAT_OPS[op](stack.pop()))
+            else:
+                right, left = stack.pop(), stack.pop()
+                stack.append(left + right if op == "+" else
+                             left - right if op == "-" else
+                             left * right if op == "*" else
+                             FLOAT_OPS["/"](left, right))
+        except DomainEvalError as err:
+            raise DomainEvalError(
+                f"{err} in '{_to_text(expr.program, end)}'") from None
+    [out] = stack
+    return out
 
 
 # numpy's power, exp, log and tan differ from libm's in the last bit on

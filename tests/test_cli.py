@@ -211,18 +211,28 @@ class TestInfo:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("a", ["(" * 300 + "x" + ")" * 300,
-                                   "+".join(["x"] * 3000),
-                                   "-" * 1500 + "x"],
-                             ids=["parentheses", "sum", "negations"])
+    @pytest.mark.parametrize("a", ["(" * 300 + "x" + ")" * 300],
+                             ids=["parentheses"])
     def test_deep_expression_exits_2(self, capsys, a):
         code, out, err = run(capsys, "info", "--lambda=1", f"--a={a}",
                              "--at", "0", "0")
         assert code == 2
         assert out == ""
         assert err.splitlines() == [
-            "error: expression nested too deeply: "
-            "maximum recursion depth exceeded"]
+            "error: expression nested deeper than 100 levels (at offset 100)"]
+
+    # sums and runs of unary minuses do not nest: any length evaluates,
+    # to the bits of the short form; r = b_x / 2 reads b's exact slope
+    @pytest.mark.parametrize("b, short, r", [
+        ("+".join(["x"] * 3000), "3000*x", 1500.0),
+        ("-" * 1500 + "x", "x", 0.5)], ids=["sum", "negations"])
+    def test_long_expression_evaluates(self, capsys, b, short, r):
+        code, out, err = run(capsys, "info", "--lambda=1", f"--b={b}",
+                             "--at", "0.5", "0.25")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["points"][0]["r"] == r
+        assert run(capsys, "info", "--lambda=1", f"--b={short}",
+                   "--at", "0.5", "0.25") == (0, out, "")
 
     def test_non_finite_result_exits_2(self, capsys):
         code, out, err = run(capsys, "info", "--lambda", "1",
@@ -1013,12 +1023,11 @@ class TestErrorPathCorpus:
             ["--lambda", "1", "--surface=u;u;v"], 0, "",
             "a3ad9ac1af88e012eea92d16e128d72b"
             "026b257d99ae80edfff1ab1d53e6c667"),
-        # the batch of the regularity grid and the lattice lets the
-        # RecursionError through
+        # a sum of any length evaluates: the same bytes as --graph=3000*x
         "deep-graph": (
-            ["--lambda", "1", "--graph=" + "+".join(["x"] * 3000)],
-            2, "error: expression nested too deeply: maximum recursion "
-               "depth exceeded\n", EMPTY_SHA256),
+            ["--lambda", "1", "--graph=" + "+".join(["x"] * 3000)], 0, "",
+            "bfeeb006d00087b6731e927b85a05d0b"
+            "e7b2cddac98930b85d0393cebf9cc0cc"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1073,8 +1082,8 @@ class TestErrorPathCorpus:
                "interval\n", EMPTY_SHA256),
         "heisenberg-inadmissible": (
             ["check", "--bcv", "0", "0.5", "--circle", "1"], 0, "",
-            "c5abfac42ae04ebeb19c223fda19f02e"
-            "62b0a0eb62b9d379e6bd999b0c51dcc1"),
+            "2b3774076124c9d43d9e9f60c35b30cc"
+            "fd14ce4d9b8f5bd309231ebd5bdec392"),
         "csv-pass": (
             ["check", "--bcv", "1", "0", "--circle-kg", "1",
              "--format", "csv"], 0, "",
@@ -1083,8 +1092,8 @@ class TestErrorPathCorpus:
         "example-six-roots": (
             ["example", "--f=1+0.5*sin(3*t)", "--r", "0.1",
              "--interval", "0.1", "6"], 0, "",
-            "e16e60f44e4647613b4921cf0efdd8bf"
-            "e3d7b423cf11746b8840383094409605"),
+            "c74c5113a114e6f9c8cd44b3aa41aed0"
+            "5cfb64c3d332d5ea641047039dcd37ed"),
         # a curvature whose circle has no finite positive radius names the
         # curvature and the chart, not a radius that was never given
         "circle-kg-radius-overflows": (
@@ -1104,15 +1113,15 @@ class TestErrorPathCorpus:
         "minimal-line": (
             ["check", "--bcv", "0", "0", "--curve=s;0", "--interval", "0",
              "1"], 0, "",
-            "8c0f20d7b94da2fd2c5efa74d44779a2"
-            "b043cef405dba229b97b7f404607fe67"),
+            "c8bc38518080945c733853b269e4ed43"
+            "7f5a9c0b87024139b27848f5ebb5f455"),
         # not unit speed: the sweep reads the curve through t(s)
         "reparam-ellipse": (
             ["check", "--bcv", "1", "0.3",
              "--curve=0.7*cos(s);0.4*sin(s)",
              "--interval", "0", "6.283185307179586"], 0, "",
-            "2dc72af7ee8a56cbb99d508f3a6e230b"
-            "55b6dcec1eec73f85eecdd94de55df1a"),
+            "cf85c62798be3386ca062309df2b4877"
+            "bb1828f024822abed902935f21f6f325"),
     }
 
     @pytest.mark.parametrize("case", sorted(HOPF_CASES))
@@ -1346,6 +1355,10 @@ class TestHopfCommand:
                    else data["roots"][0]["verdict"])
         assert verdict["passed"] is False
         assert verdict["reason"] == "kappa_g, r or G varies along the curve"
+        # the JSON names the tol that failed it, after metric or r
+        keys = list(data)
+        assert data["tol"] == 1e-30 and keys[keys.index(
+            "metric" if argv[0] == "check" else "r") + 1] == "tol"
         code, out, _ = run(capsys, "hopf", *argv, "--tol", "1e-30",
                            "--format", "csv")
         assert all(row.endswith(",fail") for row in out.splitlines()[1:])
@@ -1500,7 +1513,8 @@ class TestCsvRoundTrip:
         assert data["verdict"]["passed"] is (status == "pass")
         assert [(row["check"], float(row["v"]), float(row["tol"]),
                  row["status"]) for row in rows] == [
-            ("hopf-residual", 0.0, hopf.CRITERION_TOL, status)] * 8
+            ("hopf-residual", 0.0, data["tol"], status)] * 8
+        assert data["tol"] == hopf.CRITERION_TOL
         assert max(float(row["residual"]) for row in rows) == (
             data["max_residual"])
 

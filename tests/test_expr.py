@@ -97,7 +97,7 @@ class TestParse:
     def test_whitespace_insignificant(self):
         a = parse("1 + 2 * x", ("x",))
         b = parse("1+2*x", ("x",))
-        assert a.root == b.root
+        assert a == b
 
     def test_unary_minus_binds_tighter_than_power(self):
         # per the grammar, -x^2 parses as (-x)^2
@@ -114,30 +114,56 @@ class TestParse:
 
 
 class TestRoundTrip:
+    # each text's str(parse(text)): one or more rows per printing rule, as
+    # the tree printer before the program printer gave them, except the
+    # three rows marked "fixed", where it dropped the parentheses of a
+    # minus of a power: -(x^2) printed as -x^2.0, which reads as (-x)^2.0
     CASES = [
-        "1/(1+(1/4)*(x^2+y^2))",
-        "-x^2+3*x*y-sin(x)*cos(y)",
-        "exp(-(x^2+y^2)/4)",
-        "sqrt(x+2)/(y-5)",
-        "x-(y-1)-2",
-        "x/(y/2)/3",
-        "abs(x)+tan(y)^2",
-        "-(x+y)",
-        "x^-1*y",
+        ("1/(1+(1/4)*(x^2+y^2))", "1.0/(1.0+1.0/4.0*(x^2.0+y^2.0))"),
+        ("-x^2+3*x*y-sin(x)*cos(y)", "-x^2.0+3.0*x*y-sin(x)*cos(y)"),
+        ("exp(-(x^2+y^2)/4)", "exp(-(x^2.0+y^2.0)/4.0)"),
+        ("sqrt(x+2)/(y-5)", "sqrt(x+2.0)/(y-5.0)"),
+        ("x-(y-1)-2", "x-(y-1.0)-2.0"),
+        ("x/(y/2)/3", "x/(y/2.0)/3.0"),
+        ("abs(x)+tan(y)^2", "abs(x)+tan(y)^2.0"),
+        ("-(x+y)", "-(x+y)"),
+        ("x^-1*y", "x^-1.0*y"),
+        ("(x+y)*y", "(x+y)*y"),  # a left operand of lower precedence
+        ("(x-y)-1", "x-y-1.0"),
+        ("x-(y*2)", "x-y*2.0"),  # a right operand of higher precedence
+        ("(x*y)/(x*y)", "x*y/(x*y)"),
+        ("x+(-y)", "x+(-y)"),  # a right operand's leading minus
+        ("x*-y", "x*(-y)"),
+        ("x-(-y)^2", "x-(-y^2.0)"),
+        ("--x", "--x"),
+        ("-(-(x))", "--x"),
+        ("-sin(x)", "-sin(x)"),
+        ("(-x)^2", "-x^2.0"),
+        ("(x^2)^3", "(x^2.0)^3.0"),
+        ("(x+1)^-0.5", "(x+1.0)^-0.5"),
+        ("x^-0", "x^-0.0"),
+        ("pi*x", "3.141592653589793*x"),
+        ("1e300*x", "1e+300*x"),
+        ("((x))", "x"),
+        ("sin(x+y)*cos(-x)", "sin(x+y)*cos(-x)"),
+        ("-(x^2)", "-(x^2.0)"),  # fixed: "-x^2.0"
+        ("x/-(y^2)", "x/(-(y^2.0))"),  # fixed: "x/(-y^2.0)"
+        ("(-(x^2))^3", "-(x^2.0)^3.0"),  # fixed: "-x^2.0^3.0", no parse
     ]
 
-    @pytest.mark.parametrize("text", CASES)
-    def test_print_parse_identical(self, text):
+    @pytest.mark.parametrize("text, printed", CASES,
+                             ids=[text for text, _ in CASES])
+    def test_print_parse_identical(self, text, printed):
         e = parse(text, ("x", "y"))
-        again = parse(str(e), ("x", "y"))
-        assert e.root == again.root
+        assert str(e) == printed
+        assert parse(printed, ("x", "y")) == e
 
     def test_random_trees_round_trip(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             e = _random_expr(rng, ("x", "y"), safe=False)
             again = parse(str(e), ("x", "y"))
-            assert e.root == again.root
+            assert e == again
 
     def test_invalid_inputs_raise_positioned_errors(self):
         rng = np.random.default_rng(8)
@@ -151,6 +177,82 @@ class TestRoundTrip:
             except ExprSyntaxError as err:
                 assert isinstance(err.position, int)
             # anything else escaping would fail the test
+
+
+class TestDepth:
+    def test_only_the_parsers_descent_is_a_cycle_of_calls(self):
+        # nothing past the parser recurses: the functions of expr that
+        # reach themselves through the functions they name (module
+        # functions by name, methods through self) are the parser's four
+        tree = ast.parse(Path(expr.__file__).read_text())
+        names = {}
+        for node in tree.body:
+            for fn in ([node] if isinstance(node, ast.FunctionDef) else
+                       node.body if isinstance(node, ast.ClassDef) else []):
+                if isinstance(fn, ast.FunctionDef):
+                    owner = f"{node.name}." if node is not fn else ""
+                    names[owner + fn.name] = (owner, fn)
+        named = {}
+        for name, (owner, fn) in names.items():
+            named[name] = {
+                f"{owner}{n.attr}" if isinstance(n, ast.Attribute) else n.id
+                for n in ast.walk(fn)
+                if isinstance(n, ast.Name) or (
+                    isinstance(n, ast.Attribute) and owner
+                    and isinstance(n.value, ast.Name) and n.value.id == "self")
+            } & names.keys()
+
+        def reach(name):
+            seen, todo = set(), list(named[name])
+            while todo:
+                step = todo.pop()
+                if step not in seen:
+                    seen.add(step)
+                    todo.extend(named[step])
+            return seen
+
+        assert {name for name in names if name in reach(name)} == {
+            "_Parser.expr", "_Parser.term", "_Parser.factor", "_Parser.base"}
+
+    @staticmethod
+    def _from_depth(frames, call):
+        """``call()`` from ``frames`` more frames down the stack."""
+        return call() if frames == 0 else TestDepth._from_depth(frames - 1,
+                                                                 call)
+
+    @pytest.mark.parametrize("opening", ["(", "sin("], ids=["parentheses",
+                                                           "calls"])
+    def test_the_nesting_limit_is_a_property_of_the_text(self, opening):
+        n = expr.MAX_NESTING
+        deepest = opening * n + "x" + ")" * n
+        too_deep = opening + deepest + ")"
+
+        def refusal():
+            with pytest.raises(ExprSyntaxError) as err:
+                parse(too_deep, ("x",))
+            return str(err.value), err.value.position
+
+        want = (f"expression nested deeper than {n} levels "
+                f"(at offset {n * len(opening)})", n * len(opening))
+        printed = "x" if opening == "(" else deepest
+        for frames in (0, 300):
+            assert self._from_depth(frames, refusal) == want
+            e = self._from_depth(frames, lambda: parse(deepest, ("x",)))
+            assert str(e) == printed
+
+    @pytest.mark.parametrize("text, value, slope", [
+        ("+".join(["x"] * 3000), 1500.0, 3000.0),
+        ("-" * 1500 + "x", 0.5, 1.0),
+        ("-" * 1501 + "x", -0.5, -1.0),
+    ], ids=["sum", "even-minus", "odd-minus"])
+    def test_sums_and_minus_runs_of_any_length_evaluate(self, text, value,
+                                                       slope):
+        e = parse(text, ("x", "y"))
+        jet = eval_jet(e, (0.5, 2.0))
+        assert (jet.value, jet.grad.tolist(), jet.hess.tolist()) == (
+            value, [slope, 0.0], [[0.0, 0.0], [0.0, 0.0]])
+        assert eval_value(e, (0.5, 2.0)) == value
+        assert parse(str(e), ("x", "y")) == e
 
 
 # each grammar function on an argument inside its smooth domain
@@ -300,6 +402,18 @@ class TestJets:
          "negative base for non-integer power 0.5 in 'x^0.5'"),
         ("x^-1", 0.0, "power -1.0 not twice differentiable at 0 in 'x^-1.0'"),
         ("abs(x)", 1e-13, "abs is not differentiable at 0 in 'abs(x)'"),
+        # inside larger expressions, naming the instruction's subexpression
+        # (the "fixed" row: see TestRoundTrip.CASES; it read 'x/(-x^2.0)')
+        ("1+x/(x-1)", 1.0, "division by zero in 'x/(x-1.0)'"),
+        ("x/-(x^2)", 0.0, "division by zero in 'x/(-(x^2.0))'"),  # fixed
+        ("2*(x-1)^0.5", 0.0,
+         "negative base for non-integer power 0.5 in '(x-1.0)^0.5'"),
+        ("3+(x*x)^-1", 0.0,
+         "power -1.0 not twice differentiable at 0 in '(x*x)^-1.0'"),
+        ("x*log(x-1)", 0.0, "log of nonpositive value -1.0 in 'log(x-1.0)'"),
+        ("1-sqrt(x-1)", 0.0,
+         "sqrt of nonpositive value -1.0 in 'sqrt(x-1.0)'"),
+        ("2*abs(x-1)", 1.0, "abs is not differentiable at 0 in 'abs(x-1.0)'"),
     ])
     def test_domain_errors_name_subexpression(self, text, x, message,
                                               batch):
@@ -329,6 +443,13 @@ class TestJets:
         ("x^0.5", -1.0,
          "negative base for non-integer power 0.5 in 'x^0.5'"),
         ("x^-1", 0.0, "zero base for negative power in 'x^-1.0'"),
+        ("1+x/(x-1)", 1.0, "division by zero in 'x/(x-1.0)'"),
+        ("x/-(x^2)", 0.0, "division by zero in 'x/(-(x^2.0))'"),  # fixed
+        ("2*(x-1)^0.5", 0.0,
+         "negative base for non-integer power 0.5 in '(x-1.0)^0.5'"),
+        ("3+(x*x)^-1", 0.0, "zero base for negative power in '(x*x)^-1.0'"),
+        ("x*log(x-1)", 0.0, "log of nonpositive value -1.0 in 'log(x-1.0)'"),
+        ("1-sqrt(x-1)", 0.0, "sqrt of negative value -1.0 in 'sqrt(x-1.0)'"),
     ])
     def test_value_domain_errors_name_subexpression(self, text, x, message,
                                                     batch):
@@ -809,6 +930,11 @@ class TestElementwiseKernels:
         ("exp(800*x)", 1.0, "exp(800.0) overflows in 'exp(800.0*x)'"),
         ("x^2", 1e200, "power(1e+200, 2.0) overflows in 'x^2.0'"),
         ("2+sin(x)", math.inf, "sin(inf) is undefined in 'sin(x)'"),
+        ("x+exp(800*(x-2))", 3.0,
+         "exp(800.0) overflows in 'exp(800.0*(x-2.0))'"),
+        ("x-((x-0.5)*1e200)^2", 2.5,
+         "power(2e+200, 2.0) overflows in '((x-0.5)*1e+200)^2.0'"),
+        ("1+tan(-x)", math.inf, "tan(-inf) is undefined in 'tan(-x)'"),
     ])
     def test_a_raising_element_names_its_value_and_subexpression(
             self, text, point, message):

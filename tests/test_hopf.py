@@ -789,11 +789,12 @@ class TestCylinderSurfaceCheck:
 
     @pytest.mark.parametrize("c, kappa", [(1.0, 1.0), (1.0, 0.5), (0.0, 1.0),
                                           (4.0, 1.2), (-1.0, 1.2)])
-    def test_patch_reuses_the_curve_tree(self, c, kappa):
+    def test_patch_reuses_the_curve_program(self, c, kappa):
         circ = hopf.bcv_circle(c, kappa=kappa)
         patch = hopf.cylinder_patch(geo.bcv(c, 0.3), circ)
-        assert patch.x.root is circ.x.root and patch.y.root is circ.y.root
-        assert patch.x.root == parse(str(circ.x), ("s", "v")).root
+        assert (patch.x.program is circ.x.program
+                and patch.y.program is circ.y.program)
+        assert patch.x == parse(str(circ.x), ("s", "v"))
 
     def test_patch_needs_the_parameter_s(self):
         circle = hopf.BaseCurve(parse("cos(t)", ("t",)),
